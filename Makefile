@@ -60,19 +60,20 @@ readbench:
 phasebench:
 	$(GO) run ./cmd/faspbench -phasebench BENCH_PR6.json -n $(N)
 
-# Network-server benchmark: four loadgen arms (1 sync connection,
-# SB_CONNS pipelined connections on the per-shard commit pipelines, the
-# same workload on the global-batcher fallback as the A/B control, and
-# overload against a tiny in-flight gate) against an in-process
+# Network-server benchmark: three loadgen arms (1 sync connection,
+# SB_CONNS pipelined connections enqueueing straight on the shard writers,
+# and overload against a tiny in-flight gate) against an in-process
 # faspserver, with a /metrics self-scrape validated through
-# ValidatePrometheus. -sb-strict turns a missed acceptance target (≥4x
-# simulated speedup vs 1 conn, ≥1.5x pipelined vs global, per-shard
-# coalesce width > 1, BUSY shedding with zero dropped connections) into
-# a non-zero exit; see DESIGN.md §12/§14 for the accounting.
+# ValidatePrometheus. The report goes to stdout (redirect it to keep it);
+# BENCH_PR10.json is the frozen record of the A/B against the removed
+# global batcher and is never rewritten. -sb-strict turns a missed
+# acceptance target (>=4x simulated speedup vs 1 conn, per-shard commit
+# width > 1, BUSY shedding with zero dropped connections) into a non-zero
+# exit; see DESIGN.md §12/§14 for the accounting.
 SB_CONNS ?= 256
 SB_DUR   ?= 2s
 serverbench:
-	$(GO) run ./cmd/faspbench -serverbench BENCH_PR10.json -sb-conns $(SB_CONNS) -sb-dur $(SB_DUR) -metrics-addr 127.0.0.1:0 -scrape -sb-strict
+	$(GO) run ./cmd/faspbench -serverbench - -sb-conns $(SB_CONNS) -sb-dur $(SB_DUR) -metrics-addr 127.0.0.1:0 -scrape -sb-strict
 
 # Chaos soak: the -race in-process soak test, then the standalone harness —
 # a faspserver under a seeded storm of connection kills, torn frames,
@@ -87,4 +88,4 @@ chaos:
 	$(GO) run ./cmd/faspbench -chaos - -chaos-spec "$(CHAOS_SPEC)" -chaos-dur $(CHAOS_DUR) > /dev/null
 
 clean:
-	rm -f BENCH_PR1.json BENCH_PR2.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR10.json
+	rm -f BENCH_PR1.json BENCH_PR2.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json

@@ -2,27 +2,23 @@ package main
 
 // Network server benchmark mode (-serverbench): starts an in-process
 // faspserver over a sharded KV and drives it with the many-client load
-// generator, producing the BENCH_PR10.json trajectory point. Four arms:
+// generator. Three arms:
 //
 //   conns=1      — the single-connection baseline (no cross-connection
 //                  coalescing possible);
-//   conns=N      — the many-client arm (default 256) on the per-shard
-//                  commit pipelines, where each shard's loop drains many
-//                  connections' writes into combined group commits while
-//                  the next round accumulates;
-//   global       — the same many-client workload on the global-batcher
-//                  fallback (Config.GlobalBatcher), the pre-pipeline
-//                  architecture: one round at a time, all shards barriered
-//                  per round. This is the A/B control arm.
+//   conns=N      — the many-client arm (default 256): every connection
+//                  enqueues its per-shard slices straight on the shard
+//                  writers, which gather them into group commits while the
+//                  next round queues on the mailbox;
 //   overload     — a deliberately tiny in-flight gate flooded by the same
 //                  client count, asserting the shedding contract: typed
 //                  BUSY responses, zero dropped connections.
 //
-// The acceptance targets (mean commit width > 1 and throughput ≥ 4× the
-// 1-connection arm at the many-client point; pipelined simulated write
-// throughput ≥ 1.5× the global-batcher arm with per-shard coalesce width
-// > 1; overload sheds with BUSY, not disconnects) are recorded in the
-// report; -sb-strict makes a missed target a non-zero exit.
+// The acceptance targets (mean commit width > 1 and simulated throughput
+// ≥ 4× the 1-connection arm at the many-client point; overload sheds with
+// BUSY, not disconnects) are recorded in the report; -sb-strict makes a
+// missed target a non-zero exit. BENCH_PR10.json is the frozen record of
+// the A/B against the since-removed global batcher.
 
 import (
 	"encoding/json"
@@ -42,7 +38,8 @@ import (
 
 // ServerArm is one load-generation arm with its engine-side coalescing
 // evidence: MeanCommitWidth is Δops/Δbatches over the arm — the average
-// number of operations per committed failure-atomic transaction.
+// number of operations per committed failure-atomic transaction, i.e. the
+// per-shard group-commit width.
 //
 // Two throughput views, following the shardbench convention: wall-clock
 // ops/s measures how fast the emulation runs on the host (on a
@@ -69,26 +66,17 @@ import (
 // Cross-connection group commit then shows up in the ratio twice, as it
 // would on real hardware: many clients keep every shard busy, and the
 // per-commit protocol cost is amortised across the coalesced batch.
-// The global-batcher control arm additionally pays its architecture's
-// barrier: rounds are serialized — round k+1 cannot start until round k
-// commits on every shard it touched — so its simulated elapsed is the sum
-// over rounds of the busiest shard in each round (BarrierSimNS, sampled
-// by the server around every round), whichever of the three bounds binds.
 type ServerArm struct {
 	Name string `json:"name"`
 	loadgen.Result
 	Pipeline        int     `json:"pipeline"`
-	GlobalBatcher   bool    `json:"global_batcher,omitempty"`
 	EngineOps       int64   `json:"engine_ops"`
 	EngineBatches   int64   `json:"engine_batches"`
 	MeanCommitWidth float64 `json:"mean_commit_width"`
-	CoalesceMean    float64 `json:"server_submit_width_mean"`
-	// ShardCoalesceMean / PipeOccupancyMean are the per-shard pipeline's
-	// round width and per-round connection join count (zero on the
-	// global-batcher arm, which has no per-shard rounds).
+	// CoalesceMean / ShardCoalesceMean are the server-side submit widths:
+	// write-ops per connection flush, and per per-shard slice of a flush.
+	CoalesceMean      float64 `json:"server_submit_width_mean"`
 	ShardCoalesceMean float64 `json:"shard_coalesce_mean,omitempty"`
-	PipeOccupancyMean float64 `json:"pipe_occupancy_mean,omitempty"`
-	BarrierSimNS      int64   `json:"barrier_sim_ns,omitempty"`
 	SimMaxNS          int64   `json:"sim_max_ns"`
 	SimSumNS          int64   `json:"sim_sum_ns"`
 	SimElapsedNS      int64   `json:"sim_elapsed_ns"`
@@ -111,16 +99,11 @@ type ServerBenchReport struct {
 	// SpeedupVs1Conn is the machine-independent (simulated) throughput
 	// ratio of the many-client arm over the 1-connection arm; WallSpeedup
 	// is the host wall-clock ratio for reference (≈1 on a 1-CPU host).
-	SpeedupVs1Conn float64 `json:"throughput_speedup_vs_1conn"`
-	WallSpeedup    float64 `json:"wall_speedup_vs_1conn"`
-	TargetSpeedup  float64 `json:"target_speedup"`
-	// SpeedupVsGlobal is the A/B headline: the pipelined many-client
-	// arm's simulated write throughput over the global-batcher arm's on
-	// the same workload and config.
-	SpeedupVsGlobal       float64  `json:"throughput_speedup_vs_global"`
-	TargetSpeedupVsGlobal float64  `json:"target_speedup_vs_global"`
-	TargetsMet            bool     `json:"targets_met"`
-	Notes                 []string `json:"notes,omitempty"`
+	SpeedupVs1Conn float64  `json:"throughput_speedup_vs_1conn"`
+	WallSpeedup    float64  `json:"wall_speedup_vs_1conn"`
+	TargetSpeedup  float64  `json:"target_speedup"`
+	TargetsMet     bool     `json:"targets_met"`
+	Notes          []string `json:"notes,omitempty"`
 }
 
 // serverBenchConfig carries the -sb-* flags.
@@ -144,14 +127,14 @@ type serverBenchConfig struct {
 
 // runServerArm opens a fresh KV+server, runs one loadgen arm against it,
 // and reports throughput plus the engine's commit-width delta.
-func runServerArm(name string, sc serverBenchConfig, conns, pipeline, maxInFlight int, global, scrapeNow bool) (ServerArm, error) {
-	arm := ServerArm{Name: name, Pipeline: pipeline, GlobalBatcher: global}
+func runServerArm(name string, sc serverBenchConfig, conns, pipeline, maxInFlight int, scrapeNow bool) (ServerArm, error) {
+	arm := ServerArm{Name: name, Pipeline: pipeline}
 	kv, err := fasp.OpenKV(fasp.Options{Shards: sc.shards, Scheme: sc.scheme, MaxBatch: sc.maxBatch, PageSize: sc.pageSize})
 	if err != nil {
 		return arm, err
 	}
 	defer kv.Close()
-	srv := server.New(kv, server.Config{MaxInFlight: maxInFlight, GlobalBatcher: global})
+	srv := server.New(kv, server.Config{MaxInFlight: maxInFlight})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return arm, err
@@ -182,14 +165,11 @@ func runServerArm(name string, sc serverBenchConfig, conns, pipeline, maxInFligh
 	snap := srv.Snapshot()
 	arm.CoalesceMean = snap.Coalesce.Mean()
 	arm.ShardCoalesceMean = snap.ShardCoalesce.Mean()
-	arm.PipeOccupancyMean = snap.PipeOccupancy.Mean()
-	arm.BarrierSimNS = snap.BarrierSimNS
 	arm.SimMaxNS = st1.SimMaxNS - st0.SimMaxNS
 	arm.SimSumNS = st1.SimSumNS - st0.SimSumNS
 	// Makespan lower bound at the arm's offered concurrency (see the
 	// ServerArm doc comment): busiest shard, or total work spread over the
-	// shards the arm's in-flight ops can occupy, whichever binds — and,
-	// on the global-batcher arm, the serialized-round barrier sum.
+	// shards the arm's in-flight ops can occupy, whichever binds.
 	occupancy := conns * pipeline * sc.batchSize
 	if occupancy > sc.shards {
 		occupancy = sc.shards
@@ -200,9 +180,6 @@ func runServerArm(name string, sc serverBenchConfig, conns, pipeline, maxInFligh
 	arm.SimElapsedNS = arm.SimMaxNS
 	if work := arm.SimSumNS / int64(occupancy); work > arm.SimElapsedNS {
 		arm.SimElapsedNS = work
-	}
-	if arm.BarrierSimNS > arm.SimElapsedNS {
-		arm.SimElapsedNS = arm.BarrierSimNS
 	}
 	if arm.SimElapsedNS > 0 {
 		arm.SimOpsPerSec = float64(arm.EngineOps) / (float64(arm.SimElapsedNS) / 1e9)
@@ -259,15 +236,14 @@ func scrapeServerMetrics(addr string, scrape bool) error {
 // runServerBench runs all three arms and writes the report.
 func runServerBench(sc serverBenchConfig) error {
 	rep := ServerBenchReport{
-		Generated:             time.Now().UTC().Format(time.RFC3339),
-		GoVersion:             runtime.Version(),
-		CPUs:                  runtime.NumCPU(),
-		Shards:                sc.shards,
-		ValueSize:             sc.valueSize,
-		Pipeline:              sc.pipeline,
-		BatchSize:             sc.batchSize,
-		TargetSpeedup:         4,
-		TargetSpeedupVsGlobal: 1.5,
+		Generated:     time.Now().UTC().Format(time.RFC3339),
+		GoVersion:     runtime.Version(),
+		CPUs:          runtime.NumCPU(),
+		Shards:        sc.shards,
+		ValueSize:     sc.valueSize,
+		Pipeline:      sc.pipeline,
+		BatchSize:     sc.batchSize,
+		TargetSpeedup: 4,
 	}
 
 	report := func(a ServerArm) {
@@ -280,30 +256,21 @@ func runServerBench(sc serverBenchConfig) error {
 	// The baseline is the canonical single client: one connection, one
 	// request outstanding (pipeline 1), so every commit is the full
 	// serial round trip a lone caller experiences.
-	base, err := runServerArm("conns1", sc, 1, 1, 0, false, false)
+	base, err := runServerArm("conns1", sc, 1, 1, 0, false)
 	if err != nil {
 		return fmt.Errorf("conns1 arm: %w", err)
 	}
 	report(base)
 	rep.Arms = append(rep.Arms, base)
 
-	many, err := runServerArm(fmt.Sprintf("conns%d", sc.conns), sc, sc.conns, sc.pipeline, 0, false, true)
+	many, err := runServerArm(fmt.Sprintf("conns%d", sc.conns), sc, sc.conns, sc.pipeline, 0, true)
 	if err != nil {
 		return fmt.Errorf("many-client arm: %w", err)
 	}
 	report(many)
 	rep.Arms = append(rep.Arms, many)
 
-	// A/B control: identical workload and config on the global-batcher
-	// fallback — the pre-pipeline architecture.
-	global, err := runServerArm("global", sc, sc.conns, sc.pipeline, 0, true, false)
-	if err != nil {
-		return fmt.Errorf("global-batcher arm: %w", err)
-	}
-	report(global)
-	rep.Arms = append(rep.Arms, global)
-
-	over, err := runServerArm("overload", sc, sc.conns, sc.pipeline, sc.overInflit, false, false)
+	over, err := runServerArm("overload", sc, sc.conns, sc.pipeline, sc.overInflit, false)
 	if err != nil {
 		return fmt.Errorf("overload arm: %w", err)
 	}
@@ -325,16 +292,7 @@ func runServerBench(sc serverBenchConfig) error {
 		miss("speedup %.2fx < target %.0fx", rep.SpeedupVs1Conn, rep.TargetSpeedup)
 	}
 	if many.MeanCommitWidth <= 1 {
-		miss("mean commit width %.2f at conns=%d not > 1", many.MeanCommitWidth, many.Conns)
-	}
-	if global.SimOpsPerSec > 0 {
-		rep.SpeedupVsGlobal = many.SimOpsPerSec / global.SimOpsPerSec
-	}
-	if rep.SpeedupVsGlobal < rep.TargetSpeedupVsGlobal {
-		miss("pipelined vs global speedup %.2fx < target %.1fx", rep.SpeedupVsGlobal, rep.TargetSpeedupVsGlobal)
-	}
-	if many.ShardCoalesceMean <= 1 {
-		miss("per-shard coalesce width %.2f in pipelined arm not > 1", many.ShardCoalesceMean)
+		miss("per-shard mean commit width %.2f at conns=%d not > 1", many.MeanCommitWidth, many.Conns)
 	}
 	if over.Busy == 0 {
 		miss("overload arm saw no BUSY sheds")
@@ -345,9 +303,8 @@ func runServerBench(sc serverBenchConfig) error {
 	if over.Errors != 0 {
 		miss("overload arm saw %d untyped errors", over.Errors)
 	}
-	fmt.Fprintf(os.Stderr, "speedup vs 1 conn: %.2fx (target %.0fx); pipelined vs global: %.2fx (target %.1fx, shard width %.1f); targets met: %v %v\n",
-		rep.SpeedupVs1Conn, rep.TargetSpeedup, rep.SpeedupVsGlobal, rep.TargetSpeedupVsGlobal,
-		many.ShardCoalesceMean, rep.TargetsMet, rep.Notes)
+	fmt.Fprintf(os.Stderr, "speedup vs 1 conn: %.2fx (target %.0fx); per-shard commit width %.1f; targets met: %v %v\n",
+		rep.SpeedupVs1Conn, rep.TargetSpeedup, many.MeanCommitWidth, rep.TargetsMet, rep.Notes)
 
 	out, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

@@ -367,10 +367,12 @@ type KV struct {
 }
 
 // Op and OpKind re-export the sharded engine's operation type, used by
-// ApplyBatch in both modes.
+// ApplyBatch in both modes; Request is its reusable submission handle for
+// Enqueue/Wait (the zero value is ready to use).
 type (
-	Op     = shard.Op
-	OpKind = shard.OpKind
+	Op      = shard.Op
+	OpKind  = shard.OpKind
+	Request = shard.Request
 )
 
 // Operation kinds for ApplyBatch.
@@ -503,7 +505,7 @@ func (kv *KV) MaxBatch() int {
 // placement on a sharded store, always 0 on a single store. It is
 // deterministic and stable for the life of the store (the hash is part of
 // the on-disk contract), so callers may pre-partition work by shard —
-// the server's per-shard commit pipelines do exactly that.
+// the server's connections do exactly that before Enqueue.
 func (kv *KV) ShardOf(key []byte) int {
 	if kv.eng != nil {
 		return kv.eng.ShardFor(key)
@@ -511,30 +513,42 @@ func (kv *KV) ShardOf(key []byte) int {
 	return 0
 }
 
-// SubmitShard applies ops — every key must route to shard si under
-// ShardOf — as one submission on that shard's writer, blocking until errs
-// (len(ops)) is filled. It is the per-shard pipeline entry point: unlike
-// DoBatch there is no cross-shard barrier, and the request carries the
-// caller's slices directly (zero-copy), so the caller must not touch ops
-// or errs until it returns. On a single store it falls back to the locked
-// deterministic batch path.
+// Enqueue queues ops — every key must route to shard si under ShardOf —
+// as one submission on that shard's writer and returns without waiting for
+// the commit; Wait(r) blocks until errs (len(ops)) is filled. The writer
+// gathers whatever concurrent callers have enqueued into one group commit,
+// so a caller with work for several shards enqueues one handle per shard
+// and then waits on each: no cross-shard barrier, and every writer busy at
+// once. The handle carries the caller's slices directly (zero-copy), so
+// the caller must not touch ops or errs until Wait returns. A mailbox full
+// past Options.EnqueueTimeout fails the submission with ErrShardBusy, one
+// racing Close with ErrClosed; errs is then already filled. On a single
+// store Enqueue applies the batch on the locked deterministic path before
+// returning.
+func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error) {
+	if kv.eng != nil {
+		kv.eng.Enqueue(r, si, ops, errs)
+		return
+	}
+	copy(errs, kv.ApplyBatch(ops))
+}
+
+// Wait blocks until the submission r was last enqueued with has its
+// verdicts; r may then be enqueued again.
+func (kv *KV) Wait(r *Request) {
+	if kv.eng != nil {
+		kv.eng.Wait(r)
+	}
+}
+
+// SubmitShard is Enqueue then Wait: one blocking submission on shard si's
+// writer.
 func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
 	if kv.eng != nil {
 		kv.eng.SubmitShard(si, ops, errs)
 		return
 	}
 	copy(errs, kv.ApplyBatch(ops))
-}
-
-// SimClocks fills dst (grown if needed) with each shard's simulated clock
-// as of its last completed mutation — the lock-free per-device time
-// samples the serving layer's makespan accounting needs. It returns nil
-// on a single store.
-func (kv *KV) SimClocks(dst []int64) []int64 {
-	if kv.eng != nil {
-		return kv.eng.SimClocks(dst)
-	}
-	return nil
 }
 
 // Put inserts or replaces key's value in one transaction — a single

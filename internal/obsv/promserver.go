@@ -51,23 +51,20 @@ type ServerSnapshot struct {
 	BytesOut int64 `json:"bytes_out"`
 	// Ops is the per-opcode served summary, in opcode order.
 	Ops []ServerOpStats `json:"ops"`
-	// Coalesce is the distribution of write-ops per engine submission —
-	// how many pipelined/coalesced mutations one submission carried.
+	// Coalesce is the distribution of write-ops per connection flush — how
+	// many pipelined mutations one connection submitted at once.
 	Coalesce HistSnapshot `json:"coalesce"`
-	// ShardCoalesce is the distribution of write-ops per per-shard commit
-	// round (the per-shard pipeline's group-commit width).
+	// ShardCoalesce is the distribution of write-ops per per-shard slice of
+	// a flush, as enqueued on one shard's writer.
 	ShardCoalesce HistSnapshot `json:"shard_coalesce"`
-	// PipeOccupancy is the distribution of connection sub-submissions per
-	// per-shard commit round — how many connections each pipelined round
-	// joined.
+	// PipeOccupancy is unfed since the server's per-shard pipes were
+	// removed: the shard writer is the only group-commit stage, and the
+	// engine's batch_size and mail_depth histograms (Recorder) describe its
+	// rounds. The field stays so readers of the snapshot keep compiling.
 	PipeOccupancy HistSnapshot `json:"pipe_occupancy"`
 	// DedupCacheBytes gauges the reply bytes cached across all sessions
 	// for exactly-once replays.
 	DedupCacheBytes int64 `json:"dedup_cache_bytes"`
-	// BarrierSimNS accumulates, under the global-batcher fallback, each
-	// commit round's busiest-shard simulated time — the serialized-round
-	// makespan that architecture imposes (zero under the pipelines).
-	BarrierSimNS int64 `json:"barrier_sim_ns"`
 }
 
 // WriteServerPrometheus renders a server snapshot in the Prometheus text
@@ -118,14 +115,11 @@ func WriteServerPrometheus(w io.Writer, server string, s ServerSnapshot) {
 		fmt.Fprintf(w, "fasp_server_request_wall_ns{server=%q,op=%q,quantile=\"0.999\"} %d\n", server, o.Op, o.WallP999NS)
 	}
 
-	writeHistAs(w, "fasp_server_coalesce_width", "Write operations per engine submission (cross-connection coalescing).", "server", server, s.Coalesce)
-	writeHistAs(w, "fasp_server_shard_coalesce_width", "Write operations per per-shard commit round (pipeline group-commit width).", "server", server, s.ShardCoalesce)
-	writeHistAs(w, "fasp_server_pipeline_occupancy", "Connection sub-submissions joined per per-shard commit round.", "server", server, s.PipeOccupancy)
+	writeHistAs(w, "fasp_server_coalesce_width", "Write operations per connection flush (pipelined coalescing).", "server", server, s.Coalesce)
+	writeHistAs(w, "fasp_server_shard_coalesce_width", "Write operations per per-shard slice a flush enqueues on the engine.", "server", server, s.ShardCoalesce)
 
 	fmt.Fprintf(w, "# HELP fasp_server_dedup_cache_bytes Reply bytes cached across sessions for exactly-once replays.\n# TYPE fasp_server_dedup_cache_bytes gauge\n")
 	fmt.Fprintf(w, "fasp_server_dedup_cache_bytes{server=%q} %d\n", server, s.DedupCacheBytes)
-	fmt.Fprintf(w, "# HELP fasp_server_barrier_sim_ns_total Per-round busiest-shard simulated time under the global batcher (serialized-round makespan).\n# TYPE fasp_server_barrier_sim_ns_total counter\n")
-	fmt.Fprintf(w, "fasp_server_barrier_sim_ns_total{server=%q} %d\n", server, s.BarrierSimNS)
 }
 
 // ClientSnapshot is the retrying client layer's telemetry: retries by

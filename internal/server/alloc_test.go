@@ -11,7 +11,7 @@ import (
 // Steady-state allocation pin for the server data plane.
 //
 // testing.AllocsPerRun only counts the calling goroutine, so it cannot see
-// the reader/pipeline/writer goroutines a request crosses. This pin
+// the reader and writer goroutines a request crosses. This pin
 // measures the whole process instead: runtime.MemStats.Mallocs delta
 // across a long warm pipelined run, divided by round trips.
 //
@@ -19,10 +19,10 @@ import (
 // (engine commit-path bookkeeping — WAL records, page versions — not the
 // server layer, which is pooled end to end: frame decode aliases the conn
 // buffer, write-set partitioning reuses conn scratch, the per-shard
-// submission is pooled, and the GET fast path reads into a reusable
+// submission handle is conn-owned, and the GET fast path reads into a reusable
 // buffer). The headroom covers GC timing and runtime noise, not new
 // per-request allocations: a steady-state alloc added to the conn or
-// pipeline hot path shows up here as several whole mallocs per op and
+// writer hot path shows up here as several whole mallocs per op and
 // fails the pin.
 const allocBudgetPerRoundTrip = 12
 
@@ -35,11 +35,11 @@ func measureRoundTripAllocs(t *testing.T, addr string) float64 {
 	key := []byte("alloc-pin-key-000000")
 	val := []byte("alloc-pin-value-0123456789abcdef")
 	roundTrips := func(n int) {
-		const window = 64 // keep the pipe full but bounded
+		const window = 64 // keep the connection's pipeline full but bounded
 		sent, recvd := 0, 0
 		for recvd < n {
 			for sent < n && sent-recvd < window {
-				// Rotate keys across shards so every pipe stays warm.
+				// Rotate keys across shards so every writer stays warm.
 				key[len(key)-1] = byte('a' + sent%16)
 				cl.QueuePut(key, val)
 				cl.QueueGet(key)
@@ -61,7 +61,7 @@ func measureRoundTripAllocs(t *testing.T, addr string) float64 {
 	}
 
 	// Warm every pooled buffer: conn arena, pend/ops/scratch slices,
-	// per-shard submission pool, engine mailboxes, client frame buffer.
+	// engine mailboxes and writer scratch, client frame buffer.
 	roundTrips(2000)
 
 	var before, after runtime.MemStats
@@ -82,26 +82,5 @@ func TestServerRoundTripAllocs(t *testing.T) {
 	t.Logf("pipelined: %.2f mallocs per PUT+GET round trip (budget %d)", perOp, allocBudgetPerRoundTrip)
 	if perOp > allocBudgetPerRoundTrip {
 		t.Fatalf("alloc regression: %.2f mallocs per round trip exceeds budget %d — a per-request allocation crept into the data plane", perOp, allocBudgetPerRoundTrip)
-	}
-}
-
-// TestServerRoundTripAllocsGlobal pins the fallback arm at its own,
-// higher budget: the global batcher keeps the legacy copy-in submission
-// (the engine round is flattened and re-copied per commit), measured ~15
-// mallocs per round trip — the gap versus the pipelined arm's ~7 is
-// exactly what the zero-copy per-shard path removed. The pin keeps the
-// A/B arm from regressing further, and the delta is the documented cost
-// of running the fallback.
-const allocBudgetPerRoundTripGlobal = 20
-
-func TestServerRoundTripAllocsGlobal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc pin needs a long steady-state run")
-	}
-	_, _, addr := start(t, fasp.Options{Shards: 4}, Config{GlobalBatcher: true})
-	perOp := measureRoundTripAllocs(t, addr)
-	t.Logf("global batcher: %.2f mallocs per PUT+GET round trip (budget %d)", perOp, allocBudgetPerRoundTripGlobal)
-	if perOp > allocBudgetPerRoundTripGlobal {
-		t.Fatalf("alloc regression: %.2f mallocs per round trip exceeds budget %d", perOp, allocBudgetPerRoundTripGlobal)
 	}
 }

@@ -23,7 +23,7 @@ const maxScanBytes = 256 << 10
 // offsets, not subslices, because the arena reallocates as it grows. si is
 // the op's shard placement, computed at decode time (the key bytes are
 // hashed before the arena copy) so the flush can partition the write-set
-// without re-hashing; unused under the global batcher.
+// without re-hashing.
 type opRef struct {
 	kind       uint8
 	si         int32
@@ -65,32 +65,30 @@ type conn struct {
 	pends []pend
 
 	req   wire.Request
-	ops   []fasp.Op   // scratch, materialised from refs at flush
+	ops   []fasp.Op   // scratch, materialised shard-major from refs at flush
+	errs  []error     // verdicts, parallel to ops
 	codes []wire.Code // scratch for batch replies
-	sub   submission  // this connection's slot in the group-commit round
 	sess  *session    // bound by HELLO; nil until then
 	val   []byte      // GET fast-path value buffer (GetInto destination)
 
-	// Per-shard partition scratch (pipelined mode, all reused): order maps
-	// each ref's request-order index to its shard-major position in
-	// sub.ops (empty = identity, the global arm); counts/offs/cur are the
-	// per-shard bucket counters; ssubs holds one shardSub per shard and
-	// subsOut the non-empty ones sent to the pipes.
-	order   []int32
-	counts  []int32
-	offs    []int32
-	cur     []int32
-	ssubs   []shardSub
-	subsOut []*shardSub
+	// Per-shard partition scratch (all reused): order maps each ref's
+	// request-order index to its shard-major position in ops; counts/offs
+	// are the per-shard bucket counters; reqs holds one engine submission
+	// handle per shard. A handle is in flight only while its conn blocks in
+	// flushSharded, so there is never concurrent reuse.
+	order  []int32
+	counts []int32
+	offs   []int32
+	reqs   []fasp.Request
 }
 
 func newConn(s *Server, c net.Conn) *conn {
 	return &conn{
-		s:   s,
-		c:   c,
-		br:  bufio.NewReaderSize(c, 64<<10),
-		bw:  bufio.NewWriterSize(c, 64<<10),
-		sub: submission{done: make(chan struct{}, 1)},
+		s:    s,
+		c:    c,
+		br:   bufio.NewReaderSize(c, 64<<10),
+		bw:   bufio.NewWriterSize(c, 64<<10),
+		reqs: make([]fasp.Request, s.nshards),
 	}
 }
 
@@ -229,7 +227,7 @@ func (cn *conn) process(op byte, payload []byte) (fatal bool) {
 			return false
 		}
 		// Fast path: answered right here on the reader goroutine — no pend,
-		// no batcher round trip — with the value read into the connection's
+		// no writer round trip — with the value read into the connection's
 		// reusable buffer (zero heap allocation at steady state).
 		v, ok, err := cn.s.kv.GetInto(cn.req.Key, cn.val[:0])
 		if cap(v) > cap(cn.val) {
@@ -336,10 +334,7 @@ func (cn *conn) deferWrite(op byte, t0 time.Time, ops ...wire.BatchOp) {
 		return
 	}
 	for _, b := range ops {
-		r := opRef{kind: b.Kind, koff: len(cn.arena), klen: len(b.Key)}
-		if cn.s.pipes != nil {
-			r.si = int32(cn.s.kv.ShardOf(b.Key))
-		}
+		r := opRef{kind: b.Kind, si: int32(cn.s.kv.ShardOf(b.Key)), koff: len(cn.arena), klen: len(b.Key)}
 		cn.arena = append(cn.arena, b.Key...)
 		r.voff, r.vlen = len(cn.arena), len(b.Val)
 		cn.arena = append(cn.arena, b.Val...)
@@ -369,34 +364,17 @@ func verdictApplied(c wire.Code) bool {
 	return true
 }
 
-// flushWrites submits every deferred write op — partitioned by shard to
-// the per-shard commit pipelines, or flat to the global group-commit loop
-// under Config.GlobalBatcher — and emits the pending responses in request
-// order. The arena and scratch are reusable immediately after: the commit
-// join blocks until every involved shard's verdicts are in, and the
-// engine's writers copy what they persist.
+// flushWrites submits every deferred write op, partitioned by shard, to
+// the engine and emits the pending responses in request order. The arena
+// and scratch are reusable immediately after: flushSharded blocks until
+// every involved shard's verdicts are in, and the engine's writers copy
+// what they persist.
 func (cn *conn) flushWrites() {
 	if len(cn.pends) == 0 {
 		return
 	}
-	var errs []error
-	cn.order = cn.order[:0] // empty order = request-order verdicts
 	if len(cn.refs) > 0 {
-		if cn.s.pipes != nil {
-			errs = cn.flushSharded()
-		} else {
-			cn.ops = cn.ops[:0]
-			for _, r := range cn.refs {
-				cn.ops = append(cn.ops, cn.materialise(&r))
-			}
-			cn.sub.ops = cn.ops
-			cn.sub.errs = cn.sub.errs[:0]
-			for range cn.ops {
-				cn.sub.errs = append(cn.sub.errs, nil)
-			}
-			cn.s.commit(&cn.sub)
-			errs = cn.sub.errs
-		}
+		cn.flushSharded()
 	}
 	vi := 0
 	admitted := 0
@@ -424,7 +402,7 @@ func (cn *conn) flushWrites() {
 			failed := false
 			applied = false
 			for j := 0; j < p.nops; j++ {
-				c := wire.CodeFor(cn.errAt(errs, vi+j))
+				c := wire.CodeFor(cn.errs[cn.order[vi+j]])
 				if c != wire.CodeOK {
 					failed = true
 				}
@@ -440,7 +418,7 @@ func (cn *conn) flushWrites() {
 			}
 		default: // single PUT/DEL
 			admitted++
-			err := cn.errAt(errs, vi)
+			err := cn.errs[cn.order[vi]]
 			vi++
 			if err == nil {
 				cn.out = wire.AppendOK(cn.out)
@@ -478,22 +456,15 @@ func (cn *conn) materialise(r *opRef) fasp.Op {
 	return o
 }
 
-// errAt reads verdict i of the current flush in request order, through
-// the shard-major order mapping when the write-set was partitioned.
-func (cn *conn) errAt(errs []error, i int) error {
-	if len(cn.order) == 0 {
-		return errs[i]
-	}
-	return errs[cn.order[i]]
-}
-
 // flushSharded partitions the deferred write-set by shard into one
-// shard-major ops/errs layout, submits each shard's slice to its commit
-// pipeline, and blocks on the multi-shard join. order records each
-// request-order op's shard-major position for the in-order response walk.
-// Everything here — buckets, layout, sub-submission values — is conn-owned
-// and reused, so a steady-state flush performs no heap allocation.
-func (cn *conn) flushSharded() []error {
+// shard-major ops/errs layout, enqueues each shard's slice on that shard's
+// writer, and waits for all of them — every involved writer commits
+// concurrently, and the connection is acked as soon as *its* shards are
+// done. order records each request-order op's shard-major position for the
+// in-order response walk. Everything here — buckets, layout, submission
+// handles — is conn-owned and reused, so a steady-state flush performs no
+// heap allocation.
+func (cn *conn) flushSharded() {
 	ns := cn.s.nshards
 	cn.counts = cn.counts[:0]
 	for i := 0; i < ns; i++ {
@@ -502,53 +473,41 @@ func (cn *conn) flushSharded() []error {
 	for i := range cn.refs {
 		cn.counts[cn.refs[i].si]++
 	}
-	cn.offs, cn.cur = cn.offs[:0], cn.cur[:0]
-	var sum, nsubs int32
+	cn.offs = cn.offs[:0]
+	var sum int32
 	for _, c := range cn.counts {
 		cn.offs = append(cn.offs, sum)
-		cn.cur = append(cn.cur, sum)
 		sum += c
-		if c > 0 {
-			nsubs++
-		}
 	}
-	n := len(cn.refs)
-	cn.ops = cn.ops[:0]
-	cn.sub.errs = cn.sub.errs[:0]
-	for i := 0; i < n; i++ {
+	cn.ops, cn.errs, cn.order = cn.ops[:0], cn.errs[:0], cn.order[:0]
+	for range cn.refs {
 		cn.ops = append(cn.ops, fasp.Op{})
+		cn.errs = append(cn.errs, nil)
 		cn.order = append(cn.order, 0)
-		cn.sub.errs = append(cn.sub.errs, nil)
 	}
+	// offs[si] walks shard si's bucket as it fills, ending at the bucket's
+	// end: bucket si is [offs[si]-counts[si], offs[si]).
 	for i := range cn.refs {
 		r := &cn.refs[i]
-		pos := cn.cur[r.si]
-		cn.cur[r.si] = pos + 1
+		pos := cn.offs[r.si]
+		cn.offs[r.si] = pos + 1
 		cn.ops[pos] = cn.materialise(r)
 		cn.order[i] = pos
 	}
-	cn.sub.ops = cn.ops
-	cn.sub.pending.Store(nsubs)
-	if cap(cn.ssubs) < ns {
-		cn.ssubs = make([]shardSub, ns)
-	}
-	cn.ssubs = cn.ssubs[:ns]
-	cn.subsOut = cn.subsOut[:0]
-	for si := 0; si < ns; si++ {
-		c := cn.counts[si]
+	cn.s.met.coalesce.Observe(int64(len(cn.refs)))
+	for si, c := range cn.counts {
 		if c == 0 {
 			continue
 		}
-		ss := &cn.ssubs[si]
-		lo := cn.offs[si]
-		ss.si = si
-		ss.ops = cn.ops[lo : lo+c]
-		ss.errs = cn.sub.errs[lo : lo+c]
-		ss.sub = &cn.sub
-		cn.subsOut = append(cn.subsOut, ss)
+		lo, hi := cn.offs[si]-c, cn.offs[si]
+		cn.s.met.shardCoalesce.Observe(int64(c))
+		cn.s.kv.Enqueue(&cn.reqs[si], si, cn.ops[lo:hi], cn.errs[lo:hi])
 	}
-	cn.s.commitSharded(&cn.sub, cn.subsOut)
-	return cn.sub.errs
+	for si, c := range cn.counts {
+		if c > 0 {
+			cn.s.kv.Wait(&cn.reqs[si])
+		}
+	}
 }
 
 // appendError encodes an engine error with its wire code, shard pin, and

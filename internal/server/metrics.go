@@ -30,19 +30,12 @@ type metrics struct {
 	opErr   [wire.NumOps]atomic.Int64
 	opWall  [wire.NumOps]obsv.Histogram
 
-	// coalesce observes the write-op count of every engine submission —
-	// the cross-connection group-commit width at the server layer.
-	coalesce obsv.Histogram
-	// shardCoalesce observes ops per per-shard commit round and
-	// pipeOccupancy the connection sub-submissions joined per round —
-	// the pipeline-health pair for the per-shard batcher loops.
+	// coalesce observes the write-op count of every connection flush and
+	// shardCoalesce that of each per-shard slice it enqueues on the engine.
+	coalesce      obsv.Histogram
 	shardCoalesce obsv.Histogram
-	pipeOccupancy obsv.Histogram
-	// barrierSimNS accumulates each global-batcher round's busiest-shard
-	// simulated time (the serialized-round makespan; zero under the
-	// pipelines). dedupBytes gauges cached dedup replies across sessions.
-	barrierSimNS atomic.Int64
-	dedupBytes   atomic.Int64
+	// dedupBytes gauges cached dedup replies across sessions.
+	dedupBytes atomic.Int64
 }
 
 // snapshot renders the counters; inFlight/limit come from the gate.
@@ -62,9 +55,7 @@ func (m *metrics) snapshot(inFlight, limit int) obsv.ServerSnapshot {
 		BytesOut:        m.bytesOut.Load(),
 		Coalesce:        m.coalesce.Snapshot(),
 		ShardCoalesce:   m.shardCoalesce.Snapshot(),
-		PipeOccupancy:   m.pipeOccupancy.Snapshot(),
 		DedupCacheBytes: m.dedupBytes.Load(),
-		BarrierSimNS:    m.barrierSimNS.Load(),
 	}
 	for op := byte(1); op < wire.NumOps; op++ {
 		n := m.opCount[op].Load()

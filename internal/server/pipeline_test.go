@@ -11,87 +11,108 @@ import (
 	"fasp/internal/server/wire"
 )
 
-// runMixedWorkload drives one deterministic mixed workload — cross-shard
-// BATCHes with logical verdicts, single PUT/DEL, overwrites — and returns
-// every batch verdict vector in issue order.
-func runMixedWorkload(t *testing.T, addr string) [][]wire.Code {
+// mixedBatch is round r of one deterministic mixed workload: cross-shard
+// ops with logical verdicts — puts, fresh inserts, duplicate inserts
+// (CodeDup) and updates of never-written keys (CodeKeyAbsent).
+func mixedBatch(round int) []wire.BatchOp {
+	ops := make([]wire.BatchOp, 0, 12)
+	for i := 0; i < 12; i++ {
+		k := []byte(fmt.Sprintf("mix-%02d-%02d", round, i))
+		switch i % 4 {
+		case 0:
+			ops = append(ops, wire.BatchOp{Kind: wire.KindPut, Key: k, Val: []byte(fmt.Sprintf("r%d", round))})
+		case 1:
+			ops = append(ops, wire.BatchOp{Kind: wire.KindInsert, Key: k, Val: []byte("ins")})
+		case 2: // duplicate insert of the previous key → CodeDup
+			prev := []byte(fmt.Sprintf("mix-%02d-%02d", round, i-1))
+			ops = append(ops, wire.BatchOp{Kind: wire.KindInsert, Key: prev, Val: []byte("dup")})
+		case 3: // update of a never-written key → CodeKeyAbsent
+			ops = append(ops, wire.BatchOp{Kind: wire.KindUpdate, Key: []byte(fmt.Sprintf("absent-%02d-%02d", round, i)), Val: []byte("x")})
+		}
+	}
+	return ops
+}
+
+// runMixedWorkload drives the mixed workload — 20 rounds of a BATCH then a
+// single PUT, then one DEL — through batch and returns every batch verdict
+// vector in issue order.
+func runMixedWorkload(t *testing.T, batch func([]wire.BatchOp) []wire.Code) [][]wire.Code {
 	t.Helper()
-	cl := dial(t, addr)
 	var verdicts [][]wire.Code
+	one := func(kind uint8, key, val string) {
+		t.Helper()
+		if c := batch([]wire.BatchOp{{Kind: kind, Key: []byte(key), Val: []byte(val)}}); c[0] != wire.CodeOK {
+			t.Fatalf("op %d on %q: %v", kind, key, c[0])
+		}
+	}
 	for round := 0; round < 20; round++ {
-		ops := make([]wire.BatchOp, 0, 16)
-		for i := 0; i < 12; i++ {
-			k := []byte(fmt.Sprintf("mix-%02d-%02d", round, i))
-			switch i % 4 {
-			case 0:
-				ops = append(ops, wire.BatchOp{Kind: wire.KindPut, Key: k, Val: []byte(fmt.Sprintf("r%d", round))})
-			case 1:
-				ops = append(ops, wire.BatchOp{Kind: wire.KindInsert, Key: k, Val: []byte("ins")})
-			case 2: // duplicate insert of the previous key → CodeDup
-				prev := []byte(fmt.Sprintf("mix-%02d-%02d", round, i-1))
-				ops = append(ops, wire.BatchOp{Kind: wire.KindInsert, Key: prev, Val: []byte("dup")})
-			case 3: // update of a never-written key → CodeKeyAbsent
-				ops = append(ops, wire.BatchOp{Kind: wire.KindUpdate, Key: []byte(fmt.Sprintf("absent-%02d-%02d", round, i)), Val: []byte("x")})
-			}
-		}
-		codes, err := cl.Batch(ops)
-		if err != nil {
-			t.Fatalf("round %d batch: %v", round, err)
-		}
-		verdicts = append(verdicts, codes)
-		if err := cl.Put([]byte(fmt.Sprintf("solo-%02d", round)), []byte("s")); err != nil {
-			t.Fatalf("round %d put: %v", round, err)
-		}
+		verdicts = append(verdicts, batch(mixedBatch(round)))
+		one(wire.KindPut, fmt.Sprintf("solo-%02d", round), "s")
 	}
-	// Interleave deletes so both arms exercise delete verdicts too.
-	if err := cl.Del([]byte("solo-00")); err != nil {
-		t.Fatalf("del: %v", err)
-	}
+	one(wire.KindDelete, "solo-00", "")
 	return verdicts
 }
 
-// scanAll collects the full keyspace through the wire protocol.
-func scanAll(t *testing.T, addr string) map[string]string {
-	t.Helper()
+// TestServerVsDirectEquivalence pins the serving path against the engine's
+// deterministic one: the same workload through the wire — partitioned per
+// shard, enqueued on the writers, verdicts read back through the
+// shard-major order mapping — and straight through KV.ApplyBatch produces
+// identical request-order verdicts and identical final state.
+func TestServerVsDirectEquivalence(t *testing.T) {
+	_, _, addr := start(t, fasp.Options{Shards: 8}, Config{})
 	cl := dial(t, addr)
-	out := map[string]string{}
+	vSrv := runMixedWorkload(t, func(ops []wire.BatchOp) []wire.Code {
+		codes, err := cl.Batch(ops)
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		return append([]wire.Code(nil), codes...)
+	})
+
+	direct, err := fasp.OpenKV(fasp.Options{Shards: 8})
+	if err != nil {
+		t.Fatalf("OpenKV: %v", err)
+	}
+	defer direct.Close()
+	vDirect := runMixedWorkload(t, func(ops []wire.BatchOp) []wire.Code {
+		kops := make([]fasp.Op, len(ops))
+		for i, b := range ops {
+			kops[i] = fasp.Op{Kind: fasp.OpKind(b.Kind), Key: b.Key, Val: b.Val}
+		}
+		var codes []wire.Code
+		for _, err := range direct.ApplyBatch(kops) {
+			codes = append(codes, wire.CodeFor(err))
+		}
+		return codes
+	})
+
+	for r := range vDirect {
+		for i := range vDirect[r] {
+			if vSrv[r][i] != vDirect[r][i] {
+				t.Fatalf("round %d verdict %d: server %v, direct %v", r, i, vSrv[r][i], vDirect[r][i])
+			}
+		}
+	}
+	want := map[string]string{}
+	if err := direct.Scan(nil, nil, func(k, v []byte) bool {
+		want[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatalf("direct scan: %v", err)
+	}
+	got := map[string]string{}
 	if err := cl.Scan(nil, nil, false, func(k, v []byte) bool {
-		out[string(k)] = string(v)
+		got[string(k)] = string(v)
 		return true
 	}); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	return out
-}
-
-// TestPipelinedVsGlobalEquivalence pins the A/B contract: the per-shard
-// pipelines and the global-batcher fallback produce byte-identical state
-// and identical request-order verdicts for the same workload — including
-// cross-shard BATCHes whose verdicts ride the shard-major order mapping.
-func TestPipelinedVsGlobalEquivalence(t *testing.T) {
-	_, _, addrPipe := start(t, fasp.Options{Shards: 8}, Config{})
-	_, _, addrGlob := start(t, fasp.Options{Shards: 8}, Config{GlobalBatcher: true})
-
-	vPipe := runMixedWorkload(t, addrPipe)
-	vGlob := runMixedWorkload(t, addrGlob)
-	if len(vPipe) != len(vGlob) {
-		t.Fatalf("verdict rounds: %d vs %d", len(vPipe), len(vGlob))
+	if len(got) != len(want) {
+		t.Fatalf("keyspace size: server %d, direct %d", len(got), len(want))
 	}
-	for r := range vPipe {
-		for i := range vPipe[r] {
-			if vPipe[r][i] != vGlob[r][i] {
-				t.Fatalf("round %d verdict %d: pipelined %v, global %v", r, i, vPipe[r][i], vGlob[r][i])
-			}
-		}
-	}
-
-	sPipe, sGlob := scanAll(t, addrPipe), scanAll(t, addrGlob)
-	if len(sPipe) != len(sGlob) {
-		t.Fatalf("keyspace size: %d vs %d", len(sPipe), len(sGlob))
-	}
-	for k, v := range sPipe {
-		if sGlob[k] != v {
-			t.Fatalf("key %q: pipelined %q, global %q", k, v, sGlob[k])
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("key %q: server %q, direct %q", k, got[k], v)
 		}
 	}
 }
@@ -149,11 +170,12 @@ func TestCrossShardBatchVerdictOrder(t *testing.T) {
 	}
 }
 
-// TestShardPipelineWidth drives concurrent pipelined load and asserts the
-// per-shard commit rounds actually coalesce: shard-round width above 1 and
-// multi-connection round occupancy observed.
-func TestShardPipelineWidth(t *testing.T) {
-	srv, _, addr := start(t, fasp.Options{Shards: 4}, Config{})
+// TestShardCommitWidth drives concurrent pipelined load and asserts the
+// shard writers — the only group-commit stage — actually coalesce: the
+// engine's batch-size distribution has a mean above 1, and the server's
+// per-flush and per-shard-slice widths were observed at the enqueue.
+func TestShardCommitWidth(t *testing.T) {
+	srv, kv, addr := start(t, fasp.Options{Shards: 4}, Config{})
 	res, err := loadgen.Run(loadgen.Config{
 		Addr: addr, Conns: 16, Pipeline: 16, Duration: 400 * time.Millisecond,
 	})
@@ -163,28 +185,126 @@ func TestShardPipelineWidth(t *testing.T) {
 	if res.ConnDrops != 0 || res.Errors != 0 {
 		t.Fatalf("drops=%d errors=%d", res.ConnDrops, res.Errors)
 	}
+	bs := kv.Metrics().BatchSize
+	if bs.Count == 0 {
+		t.Fatal("no group commits observed")
+	}
+	if mean := bs.Mean(); mean <= 1 {
+		t.Fatalf("shard writers coalesced nothing: mean batch size %.2f", mean)
+	}
 	snap := srv.Snapshot()
-	if snap.ShardCoalesce.Count == 0 {
-		t.Fatal("no per-shard commit rounds observed")
-	}
-	if mean := snap.ShardCoalesce.Mean(); mean <= 1 {
-		t.Fatalf("per-shard rounds coalesced nothing: mean width %.2f", mean)
-	}
-	if snap.PipeOccupancy.Count == 0 {
-		t.Fatal("no pipeline occupancy observed")
-	}
-	if snap.BarrierSimNS != 0 {
-		t.Fatalf("pipelined arm accumulated barrier time: %d", snap.BarrierSimNS)
+	if snap.Coalesce.Count == 0 || snap.ShardCoalesce.Count < snap.Coalesce.Count {
+		t.Fatalf("enqueue widths unobserved: %d flushes, %d shard slices", snap.Coalesce.Count, snap.ShardCoalesce.Count)
 	}
 }
 
-// TestBatchSpinNone pins the BatchSpin knob at its -1 sentinel (no
-// accumulation yields at all): rounds still commit, verdicts are still
-// correct, and the width histogram still records every round.
-func TestBatchSpinNone(t *testing.T) {
-	srv, _, addr := start(t, fasp.Options{Shards: 4}, Config{BatchSpin: -1})
+// TestWedgedShardAnswersBusy: a shard whose writer is stuck backs up only
+// its own mailbox. Writes beyond the mailbox come back as typed BUSY pinned
+// to that shard with a retry hint — where a connection used to block
+// forever on the full pipe channel — while the other shard keeps acking,
+// and once the writer resumes everything queued commits and Shutdown
+// returns.
+func TestWedgedShardAnswersBusy(t *testing.T) {
+	const conns, maxBatch = 16, 2
+	release := make(chan struct{})
+	kv, err := fasp.OpenKV(fasp.Options{
+		Shards: 2, MaxBatch: maxBatch, EnqueueTimeout: 50 * time.Millisecond, // mailbox = 4×MaxBatch = 8
+		FaultHook: func(si int) {
+			if si == 0 {
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("OpenKV: %v", err)
+	}
+	defer kv.Close()
+	srv := New(kv, Config{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go srv.Serve()
+
+	keyOn := func(si, n int) []byte {
+		for i := 0; ; i++ {
+			k := []byte(fmt.Sprintf("w%d-%d-%d", si, n, i))
+			if kv.ShardOf(k) == si {
+				return k
+			}
+		}
+	}
+	type verdict struct {
+		code    wire.Code
+		shard   int32
+		retryMS uint32
+	}
+	verdicts := make(chan verdict, conns)
+	for c := 0; c < conns; c++ {
+		cl := dial(t, addr)
+		cl.QueuePut(keyOn(0, c), []byte("v"))
+		if err := cl.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		go func() {
+			code, payload, err := cl.Recv()
+			if err != nil {
+				t.Errorf("recv: %v", err)
+			}
+			v := verdict{code: code, shard: -1}
+			if code != wire.CodeOK {
+				v.shard, v.retryMS, _ = wire.ParseErr(payload)
+			}
+			verdicts <- v
+		}()
+	}
+
+	// The stuck writer holds at most one round (MaxBatch single-op
+	// requests) and the mailbox 8 more; every write beyond that times out.
+	const wantBusy = conns - 4*maxBatch - maxBatch
+	for i := 0; i < wantBusy; i++ {
+		select {
+		case v := <-verdicts:
+			if v.code != wire.CodeBusy || v.shard != 0 || v.retryMS == 0 {
+				t.Fatalf("write past the wedged mailbox: code %v shard %d retry %dms, want BUSY pinned to shard 0 with a hint", v.code, v.shard, v.retryMS)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d overflow writes answered; the rest hang", i, wantBusy)
+		}
+	}
+	other := dial(t, addr)
+	if err := other.Put(keyOn(1, 0), []byte("v")); err != nil {
+		t.Fatalf("healthy shard while shard 0 is wedged: %v", err)
+	}
+
+	close(release)
+	for i := wantBusy; i < conns; i++ {
+		select {
+		case v := <-verdicts:
+			if v.code != wire.CodeOK && v.code != wire.CodeBusy {
+				t.Fatalf("queued write after release: %v", v.code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued writes never completed after the writer resumed")
+		}
+	}
+	down := make(chan struct{})
+	go func() { srv.Shutdown(); close(down) }()
+	select {
+	case <-down:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hangs after a wedged shard")
+	}
+}
+
+// TestTunerSeesMailDepth: the AIMD drain-bound tuner is driven by mailbox
+// pressure, so under the server it needs requests to actually queue on the
+// shard mailboxes. With connections enqueueing directly, a many-connection
+// load leaves a non-zero depth behind a drain.
+func TestTunerSeesMailDepth(t *testing.T) {
+	_, kv, addr := start(t, fasp.Options{Shards: 2, MaxBatch: 8, AdaptiveBatch: true}, Config{})
 	res, err := loadgen.Run(loadgen.Config{
-		Addr: addr, Conns: 8, Pipeline: 8, Duration: 300 * time.Millisecond,
+		Addr: addr, Conns: 32, Pipeline: 8, Duration: 400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
@@ -192,38 +312,12 @@ func TestBatchSpinNone(t *testing.T) {
 	if res.ConnDrops != 0 || res.Errors != 0 {
 		t.Fatalf("drops=%d errors=%d", res.ConnDrops, res.Errors)
 	}
-	snap := srv.Snapshot()
-	if snap.ShardCoalesce.Count == 0 {
-		t.Fatal("spin=none recorded no commit rounds")
+	md := kv.Metrics().MailDepth
+	if md.Count == 0 {
+		t.Fatal("no mailbox drains observed")
 	}
-	// Without the accumulation yields width can legitimately collapse
-	// toward 1; the knob trades coalescing for latency. Only sanity-bound
-	// it — the round count must cover the ops served.
-	if snap.ShardCoalesce.Mean() < 1 {
-		t.Fatalf("impossible mean width %.2f", snap.ShardCoalesce.Mean())
-	}
-}
-
-// TestGlobalBatcherBarrierAccounting pins the A/B instrumentation: the
-// global-batcher arm attributes each round's busiest-shard simulated time
-// to fasp_server_barrier_sim_ns_total.
-func TestGlobalBatcherBarrierAccounting(t *testing.T) {
-	srv, _, addr := start(t, fasp.Options{Shards: 8}, Config{GlobalBatcher: true})
-	res, err := loadgen.Run(loadgen.Config{
-		Addr: addr, Conns: 8, Pipeline: 8, Duration: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
-	if res.ConnDrops != 0 || res.Errors != 0 {
-		t.Fatalf("drops=%d errors=%d", res.ConnDrops, res.Errors)
-	}
-	snap := srv.Snapshot()
-	if snap.BarrierSimNS == 0 {
-		t.Fatal("global batcher accumulated no barrier simulated time")
-	}
-	if snap.ShardCoalesce.Count != 0 {
-		t.Fatal("global batcher observed per-shard pipeline rounds")
+	if md.Sum == 0 {
+		t.Fatalf("mailbox depth was 0 at all %d drains: the tuner's input is dead under the server", md.Count)
 	}
 }
 

@@ -5,17 +5,19 @@
 // every frame already buffered on its connection and defers the write
 // operations (PUT/DEL/BATCH) into one pending set, which it flushes the
 // moment it would otherwise block — on a read request, on the
-// backpressure cap, or when the socket has no more complete frames. The
-// flush does not call the engine directly: write-sets go to the server's
-// group-commit batcher goroutine (see runBatcher), which combines every
-// connection's concurrently flushed ops into one KV.DoBatch — the
-// cross-connection group commit. Pipelining batches within a connection;
-// the batcher batches across connections; the engine's per-shard
-// mailboxes turn each combined submission into per-shard failure-atomic
-// transactions. Responses are emitted strictly in request order (the
-// protocol carries no request ids), and no response is written before its
-// write is durable in a committed transaction — an OK ack is a durability
-// guarantee the crash-under-load test holds the server to.
+// backpressure cap, or when the socket has no more complete frames. A
+// flush partitions the set by shard, enqueues each shard's slice straight
+// onto that shard's engine mailbox (KV.Enqueue) and waits for every slice's
+// verdicts (KV.Wait). The server has no commit stage of its own:
+// pipelining batches within a connection, and each shard's single writer
+// gathers whatever all connections have enqueued into one failure-atomic
+// group commit while the next round queues behind it. A slow shard delays
+// only the connections that touched it, and one that stays wedged past the
+// engine's enqueue timeout answers a typed retryable BUSY. Responses are
+// emitted strictly in request order (the protocol carries no request ids),
+// and no response is written before its write is durable in a committed
+// transaction — an OK ack is a durability guarantee the crash-under-load
+// test holds the server to.
 //
 // Backpressure is a global in-flight request gate: a request arriving with
 // the gate full is answered with a typed retryable BUSY response in its
@@ -93,17 +95,6 @@ type Config struct {
 	// the oldest completed entries are evicted cache-first: a victim's
 	// replay re-executes, exactly as if it had crossed a server restart.
 	DedupCacheBytes int
-	// GlobalBatcher selects the single global group-commit loop (the PR 7
-	// design, kept as the A/B fallback arm) instead of the default
-	// per-shard commit pipelines. The global loop commits rounds with an
-	// all-shards barrier: accumulation never overlaps commit, and the
-	// slowest shard in a round stalls every connection in it.
-	GlobalBatcher bool
-	// BatchSpin is the number of runtime.Gosched accumulation yields a
-	// batcher (global loop or per-shard pipe) performs after a round's
-	// first submission arrives, letting runnable connections flush into
-	// the round before it commits (0 = default 2, -1 = none).
-	BatchSpin int
 }
 
 func (c *Config) fill() {
@@ -137,9 +128,6 @@ func (c *Config) fill() {
 	if c.DedupCacheBytes == 0 {
 		c.DedupCacheBytes = 256 << 10
 	}
-	if c.BatchSpin == 0 {
-		c.BatchSpin = 2
-	}
 }
 
 // ErrServerClosed is returned by Serve after Shutdown completes the drain.
@@ -156,22 +144,8 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	batchCh   chan *submission
-	batchQuit chan struct{}
-	batchDone chan struct{}
-	pipeWG    sync.WaitGroup
-
-	// pipes are the per-shard commit pipelines (nil under GlobalBatcher):
-	// pipes[si] carries sub-submissions whose keys route to shard si.
-	// spins is the normalised Config.BatchSpin; nshards mirrors the KV's
-	// shard count for the conn partitioners.
-	pipes   []chan *shardSub
-	spins   int
+	// nshards mirrors the KV's shard count for the conn partitioners.
 	nshards int
-
-	// clk0/clk1 are the global batcher's per-shard sim-clock scratch for
-	// the barrier accounting (touched only by the runBatcher goroutine).
-	clk0, clk1 []int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -193,38 +167,14 @@ type Server struct {
 func New(kv *fasp.KV, cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		kv:        kv,
-		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.MaxInFlight),
-		conns:     make(map[net.Conn]struct{}),
-		batchCh:   make(chan *submission, 1024),
-		batchQuit: make(chan struct{}),
-		batchDone: make(chan struct{}),
-		sessions:  newSessionTable(cfg.MaxSessions, cfg.DedupWindow, cfg.DedupCacheBytes),
+		kv:       kv,
+		cfg:      cfg,
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		conns:    make(map[net.Conn]struct{}),
+		nshards:  kv.Shards(),
+		sessions: newSessionTable(cfg.MaxSessions, cfg.DedupWindow, cfg.DedupCacheBytes),
 	}
 	s.sessions.bytes = &s.met.dedupBytes
-	s.spins = cfg.BatchSpin
-	if s.spins < 0 {
-		s.spins = 0
-	}
-	s.nshards = kv.Shards()
-	if cfg.GlobalBatcher {
-		s.pipeWG.Add(1)
-		go s.runBatcher()
-	} else {
-		s.pipes = make([]chan *shardSub, s.nshards)
-		for si := range s.pipes {
-			s.pipes[si] = make(chan *shardSub, 1024)
-		}
-		s.pipeWG.Add(len(s.pipes))
-		for si := range s.pipes {
-			go s.runPipe(si)
-		}
-	}
-	go func() {
-		s.pipeWG.Wait()
-		close(s.batchDone)
-	}()
 	if cfg.AutoHeal {
 		s.healQuit = make(chan struct{})
 		s.healDone = make(chan struct{})
@@ -342,10 +292,6 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	// Every reader has exited; stop the group-commit loop after it drains
-	// any straggler round.
-	close(s.batchQuit)
-	<-s.batchDone
 	s.stopHealer()
 	if s.unreg != nil {
 		s.unreg()
@@ -355,11 +301,11 @@ func (s *Server) Shutdown() {
 // Kill is the abrupt counterpart of Shutdown, for crash-restart testing: it
 // stops accepting and closes every connection immediately, without the
 // drain or the SHUTDOWN answers — in-flight requests simply never get their
-// responses, exactly as if the process died. Reader goroutines and the
-// batcher are still waited out (an in-flight group commit finishes against
-// the KV; its acks are lost on the closed sockets), so when Kill returns no
-// server goroutine touches the KV again and the caller may Crash/Reopen it
-// and start a fresh Server on the same address.
+// responses, exactly as if the process died. Reader goroutines are still
+// waited out (an in-flight group commit finishes against the KV; its acks
+// are lost on the closed sockets), so when Kill returns no server goroutine
+// touches the KV again and the caller may Crash/Reopen it and start a fresh
+// Server on the same address.
 func (s *Server) Kill() {
 	s.downMu.Lock()
 	defer s.downMu.Unlock()
@@ -378,8 +324,6 @@ func (s *Server) Kill() {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	close(s.batchQuit)
-	<-s.batchDone
 	s.stopHealer()
 	if s.unreg != nil {
 		s.unreg()

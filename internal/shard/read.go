@@ -95,12 +95,8 @@ func (s *state) beginMutate() {
 	}
 }
 
-// endMutate closes the write gate (sequence back to even) and publishes
-// the machine's simulated clock into the lock-free mirror (SimClocks).
-func (s *state) endMutate() {
-	s.simNow.Store(s.be.Sys.Clock().Now())
-	s.seq.Add(1)
-}
+// endMutate closes the write gate (sequence back to even).
+func (s *state) endMutate() { s.seq.Add(1) }
 
 // viewStatus is acquireView's outcome.
 type viewStatus int

@@ -254,14 +254,7 @@ type state struct {
 	recs    atomic.Int64
 	noOpt   bool
 
-	// simNow mirrors the shard machine's simulated clock as of the last
-	// completed mutation (updated in endMutate, under the write gate), so
-	// the serving layer can sample per-shard device time race-free without
-	// taking shard locks — the global-batcher barrier accounting reads it
-	// around each commit round.
-	simNow atomic.Int64
-
-	mail chan *request
+	mail chan *Request
 	quit chan struct{}
 	done chan struct{}
 
@@ -334,7 +327,7 @@ func New(cfg Config) (*Engine, error) {
 			be:    be,
 			tree:  btree.New(be.Store),
 			noOpt: cfg.NoOptimisticReads,
-			mail:  make(chan *request, cfg.Mailbox),
+			mail:  make(chan *Request, cfg.Mailbox),
 			quit:  make(chan struct{}),
 			done:  make(chan struct{}),
 			rec:   cfg.Recorder,
@@ -382,22 +375,6 @@ func (e *Engine) Shards() int { return len(e.shards) }
 
 // MaxBatch returns the group-commit drain bound.
 func (e *Engine) MaxBatch() int { return e.cfg.MaxBatch }
-
-// SimClocks fills dst (grown if needed) with every shard's simulated
-// clock as of its last completed mutation and returns it. The values are
-// lock-free atomic snapshots — exact whenever the shard's writer is
-// between batches, at most one batch stale while it is mid-commit — which
-// is what makespan accounting over commit rounds needs.
-func (e *Engine) SimClocks(dst []int64) []int64 {
-	if cap(dst) < len(e.shards) {
-		dst = make([]int64, len(e.shards))
-	}
-	dst = dst[:len(e.shards)]
-	for i, s := range e.shards {
-		dst[i] = s.simNow.Load()
-	}
-	return dst
-}
 
 // ShardFor routes a key: FNV-1a over the key, modulo the shard count.
 // The hash is part of the on-disk contract — snapshots record the shard

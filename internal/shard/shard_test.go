@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -251,6 +252,45 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentDoGathers pins the writer's accumulation window for
+// embedded callers: on one P a channel send readies the writer ahead of
+// the run queue, so without the writer's yields every looping Do caller
+// ping-pongs with it alone and commit width stays ~1 however many callers
+// are runnable.
+func TestConcurrentDoGathers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := newTestEngine(t, 1, 64)
+	const clients, keysPer = 8, 200
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				op := shard.Op{Kind: shard.OpPut, Key: key(c*keysPer + i%keysPer), Val: val(i)}
+				if err := e.Do(op); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}(c)
+	}
+	var st shard.Stats
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		if st = e.Stats(); st.Ops >= 2*st.Batches && st.Ops > 1000 {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if st.Ops < 2*st.Batches {
+		t.Fatalf("%d concurrent Do callers: %d ops in %d commits, width %.2f, want >= 2",
+			clients, st.Ops, st.Batches, float64(st.Ops)/float64(st.Batches))
 	}
 }
 

@@ -2,53 +2,109 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
 
-// request is one client submission: one or more ops bound for a single
-// shard, a parallel error slice the writer fills, and a reusable
-// completion channel. Requests are pooled — Do/DoBatch recycle them after
-// the reply is consumed.
-type request struct {
+// Request is one submission handle: one or more ops bound for a single
+// shard, a parallel error slice the writer fills, and a reusable completion
+// channel. The zero value is ready to use. A handle carries one submission
+// at a time — Enqueue it, Wait on it, then it may be enqueued again — and is
+// owned by one goroutine; callers that submit to several shards at once keep
+// one handle per shard.
+type Request struct {
 	ops  []Op
 	errs []error
 	done chan struct{}
+
+	s      *state    // shard the handle is queued on; nil = nothing to wait for
+	t0     time.Time // enqueue time, when a recorder is observing
+	orphan bool      // left on a dead mailbox by Wait; never pooled again
+
+	// buf/ebuf back the copied-in submissions of submit (Do/DoBatch), kept
+	// across pool round trips; caller-owned submissions leave them empty.
+	buf  []Op
+	ebuf []error
 }
 
-var reqPool = sync.Pool{New: func() any {
-	return &request{done: make(chan struct{}, 1)}
-}}
+var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
-// run is a shard's single-writer loop: block for one request, then drain
-// the mailbox without blocking until the live drain bound is reached, and
-// commit the drained set as one group-commit transaction. The drain bound
-// keeps latency bounded under sustained load (and is re-read every drain,
-// so the adaptive controller's retargets take effect at the next batch);
-// the blocking receive means an idle shard costs nothing — which is the
-// slot the proactive defrag pass borrows when work is pending.
+// release returns a pooled handle after Wait, dropping its views of the
+// submission's slices so the pool pins no caller memory.
+func (r *Request) release() {
+	if r.orphan {
+		return
+	}
+	r.ops, r.errs = nil, nil
+	reqPool.Put(r)
+}
+
+// accumYields is the number of scheduler yields the writer performs after a
+// round's first request arrives, draining the mailbox after each. A channel
+// send readies the receiver ahead of the run queue, so without a yield the
+// writer would wake after a single enqueue and commit width would collapse
+// to ~1 however many submitters are runnable; yielding lets each of them
+// enqueue first.
+//
+// A yield is only cheap when the processors have nothing else to run: with
+// CPU-bound goroutines around (readers spinning on Get), each one costs the
+// writer a scheduler quantum, and a lone synchronous client — whom no yield
+// can ever bring company — would pay two per write. So the writer yields
+// only while it has evidence of concurrent submitters: for accumLinger
+// rounds after any round that gathered more than one request. One lingering
+// round is not enough — with many connections spread thinly over many
+// shards, single-request rounds interleave with wide ones, and dropping the
+// yields after each cost 30% of mean commit width at 256 connections.
+const (
+	accumYields = 2
+	accumLinger = 8
+)
+
+// run is a shard's single-writer loop — the one stage where concurrent
+// submitters are gathered into a group commit: block for one request,
+// drain the mailbox (across accumYields yields, while submitters are
+// concurrent) until the live drain bound is reached, and commit the drained
+// set as one transaction. Round k+1 queues on the mailbox while round k
+// commits. The drain bound keeps latency bounded under sustained load (and
+// is re-read every drain, so the adaptive controller's retargets take effect
+// at the next batch); the blocking receive means an idle shard costs
+// nothing — which is the slot the proactive defrag pass borrows when work
+// is pending.
 func (s *state) run() {
 	defer close(s.done)
 	var (
-		reqs []*request
-		ops  []Op
-		errs []error
+		reqs   []*Request
+		ops    []Op
+		errs   []error
+		shared int // rounds left to yield in; see accumLinger
 	)
+	drain := func(n, bound int) int {
+		for n < bound {
+			select {
+			case r := <-s.mail:
+				reqs = append(reqs, r)
+				n += len(r.ops)
+			default:
+				return n
+			}
+		}
+		return n
+	}
 	for {
 		select {
 		case r := <-s.mail:
 			reqs = append(reqs[:0], r)
-			n := len(r.ops)
 			maxBatch := s.maxBatchNow()
-		drain:
-			for n < maxBatch {
-				select {
-				case r2 := <-s.mail:
-					reqs = append(reqs, r2)
-					n += len(r2.ops)
-				default:
-					break drain
-				}
+			n := drain(len(r.ops), maxBatch)
+			for spin := 0; shared > 0 && spin < accumYields && n < maxBatch; spin++ {
+				runtime.Gosched()
+				n = drain(n, maxBatch)
+			}
+			if len(reqs) > 1 {
+				shared = accumLinger
+			} else if shared > 0 {
+				shared--
 			}
 			s.serve(maxBatch, reqs, &ops, &errs)
 			if len(s.mail) == 0 {
@@ -70,11 +126,19 @@ func (s *state) run() {
 	}
 }
 
-// serve flattens a drained request set into one op slice, applies it as a
-// group commit, and distributes the per-op errors back to each request.
-func (s *state) serve(maxBatch int, reqs []*request, ops *[]Op, errs *[]error) {
+// serve applies a drained request set as a group commit and signals each
+// request. A lone request is applied straight from (and into) its own
+// slices; several are flattened into one op slice and their verdicts
+// scattered back.
+func (s *state) serve(maxBatch int, reqs []*Request, ops *[]Op, errs *[]error) {
 	// Mailbox depth at drain time: how far the writer is behind its clients.
 	s.rec.ObserveMailDepth(len(s.mail))
+	if len(reqs) == 1 {
+		r := reqs[0]
+		s.applyLocked(maxBatch, r.ops, r.errs)
+		r.done <- struct{}{}
+		return
+	}
 	flat := (*ops)[:0]
 	for _, r := range reqs {
 		flat = append(flat, r.ops...)
@@ -93,129 +157,99 @@ func (s *state) serve(maxBatch int, reqs []*request, ops *[]Op, errs *[]error) {
 	*ops, *errs = flat, ferrs
 }
 
-// submit enqueues ops on shard si's mailbox and waits for the verdicts,
-// copying them into out (len(ops)). A mailbox that stays full for the
-// whole enqueue timeout fails the submission with ErrBusy instead of
-// blocking the caller forever on a wedged writer, and a submission racing
-// (or following) Close fails with ErrClosed instead of deadlocking on a
-// mailbox no writer will ever drain again.
-func (e *Engine) submit(si int, ops []Op, out []error) {
+// Enqueue places ops — every key must route to shard si under ShardFor;
+// placement is the caller's contract — on that shard's mailbox as one
+// submission, without waiting for the commit; Wait(r) blocks until the
+// writer has filled errs (len(ops)). It is zero-copy: the handle carries
+// the caller's slices, which the caller must not touch until Wait returns.
+// A caller with work for several shards enqueues one handle on each and
+// then waits on all of them, so every shard's writer is busy at once with
+// no cross-shard barrier.
+//
+// A mailbox that stays full for the whole enqueue timeout fails the
+// submission with ErrBusy instead of blocking the caller forever on a
+// wedged writer, and a submission racing (or following) Close fails with
+// ErrClosed; either way errs is already filled and Wait returns at once.
+func (e *Engine) Enqueue(r *Request, si int, ops []Op, errs []error) {
 	s := e.shards[si]
-	var t0 time.Time
+	r.ops, r.errs, r.s = ops, errs, nil
+	if r.done == nil {
+		r.done = make(chan struct{}, 1)
+	}
 	if s.rec != nil {
-		t0 = time.Now()
+		r.t0 = time.Now()
 	}
 	if e.closed.Load() {
-		failAll(s, out, ErrClosed)
+		failAll(s, errs, ErrClosed)
 		return
-	}
-	r := reqPool.Get().(*request)
-	r.ops = append(r.ops[:0], ops...)
-	r.errs = r.errs[:0]
-	for range ops {
-		r.errs = append(r.errs, nil)
 	}
 	if !e.enqueue(s, r) {
 		cause := ErrBusy
 		if e.closed.Load() {
 			cause = ErrClosed
 		}
-		reqPool.Put(r)
-		failAll(s, out, cause)
+		failAll(s, errs, cause)
 		return
 	}
+	r.s = s
+}
+
+// Wait blocks until the writer has served r's enqueued submission. If the
+// engine is closed underneath it, the unserved submission fails with
+// ErrClosed and the handle is orphaned: the dead mailbox still references
+// it, so it is never pooled again. A caller-owned handle may still be passed
+// to Enqueue, which on a closed engine fails before touching the mailbox.
+func (e *Engine) Wait(r *Request) {
+	s := r.s
+	if s == nil {
+		return
+	}
+	r.s = nil
 	select {
 	case <-r.done:
 	case <-s.done:
 		// The writer exited. Its shutdown path drains the backlog before
 		// closing done, so our reply may already be buffered; otherwise the
 		// request slipped into the mailbox after the final drain and will
-		// never be served. The unserved request stays out of the pool — the
-		// mailbox still references it.
+		// never be served.
 		select {
 		case <-r.done:
 		default:
-			failAll(s, out, ErrClosed)
+			r.orphan = true
+			failAll(s, r.errs, ErrClosed)
 			return
 		}
 	}
-	copy(out, r.errs)
-	reqPool.Put(r)
 	if s.rec != nil {
 		// Client-perceived wall latency: queueing plus the group commit.
-		wall := time.Since(t0).Nanoseconds()
-		for i := range ops {
-			s.rec.ObserveWall(kindOp[ops[i].Kind], int32(s.id), wall)
+		wall := time.Since(r.t0).Nanoseconds()
+		for i := range r.ops {
+			s.rec.ObserveWall(kindOp[r.ops[i].Kind], int32(s.id), wall)
 		}
 	}
 }
 
-// ownedReqPool pools requests whose ops/errs slices are caller-owned for
-// the duration of the call (SubmitShard) rather than copied in. Kept
-// separate from reqPool so its recycled requests never carry stale
-// capacity expectations between the two call styles.
-var ownedReqPool = sync.Pool{New: func() any {
-	return &request{done: make(chan struct{}, 1)}
-}}
-
-// SubmitShard enqueues ops — every key must route to shard si under
-// ShardFor; placement is the caller's contract — as one submission on
-// that shard's mailbox and blocks until the writer fills errs
-// (len(ops)). Unlike submit it is zero-copy: the request carries the
-// caller's slices directly, so the caller must not touch ops or errs
-// until SubmitShard returns. This is the per-shard commit-pipeline entry
-// point: N independent callers keep N writers busy with no cross-shard
-// barrier, and a caller's next round can be accumulating while this one
-// commits.
-//
-// Failure behaviour matches submit: a mailbox full past the enqueue
-// timeout fails every op with ErrBusy, submissions racing or following
-// Close fail with ErrClosed, and a request that slipped into the mailbox
-// after the writer's final drain is abandoned (its request value stays
-// out of the pool — the dead mailbox still references it).
+// SubmitShard is Enqueue then Wait on a pooled handle.
 func (e *Engine) SubmitShard(si int, ops []Op, errs []error) {
-	s := e.shards[si]
-	var t0 time.Time
-	if s.rec != nil {
-		t0 = time.Now()
+	r := reqPool.Get().(*Request)
+	e.Enqueue(r, si, ops, errs)
+	e.Wait(r)
+	r.release()
+}
+
+// submit is SubmitShard for callers that keep their slices: ops are copied
+// into the pooled handle's own buffers and the verdicts copied out.
+func (e *Engine) submit(si int, ops []Op, out []error) {
+	r := reqPool.Get().(*Request)
+	r.buf = append(r.buf[:0], ops...)
+	r.ebuf = r.ebuf[:0]
+	for range ops {
+		r.ebuf = append(r.ebuf, nil)
 	}
-	if e.closed.Load() {
-		failAll(s, errs, ErrClosed)
-		return
-	}
-	r := ownedReqPool.Get().(*request)
-	r.ops, r.errs = ops, errs
-	if !e.enqueue(s, r) {
-		cause := ErrBusy
-		if e.closed.Load() {
-			cause = ErrClosed
-		}
-		r.ops, r.errs = nil, nil
-		ownedReqPool.Put(r)
-		failAll(s, errs, cause)
-		return
-	}
-	select {
-	case <-r.done:
-	case <-s.done:
-		// Same race as submit: the writer's shutdown path drains the
-		// backlog before closing done, so the reply may already be
-		// buffered; otherwise the request will never be served.
-		select {
-		case <-r.done:
-		default:
-			failAll(s, errs, ErrClosed)
-			return
-		}
-	}
-	r.ops, r.errs = nil, nil
-	ownedReqPool.Put(r)
-	if s.rec != nil {
-		wall := time.Since(t0).Nanoseconds()
-		for i := range ops {
-			s.rec.ObserveWall(kindOp[ops[i].Kind], int32(s.id), wall)
-		}
-	}
+	e.Enqueue(r, si, r.buf, r.ebuf)
+	e.Wait(r)
+	copy(out, r.ebuf)
+	r.release()
 }
 
 // failAll reports one error for every op of a failed submission.
@@ -229,7 +263,7 @@ func failAll(s *state, out []error, cause error) {
 // enqueue places r on s's mailbox, backing off exponentially (1 ms
 // doubling to 64 ms) while the mailbox is full, up to the configured
 // enqueue timeout. It reports whether the request was enqueued.
-func (e *Engine) enqueue(s *state, r *request) bool {
+func (e *Engine) enqueue(s *state, r *Request) bool {
 	select {
 	case s.mail <- r:
 		return true
