@@ -2,7 +2,7 @@ package fasp
 
 // Adaptive per-shard tuning, facade side: the persisted scheme tag, the
 // crash-safe online scheme migration, and the wiring that hands both to the
-// sharded engine. The policy itself lives in internal/tune (the controller)
+// shard engine. The policy itself lives in internal/tune (the controller)
 // and internal/shard (when decisions are taken); this file owns everything
 // that touches the facade's store constructors and PM layout.
 
@@ -244,7 +244,7 @@ func migrateStore(opts Options, be *shard.Backend, target string) (pager.Store, 
 	return ns, err
 }
 
-// reattachShard builds the sharded crash-recovery closure: resolve the
+// reattachShard builds the engine's crash-recovery closure: resolve the
 // persisted scheme tag (after a migration it overrides the configured
 // scheme), adopt or discard a staged migration arena, and attach.
 func reattachShard(opts Options) func(int, *shard.Backend) (pager.Store, error) {
@@ -290,10 +290,7 @@ func (kv *KV) ShardScheme(i int) (string, error) {
 	if err := kv.checkShard(i); err != nil {
 		return "", err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardScheme(i), nil
-	}
-	return strings.ToLower(kv.store.Name()), nil
+	return kv.eng.ShardScheme(i), nil
 }
 
 // ShardMaxBatch returns shard i's live group-commit drain bound; under
@@ -303,10 +300,7 @@ func (kv *KV) ShardMaxBatch(i int) (int, error) {
 	if err := kv.checkShard(i); err != nil {
 		return 0, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardMaxBatch(i), nil
-	}
-	return kv.opts.MaxBatch, nil
+	return kv.eng.ShardMaxBatch(i), nil
 }
 
 // ShardFragmentation returns shard i's last measured committed-leaf
@@ -316,10 +310,7 @@ func (kv *KV) ShardFragmentation(i int) (float64, error) {
 	if err := kv.checkShard(i); err != nil {
 		return 0, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardFragmentation(i), nil
-	}
-	return -1, nil
+	return kv.eng.ShardFragmentation(i), nil
 }
 
 // TuneTrace returns a copy of shard i's adaptive-controller decision trace —
@@ -330,8 +321,5 @@ func (kv *KV) TuneTrace(i int) ([]TuneDecision, error) {
 	if err := kv.checkShard(i); err != nil {
 		return nil, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardTrace(i), nil
-	}
-	return nil, nil
+	return kv.eng.ShardTrace(i), nil
 }

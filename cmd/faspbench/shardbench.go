@@ -123,14 +123,12 @@ func runBenchSharded(n, pageSize int, seed int64, shards, clients, maxBatch int,
 		res.AvgBatch = float64(st.Ops) / float64(st.Batches)
 	}
 	res.MaxDrained = st.MaxDrained
-	if kv.Sharded() {
-		for i := 0; i < kv.Shards(); i++ {
-			in, err := kv.ShardStats(i)
-			if err != nil {
-				return res, err
-			}
-			res.ShardOps = append(res.ShardOps, in.Ops)
+	for i := 0; i < kv.Shards(); i++ {
+		in, err := kv.ShardStats(i)
+		if err != nil {
+			return res, err
 		}
+		res.ShardOps = append(res.ShardOps, in.Ops)
 	}
 	m := kv.Metrics()
 	if o := m.OpStats(obsv.OpPut); o.Count > 0 {

@@ -3,7 +3,7 @@ package main
 // KV shell mode (-kv): an interactive ordered key/value store instead of
 // the SQL engine, with optional sharding (-shards). Commands operate on the
 // facade's KV API, so the shell drives the same code paths applications
-// use — including the sharded engine's mailbox writers and group commit.
+// use — including the shard engine's mailbox writers and group commit.
 
 import (
 	"bufio"
@@ -17,12 +17,8 @@ import (
 
 func runKVShell(kv *fasp.KV, lat, wlat int64) {
 	defer kv.Close()
-	mode := "single store"
-	if kv.Sharded() {
-		mode = fmt.Sprintf("%d shards, group commit ≤%d", kv.Shards(), kv.MaxBatch())
-	}
-	fmt.Printf("faspdb — %s KV (%s) on emulated PM (%d/%d ns). Type help for commands.\n",
-		kv.SchemeName(), mode, lat, wlat)
+	fmt.Printf("faspdb — %s KV (%d shard(s), group commit ≤%d) on emulated PM (%d/%d ns). Type help for commands.\n",
+		kv.SchemeName(), kv.Shards(), kv.MaxBatch(), lat, wlat)
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -133,11 +129,9 @@ func kvCommand(kv *fasp.KV, fields []string) bool {
 			fmt.Printf("shard %d: sim %s us, %d ops, %d batches (largest %d)%s\n",
 				i, metrics.Usec(in.SimNS), in.Ops, in.Batches, in.MaxDrained, healthSuffix(in))
 		}
-		if kv.Sharded() {
-			st := kv.EngineStats()
-			fmt.Printf("elapsed (slowest shard): %s us; total simulated work: %s us\n",
-				metrics.Usec(st.SimMaxNS), metrics.Usec(st.SimSumNS))
-		}
+		st := kv.EngineStats()
+		fmt.Printf("elapsed (slowest shard): %s us; total simulated work: %s us\n",
+			metrics.Usec(st.SimMaxNS), metrics.Usec(st.SimSumNS))
 	case ".clock":
 		fmt.Printf("simulated time: %s us\n", metrics.Usec(kv.SimulatedNS()))
 		for _, s := range metrics.SortedPhases(kv.Phases()) {
@@ -181,10 +175,8 @@ func kvCommand(kv *fasp.KV, fields []string) bool {
 		kv.Crash(fasp.CrashOptions{Seed: kv.SimulatedNS(), EvictProb: 0.5})
 		if err := kv.ReopenKV(); err != nil {
 			fmt.Printf("recovery failed: %v\n", err)
-		} else if kv.Sharded() {
-			fmt.Printf("crashed and recovered all %d shards\n", kv.Shards())
 		} else {
-			fmt.Println("crashed and recovered")
+			fmt.Printf("crashed and recovered %d shard(s)\n", kv.Shards())
 		}
 	case ".save":
 		if len(fields) != 2 {

@@ -31,6 +31,7 @@ func ExampleOpenKV() {
 	if err != nil {
 		panic(err)
 	}
+	defer kv.Close() // every KV owns a writer goroutine
 	_ = kv.Insert([]byte("b"), []byte("2"))
 	_ = kv.Insert([]byte("a"), []byte("1"))
 	_ = kv.Insert([]byte("c"), []byte("3"))

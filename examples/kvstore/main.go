@@ -19,6 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer kv.Close() // every KV owns a writer goroutine
 
 	// Point writes: each Put is one failure-atomic transaction.
 	for i := 0; i < 500; i++ {

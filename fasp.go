@@ -73,20 +73,18 @@ type Options struct {
 	CacheBytes int64
 	// Shards hash-partitions the KV key space across this many independent
 	// stores, each on its own simulated machine with a single-writer
-	// goroutine and group commit (see OpenKV). 0 or 1 keeps the classic
-	// single store; Open and OpenHash ignore the field.
+	// goroutine and group commit (see OpenKV). 0 means 1: the same engine
+	// with one partition. Open and OpenHash ignore the field.
 	Shards int
 	// MaxBatch is the group-commit drain bound: how many operations one
-	// sharded group commit may take from a shard's mailbox (default 64),
-	// and the chunk size KV.ApplyBatch commits at in both modes. With
-	// AdaptiveBatch it is only the starting point — each shard's live bound
-	// then moves within [max(1, MaxBatch/4), MaxBatch*4] (AIMD), and both
-	// the writers and ApplyBatch chunk at the shard's live bound. Otherwise
-	// ignored when Shards <= 1, except by ApplyBatch.
+	// group commit may take from a shard's mailbox (default 64), and the
+	// chunk size KV.ApplyBatch commits at. With AdaptiveBatch it is only the
+	// starting point — each shard's live bound then moves within
+	// [max(1, MaxBatch/4), MaxBatch*4] (AIMD), and both the writers and
+	// ApplyBatch chunk at the shard's live bound.
 	MaxBatch int
-	// EnqueueTimeout bounds how long a sharded submission waits for
-	// mailbox space before failing with ErrShardBusy (default 2s).
-	// Ignored when Shards <= 1.
+	// EnqueueTimeout bounds how long a submission waits for mailbox space
+	// before failing with ErrShardBusy (default 2s).
 	EnqueueTimeout time.Duration
 	// DisableMetrics turns the observability recorder off entirely (KV
 	// only). Metrics are on by default; the instrumented hot path is
@@ -99,34 +97,35 @@ type Options struct {
 	// SlowOpNS is the wall-clock latency threshold above which an
 	// operation lands in the slow-op log (default 1ms).
 	SlowOpNS int64
-	// DisableOptimisticReads forces every sharded read through the locked
-	// per-shard path instead of the epoch-pinned optimistic path — the
-	// baseline arm for read-scaling benchmarks, and an escape hatch.
-	// Ignored when Shards <= 1.
+	// DisableOptimisticReads forces every read through the locked per-shard
+	// path instead of the epoch-pinned optimistic path — the baseline arm
+	// for read-scaling benchmarks, and an escape hatch. Locked reads advance
+	// the simulated clock and fill the emulated cache; optimistic reads do
+	// neither.
 	DisableOptimisticReads bool
 	// AdaptiveScheme lets each shard's controller migrate its commit scheme
 	// online among fast+ / fast / wal from observed workload shape
 	// (single-leaf ratio, HTM abort rate, batch size), starting from
 	// Scheme. Migrations are crash-safe: a persisted per-shard scheme tag
 	// is the commit point and recovery resolves it (see DESIGN.md §11).
-	// Ignored when Shards <= 1.
 	AdaptiveScheme bool
 	// AdaptiveBatch adapts each shard's group-commit drain bound by AIMD
 	// within [max(1, MaxBatch/4), MaxBatch*4], from mailbox depth and
-	// enqueue backoff pressure. Ignored when Shards <= 1.
+	// enqueue backoff pressure.
 	AdaptiveBatch bool
 	// DefragThreshold > 0 enables proactive copy-on-write defragmentation:
 	// at every adaptive decision window the shard measures its committed
-	// leaves' dead-byte ratio, and when a leaf's ratio reaches the
-	// threshold it is rewritten during idle group-commit slots. Sensible
-	// values are 0.2–0.5. Ignored when Shards <= 1.
+	// leaves' dead-byte ratio, and leaves at or above the threshold are
+	// rewritten — a first few when the window closes, on whichever write
+	// path closed it, the rest in idle group-commit slots: after a writer's
+	// drain, or a one-shard Put/Insert/Delete, leaves the mailbox empty.
+	// ApplyBatch schedules no idle slot. Sensible values are 0.2–0.5.
 	DefragThreshold float64
-	// FaultHook, when set on a sharded store, runs at the top of every
-	// group commit with the shard index, inside the contained writer
-	// section — the fault-injection harness's entry point (see
-	// internal/faultx): a panic degrades that one shard until Heal, a
-	// sleep stalls its batch while the others keep serving. Production
-	// leaves it nil. Ignored when Shards <= 1.
+	// FaultHook, when set, runs at the top of every group commit with the
+	// shard index, inside the contained writer section — the
+	// fault-injection harness's entry point (see internal/faultx): a panic
+	// degrades that one shard until Heal, a sleep stalls its batch while
+	// the others keep serving. Production leaves it nil.
 	FaultHook func(shard int)
 }
 
@@ -177,11 +176,11 @@ type Result = engine.Result
 // CrashOptions re-exports the crash eviction lottery configuration.
 type CrashOptions = pmem.CrashOptions
 
-// base carries the machinery shared by DB and KV. The mutex serialises all
-// public operations: the simulated machine (clock, cache overlay) and the
-// single-writer stores are not internally synchronised, so the facade
-// provides SQLite-style one-at-a-time access that is safe to call from
-// multiple goroutines.
+// base carries the machinery shared by DB and Hash (and builds each KV
+// shard's backend). The mutex serialises all public operations: the
+// simulated machine (clock, cache overlay) and the single-writer stores are
+// not internally synchronised, so the facade provides SQLite-style
+// one-at-a-time access that is safe to call from multiple goroutines.
 type base struct {
 	mu    sync.Mutex
 	opts  Options
@@ -211,8 +210,7 @@ func newBase(opts Options) (*base, error) {
 
 // attachStore rebuilds a store of opts.Scheme over an existing arena
 // (after a crash or a snapshot restore) and runs the scheme's recovery.
-// It is the shared reattach path of the single-store facade and of every
-// shard in a sharded KV.
+// It is the shared reattach path of DB, Hash and every KV shard.
 func attachStore(opts Options, arena *pmem.Arena) (pager.Store, error) {
 	switch opts.Scheme {
 	case SchemeFASTPlus, SchemeFAST:
@@ -260,7 +258,7 @@ func (b *base) PMStats() pmem.Stats { return b.arena.Stats() }
 
 // Crash simulates a power failure: volatile state is lost; each dirty PM
 // cache line independently survives per the eviction lottery. Call Reopen
-// (DB) / ReopenKV (KV) afterwards to run recovery.
+// (DB) / ReopenHash (Hash) afterwards to run recovery.
 func (b *base) Crash(opts CrashOptions) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -339,19 +337,20 @@ func (db *DB) Reopen() error {
 // the paper's pager/B-tree layer without the SQL front end (the layer
 // Figures 6–10 measure).
 //
-// With Options.Shards > 1 the store becomes a sharded engine: keys are
-// hash-partitioned across independent stores, each on its own simulated
-// machine, owned by a single-writer goroutine that drains a bounded
-// mailbox and group-commits each drained batch as one transaction
-// (internal/shard). Concurrent callers then run in parallel across shards
-// and are batched within one. Shards == 1 keeps the classic single store
-// with SQLite-style one-at-a-time access and bit-identical simulated
-// time. Sharded stores hold goroutines: call Close when done.
+// Every KV is one shard.Engine: keys are hash-partitioned across
+// Options.Shards independent stores (one by default), each on its own
+// simulated machine and owned by a single-writer goroutine that drains a
+// bounded mailbox and group-commits each drained batch as one transaction
+// (internal/shard). With several shards, concurrent callers run in
+// parallel across shards and are batched within one. With one shard a
+// synchronous write (Put/Insert/Delete) commits on the caller's goroutine
+// under the shard lock — bit-identical in simulated time to driving the
+// B-tree directly — while Enqueue/Wait and DoBatch still gather concurrent
+// submitters into group commits. Every KV holds goroutines: call Close
+// when done.
 type KV struct {
-	*base               // single-store mode; nil when sharded
-	tree  *btree.Tree   // single-store mode; nil when sharded
-	eng   *shard.Engine // sharded mode; nil when single-store
-	opts  Options
+	eng  *shard.Engine
+	opts Options
 
 	// rec is the observability recorder (nil with DisableMetrics); regName
 	// is the store's name in the exporter registry; closed makes Close
@@ -359,16 +358,11 @@ type KV struct {
 	rec     *obsv.Recorder
 	regName string
 	closed  atomic.Bool
-
-	// crashed tracks a single store's post-Crash state (the sharded engine
-	// tracks health per shard itself), so Heal and ShardStats can tell a
-	// healthy store from one awaiting recovery.
-	crashed atomic.Bool
 }
 
-// Op and OpKind re-export the sharded engine's operation type, used by
-// ApplyBatch in both modes; Request is its reusable submission handle for
-// Enqueue/Wait (the zero value is ready to use).
+// Op and OpKind re-export the engine's operation type, used by ApplyBatch;
+// Request is its reusable submission handle for Enqueue/Wait (the zero
+// value is ready to use).
 type (
 	Op      = shard.Op
 	OpKind  = shard.OpKind
@@ -392,42 +386,32 @@ var ErrShardCrashed = shard.ErrCrashed
 // serving. Call Heal on the degraded shard to re-run recovery.
 var ErrShardDown = shard.ErrShardDown
 
-// ErrShardBusy reports a sharded submission that timed out waiting for
-// mailbox space (wedged or badly oversubscribed shard); the operation was
-// not applied.
+// ErrShardBusy reports a submission that timed out waiting for mailbox
+// space (wedged or badly oversubscribed shard); the operation was not
+// applied.
 var ErrShardBusy = shard.ErrBusy
 
-// errCrossShard reports KV.Batch on a sharded store.
+// errCrossShard reports KV.Batch on a store with several shards.
 var errCrossShard = errors.New("fasp: cross-shard transactions are not supported on a sharded store; use ApplyBatch for per-shard group commits")
 
-// OpenKV creates a fresh key/value store (sharded when opts.Shards > 1).
+// OpenKV creates a fresh key/value store of opts.Shards shards.
 func OpenKV(opts Options) (*KV, error) {
 	opts.fill()
 	rec := newRecorder(opts)
-	var kv *KV
-	if opts.Shards <= 1 {
-		b, err := newBase(opts)
-		if err != nil {
-			return nil, err
-		}
-		kv = &KV{base: b, tree: btree.New(b.store), opts: opts, rec: rec}
-	} else {
-		eng, err := newShardEngine(opts, rec)
-		if err != nil {
-			return nil, err
-		}
-		kv = &KV{eng: eng, opts: opts, rec: rec}
+	eng, err := newShardEngine(opts, rec)
+	if err != nil {
+		return nil, err
 	}
+	kv := &KV{eng: eng, opts: opts, rec: rec}
 	registerKV(kv)
 	return kv, nil
 }
 
-// newShardEngine wires the scheme-agnostic sharded engine to this
-// package's store constructors: every shard is a full newBase backend on
-// its own simulated machine, and reattach after a crash goes through the
-// same attachStore path the single-store facade uses — made tag-aware by
-// reattachShard, since under AdaptiveScheme a shard's live scheme is
-// whatever its persisted scheme tag names, not Options.Scheme.
+// newShardEngine wires the scheme-agnostic engine to this package's store
+// constructors: every shard is a full newBase backend on its own simulated
+// machine, and reattach after a crash goes through attachStore — made
+// tag-aware by reattachShard, since under AdaptiveScheme a shard's live
+// scheme is whatever its persisted scheme tag names, not Options.Scheme.
 func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 	var migrate func(int, *shard.Backend, string) (pager.Store, error)
 	if opts.AdaptiveScheme {
@@ -465,53 +449,35 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 	})
 }
 
-// Close stops a sharded store's writer goroutines after serving every
-// queued operation and unregisters the store from the metrics exporter.
-// It is idempotent — safe to call twice, concurrently, and after a
-// crashed or degraded shard. Write operations submitted after Close fail
-// with ErrClosed (sharded mode); single-store reads and writes keep
-// working, as the single store holds no goroutines to stop.
+// Close stops the store's writer goroutines after serving every queued
+// operation and unregisters the store from the metrics exporter. It is
+// idempotent — safe to call twice, concurrently, and after a crashed or
+// degraded shard. Write operations submitted after Close fail with
+// ErrClosed; reads keep working, as they never needed a writer.
 func (kv *KV) Close() {
 	if kv.closed.Swap(true) {
 		return
 	}
 	unregisterKV(kv)
-	if kv.eng != nil {
-		kv.eng.Close()
-	}
+	kv.eng.Close()
 }
 
-// Sharded reports whether the store is hash-partitioned.
-func (kv *KV) Sharded() bool { return kv.eng != nil }
+// Sharded reports whether the store is hash-partitioned across several
+// shards.
+func (kv *KV) Sharded() bool { return kv.eng.Shards() > 1 }
 
-// Shards returns the shard count (1 for a single store).
-func (kv *KV) Shards() int {
-	if kv.eng != nil {
-		return kv.eng.Shards()
-	}
-	return 1
-}
+// Shards returns the shard count.
+func (kv *KV) Shards() int { return kv.eng.Shards() }
 
-// MaxBatch returns the group-commit drain bound ApplyBatch (and, when
-// sharded, the writer goroutines) chunk at.
-func (kv *KV) MaxBatch() int {
-	if kv.eng != nil {
-		return kv.eng.MaxBatch()
-	}
-	return kv.opts.MaxBatch
-}
+// MaxBatch returns the group-commit drain bound the writer goroutines and
+// ApplyBatch chunk at.
+func (kv *KV) MaxBatch() int { return kv.eng.MaxBatch() }
 
 // ShardOf returns the shard index key routes to: the engine's FNV-1a
-// placement on a sharded store, always 0 on a single store. It is
-// deterministic and stable for the life of the store (the hash is part of
-// the on-disk contract), so callers may pre-partition work by shard —
-// the server's connections do exactly that before Enqueue.
-func (kv *KV) ShardOf(key []byte) int {
-	if kv.eng != nil {
-		return kv.eng.ShardFor(key)
-	}
-	return 0
-}
+// placement. It is deterministic and stable for the life of the store (the
+// hash is part of the on-disk contract), so callers may pre-partition work
+// by shard — the server's connections do exactly that before Enqueue.
+func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 
 // Enqueue queues ops — every key must route to shard si under ShardOf —
 // as one submission on that shard's writer and returns without waiting for
@@ -522,173 +488,84 @@ func (kv *KV) ShardOf(key []byte) int {
 // once. The handle carries the caller's slices directly (zero-copy), so
 // the caller must not touch ops or errs until Wait returns. A mailbox full
 // past Options.EnqueueTimeout fails the submission with ErrShardBusy, one
-// racing Close with ErrClosed; errs is then already filled. On a single
-// store Enqueue applies the batch on the locked deterministic path before
-// returning.
+// racing Close with ErrClosed; errs is then already filled.
 func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error) {
-	if kv.eng != nil {
-		kv.eng.Enqueue(r, si, ops, errs)
-		return
-	}
-	copy(errs, kv.ApplyBatch(ops))
+	kv.eng.Enqueue(r, si, ops, errs)
 }
 
 // Wait blocks until the submission r was last enqueued with has its
 // verdicts; r may then be enqueued again.
-func (kv *KV) Wait(r *Request) {
-	if kv.eng != nil {
-		kv.eng.Wait(r)
-	}
-}
+func (kv *KV) Wait(r *Request) { kv.eng.Wait(r) }
 
 // SubmitShard is Enqueue then Wait: one blocking submission on shard si's
 // writer.
 func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
-	if kv.eng != nil {
-		kv.eng.SubmitShard(si, ops, errs)
-		return
-	}
-	copy(errs, kv.ApplyBatch(ops))
+	kv.eng.SubmitShard(si, ops, errs)
 }
 
 // Put inserts or replaces key's value in one transaction — a single
-// upsert either way, so per-op phase accounting matches the sharded
-// path's OpPut (which has always upserted inside one transaction) instead
-// of paying Insert-then-Update's two commits on an existing key.
+// upsert either way, never Insert-then-Update's two commits on an existing
+// key.
 func (kv *KV) Put(key, val []byte) error {
-	if kv.eng != nil {
-		return kv.eng.Do(Op{Kind: OpPut, Key: key, Val: val})
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	sp := kv.beginOp()
-	err := kv.tree.Put(key, val)
-	kv.endOp(sp, obsv.OpPut)
-	return err
+	return kv.eng.Do(Op{Kind: OpPut, Key: key, Val: val})
 }
 
 // Insert adds a new key, failing on duplicates.
 func (kv *KV) Insert(key, val []byte) error {
-	if kv.eng != nil {
-		return kv.eng.Do(Op{Kind: OpInsert, Key: key, Val: val})
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	sp := kv.beginOp()
-	err := kv.tree.Insert(key, val)
-	kv.endOp(sp, obsv.OpInsert)
-	return err
+	return kv.eng.Do(Op{Kind: OpInsert, Key: key, Val: val})
 }
 
 // Get returns the value stored under key.
-func (kv *KV) Get(key []byte) ([]byte, bool, error) {
-	if kv.eng != nil {
-		return kv.eng.Get(key)
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	sp := kv.beginOp()
-	v, ok, err := kv.tree.Get(key)
-	kv.endOp(sp, obsv.OpGet)
-	return v, ok, err
-}
+func (kv *KV) Get(key []byte) ([]byte, bool, error) { return kv.eng.Get(key) }
 
-// GetInto is Get with a caller-supplied destination buffer: on a sharded
-// store's optimistic read path the value is appended to dst[:0], so a
-// steady-state reader that recycles its buffer performs no heap
-// allocation. The locked fallbacks (single store, unhealthy shard,
-// optimism disabled) ignore dst and allocate as Get does.
+// GetInto is Get with a caller-supplied destination buffer: on the
+// optimistic read path the value is appended to dst[:0], so a steady-state
+// reader that recycles its buffer performs no heap allocation. The locked
+// fallback (unhealthy shard, optimism disabled) ignores dst and allocates
+// as Get does.
 func (kv *KV) GetInto(key, dst []byte) ([]byte, bool, error) {
-	if kv.eng != nil {
-		return kv.eng.GetInto(key, dst)
-	}
-	return kv.Get(key)
+	return kv.eng.GetInto(key, dst)
 }
 
 // Delete removes key.
 func (kv *KV) Delete(key []byte) error {
-	if kv.eng != nil {
-		return kv.eng.Do(Op{Kind: OpDelete, Key: key})
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	sp := kv.beginOp()
-	err := kv.tree.Delete(key)
-	kv.endOp(sp, obsv.OpDelete)
-	return err
+	return kv.eng.Do(Op{Kind: OpDelete, Key: key})
 }
 
 // ApplyBatch applies ops as group commits of at most Options.MaxBatch
 // operations per transaction, returning per-op errors aligned with ops.
-// On a sharded store the ops are partitioned by shard and each shard's
-// sub-batch is applied in submission order, in ascending shard order —
-// batch boundaries (and therefore simulated time) are a pure function of
-// the op sequence, unlike the concurrent mailbox path. Logical failures
-// (duplicate insert, absent key) are reported per op without aborting
-// their batch; see internal/shard.ApplyOps.
-func (kv *KV) ApplyBatch(ops []Op) []error {
-	if kv.eng != nil {
-		return kv.eng.ApplyBatch(ops)
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	errs := make([]error, len(ops))
-	sp := kv.beginOp()
-	shard.ApplyOps(kv.tree, kv.opts.MaxBatch, ops, errs)
-	if kv.rec != nil {
-		kv.rec.EndBatch(sp, 0, len(ops), kv.sys.Clock().Now(), storeCounters(kv.sys, kv.arena, kv.store))
-	}
-	return errs
-}
+// The ops are partitioned by shard and each shard's sub-batch is applied in
+// submission order, in ascending shard order — batch boundaries (and
+// therefore simulated time) are a pure function of the op sequence, unlike
+// the concurrent mailbox path. Logical failures (duplicate insert, absent
+// key) are reported per op without aborting their batch; see
+// internal/shard.ApplyOps.
+func (kv *KV) ApplyBatch(ops []Op) []error { return kv.eng.ApplyBatch(ops) }
 
-// DoBatch submits ops through the concurrent group-commit path: on a
-// sharded store the ops are partitioned by shard and enqueued on the shard
-// mailboxes, where the single-writer goroutines drain them — together with
-// any other caller's concurrent submissions — into combined failure-atomic
-// transactions (cross-caller group commit). Per-op errors are returned
-// aligned with ops once every shard's verdicts are in. Unlike ApplyBatch,
-// batch boundaries depend on runtime interleaving, so simulated time is
-// not reproducible; servers and other concurrent callers should prefer
-// DoBatch, deterministic harnesses ApplyBatch. On a single store it is
-// ApplyBatch (the facade mutex is the only batching there).
-func (kv *KV) DoBatch(ops []Op) []error {
-	if kv.eng != nil {
-		return kv.eng.DoBatch(ops)
-	}
-	return kv.ApplyBatch(ops)
-}
+// DoBatch submits ops through the concurrent group-commit path: the ops are
+// partitioned by shard and enqueued on the shard mailboxes, where the
+// single-writer goroutines drain them — together with any other caller's
+// concurrent submissions — into combined failure-atomic transactions
+// (cross-caller group commit). Per-op errors are returned aligned with ops
+// once every shard's verdicts are in. Unlike ApplyBatch, batch boundaries
+// depend on runtime interleaving, so simulated time is not reproducible;
+// servers and other concurrent callers should prefer DoBatch, deterministic
+// harnesses ApplyBatch.
+func (kv *KV) DoBatch(ops []Op) []error { return kv.eng.DoBatch(ops) }
 
 // Closed reports whether Close has begun.
 func (kv *KV) Closed() bool { return kv.closed.Load() }
 
-// Scan visits keys in [lo, hi] in order (nil bounds are open). On a
-// sharded store the per-shard streams are collected and k-way merged, so
-// the global order is identical to the single-store order.
+// Scan visits keys in [lo, hi] in order (nil bounds are open). The
+// per-shard streams are k-way merged, so the global order does not depend
+// on the shard count.
 func (kv *KV) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	if kv.eng != nil {
-		return kv.eng.Scan(lo, hi, fn)
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	sp := kv.beginOp()
-	err := kv.tree.Scan(lo, hi, fn)
-	kv.endOp(sp, obsv.OpScan)
-	return err
+	return kv.eng.Scan(lo, hi, fn)
 }
 
 // ScanReverse visits keys in [lo, hi] in descending order.
 func (kv *KV) ScanReverse(lo, hi []byte, fn func(k, v []byte) bool) error {
-	if kv.eng != nil {
-		return kv.eng.ScanReverse(lo, hi, fn)
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	tx, err := kv.tree.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	return tx.ScanReverse(lo, hi, fn)
+	return kv.eng.ScanReverse(lo, hi, fn)
 }
 
 // BatchTx is the operation set available inside a KV.Batch transaction.
@@ -706,58 +583,22 @@ type BatchTx interface {
 }
 
 // Batch runs fn inside one transaction; all operations commit atomically.
-// A sharded store cannot offer cross-shard atomicity and rejects Batch;
-// use ApplyBatch for per-shard group commits.
+// A store with several shards cannot offer cross-shard atomicity and
+// rejects Batch; use ApplyBatch for per-shard group commits.
 func (kv *KV) Batch(fn func(tx BatchTx) error) error {
-	if kv.eng != nil {
+	if kv.Sharded() {
 		return errCrossShard
 	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	tx, err := kv.tree.Begin()
-	if err != nil {
-		return err
-	}
-	if err := fn(tx); err != nil {
-		tx.Rollback()
-		return err
-	}
-	return tx.Commit()
+	return kv.eng.Update(0, func(tx *btree.Tx) error { return fn(tx) })
 }
 
-// Validate checks full structural integrity of the tree (every shard's
-// tree on a sharded store).
-func (kv *KV) Validate() error {
-	if kv.eng != nil {
-		return kv.eng.Validate()
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	tx, err := kv.tree.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	return tx.Validate()
-}
+// Validate checks full structural integrity of every shard's tree.
+func (kv *KV) Validate() error { return kv.eng.Validate() }
 
 // Count returns the number of records (summed across shards).
-func (kv *KV) Count() (int, error) {
-	if kv.eng != nil {
-		return kv.eng.Count()
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	tx, err := kv.tree.Begin()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Rollback()
-	return tx.Count()
-}
+func (kv *KV) Count() (int, error) { return kv.eng.Count() }
 
-// checkShard validates a per-shard accessor's index: [0, Shards()), so on
-// a single store only index 0 is accepted (it aliases the whole store).
+// checkShard validates a per-shard accessor's index: [0, Shards()).
 func (kv *KV) checkShard(i int) error {
 	if n := kv.Shards(); i < 0 || i >= n {
 		return fmt.Errorf("%w: %d (store has %d shard(s))", ErrBadShard, i, n)
@@ -765,175 +606,103 @@ func (kv *KV) checkShard(i int) error {
 	return nil
 }
 
-// Heal re-runs recovery on one shard of a sharded store — the containment
-// path after ErrShardDown: the degraded shard reattaches over its arena
-// while the healthy shards keep serving. Heal on a HEALTHY shard is a
-// documented no-op returning nil: recovery is only re-run when the shard
-// actually stopped serving, so a background healer can call it
-// unconditionally without churning stores under live readers. On a single
-// store, Heal(0) after Crash is equivalent to ReopenKV. An out-of-range
-// index is ErrBadShard.
+// Heal re-runs recovery on one shard — the containment path after
+// ErrShardDown: the degraded shard reattaches over its arena while the
+// healthy shards keep serving. Heal on a HEALTHY shard is a documented
+// no-op returning nil: recovery is only re-run when the shard actually
+// stopped serving, so a background healer can call it unconditionally
+// without churning stores under live readers. An out-of-range index is
+// ErrBadShard.
 func (kv *KV) Heal(i int) error {
 	if err := kv.checkShard(i); err != nil {
 		return err
 	}
-	if kv.eng != nil {
-		if kv.eng.ShardInfo(i).Health == shard.Healthy {
-			return nil
-		}
-		return kv.eng.Heal(i)
-	}
-	if !kv.crashed.Load() {
+	if kv.eng.ShardInfo(i).Health == shard.Healthy {
 		return nil
 	}
-	return kv.ReopenKV()
+	return kv.eng.Heal(i)
 }
 
-// ReopenKV recovers the store after Crash (every shard when sharded).
-func (kv *KV) ReopenKV() error {
-	if kv.eng != nil {
-		return kv.eng.Reopen()
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if err := kv.reattach(); err != nil {
-		return err
-	}
-	kv.tree = btree.New(kv.store)
-	kv.crashed.Store(false)
-	return nil
-}
+// ReopenKV recovers every shard after Crash.
+func (kv *KV) ReopenKV() error { return kv.eng.Reopen() }
 
-// Crash simulates a power failure. On a sharded store it hits every
-// shard: each shard's machine runs the eviction lottery with the seed
-// decorrelated per shard, and in-flight group commits finish first (the
-// crash lands on batch boundaries; arm ShardSystem(i).CrashAfter before
-// traffic to fail inside a batch). Call ReopenKV to recover.
-func (kv *KV) Crash(opts CrashOptions) {
-	if kv.eng != nil {
-		kv.eng.Crash(opts)
-		return
-	}
-	kv.base.Crash(opts)
-	kv.crashed.Store(true)
-}
+// Crash simulates a power failure on every shard: each shard's machine
+// runs the eviction lottery with the seed decorrelated per shard, and
+// in-flight group commits finish first (the crash lands on batch
+// boundaries; arm ShardSystem(i).CrashAfter before traffic to fail inside
+// a batch). Call ReopenKV to recover.
+func (kv *KV) Crash(opts CrashOptions) { kv.eng.Crash(opts) }
 
-// SchemeName reports the active commit scheme.
-func (kv *KV) SchemeName() string {
-	if kv.eng != nil {
-		return kv.eng.ShardStore(0).Name()
-	}
-	return kv.base.SchemeName()
-}
+// SchemeName reports the active commit scheme (shard 0's).
+func (kv *KV) SchemeName() string { return kv.eng.ShardStore(0).Name() }
 
-// System exposes the simulated machine. A sharded store has one machine
-// per shard and returns nil here; use ShardSystem.
+// System exposes the simulated machine of a one-shard store. With several
+// shards there is one machine per shard and System returns nil; use
+// ShardSystem.
 func (kv *KV) System() *pmem.System {
-	if kv.eng != nil {
+	if kv.Sharded() {
 		return nil
 	}
-	return kv.base.System()
+	return kv.eng.ShardSys(0)
 }
 
-// ShardSystem returns shard i's simulated machine (shard 0 is the only
-// shard of a single store, aliasing System). Crash-injection harnesses
-// arm it before concurrent traffic starts; the machine is only
+// ShardSystem returns shard i's simulated machine. Crash-injection
+// harnesses arm it before concurrent traffic starts; the machine is only
 // synchronised by the engine's shard lock. An out-of-range index is
-// ErrBadShard — it used to panic (sharded) or silently alias the whole
-// store (single).
+// ErrBadShard.
 func (kv *KV) ShardSystem(i int) (*pmem.System, error) {
 	if err := kv.checkShard(i); err != nil {
 		return nil, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardSys(i), nil
-	}
-	return kv.base.System(), nil
+	return kv.eng.ShardSys(i), nil
 }
 
-// RawStore exposes the underlying pager store for inspection tooling.
-// A sharded store has one store per shard and returns nil; use ShardStore.
+// RawStore exposes a one-shard store's pager store for inspection tooling.
+// With several shards there is one store per shard and RawStore returns
+// nil; use ShardStore.
 func (kv *KV) RawStore() pager.Store {
-	if kv.eng != nil {
+	if kv.Sharded() {
 		return nil
 	}
-	return kv.base.RawStore()
+	return kv.eng.ShardStore(0)
 }
 
-// ShardStore returns shard i's pager store for inspection tooling (shard
-// 0 of a single store aliases RawStore). An out-of-range index is
-// ErrBadShard.
+// ShardStore returns shard i's pager store for inspection tooling. An
+// out-of-range index is ErrBadShard.
 func (kv *KV) ShardStore(i int) (pager.Store, error) {
 	if err := kv.checkShard(i); err != nil {
 		return nil, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardStore(i), nil
-	}
-	return kv.base.RawStore(), nil
+	return kv.eng.ShardStore(i), nil
 }
 
-// SimulatedNS returns the simulated time: on a sharded store, the slowest
-// shard's clock — the elapsed time of the sharded system, since shards
-// run in parallel on independent machines.
-func (kv *KV) SimulatedNS() int64 {
-	if kv.eng != nil {
-		return kv.eng.Stats().SimMaxNS
-	}
-	return kv.base.SimulatedNS()
-}
+// SimulatedNS returns the simulated time: the slowest shard's clock — the
+// elapsed time of the whole store, since shards run in parallel on
+// independent machines.
+func (kv *KV) SimulatedNS() int64 { return kv.eng.Stats().SimMaxNS }
 
 // PMStats returns the PM arenas' architectural event counters (summed
 // across shards).
-func (kv *KV) PMStats() pmem.Stats {
-	if kv.eng != nil {
-		return kv.eng.Stats().PM
-	}
-	return kv.base.PMStats()
-}
+func (kv *KV) PMStats() pmem.Stats { return kv.eng.Stats().PM }
 
 // Phases returns the simulated-time phase breakdown (summed across
 // shards): total simulated work per phase.
-func (kv *KV) Phases() map[string]int64 {
-	if kv.eng != nil {
-		return kv.eng.Phases()
-	}
-	return kv.base.System().Clock().Phases()
-}
+func (kv *KV) Phases() map[string]int64 { return kv.eng.Phases() }
 
 // ShardInfo is one shard's observable state.
 type ShardInfo = shard.Info
 
 // ShardStats returns shard i's simulated time, op/batch counters, PM
-// stats, and phase breakdown. On a single store, shard 0 reports the
-// whole store (with no batch counters — group commit is a sharded-engine
-// notion there). An out-of-range index is ErrBadShard.
+// stats, and phase breakdown. An out-of-range index is ErrBadShard.
 func (kv *KV) ShardStats(i int) (ShardInfo, error) {
 	if err := kv.checkShard(i); err != nil {
 		return ShardInfo{}, err
 	}
-	if kv.eng != nil {
-		return kv.eng.ShardInfo(i), nil
-	}
-	in := ShardInfo{
-		SimNS:  kv.base.SimulatedNS(),
-		PM:     kv.base.PMStats(),
-		Phases: kv.base.System().Clock().Phases(),
-	}
-	if kv.crashed.Load() {
-		in.Health = shard.Crashed
-	}
-	return in, nil
+	return kv.eng.ShardInfo(i), nil
 }
 
-// EngineStats aggregates the sharded engine's counters (zero value on a
-// single store).
-func (kv *KV) EngineStats() shard.Stats {
-	if kv.eng != nil {
-		return kv.eng.Stats()
-	}
-	return shard.Stats{Shards: 1, SimMaxNS: kv.base.SimulatedNS(), SimSumNS: kv.base.SimulatedNS(), PM: kv.base.PMStats()}
-}
+// EngineStats aggregates the engine's per-shard counters.
+func (kv *KV) EngineStats() shard.Stats { return kv.eng.Stats() }
 
 // ShardScan visits shard i's records in [lo, hi] in ascending order —
 // per-shard contents for tooling and the golden determinism tests. An
@@ -942,12 +711,7 @@ func (kv *KV) ShardScan(i int, lo, hi []byte, fn func(k, v []byte) bool) error {
 	if err := kv.checkShard(i); err != nil {
 		return err
 	}
-	if kv.eng != nil {
-		return kv.eng.ScanShard(i, lo, hi, fn)
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.tree.Scan(lo, hi, fn)
+	return kv.eng.ScanShard(i, lo, hi, fn)
 }
 
 // Hash is a persistent hash index over failure-atomic slotted pages — the

@@ -61,6 +61,7 @@ func TestKVBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	for i := 0; i < 300; i++ {
 		if err := kv.Insert([]byte(fmt.Sprintf("k%05d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -107,6 +108,7 @@ func TestKVBatchAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	// A failing batch leaves nothing behind.
 	boom := fmt.Errorf("boom")
 	err = kv.Batch(func(tx BatchTx) error {
@@ -181,6 +183,7 @@ func TestKVCrashReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	for i := 0; i < 100; i++ {
 		if err := kv.Insert([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
 			t.Fatal(err)
@@ -239,6 +242,7 @@ func TestSnapshotSaveLoadKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	for i := 0; i < 150; i++ {
 		if err := kv.Insert([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -251,6 +255,7 @@ func TestSnapshotSaveLoadKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv2.Close()
 	if err := kv2.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +317,7 @@ func TestConcurrentFacadeAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -384,6 +390,7 @@ func TestKVScanReverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	for i := 0; i < 50; i++ {
 		if err := kv.Insert([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)

@@ -115,7 +115,7 @@ func TestHealTable(t *testing.T) {
 	})
 }
 
-// TestHealSingleStore pins Heal(0) on a single store: nil no-op while
+// TestHealSingleStore pins Heal(0) on a one-shard store: nil no-op while
 // healthy, equivalent to ReopenKV after Crash.
 func TestHealSingleStore(t *testing.T) {
 	kv, err := OpenKV(Options{PageSize: 1024, PMReadNS: -1, PMWriteNS: -1})

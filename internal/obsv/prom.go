@@ -12,8 +12,7 @@ import (
 )
 
 // ShardGauge is one shard's health/throughput gauge set for the exporter.
-// The facade fills it from the engine's per-shard state (or from the
-// single store, as shard 0).
+// The engine fills it from its per-shard state.
 type ShardGauge struct {
 	Shard   int
 	Health  string

@@ -77,10 +77,14 @@ func TestServerRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc pin needs a long steady-state run")
 	}
-	_, _, addr := start(t, fasp.Options{Shards: 4}, Config{})
-	perOp := measureRoundTripAllocs(t, addr)
-	t.Logf("pipelined: %.2f mallocs per PUT+GET round trip (budget %d)", perOp, allocBudgetPerRoundTrip)
-	if perOp > allocBudgetPerRoundTrip {
-		t.Fatalf("alloc regression: %.2f mallocs per round trip exceeds budget %d — a per-request allocation crept into the data plane", perOp, allocBudgetPerRoundTrip)
+	// One shard is the same engine: its GETs take the GetInto fast path
+	// into the connection's buffer like any other shard count's.
+	for _, shards := range []int{4, 1} {
+		_, _, addr := start(t, fasp.Options{Shards: shards}, Config{})
+		perOp := measureRoundTripAllocs(t, addr)
+		t.Logf("pipelined, %d shard(s): %.2f mallocs per PUT+GET round trip (budget %d)", shards, perOp, allocBudgetPerRoundTrip)
+		if perOp > allocBudgetPerRoundTrip {
+			t.Fatalf("alloc regression, %d shard(s): %.2f mallocs per round trip exceeds budget %d — a per-request allocation crept into the data plane", shards, perOp, allocBudgetPerRoundTrip)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -192,14 +193,22 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // TestAutoHealServer pins the background healer (tentpole forced change 1):
-// an injected writer panic degrades a shard, clients get typed UNAVAIL
-// carrying a retry-after hint, and the shard comes back on its own — no
-// operator Heal call — within the heal cadence.
+// an injected writer panic degrades a shard, the degraded-shards gauge
+// shows it, clients get typed UNAVAIL carrying a retry-after hint, and the
+// shard comes back on its own — no operator Heal call — within the heal
+// cadence. One shard is one more input: the same engine, so the same fault
+// hook, gauge and healer.
 func TestAutoHealServer(t *testing.T) {
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { autoHealServer(t, shards) })
+	}
+}
+
+func autoHealServer(t *testing.T, shards int) {
 	var panicShard atomic.Int64
 	panicShard.Store(-1)
 	srv, kv, addr := start(t, fasp.Options{
-		Shards: 4,
+		Shards: shards,
 		FaultHook: func(s int) {
 			if int64(s) == panicShard.Swap(-1) {
 				panic("chaos_test: injected writer fault")
@@ -211,44 +220,56 @@ func TestAutoHealServer(t *testing.T) {
 	})
 	cl := dial(t, addr)
 
-	const victim = 1
+	victim := shards - 1
 	key := []byte("heal-me")
 	for i := 0; shardOf(kv, key) != victim; i++ {
 		key = []byte("heal-me-" + string(rune('a'+i)))
 	}
 
-	panicShard.Store(victim)
-	cl.QueuePut(key, []byte("doomed"))
-	if err := cl.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	code, payload, err := cl.Recv()
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if code != wire.CodeUnavail {
-		t.Fatalf("write through injected panic: %v, want unavail", code)
-	}
-	if ms := client.RetryAfter(payload); ms == 0 {
-		t.Fatal("UNAVAIL carried no retry-after hint under AutoHeal")
-	}
+	// The gauge is read right after the UNAVAIL reply; the healer may win
+	// that race now and then, so the fault is injected until it is seen.
+	sawGauge := false
+	for attempt := 0; attempt < 20 && !sawGauge; attempt++ {
+		panicShard.Store(int64(victim))
+		cl.QueuePut(key, []byte("doomed"))
+		if err := cl.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		code, payload, err := cl.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		if code != wire.CodeUnavail {
+			t.Fatalf("write through injected panic: %v, want unavail", code)
+		}
+		sawGauge = srv.Snapshot().DegradedShards == 1
+		if ms := client.RetryAfter(payload); ms == 0 {
+			t.Fatal("UNAVAIL carried no retry-after hint under AutoHeal")
+		}
 
-	// The healer must bring the shard back without any operator action.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := cl.Put(key, []byte("recovered")); err == nil {
-			break
-		} else if !errors.Is(err, wire.ErrRemoteUnavail) {
-			t.Fatalf("Put while degraded: %v", err)
+		// The healer must bring the shard back without any operator action.
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if err := cl.Put(key, []byte("recovered")); err == nil {
+				break
+			} else if !errors.Is(err, wire.ErrRemoteUnavail) {
+				t.Fatalf("Put while degraded: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("shard never auto-healed")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("shard never auto-healed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if !sawGauge {
+		t.Fatal("degraded-shards gauge never showed the faulted shard")
 	}
 	snap := srv.Snapshot()
 	if snap.HealAttempts < 1 {
 		t.Fatalf("heal attempts = %d, want >= 1", snap.HealAttempts)
+	}
+	if snap.DegradedShards != 0 {
+		t.Fatalf("degraded-shards gauge = %d after heal, want 0", snap.DegradedShards)
 	}
 	if v, ok, err := cl.Get(key); err != nil || !ok || string(v) != "recovered" {
 		t.Fatalf("post-heal read: %q %v %v", v, ok, err)

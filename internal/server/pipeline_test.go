@@ -198,6 +198,27 @@ func TestShardCommitWidth(t *testing.T) {
 	}
 }
 
+// TestOneShardGathersConnections: on a one-shard store the shard writer is
+// still the group-commit stage. Every connection keeps a single PUT in
+// flight, so each flush carries one op and only the mailbox can gather:
+// fewer commits than ops means writes of different connections shared
+// transactions.
+func TestOneShardGathersConnections(t *testing.T) {
+	_, kv, addr := start(t, fasp.Options{Shards: 1}, Config{})
+	res, err := loadgen.Run(loadgen.Config{
+		Addr: addr, Conns: 16, Pipeline: 1, Duration: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("loadgen: %v", err)
+	}
+	if res.ConnDrops != 0 || res.Errors != 0 {
+		t.Fatalf("drops=%d errors=%d", res.ConnDrops, res.Errors)
+	}
+	if st := kv.EngineStats(); st.Ops == 0 || st.Batches >= st.Ops {
+		t.Fatalf("16 connections' writes were not gathered: %d ops in %d commits", st.Ops, st.Batches)
+	}
+}
+
 // TestWedgedShardAnswersBusy: a shard whose writer is stuck backs up only
 // its own mailbox. Writes beyond the mailbox come back as typed BUSY pinned
 // to that shard with a retry hint — where a connection used to block

@@ -340,12 +340,10 @@ func (s *Server) stopHealer() {
 // Snapshot renders the server's metrics counters.
 func (s *Server) Snapshot() obsv.ServerSnapshot {
 	snap := s.met.snapshot(len(s.sem), cap(s.sem))
-	if s.kv.Sharded() {
-		es := s.kv.EngineStats()
-		// The gauge counts shards not serving, whatever the flavour: a
-		// crashed shard refuses requests exactly like a degraded one.
-		snap.DegradedShards = int64(es.DegradedShards + es.CrashedShards)
-	}
+	es := s.kv.EngineStats()
+	// The gauge counts shards not serving, whatever the flavour: a
+	// crashed shard refuses requests exactly like a degraded one.
+	snap.DegradedShards = int64(es.DegradedShards + es.CrashedShards)
 	return snap
 }
 

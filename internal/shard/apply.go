@@ -116,9 +116,9 @@ func applySingle(tree *btree.Tree, op *Op) error {
 // its own transaction so every caller gets an individual verdict.
 //
 // This is the shared core of the per-shard writer goroutines, of
-// Engine.ApplyBatch, and of the facade's deterministic single-store batch
-// path; keeping them on one code path keeps batch boundaries — and
-// therefore simulated time — a pure function of the op sequence.
+// Engine.ApplyBatch and of the one-shard Engine.Do; keeping them on one code
+// path keeps batch boundaries — and therefore simulated time — a pure
+// function of the op sequence.
 func ApplyOps(tree *btree.Tree, maxBatch int, ops []Op, errs []error) int64 {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
@@ -135,7 +135,8 @@ func ApplyOps(tree *btree.Tree, maxBatch int, ops []Op, errs []error) int64 {
 }
 
 // applyChunk runs one group commit, returning the transaction count (1 for
-// the batch, or one per op on the individual-retry fallback).
+// the batch, one per op on the individual-retry fallback, 0 when no op
+// applied and the transaction was rolled back).
 func applyChunk(tree *btree.Tree, ops []Op, errs []error) int64 {
 	tx, err := tree.Begin()
 	if err != nil {
@@ -144,10 +145,13 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error) int64 {
 		}
 		return 0
 	}
+	applied := false
 	for i := range ops {
 		opErr := applyTxOp(tx, &ops[i])
 		errs[i] = opErr
-		if opErr != nil && !benign(opErr) {
+		if opErr == nil {
+			applied = true
+		} else if !benign(opErr) {
 			// Hard error mid-batch: the transaction's working state may be
 			// partially mutated. Abandon it and give every op its own
 			// transaction so failures stay per-op.
@@ -157,6 +161,13 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error) int64 {
 			}
 			return int64(len(ops))
 		}
+	}
+	if !applied {
+		// Every op was refused before it touched the tree: there is nothing
+		// to make durable, so the chunk pays no commit — exactly what a lone
+		// rejected Insert/Update/Delete costs in its own transaction.
+		tx.Rollback()
+		return 0
 	}
 	if cerr := tx.Commit(); cerr != nil {
 		// Commit failed before the durability point: nothing from this

@@ -20,11 +20,18 @@ import (
 // soundness test: a torn or mid-commit read would surface as a malformed
 // value, a phantom miss, or a race-detector report.
 func TestConcurrentReadStress(t *testing.T) {
+	// One shard too: there the writer's Do commits on its own goroutine.
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { concurrentReadStress(t, shards) })
+	}
+}
+
+func concurrentReadStress(t *testing.T, shards int) {
 	const (
 		nKeys    = 1500
 		nReaders = 6
 	)
-	e := newTestEngine(t, 4, 8)
+	e := newTestEngine(t, shards, 8)
 	var acked atomic.Int64
 	acked.Store(-1)
 	var stop atomic.Bool

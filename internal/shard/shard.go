@@ -476,33 +476,61 @@ func (s *state) unavailable() error {
 	return nil
 }
 
-// runContained executes fn under the shard machine's crash injector and
-// additionally contains every other panic — a store bug or a hard PM
-// error must degrade this one shard, not kill the writer goroutine (which
-// would wedge the mailbox) or the process.
-func (s *state) runContained(fn func()) (crashed bool, fault error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fault = fmt.Errorf("writer panic: %v", r)
-		}
-	}()
-	return s.be.Sys.RunToCrash(fn), nil
+// refuseWrite is unavailable plus the post-Close seal: the error a mutation
+// of this shard gets instead of running, or nil. Callers hold s.mu.
+func (s *state) refuseWrite() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.unavailable()
 }
 
-// applyLocked takes the shard lock and applies ops, honouring the crashed
-// and degraded flags, converting an injected simulated power failure into
-// ErrCrashed for every op of the poisoned batch, and containing writer
-// faults as ErrShardDown.
+// contain executes fn under the shard machine's crash injector and
+// additionally contains every other panic — a store bug or a hard PM error
+// must degrade this one shard, not kill the writer goroutine (which would
+// wedge the mailbox) or the process. When fn died it returns the error for
+// everything fn was doing, none of which can be acknowledged:
+//
+//   - a fault degrades the shard until Heal re-runs recovery over its
+//     (intact) arena; the other shards are untouched;
+//   - an injected power failure unwound mid-section: whatever did not reach
+//     a commit mark is gone, and even committed ops cannot be acknowledged
+//     (the crash may have fired between the mark and the reply). The shard
+//     stays poisoned with its volatile state frozen; the harness then calls
+//     Engine.Crash to run the eviction lottery (the power failure proper)
+//     and Reopen to recover — the same arm/crash/reattach protocol
+//     cmd/crashtest drives on a bare store.
+//
+// Callers hold s.mu inside the write gate.
+func (s *state) contain(fn func()) error {
+	crashed, fault := func() (crashed bool, fault error) {
+		defer func() {
+			if r := recover(); r != nil {
+				fault = fmt.Errorf("writer panic: %v", r)
+			}
+		}()
+		return s.be.Sys.RunToCrash(fn), nil
+	}()
+	switch {
+	case fault != nil:
+		s.degraded = true
+		s.downCause = fault
+	case crashed:
+		s.crashed = true
+	default:
+		return nil
+	}
+	s.setHealth()
+	return s.unavailable()
+}
+
+// applyLocked takes the shard lock and applies ops as group commits of at
+// most maxBatch, honouring the closed, crashed and degraded flags; a batch
+// that dies mid-apply (see contain) reports its cause for every op.
 func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return
-	}
-	if err := s.unavailable(); err != nil {
+	if err := s.refuseWrite(); err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
@@ -521,7 +549,7 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
 		tBatches0 = s.batches
 		tc0 = s.counters()
 	}
-	crashed, fault := s.runContained(func() {
+	down := s.contain(func() {
 		if s.faultHook != nil {
 			s.faultHook(s.id)
 		}
@@ -541,31 +569,9 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
 			}
 		}
 	}
-	if fault != nil {
-		// The batch died mid-apply; like a crash, nothing in it can be
-		// acknowledged. The shard stops serving until Heal re-runs
-		// recovery over its (intact) arena; the other shards are
-		// untouched.
-		s.degraded = true
-		s.downCause = fault
-		s.setHealth()
-		err := s.unavailable()
+	if down != nil {
 		for i := range errs {
-			errs[i] = err
-		}
-	} else if crashed {
-		// The failure unwound mid-batch: whatever did not reach a commit
-		// mark is gone, and even committed ops cannot be acknowledged
-		// (the crash may have fired between the mark and the reply), so
-		// the whole drained batch reports ErrCrashed. The shard stays
-		// poisoned with its volatile state frozen; the harness then calls
-		// Engine.Crash to run the eviction lottery (the power failure
-		// proper) and Reopen to recover — the same arm/crash/reattach
-		// protocol cmd/crashtest drives on a single store.
-		s.crashed = true
-		s.setHealth()
-		for i := range errs {
-			errs[i] = ErrCrashed
+			errs[i] = down
 		}
 	} else {
 		// recs is a record-count estimate (an upper bound: Put may
@@ -600,6 +606,36 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
 	if drained > s.maxDrained {
 		s.maxDrained = drained
 	}
+}
+
+// Update runs fn inside one transaction on shard si — the explicit multi-op
+// transaction behind the facade's Batch — in the bracket every group commit
+// runs in: shard lock, write gate, crash and fault containment. An error
+// from fn rolls the transaction back and is returned as is.
+func (e *Engine) Update(si int, fn func(tx *btree.Tx) error) error {
+	s := e.shards[si]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.refuseWrite(); err != nil {
+		return err
+	}
+	s.beginMutate()
+	defer s.endMutate()
+	var err error
+	if down := s.contain(func() {
+		var tx *btree.Tx
+		if tx, err = s.tree.Begin(); err != nil {
+			return
+		}
+		if err = fn(tx); err != nil {
+			tx.Rollback()
+			return
+		}
+		err = tx.Commit()
+	}); down != nil {
+		return down
+	}
+	return err
 }
 
 // Scan visits keys in [lo, hi] in ascending order across all shards

@@ -257,9 +257,10 @@ func TestGroupCommitBatching(t *testing.T) {
 
 // TestConcurrentDoGathers pins the writer's accumulation window for
 // embedded callers: on one P a channel send readies the writer ahead of
-// the run queue, so without the writer's yields every looping Do caller
+// the run queue, so without the writer's yields every looping submitter
 // ping-pongs with it alone and commit width stays ~1 however many callers
-// are runnable.
+// are runnable. The callers use SubmitShard — the mailbox path Do takes
+// with several shards; Do on one shard commits on the caller instead.
 func TestConcurrentDoGathers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newTestEngine(t, 1, 64)
@@ -272,7 +273,7 @@ func TestConcurrentDoGathers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				op := shard.Op{Kind: shard.OpPut, Key: key(c*keysPer + i%keysPer), Val: val(i)}
-				if err := e.Do(op); err != nil {
+				if err := submit1(e, 0, op); err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}
@@ -289,7 +290,7 @@ func TestConcurrentDoGathers(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if st.Ops < 2*st.Batches {
-		t.Fatalf("%d concurrent Do callers: %d ops in %d commits, width %.2f, want >= 2",
+		t.Fatalf("%d concurrent submitters: %d ops in %d commits, width %.2f, want >= 2",
 			clients, st.Ops, st.Batches, float64(st.Ops)/float64(st.Batches))
 	}
 }
@@ -379,6 +380,39 @@ func TestBenignErrorsInBatch(t *testing.T) {
 	for _, k := range [][]byte{key(1), key(2)} {
 		if _, ok, _ := e.Get(k); !ok {
 			t.Fatalf("key %q missing after batch with benign errors", k)
+		}
+	}
+}
+
+// TestRefusedOpPaysNoCommit: a chunk in which every op is refused before it
+// touches the tree rolls back instead of committing — no flush, no fence,
+// no batch counted — on each write path.
+func TestRefusedOpPaysNoCommit(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e := newTestEngine(t, shards, 8)
+		if err := e.Do(shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}); err != nil {
+			t.Fatal(err)
+		}
+		si := e.ShardFor(key(0))
+		dup := shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(9)}
+		for _, path := range []struct {
+			name    string
+			refused func() error
+		}{
+			{"Do", func() error { return e.Do(dup) }},
+			{"ApplyBatch", func() error { return e.ApplyBatch([]shard.Op{dup})[0] }},
+			{"SubmitShard", func() error { return submit1(e, si, dup) }},
+		} {
+			name := path.name
+			before, fences := e.ShardInfo(si), e.ShardSys(si).Fences()
+			if err := path.refused(); !errors.Is(err, slotted.ErrDuplicate) {
+				t.Fatalf("%d shards, %s: err = %v, want ErrDuplicate", shards, name, err)
+			}
+			after := e.ShardInfo(si)
+			if after.PM.FlushCalls != before.PM.FlushCalls || e.ShardSys(si).Fences() != fences || after.Batches != before.Batches {
+				t.Errorf("%d shards, %s: a refused op paid a commit: flushes %d -> %d, fences %d -> %d, batches %d -> %d",
+					shards, name, before.PM.FlushCalls, after.PM.FlushCalls, fences, e.ShardSys(si).Fences(), before.Batches, after.Batches)
+			}
 		}
 	}
 }
@@ -666,6 +700,14 @@ func (s *blockingStore) Begin() (pager.Txn, error) {
 // TestEnqueueBusy: with the writer wedged and the mailbox full, a
 // submission fails with ErrBusy after the bounded enqueue timeout instead
 // of blocking forever; once the writer resumes, queued work completes.
+// submit1 sends one op through shard si's mailbox — what Do does on an
+// engine with several shards.
+func submit1(e *shard.Engine, si int, op shard.Op) error {
+	var errs [1]error
+	e.SubmitShard(si, []shard.Op{op}, errs[:])
+	return errs[0]
+}
+
 func TestEnqueueBusy(t *testing.T) {
 	cfg := testConfig(1, 1, 0)
 	cfg.Mailbox = 1
@@ -689,14 +731,14 @@ func TestEnqueueBusy(t *testing.T) {
 
 	bs.arm.Store(true)
 	first := make(chan error, 1)
-	go func() { first <- e.Do(shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
+	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
 	<-bs.entered // the writer is now wedged mid-batch; the mailbox is empty
 
 	// Two more submissions race for the single mailbox slot: the loser
 	// must time out with ErrBusy while the winner waits for the writer.
 	rest := make(chan error, 2)
-	go func() { rest <- e.Do(shard.Op{Kind: shard.OpInsert, Key: key(1), Val: val(1)}) }()
-	go func() { rest <- e.Do(shard.Op{Kind: shard.OpInsert, Key: key(2), Val: val(2)}) }()
+	go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(1), Val: val(1)}) }()
+	go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(2), Val: val(2)}) }()
 	if err := <-rest; !errors.Is(err, shard.ErrBusy) {
 		t.Fatalf("full mailbox submission: %v", err)
 	}

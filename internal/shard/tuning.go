@@ -97,20 +97,9 @@ func (s *state) defragPass(dec *tune.Decision) {
 	}
 	var n int
 	var derr error
-	crashed, fault := s.runContained(func() {
+	if s.contain(func() {
 		n, derr = s.tree.DefragLeaves(s.hotKeys, defragPerSlot)
-	})
-	switch {
-	case fault != nil:
-		s.degraded = true
-		s.downCause = fault
-		s.setHealth()
-		return
-	case crashed:
-		s.crashed = true
-		s.setHealth()
-		return
-	case derr != nil:
+	}) != nil || derr != nil {
 		return
 	}
 	if dec != nil {
@@ -125,14 +114,15 @@ func (s *state) defragPass(dec *tune.Decision) {
 
 // maybeIdleDefrag runs one defrag pass when the shard has pending hot
 // leaves and its mailbox is empty — the idle group-commit slot. The writer
-// loop calls it after a drain that left the mailbox dry.
+// loop calls it after a drain that left the mailbox dry, a one-shard Do
+// after its own commit (which may race Close, hence refuseWrite).
 func (s *state) maybeIdleDefrag() {
 	if s.ctl == nil || s.defragTh <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.crashed || s.degraded || len(s.hotKeys) == 0 {
+	if s.refuseWrite() != nil || len(s.hotKeys) == 0 {
 		return
 	}
 	s.beginMutate()
@@ -149,18 +139,10 @@ func (s *state) maybeIdleDefrag() {
 func (s *state) migrateTo(dec *tune.Decision) {
 	var ns pager.Store
 	var merr error
-	crashed, fault := s.runContained(func() { ns, merr = s.migrate(dec.Migrate) })
-	switch {
-	case fault != nil:
-		s.degraded = true
-		s.downCause = fault
-		s.setHealth()
+	if s.contain(func() { ns, merr = s.migrate(dec.Migrate) }) != nil {
 		return
-	case crashed:
-		s.crashed = true
-		s.setHealth()
-		return
-	case merr != nil:
+	}
+	if merr != nil {
 		// Clean refusal (unsupported target, full machine): the old store
 		// is intact and keeps serving; the controller proposal stands and
 		// may be retried next window.

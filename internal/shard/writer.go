@@ -296,12 +296,35 @@ func (e *Engine) enqueue(s *state, r *Request) bool {
 	}
 }
 
-// Do routes one operation to its shard's mailbox and waits for the
-// verdict. Concurrent callers hitting the same shard are drained into one
-// group commit by the shard's writer.
+// Do applies one operation and waits for the verdict. With several shards
+// it goes to the key's shard mailbox, where concurrent callers hitting the
+// same shard are drained into one group commit by the shard's writer. With
+// one shard the caller commits on its own goroutine under the shard lock
+// (applyLocked, the path ApplyBatch takes): a synchronous caller cannot
+// submit again before its verdict, so the mailbox could never gather a
+// second op of its own, and there is no other shard's writer to overlap
+// with — the two goroutine hand-offs per op bought nothing and doubled the
+// cost of a write (see DESIGN.md §7). Concurrent callers that want their
+// writes gathered on one shard use Enqueue/Wait or DoBatch.
 func (e *Engine) Do(op Op) error {
 	var out [1]error
-	e.submit(e.ShardFor(op.Key), op1(op), out[:])
+	if len(e.shards) > 1 {
+		e.submit(e.ShardFor(op.Key), op1(op), out[:])
+		return out[0]
+	}
+	s := e.shards[0]
+	var t0 time.Time
+	if s.rec != nil {
+		t0 = time.Now()
+	}
+	s.applyLocked(s.maxBatchNow(), op1(op), out[:])
+	if s.rec != nil {
+		s.rec.ObserveWall(kindOp[op.Kind], int32(s.id), time.Since(t0).Nanoseconds())
+	}
+	// The writer's idle slot, on the caller's goroutine.
+	if len(s.mail) == 0 {
+		s.maybeIdleDefrag()
+	}
 	return out[0]
 }
 

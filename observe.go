@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strings"
 	"sync"
 
 	"fasp/internal/fast"
@@ -22,8 +21,7 @@ import (
 
 // ErrBadShard reports a shard index outside [0, Shards()) passed to a
 // per-shard accessor (ShardStats, ShardSystem, ShardStore, ShardScan,
-// Heal). On a single store only index 0 is valid — it aliases the whole
-// store, which is its own only shard.
+// Heal).
 var ErrBadShard = errors.New("fasp: shard index out of range")
 
 // ErrClosed reports a write operation submitted to a KV after Close.
@@ -83,23 +81,6 @@ func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Cou
 	return c
 }
 
-// beginOp opens an observation span on a single store. Callers hold kv.mu
-// (the span reads the simulated clock and the store's counters).
-func (kv *KV) beginOp() obsv.Span {
-	if kv.rec == nil {
-		return obsv.Span{}
-	}
-	return kv.rec.Begin(kv.sys.Clock().Now(), storeCounters(kv.sys, kv.arena, kv.store))
-}
-
-// endOp closes a single-store span as one operation.
-func (kv *KV) endOp(sp obsv.Span, op obsv.Op) {
-	if kv.rec == nil {
-		return
-	}
-	kv.rec.End(sp, op, 0, kv.sys.Clock().Now(), storeCounters(kv.sys, kv.arena, kv.store))
-}
-
 // Metrics returns the store's observability snapshot. It is a cold-path
 // aggregation (allocates); the underlying recording is lock-free and
 // allocation-free. A store opened with DisableMetrics returns a zero
@@ -114,27 +95,6 @@ func (kv *KV) TraceSample() []TraceSample { return kv.rec.TraceSamples() }
 // SlowOps returns the slow-op log: every operation over Options.SlowOpNS,
 // oldest first, bounded by the ring size.
 func (kv *KV) SlowOps() []TraceSample { return kv.rec.SlowSamples() }
-
-// shardGauges builds the per-shard exporter gauges (one entry for a
-// single store).
-func (kv *KV) shardGauges() []obsv.ShardGauge {
-	if kv.eng != nil {
-		return kv.eng.Gauges()
-	}
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return []obsv.ShardGauge{{
-		Shard:         0,
-		Health:        shard.Healthy.String(),
-		Ops:           int64(kv.rec.Seen()),
-		SimNS:         kv.sys.Clock().Now(),
-		Flushes:       kv.arena.Stats().FlushCalls,
-		Fences:        kv.sys.Fences(),
-		Scheme:        strings.ToLower(kv.store.Name()),
-		Fragmentation: -1,
-		MaxBatch:      kv.opts.MaxBatch,
-	}}
-}
 
 // Registry of live KVs for the exporter. OpenKV registers, Close
 // unregisters; ServeMetrics renders every registered store.
@@ -265,7 +225,7 @@ func serveMetrics(addr string, withPprof bool) (*MetricsServer, error) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		names, kvs := registeredKVs()
 		for i, kv := range kvs {
-			obsv.WritePrometheus(w, names[i], kv.Metrics(), kv.shardGauges())
+			obsv.WritePrometheus(w, names[i], kv.Metrics(), kv.eng.Gauges())
 		}
 		for _, fn := range promSources() {
 			fn(w)

@@ -1,22 +1,24 @@
 package fasp
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"fasp/internal/btree"
 	"fasp/internal/obsv"
+	"fasp/internal/shard"
 )
 
 // TestBadShardIndex pins the API-edge fix: out-of-range shard indexes used
-// to panic on a sharded store and silently alias the whole store on a
-// single one. Every per-shard accessor now validates and returns
-// ErrBadShard in both modes.
+// to panic. Every per-shard accessor validates and returns ErrBadShard,
+// whatever the shard count.
 func TestBadShardIndex(t *testing.T) {
 	check := func(t *testing.T, kv *KV, bad []int) {
 		t.Helper()
@@ -66,54 +68,65 @@ func TestBadShardIndex(t *testing.T) {
 		}
 		defer kv.Close()
 		check(t, kv, []int{-1, 1, 7})
-		// Index 0 of a single store aliases the whole store.
+		// System() and RawStore() of a one-shard store are shard 0's.
 		if sys, err := kv.ShardSystem(0); err != nil || sys != kv.System() {
 			t.Errorf("ShardSystem(0) should alias System(): %v, %v", sys, err)
+		}
+		if st, err := kv.ShardStore(0); err != nil || st != kv.RawStore() {
+			t.Errorf("ShardStore(0) should alias RawStore(): %v, %v", st, err)
 		}
 	})
 }
 
-// TestKVCloseIdempotent pins the Close fix: Close is safe to call twice
-// (and concurrently with traffic), and sharded submissions after Close
-// fail fast with ErrClosed instead of deadlocking on a dead writer.
+// TestKVCloseIdempotent pins the Close contract, one rule for every shard
+// count: Close is safe to call twice (and concurrently with traffic), and
+// writes after Close fail fast with ErrClosed — on every write path —
+// instead of deadlocking on a dead writer or mutating a store its owner
+// believes quiesced. Reads keep working.
 func TestKVCloseIdempotent(t *testing.T) {
-	t.Run("sharded", func(t *testing.T) {
-		kv, err := OpenKV(Options{Shards: 3, PageSize: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(k(1), v(1)); err != nil {
-			t.Fatal(err)
-		}
-		kv.Close()
-		kv.Close() // second Close must be a no-op
-
-		done := make(chan error, 1)
-		go func() { done <- kv.Put(k(2), v(2)) }()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	for _, shards := range []int{3, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			kv, err := OpenKV(Options{Shards: shards, PageSize: 1024})
+			if err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Put after Close deadlocked")
-		}
-	})
-	t.Run("single", func(t *testing.T) {
-		kv, err := OpenKV(Options{PageSize: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Put(k(1), v(1)); err != nil {
-			t.Fatal(err)
-		}
-		kv.Close()
-		kv.Close()
-		// A single store holds no goroutines; post-Close ops keep working.
-		if err := kv.Put(k(2), v(2)); err != nil {
-			t.Fatalf("single-store Put after Close: %v", err)
-		}
-	})
+			if err := kv.Put(k(1), v(1)); err != nil {
+				t.Fatal(err)
+			}
+			kv.Close()
+			kv.Close() // second Close must be a no-op
+
+			done := make(chan error, 1)
+			go func() { done <- kv.Put(k(2), v(2)) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("Put after Close = %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Put after Close deadlocked")
+			}
+			op := []Op{{Kind: OpPut, Key: k(2), Val: v(2)}}
+			if err := kv.ApplyBatch(op)[0]; !errors.Is(err, ErrClosed) {
+				t.Fatalf("ApplyBatch after Close = %v, want ErrClosed", err)
+			}
+			if err := kv.DoBatch(op)[0]; !errors.Is(err, ErrClosed) {
+				t.Fatalf("DoBatch after Close = %v, want ErrClosed", err)
+			}
+			if shards == 1 {
+				err := kv.Batch(func(tx BatchTx) error { return tx.Insert(k(2), v(2)) })
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("Batch after Close = %v, want ErrClosed", err)
+				}
+			}
+			if got, ok, err := kv.Get(k(1)); err != nil || !ok || string(got) != string(v(1)) {
+				t.Fatalf("Get after Close: %q %v %v", got, ok, err)
+			}
+			if _, ok, _ := kv.Get(k(2)); ok {
+				t.Fatal("a write after Close was applied")
+			}
+		})
+	}
 	t.Run("after-crashed-shard", func(t *testing.T) {
 		kv, err := OpenKV(Options{Shards: 2, PageSize: 1024})
 		if err != nil {
@@ -144,70 +157,108 @@ func TestKVCloseIdempotent(t *testing.T) {
 	})
 }
 
-// TestPutSingleTransaction pins the upsert fix with the determinism
-// machinery: KV.Put on an existing key must cost exactly the simulated
-// time of one upsert transaction (tree.Put), not an aborted Insert plus a
-// separate Update transaction as before.
-func TestPutSingleTransaction(t *testing.T) {
-	open := func() *KV {
-		kv, err := OpenKV(Options{PageSize: 1024, DisableMetrics: true})
-		if err != nil {
-			t.Fatal(err)
+// TestOneShardEquivalence pins what "Shards <= 1 is a one-shard engine" must
+// not change: the same op stream — Insert/Put/Delete one at a time, then
+// ApplyBatch chunks, each with ops that fail — driven into a Shards: 1 KV
+// and into a bare btree.Tree on an identical newBase machine leaves both
+// machines with the same simulated clock, PM counters and phase breakdown,
+// on every scheme. That covers a rejected op paying no commit, and Put on an
+// existing key being one upsert transaction.
+//
+// Reads are where the engine differs: Get/Scan take the optimistic path,
+// which advances no clock and fills no emulated cache line, so in the
+// "optimistic" arm the reference issues no reads at all; with
+// DisableOptimisticReads they are the tree's clocked reads again.
+func TestOneShardEquivalence(t *testing.T) {
+	const maxBatch = 8
+	stream := func(t *testing.T, insert, put, del func(k, v []byte) error, batch func([]Op) []error, get func(k []byte), scan func()) {
+		want := func(err error, ok bool, what string) {
+			t.Helper()
+			if (err == nil) != ok {
+				t.Fatalf("%s: err = %v, want success=%v", what, err, ok)
+			}
 		}
-		t.Cleanup(kv.Close)
-		return kv
+		for i := 0; i < 60; i++ {
+			want(insert(k(i), v(i)), true, "insert")
+		}
+		want(insert(k(7), v(0)), false, "duplicate insert")
+		want(put(k(7), v(70)), true, "put existing")
+		want(put(k(100), v(100)), true, "put new")
+		want(del(k(3), nil), true, "delete")
+		want(del(k(3), nil), false, "delete absent")
+		get(k(7))
+		// Two ApplyBatch chunks of maxBatch: one mixed, one where every op is
+		// refused (and therefore must roll back, not commit).
+		var ops []Op
+		for i := 0; i < maxBatch; i++ {
+			ops = append(ops, Op{Kind: OpInsert, Key: k(200 + i), Val: v(i)})
+		}
+		ops[2] = Op{Kind: OpInsert, Key: k(7), Val: v(0)}
+		ops[5] = Op{Kind: OpUpdate, Key: k(999), Val: v(0)}
+		for i := 0; i < maxBatch; i++ {
+			ops = append(ops, Op{Kind: OpDelete, Key: k(900 + i)})
+		}
+		for i, err := range batch(ops) {
+			want(err, i < maxBatch && i != 2 && i != 5, fmt.Sprintf("batch op %d", i))
+		}
+		scan()
+		want(put(k(7), v(71)), true, "put after batch")
 	}
 
-	// Store A: public API, duplicate Put.
-	a := open()
-	if err := a.Put(k(1), v(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put(k(1), v(2)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := a.Get(k(1))
-	if err != nil || !ok || !bytes.Equal(got, v(2)) {
-		t.Fatalf("after duplicate Put: %q %v %v", got, ok, err)
-	}
+	for _, scheme := range []string{SchemeFASTPlus, SchemeFAST, SchemeNVWAL, SchemeWAL, SchemeJournal} {
+		for _, locked := range []bool{false, true} {
+			name := scheme + "/optimistic"
+			if locked {
+				name = scheme + "/locked-reads"
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Scheme: scheme, PageSize: 1024, CacheBytes: 16 << 10,
+					Shards: 1, MaxBatch: maxBatch, DisableOptimisticReads: locked}
+				kv, err := OpenKV(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer kv.Close()
+				stream(t, kv.Insert, kv.Put,
+					func(k, _ []byte) error { return kv.Delete(k) },
+					kv.ApplyBatch,
+					func(k []byte) { kv.Get(k) },
+					func() { kv.Scan(nil, nil, func(_, _ []byte) bool { return true }) })
 
-	// Store B: reference machine driving the tree's single-transaction
-	// upsert directly. Identical op sequence on an identical machine, so
-	// the simulated clocks must agree exactly.
-	b := open()
-	if err := b.tree.Put(k(1), v(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.tree.Put(k(1), v(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.tree.Get(k(1)); err != nil {
-		t.Fatal(err)
-	}
-	if a.SimulatedNS() != b.SimulatedNS() {
-		t.Fatalf("KV.Put is not a single upsert transaction: sim %d ns vs reference %d ns",
-			a.SimulatedNS(), b.SimulatedNS())
-	}
+				ref, err := newBase(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree := btree.New(ref.store)
+				stream(t, tree.Insert, tree.Put,
+					func(k, _ []byte) error { return tree.Delete(k) },
+					func(ops []Op) []error {
+						errs := make([]error, len(ops))
+						shard.ApplyOps(tree, maxBatch, ops, errs)
+						return errs
+					},
+					func(k []byte) {
+						if locked {
+							tree.Get(k)
+						}
+					},
+					func() {
+						if locked {
+							tree.Scan(nil, nil, func(_, _ []byte) bool { return true })
+						}
+					})
 
-	// Store C: the old two-transaction sequence (failed Insert, then
-	// Update) must cost strictly more — proving this test detects the
-	// regression it pins.
-	c := open()
-	if err := c.tree.Insert(k(1), v(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.tree.Insert(k(1), v(2)); err == nil {
-		t.Fatal("duplicate insert succeeded")
-	}
-	if err := c.tree.Update(k(1), v(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.tree.Get(k(1)); err != nil {
-		t.Fatal(err)
-	}
-	if c.SimulatedNS() <= a.SimulatedNS() {
-		t.Fatalf("two-txn sequence (%d ns) not costlier than upsert (%d ns) — test cannot detect regressions",
-			c.SimulatedNS(), a.SimulatedNS())
+				if got, want := kv.SimulatedNS(), ref.SimulatedNS(); got != want {
+					t.Errorf("simulated time: one-shard KV %d ns, bare tree %d ns", got, want)
+				}
+				if got, want := kv.PMStats(), ref.PMStats(); got != want {
+					t.Errorf("PM stats:\n  KV   %+v\n  tree %+v", got, want)
+				}
+				if got, want := kv.Phases(), ref.sys.Clock().Phases(); !reflect.DeepEqual(got, want) {
+					t.Errorf("phases:\n  KV   %v\n  tree %v", got, want)
+				}
+			})
+		}
 	}
 }
 

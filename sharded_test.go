@@ -16,6 +16,7 @@ func TestZeroLatencySentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	lat := kv.System().Latencies()
 	if lat.PMRead != 0 || lat.PMWrite != 0 {
 		t.Fatalf("sentinel not honoured: PMRead=%d PMWrite=%d", lat.PMRead, lat.PMWrite)
@@ -24,6 +25,7 @@ func TestZeroLatencySentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kvDefault.Close()
 	lat = kvDefault.System().Latencies()
 	if lat.PMRead != 300 || lat.PMWrite != 300 {
 		t.Fatalf("default broken: PMRead=%d PMWrite=%d", lat.PMRead, lat.PMWrite)

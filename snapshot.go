@@ -4,7 +4,6 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
-	"fasp/internal/btree"
 	"fasp/internal/engine"
 	"fasp/internal/hashidx"
 	"fmt"
@@ -19,11 +18,12 @@ import (
 var ErrBadSnapshot = errors.New("fasp: bad snapshot")
 
 // snapshotHeader describes a saved store; the payload is one gzip'd PM
-// medium image (version 1, single store) or N images (version 2, sharded)
-// — crash-consistent by construction: only flushed data is in the medium.
+// medium image (version 1: a DB, a Hash or a one-shard KV) or N images
+// (version 2, a KV of N > 1 shards) — crash-consistent by construction:
+// only flushed data is in the medium.
 //
 // Version 2 additionally records the shard count and group-commit bound so
-// a sharded store reopens with the same key partitioning (ShardFor is an
+// the store reopens with the same key partitioning (ShardFor is an
 // on-disk contract: images are only meaningful under the hash that built
 // them).
 type snapshotHeader struct {
@@ -91,56 +91,50 @@ func writeSnapshotAtomic(path string, fn func(enc *gob.Encoder) error) (err erro
 	return os.Rename(tmp, path)
 }
 
-// Save writes a crash-consistent snapshot of the store's persistent memory
-// to path. Unflushed (volatile) data is not included — loading a snapshot
-// is equivalent to recovering after a power failure at the moment of the
-// save, so committed transactions are always recovered intact. The file is
-// written to a temp sibling and atomically renamed into place.
-func (b *base) Save(path string) error {
-	return writeSnapshotAtomic(path, func(enc *gob.Encoder) error {
-		hdr := snapshotHeader{
-			Magic:    snapshotMagic,
-			Version:  1,
-			Scheme:   b.opts.Scheme,
-			PageSize: b.opts.PageSize,
-			MaxPages: b.opts.MaxPages,
-		}
-		if err := enc.Encode(hdr); err != nil {
-			return err
-		}
-		return enc.Encode(b.arena.MediumSnapshot())
-	})
-}
-
-// Save writes a crash-consistent snapshot to path. A sharded store writes
-// a version-2 snapshot holding every shard's medium image; each image is
-// individually crash-consistent, and because the engine offers no
-// cross-shard transactions, any skew between shard images is benign (it
-// looks like shards crashing microseconds apart).
-func (kv *KV) Save(path string) error {
-	if kv.eng == nil {
-		return kv.base.Save(path)
+// saveSnapshot writes opts' geometry and the given PM medium images to path:
+// one image is the version-1 single-image format (what OpenSnapshot,
+// OpenSnapshotHash and cmd/faspinspect read), several are version 2 with the
+// shard count and batch bound. The file is written to a temp sibling and
+// atomically renamed into place.
+func saveSnapshot(path string, opts Options, imgs [][]byte) error {
+	hdr := snapshotHeader{
+		Magic:    snapshotMagic,
+		Version:  1,
+		Scheme:   opts.Scheme,
+		PageSize: opts.PageSize,
+		MaxPages: opts.MaxPages,
+	}
+	if len(imgs) > 1 {
+		hdr.Version, hdr.Shards, hdr.MaxBatch = 2, len(imgs), opts.MaxBatch
 	}
 	return writeSnapshotAtomic(path, func(enc *gob.Encoder) error {
-		hdr := snapshotHeader{
-			Magic:    snapshotMagic,
-			Version:  2,
-			Scheme:   kv.opts.Scheme,
-			PageSize: kv.opts.PageSize,
-			MaxPages: kv.opts.MaxPages,
-			Shards:   kv.eng.Shards(),
-			MaxBatch: kv.eng.MaxBatch(),
-		}
 		if err := enc.Encode(hdr); err != nil {
 			return err
 		}
-		for _, img := range kv.eng.MediumSnapshots() {
+		for _, img := range imgs {
 			if err := enc.Encode(img); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// Save writes a crash-consistent snapshot of the store's persistent memory
+// to path. Unflushed (volatile) data is not included — loading a snapshot
+// is equivalent to recovering after a power failure at the moment of the
+// save, so committed transactions are always recovered intact.
+func (b *base) Save(path string) error {
+	return saveSnapshot(path, b.opts, [][]byte{b.arena.MediumSnapshot()})
+}
+
+// Save writes a crash-consistent snapshot of every shard's medium image to
+// path (see base.Save). Each image is individually crash-consistent, and
+// because the engine offers no cross-shard transactions, any skew between
+// shard images is benign (it looks like shards crashing microseconds
+// apart).
+func (kv *KV) Save(path string) error {
+	return saveSnapshot(path, kv.opts, kv.eng.MediumSnapshots())
 }
 
 // readSnapshotHeader opens path and decodes the header, returning the
@@ -168,7 +162,7 @@ func readSnapshotHeader(path string) (*os.File, *gob.Decoder, snapshotHeader, er
 	return f, dec, hdr, nil
 }
 
-// loadSnapshot builds a base from a version-1 (single-store) snapshot
+// loadSnapshot builds a base from a version-1 (single-image) snapshot
 // file. opts supplies the simulated-machine knobs (latencies, cache size);
 // the store geometry and scheme come from the file.
 func loadSnapshot(path string, opts Options) (*base, error) {
@@ -211,10 +205,11 @@ func OpenSnapshot(path string, opts Options) (*DB, error) {
 	return &DB{base: b, eng: engine.Open(b.store)}, nil
 }
 
-// OpenSnapshotKV loads a key/value store saved with Save. A version-2
-// (sharded) snapshot restores every shard's image and runs per-shard crash
-// recovery; opts supplies the machine knobs, while scheme, geometry, shard
-// count and batch bound come from the file.
+// OpenSnapshotKV loads a key/value store saved with Save: every shard's
+// image is restored and recovered as after a power failure. opts supplies
+// the machine knobs, while scheme and geometry — and, for a version-2
+// snapshot, shard count and batch bound — come from the file; a version-1
+// snapshot is one image, one shard.
 func OpenSnapshotKV(path string, opts Options) (*KV, error) {
 	f, dec, hdr, err := readSnapshotHeader(path)
 	if err != nil {
@@ -224,26 +219,18 @@ func OpenSnapshotKV(path string, opts Options) (*KV, error) {
 	opts.Scheme = hdr.Scheme
 	opts.PageSize = hdr.PageSize
 	opts.MaxPages = hdr.MaxPages
-	if hdr.Version == 1 {
-		f.Close()
-		b, err := loadSnapshot(path, opts)
-		if err != nil {
-			return nil, err
-		}
-		opts.fill()
-		kv := &KV{base: b, tree: btree.New(b.store), opts: opts, rec: newRecorder(opts)}
-		registerKV(kv)
-		return kv, nil
+	opts.Shards = 1
+	if hdr.Version >= 2 {
+		opts.Shards = hdr.Shards
+		opts.MaxBatch = hdr.MaxBatch
 	}
-	opts.Shards = hdr.Shards
-	opts.MaxBatch = hdr.MaxBatch
 	opts.fill()
 	rec := newRecorder(opts)
 	eng, err := newShardEngine(opts, rec)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < hdr.Shards; i++ {
+	for i := 0; i < opts.Shards; i++ {
 		var img []byte
 		if err := dec.Decode(&img); err != nil {
 			eng.Close()

@@ -24,6 +24,7 @@ func TestSnapshotRoundTripAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer kv.Close()
 			const n = 200
 			for i := 0; i < n; i++ {
 				if err := kv.Insert(k(i), v(i)); err != nil {
@@ -48,6 +49,7 @@ func TestSnapshotRoundTripAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer kv2.Close()
 			if err := kv2.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -77,6 +79,7 @@ func TestSnapshotSaveAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv.Close()
 	for i := 0; i < 50; i++ {
 		if err := kv.Insert(k(i), v(i)); err != nil {
 			t.Fatal(err)
@@ -110,6 +113,7 @@ func TestSnapshotSaveAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer kv2.Close()
 	if c, _ := kv2.Count(); c != 80 {
 		t.Fatalf("count = %d", c)
 	}
