@@ -1,7 +1,7 @@
 GO ?= go
 N  ?= 20000
 
-.PHONY: all build vet test race crashx obsv bench bench-json readbench phasebench serverbench chaos clean
+.PHONY: all build vet test race crashx obsv bench bench-pairs bench-json readbench phasebench serverbench chaos clean
 
 all: vet build test
 
@@ -35,6 +35,15 @@ obsv:
 # Go-benchmark view (wall clock + simulated metrics + allocs).
 bench:
 	$(GO) test -bench 'BenchmarkInsert|BenchmarkGet' -benchmem -run '^$$' .
+
+# The gated benchmark, parent against working tree: PAIRS alternating runs
+# of WORKLOAD on each side, then bench/run.sh --compare (see
+# scripts/bench-pairs.sh). Quiet machine only.
+BASE     ?= HEAD
+WORKLOAD ?= kv-write
+PAIRS    ?= 3
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # Machine-readable wall-clock trajectory: ns/op and allocs/op for insert and
 # search across all five schemes, plus the sharded-engine series (wall-clock

@@ -568,6 +568,14 @@ func (kv *KV) ScanReverse(lo, hi []byte, fn func(k, v []byte) bool) error {
 	return kv.eng.ScanReverse(lo, hi, fn)
 }
 
+// ScanLimit is Scan (or ScanReverse, when reverse is set) that ends after
+// limit pairs; limit <= 0 means no limit. Each shard reads at most limit
+// pairs for it, where a Scan whose fn stops early has already read a full
+// chunk on every shard.
+func (kv *KV) ScanLimit(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
+	return kv.eng.ScanLimit(lo, hi, reverse, limit, fn)
+}
+
 // BatchTx is the operation set available inside a KV.Batch transaction.
 type BatchTx interface {
 	// Insert adds a new key, failing on duplicates.

@@ -3,7 +3,7 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // cacheLine is one slot of the CPU-cache overlay slab. It always holds the
@@ -38,20 +38,20 @@ type cacheLine struct {
 // DRAM lines are written back on replacement at the DRAM write cost.
 //
 // Overlay representation: resident lines live in a flat slab ([]cacheLine)
-// located by a power-of-two open-addressed index keyed on line offset, and
-// FIFO order is the intrusive ring threaded through the slots. The hot path
-// (hit lookup, miss fill, eviction, flush) performs no Go allocation once
-// the slab and index have warmed up, and the overlay footprint is bounded
-// by the resident set — the event sequence (hits, fills, write-backs, clock
-// advances) is identical to the reference map+slice implementation.
+// located by a direct table with one entry per line of the arena, and FIFO
+// order is the intrusive ring threaded through the slots. The hot path (hit
+// lookup, miss fill, eviction, flush) performs no Go allocation once the
+// slab has warmed up. The slab is bounded by the resident set; the table
+// costs 4 bytes per line, a sixteenth of the medium it sits beside. The
+// event sequence (hits, fills, write-backs, clock advances) is identical to
+// the reference map+slice implementation.
 type Arena struct {
 	name     string
 	kind     Kind
 	sys      *System
 	data     []byte      // the medium (durable for PM, volatile for DRAM)
 	slab     []cacheLine // slot storage; grows monotonically, capacity reused
-	index    []int32     // open-addressed table of slab indices; -1 = empty
-	shift    uint        // 64 - log2(len(index)), for fibonacci hashing
+	index    []int32     // index[line number] = slab slot + 1; 0 = not resident
 	freeHead int32       // free-slot list head (-1 = none)
 	ringHead int32       // FIFO ring head = oldest resident line (-1 = empty)
 	nres     int         // resident line count
@@ -64,97 +64,12 @@ type Arena struct {
 
 const noSlot = int32(-1)
 
-// minIndexSize is the smallest open-addressed table (power of two).
-const minIndexSize = 256
+// --- Direct line table ---------------------------------------------------
 
-// --- Open-addressed line index ------------------------------------------
-
-// hashPos returns the home position of line offset l in the index.
-func (a *Arena) hashPos(l int64) int {
-	// Fibonacci hashing on the line number; offsets are line-aligned so the
-	// low 6 bits carry no information.
-	return int((uint64(l) >> 6 * 0x9E3779B97F4A7C15) >> a.shift)
-}
-
-// lookup returns the slab slot caching line l, or noSlot.
+// lookup returns the slab slot caching line l, or noSlot. It only reads the
+// table: Peek calls it outside the writer's critical section.
 func (a *Arena) lookup(l int64) int32 {
-	mask := len(a.index) - 1
-	for i := a.hashPos(l); ; i = (i + 1) & mask {
-		e := a.index[i]
-		if e == noSlot {
-			return noSlot
-		}
-		if a.slab[e].off == l {
-			return e
-		}
-	}
-}
-
-// indexInsert records that slab slot s caches line l, growing the table
-// when the load factor reaches 3/4.
-func (a *Arena) indexInsert(l int64, s int32) {
-	if (a.nres+1)*4 >= len(a.index)*3 {
-		a.growIndex()
-	}
-	mask := len(a.index) - 1
-	i := a.hashPos(l)
-	for a.index[i] != noSlot {
-		i = (i + 1) & mask
-	}
-	a.index[i] = s
-}
-
-// indexDelete removes line l using backward-shift deletion, which keeps
-// probe chains intact without tombstones.
-func (a *Arena) indexDelete(l int64) {
-	mask := len(a.index) - 1
-	i := a.hashPos(l)
-	for {
-		e := a.index[i]
-		if e == noSlot {
-			return // not present (cannot happen for resident lines)
-		}
-		if a.slab[e].off == l {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		e := a.index[j]
-		if e == noSlot {
-			break
-		}
-		k := a.hashPos(a.slab[e].off)
-		// Move e into the hole when its home position lies outside (i, j].
-		if (j-k)&mask >= (j-i)&mask {
-			a.index[i] = e
-			i = j
-		}
-	}
-	a.index[i] = noSlot
-}
-
-// growIndex doubles the table and reinserts every resident line.
-func (a *Arena) growIndex() {
-	old := a.index
-	a.index = make([]int32, 2*len(old))
-	a.shift--
-	for i := range a.index {
-		a.index[i] = noSlot
-	}
-	mask := len(a.index) - 1
-	for _, e := range old {
-		if e == noSlot {
-			continue
-		}
-		i := a.hashPos(a.slab[e].off)
-		for a.index[i] != noSlot {
-			i = (i + 1) & mask
-		}
-		a.index[i] = e
-	}
+	return a.index[l>>lineShift] - 1
 }
 
 // --- Slab slots and the intrusive FIFO ring ------------------------------
@@ -195,6 +110,20 @@ func (a *Arena) ringPushBack(s int32) {
 	a.slab[head].prev = s
 }
 
+// eachResident calls fn for every resident line, oldest first.
+func (a *Arena) eachResident(fn func(*cacheLine)) {
+	h := a.ringHead
+	if h == noSlot {
+		return
+	}
+	for s := h; ; {
+		fn(&a.slab[s])
+		if s = a.slab[s].next; s == h {
+			return
+		}
+	}
+}
+
 // ringPopFront unlinks and returns the oldest slot (ring must be non-empty).
 func (a *Arena) ringPopFront() int32 {
 	s := a.ringHead
@@ -211,11 +140,11 @@ func (a *Arena) ringPopFront() int32 {
 }
 
 // resetOverlay drops every resident line and returns the overlay to its
-// empty state, keeping the slab and index capacity for reuse.
+// empty state, keeping the slab capacity for reuse. Only resident lines have
+// table entries, so it clears those by walking the ring: the table is
+// arena-sized and a crash sweep resets it tens of thousands of times.
 func (a *Arena) resetOverlay() {
-	for i := range a.index {
-		a.index[i] = noSlot
-	}
+	a.eachResident(func(ln *cacheLine) { a.index[ln.off>>lineShift] = 0 })
 	a.slab = a.slab[:0]
 	a.freeHead = noSlot
 	a.ringHead = noSlot
@@ -267,7 +196,7 @@ func (a *Arena) fill(l int64) *cacheLine {
 	ln.off = l
 	ln.dirty = false
 	copy(ln.buf[:], a.data[l:l+CacheLineSize])
-	a.indexInsert(l, s)
+	a.index[l>>lineShift] = s + 1
 	a.ringPushBack(s)
 	a.nres++
 	a.evictOverflow()
@@ -292,7 +221,7 @@ func (a *Arena) evictOverflow() {
 			a.sys.clock.Advance(a.writeNS)
 			copy(a.data[ln.off:ln.off+CacheLineSize], ln.buf[:])
 		}
-		a.indexDelete(ln.off)
+		a.index[ln.off>>lineShift] = 0
 		a.freeSlot(s)
 		a.nres--
 	}
@@ -404,27 +333,30 @@ func (a *Arena) Persist(off int64, n int) {
 	a.sys.Fence()
 }
 
+// zeroChunk is the source of Zero's stores.
+var zeroChunk [4096]byte
+
 // Zero stores n zero bytes at off.
 func (a *Arena) Zero(off int64, n int) {
-	zeros := make([]byte, n)
-	a.Store(off, zeros)
+	a.check(off, n)
+	for n > 0 {
+		// Chunks end on word boundaries, so the span splits into the same
+		// word stores (crash points) as one Store of the whole.
+		c := min(n, len(zeroChunk)-int(off%WordSize))
+		a.Store(off, zeroChunk[:c])
+		off += int64(c)
+		n -= c
+	}
 }
 
 // DirtyLines reports how many resident lines are dirty.
 func (a *Arena) DirtyLines() int {
 	n := 0
-	if h := a.ringHead; h != noSlot {
-		s := h
-		for {
-			if a.slab[s].dirty {
-				n++
-			}
-			s = a.slab[s].next
-			if s == h {
-				break
-			}
+	a.eachResident(func(ln *cacheLine) {
+		if ln.dirty {
+			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -453,20 +385,13 @@ func (a *Arena) crash(evict func() bool) {
 	// The lottery iterates dirty offsets in ascending order so a given seed
 	// always evicts the same lines; collect them from the ring and sort.
 	offs := a.crashBuf[:0]
-	if h := a.ringHead; h != noSlot {
-		s := h
-		for {
-			if a.slab[s].dirty {
-				offs = append(offs, a.slab[s].off)
-			}
-			s = a.slab[s].next
-			if s == h {
-				break
-			}
+	a.eachResident(func(ln *cacheLine) {
+		if ln.dirty {
+			offs = append(offs, ln.off)
 		}
-	}
+	})
 	a.crashBuf = offs
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+	slices.Sort(offs)
 	for _, l := range offs {
 		if evict() {
 			a.stats.LineWritebacks++

@@ -24,8 +24,10 @@ package pmem
 
 // Architectural constants shared by the whole system.
 const (
+	// lineShift turns a byte offset into its line number.
+	lineShift = 6
 	// CacheLineSize is the unit of CLFLUSH and of HTM failure-atomic writes.
-	CacheLineSize = 64
+	CacheLineSize = 1 << lineShift
 	// WordSize is the PM failure-atomic write granularity (8 bytes).
 	WordSize = 8
 	// WordsPerLine is the number of failure-atomic words per cache line.

@@ -1,7 +1,5 @@
 package pmem
 
-import "math/bits"
-
 // System owns the simulated clock, the latency model, the crash injector and
 // every memory arena. One System corresponds to one machine in the paper's
 // testbed; all arenas share its clock, so time spent in DRAM and PM composes
@@ -60,18 +58,10 @@ func (s *System) NewArena(name string, size int64, kind Kind) *Arena {
 	if a.maxLines < 8 {
 		a.maxLines = 8
 	}
-	// Size the index so the steady-state resident set fits under the 3/4
-	// load factor without growing; the slab gets capacity for every resident
-	// line plus the one transient over-capacity fill.
-	idx := minIndexSize
-	for idx*3 < (a.maxLines+1)*4 {
-		idx *= 2
-	}
-	a.index = make([]int32, idx)
-	for i := range a.index {
-		a.index[i] = noSlot
-	}
-	a.shift = uint(64 - bits.TrailingZeros(uint(idx)))
+	// One table entry per line of the arena (zero = not resident); the slab
+	// gets capacity for every resident line plus the one transient
+	// over-capacity fill.
+	a.index = make([]int32, size>>lineShift)
 	a.slab = make([]cacheLine, 0, a.maxLines+1)
 	if kind == PM {
 		a.readNS, a.writeNS = s.lat.PMRead, s.lat.PMWrite

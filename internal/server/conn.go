@@ -554,13 +554,13 @@ func (cn *conn) serveScan() {
 		n++
 		return true
 	}
-	var err error
-	if cn.req.Rev {
-		err = cn.s.kv.ScanReverse(lo, hi, fn)
-	} else {
-		err = cn.s.kv.Scan(lo, hi, fn)
+	// The page is limit pairs, one more to learn whether to set the
+	// more-marker, and the skipped exclusive bound if there is one.
+	budget := limit + 1
+	if cn.req.ExclHi {
+		budget++
 	}
-	if err != nil {
+	if err := cn.s.kv.ScanLimit(lo, hi, cn.req.Rev, budget, fn); err != nil {
 		cn.out = cn.out[:mark]
 		cn.appendError(wire.OpScan, err)
 		return

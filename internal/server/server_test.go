@@ -553,6 +553,40 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestScanPageBudgetReachesShards: one 16-pair SCAN page makes each shard
+// gather the page plus the one look-ahead pair that decides the
+// more-marker, not a full 256-pair chunk.
+func TestScanPageBudgetReachesShards(t *testing.T) {
+	_, kv, addr := start(t, fasp.Options{Shards: 4}, Config{ScanLimit: 16})
+	ops := make([]fasp.Op, 2000)
+	for i := range ops {
+		ops[i] = fasp.Op{Kind: fasp.OpPut, Key: []byte(fmt.Sprintf("p%04d", i)), Val: []byte("v")}
+	}
+	for _, err := range kv.ApplyBatch(ops) {
+		if err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+	}
+	cl := dial(t, addr)
+	seen := 0
+	// fn stops inside the first page, so exactly one SCAN is served.
+	if err := cl.Scan(nil, nil, false, func(k, v []byte) bool { seen++; return seen < 16 }); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 16 {
+		t.Fatalf("first page delivered %d pairs, want 16", seen)
+	}
+	for i := 0; i < kv.Shards(); i++ {
+		in, err := kv.ShardStats(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.ScanPairs == 0 || in.ScanPairs > 17 {
+			t.Errorf("shard %d gathered %d pairs for a 16-pair page, want 1..17", i, in.ScanPairs)
+		}
+	}
+}
+
 // TestScanPagingLimitOne drives paging at the degenerate page size of one
 // pair, where every resume page used to consist solely of the reverse
 // boundary duplicate — the old client saw "no progress" and silently

@@ -278,8 +278,9 @@ func (sc *scanScratch) add(k, v []byte) {
 	sc.refs = append(sc.refs, pairRef{ko, len(k), vo, len(v)})
 }
 
-func (sc *scanScratch) full() bool {
-	return len(sc.refs) >= scanChunkPairs || len(sc.buf) >= scanChunkBytes
+// full reports whether the chunk has reached pairs pairs or the byte bound.
+func (sc *scanScratch) full(pairs int) bool {
+	return len(sc.refs) >= pairs || len(sc.buf) >= scanChunkBytes
 }
 
 func (sc *scanScratch) len() int { return len(sc.refs) }
@@ -306,14 +307,20 @@ func putScratch(sc *scanScratch) { scratchPool.Put(sc) }
 // remaining range through the locked path. emit owns each scratch it
 // receives (return it with putScratch) and is never called with the shard
 // lock held; returning false stops the scan. No emit call follows an error.
+// limit > 0 is the most pairs the caller will consume: the scan ends after
+// that many, so a short page reads a short chunk, not a full one.
 // ScanShard, the engine-scan producers and Count all funnel through here —
 // the single read-only range entry point.
-func (s *state) scanChunks(lo, hi []byte, reverse bool, emit func(*scanScratch) bool) error {
+func (s *state) scanChunks(lo, hi []byte, reverse bool, limit int, emit func(*scanScratch) bool) error {
 	curLo, curHi := lo, hi
 	curLoX, curHiX := false, false
 	var resume []byte
 	attempt := 0
 	for {
+		chunk := scanChunkPairs
+		if limit > 0 && limit < chunk {
+			chunk = limit
+		}
 		v, st := s.acquireView()
 		if st == viewRetry {
 			if attempt < getMaxAttempts {
@@ -324,7 +331,7 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, emit func(*scanScratch) 
 			st = viewFallback
 		}
 		if st == viewFallback {
-			return s.lockedChunks(curLo, curHi, curLoX, curHiX, reverse, emit)
+			return s.lockedChunks(curLo, curHi, curLoX, curHiX, reverse, limit, emit)
 		}
 		attempt = 0
 		sc := getScratch()
@@ -333,7 +340,7 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, emit func(*scanScratch) 
 		err := v.Scan(btree.Bounds{Lo: curLo, Hi: curHi, LoX: curLoX, HiX: curHiX, Reverse: reverse},
 			func(k, val []byte) bool {
 				sc.add(k, val)
-				if sc.full() {
+				if sc.full(chunk) {
 					full = true
 					return false
 				}
@@ -362,6 +369,12 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, emit func(*scanScratch) 
 			putScratch(sc)
 			return nil
 		}
+		s.scanPairs.Add(int64(sc.len()))
+		if limit > 0 {
+			if limit -= sc.len(); limit == 0 {
+				full = false // the caller's budget is spent: this chunk is the last
+			}
+		}
 		if !emit(sc) || !full {
 			return nil
 		}
@@ -372,9 +385,11 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, emit func(*scanScratch) 
 // collected into chunks under the shard lock (inside the write gate — a
 // pager transaction's reads mutate the simulated cache and clock), then
 // emitted after it is released, preserving emit's no-lock-held contract.
-// The lo/hi exclusivity flags emulate the view path's resume semantics.
-func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, emit func(*scanScratch) bool) error {
+// The lo/hi exclusivity flags emulate the view path's resume semantics;
+// limit > 0 ends the drain after that many pairs.
+func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, limit int, emit func(*scanScratch) bool) error {
 	var chunks []*scanScratch
+	pairs := 0
 	err := func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -406,12 +421,13 @@ func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, emit func(*s
 					return false
 				}
 			}
-			if sc.full() {
+			if sc.full(scanChunkPairs) {
 				chunks = append(chunks, sc)
 				sc = getScratch()
 			}
 			sc.add(k, v)
-			return true
+			pairs++
+			return pairs != limit
 		}
 		if reverse {
 			err = tx.ScanReverse(lo, hi, gather)
@@ -431,6 +447,7 @@ func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, emit func(*s
 		}
 		return err
 	}
+	s.scanPairs.Add(int64(pairs))
 	for i, sc := range chunks {
 		if !emit(sc) {
 			for _, rest := range chunks[i+1:] {
@@ -449,7 +466,7 @@ func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, emit func(*s
 // the callback.
 func (e *Engine) ScanShard(i int, lo, hi []byte, fn func(k, v []byte) bool) error {
 	stopped := false
-	return e.shards[i].scanChunks(lo, hi, false, func(sc *scanScratch) bool {
+	return e.shards[i].scanChunks(lo, hi, false, 0, func(sc *scanScratch) bool {
 		for j := 0; j < sc.len(); j++ {
 			k, v := sc.pair(j)
 			if !fn(k, v) {
@@ -472,10 +489,11 @@ type chunkMsg struct {
 	err error
 }
 
-// produce streams one shard's records to the merge as bounded chunks,
-// aborting promptly once the merge closes stop.
-func (s *state) produce(lo, hi []byte, reverse bool, out chan<- chunkMsg, stop <-chan struct{}) {
-	err := s.scanChunks(lo, hi, reverse, func(sc *scanScratch) bool {
+// produce streams one shard's records (at most limit of them, when limit >
+// 0) to the merge as bounded chunks, aborting promptly once the merge
+// closes stop.
+func (s *state) produce(lo, hi []byte, reverse bool, limit int, out chan<- chunkMsg, stop <-chan struct{}) {
+	err := s.scanChunks(lo, hi, reverse, limit, func(sc *scanScratch) bool {
 		select {
 		case out <- chunkMsg{sc: sc}:
 			return true
@@ -530,7 +548,11 @@ func (c *shardCursor) key() []byte {
 // output is byte-identical to the former sequential collect-then-merge.
 // Key/value slices passed to fn are valid only during the callback; a shard
 // error surfaces as soon as the merge needs that shard's next record.
-func (e *Engine) scan(lo, hi []byte, reverse bool, fn func(k, v []byte) bool) error {
+//
+// limit > 0 ends the scan after limit pairs. No shard can contribute more
+// than that to the merge, so each producer stops there too: a page of 16
+// costs 16 pairs per shard, not one full chunk each.
+func (e *Engine) scan(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
 	e.cfg.Recorder.ObserveScanFanout(len(e.shards))
 	stop := make(chan struct{})
 	defer close(stop)
@@ -538,7 +560,7 @@ func (e *Engine) scan(lo, hi []byte, reverse bool, fn func(k, v []byte) bool) er
 	for i, s := range e.shards {
 		c := &shardCursor{ch: make(chan chunkMsg, 1)}
 		curs[i] = c
-		go s.produce(lo, hi, reverse, c.ch, stop)
+		go s.produce(lo, hi, reverse, limit, c.ch, stop)
 	}
 	for _, c := range curs {
 		c.fill()
@@ -571,6 +593,11 @@ func (e *Engine) scan(lo, hi []byte, reverse bool, fn func(k, v []byte) bool) er
 		c.idx++
 		if !fn(k, v) {
 			return nil
+		}
+		if limit > 0 {
+			if limit--; limit == 0 {
+				return nil
+			}
 		}
 		c.fill()
 		if c.err != nil {
@@ -609,7 +636,7 @@ func (e *Engine) Count() (int, error) {
 // point (epoch-pinned in bounded chunks, locked fallback).
 func (s *state) countRecords() (int, error) {
 	n := 0
-	err := s.scanChunks(nil, nil, false, func(sc *scanScratch) bool {
+	err := s.scanChunks(nil, nil, false, 0, func(sc *scanScratch) bool {
 		n += sc.len()
 		putScratch(sc)
 		return true

@@ -326,3 +326,76 @@ func TestScanEarlyStopStopsProducers(t *testing.T) {
 		}
 	}
 }
+
+// TestScanLimitReachesProducers pins the limit pushdown: a 16-pair page on
+// a 4-shard engine gathers at most 16 pairs on each shard — where an
+// unlimited Scan stopped by fn after 16 has every shard fill a whole chunk
+// — and delivers exactly the pairs the unlimited scan would have, in both
+// directions, on the optimistic and the locked path, and across a limit
+// larger than one chunk.
+func TestScanLimitReachesProducers(t *testing.T) {
+	for _, noOpt := range []bool{false, true} {
+		cfg := testConfig(4, 8, 0)
+		cfg.NoOptimisticReads = noOpt
+		e, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		const n = 4000
+		for i := 0; i < n; i++ {
+			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gathered := func() (per [4]int64) {
+			for i := range per {
+				per[i] = e.ShardInfo(i).ScanPairs
+			}
+			return per
+		}
+		for _, tc := range []struct {
+			reverse bool
+			limit   int
+		}{{false, 16}, {true, 16}, {false, 300}, {false, 1}} {
+			before := gathered()
+			var got []string
+			if err := e.ScanLimit(key(100), key(n-100), tc.reverse, tc.limit, func(k, v []byte) bool {
+				got = append(got, string(k)+"="+string(v))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			after := gathered()
+			if len(got) != tc.limit {
+				t.Fatalf("noOpt=%v %+v: visited %d pairs", noOpt, tc, len(got))
+			}
+			for i, kv := range got {
+				j := 100 + i
+				if tc.reverse {
+					j = n - 100 - i
+				}
+				if want := string(key(j)) + "=" + string(val(j)); kv != want {
+					t.Fatalf("noOpt=%v %+v: pair %d = %s, want %s", noOpt, tc, i, kv, want)
+				}
+			}
+			for i := range after {
+				if d := after[i] - before[i]; d > int64(tc.limit) {
+					t.Errorf("noOpt=%v %+v: shard %d gathered %d pairs", noOpt, tc, i, d)
+				}
+			}
+		}
+		// The contrast: the same page taken by stopping fn gathers a full
+		// chunk (or, locked, the whole range) on every shard.
+		before := gathered()
+		seen := 0
+		if err := e.Scan(nil, nil, func(_, _ []byte) bool { seen++; return seen < 16 }); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range gathered() {
+			if d := a - before[i]; d < 256 {
+				t.Errorf("noOpt=%v: unlimited scan gathered %d pairs on shard %d, expected a full chunk", noOpt, d, i)
+			}
+		}
+	}
+}

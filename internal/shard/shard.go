@@ -191,6 +191,9 @@ type Info struct {
 	Batches int64 `json:"batches"`
 	// MaxDrained is the largest batch one drain has committed.
 	MaxDrained int `json:"max_drained"`
+	// ScanPairs counts the pairs this shard has gathered for range reads
+	// (Scan, ScanShard, Count), whether or not the caller consumed them.
+	ScanPairs int64 `json:"scan_pairs,omitempty"`
 	// PM is the shard arena's architectural event counters.
 	PM pmem.Stats `json:"pm_stats"`
 	// Phases is the shard clock's per-phase simulated-time breakdown.
@@ -245,14 +248,16 @@ type state struct {
 	// readers counts registered optimistic readers; beginMutate spins on
 	// it. health mirrors crashed/degraded; reader publishes the snapshot
 	// handles (replaced when Heal swaps the store); recs is an upper-bound
-	// record-count estimate that pre-sizes scan scratch buffers. noOpt
-	// short-circuits the optimistic path entirely.
-	seq     atomic.Uint64
-	readers atomic.Int64
-	health  atomic.Int32
-	reader  atomic.Pointer[readState]
-	recs    atomic.Int64
-	noOpt   bool
+	// record-count estimate that pre-sizes scan scratch buffers; scanPairs
+	// counts the pairs range reads have gathered. noOpt short-circuits the
+	// optimistic path entirely.
+	seq       atomic.Uint64
+	readers   atomic.Int64
+	health    atomic.Int32
+	reader    atomic.Pointer[readState]
+	recs      atomic.Int64
+	scanPairs atomic.Int64
+	noOpt     bool
 
 	mail chan *Request
 	quit chan struct{}
@@ -644,12 +649,19 @@ func (e *Engine) Update(si int, fn func(tx *btree.Tx) error) error {
 // per-shard collection is streamed by one producer goroutine each (see
 // read.go). Key/value slices are valid only during the callback.
 func (e *Engine) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return e.scan(lo, hi, false, fn)
+	return e.scan(lo, hi, false, 0, fn)
 }
 
 // ScanReverse visits keys in [lo, hi] in descending order across shards.
 func (e *Engine) ScanReverse(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return e.scan(lo, hi, true, fn)
+	return e.scan(lo, hi, true, 0, fn)
+}
+
+// ScanLimit is Scan (or ScanReverse) that ends after limit pairs (limit <=
+// 0: no limit). The limit reaches the per-shard producers, so a caller that
+// wants one short page should say so here rather than stop fn early.
+func (e *Engine) ScanLimit(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
+	return e.scan(lo, hi, reverse, limit, fn)
 }
 
 // Validate checks full structural integrity of every shard's tree.
@@ -766,6 +778,7 @@ func (e *Engine) ShardInfo(i int) Info {
 		Ops:        s.ops,
 		Batches:    s.batches,
 		MaxDrained: s.maxDrained,
+		ScanPairs:  s.scanPairs.Load(),
 		PM:         s.be.Arena.Stats(),
 		Phases:     s.be.Sys.Clock().Phases(),
 	}
