@@ -1,7 +1,7 @@
 GO ?= go
 N  ?= 20000
 
-.PHONY: all build vet test race crashx obsv bench bench-pairs bench-json readbench phasebench serverbench chaos clean
+.PHONY: all build vet test race goldens results crashx obsv bench bench-pairs bench-json readbench phasebench serverbench chaos clean
 
 all: vet build test
 
@@ -16,6 +16,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Regenerate the three determinism goldens (testdata/golden.json,
+# golden_shards.json, golden_adaptive.json). Only a change that means to
+# alter the simulated machine runs this, and it lists the per-scheme deltas
+# (see DESIGN.md §6).
+goldens:
+	$(GO) test -run 'TestGoldenDeterminism$$' -update-golden .
+	$(GO) test -run 'TestGoldenShardedDeterminism$$' -update-golden .
+	$(GO) test -run 'TestGoldenAdaptiveDeterminism$$' -update-golden .
+
+# Regenerate the checked-in figure tables. The output is a function of the
+# code alone (simulated time, seeded workloads); CI diffs it against the file.
+results:
+	$(GO) run ./cmd/faspbench -all -ablations -recovery -n 20000 > results_n20000.txt
 
 # Exhaustive crash-schedule exploration with nested recovery crashes, the
 # CI smoke configuration; run with BUDGET=0 for full enumeration.

@@ -184,6 +184,10 @@ type pathElem struct {
 	page   *slotted.Page
 	idx    int  // which cell was followed (when !viaAux)
 	viaAux bool // followed the rightmost-child pointer
+	// left is the sibling a split took off this page since the descent; the
+	// reference the descent followed may have moved there with the lower
+	// half of the cells.
+	left *slotted.Page
 }
 
 // descend walks from the root to the leaf that owns key.
@@ -239,14 +243,38 @@ func (x *Tx) Get(key []byte) ([]byte, bool, error) {
 }
 
 // Insert adds a record; duplicate keys are rejected.
-func (x *Tx) Insert(key, val []byte) error {
-	if cellSize(key, val) > x.maxCell() {
+func (x *Tx) Insert(key, val []byte) error { return x.write(key, val, insertOnly) }
+
+// Update replaces the value under key (out of place at the page level).
+func (x *Tx) Update(key, val []byte) error { return x.write(key, val, updateOnly) }
+
+// Put upserts inside the transaction: insert, or replace the value on a
+// duplicate key, for the price of whichever of the two it turns out to be.
+func (x *Tx) Put(key, val []byte) error { return x.write(key, val, upsert) }
+
+// writeMode says what write does with a key that is, or is not, there.
+type writeMode uint8
+
+const (
+	insertOnly writeMode = iota // slotted.ErrDuplicate if the key exists
+	updateOnly                  // ErrKeyNotFound if it does not
+	upsert
+)
+
+// errRetry asks the outer loop to re-descend after a structural change.
+var errRetry = errors.New("btree: retry after structural change")
+
+// write is the one loop behind Insert, Update and Put: descend once, search
+// the leaf once, then insert at, or replace, the cell the search found —
+// again after every split or defragmentation the attempt made room with.
+func (x *Tx) write(key, val []byte, mode writeMode) error {
+	if mode != updateOnly && cellSize(key, val) > x.maxCell() {
 		return fmt.Errorf("%w: %d-byte cell", ErrTooLarge, cellSize(key, val))
 	}
 	clock := x.st.Sys().Clock()
 	for attempt := 0; ; attempt++ {
 		if attempt > 64 {
-			return fmt.Errorf("%w: insert did not converge", pager.ErrCorrupt)
+			return fmt.Errorf("%w: write did not converge", pager.ErrCorrupt)
 		}
 		clock.Enter(phase.Search)
 		path, err := x.descend(key)
@@ -255,127 +283,45 @@ func (x *Tx) Insert(key, val []byte) error {
 			return err
 		}
 		if path == nil {
+			if mode == updateOnly {
+				return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+			}
 			// Empty tree: allocate the root leaf.
-			_, _, err := x.allocRoot()
-			if err != nil {
+			if _, _, err := x.allocRoot(); err != nil {
 				return err
 			}
 			continue
 		}
-		var opErr error
-		clock.InPhase(phase.PageUpdate, func() {
-			opErr = x.insertAt(path, key, val)
-		})
-		switch {
-		case opErr == nil:
-			return nil
-		case errors.Is(opErr, errRetry):
-			continue
-		default:
-			return opErr
-		}
-	}
-}
-
-// errRetry asks the outer loop to re-descend after a structural change.
-var errRetry = errors.New("btree: retry after structural change")
-
-// leafCellCap returns the store's leaf-fanout bound (FAST+ keeps leaf
-// headers within one cache line so the in-place commit stays eligible).
-func (x *Tx) leafCellCap() int {
-	if c, ok := x.st.(interface{ LeafCellCap() int }); ok {
-		return c.LeafCellCap()
-	}
-	return 0
-}
-
-func (x *Tx) insertAt(path []pathElem, key, val []byte) error {
-	leaf := path[len(path)-1].page
-	if cap := x.leafCellCap(); cap > 0 && leaf.NCells() >= cap {
-		// The offset array is at its in-place commit limit: split early.
-		if serr := x.split(path); serr != nil {
-			return serr
-		}
-		return errRetry
-	}
-	var err error
-	x.st.Sys().Clock().InPhase(phase.RecordWrite, func() {
-		err = leaf.Insert(key, val)
-	})
-	switch {
-	case err == nil:
-		x.p.OpEnd()
-		return nil
-	case errors.Is(err, slotted.ErrDuplicate):
-		return err
-	case errors.Is(err, slotted.ErrNeedsDefrag):
-		if _, derr := x.defrag(path, len(path)-1); derr != nil {
-			return derr
-		}
-		return errRetry
-	case errors.Is(err, slotted.ErrPageFull):
-		if serr := x.split(path); serr != nil {
-			return serr
-		}
-		return errRetry
-	default:
-		return err
-	}
-}
-
-// Put upserts inside the transaction: insert, or replace the value on a
-// duplicate key. The duplicate probe is Insert's own (it reports
-// ErrDuplicate before mutating anything), so Put costs exactly an Insert
-// when the key is new and an Insert-probe plus an Update when it exists.
-func (x *Tx) Put(key, val []byte) error {
-	err := x.Insert(key, val)
-	if errors.Is(err, slotted.ErrDuplicate) {
-		return x.Update(key, val)
-	}
-	return err
-}
-
-// Update replaces the value under key (out of place at the page level).
-func (x *Tx) Update(key, val []byte) error {
-	clock := x.st.Sys().Clock()
-	for attempt := 0; ; attempt++ {
-		if attempt > 64 {
-			return fmt.Errorf("%w: update did not converge", pager.ErrCorrupt)
-		}
-		clock.Enter(phase.Search)
-		path, err := x.descend(key)
-		clock.Exit(phase.Search)
-		if err != nil {
-			return err
-		}
-		if path == nil {
-			return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
-		}
-		leaf := path[len(path)-1].page
-		i, found := leaf.Search(key)
-		if !found {
-			return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
-		}
-		var opErr error
-		clock.InPhase(phase.PageUpdate, func() {
-			clock.InPhase(phase.RecordWrite, func() {
-				opErr = leaf.Update(i, val)
-			})
-			if opErr == nil {
-				x.p.OpEnd()
+		found := false
+		clock.Enter(phase.PageUpdate)
+		if leaf := path[len(path)-1].page; mode != updateOnly && x.leafAtCap(leaf) {
+			// The offset array is at its in-place commit limit: split early,
+			// and before the key is looked up — a Put that would only have
+			// replaced a value splits the leaf as well. (Looking first was
+			// measured: it trades space for time; see ROADMAP item 3.)
+			if err = x.split(path); err == nil {
+				err = errRetry
 			}
-		})
-		switch {
-		case opErr == nil:
-			return nil
-		case errors.Is(opErr, slotted.ErrNeedsDefrag):
-			clock.Enter(phase.PageUpdate)
-			_, derr := x.defrag(path, len(path)-1)
-			clock.Exit(phase.PageUpdate)
-			if derr != nil {
-				return derr
+		} else {
+			var i int
+			clock.Enter(phase.RecordWrite)
+			i, found = leaf.Search(key)
+			clock.Exit(phase.RecordWrite)
+			switch {
+			case found && mode == insertOnly:
+				err = fmt.Errorf("%w: key %x", slotted.ErrDuplicate, key)
+			case !found && mode == updateOnly:
+				err = fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+			case found:
+				err = x.replaceAt(leaf, path, i, val)
+			default:
+				err = x.insertAt(leaf, path, i, key, val)
 			}
-		case errors.Is(opErr, slotted.ErrPageFull):
+		}
+		clock.Exit(phase.PageUpdate)
+		switch {
+		case errors.Is(err, errRetry):
+		case found && errors.Is(err, slotted.ErrPageFull):
 			// Larger value that no longer fits: delete + reinsert (the
 			// reinsert may split).
 			if err := x.Delete(key); err != nil {
@@ -383,9 +329,64 @@ func (x *Tx) Update(key, val []byte) error {
 			}
 			return x.Insert(key, val)
 		default:
-			return opErr
+			return err
 		}
 	}
+}
+
+// leafAtCap reports whether the leaf has reached the store's leaf-fanout
+// bound (FAST+ keeps leaf headers within one cache line so the in-place
+// commit stays eligible).
+func (x *Tx) leafAtCap(leaf *slotted.Page) bool {
+	c, ok := x.st.(interface{ LeafCellCap() int })
+	if !ok {
+		return false
+	}
+	cap := c.LeafCellCap()
+	return cap > 0 && leaf.NCells() >= cap
+}
+
+// insertAt adds the record at index i of leaf (the end of path), where the
+// leaf's Search put it. A leaf without the room is split or defragmented,
+// and errRetry returned.
+func (x *Tx) insertAt(leaf *slotted.Page, path []pathElem, i int, key, val []byte) error {
+	var err error
+	x.st.Sys().Clock().InPhase(phase.RecordWrite, func() {
+		err = leaf.InsertAt(i, key, val)
+	})
+	if errors.Is(err, slotted.ErrPageFull) {
+		if err = x.split(path); err == nil {
+			err = errRetry
+		}
+		return err
+	}
+	return x.wrote(path, err)
+}
+
+// replaceAt replaces the value of cell i of leaf (the end of path). A leaf
+// that has the room only after defragmentation is defragmented and errRetry
+// returned; one that has not reports slotted.ErrPageFull.
+func (x *Tx) replaceAt(leaf *slotted.Page, path []pathElem, i int, val []byte) error {
+	var err error
+	x.st.Sys().Clock().InPhase(phase.RecordWrite, func() {
+		err = leaf.Update(i, val)
+	})
+	return x.wrote(path, err)
+}
+
+// wrote finishes a leaf write that returned err: the operation ends if it
+// succeeded, and the leaf is defragmented for another attempt (errRetry) if
+// that is what it asked for.
+func (x *Tx) wrote(path []pathElem, err error) error {
+	switch {
+	case err == nil:
+		x.p.OpEnd()
+	case errors.Is(err, slotted.ErrNeedsDefrag):
+		if _, err = x.defrag(path, len(path)-1); err == nil {
+			err = errRetry
+		}
+	}
+	return err
 }
 
 // Delete removes the record under key. Leaves that become empty are

@@ -44,6 +44,7 @@ func (x *Tx) splitLevel(path []pathElem, level int) (*slotted.Page, []byte, erro
 		return nil, nil, err
 	}
 	pg.TruncateKeepUpper(m)
+	path[level].left = left
 	if ns, ok := x.st.(interface{ NoteSplit() }); ok {
 		ns.NoteSplit()
 	}
@@ -128,15 +129,28 @@ func (x *Tx) defragLocked(path []pathElem, level int) (*slotted.Page, error) {
 		return nil, err
 	}
 	np.SetAux(old.page.Aux())
-	if level == 0 {
+	switch {
+	case old.no == x.root.Root():
 		x.root.SetRoot(newNo)
-	} else {
+	case level == 0:
+		// The top of the path was the root until this transaction split it.
+		// The root made above it is not on the path; it holds the page as
+		// its rightmost child.
+		root, err := x.p.Page(x.root.Root())
+		if err != nil {
+			return nil, err
+		}
+		if root.Aux() != old.no {
+			return nil, fmt.Errorf("%w: page %d is neither the root nor its rightmost child", pager.ErrCorrupt, old.no)
+		}
+		root.SetAux(newNo)
+	default:
 		if err := x.relinkChild(path, level-1, old.no, newNo); err != nil {
 			return nil, err
 		}
 	}
 	x.p.FreePage(old.no)
-	path[level] = pathElem{no: newNo, page: np, idx: old.idx, viaAux: old.viaAux}
+	path[level] = pathElem{no: newNo, page: np, idx: old.idx, viaAux: old.viaAux, left: old.left}
 	return np, nil
 }
 
@@ -147,6 +161,12 @@ func (x *Tx) defragLocked(path []pathElem, level int) (*slotted.Page, error) {
 func (x *Tx) relinkChild(path []pathElem, parentLevel int, oldNo, newNo uint32) error {
 	parent := path[parentLevel].page
 	idx, viaAux, ok := findChildRef(parent, oldNo)
+	if !ok && path[parentLevel].left != nil {
+		// The parent split on the way here and the reference went to its new
+		// sibling — a compact page, so the out-of-place swap below has room.
+		parent = path[parentLevel].left
+		idx, viaAux, ok = findChildRef(parent, oldNo)
+	}
 	if !ok {
 		return fmt.Errorf("%w: page %d not referenced by its parent", pager.ErrCorrupt, oldNo)
 	}
@@ -155,10 +175,7 @@ func (x *Tx) relinkChild(path []pathElem, parentLevel int, oldNo, newNo uint32) 
 		return nil
 	}
 	err := parent.UpdateChild(idx, newNo)
-	if err == nil {
-		return nil
-	}
-	if !isNeedsDefrag(err) && !isPageFull(err) {
+	if err == nil || parent != path[parentLevel].page || (!isNeedsDefrag(err) && !isPageFull(err)) {
 		return err
 	}
 	// No in-page room for the replacement cell: remove the old cell and

@@ -18,6 +18,7 @@ package crashx
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -87,10 +88,56 @@ func DefaultWorkload(n int) []Op {
 	return ops
 }
 
-func wkey(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
-func wval(i int) []byte {
-	return []byte(strings.Repeat(string(rune('a'+i%26)), 40))
+// FragWorkload builds a deterministic workload of n transactions (at least
+// its twelve scripted ones) that
+// fragments a 512-byte leaf on purpose, so that crash points land around
+// the free-list maintenance the other workloads' equal-sized values never
+// reach: its first twelve transactions make two address-adjacent free
+// blocks and then need both (a coalescing merge), free the lowest cell and
+// then need it together with the gap (a gap absorb), and resize records so
+// that deferred frees are written back after commit; the rest is a fixed
+// churn of inserts, resizing updates and deletes with value lengths 8..120.
+// Cells are 11 bytes longer than their values.
+func FragWorkload(n int) []Op {
+	ops := make([]Op, 0, n)
+	var live []int // ascending: keys are inserted in order and removed in place
+	ins := func(k, vlen int) {
+		ops, live = append(ops, Op{Kind: OpInsert, Key: wkey(k), Val: fval(k, vlen)}), append(live, k)
+	}
+	upd := func(k, vlen int) { ops = append(ops, Op{Kind: OpUpdate, Key: wkey(k), Val: fval(k+len(ops), vlen)}) }
+	del := func(k int) {
+		ops = append(ops, Op{Kind: OpDelete, Key: wkey(k)})
+		i := sort.SearchInts(live, k)
+		live = append(live[:i], live[i+1:]...)
+	}
+	for k := 0; k < 6; k++ {
+		ins(k, 60) // six 71-byte cells: content starts at 86
+	}
+	del(2)
+	del(3)      // blocks at 299 and 228, adjacent
+	ins(6, 100) // 111 bytes: neither block alone, nor the gap
+	del(5)      // the lowest cell: a block at the content pointer
+	ins(7, 90)  // 101 bytes: that block and the gap together
+	upd(0, 20)  // exact fit into the 31 bytes the merge left over
+	for i, next := 0, 8; len(ops) < n; i++ {
+		h := int(uint64(mix(int64(i), int64(n))) % 1000)
+		switch {
+		case len(live) > 3 && h%10 < 3:
+			del(live[h%len(live)])
+		case len(live) > 0 && h%10 < 6:
+			upd(live[h%len(live)], 8+h%113)
+		default:
+			ins(next, 8+h%113)
+			next++
+		}
+	}
+	return ops
 }
+
+func fval(i, n int) []byte { return []byte(strings.Repeat(string(rune('a'+i%26)), n)) }
+
+func wkey(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
+func wval(i int) []byte { return fval(i, 40) }
 
 // Spec pins one crash schedule completely: where the primary crash fires,
 // which eviction lottery runs, and — when RecPoint >= 0 — where a second

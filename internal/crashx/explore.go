@@ -68,7 +68,7 @@ func Measure(cfg *Config) (int64, error) {
 		if st, tree, err = cfg.atOp(i, st, tree); err != nil {
 			return 0, fmt.Errorf("crashx: AtOp hook before op %d failed uncrashed: %w", i, err)
 		}
-		if err := applyOp(tree, &cfg.Workload[i]); err != nil {
+		if err := Apply(tree, &cfg.Workload[i]); err != nil {
 			return 0, fmt.Errorf("crashx: workload op %d (%s %q) failed uncrashed: %w",
 				i, cfg.Workload[i].Kind, cfg.Workload[i].Key, err)
 		}
@@ -108,7 +108,7 @@ func Run(cfg *Config, spec Spec) Result {
 				opErr = fmt.Errorf("crashx: AtOp hook before op %d failed: %w", i, err)
 				return
 			}
-			if err := applyOp(tree, &cfg.Workload[i]); err != nil {
+			if err := Apply(tree, &cfg.Workload[i]); err != nil {
 				opErr = fmt.Errorf("crashx: workload op %d failed: %w", i, err)
 				return
 			}
@@ -176,8 +176,8 @@ func (c *Config) atOp(i int, st pager.Store, tree *btree.Tree) (pager.Store, *bt
 	return st, tree, nil
 }
 
-// applyOp runs one workload transaction.
-func applyOp(tree *btree.Tree, op *Op) error {
+// Apply runs one workload transaction.
+func Apply(tree *btree.Tree, op *Op) error {
 	switch op.Kind {
 	case OpInsert:
 		return tree.Insert(op.Key, op.Val)
@@ -189,9 +189,9 @@ func applyOp(tree *btree.Tree, op *Op) error {
 	return fmt.Errorf("unknown op kind %d", op.Kind)
 }
 
-// modelAt replays the first k workload ops into a map — the expected store
+// ModelAt replays the first k workload ops into a map — the expected store
 // state at acknowledgement boundary k.
-func modelAt(ops []Op, k int) map[string]string {
+func ModelAt(ops []Op, k int) map[string]string {
 	m := make(map[string]string, k)
 	for i := 0; i < k; i++ {
 		switch ops[i].Kind {
@@ -236,9 +236,9 @@ func checkOracle(st pager.Store, ops []Op, acked int, extra func(map[string]stri
 	if next < len(ops) {
 		next++
 	}
-	wantAcked := modelAt(ops, acked)
+	wantAcked := ModelAt(ops, acked)
 	if !mapsEqual(got, wantAcked) {
-		wantNext := modelAt(ops, next)
+		wantNext := ModelAt(ops, next)
 		if !mapsEqual(got, wantNext) {
 			return fmt.Errorf("oracle: recovered state matches neither model(acked=%d) nor model(%d): %s",
 				acked, next, firstDiff(got, wantAcked))

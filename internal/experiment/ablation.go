@@ -72,6 +72,9 @@ type PageSizeRow struct {
 	TotalNS  int64
 	Splits   int64
 	InPlace  int64
+	// Defrags and Coalesces are the copy-on-write page rewrites and the
+	// free-list coalesces that avoided one (FAST/FAST+ only).
+	Defrags, Coalesces int64
 }
 
 // RunAblationPageSize sweeps the database page size. Larger pages raise the
@@ -93,6 +96,7 @@ func RunAblationPageSize(p Params) ([]PageSizeRow, error) {
 			rows = append(rows, PageSizeRow{
 				PageSize: ps, Scheme: s,
 				TotalNS: m.PerInsertNS(), Splits: m.Splits, InPlace: m.InPlaceCommits,
+				Defrags: m.Defrags, Coalesces: m.Coalesces,
 			})
 		}
 	}
@@ -103,10 +107,10 @@ func RunAblationPageSize(p Params) ([]PageSizeRow, error) {
 func PrintAblationPageSize(rows []PageSizeRow, w io.Writer) {
 	t := metrics.NewTable(
 		"Ablation: page-size sweep at PM 300/300",
-		"page(B)", "scheme", "us/insert", "splits", "in-place-commits")
+		"page(B)", "scheme", "us/insert", "splits", "in-place-commits", "defrags", "coalesces")
 	for _, r := range rows {
 		t.AddRow(r.PageSize, r.Scheme.String(), metrics.UsecF(r.TotalNS),
-			r.Splits, r.InPlace)
+			r.Splits, r.InPlace, r.Defrags, r.Coalesces)
 	}
 	t.Render(w)
 }

@@ -121,32 +121,14 @@ func RunFig12(p Params) ([]Fig12Row, error) {
 				if _, err := db.Exec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, payload BLOB)`); err != nil {
 					return nil, err
 				}
-				gen := workload.New(workload.Config{Seed: p.Seed, RecordSize: 64, KeySpace: uint64(p.N) * 4})
 				clock := e.Sys.Clock()
 				start := clock.Now()
-				nextID := 1
-				live := map[int]bool{}
-				for i := 0; i < p.N; i++ {
-					var stmt string
-					switch gen.NextOp(mix.Mix) {
-					case workload.OpInsert:
-						stmt = workload.SQLInsert("kv", uint64(nextID), gen.NextValue())
-						live[nextID] = true
-						nextID++
-					case workload.OpUpdate:
-						id := pickLive(live, nextID)
-						stmt = fmt.Sprintf("UPDATE kv SET payload = x'%x' WHERE id = %d", gen.NextValue(), id)
-					case workload.OpDelete:
-						id := pickLive(live, nextID)
-						stmt = fmt.Sprintf("DELETE FROM kv WHERE id = %d", id)
-						delete(live, id)
-					default:
-						id := pickLive(live, nextID)
-						stmt = fmt.Sprintf("SELECT payload FROM kv WHERE id = %d", id)
-					}
-					if _, err := db.Exec(stmt); err != nil {
-						return nil, fmt.Errorf("%v mixed stmt: %w", s, err)
-					}
+				err := fig12Stream(p, mix.Mix, func(stmt string) error {
+					_, err := db.Exec(stmt)
+					return err
+				})
+				if err != nil {
+					return nil, fmt.Errorf("%v mixed stmt: %w", s, err)
 				}
 				elapsed := clock.Now() - start
 				rows = append(rows, Fig12Row{
@@ -160,13 +142,47 @@ func RunFig12(p Params) ([]Fig12Row, error) {
 	return rows, nil
 }
 
-func pickLive(live map[int]bool, nextID int) int {
-	// Deterministic-enough pick: the smallest live id; falls back to 1.
-	for id := range live {
-		return id
+// fig12Stream hands exec the p.N statements of one Figure 12 arm. The stream
+// is a function of (p.Seed, p.N, mix) alone — every draw, the choice of the
+// row an UPDATE, DELETE or SELECT names included, comes from the seeded
+// generator — so every scheme executes the same statements, run after run.
+func fig12Stream(p Params, mix workload.Mix, exec func(stmt string) error) error {
+	gen := workload.New(workload.Config{Seed: p.Seed, RecordSize: 64, KeySpace: uint64(p.N) * 4})
+	nextID := 1
+	var live []int // ids inserted and not deleted, in no particular order
+	pick := func() (id, at int) {
+		if len(live) == 0 {
+			return 1, -1 // nothing to name: the statement matches no row
+		}
+		at = gen.Intn(len(live))
+		return live[at], at
 	}
-	_ = nextID
-	return 1
+	for i := 0; i < p.N; i++ {
+		var stmt string
+		switch gen.NextOp(mix) {
+		case workload.OpInsert:
+			stmt = workload.SQLInsert("kv", uint64(nextID), gen.NextValue())
+			live = append(live, nextID)
+			nextID++
+		case workload.OpUpdate:
+			id, _ := pick()
+			stmt = fmt.Sprintf("UPDATE kv SET payload = x'%x' WHERE id = %d", gen.NextValue(), id)
+		case workload.OpDelete:
+			id, at := pick()
+			stmt = fmt.Sprintf("DELETE FROM kv WHERE id = %d", id)
+			if at >= 0 {
+				live[at] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+		default:
+			id, _ := pick()
+			stmt = fmt.Sprintf("SELECT payload FROM kv WHERE id = %d", id)
+		}
+		if err := exec(stmt); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PrintFig12 renders Figure 12.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -213,6 +214,48 @@ func TestFig12Runs(t *testing.T) {
 	var sb strings.Builder
 	PrintFig12(rows, &sb)
 	t.Log("\n" + sb.String())
+}
+
+// TestFig12Reproducible: Figure 12 is a function of its parameters — two
+// runs agree to the last digit — and every scheme of an arm executes the
+// same statements, UPDATE, DELETE and SELECT targets included. (The targets
+// used to come from a Go map range: a different stream per scheme and run.)
+func TestFig12Reproducible(t *testing.T) {
+	p := quick()
+	p.N = 600
+	a, err := RunFig12(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunFig12(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs differ:\n%+v\n%+v", a, b)
+	}
+	p.fill()
+	for _, mix := range Fig12Mixes {
+		var streams [3][]string // what each scheme's run is handed
+		for i := range streams {
+			if err := fig12Stream(p, mix.Mix, func(stmt string) error {
+				streams[i] = append(streams[i], stmt)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(streams[0]) != p.N || !reflect.DeepEqual(streams[0], streams[1]) || !reflect.DeepEqual(streams[0], streams[2]) {
+			t.Fatalf("%s: the schemes' statement lists differ", mix.Name)
+		}
+		kinds := map[string]int{}
+		for _, stmt := range streams[0] {
+			kinds[strings.Fields(stmt)[0]]++
+		}
+		if mix.Name == "mixed-crud" && (kinds["UPDATE"] == 0 || kinds["DELETE"] == 0 || kinds["SELECT"] == 0) {
+			t.Fatalf("mixed-crud stream lacks a statement kind: %v", kinds)
+		}
+	}
 }
 
 func TestFig7Runs(t *testing.T) {

@@ -26,6 +26,8 @@ type InsertMeasurement struct {
 	WALFrames      int64
 	Splits         int64
 	Defrags        int64
+	Coalesces      int64 // failed page allocations satisfied by coalescing the free list
+	GapAbsorbs     int64 // coalescing passes that returned a free run to the gap
 }
 
 // PerInsertNS returns the average simulated time per transaction.
@@ -109,6 +111,8 @@ func RunInserts(e *Env, n, recSize, batch int, seed int64) (InsertMeasurement, e
 		m.LoggedBytes = s.LoggedBytes
 		m.Splits = s.Splits
 		m.Defrags = s.Defrags
+		m.Coalesces = s.Coalesces
+		m.GapAbsorbs = s.GapAbsorbs
 	case *wal.Store:
 		s := st.Stats()
 		m.WALBytes = s.WALBytes

@@ -89,6 +89,8 @@ type Stats struct {
 	LoggedBytes   int64 // slot-header bytes written to the log
 	LoggedFrames  int64
 	Defrags       int64
+	Coalesces     int64 // failed page allocations satisfied after coalescing the free list
+	GapAbsorbs    int64 // coalescing passes that returned a free run to the gap
 	Splits        int64 // updated by the B-tree layer via NoteSplit
 	FreeListFixes int64
 }
@@ -216,6 +218,12 @@ func (st *Store) LeafCellCap() int {
 // previous incarnation crashed (§4.4). If the slot-header log holds a valid
 // commit mark, checkpointing is replayed (idempotently); otherwise the log
 // is ignored. Free lists are validated lazily afterwards.
+//
+// Invariant: a logged header and the one Commit checkpointed over the same
+// page differ at most in Free and FreeLst (FAST stages headers at OpEnd,
+// before Commit plans the deferred frees into them). Replaying the logged
+// image over the checkpointed one therefore changes no record, and either
+// image's free list is at worst one the lazy check rejects and rebuilds.
 func (st *Store) Recover() error {
 	if _, ok := st.log.Committed(); ok {
 		frames, err := st.log.Frames()
@@ -248,15 +256,34 @@ func (st *Store) Recover() error {
 
 // maybeFixFreeList applies the paper's lazy free-list repair on the first
 // post-crash use of a page.
-func (st *Store) maybeFixFreeList(no uint32, p *slotted.Page) {
+func (st *Store) maybeFixFreeList(no uint32, tp *txnPage) {
 	if !st.needFLCheck || st.flChecked[no] {
 		return
 	}
 	st.flChecked[no] = true
-	if p.CheckFreeList() != nil {
-		p.RebuildFreeList()
-		st.stats.FreeListFixes++
+	if tp.page.CheckFreeList() != nil {
+		st.repairFreeList(tp.page, tp.mem)
 	}
+}
+
+// repairFreeList rebuilds a page's free list from its offset array and
+// persists the repair at once — the block headers, then Content, Free and
+// FreeLst in the page's header, whose other fields p holds as committed —
+// rather than leaving it to the commit of whatever transaction came across
+// the damage: that transaction may roll back, or only be reading, and the
+// next one would walk the damaged list from the committed header unchecked.
+// Neither write needs to be failure-atomic: any mix of old and new is again
+// a list the check rejects, or a valid one.
+func (st *Store) repairFreeList(p *slotted.Page, mem *pageMem) {
+	p.RebuildFreeList()
+	for _, r := range mem.unflushed {
+		st.arena.Flush(mem.base+int64(r.off), r.n)
+	}
+	mem.unflushed = mem.unflushed[:0]
+	prefix := p.Header().Encode()[:slotted.HeaderFixedSize]
+	st.arena.Store(mem.base, prefix)
+	st.arena.Flush(mem.base, len(prefix))
+	st.stats.FreeListFixes++
 }
 
 // Begin opens the store's single write transaction.

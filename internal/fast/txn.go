@@ -106,8 +106,8 @@ func (tx *Txn) Page(no uint32) (*slotted.Page, error) {
 	}
 	p := tp.page
 	p.SetDeferFrees(true)
-	tx.st.maybeFixFreeList(no, p)
-	tx.pages[no] = tp
+	tx.pages[no] = tp // before the repair dirties the page: dirtyOrder names only pages in the map
+	tx.st.maybeFixFreeList(no, tp)
 	return p, nil
 }
 
@@ -156,24 +156,9 @@ func (tx *Txn) Defragged() {
 // plain stores (the "update slot header" component — cheap, no flushes).
 func (tx *Txn) OpEnd() {
 	clock := tx.st.sys.Clock()
-	flushed := false
-	clock.InPhase(phase.FlushRecord, func() {
-		for _, no := range tx.dirtyOrder {
-			tp := tx.pages[no]
-			for _, r := range tp.mem.unflushed {
-				tx.st.arena.Flush(tp.mem.base+int64(r.off), r.n)
-				flushed = true
-			}
-			tp.mem.unflushed = tp.mem.unflushed[:0]
-		}
-		if flushed {
-			tx.st.sys.Fence()
-		}
-	})
+	clock.InPhase(phase.FlushRecord, tx.flushUnflushed)
 	if tx.st.cfg.Variant == SlotHeaderLogging {
-		clock.InPhase(phase.SlotHeader, func() {
-			tx.stageHeaders()
-		})
+		clock.InPhase(phase.SlotHeader, tx.stageHeaders)
 	}
 }
 
@@ -238,7 +223,12 @@ func (tx *Txn) Commit() error {
 	clock.InPhase(phase.Commit, func() {
 		// Safety: any record bytes not flushed by OpEnd must be durable
 		// before the commit mark.
-		tx.flushStragglers()
+		tx.flushUnflushed()
+		// The free-list fields take their post-commit values now, so they
+		// ride the commit image instead of a header write of their own.
+		for _, no := range tx.dirtyOrder {
+			tx.pages[no].page.PlanPendingFrees()
+		}
 		if tp, ok := tx.inPlaceEligible(); ok {
 			err = tx.commitInPlace(tp)
 			if err == nil {
@@ -264,7 +254,8 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-func (tx *Txn) flushStragglers() {
+// flushUnflushed persists every content range written since the last call.
+func (tx *Txn) flushUnflushed() {
 	flushed := false
 	for _, no := range tx.dirtyOrder {
 		tp := tx.pages[no]
@@ -292,7 +283,6 @@ func (tx *Txn) commitInPlace(tp *txnPage) error {
 	if err != nil {
 		return err
 	}
-	// Post-commit: link deferred frees and persist the free-list fields.
 	tx.applyFrees(tp)
 	tx.st.stats.InPlaceCommits++
 	return nil
@@ -355,25 +345,17 @@ func (tx *Txn) commitLogged() error {
 	return nil
 }
 
-// applyFrees links a page's deferred frees into its free list and persists
-// the free-list header fields. This happens after the commit point; the
-// free list is deliberately not failure-atomic (§4.3) — a crash here is
-// repaired by the lazy rebuild.
+// applyFrees writes the block headers of a page's deferred frees into the
+// freed extents and flushes them (left dirty they would stay pinned in the
+// cache overlay). This happens after the commit point, and the committed
+// header already names the blocks (PlanPendingFrees): the free list is
+// deliberately not failure-atomic (§4.3) — a crash in between leaves FreeLst
+// pointing at stale cell bytes, which the lazy check finds and rebuilds.
 func (tx *Txn) applyFrees(tp *txnPage) {
 	if tp.page.PendingFrees() == 0 {
 		return
 	}
 	tp.page.ApplyPendingFrees()
-	enc := tp.page.Header().EncodeInto(tx.encBuf)
-	tx.encBuf = enc[:0]
-	prefix := enc
-	if len(prefix) > slotted.HeaderFixedSize {
-		prefix = prefix[:slotted.HeaderFixedSize]
-	}
-	tx.st.arena.Store(tp.mem.base, prefix)
-	tx.st.arena.Flush(tp.mem.base, len(prefix))
-	// Free-block headers written by ApplyPendingFrees are flushed lazily;
-	// flush them now to keep the cache overlay small.
 	for _, r := range tp.mem.unflushed {
 		tx.st.arena.Flush(tp.mem.base+int64(r.off), r.n)
 	}
@@ -405,12 +387,8 @@ func (tx *Txn) Rollback() {
 		// Reopen the committed header and repair the free list if in-page
 		// free blocks were consumed or written during the transaction.
 		mem := &pageMem{tx: tx, no: no, base: tp.mem.base}
-		if p, err := slotted.Open(mem); err == nil {
-			if p.CheckFreeList() != nil {
-				p.RebuildFreeList()
-				tx.st.stats.FreeListFixes++
-			}
-			mem.unflushed = nil
+		if p, err := slotted.Open(mem); err == nil && p.CheckFreeList() != nil {
+			tx.st.repairFreeList(p, mem)
 		}
 	}
 	tx.finish()
@@ -423,6 +401,9 @@ func (tx *Txn) finish() {
 	// Return the per-transaction resources to the store for the next Begin.
 	// Map iteration order is irrelevant here: pooling touches no arena.
 	for _, tp := range tx.pages {
+		c, g := tp.page.CoalesceCounts()
+		st.stats.Coalesces += int64(c)
+		st.stats.GapAbsorbs += int64(g)
 		st.rec.handles = append(st.rec.handles, tp)
 	}
 	clear(tx.pages)

@@ -31,29 +31,10 @@ type ShardGauge struct {
 	MaxBatch int
 }
 
-// eventNames labels Counters fields for the events_total metric, in the
-// same order as Recorder.events.
-var eventNames = [...]string{"clflush", "fence", "htm_commit", "htm_abort", "log_append", "checkpoint", "single_leaf"}
-
-func (c Counters) byIndex(i int) int64 {
-	switch i {
-	case 0:
-		return c.Flush
-	case 1:
-		return c.Fence
-	case 2:
-		return c.HTMCommit
-	case 3:
-		return c.HTMAbort
-	case 4:
-		return c.LogAppend
-	case 5:
-		return c.Checkpoint
-	case 6:
-		return c.SingleLeaf
-	}
-	return 0
-}
+// eventNames labels Counters fields for the events_total metric, in
+// Counters.vec order.
+var eventNames = [numEvents]string{"clflush", "fence", "htm_commit", "htm_abort",
+	"log_append", "checkpoint", "single_leaf", "defrag", "coalesce"}
 
 // WritePrometheus renders one store's snapshot and shard gauges in the
 // Prometheus text exposition format (version 0.0.4). Quantiles are
@@ -81,8 +62,8 @@ func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGau
 	}
 
 	fmt.Fprintf(w, "# HELP fasp_events_total Commit-path architectural events.\n# TYPE fasp_events_total counter\n")
-	for i, name := range eventNames {
-		fmt.Fprintf(w, "fasp_events_total{store=%q,event=%q} %d\n", store, name, snap.Events.byIndex(i))
+	for i, v := range snap.Events.vec() {
+		fmt.Fprintf(w, "fasp_events_total{store=%q,event=%q} %d\n", store, eventNames[i], v)
 	}
 
 	fmt.Fprintf(w, "# HELP fasp_batches_total Group-commit transactions.\n# TYPE fasp_batches_total counter\n")

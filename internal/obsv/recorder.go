@@ -64,32 +64,45 @@ type Counters struct {
 	// the FAST+ in-place-eligible shape, counted under every scheme. The
 	// adaptive controller's scheme rule reads its windowed ratio.
 	SingleLeaf int64 `json:"single_leaf"`
+	// Defrag counts copy-on-write page defragmentations, Coalesce page
+	// allocations that succeeded only after the page's free list was
+	// coalesced (each one a defragmentation avoided). A shard whose Defrag
+	// rate climbs is thrashing on page copies.
+	Defrag   int64 `json:"defrag"`
+	Coalesce int64 `json:"coalesce"`
+}
+
+// numEvents is the number of Counters fields.
+const numEvents = 9
+
+// vec returns the fields in declaration order, the order of eventNames.
+func (c Counters) vec() [numEvents]int64 {
+	return [numEvents]int64{c.Flush, c.Fence, c.HTMCommit, c.HTMAbort,
+		c.LogAppend, c.Checkpoint, c.SingleLeaf, c.Defrag, c.Coalesce}
+}
+
+// countersOf is the inverse of vec.
+func countersOf(v [numEvents]int64) Counters {
+	return Counters{Flush: v[0], Fence: v[1], HTMCommit: v[2], HTMAbort: v[3],
+		LogAppend: v[4], Checkpoint: v[5], SingleLeaf: v[6], Defrag: v[7], Coalesce: v[8]}
 }
 
 // Sub returns c - o, the events between two snapshots.
 func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Flush:      c.Flush - o.Flush,
-		Fence:      c.Fence - o.Fence,
-		HTMCommit:  c.HTMCommit - o.HTMCommit,
-		HTMAbort:   c.HTMAbort - o.HTMAbort,
-		LogAppend:  c.LogAppend - o.LogAppend,
-		Checkpoint: c.Checkpoint - o.Checkpoint,
-		SingleLeaf: c.SingleLeaf - o.SingleLeaf,
+	a, b := c.vec(), o.vec()
+	for i := range a {
+		a[i] -= b[i]
 	}
+	return countersOf(a)
 }
 
 // Add returns c + o.
 func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Flush:      c.Flush + o.Flush,
-		Fence:      c.Fence + o.Fence,
-		HTMCommit:  c.HTMCommit + o.HTMCommit,
-		HTMAbort:   c.HTMAbort + o.HTMAbort,
-		LogAppend:  c.LogAppend + o.LogAppend,
-		Checkpoint: c.Checkpoint + o.Checkpoint,
-		SingleLeaf: c.SingleLeaf + o.SingleLeaf,
+	a, b := c.vec(), o.vec()
+	for i := range a {
+		a[i] += b[i]
 	}
+	return countersOf(a)
 }
 
 // Config tunes a Recorder.
@@ -166,7 +179,7 @@ type Recorder struct {
 	getRetries    atomic.Int64
 	scanFanout    Histogram
 
-	events  [7]atomic.Int64 // totals, indexed like Counters fields
+	events  [numEvents]atomic.Int64 // totals, in Counters.vec order
 	batches atomic.Int64
 	slows   atomic.Int64
 	seq     atomic.Uint64
@@ -306,13 +319,11 @@ func (r *Recorder) ObserveScanFanout(shards int) {
 }
 
 func (r *Recorder) addEvents(ev Counters) {
-	r.events[0].Add(ev.Flush)
-	r.events[1].Add(ev.Fence)
-	r.events[2].Add(ev.HTMCommit)
-	r.events[3].Add(ev.HTMAbort)
-	r.events[4].Add(ev.LogAppend)
-	r.events[5].Add(ev.Checkpoint)
-	r.events[6].Add(ev.SingleLeaf)
+	for i, d := range ev.vec() {
+		if d != 0 {
+			r.events[i].Add(d)
+		}
+	}
 }
 
 // capture writes a sample into the appropriate ring slot(s).
@@ -413,16 +424,12 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	var ev [numEvents]int64
+	for i := range ev {
+		ev[i] = r.events[i].Load()
+	}
 	s := Snapshot{
-		Events: Counters{
-			Flush:      r.events[0].Load(),
-			Fence:      r.events[1].Load(),
-			HTMCommit:  r.events[2].Load(),
-			HTMAbort:   r.events[3].Load(),
-			LogAppend:  r.events[4].Load(),
-			Checkpoint: r.events[5].Load(),
-			SingleLeaf: r.events[6].Load(),
-		},
+		Events:    countersOf(ev),
 		Batches:   r.batches.Load(),
 		SlowOps:   r.slows.Load(),
 		Seen:      r.seq.Load(),

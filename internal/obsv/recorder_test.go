@@ -1,9 +1,36 @@
 package obsv
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
+
+// TestCountersVecCoversEveryField keeps the one place that enumerates the
+// Counters fields (vec / countersOf, and eventNames beside them) in step with
+// the struct: a field added to one and not the others would silently vanish
+// from Sub, Add, the recorder's totals and the exposition.
+func TestCountersVecCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	if v.NumField() != numEvents {
+		t.Fatalf("Counters has %d fields, numEvents = %d", v.NumField(), numEvents)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	for i, got := range c.vec() {
+		if got != int64(i+1) {
+			t.Fatalf("vec()[%d] = %d: not field %s", i, got, v.Type().Field(i).Name)
+		}
+		if tag := v.Type().Field(i).Tag.Get("json"); tag != eventNames[i] {
+			t.Fatalf("field %s is %q in JSON and %q in the exposition", v.Type().Field(i).Name, tag, eventNames[i])
+		}
+	}
+	if countersOf(c.vec()) != c || c.Add(c).Sub(c) != c {
+		t.Fatal("countersOf(vec) or Add/Sub loses a field")
+	}
+}
 
 func TestRecorderBasics(t *testing.T) {
 	r := New(Config{SampleEvery: 1, SlowOpNS: int64(time.Hour)})

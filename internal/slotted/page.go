@@ -38,6 +38,12 @@ type ScratchMem interface {
 
 type extent struct{ off, size uint16 }
 
+// freeBlock is one free-list block as read by freeBlocks: where it is and
+// what its {size,next} header says. coalesce sets merged to the size the
+// block has once address-adjacent neighbours are folded into it; 0 means the
+// block itself was folded into a lower neighbour or into the gap.
+type freeBlock struct{ off, size, next, merged uint16 }
+
 // Page is an open handle on a slotted page. The decoded header in the
 // handle is authoritative for the current transaction; mutating operations
 // never overwrite previously committed record bytes, so the underlying
@@ -48,8 +54,23 @@ type Page struct {
 	sm         ScratchMem // mem's ScratchMem view, nil if unsupported
 	hdr        Header
 	deferFrees bool
+	// hdrFloor is the encoded length of the committed header under deferred
+	// frees (0 otherwise). Until commit those bytes are the page's committed
+	// state even if the working offset array has shrunk below them (a split
+	// truncates it), so the gap a cell may be carved from ends above them.
+	hdrFloor   int
 	pending    []extent // frees deferred until after commit
 	pendingSum int
+	// planned is set between PlanPendingFrees and ApplyPendingFrees: the
+	// header already names the deferred frees' chain, which still has to be
+	// written and ends at linkTo, the list head at planning time.
+	planned bool
+	linkTo  uint16
+
+	// coalesces counts allocations that failed first-fit and succeeded after
+	// a coalescing pass, gapAbsorbs the passes that moved Content up; the
+	// commit schemes read both when the transaction finishes.
+	coalesces, gapAbsorbs int
 
 	// Reusable scratch for transient reads and cell-image construction.
 	// These never alias live data: transient reads are consumed before the
@@ -58,6 +79,8 @@ type Page struct {
 	tmp    [8]byte
 	keyBuf []byte
 	imgBuf []byte
+	blocks []freeBlock // free-list walk (freeBlocks), list order
+	byAddr []uint16    // indices into blocks, address order
 }
 
 // Init formats a fresh page of the given type in mem and returns its handle.
@@ -112,8 +135,11 @@ func (p *Page) reset(mem Mem) {
 	p.sm, _ = mem.(ScratchMem)
 	p.hdr = Header{Offsets: p.hdr.Offsets[:0]}
 	p.deferFrees = false
+	p.hdrFloor = 0
 	p.pending = p.pending[:0]
 	p.pendingSum = 0
+	p.planned = false
+	p.coalesces, p.gapAbsorbs = 0, 0
 }
 
 // readT performs a transient read: the returned bytes are valid only until
@@ -144,8 +170,16 @@ func OpenWithHeader(mem Mem, hdr Header) *Page {
 // SetDeferFrees selects whether freed cell extents enter the free list
 // immediately (volatile caches) or only after ApplyPendingFrees (PM-direct
 // backends, where writing a free-block header would destroy committed
-// record bytes before the transaction commits).
-func (p *Page) SetDeferFrees(d bool) { p.deferFrees = d }
+// record bytes before the transaction commits). A PM-direct backend calls it
+// on a freshly opened page, whose header is then the committed one: its
+// bytes are kept out of the gap for the same reason.
+func (p *Page) SetDeferFrees(d bool) {
+	p.deferFrees = d
+	p.hdrFloor = 0
+	if d {
+		p.hdrFloor = p.hdr.EncodedLen()
+	}
+}
 
 // Header returns the authoritative decoded header.
 func (p *Page) Header() *Header { return &p.hdr }
@@ -250,9 +284,14 @@ func (p *Page) Search(key []byte) (int, bool) {
 // --- Space management ------------------------------------------------------
 
 // gapAfter returns the unallocated bytes between the offset array (assuming
-// extraEntries future entries) and the content area.
+// extraEntries future entries, and never shorter than the committed header)
+// and the content area.
 func (p *Page) gapAfter(extraEntries int) int {
-	return int(p.hdr.Content) - (HeaderFixedSize + 2*(len(p.hdr.Offsets)+extraEntries))
+	end := HeaderFixedSize + 2*(len(p.hdr.Offsets)+extraEntries)
+	if end < p.hdrFloor {
+		end = p.hdrFloor
+	}
+	return int(p.hdr.Content) - end
 }
 
 // FreeTotal returns the usable free bytes for new cells, assuming one more
@@ -268,8 +307,21 @@ func (p *Page) FreeTotal() int {
 
 // allocate finds size contiguous bytes for a new cell, preferring the gap
 // (the paper's default: new records extend the record content area), then
-// the free list. The caller is about to add one offset entry.
+// the free list first-fit. The caller is about to add one offset entry.
+//
+// When both fail, the list is coalesced and both are tried once more before
+// the caller is told to defragment: the failed walk has just pulled every
+// block header into the cache, so the second look is cheap, while a
+// defragmentation copies the page.
 func (p *Page) allocate(size int) (uint16, error) {
+	off, ok := p.fit(size)
+	if !ok && p.coalesce(size) {
+		p.coalesces++
+		off, ok = p.fit(size)
+	}
+	if ok {
+		return off, nil
+	}
 	if p.gapAfter(1) < 0 {
 		// No room for the offset-array entry itself. Churn can squeeze the
 		// content start against the header while ample free-list space
@@ -279,12 +331,23 @@ func (p *Page) allocate(size int) (uint16, error) {
 		}
 		return 0, fmt.Errorf("%w: offset array full", ErrPageFull)
 	}
-	if p.gapAfter(1) >= size {
-		off := p.hdr.Content - uint16(size)
-		p.hdr.Content = off
-		return off, nil
+	if size <= p.CapacityAfterDefrag() {
+		return 0, fmt.Errorf("%w: %d bytes requested, %d free but fragmented or pending", ErrNeedsDefrag, size, p.FreeTotal())
 	}
-	// First-fit over the free list.
+	return 0, fmt.Errorf("%w: %d bytes requested, %d free", ErrPageFull, size, p.FreeTotal())
+}
+
+// fit carves size bytes out of the gap or, failing that, out of the first
+// free block that holds them.
+func (p *Page) fit(size int) (uint16, bool) {
+	gap := p.gapAfter(1)
+	if gap < 0 {
+		return 0, false
+	}
+	if gap >= size {
+		p.hdr.Content -= uint16(size)
+		return p.hdr.Content, true
+	}
 	prev := uint16(0)
 	cur := p.hdr.FreeLst
 	for cur != 0 {
@@ -295,31 +358,140 @@ func (p *Page) allocate(size int) (uint16, error) {
 			take := uint16(size)
 			if int(bsz)-size >= MinFreeBlock {
 				// Shrink the block in place; the new cell takes its tail.
-				var nb [4]byte
-				binary.LittleEndian.PutUint16(nb[:], bsz-take)
-				binary.LittleEndian.PutUint16(nb[2:], next)
-				p.mem.Write(int(cur), nb[:])
+				p.writeBlock(cur, bsz-take, next)
 				p.hdr.Free -= take
-				return cur + bsz - take, nil
+				return cur + bsz - take, true
 			}
 			// Take the whole block; the leftover (<MinFreeBlock) is lost
 			// until defragmentation or a free-list rebuild.
 			if prev == 0 {
 				p.hdr.FreeLst = next
 			} else {
-				var nb [2]byte
-				binary.LittleEndian.PutUint16(nb[:], next)
-				p.mem.Write(int(prev)+2, nb[:])
+				nb := p.tmp[:2]
+				binary.LittleEndian.PutUint16(nb, next)
+				p.mem.Write(int(prev)+2, nb)
 			}
 			p.hdr.Free -= bsz
-			return cur, nil
+			return cur, true
 		}
 		prev, cur = cur, next
 	}
-	if size <= p.CapacityAfterDefrag() {
-		return 0, fmt.Errorf("%w: %d bytes requested, %d free but fragmented or pending", ErrNeedsDefrag, size, p.FreeTotal())
+	return 0, false
+}
+
+// writeBlock writes a free-block header, from the handle's scratch (a local
+// array would escape through the Mem interface and cost an allocation).
+func (p *Page) writeBlock(off, size, next uint16) {
+	b := p.tmp[:4]
+	binary.LittleEndian.PutUint16(b, size)
+	binary.LittleEndian.PutUint16(b[2:], next)
+	p.mem.Write(int(off), b)
+}
+
+// freeBlocks walks the free list into the page's scratch, in list order,
+// and leaves byAddr holding the same blocks' indices in address order. It
+// reports a list that leaves the page, loops, holds a block too small to
+// carry a header, or holds two blocks that overlap.
+func (p *Page) freeBlocks() ([]freeBlock, error) {
+	ps := p.mem.PageSize()
+	bl := p.blocks[:0]
+	for cur := p.hdr.FreeLst; cur != 0; {
+		if int(cur) < HeaderFixedSize || int(cur)+MinFreeBlock > ps {
+			return nil, fmt.Errorf("%w: free block at %d out of bounds", ErrCorrupt, cur)
+		}
+		if len(bl) >= ps/MinFreeBlock {
+			return nil, fmt.Errorf("%w: free list cycle", ErrCorrupt)
+		}
+		b := p.readT(int(cur), 4)
+		sz := binary.LittleEndian.Uint16(b)
+		if sz < MinFreeBlock || int(cur)+int(sz) > ps {
+			return nil, fmt.Errorf("%w: free block at %d size %d invalid", ErrCorrupt, cur, sz)
+		}
+		next := binary.LittleEndian.Uint16(b[2:])
+		bl = append(bl, freeBlock{off: cur, size: sz, next: next, merged: sz})
+		cur = next
 	}
-	return 0, fmt.Errorf("%w: %d bytes requested, %d free", ErrPageFull, size, p.FreeTotal())
+	p.blocks = bl
+	// Insertion sort: a page holds a handful of blocks, and the list is
+	// often nearly address-ordered already.
+	ord := p.byAddr[:0]
+	for i := range bl {
+		ord = append(ord, uint16(i))
+		for j := i; j > 0 && bl[ord[j-1]].off > bl[ord[j]].off; j-- {
+			ord[j-1], ord[j] = ord[j], ord[j-1]
+		}
+	}
+	p.byAddr = ord
+	for i := 1; i < len(ord); i++ {
+		lo, hi := bl[ord[i-1]], bl[ord[i]]
+		if int(lo.off)+int(lo.size) > int(hi.off) {
+			return nil, fmt.Errorf("%w: free blocks at %d and %d overlap", ErrCorrupt, lo.off, hi.off)
+		}
+	}
+	return bl, nil
+}
+
+// coalesce merges address-adjacent free blocks and moves a run that starts
+// at the content pointer into the gap — if fit(size) succeeds afterwards,
+// which it reports; otherwise the page is about to be copied or split and
+// nothing is written.
+//
+// Merging rewrites only the {size,next} headers of blocks that already are
+// free blocks: never committed cells, never pending extents. The list keeps
+// its order, minus the blocks that were folded away, so a header is written
+// only where its size grew or its successor vanished; the total stays equal
+// to Free. The gap absorb is header-only (Content up, Free down) and so
+// commits with the slot header. A malformed list is left untouched.
+func (p *Page) coalesce(size int) bool {
+	gap := p.gapAfter(1)
+	if gap+int(p.hdr.Free)-p.pendingSum < size {
+		return false
+	}
+	bl, err := p.freeBlocks()
+	if err != nil || len(bl) == 0 {
+		return false
+	}
+	ord := p.byAddr
+	run := &bl[ord[0]]
+	for _, i := range ord[1:] {
+		b := &bl[i]
+		if int(run.off)+int(run.merged) == int(b.off) {
+			run.merged += b.size
+			b.merged = 0
+		} else {
+			run = b
+		}
+	}
+	absorbed := uint16(0)
+	if first := &bl[ord[0]]; first.off == p.hdr.Content {
+		absorbed, first.merged = first.merged, 0
+	}
+	gap += int(absorbed)
+	fits := gap >= size
+	for i := 0; !fits && gap >= 0 && i < len(bl); i++ {
+		fits = int(bl[i].merged) >= size
+	}
+	if !fits {
+		return false
+	}
+	if absorbed > 0 {
+		p.hdr.Content += absorbed
+		p.hdr.Free -= absorbed
+		p.gapAbsorbs++
+	}
+	next := uint16(0)
+	for i := len(bl) - 1; i >= 0; i-- {
+		b := &bl[i]
+		if b.merged == 0 {
+			continue
+		}
+		if b.merged != b.size || next != b.next {
+			p.writeBlock(b.off, b.merged, next)
+		}
+		next = b.off
+	}
+	p.hdr.FreeLst = next
+	return true
 }
 
 // LiveBytes returns the total size of all live cells.
@@ -353,36 +525,64 @@ func (p *Page) freeCell(e extent) {
 		p.pendingSum += int(e.size)
 		return
 	}
-	p.linkFreeBlock(e)
-}
-
-func (p *Page) linkFreeBlock(e extent) {
 	if e.size < MinFreeBlock {
 		// Too small to hold a block header; the bytes are lost until a
 		// rebuild. Keep Free accounting honest by backing the bytes out.
 		p.hdr.Free -= e.size
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint16(b[:], e.size)
-	binary.LittleEndian.PutUint16(b[2:], p.hdr.FreeLst)
-	p.mem.Write(int(e.off), b[:])
+	p.writeBlock(e.off, e.size, p.hdr.FreeLst)
 	p.hdr.FreeLst = e.off
 }
 
-// ApplyPendingFrees links every deferred free into the free list. Commit
+// PlanPendingFrees is the header half of linking the deferred frees: it
+// sets FreeLst and Free to the values they have once ApplyPendingFrees has
+// written the block headers (first pending extent → current head, each next
+// one → its predecessor, FreeLst → the last; extents too small for a header
+// are backed out of Free). A commit protocol calls it just before it encodes
+// the header for its commit image, so the free-list fields ride that image
+// and need no write of their own afterwards; no HeaderChanged is raised for
+// that reason. No page operation may follow until ApplyPendingFrees.
+func (p *Page) PlanPendingFrees() {
+	if p.planned || len(p.pending) == 0 {
+		return
+	}
+	p.planned = true
+	p.linkTo = p.hdr.FreeLst
+	for _, e := range p.pending {
+		if e.size < MinFreeBlock {
+			p.hdr.Free -= e.size
+		} else {
+			p.hdr.FreeLst = e.off
+		}
+	}
+}
+
+// ApplyPendingFrees links every deferred free into the free list: the
+// planned chain's block headers are written into the freed extents. Commit
 // protocols call it after the transaction's commit point.
 func (p *Page) ApplyPendingFrees() {
 	if len(p.pending) == 0 {
 		return
 	}
+	p.PlanPendingFrees()
+	next := p.linkTo
 	for _, e := range p.pending {
-		p.linkFreeBlock(e)
+		if e.size >= MinFreeBlock {
+			p.writeBlock(e.off, e.size, next)
+			next = e.off
+		}
 	}
-	p.pending = nil
+	p.pending = p.pending[:0]
 	p.pendingSum = 0
+	p.planned = false
 	p.notify()
 }
+
+// CoalesceCounts reports, since the handle was bound to its page, the
+// allocations that succeeded only after coalescing the free list and the
+// coalescing passes that moved the content pointer up.
+func (p *Page) CoalesceCounts() (coalesces, gapAbsorbs int) { return p.coalesces, p.gapAbsorbs }
 
 // PendingFrees reports the number of deferred free extents.
 func (p *Page) PendingFrees() int { return len(p.pending) }
@@ -400,30 +600,43 @@ func (p *Page) cellImg(n int) []byte {
 
 // Insert adds a record to a leaf page, keeping the offset array sorted.
 func (p *Page) Insert(key, val []byte) error {
+	i, found := p.Search(key)
+	if found {
+		return fmt.Errorf("%w: key %x", ErrDuplicate, key)
+	}
+	return p.InsertAt(i, key, val)
+}
+
+// InsertAt adds a record to a leaf page at index i, which must be what
+// Search(key) returned for an absent key, with no mutation of the page since.
+func (p *Page) InsertAt(i int, key, val []byte) error {
 	img := p.cellImg(4 + len(key) + len(val))
 	binary.LittleEndian.PutUint16(img, uint16(len(key)))
 	binary.LittleEndian.PutUint16(img[2:], uint16(len(val)))
 	copy(img[4:], key)
 	copy(img[4+len(key):], val)
-	return p.insertCell(key, img)
+	return p.insertCell(i, img)
 }
 
 // InsertChild adds a separator cell (key, child) to an interior page.
 func (p *Page) InsertChild(key []byte, child uint32) error {
+	i, found := p.Search(key)
+	if found {
+		return fmt.Errorf("%w: key %x", ErrDuplicate, key)
+	}
 	img := p.cellImg(6 + len(key))
 	binary.LittleEndian.PutUint16(img, uint16(len(key)))
 	binary.LittleEndian.PutUint32(img[2:], child)
 	copy(img[6:], key)
-	return p.insertCell(key, img)
+	return p.insertCell(i, img)
 }
 
-func (p *Page) insertCell(key, img []byte) error {
+func (p *Page) insertCell(i int, img []byte) error {
 	if p.hdr.Type != TypeLeaf && p.hdr.Type != TypeInterior {
 		panic(fmt.Sprintf("slotted: insert on page type %#x", p.hdr.Type))
 	}
-	i, found := p.Search(key)
-	if found {
-		return fmt.Errorf("%w: key %x", ErrDuplicate, key)
+	if i < 0 || i > len(p.hdr.Offsets) {
+		return fmt.Errorf("%w: insert at cell %d of %d", ErrNotFound, i, len(p.hdr.Offsets))
 	}
 	off, err := p.allocate(len(img))
 	if err != nil {
@@ -538,27 +751,18 @@ func (p *Page) CopyRangeTo(dst *Page, lo, hi int) error {
 
 // --- Free-list maintenance and validation -----------------------------------
 
-// CheckFreeList verifies that the free list is structurally sound and that
-// its total matches the header's Free counter (net of pending frees). A
-// mismatch after a crash means the list must be rebuilt (§4.3).
+// CheckFreeList verifies that the free list is structurally sound — in
+// bounds, acyclic, no two blocks overlapping — and that its total matches
+// the header's Free counter (net of pending frees). A mismatch after a crash
+// means the list must be rebuilt (§4.3).
 func (p *Page) CheckFreeList() error {
+	bl, err := p.freeBlocks()
+	if err != nil {
+		return err
+	}
 	total := 0
-	seen := 0
-	cur := p.hdr.FreeLst
-	for cur != 0 {
-		if int(cur) < HeaderFixedSize || int(cur)+MinFreeBlock > p.mem.PageSize() {
-			return fmt.Errorf("%w: free block at %d out of bounds", ErrCorrupt, cur)
-		}
-		b := p.readT(int(cur), 4)
-		sz := binary.LittleEndian.Uint16(b)
-		if sz < MinFreeBlock || int(cur)+int(sz) > p.mem.PageSize() {
-			return fmt.Errorf("%w: free block at %d size %d invalid", ErrCorrupt, cur, sz)
-		}
-		total += int(sz)
-		cur = binary.LittleEndian.Uint16(b[2:])
-		if seen++; seen > p.mem.PageSize()/MinFreeBlock {
-			return fmt.Errorf("%w: free list cycle", ErrCorrupt)
-		}
+	for i := range bl {
+		total += int(bl[i].size)
 	}
 	if total != int(p.hdr.Free)-p.pendingSum {
 		return fmt.Errorf("%w: free list total %d != header free %d - pending %d",
@@ -585,8 +789,9 @@ func (p *Page) RebuildFreeList() {
 	p.hdr.Content = minUsed
 	p.hdr.FreeLst = 0
 	p.hdr.Free = 0
-	p.pending = nil
+	p.pending = p.pending[:0]
 	p.pendingSum = 0
+	p.planned = false
 	// Walk gaps between used extents, building blocks from the tail so the
 	// list ends up address-ordered from the head.
 	type gap struct{ off, size int }
@@ -608,10 +813,7 @@ func (p *Page) RebuildFreeList() {
 		if g.size < MinFreeBlock {
 			continue
 		}
-		var b [4]byte
-		binary.LittleEndian.PutUint16(b[:], uint16(g.size))
-		binary.LittleEndian.PutUint16(b[2:], p.hdr.FreeLst)
-		p.mem.Write(g.off, b[:])
+		p.writeBlock(uint16(g.off), uint16(g.size), p.hdr.FreeLst)
 		p.hdr.FreeLst = uint16(g.off)
 		p.hdr.Free += uint16(g.size)
 	}

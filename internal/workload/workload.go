@@ -123,6 +123,11 @@ func (g *Gen) Forget(k []byte) {
 	delete(g.used, binary.BigEndian.Uint64(k))
 }
 
+// Intn draws a uniform int in [0, n) from the generator's stream, for
+// callers that keep their own population (live row ids, say) and must pick
+// from it reproducibly.
+func (g *Gen) Intn(n int) int { return g.rng.Intn(n) }
+
 // NextValue returns a pseudo-random record body of the configured size.
 func (g *Gen) NextValue() []byte {
 	v := make([]byte, g.cfg.RecordSize)

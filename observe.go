@@ -54,8 +54,9 @@ func newRecorder(opts Options) *obsv.Recorder {
 
 // storeCounters bridges the simulated machine's existing commit-path
 // counters into one obsv.Counters snapshot: clflush and fences from the
-// PM layer, HTM commits/aborts and slot-header log appends from the
-// FAST/FAST+ store, WAL frames and checkpoints from the baselines. The
+// PM layer, HTM commits/aborts, slot-header log appends, page
+// defragmentations and free-list coalesces from the FAST/FAST+ store, WAL
+// frames and checkpoints from the baselines. The
 // events are counted once, where they happen — the observability layer
 // only reads the deltas between two snapshots. Allocation-free.
 func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Counters {
@@ -72,6 +73,8 @@ func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Cou
 		c.LogAppend = fs.LoggedFrames
 		c.Checkpoint = fs.LogCommits
 		c.SingleLeaf = fs.SingleLeaf
+		c.Defrag = fs.Defrags
+		c.Coalesce = fs.Coalesces
 	case *wal.Store:
 		ws := s.Stats()
 		c.LogAppend = ws.WALFrames
