@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fasp/internal/obsv"
 	"fasp/internal/pmem"
 )
 
@@ -441,4 +442,120 @@ func TestAdaptiveConcurrentStress(t *testing.T) {
 	if !sawWindow {
 		t.Fatal("no decision window closed during stress run")
 	}
+}
+
+// phaseSim drives one fixed three-phase ApplyBatch stream through a 2-shard
+// store opened on scheme start — insert-heavy (420 eight-op calls),
+// update-heavy (600 two-op calls scattered over the key space, every
+// per-shard commit a single-leaf transaction), scan-heavy (40 full scans
+// over a 240-update trickle that keeps decision windows closing) — and
+// returns each phase's simulated cost (the slowest shard's clock advance
+// plus the scans' simulated read work) and the per-shard schemes at each
+// phase end. ApplyBatch on a sharded store is deterministic, so the numbers
+// are a pure function of the op sequence.
+func phaseSim(t *testing.T, start string, adaptive bool) (sim [3]int64, schemes [3][]string) {
+	t.Helper()
+	opts := Options{Scheme: start, Shards: 2, MaxBatch: 8}
+	if adaptive {
+		opts.AdaptiveScheme = true
+		opts.AdaptiveBatch = true
+		// There are no idle slots on the ApplyBatch path to hide proactive
+		// defrag rewrites in; arm it only past what this workload reaches
+		// (the adaptive golden pins the defrag loop).
+		opts.DefragThreshold = 0.45
+	}
+	kv, err := OpenKV(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+
+	key := func(i int) []byte { return []byte(fmt.Sprintf("p%07d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("phase-value-%07d-%048d", i, i)) }
+	cost := func() int64 {
+		scans := kv.Metrics().OpStats(obsv.OpScan)
+		return kv.EngineStats().SimMaxNS + int64(scans.SimMeanNS*float64(scans.Count))
+	}
+	phase, base := 0, cost()
+	closePhase := func() {
+		now := cost()
+		sim[phase] = now - base
+		for i := 0; i < kv.Shards(); i++ {
+			s, _ := kv.ShardScheme(i)
+			schemes[phase] = append(schemes[phase], s)
+		}
+		phase, base = phase+1, now
+	}
+
+	const total = 420 * 8
+	for id := 0; id < total; id += 8 {
+		ops := make([]Op, 8)
+		for j := range ops {
+			ops[j] = Op{Kind: OpInsert, Key: key(id + j), Val: val(id + j)}
+		}
+		mustApply(t, kv, ops)
+	}
+	closePhase()
+
+	for c := 0; c < 600; c++ {
+		mustApply(t, kv, []Op{
+			{Kind: OpUpdate, Key: key((c * 997) % total), Val: val(c + total)},
+			{Kind: OpUpdate, Key: key((c*997 + total/2) % total), Val: val(c + 2*total)},
+		})
+	}
+	closePhase()
+
+	for c := 0; c < 240; c++ {
+		mustApply(t, kv, []Op{{Kind: OpUpdate, Key: key((c * 31) % total), Val: val(c + 3*total)}})
+		if c%6 == 0 {
+			if err := kv.Scan(nil, nil, func(k, v []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	closePhase()
+	return sim, schemes
+}
+
+// TestAdaptiveTracksBestPinned pins the controller's two performance
+// claims on the simulated clock. Started on the right scheme, it costs what
+// the best pinned scheme costs in every phase: its decisions match the
+// emulator's cost ordering and its bookkeeping (window accounting,
+// fragmentation scans) is ~free. Started on a deliberately wrong pin (wal),
+// it migrates away within the first phase and erases most of the price of
+// that pin.
+func TestAdaptiveTracksBestPinned(t *testing.T) {
+	sum := func(p [3]int64) int64 { return p[0] + p[1] + p[2] }
+	var best [3]int64
+	var wal int64
+	for _, scheme := range []string{SchemeFASTPlus, SchemeFAST, SchemeWAL} {
+		sim, _ := phaseSim(t, scheme, false)
+		for ph, ns := range sim {
+			if best[ph] == 0 || ns < best[ph] {
+				best[ph] = ns
+			}
+		}
+		if scheme == SchemeWAL {
+			wal = sum(sim)
+		}
+	}
+
+	warm, _ := phaseSim(t, SchemeFASTPlus, true)
+	for ph, name := range []string{"insert-heavy", "update-heavy", "scan-heavy"} {
+		if float64(warm[ph]) > 1.005*float64(best[ph]) {
+			t.Errorf("%s: adaptive %d sim ns > 100.5%% of best pinned %d", name, warm[ph], best[ph])
+		}
+	}
+
+	cold, schemes := phaseSim(t, SchemeWAL, true)
+	for i, s := range schemes[1] {
+		if s != SchemeFASTPlus {
+			t.Errorf("adaptive-cold: shard %d on %q at the end of the update phase, want fast+", i, s)
+		}
+	}
+	if sum(cold) > wal/4 {
+		t.Errorf("adaptive-cold: %d sim ns > 25%% of pinned wal %d", sum(cold), wal)
+	}
+	t.Logf("sim ns per phase: best pinned %v, adaptive %v, adaptive-cold %v (schemes %v); pinned wal total %d",
+		best, warm, cold, schemes, wal)
 }

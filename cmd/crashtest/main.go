@@ -1,5 +1,5 @@
 // Command crashtest is a crash-injection recovery checker with two single-
-// store modes and a sharded mode:
+// store modes, a sharded mode and a chaos replay:
 //
 //   - Random mode (default): -rounds random (crash point, eviction lottery)
 //     schedules, the original smoke test.
@@ -12,6 +12,10 @@
 //     and recovers again, proving recovery idempotent.
 //   - Sharded mode (-shards N): concurrent clients against the sharded
 //     engine with a crash injected inside one shard's group commit.
+//   - Chaos replay (-chaos-spec fx:…): the network server under a seeded
+//     faultx schedule for -chaos-dur, audited by the acked-prefix oracle;
+//     prints the JSON report. -shards/-clients size the store and the
+//     connection count (unset: 8 shards, 12 connections).
 //
 // Every schedule is deterministic: a violation prints a -repro spec that
 // replays the identical failure byte-for-byte:
@@ -30,6 +34,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"time"
 
 	"fasp/internal/crashx"
 	"fasp/internal/fast"
@@ -56,8 +61,25 @@ func main() {
 		nsamples   = flag.Int("nested-samples", 16, "with -nested: stratified samples past the nested budget")
 		repro      = flag.String("repro", "", "replay one failing schedule spec (point:prob:seed[/recpoint:recprob:recseed]) and exit")
 		keepGoing  = flag.Bool("keep-going", false, "collect every violation instead of stopping at the first")
+
+		chaosSpec = flag.String("chaos-spec", "", "replay this faultx schedule (fx:1:seed:kill:torn:stall:stallms:panic:restarts) against the network server and exit")
+		chaosDur  = flag.Duration("chaos-dur", 3*time.Second, "with -chaos-spec: soak duration")
 	)
 	flag.Parse()
+
+	if *chaosSpec != "" {
+		chaosShards, chaosConns := 8, 12
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "shards":
+				chaosShards = *shards
+			case "clients":
+				chaosConns = *clients
+			}
+		})
+		runChaos(*chaosSpec, *chaosDur, chaosShards, chaosConns)
+		return
+	}
 
 	const cfgPageSize = 256
 

@@ -38,7 +38,7 @@ import (
 
 // Spec is a complete, replayable description of one fault schedule. The
 // string form (String / ParseSpec round-trip) is what a failing chaos run
-// prints and what `faspbench -chaos -chaos-spec` replays:
+// prints and what `crashtest -chaos-spec` replays:
 //
 //	fx:1:seed:kill:torn:stall:stallms:panic:restarts
 //

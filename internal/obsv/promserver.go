@@ -14,7 +14,7 @@ type ServerOpStats struct {
 	Errors    int64  `json:"errors"`
 	WallP50NS int64  `json:"wall_p50_ns"`
 	WallP99NS int64  `json:"wall_p99_ns"`
-	// WallP999NS is the tail quantile the serverbench overload arms watch.
+	// WallP999NS is the tail quantile an overloaded server moves first.
 	WallP999NS int64   `json:"wall_p999_ns"`
 	WallMeanNS float64 `json:"wall_mean_ns"`
 }

@@ -1,8 +1,7 @@
 // Package loadgen drives a faspserver with many concurrent pipelined
-// connections — the faspbench -serverbench workload and the CI smoke's
-// overload phase. It reports acked throughput, typed reject counts, and
-// request latency quantiles (p50/p99/p999) from a shared lock-free
-// histogram.
+// connections — the bench/ server workloads and the chaos soak's clients.
+// It reports acked throughput, typed reject counts, and request latency
+// quantiles (p50/p99/p999) from a shared lock-free histogram.
 package loadgen
 
 import (

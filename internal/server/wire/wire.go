@@ -579,14 +579,11 @@ func AppendErr(dst []byte, code Code, shard int32, retryMS uint32, msg string) [
 	return EndFrame(dst, start)
 }
 
-// ParseErr decodes an error response payload. Responses produced by older
-// or foreign peers without the shard/retry prefix yield shard -1, hint 0,
-// and the whole payload as message.
+// ParseErr decodes an error response payload. A payload too short to carry
+// the shard/retry prefix (a foreign peer) yields shard -1, hint 0, and the
+// whole payload as message.
 func ParseErr(payload []byte) (shard int32, retryMS uint32, msg string) {
 	if len(payload) < 8 {
-		if len(payload) >= 4 {
-			return int32(binary.BigEndian.Uint32(payload)), 0, string(payload[4:])
-		}
 		return -1, 0, string(payload)
 	}
 	return int32(binary.BigEndian.Uint32(payload)),

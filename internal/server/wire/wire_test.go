@@ -226,10 +226,10 @@ func TestResponseRoundTrip(t *testing.T) {
 	if sh != -1 || retryMS != 0 {
 		t.Fatalf("unpinned err: shard=%d retry=%d", sh, retryMS)
 	}
-	// Legacy 4-byte shard-only payload still parses (no hint).
-	legacy := []byte{0xff, 0xff, 0xff, 0xfe, 'x'} // shard -2, then message
-	if sh, retryMS, msg = ParseErr(legacy); sh != -2 || retryMS != 0 || msg != "x" {
-		t.Fatalf("legacy err payload: shard=%d retry=%d msg=%q", sh, retryMS, msg)
+	// A payload shorter than the 8-byte prefix is all message.
+	short := []byte{0xff, 0xff, 0xff, 0xfe, 'x'}
+	if sh, retryMS, msg = ParseErr(short); sh != -1 || retryMS != 0 || msg != string(short) {
+		t.Fatalf("short err payload: shard=%d retry=%d msg=%q", sh, retryMS, msg)
 	}
 
 	in := []Code{CodeOK, CodeDup, CodeKeyAbsent, CodeOK}

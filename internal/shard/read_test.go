@@ -227,6 +227,13 @@ func TestReadPathSelection(t *testing.T) {
 	if locked.GetOptimistic != 0 || locked.GetLocked != 50 {
 		t.Fatalf("noOpt: optimistic=%d locked=%d, want 0/50", locked.GetOptimistic, locked.GetLocked)
 	}
+	// Both paths charge a Get the same simulated cost while the lines it
+	// reads are cache-resident (Arena.Peek prices a line as Load would, it
+	// only never fills) — and 50 freshly written keys are.
+	om, lm := opt.OpStats(obsv.OpGet).SimMeanNS, locked.OpStats(obsv.OpGet).SimMeanNS
+	if om <= 0 || om != lm {
+		t.Fatalf("OpGet simulated mean: optimistic %v ns, locked %v ns, want equal and > 0", om, lm)
+	}
 }
 
 // TestReadFallbackSemantics pins the error contract on unhealthy shards:
