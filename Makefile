@@ -25,10 +25,14 @@ goldens:
 	$(GO) test -run 'TestGoldenShardedDeterminism$$' -update-golden .
 	$(GO) test -run 'TestGoldenAdaptiveDeterminism$$' -update-golden .
 
-# Regenerate the checked-in figure tables. The output is a function of the
-# code alone (simulated time, seeded workloads); CI diffs it against the file.
+# Regenerate the checked-in figure tables: everything at n = 20000, and
+# Figs 6 and 8 and recovery at the paper's n = 100000. The output is a
+# function of the code alone (simulated time, seeded workloads); CI diffs
+# the first file against its regeneration.
 results:
 	$(GO) run ./cmd/faspbench -all -ablations -recovery -n 20000 > results_n20000.txt
+	$(GO) run ./cmd/faspbench -fig 6 -n 100000 > results_paper_scale.txt
+	$(GO) run ./cmd/faspbench -fig 8 -recovery -n 100000 >> results_paper_scale.txt
 
 # Exhaustive crash-schedule exploration with nested recovery crashes, the
 # CI smoke configuration; run with BUDGET=0 for full enumeration.

@@ -8,6 +8,11 @@
 //     than the median into it, truncates the original page's offset array
 //     (a header-only change), and inserts the new separator into the
 //     parent's free space (Figure 4);
+//   - a leaf at the FAST+ cell cap that is the tree's rightmost, receiving
+//     a key past its last, is not halved: a fresh empty leaf becomes the
+//     rightmost child and the full one keeps every cell (SQLite's
+//     balance_quick), so ascending keys fill leaves to the cap. A leaf
+//     full by bytes splits at the median whatever the key (see capSplit);
 //   - fragmentation is repaired by on-demand copy-on-write defragmentation:
 //     live cells are copied to a fresh page and the parent's child pointer
 //     is swapped out of place (§4.3).
@@ -299,7 +304,7 @@ func (x *Tx) write(key, val []byte, mode writeMode) error {
 			// and before the key is looked up — a Put that would only have
 			// replaced a value splits the leaf as well. (Looking first was
 			// measured: it trades space for time; see ROADMAP item 3.)
-			if err = x.split(path); err == nil {
+			if err = x.capSplit(path, key); err == nil {
 				err = errRetry
 			}
 		} else {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"fasp/internal/fast"
+	"fasp/internal/pmem"
 	"fasp/internal/slotted"
 	"fasp/internal/workload"
 )
@@ -165,6 +166,79 @@ func TestLeafCellCapHonoured(t *testing.T) {
 			t.Fatalf("leaf %d holds %d cells under FAST+ (cap 25)", no, p.NCells())
 		}
 	}
+}
+
+// TestAppendSplitShape pins the split policy on 5,000 keys with 100-byte
+// values in a 4 KiB tree. Ascending keys under FAST+ reach the 25-cell cap
+// at the tree's right edge and append: every leaf but the rightmost holds
+// exactly slotted.MaxInPlaceCells cells, one split per 25 keys. The same
+// keys in random order, and ascending keys under plain FAST (no cap, so
+// every split is by bytes), split at the median exactly as often as before
+// the append split existed.
+func TestAppendSplitShape(t *testing.T) {
+	const n = 5000
+	asc := make([]int, n)
+	for i := range asc {
+		asc[i] = i
+	}
+	build := func(variant fast.Variant, order []int) (*fast.Store, *Tree) {
+		st := fast.Create(pmem.NewSystem(pmem.DefaultLatencies(300, 300)), fast.Config{Variant: variant})
+		tr := New(st)
+		for _, i := range order {
+			mustInsert(t, tr, i, 100)
+		}
+		return st, tr
+	}
+	st, tr := build(fast.InPlaceCommit, asc)
+	cells := leafCells(t, tr)
+	for i, c := range cells[:len(cells)-1] {
+		if c != slotted.MaxInPlaceCells {
+			t.Fatalf("ascending FAST+: leaf %d of %d holds %d cells, want %d", i, len(cells), c, slotted.MaxInPlaceCells)
+		}
+	}
+	if got, want := st.Stats().Splits, int64((n+slotted.MaxInPlaceCells-1)/slotted.MaxInPlaceCells-1); got != want {
+		t.Fatalf("ascending FAST+: %d splits, want %d", got, want)
+	}
+	for _, c := range []struct {
+		name    string
+		variant fast.Variant
+		order   []int
+		splits  int64
+	}{
+		{"random-order FAST+", fast.InPlaceCommit, rand.New(rand.NewSource(1)).Perm(n), 284},
+		{"ascending FAST", fast.SlotHeaderLogging, asc, 294},
+	} {
+		if st, _ := build(c.variant, c.order); st.Stats().Splits != c.splits {
+			t.Errorf("%s: %d splits, want %d", c.name, st.Stats().Splits, c.splits)
+		}
+	}
+}
+
+// leafCells returns the cell counts of the tree's leaves in key order.
+func leafCells(t testing.TB, tr *Tree) []int {
+	tx, err := tr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	var out []int
+	var walk func(no uint32)
+	walk = func(no uint32) {
+		p, err := tx.Pager().Page(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Type() == slotted.TypeLeaf {
+			out = append(out, p.NCells())
+			return
+		}
+		for i := 0; i < p.NCells(); i++ {
+			walk(p.Child(i))
+		}
+		walk(p.Aux())
+	}
+	walk(tx.Pager().Root())
+	return out
 }
 
 func TestAttachSharesTransaction(t *testing.T) {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"fasp/internal/pager"
@@ -17,6 +18,59 @@ import (
 func (x *Tx) split(path []pathElem) error {
 	_, _, err := x.splitLevel(path, len(path)-1)
 	return err
+}
+
+// capSplit makes room for key in the leaf at the end of path, which has
+// reached the store's cell cap (leafAtCap). When the leaf is the tree's
+// rightmost and key sorts past its last key — an append, the shape of an
+// auto-increment table — a median split would leave behind a half-full leaf
+// that no later key lands in, so the split appends instead (SQLite's
+// balance_quick): a fresh empty leaf becomes the parent's rightmost child,
+// and the old leaf, not touched at all, is keyed in the parent by its last
+// key. Nothing moves, so the invariant of split holds. Any other leaf
+// splits at the median.
+//
+// Only the cap split appends. A leaf full by bytes (insertAt) keeps the
+// median split: under a scheme without a cap an append split packs leaves
+// to the last byte, and every later update of a grown record then has to
+// defragment its leaf copy-on-write.
+func (x *Tx) capSplit(path []pathElem, key []byte) error {
+	last := len(path) - 1
+	// The path is in memory; the leaf's last key costs a PM read, so it is
+	// looked at second.
+	for _, e := range path[:last] {
+		if !e.viaAux {
+			return x.split(path)
+		}
+	}
+	leaf := path[last].page
+	sep := leaf.Key(leaf.NCells() - 1)
+	if bytes.Compare(key, sep) <= 0 {
+		return x.split(path)
+	}
+	newNo, _, err := x.p.AllocPage(slotted.TypeLeaf)
+	if err != nil {
+		return err
+	}
+	x.noteSplit()
+	// A root leaf gets a new root: cell (sep → leaf), rightmost → new leaf.
+	if err := x.addSeparator(path, last-1, sep, path[last].no, newNo); err != nil {
+		return err
+	}
+	if last > 0 {
+		// The rightmost pointer is a header field: it commits with the cell
+		// just added. The page is read from the path only now, because a
+		// defragmentation in addSeparator may have replaced the parent.
+		path[last-1].page.SetAux(newNo)
+	}
+	return nil
+}
+
+// noteSplit counts a split in the store's statistics, where it keeps them.
+func (x *Tx) noteSplit() {
+	if ns, ok := x.st.(interface{ NoteSplit() }); ok {
+		ns.NoteSplit()
+	}
 }
 
 // splitLevel splits path[level], returning the new left sibling and its
@@ -45,9 +99,7 @@ func (x *Tx) splitLevel(path []pathElem, level int) (*slotted.Page, []byte, erro
 	}
 	pg.TruncateKeepUpper(m)
 	path[level].left = left
-	if ns, ok := x.st.(interface{ NoteSplit() }); ok {
-		ns.NoteSplit()
-	}
+	x.noteSplit()
 	if err := x.addSeparator(path, level-1, sep, newNo, path[level].no); err != nil {
 		return nil, nil, err
 	}

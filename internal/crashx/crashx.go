@@ -134,6 +134,19 @@ func FragWorkload(n int) []Op {
 	return ops
 }
 
+// AppendWorkload builds n inserts of ascending keys with one-byte values:
+// an auto-increment table. Its cells are 12 bytes, so on pages of 384 bytes
+// or more a FAST+ leaf reaches the 25-cell cap before it runs out of bytes
+// and every leaf split is an append split, while a 384-byte interior page
+// holds 24 separators and splits at the median on the append after that.
+func AppendWorkload(n int) []Op {
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Op{Kind: OpInsert, Key: wkey(i), Val: fval(i, 1)}
+	}
+	return ops
+}
+
 func fval(i, n int) []byte { return []byte(strings.Repeat(string(rune('a'+i%26)), n)) }
 
 func wkey(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }

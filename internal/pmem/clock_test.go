@@ -157,20 +157,26 @@ func TestClockAdvanceIndependentOfDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	const n = 5_000_000
-	best := func(depth int) time.Duration {
-		c := NewClock()
-		min := time.Duration(1<<63 - 1)
-		for try := 0; try < 5; try++ {
-			t0 := time.Now()
-			advanceNested(c, depth, n)
-			if d := time.Since(t0); d < min {
-				min = d
+	const n, chunks = 2_000_000, 20
+	clocks := map[int]*Clock{1: NewClock(), 6: NewClock()}
+	best := map[int]time.Duration{1: 1<<63 - 1, 6: 1<<63 - 1}
+	// Each trial times the two depths in alternating chunks, so load from
+	// tests running alongside, which comes and goes faster than a trial,
+	// falls on both alike; the minima are each depth's quietest trial.
+	for try := 0; try < 8; try++ {
+		spent := map[int]time.Duration{}
+		for c := 0; c < chunks; c++ {
+			for _, depth := range [][2]int{{1, 6}, {6, 1}}[c%2] {
+				t0 := time.Now()
+				advanceNested(clocks[depth], depth, n/chunks)
+				spent[depth] += time.Since(t0)
 			}
 		}
-		return min
+		for depth, d := range spent {
+			best[depth] = min(best[depth], d)
+		}
 	}
-	d1, d6 := best(1), best(6)
+	d1, d6 := best[1], best[6]
 	t.Logf("Advance x %d: depth 1 %v, depth 6 %v", n, d1, d6)
 	if float64(d6) > 1.5*float64(d1) {
 		t.Fatalf("Advance at depth 6 took %v, depth 1 %v: more than 1.5x", d6, d1)
