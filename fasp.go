@@ -486,11 +486,14 @@ func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 // so a caller with work for several shards enqueues one handle per shard
 // and then waits on each: no cross-shard barrier, and every writer busy at
 // once. The handle carries the caller's slices directly (zero-copy), so
-// the caller must not touch ops or errs until Wait returns. A mailbox full
-// past Options.EnqueueTimeout fails the submission with ErrShardBusy, one
-// racing Close with ErrClosed; errs is then already filled.
-func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error) {
-	kv.eng.Enqueue(r, si, ops, errs)
+// the caller must not touch ops, errs or units until Wait returns. units
+// lists the op counts of the submission's atomic units (nil: one unit), as
+// shard.Engine.Enqueue documents: a caller coalescing independent requests
+// passes one unit per request. A mailbox full past Options.EnqueueTimeout
+// fails the submission with ErrShardBusy, one racing Close with ErrClosed;
+// errs is then already filled.
+func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
+	kv.eng.Enqueue(r, si, ops, errs, units)
 }
 
 // Wait blocks until the submission r was last enqueued with has its

@@ -173,6 +173,17 @@ func (x *Tx) Commit() error {
 	return x.p.Commit()
 }
 
+// MarkUnit ends one atomic unit of the transaction: each unit must survive
+// a crash whole or not at all, but the units of one transaction need not
+// survive together, so a store whose pager transaction has a MarkUnit
+// method (FAST+) may commit each the cheapest way its write set allows. On
+// any other store it does nothing. A transaction never marked is one unit.
+func (x *Tx) MarkUnit() {
+	if m, ok := x.p.(interface{ MarkUnit() }); ok {
+		m.MarkUnit()
+	}
+}
+
 // Rollback abandons the transaction.
 func (x *Tx) Rollback() {
 	if x.done || !x.owns {

@@ -50,10 +50,10 @@ func (k OpKind) String() string {
 	return "unknown"
 }
 
-// Op is one workload transaction. Each op runs in its own B-tree
-// transaction so the acknowledgement boundary — the durability oracle's
-// ground truth — is exact: ops [0, acked) returned to the caller, op
-// `acked` (if any) was in flight when the crash fired.
+// Op is one workload operation. Unless Config.Units groups them, each op
+// runs in its own B-tree transaction so the acknowledgement boundary — the
+// durability oracle's ground truth — is exact: ops [0, acked) returned to
+// the caller, op `acked` (if any) was in flight when the crash fired.
 type Op struct {
 	Kind OpKind
 	Key  []byte
@@ -147,6 +147,47 @@ func AppendWorkload(n int) []Op {
 	return ops
 }
 
+// UnitWorkload builds a workload of unit-marked FAST+ transactions for
+// 512-byte pages, with the Units that group it (Config.Units). Three plain
+// transactions lay out leaves of 51-byte cells: ascending keys 0, 10, …,
+// 230 split into leaves of four, then leaves [160, 190] and [200, 230] are
+// filled to eight cells, and the latter has two cells that are not address
+// neighbours deleted. Then two rounds shaped like a shard writer's group
+// commit, one unit per request:
+//
+//   - round 1: two single-leaf units on leaf [0, 30] and one on [40, 70]
+//     (committed in place), a unit writing two leaves, a unit that splits
+//     the full leaf, and a unit that must defragment the fragmented one
+//     (all three logged);
+//   - round 2: a single-leaf unit (in place), a unit that empties leaf
+//     [40, 70] so that it is freed and its separator dropped, and a unit
+//     writing a key of that leaf's old range, which now lands in the leaf
+//     beside it — logged too, since the parent that routes it there commits
+//     only with the log.
+func UnitWorkload() ([]Op, [][]int) {
+	ins := func(k, vlen int) Op { return Op{Kind: OpInsert, Key: wkey(k), Val: fval(k, vlen)} }
+	var ops []Op
+	for k := 0; k < 240; k += 10 {
+		ops = append(ops, ins(k, 40))
+	}
+	for _, k := range []int{201, 202, 203, 204, 161, 162, 163, 164} {
+		ops = append(ops, ins(k, 40))
+	}
+	ops = append(ops, Op{Kind: OpDelete, Key: wkey(201)}, Op{Kind: OpDelete, Key: wkey(203)})
+	units := [][]int{{24}, {8}, {2}}
+
+	ops = append(ops, ins(5, 40), ins(15, 40), ins(45, 40), ins(85, 40), ins(125, 40), ins(165, 70), ins(205, 75))
+	units = append(units, []int{1, 1, 1, 2, 1, 1})
+
+	ops = append(ops, ins(25, 40))
+	for _, k := range []int{40, 45, 50, 60, 70} {
+		ops = append(ops, Op{Kind: OpDelete, Key: wkey(k)})
+	}
+	ops = append(ops, ins(55, 40))
+	units = append(units, []int{1, 5, 1})
+	return ops, units
+}
+
 func fval(i, n int) []byte { return []byte(strings.Repeat(string(rune('a'+i%26)), n)) }
 
 func wkey(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
@@ -230,9 +271,18 @@ type Config struct {
 	Reattach func(st pager.Store) (pager.Store, error)
 	// Workload is the recorded transaction sequence (one txn per op).
 	Workload []Op
+	// Units, when non-nil, groups the workload into unit-marked
+	// transactions instead — the shape of a shard writer's group commit.
+	// Entry t is transaction t, listing the op counts of its units in order;
+	// the entries cover the workload, and every count is positive. Each
+	// unit end but the last is marked (btree.Tx.MarkUnit), and the oracle
+	// accepts for the transaction in flight at the crash any subset of its
+	// units, each whole. Acknowledgement counts ops, a transaction's at once.
+	Units [][]int
 	// AtOp, when set, runs before workload op i in every replay (Measure
-	// and Run alike) — the injection point migration sweeps use to switch
-	// the store's commit scheme mid-workload. It executes inside the
+	// and Run alike), where op i begins a transaction — the injection point
+	// migration sweeps use to switch the store's commit scheme
+	// mid-workload. It executes inside the
 	// crashed region, so its PM traffic contributes crash points like any
 	// transaction. It must be deterministic. A non-nil returned store
 	// replaces the one the replay applies the remaining ops to (a scheme
@@ -291,6 +341,20 @@ func (c *Config) fill() error {
 	if len(c.Workload) == 0 {
 		return fmt.Errorf("crashx: Config.Workload is empty")
 	}
+	if c.Units != nil {
+		n := 0
+		for _, units := range c.Units {
+			for _, u := range units {
+				if u <= 0 {
+					return fmt.Errorf("crashx: Config.Units holds a unit of %d ops", u)
+				}
+				n += u
+			}
+		}
+		if n != len(c.Workload) {
+			return fmt.Errorf("crashx: Config.Units covers %d ops of a %d-op workload", n, len(c.Workload))
+		}
+	}
 	if c.Samples <= 0 {
 		c.Samples = 64
 	}
@@ -309,6 +373,17 @@ func (c *Config) fill() error {
 		c.MaxFailures = 1
 	}
 	return nil
+}
+
+// oneUnit is the unit list of a one-op transaction.
+var oneUnit = []int{1}
+
+// txnUnits returns the unit list of workload transaction t.
+func (c *Config) txnUnits(t int) []int {
+	if c.Units == nil {
+		return oneUnit
+	}
+	return c.Units[t]
 }
 
 // lotteries returns the eviction sweep for one crash point: EvictNone,

@@ -2,6 +2,7 @@ package crashx
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"fasp/internal/btree"
@@ -63,18 +64,21 @@ func Measure(cfg *Config) (int64, error) {
 	sys, st := cfg.Open()
 	base := sys.CrashPoints()
 	tree := btree.New(st)
-	for i := range cfg.Workload {
+	for t, lo := 0, 0; lo < len(cfg.Workload); t++ {
 		var err error
-		if st, tree, err = cfg.atOp(i, st, tree); err != nil {
-			return 0, fmt.Errorf("crashx: AtOp hook before op %d failed uncrashed: %w", i, err)
+		if st, tree, err = cfg.atOp(lo, st, tree); err != nil {
+			return 0, fmt.Errorf("crashx: AtOp hook before op %d failed uncrashed: %w", lo, err)
 		}
-		if err := Apply(tree, &cfg.Workload[i]); err != nil {
+		n, i, err := applyTxn(tree, cfg.Workload[lo:], cfg.txnUnits(t))
+		if err != nil {
+			i += lo
 			return 0, fmt.Errorf("crashx: workload op %d (%s %q) failed uncrashed: %w",
 				i, cfg.Workload[i].Kind, cfg.Workload[i].Key, err)
 		}
+		lo += n
 	}
 	total := sys.CrashPoints() - base
-	if err := checkOracle(st, cfg.Workload, len(cfg.Workload), cfg.Check); err != nil {
+	if err := checkOracle(st, cfg.Workload, len(cfg.Workload), nil, cfg.Check); err != nil {
 		return 0, fmt.Errorf("crashx: uncrashed run fails its own oracle: %w", err)
 	}
 	return total, nil
@@ -100,20 +104,25 @@ func Run(cfg *Config, spec Spec) Result {
 	sys, st := cfg.Open()
 	tree := btree.New(st)
 	var opErr error
+	var inflight []int // the units of the transaction in flight
 	sys.CrashAfter(spec.Point)
 	res.Crashed = sys.RunToCrash(func() {
-		for i := range cfg.Workload {
+		for t, lo := 0, 0; lo < len(cfg.Workload); t++ {
+			inflight = cfg.txnUnits(t)
 			var err error
-			if st, tree, err = cfg.atOp(i, st, tree); err != nil {
-				opErr = fmt.Errorf("crashx: AtOp hook before op %d failed: %w", i, err)
+			if st, tree, err = cfg.atOp(lo, st, tree); err != nil {
+				opErr = fmt.Errorf("crashx: AtOp hook before op %d failed: %w", lo, err)
 				return
 			}
-			if err := Apply(tree, &cfg.Workload[i]); err != nil {
-				opErr = fmt.Errorf("crashx: workload op %d failed: %w", i, err)
+			n, i, err := applyTxn(tree, cfg.Workload[lo:], inflight)
+			if err != nil {
+				opErr = fmt.Errorf("crashx: workload op %d failed: %w", lo+i, err)
 				return
 			}
-			res.Acked++
+			res.Acked += n
+			lo += n
 		}
+		inflight = nil
 	})
 	sys.DisarmCrash()
 	if opErr != nil {
@@ -156,7 +165,7 @@ func Run(cfg *Config, spec Spec) Result {
 		return res
 	}
 
-	res.Err = checkOracle(st2, cfg.Workload, res.Acked, cfg.Check)
+	res.Err = checkOracle(st2, cfg.Workload, res.Acked, inflight, cfg.Check)
 	return res
 }
 
@@ -176,15 +185,42 @@ func (c *Config) atOp(i int, st pager.Store, tree *btree.Tree) (pager.Store, *bt
 	return st, tree, nil
 }
 
-// Apply runs one workload transaction.
+// Apply runs one workload op as its own transaction.
 func Apply(tree *btree.Tree, op *Op) error {
+	_, _, err := applyTxn(tree, []Op{*op}, oneUnit)
+	return err
+}
+
+// applyTxn runs the first sum(units) ops as one transaction, marking the
+// end of every unit but the last, and returns how many ops it ran; on
+// failure, which op failed.
+func applyTxn(tree *btree.Tree, ops []Op, units []int) (n, failed int, err error) {
+	tx, err := tree.Begin()
+	if err != nil {
+		return 0, 0, err
+	}
+	for u, size := range units {
+		if u > 0 {
+			tx.MarkUnit()
+		}
+		for end := n + size; n < end; n++ {
+			if err := applyOp(tx, &ops[n]); err != nil {
+				tx.Rollback()
+				return 0, n, err
+			}
+		}
+	}
+	return n, 0, tx.Commit()
+}
+
+func applyOp(tx *btree.Tx, op *Op) error {
 	switch op.Kind {
 	case OpInsert:
-		return tree.Insert(op.Key, op.Val)
+		return tx.Insert(op.Key, op.Val)
 	case OpUpdate:
-		return tree.Update(op.Key, op.Val)
+		return tx.Update(op.Key, op.Val)
 	case OpDelete:
-		return tree.Delete(op.Key)
+		return tx.Delete(op.Key)
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)
 }
@@ -193,7 +229,13 @@ func Apply(tree *btree.Tree, op *Op) error {
 // state at acknowledgement boundary k.
 func ModelAt(ops []Op, k int) map[string]string {
 	m := make(map[string]string, k)
-	for i := 0; i < k; i++ {
+	replay(m, ops[:k])
+	return m
+}
+
+// replay applies ops to the model m.
+func replay(m map[string]string, ops []Op) {
+	for i := range ops {
 		switch ops[i].Kind {
 		case OpInsert, OpUpdate:
 			m[string(ops[i].Key)] = string(ops[i].Val)
@@ -201,21 +243,21 @@ func ModelAt(ops []Op, k int) map[string]string {
 			delete(m, string(ops[i].Key))
 		}
 	}
-	return m
 }
 
 // checkOracle verifies the recovered store against the durability contract:
 //
 //  1. the B-tree validates structurally;
 //  2. the store state equals the model after `acked` ops (every
-//     acknowledged transaction fully present) or after `acked+1` ops (the
-//     in-flight transaction reached its durability point but crashed
-//     before acknowledging) — nothing else: no torn transaction, no
-//     resurrected delete, no lost update.
+//     acknowledged transaction fully present) plus some subset of the units
+//     of the transaction in flight (inflight, its unit sizes; nil when none
+//     was), each whole — for a one-op transaction, the model after `acked`
+//     or `acked+1` ops. Nothing else: no torn unit, no resurrected delete,
+//     no lost update.
 //
 // The mismatch description is deterministic (sorted first difference) so a
 // reproduced failure matches the original byte-for-byte.
-func checkOracle(st pager.Store, ops []Op, acked int, extra func(map[string]string, int) error) error {
+func checkOracle(st pager.Store, ops []Op, acked int, inflight []int, extra func(map[string]string, int) error) error {
 	tree := btree.New(st)
 	tx, err := tree.Begin()
 	if err != nil {
@@ -232,17 +274,27 @@ func checkOracle(st pager.Store, ops []Op, acked int, extra func(map[string]stri
 	}); err != nil {
 		return fmt.Errorf("oracle: scan: %v", err)
 	}
-	next := acked
-	if next < len(ops) {
-		next++
-	}
 	wantAcked := ModelAt(ops, acked)
-	if !mapsEqual(got, wantAcked) {
-		wantNext := ModelAt(ops, next)
-		if !mapsEqual(got, wantNext) {
-			return fmt.Errorf("oracle: recovered state matches neither model(acked=%d) nor model(%d): %s",
-				acked, next, firstDiff(got, wantAcked))
+	match := mapsEqual(got, wantAcked)
+	for mask := 1; !match && mask < 1<<len(inflight); mask++ {
+		want := maps.Clone(wantAcked)
+		lo := acked
+		for u, n := range inflight {
+			if mask&(1<<u) != 0 {
+				replay(want, ops[lo:lo+n])
+			}
+			lo += n
 		}
+		match = mapsEqual(got, want)
+	}
+	switch {
+	case match:
+	case len(inflight) > 1:
+		return fmt.Errorf("oracle: recovered state matches model(acked=%d) with no subset of the %d in-flight units: %s",
+			acked, len(inflight), firstDiff(got, wantAcked))
+	default:
+		return fmt.Errorf("oracle: recovered state matches neither model(acked=%d) nor model(%d): %s",
+			acked, acked+len(inflight), firstDiff(got, wantAcked))
 	}
 	if extra != nil {
 		if err := extra(got, acked); err != nil {

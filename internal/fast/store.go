@@ -13,6 +13,13 @@
 //     skips the log entirely and commits by installing the new slot header
 //     with one HTM-backed failure-atomic cache-line write.
 //
+// A caller that batches independent requests into one transaction (the
+// shard writer's group commit) marks where each ends (Txn.MarkUnit). FAST+
+// then makes the same choice per unit instead of per transaction: every leaf
+// that only single-leaf units changed is installed in place, and only the
+// other pages share one slot-header log commit. A crash may then keep any
+// subset of the transaction's units, each whole.
+//
 // PM layout of a store:
 //
 //	[ page 0: meta ][ pages 1..MaxPages ) [ free-page stack ][ slot-header log ]
@@ -78,9 +85,15 @@ func (c *Config) fill() {
 
 // Stats counts scheme-level events for the experiment harness.
 type Stats struct {
-	Commits        int64
+	Commits int64
+	// InPlaceCommits counts transactions that committed without the log;
+	// LogCommits the rest. Their sum is Commits.
 	InPlaceCommits int64
 	LogCommits     int64
+	// InPlaceInstalls counts slot headers installed by an HTM cache-line
+	// write: one per in-place commit, and one per in-place leaf of a
+	// unit-marked transaction, whether or not the rest of it was logged.
+	InPlaceInstalls int64
 	// SingleLeaf counts commits whose write set was exactly one leaf page
 	// with a cache-line header — the FAST+ in-place-eligible shape. It is
 	// counted under both variants (shape only, ignoring Variant), so the
@@ -120,6 +133,7 @@ type Store struct {
 		dirtyOrder []uint32
 		allocated  []uint32
 		freed      []uint32
+		unitPages  []*pageMem
 		encBuf     []byte
 		handles    []*txnPage
 	}
@@ -306,6 +320,8 @@ func (st *Store) Begin() (pager.Txn, error) {
 		allocated:  st.rec.allocated,
 		freed:      st.rec.freed,
 		encBuf:     st.rec.encBuf,
+		unit:       1,
+		unitPages:  st.rec.unitPages,
 	}, nil
 }
 

@@ -22,8 +22,10 @@ type pageMem struct {
 	no        uint32
 	base      int64
 	unflushed []byteRange
-	hdrDirty  bool // header changed since transaction start
-	hdrStaged bool // header staged into the log since last change (FAST)
+	hdrDirty  bool  // header changed since transaction start (and not installed in place)
+	hdrStaged bool  // header staged into the log since last change (FAST)
+	unit      int32 // the last unit that changed the header (Txn.MarkUnit)
+	logged    bool  // changed by a unit that cannot commit in place
 }
 
 func (m *pageMem) PageSize() int { return m.tx.st.cfg.PageSize }
@@ -44,9 +46,14 @@ func (m *pageMem) Write(off int, src []byte) {
 }
 
 func (m *pageMem) HeaderChanged(h *slotted.Header) {
+	tx := m.tx
 	if !m.hdrDirty {
 		m.hdrDirty = true
-		m.tx.dirtyOrder = append(m.tx.dirtyOrder, m.no)
+		tx.dirtyOrder = append(tx.dirtyOrder, m.no)
+	}
+	if m.unit != tx.unit {
+		m.unit = tx.unit
+		tx.unitPages = append(tx.unitPages, m)
 	}
 	m.hdrStaged = false
 }
@@ -69,6 +76,15 @@ type Txn struct {
 	encBuf     []byte // scratch for header/meta-frame encodes
 	defragged  bool
 	done       bool
+
+	// Atomic units (MarkUnit): unit numbers the open one, unitPages holds the
+	// pages whose header it changed, and unitLogged is set once it did what
+	// only the log can commit. freedPage keeps unitLogged set from the first
+	// page free on.
+	unit       int32
+	unitPages  []*pageMem
+	unitLogged bool
+	freedPage  bool
 }
 
 // bind resets a pooled pageMem for a new page in this transaction.
@@ -88,6 +104,7 @@ func (tx *Txn) Root() uint32 { return tx.meta.Root }
 func (tx *Txn) SetRoot(no uint32) {
 	tx.meta.Root = no
 	tx.metaDirty = true
+	tx.unitLogged = true
 }
 
 // Page opens (or returns the cached handle of) page no.
@@ -126,6 +143,7 @@ func (tx *Txn) AllocPage(typ byte) (uint32, *slotted.Page, error) {
 		tx.meta.NPages++
 	}
 	tx.metaDirty = true
+	tx.unitLogged = true
 	tx.allocated = append(tx.allocated, no)
 	tp := tx.st.takeHandle()
 	tp.mem.bind(tx, no, tx.st.cfg.pageBase(no))
@@ -138,16 +156,41 @@ func (tx *Txn) AllocPage(typ byte) (uint32, *slotted.Page, error) {
 
 // FreePage releases a page. Its number enters the persistent free stack
 // only after commit; a crash leaks it at worst.
+//
+// Freeing an emptied leaf drops its separator, which widens the key range of
+// the leaf beside it: a later unit may then write there a key that only the
+// logged unit's parent routes to it. So from here on every unit commits
+// through the log.
 func (tx *Txn) FreePage(no uint32) {
 	tx.freed = append(tx.freed, no)
 	tx.metaDirty = true
+	tx.unitLogged = true
+	tx.freedPage = true
 }
 
 // Defragged records that copy-on-write defragmentation happened, which
-// disqualifies the FAST+ in-place commit for this transaction.
+// disqualifies the FAST+ in-place commit for the open unit.
 func (tx *Txn) Defragged() {
 	tx.defragged = true
+	tx.unitLogged = true
 	tx.st.stats.Defrags++
+}
+
+// MarkUnit ends one atomic unit of the transaction (btree.Tx.MarkUnit): the
+// ops since the previous mark must commit all or nothing, but nothing ties
+// them to the transaction's other units. Commit closes the last unit, so a
+// transaction never marked is one unit. A unit that changed more than one
+// page, or allocated, freed, defragmented or moved the root, commits through
+// the slot-header log, and so does every page it changed.
+func (tx *Txn) MarkUnit() {
+	if tx.unitLogged || len(tx.unitPages) > 1 {
+		for _, m := range tx.unitPages {
+			m.logged = true
+		}
+	}
+	tx.unitPages = tx.unitPages[:0]
+	tx.unitLogged = tx.freedPage
+	tx.unit++
 }
 
 // OpEnd finishes one logical B-tree operation: freshly written record
@@ -193,23 +236,16 @@ func (tx *Txn) singleLeafShape() (*txnPage, bool) {
 		return nil, false
 	}
 	tp := tx.pages[tx.dirtyOrder[0]]
-	if tp.page.Type() != slotted.TypeLeaf {
-		return nil, false
-	}
-	if tp.page.NCells() > slotted.MaxInPlaceCells ||
-		tp.page.Header().EncodedLen() > pmem.CacheLineSize {
-		return nil, false
-	}
-	return tp, true
+	return tp, headerFitsLine(tp)
 }
 
-// inPlaceEligible reports whether the FAST+ single-page HTM commit applies:
-// the single-leaf shape, under the in-place variant.
-func (tx *Txn) inPlaceEligible() (*txnPage, bool) {
-	if tx.st.cfg.Variant != InPlaceCommit {
-		return nil, false
-	}
-	return tx.singleLeafShape()
+// headerFitsLine reports whether a page's slot header can be installed by
+// one HTM cache-line write: a leaf within the cell cap whose encoded header
+// fits one line.
+func headerFitsLine(tp *txnPage) bool {
+	return tp.page.Type() == slotted.TypeLeaf &&
+		tp.page.NCells() <= slotted.MaxInPlaceCells &&
+		tp.page.Header().EncodedLen() <= pmem.CacheLineSize
 }
 
 // Commit runs the commit protocol and closes the transaction.
@@ -229,13 +265,8 @@ func (tx *Txn) Commit() error {
 		for _, no := range tx.dirtyOrder {
 			tx.pages[no].page.PlanPendingFrees()
 		}
-		if tp, ok := tx.inPlaceEligible(); ok {
-			err = tx.commitInPlace(tp)
-			if err == nil {
-				return
-			}
-			// Best-effort HTM failed; fall back to slot-header logging,
-			// exactly as the paper's fallback handler prescribes.
+		if tx.st.cfg.Variant == InPlaceCommit && tx.commitInPlace() {
+			return
 		}
 		err = tx.commitLogged()
 	})
@@ -270,22 +301,48 @@ func (tx *Txn) flushUnflushed() {
 	}
 }
 
-// commitInPlace is the FAST+ path: one failure-atomic cache-line write
-// installs the new slot header, which is the commit mark.
-func (tx *Txn) commitInPlace(tp *txnPage) error {
-	clock := tx.st.sys.Clock()
-	var err error
-	clock.InPhase(phase.AtomicWrite, func() {
-		enc := tp.page.Header().EncodeInto(tx.encBuf)
-		tx.encBuf = enc[:0]
-		err = tx.st.htm.AtomicLineWrite(tx.st.arena, tp.mem.base, enc)
-	})
-	if err != nil {
-		return err
+// commitInPlace is the FAST+ path. Every leaf that only single-leaf units
+// changed commits by one failure-atomic cache-line write installing its new
+// slot header — that write is the commit mark of those units. It reports
+// whether this committed the whole transaction; if not, what is left
+// (multi-page units, and any leaf whose best-effort HTM write failed, as the
+// paper's fallback handler prescribes) commits through the log after the
+// installs. A logged unit may depend on an installed leaf (an append split
+// reads its last key), never the reverse, which is why the installs come
+// first.
+func (tx *Txn) commitInPlace() bool {
+	tx.MarkUnit()
+	for _, no := range tx.freed {
+		if tp, ok := tx.pages[no]; ok {
+			tp.mem.logged = true
+		}
 	}
-	tx.applyFrees(tp)
+	clock := tx.st.sys.Clock()
+	installed := 0
+	for _, no := range tx.dirtyOrder {
+		tp := tx.pages[no]
+		if tp.mem.logged || !headerFitsLine(tp) {
+			continue
+		}
+		var err error
+		clock.InPhase(phase.AtomicWrite, func() {
+			enc := tp.page.Header().EncodeInto(tx.encBuf)
+			tx.encBuf = enc[:0]
+			err = tx.st.htm.AtomicLineWrite(tx.st.arena, tp.mem.base, enc)
+		})
+		if err != nil {
+			continue
+		}
+		tx.applyFrees(tp)
+		tp.mem.hdrDirty = false // committed: the log skips it
+		installed++
+	}
+	tx.st.stats.InPlaceInstalls += int64(installed)
+	if installed == 0 || installed < len(tx.dirtyOrder) || tx.metaDirty || len(tx.freed) > 0 {
+		return false
+	}
 	tx.st.stats.InPlaceCommits++
-	return nil
+	return true
 }
 
 // commitLogged is the FAST path (and the FAST+ fallback): commit through
@@ -411,6 +468,7 @@ func (tx *Txn) finish() {
 	st.rec.dirtyOrder = tx.dirtyOrder[:0]
 	st.rec.allocated = tx.allocated[:0]
 	st.rec.freed = tx.freed[:0]
+	st.rec.unitPages = tx.unitPages[:0]
 	st.rec.encBuf = tx.encBuf
 	tx.pages = nil
 }

@@ -31,7 +31,7 @@ func fixedSnapshot() (Snapshot, []ShardGauge) {
 			{Op: "get", Count: 50, WallP50NS: 300, WallP95NS: 700, WallP99NS: 800, WallMeanNS: 400,
 				SimP50NS: 600, SimP95NS: 900, SimP99NS: 950, SimMeanNS: 650},
 		},
-		Events:    Counters{Flush: 10, Fence: 4, HTMCommit: 90, HTMAbort: 2, LogAppend: 12, Checkpoint: 1, Defrag: 3, Coalesce: 5},
+		Events:    Counters{Flush: 10, Fence: 4, HTMCommit: 90, HTMAbort: 2, LogAppend: 12, Checkpoint: 1, Defrag: 3, Coalesce: 5, InPlaceInstall: 88},
 		Batches:   9,
 		SlowOps:   1,
 		Seen:      159,

@@ -70,21 +70,27 @@ type Counters struct {
 	// rate climbs is thrashing on page copies.
 	Defrag   int64 `json:"defrag"`
 	Coalesce int64 `json:"coalesce"`
+	// InPlaceInstall counts slot headers installed in place by an HTM
+	// cache-line write. A unit-marked group commit installs one per leaf
+	// that only single-leaf units changed, and logs the rest, so it may
+	// exceed the number of in-place commits.
+	InPlaceInstall int64 `json:"inplace_install"`
 }
 
 // numEvents is the number of Counters fields.
-const numEvents = 9
+const numEvents = 10
 
 // vec returns the fields in declaration order, the order of eventNames.
 func (c Counters) vec() [numEvents]int64 {
 	return [numEvents]int64{c.Flush, c.Fence, c.HTMCommit, c.HTMAbort,
-		c.LogAppend, c.Checkpoint, c.SingleLeaf, c.Defrag, c.Coalesce}
+		c.LogAppend, c.Checkpoint, c.SingleLeaf, c.Defrag, c.Coalesce, c.InPlaceInstall}
 }
 
 // countersOf is the inverse of vec.
 func countersOf(v [numEvents]int64) Counters {
 	return Counters{Flush: v[0], Fence: v[1], HTMCommit: v[2], HTMAbort: v[3],
-		LogAppend: v[4], Checkpoint: v[5], SingleLeaf: v[6], Defrag: v[7], Coalesce: v[8]}
+		LogAppend: v[4], Checkpoint: v[5], SingleLeaf: v[6], Defrag: v[7], Coalesce: v[8],
+		InPlaceInstall: v[9]}
 }
 
 // Sub returns c - o, the events between two snapshots.

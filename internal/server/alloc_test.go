@@ -15,7 +15,7 @@ import (
 // measures the whole process instead: runtime.MemStats.Mallocs delta
 // across a long warm pipelined run, divided by round trips.
 //
-// Budget: 12 mallocs per PUT+GET round trip, measured ~7 on linux/amd64
+// Budget: 12 mallocs per PUT+GET round trip, measured ~2 on linux/amd64
 // (engine commit-path bookkeeping — WAL records, page versions — not the
 // server layer, which is pooled end to end: frame decode aliases the conn
 // buffer, write-set partitioning reuses conn scratch, the per-shard

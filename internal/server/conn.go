@@ -73,22 +73,28 @@ type conn struct {
 
 	// Per-shard partition scratch (all reused): order maps each ref's
 	// request-order index to its shard-major position in ops; counts/offs
-	// are the per-shard bucket counters; reqs holds one engine submission
-	// handle per shard. A handle is in flight only while its conn blocks in
-	// flushSharded, so there is never concurrent reuse.
-	order  []int32
-	counts []int32
-	offs   []int32
-	reqs   []fasp.Request
+	// are the per-shard bucket counters; units[si] lists the op counts of
+	// the requests in shard si's bucket, and unitReq[si] which request opened
+	// its last entry; reqs holds one engine submission handle per shard. A
+	// handle is in flight only while its conn blocks in flushSharded, so
+	// there is never concurrent reuse.
+	order   []int32
+	counts  []int32
+	offs    []int32
+	units   [][]int32
+	unitReq []int32
+	reqs    []fasp.Request
 }
 
 func newConn(s *Server, c net.Conn) *conn {
 	return &conn{
-		s:    s,
-		c:    c,
-		br:   bufio.NewReaderSize(c, 64<<10),
-		bw:   bufio.NewWriterSize(c, 64<<10),
-		reqs: make([]fasp.Request, s.nshards),
+		s:       s,
+		c:       c,
+		br:      bufio.NewReaderSize(c, 64<<10),
+		bw:      bufio.NewWriterSize(c, 64<<10),
+		units:   make([][]int32, s.nshards),
+		unitReq: make([]int32, s.nshards),
+		reqs:    make([]fasp.Request, s.nshards),
 	}
 }
 
@@ -461,9 +467,11 @@ func (cn *conn) materialise(r *opRef) fasp.Op {
 // writer, and waits for all of them — every involved writer commits
 // concurrently, and the connection is acked as soon as *its* shards are
 // done. order records each request-order op's shard-major position for the
-// in-order response walk. Everything here — buckets, layout, submission
-// handles — is conn-owned and reused, so a steady-state flush performs no
-// heap allocation.
+// in-order response walk. Each request's slice of a shard's submission is
+// one atomic unit of it: the writer never splits it across transactions,
+// and FAST+ commits it in place when it stays on one leaf. Everything here —
+// buckets, layout, units, submission handles — is conn-owned and reused, so
+// a steady-state flush performs no heap allocation.
 func (cn *conn) flushSharded() {
 	ns := cn.s.nshards
 	cn.counts = cn.counts[:0]
@@ -494,6 +502,22 @@ func (cn *conn) flushSharded() {
 		cn.ops[pos] = cn.materialise(r)
 		cn.order[i] = pos
 	}
+	// A request's refs are consecutive, in pends order.
+	for si := range cn.units {
+		cn.units[si], cn.unitReq[si] = cn.units[si][:0], 0
+	}
+	ri := 0
+	for pi := range cn.pends {
+		req := int32(pi) + 1
+		for end := ri + cn.pends[pi].nops; ri < end; ri++ {
+			si := cn.refs[ri].si
+			if cn.unitReq[si] != req {
+				cn.unitReq[si] = req
+				cn.units[si] = append(cn.units[si], 0)
+			}
+			cn.units[si][len(cn.units[si])-1]++
+		}
+	}
 	cn.s.met.coalesce.Observe(int64(len(cn.refs)))
 	for si, c := range cn.counts {
 		if c == 0 {
@@ -501,7 +525,7 @@ func (cn *conn) flushSharded() {
 		}
 		lo, hi := cn.offs[si]-c, cn.offs[si]
 		cn.s.met.shardCoalesce.Observe(int64(c))
-		cn.s.kv.Enqueue(&cn.reqs[si], si, cn.ops[lo:hi], cn.errs[lo:hi])
+		cn.s.kv.Enqueue(&cn.reqs[si], si, cn.ops[lo:hi], cn.errs[lo:hi], cn.units[si])
 	}
 	for si, c := range cn.counts {
 		if c > 0 {

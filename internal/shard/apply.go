@@ -15,10 +15,17 @@
 //
 // Group commit amortises the commit protocol the way SiloR-style redo-only
 // logging batches its log writes: a drained batch of K operations pays one
-// log-flush/commit-mark/checkpoint sequence instead of K. When a drained
-// batch happens to touch exactly one leaf page, the FAST+ store's in-place
-// eligibility check still holds and the batch commits through the single
-// HTM cache-line write — the engine does not need to special-case it.
+// log-flush/commit-mark/checkpoint sequence instead of K. But a batch of
+// independent requests naturally spans several leaves, and a multi-leaf
+// transaction loses the paper's in-place commit. So the writer hands the
+// store the batch's atomic units — one per submission, or one per request
+// when the submitter says where its requests end — and marks each unit end
+// on the transaction. FAST+ then installs in place every leaf that only
+// single-leaf units changed, and logs the rest together. A transaction
+// closes before a unit that would overflow the drain bound, so a request is
+// never split across transactions unless it alone exceeds the bound. The
+// durability rule is: every acknowledged op, plus any subset of the
+// in-flight batch's units, each whole.
 package shard
 
 import (
@@ -115,29 +122,61 @@ func applySingle(tree *btree.Tree, op *Op) error {
 // rolls the whole batch transaction back and re-applies each of its ops in
 // its own transaction so every caller gets an individual verdict.
 //
-// This is the shared core of the per-shard writer goroutines, of
-// Engine.ApplyBatch and of the one-shard Engine.Do; keeping them on one code
-// path keeps batch boundaries — and therefore simulated time — a pure
-// function of the op sequence.
+// With ApplyUnits this is the shared core of the per-shard writer
+// goroutines, of Engine.ApplyBatch and of the one-shard Engine.Do; keeping
+// them on one code path keeps batch boundaries — and therefore simulated
+// time — a pure function of the op sequence.
 func ApplyOps(tree *btree.Tree, maxBatch int, ops []Op, errs []error) int64 {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	var batches int64
 	for lo := 0; lo < len(ops); lo += maxBatch {
-		hi := lo + maxBatch
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		batches += applyChunk(tree, ops[lo:hi], errs[lo:hi])
+		hi := min(lo+maxBatch, len(ops))
+		batches += applyChunk(tree, ops[lo:hi], errs[lo:hi], nil)
 	}
 	return batches
 }
 
-// applyChunk runs one group commit, returning the transaction count (1 for
+// ApplyUnits is ApplyOps over ops split into atomic units: units lists the
+// op counts of consecutive requests, summing to len(ops). A transaction
+// closes before a unit that would overflow maxBatch, so no unit is torn
+// across two transactions, unless it alone is larger than maxBatch: such a
+// unit is cut every maxBatch ops as ApplyOps cuts, in transactions of its
+// own. Inside a transaction each unit end is marked (btree.Tx.MarkUnit),
+// which lets FAST+ commit single-leaf units in place. Nil units is ApplyOps.
+func ApplyUnits(tree *btree.Tree, maxBatch int, ops []Op, errs []error, units []int32) int64 {
+	if maxBatch <= 0 {
+		maxBatch = DefaultMaxBatch
+	}
+	if units == nil {
+		return ApplyOps(tree, maxBatch, ops, errs)
+	}
+	var batches int64
+	lo := 0
+	for k := 0; k < len(units); {
+		if n := int(units[k]); n > maxBatch {
+			batches += ApplyOps(tree, maxBatch, ops[lo:lo+n], errs[lo:lo+n])
+			lo += n
+			k++
+			continue
+		}
+		hi, j := lo, k
+		for j < len(units) && hi-lo+int(units[j]) <= maxBatch {
+			hi += int(units[j])
+			j++
+		}
+		batches += applyChunk(tree, ops[lo:hi], errs[lo:hi], units[k:j])
+		lo, k = hi, j
+	}
+	return batches
+}
+
+// applyChunk runs one group commit, marking the end of every unit but the
+// last (Commit closes that one), and returns the transaction count (1 for
 // the batch, one per op on the individual-retry fallback, 0 when no op
 // applied and the transaction was rolled back).
-func applyChunk(tree *btree.Tree, ops []Op, errs []error) int64 {
+func applyChunk(tree *btree.Tree, ops []Op, errs []error, units []int32) int64 {
 	tx, err := tree.Begin()
 	if err != nil {
 		for i := range errs {
@@ -146,7 +185,16 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error) int64 {
 		return 0
 	}
 	applied := false
+	u, end := 0, len(ops) // the open unit, and the op it ends before
+	if len(units) > 1 {
+		end = int(units[0])
+	}
 	for i := range ops {
+		for i == end && u+1 < len(units) {
+			tx.MarkUnit()
+			u++
+			end += int(units[u])
+		}
 		opErr := applyTxOp(tx, &ops[i])
 		errs[i] = opErr
 		if opErr == nil {

@@ -461,7 +461,7 @@ func (e *Engine) ApplyBatch(ops []Op) []error {
 		}
 		sErrs = append(sErrs[:0], make([]error, len(idxs))...)
 		s := e.shards[si]
-		s.applyLocked(s.maxBatchNow(), sOps, sErrs)
+		s.applyLocked(s.maxBatchNow(), sOps, sErrs, nil)
 		for k, i := range idxs {
 			errs[i] = sErrs[k]
 		}
@@ -530,9 +530,10 @@ func (s *state) contain(fn func()) error {
 }
 
 // applyLocked takes the shard lock and applies ops as group commits of at
-// most maxBatch, honouring the closed, crashed and degraded flags; a batch
-// that dies mid-apply (see contain) reports its cause for every op.
-func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
+// most maxBatch (units as in ApplyOps), honouring the closed, crashed and
+// degraded flags; a batch that dies mid-apply (see contain) reports its
+// cause for every op.
+func (s *state) applyLocked(maxBatch int, ops []Op, errs []error, units []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refuseWrite(); err != nil {
@@ -558,7 +559,7 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error) {
 		if s.faultHook != nil {
 			s.faultHook(s.id)
 		}
-		s.batches += ApplyOps(s.tree, maxBatch, ops, errs)
+		s.batches += ApplyUnits(s.tree, maxBatch, ops, errs, units)
 	})
 	if s.rec != nil {
 		// One group commit observed: batch size, wall/sim latency, and the

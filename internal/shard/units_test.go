@@ -1,0 +1,238 @@
+package shard_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"fasp/internal/btree"
+	"fasp/internal/fast"
+	"fasp/internal/pager"
+	"fasp/internal/pmem"
+	"fasp/internal/shard"
+)
+
+// sizingStore records how many ops each committed transaction carried.
+type sizingStore struct {
+	pager.Store
+	sizes []int
+}
+
+func (s *sizingStore) Begin() (pager.Txn, error) {
+	tx, err := s.Store.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return &sizingTxn{Txn: tx, st: s}, nil
+}
+
+type sizingTxn struct {
+	pager.Txn
+	st  *sizingStore
+	ops int
+}
+
+func (t *sizingTxn) OpEnd() {
+	t.ops++
+	t.Txn.OpEnd()
+}
+
+func (t *sizingTxn) Commit() error {
+	t.st.sizes = append(t.st.sizes, t.ops)
+	return t.Txn.Commit()
+}
+
+// TestRequestNotTornAcrossTransactions: two 40-op submissions drained into
+// one round at MaxBatch 64 commit as two transactions of 40 ops, not as ops
+// [0, 64) and [64, 80) — which would leave the second request half in one
+// failure-atomic transaction and half in the next.
+func TestRequestNotTornAcrossTransactions(t *testing.T) {
+	cfg := testConfig(1, 64, 0)
+	bs := &blockingStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	ss := &sizingStore{}
+	open := cfg.Open
+	cfg.Open = func(i int) (*shard.Backend, error) {
+		be, err := open(i)
+		if err != nil {
+			return nil, err
+		}
+		ss.Store = be.Store
+		bs.Store = ss
+		be.Store = bs
+		return be, nil
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Wedge the writer on a one-op round, queue both requests behind it,
+	// and let it drain them together.
+	bs.arm.Store(true)
+	first := make(chan error, 1)
+	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
+	<-bs.entered
+	var reqs [2]shard.Request
+	var errs [2][]error
+	for r := range reqs {
+		ops := make([]shard.Op, 40)
+		for i := range ops {
+			k := 1 + 40*r + i
+			ops[i] = shard.Op{Kind: shard.OpInsert, Key: key(k), Val: val(k)}
+		}
+		errs[r] = make([]error, len(ops))
+		e.Enqueue(&reqs[r], 0, ops, errs[r], nil)
+	}
+	close(bs.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for r := range reqs {
+		e.Wait(&reqs[r])
+		for i, err := range errs[r] {
+			if err != nil {
+				t.Fatalf("request %d op %d: %v", r, i, err)
+			}
+		}
+	}
+	if want := []int{1, 40, 40}; !reflect.DeepEqual(ss.sizes, want) {
+		t.Fatalf("transactions of %v ops, want %v", ss.sizes, want)
+	}
+	if in := e.ShardInfo(0); in.Batches != 3 {
+		t.Fatalf("%d batches, want 3", in.Batches)
+	}
+}
+
+// TestApplyUnitsChunking: units pack whole into transactions of at most
+// maxBatch ops; a unit larger than maxBatch is cut every maxBatch ops in
+// transactions of its own; nil units cut every maxBatch ops as ApplyOps does.
+func TestApplyUnitsChunking(t *testing.T) {
+	for _, tc := range []struct {
+		units []int32
+		n     int
+		want  []int
+	}{
+		{nil, 80, []int{64, 16}},
+		{[]int32{40, 40}, 80, []int{40, 40}},
+		{[]int32{10, 20, 30, 5, 40}, 105, []int{60, 45}},
+		{[]int32{10, 100, 10}, 120, []int{10, 64, 36, 10}},
+		{[]int32{64, 1}, 65, []int{64, 1}},
+	} {
+		sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
+		ss := &sizingStore{Store: fast.Create(sys, fast.Config{Variant: fast.InPlaceCommit})}
+		ops := make([]shard.Op, tc.n)
+		for i := range ops {
+			ops[i] = shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)}
+		}
+		errs := make([]error, len(ops))
+		if got := shard.ApplyUnits(btree.New(ss), 64, ops, errs, tc.units); got != int64(len(tc.want)) {
+			t.Fatalf("units %v: %d transactions, want %d", tc.units, got, len(tc.want))
+		}
+		if !reflect.DeepEqual(ss.sizes, tc.want) {
+			t.Fatalf("units %v: transactions of %v ops, want %v", tc.units, ss.sizes, tc.want)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("units %v, op %d: %v", tc.units, i, err)
+			}
+		}
+	}
+}
+
+// roundCost is what one arm of TestUnitMarkedRoundCostPin measured.
+type roundCost struct {
+	simNSPerOp, flushesPerOp float64
+	units, installs, logged  int64
+}
+
+// measureRounds loads a FAST+ tree with records 8-byte keys and 64-byte
+// values in a fixed shuffled order, then applies rounds of Puts on random
+// loaded keys, each round as one group commit split into units.
+func measureRounds(t *testing.T, records, rounds int, units []int32) roundCost {
+	t.Helper()
+	sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
+	st := fast.Create(sys, fast.Config{MaxPages: 8192, Variant: fast.InPlaceCommit})
+	tree := btree.New(st)
+	rk := func(i int) []byte { return []byte(fmt.Sprintf("%08d", i)) }
+	val := make([]byte, 64)
+	rng := rand.New(rand.NewSource(1))
+	load := make([]shard.Op, records)
+	for i, k := range rng.Perm(records) {
+		load[i] = shard.Op{Kind: shard.OpInsert, Key: rk(k), Val: val}
+	}
+	errs := make([]error, records)
+	shard.ApplyOps(tree, 64, load, errs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("load op %d: %v", i, err)
+		}
+	}
+
+	width := 0
+	for _, n := range units {
+		width += int(n)
+	}
+	ops := make([]shard.Op, width)
+	errs = errs[:width]
+	t0, f0, s0 := sys.Clock().Now(), st.Arena().Stats().FlushCalls, st.Stats()
+	for r := 0; r < rounds; r++ {
+		for i := range ops {
+			val[0] = byte(r)
+			ops[i] = shard.Op{Kind: shard.OpPut, Key: rk(rng.Intn(records)), Val: val}
+		}
+		shard.ApplyUnits(tree, 64, ops, errs, units)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d op %d: %v", r, i, err)
+			}
+		}
+	}
+	n := float64(rounds * width)
+	s := st.Stats()
+	// An in-place commit is a transaction that wrote no log, whatever
+	// number of slot headers it installed.
+	if d := s.Commits - s0.Commits; d != s.InPlaceCommits-s0.InPlaceCommits+s.LogCommits-s0.LogCommits || d != int64(rounds) {
+		t.Fatalf("%d commits for %d rounds: %+v -> %+v", d, rounds, s0, s)
+	}
+	return roundCost{
+		simNSPerOp:   float64(sys.Clock().Now()-t0) / n,
+		flushesPerOp: float64(st.Arena().Stats().FlushCalls-f0) / n,
+		units:        int64(rounds * len(units)),
+		installs:     s.InPlaceInstalls - s0.InPlaceInstalls,
+		logged:       s.LogCommits - s0.LogCommits,
+	}
+}
+
+// TestUnitMarkedRoundCostPin pins, on the simulated clock, what marking the
+// request boundaries of a group commit buys under FAST+: rounds of eight
+// single-Put requests committed as one transaction with eight marked units
+// cost at least 10% less per op than the same rounds committed as one
+// unmarked transaction, and nearly every unit commits by its own in-place
+// slot-header install. A round of four single-Put requests and one 4-Put
+// request sits in between. Every number is a pure function of the op stream.
+func TestUnitMarkedRoundCostPin(t *testing.T) {
+	const records, rounds = 50000, 20000
+	whole := measureRounds(t, records, rounds, []int32{8})
+	marked := measureRounds(t, records, rounds, []int32{1, 1, 1, 1, 1, 1, 1, 1})
+	mixed := measureRounds(t, records, rounds, []int32{1, 1, 1, 1, 4})
+	for _, arm := range []struct {
+		name string
+		c    roundCost
+	}{{"one whole-round unit", whole}, {"eight marked units", marked}, {"four units and a 4-op unit", mixed}} {
+		t.Logf("%s: %.0f sim ns/op, %.2f flushes/op, %d in-place installs for %d units, %d of %d rounds logged",
+			arm.name, arm.c.simNSPerOp, arm.c.flushesPerOp, arm.c.installs, arm.c.units, arm.c.logged, rounds)
+	}
+	if marked.simNSPerOp > 0.9*whole.simNSPerOp {
+		t.Fatalf("marked units cost %.0f sim ns/op against %.0f for the whole round: less than 10%% saved",
+			marked.simNSPerOp, whole.simNSPerOp)
+	}
+	if !(marked.simNSPerOp < mixed.simNSPerOp && mixed.simNSPerOp < whole.simNSPerOp) {
+		t.Fatalf("the mixed round (%.0f ns/op) does not sit between marked (%.0f) and whole (%.0f)",
+			mixed.simNSPerOp, marked.simNSPerOp, whole.simNSPerOp)
+	}
+	if marked.installs < marked.units*9/10 {
+		t.Fatalf("%d in-place installs for %d single-leaf units", marked.installs, marked.units)
+	}
+}

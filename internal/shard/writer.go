@@ -8,15 +8,16 @@ import (
 )
 
 // Request is one submission handle: one or more ops bound for a single
-// shard, a parallel error slice the writer fills, and a reusable completion
-// channel. The zero value is ready to use. A handle carries one submission
-// at a time — Enqueue it, Wait on it, then it may be enqueued again — and is
-// owned by one goroutine; callers that submit to several shards at once keep
-// one handle per shard.
+// shard, a parallel error slice the writer fills, the submission's atomic
+// units, and a reusable completion channel. The zero value is ready to use.
+// A handle carries one submission at a time — Enqueue it, Wait on it, then
+// it may be enqueued again — and is owned by one goroutine; callers that
+// submit to several shards at once keep one handle per shard.
 type Request struct {
-	ops  []Op
-	errs []error
-	done chan struct{}
+	ops   []Op
+	errs  []error
+	units []int32 // op counts of the atomic units; nil: one unit
+	done  chan struct{}
 
 	s      *state    // shard the handle is queued on; nil = nothing to wait for
 	t0     time.Time // enqueue time, when a recorder is observing
@@ -36,7 +37,7 @@ func (r *Request) release() {
 	if r.orphan {
 		return
 	}
-	r.ops, r.errs = nil, nil
+	r.ops, r.errs, r.units = nil, nil, nil
 	reqPool.Put(r)
 }
 
@@ -75,8 +76,7 @@ func (s *state) run() {
 	defer close(s.done)
 	var (
 		reqs   []*Request
-		ops    []Op
-		errs   []error
+		flat   roundScratch
 		shared int // rounds left to yield in; see accumLinger
 	)
 	drain := func(n, bound int) int {
@@ -106,7 +106,7 @@ func (s *state) run() {
 			} else if shared > 0 {
 				shared--
 			}
-			s.serve(maxBatch, reqs, &ops, &errs)
+			s.serve(maxBatch, reqs, &flat)
 			if len(s.mail) == 0 {
 				s.maybeIdleDefrag()
 			}
@@ -117,7 +117,7 @@ func (s *state) run() {
 				select {
 				case r := <-s.mail:
 					reqs = append(reqs[:0], r)
-					s.serve(s.maxBatchNow(), reqs, &ops, &errs)
+					s.serve(s.maxBatchNow(), reqs, &flat)
 				default:
 					return
 				}
@@ -126,35 +126,47 @@ func (s *state) run() {
 	}
 }
 
+// roundScratch is the writer's reusable flattened view of a drained round.
+type roundScratch struct {
+	ops   []Op
+	errs  []error
+	units []int32
+}
+
 // serve applies a drained request set as a group commit and signals each
 // request. A lone request is applied straight from (and into) its own
-// slices; several are flattened into one op slice and their verdicts
-// scattered back.
-func (s *state) serve(maxBatch int, reqs []*Request, ops *[]Op, errs *[]error) {
+// slices; several are flattened into one op slice — each request's units
+// kept, a request without units one unit — and their verdicts scattered
+// back.
+func (s *state) serve(maxBatch int, reqs []*Request, flat *roundScratch) {
 	// Mailbox depth at drain time: how far the writer is behind its clients.
 	s.rec.ObserveMailDepth(len(s.mail))
 	if len(reqs) == 1 {
 		r := reqs[0]
-		s.applyLocked(maxBatch, r.ops, r.errs)
+		s.applyLocked(maxBatch, r.ops, r.errs, r.units)
 		r.done <- struct{}{}
 		return
 	}
-	flat := (*ops)[:0]
+	ops, errs, units := flat.ops[:0], flat.errs[:0], flat.units[:0]
 	for _, r := range reqs {
-		flat = append(flat, r.ops...)
+		ops = append(ops, r.ops...)
+		if r.units == nil {
+			units = append(units, int32(len(r.ops)))
+		} else {
+			units = append(units, r.units...)
+		}
 	}
-	ferrs := (*errs)[:0]
-	for range flat {
-		ferrs = append(ferrs, nil)
+	for range ops {
+		errs = append(errs, nil)
 	}
-	s.applyLocked(maxBatch, flat, ferrs)
+	s.applyLocked(maxBatch, ops, errs, units)
 	k := 0
 	for _, r := range reqs {
-		copy(r.errs, ferrs[k:k+len(r.ops)])
+		copy(r.errs, errs[k:k+len(r.ops)])
 		k += len(r.ops)
 		r.done <- struct{}{}
 	}
-	*ops, *errs = flat, ferrs
+	*flat = roundScratch{ops, errs, units}
 }
 
 // Enqueue places ops — every key must route to shard si under ShardFor;
@@ -166,13 +178,21 @@ func (s *state) serve(maxBatch int, reqs []*Request, ops *[]Op, errs *[]error) {
 // then waits on all of them, so every shard's writer is busy at once with
 // no cross-shard barrier.
 //
+// units lists the op counts of the submission's atomic units in order —
+// positive, summing to len(ops) — and nil makes the submission one unit. A
+// unit commits whole or not at all and, unless it alone exceeds the drain
+// bound, inside one transaction; separate units may survive a crash apart.
+// A caller that coalesces several independent requests into one submission
+// passes one unit per request, so FAST+ can commit each single-leaf request
+// in place.
+//
 // A mailbox that stays full for the whole enqueue timeout fails the
 // submission with ErrBusy instead of blocking the caller forever on a
 // wedged writer, and a submission racing (or following) Close fails with
 // ErrClosed; either way errs is already filled and Wait returns at once.
-func (e *Engine) Enqueue(r *Request, si int, ops []Op, errs []error) {
+func (e *Engine) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
 	s := e.shards[si]
-	r.ops, r.errs, r.s = ops, errs, nil
+	r.ops, r.errs, r.units, r.s = ops, errs, units, nil
 	if r.done == nil {
 		r.done = make(chan struct{}, 1)
 	}
@@ -232,7 +252,7 @@ func (e *Engine) Wait(r *Request) {
 // SubmitShard is Enqueue then Wait on a pooled handle.
 func (e *Engine) SubmitShard(si int, ops []Op, errs []error) {
 	r := reqPool.Get().(*Request)
-	e.Enqueue(r, si, ops, errs)
+	e.Enqueue(r, si, ops, errs, nil)
 	e.Wait(r)
 	r.release()
 }
@@ -246,7 +266,7 @@ func (e *Engine) submit(si int, ops []Op, out []error) {
 	for range ops {
 		r.ebuf = append(r.ebuf, nil)
 	}
-	e.Enqueue(r, si, r.buf, r.ebuf)
+	e.Enqueue(r, si, r.buf, r.ebuf, nil)
 	e.Wait(r)
 	copy(out, r.ebuf)
 	r.release()
@@ -317,7 +337,7 @@ func (e *Engine) Do(op Op) error {
 	if s.rec != nil {
 		t0 = time.Now()
 	}
-	s.applyLocked(s.maxBatchNow(), op1(op), out[:])
+	s.applyLocked(s.maxBatchNow(), op1(op), out[:], nil)
 	if s.rec != nil {
 		s.rec.ObserveWall(kindOp[op.Kind], int32(s.id), time.Since(t0).Nanoseconds())
 	}

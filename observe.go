@@ -55,7 +55,8 @@ func newRecorder(opts Options) *obsv.Recorder {
 // storeCounters bridges the simulated machine's existing commit-path
 // counters into one obsv.Counters snapshot: clflush and fences from the
 // PM layer, HTM commits/aborts, slot-header log appends, page
-// defragmentations and free-list coalesces from the FAST/FAST+ store, WAL
+// defragmentations, free-list coalesces and in-place slot-header installs
+// from the FAST/FAST+ store, WAL
 // frames and checkpoints from the baselines. The
 // events are counted once, where they happen — the observability layer
 // only reads the deltas between two snapshots. Allocation-free.
@@ -75,6 +76,7 @@ func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Cou
 		c.SingleLeaf = fs.SingleLeaf
 		c.Defrag = fs.Defrags
 		c.Coalesce = fs.Coalesces
+		c.InPlaceInstall = fs.InPlaceInstalls
 	case *wal.Store:
 		ws := s.Stats()
 		c.LogAppend = ws.WALFrames

@@ -290,6 +290,10 @@ func TestKVMetrics(t *testing.T) {
 		if m.Events.Flush <= 0 || m.Events.Fence <= 0 {
 			t.Fatalf("commit-path events not bridged: %+v", m.Events)
 		}
+		// Every in-place commit installs one slot header with one HTM write.
+		if e := m.Events; e.InPlaceInstall == 0 || e.InPlaceInstall != e.HTMCommit {
+			t.Fatalf("in-place installs not bridged: %+v", e)
+		}
 		if m.FlushPer.Count != n {
 			t.Fatalf("per-txn flush histogram count = %d, want %d", m.FlushPer.Count, n)
 		}
