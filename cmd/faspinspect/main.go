@@ -91,7 +91,7 @@ func census(db *fasp.DB, pageSize int, meta metaView, detail bool) {
 		freeSum += int(p.Header().Free)
 		cells += p.NCells()
 		if p.Type() == slotted.TypeLeaf {
-			// Same arithmetic as the adaptive controller's FragScan: the cell
+			// Same arithmetic as proactive defrag's FragScan: the cell
 			// area is everything below the content pointer, dead is whatever
 			// live cells do not cover.
 			area := int64(pageSize) - int64(p.Header().Content)

@@ -34,7 +34,6 @@ func main() {
 		pageSize = flag.Int("pagesize", 4096, "slotted-page size in bytes")
 		maxBatch = flag.Int("maxbatch", 0, "group-commit drain bound (0 = default)")
 		inflight = flag.Int("inflight", 0, "max concurrently admitted requests before BUSY (0 = default 1024)")
-		adaptive = flag.Bool("adaptive", false, "enable adaptive per-shard scheme + batch tuning")
 		defrag   = flag.Float64("defrag", 0, "proactive defrag dead-byte threshold (0 = off)")
 		idleTO   = flag.Duration("idle-timeout", 0, "close connections idle longer than this, after a typed TIMEOUT notice (0 = never)")
 		writeTO  = flag.Duration("write-timeout", 0, "per-connection response write deadline (0 = none)")
@@ -48,8 +47,6 @@ func main() {
 		PageSize:        *pageSize,
 		Shards:          *shards,
 		MaxBatch:        *maxBatch,
-		AdaptiveScheme:  *adaptive,
-		AdaptiveBatch:   *adaptive,
 		DefragThreshold: *defrag,
 	})
 	if err != nil {

@@ -78,10 +78,7 @@ type Options struct {
 	Shards int
 	// MaxBatch is the group-commit drain bound: how many operations one
 	// group commit may take from a shard's mailbox (default 64), and the
-	// chunk size KV.ApplyBatch commits at. With AdaptiveBatch it is only the
-	// starting point — each shard's live bound then moves within
-	// [max(1, MaxBatch/4), MaxBatch*4] (AIMD), and both the writers and
-	// ApplyBatch chunk at the shard's live bound.
+	// chunk size KV.ApplyBatch commits at.
 	MaxBatch int
 	// EnqueueTimeout bounds how long a submission waits for mailbox space
 	// before failing with ErrShardBusy (default 2s).
@@ -103,23 +100,14 @@ type Options struct {
 	// the simulated clock and fill the emulated cache; optimistic reads do
 	// neither.
 	DisableOptimisticReads bool
-	// AdaptiveScheme lets each shard's controller migrate its commit scheme
-	// online among fast+ / fast / wal from observed workload shape
-	// (single-leaf ratio, HTM abort rate, batch size), starting from
-	// Scheme. Migrations are crash-safe: a persisted per-shard scheme tag
-	// is the commit point and recovery resolves it (see DESIGN.md §11).
-	AdaptiveScheme bool
-	// AdaptiveBatch adapts each shard's group-commit drain bound by AIMD
-	// within [max(1, MaxBatch/4), MaxBatch*4], from mailbox depth and
-	// enqueue backoff pressure.
-	AdaptiveBatch bool
 	// DefragThreshold > 0 enables proactive copy-on-write defragmentation:
-	// at every adaptive decision window the shard measures its committed
-	// leaves' dead-byte ratio, and leaves at or above the threshold are
-	// rewritten — a first few when the window closes, on whichever write
-	// path closed it, the rest in idle group-commit slots: after a writer's
-	// drain, or a one-shard Put/Insert/Delete, leaves the mailbox empty.
-	// ApplyBatch schedules no idle slot. Sensible values are 0.2–0.5.
+	// every 32nd write round a shard applies without a fault — a writer's
+	// drained round, a one-shard Put/Insert/Delete, or the shard's slice of
+	// one ApplyBatch — measures its committed leaves' dead-byte ratio, and
+	// leaves at or above the threshold are rewritten: a first few at once,
+	// the rest in idle group-commit slots (after a writer's drain, or a
+	// one-shard Put/Insert/Delete, leaves the mailbox empty). ApplyBatch
+	// schedules no idle slot. Sensible values are 0.2–0.5.
 	DefragThreshold float64
 	// FaultHook, when set, runs at the top of every group commit with the
 	// shard index, inside the contained writer section — the
@@ -206,6 +194,27 @@ func newBase(opts Options) (*base, error) {
 		return nil, badScheme(opts.Scheme)
 	}
 	return b, nil
+}
+
+// fastConfigFor / walConfigFor translate Options into the stores' configs —
+// the single place the scheme string picks a variant or kind.
+func fastConfigFor(opts Options) fast.Config {
+	variant := fast.InPlaceCommit
+	if opts.Scheme == SchemeFAST {
+		variant = fast.SlotHeaderLogging
+	}
+	return fast.Config{PageSize: opts.PageSize, MaxPages: opts.MaxPages, Variant: variant}
+}
+
+func walConfigFor(opts Options) wal.Config {
+	kind := wal.NVWAL
+	switch opts.Scheme {
+	case SchemeWAL:
+		kind = wal.FullWAL
+	case SchemeJournal:
+		kind = wal.Journal
+	}
+	return wal.Config{PageSize: opts.PageSize, MaxPages: opts.MaxPages, Kind: kind}
 }
 
 // attachStore rebuilds a store of opts.Scheme over an existing arena
@@ -409,16 +418,9 @@ func OpenKV(opts Options) (*KV, error) {
 
 // newShardEngine wires the scheme-agnostic engine to this package's store
 // constructors: every shard is a full newBase backend on its own simulated
-// machine, and reattach after a crash goes through attachStore — made
-// tag-aware by reattachShard, since under AdaptiveScheme a shard's live
-// scheme is whatever its persisted scheme tag names, not Options.Scheme.
+// machine, and reattach after a crash goes through attachStore. A shard runs
+// Options.Scheme for the life of the store.
 func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
-	var migrate func(int, *shard.Backend, string) (pager.Store, error)
-	if opts.AdaptiveScheme {
-		migrate = func(_ int, be *shard.Backend, target string) (pager.Store, error) {
-			return migrateStore(opts, be, target)
-		}
-	}
 	return shard.New(shard.Config{
 		Shards:            opts.Shards,
 		MaxBatch:          opts.MaxBatch,
@@ -429,21 +431,15 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			be := &shard.Backend{Sys: b.sys, Arena: b.arena, Store: b.store}
-			if opts.AdaptiveScheme {
-				be.Ctl = newCtlArena(b.sys, opts.Scheme)
-			}
-			return be, nil
+			return &shard.Backend{Sys: b.sys, Arena: b.arena, Store: b.store}, nil
 		},
-		Reattach: reattachShard(opts),
+		Reattach: func(_ int, be *shard.Backend) (pager.Store, error) {
+			return attachStore(opts, be.Arena)
+		},
 		Recorder: rec,
 		Counters: func(_ int, be *shard.Backend) obsv.Counters {
-			// EvBase folds in the event totals of stores retired by scheme
-			// migrations, keeping the deltas the recorder sees monotonic.
-			return storeCounters(be.Sys, be.Arena, be.Store).Add(be.EvBase)
+			return storeCounters(be.Sys, be.Arena, be.Store)
 		},
-		Tune:            tuneTemplate(opts),
-		Migrate:         migrate,
 		DefragThreshold: opts.DefragThreshold,
 		FaultHook:       opts.FaultHook,
 	})
@@ -710,6 +706,16 @@ func (kv *KV) ShardStats(i int) (ShardInfo, error) {
 		return ShardInfo{}, err
 	}
 	return kv.eng.ShardInfo(i), nil
+}
+
+// ShardFragmentation returns shard i's last measured committed-leaf
+// fragmentation ratio (dead bytes / cell area), or -1 before any measurement
+// or when DefragThreshold is off. An out-of-range index is ErrBadShard.
+func (kv *KV) ShardFragmentation(i int) (float64, error) {
+	if err := kv.checkShard(i); err != nil {
+		return 0, err
+	}
+	return kv.eng.ShardFragmentation(i), nil
 }
 
 // EngineStats aggregates the engine's per-shard counters.

@@ -2,6 +2,7 @@ package fasp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -31,6 +32,60 @@ func TestOpenAllSchemes(t *testing.T) {
 func TestOpenUnknownScheme(t *testing.T) {
 	if _, err := Open(Options{Scheme: "bogus"}); err == nil {
 		t.Fatal("no error for unknown scheme")
+	}
+}
+
+// TestSchemeValidation pins the Options.Scheme contract: names are
+// case-insensitive, the journal/nvwal baselines are accepted spellings, and
+// anything else fails Open/OpenKV with a wrapped ErrBadScheme.
+func TestSchemeValidation(t *testing.T) {
+	cases := []struct {
+		scheme string
+		ok     bool
+	}{
+		{"", true}, // default fast+
+		{"fast+", true},
+		{"FAST+", true},
+		{"Fast", true},
+		{"fast", true},
+		{"wal", true},
+		{"WAL", true},
+		{"nvwal", true},
+		{"NVWAL", true},
+		{"NvWal", true},
+		{"journal", true},
+		{"Journal", true},
+		{"JOURNAL", true},
+		{"lsm", false},
+		{"fast++", false},
+		{"fast plus", false},
+		{"wal ", false}, // no trimming: exact names only
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("kv_%q", tc.scheme), func(t *testing.T) {
+			kv, err := OpenKV(Options{Scheme: tc.scheme})
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("OpenKV(%q) failed: %v", tc.scheme, err)
+				}
+				kv.Close()
+				return
+			}
+			if !errors.Is(err, ErrBadScheme) {
+				t.Fatalf("OpenKV(%q): want ErrBadScheme, got %v", tc.scheme, err)
+			}
+		})
+	}
+	// The SQL facade and the sharded engine share the constructors; spot-check
+	// that both surface the same typed error.
+	if _, err := Open(Options{Scheme: "btrfs"}); !errors.Is(err, ErrBadScheme) {
+		t.Fatalf("Open: want ErrBadScheme, got %v", err)
+	}
+	if _, err := OpenKV(Options{Scheme: "btrfs", Shards: 4}); !errors.Is(err, ErrBadScheme) {
+		t.Fatalf("sharded OpenKV: want ErrBadScheme, got %v", err)
+	}
+	if _, err := OpenHash(Options{Scheme: "btrfs"}, 8); !errors.Is(err, ErrBadScheme) {
+		t.Fatalf("OpenHash: want ErrBadScheme, got %v", err)
 	}
 }
 

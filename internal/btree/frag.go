@@ -108,8 +108,8 @@ func (v *View) FragScan(threshold float64, maxHot int) (FragReport, error) {
 // (§4.3) in one transaction, reclaiming their dead cell space, stopping
 // after max leaves. It is the proactive counterpart of the on-demand defrag
 // an insert triggers when a page has room only in its dead space: the
-// adaptive controller calls it during idle group-commit slots with the hot
-// keys a FragScan reported. Returns the number of leaves rewritten; when
+// shard engine's proactive defrag calls it with the hot keys a FragScan
+// reported. Returns the number of leaves rewritten; when
 // none were (empty tree, vanished keys) nothing is committed.
 func (t *Tree) DefragLeaves(keys [][]byte, max int) (int, error) {
 	if len(keys) == 0 || max <= 0 {

@@ -280,19 +280,19 @@ type Config struct {
 	// units, each whole. Acknowledgement counts ops, a transaction's at once.
 	Units [][]int
 	// AtOp, when set, runs before workload op i in every replay (Measure
-	// and Run alike), where op i begins a transaction — the injection point
-	// migration sweeps use to switch the store's commit scheme
-	// mid-workload. It executes inside the
-	// crashed region, so its PM traffic contributes crash points like any
-	// transaction. It must be deterministic. A non-nil returned store
-	// replaces the one the replay applies the remaining ops to (a scheme
-	// migration swaps stores); returning nil keeps the current store.
+	// and Run alike), where op i begins a transaction. It executes inside
+	// the crashed region, so any PM traffic it makes contributes crash
+	// points like any transaction, and it must be deterministic.
+	// TestUnitRoundCrashSweep uses it on a measuring run to record the crash
+	// point and store stats at every transaction start. A non-nil returned
+	// store replaces the one the replay applies the remaining ops to;
+	// returning nil keeps the current store.
 	AtOp func(i int, st pager.Store) (pager.Store, error)
 
 	// Points, when non-nil, overrides the schedule entirely: exactly these
 	// primary crash points are explored and Budget/Samples are ignored.
-	// Migration sweeps use it to enumerate the migration window (learned
-	// from a measured run) exhaustively while only sampling the rest.
+	// Targeted sweeps use it to enumerate a window learned from a measured
+	// run (the rounds under test) exhaustively and skip the rest.
 	Points []int64
 	// Budget is the number of crash points enumerated exhaustively from
 	// point 0; 0 enumerates every point. Beyond the budget, Samples points

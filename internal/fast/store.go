@@ -97,7 +97,7 @@ type Stats struct {
 	// SingleLeaf counts commits whose write set was exactly one leaf page
 	// with a cache-line header — the FAST+ in-place-eligible shape. It is
 	// counted under both variants (shape only, ignoring Variant), so the
-	// adaptive controller can estimate FAST+'s win rate while running FAST.
+	// single_leaf event metric shows FAST+'s eligible share while running FAST.
 	SingleLeaf    int64
 	LoggedBytes   int64 // slot-header bytes written to the log
 	LoggedFrames  int64

@@ -21,14 +21,11 @@ type ShardGauge struct {
 	SimNS   int64
 	Flushes int64
 	Fences  int64
-	// Scheme is the shard's live commit scheme name ("" when unknown);
-	// under adaptive tuning it may differ from the configured scheme.
+	// Scheme is the shard's commit scheme name ("" when unknown).
 	Scheme string
 	// Fragmentation is the shard's committed-tree leaf fragmentation ratio
 	// (dead bytes / cell area) in [0,1]; -1 when not measured.
 	Fragmentation float64
-	// MaxBatch is the shard's live group-commit drain bound.
-	MaxBatch int
 }
 
 // eventNames labels Counters fields for the events_total metric, in
@@ -124,10 +121,6 @@ func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGau
 			continue
 		}
 		fmt.Fprintf(w, "fasp_shard_scheme{store=%q,shard=\"%d\",scheme=%q} 1\n", store, g.Shard, g.Scheme)
-	}
-	fmt.Fprintf(w, "# HELP fasp_shard_max_batch Live group-commit drain bound per shard.\n# TYPE fasp_shard_max_batch gauge\n")
-	for _, g := range shards {
-		fmt.Fprintf(w, "fasp_shard_max_batch{store=%q,shard=\"%d\"} %d\n", store, g.Shard, g.MaxBatch)
 	}
 }
 

@@ -61,8 +61,7 @@ type Counters struct {
 	LogAppend  int64 `json:"log_append"`
 	Checkpoint int64 `json:"checkpoint"`
 	// SingleLeaf counts commits whose write set was a single leaf page —
-	// the FAST+ in-place-eligible shape, counted under every scheme. The
-	// adaptive controller's scheme rule reads its windowed ratio.
+	// the FAST+ in-place-eligible shape, counted under every scheme.
 	SingleLeaf int64 `json:"single_leaf"`
 	// Defrag counts copy-on-write page defragmentations, Coalesce page
 	// allocations that succeeded only after the page's free list was

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"fasp/internal/obsv"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/tune"
 )
 
 // Defaults for Config.
@@ -56,21 +56,6 @@ type Backend struct {
 	Sys   *pmem.System
 	Arena *pmem.Arena
 	Store pager.Store
-	// Ctl is the shard's control arena holding the persisted live-scheme
-	// tag; nil unless adaptive scheme selection is on. The facade owns its
-	// layout — the engine only carries it so Reattach and Migrate closures
-	// share one handle.
-	Ctl *pmem.Arena
-	// NewArena / NewScheme stage an in-flight cross-arena scheme migration:
-	// the target arena is fully built and NewScheme names its scheme before
-	// the tag flips, so a crash-time Reattach can tell which image the
-	// persisted tag refers to. Cleared once the swap completes.
-	NewArena  *pmem.Arena
-	NewScheme string
-	// EvBase accumulates the commit-path event counters of stores retired
-	// by scheme migrations, so the facade's counter bridge stays monotonic
-	// across store swaps.
-	EvBase obsv.Counters
 }
 
 // Config builds an Engine. Open and Reattach keep the engine
@@ -104,20 +89,11 @@ type Config struct {
 	// stores that support snapshot peeks — the baseline arm for read-path
 	// benchmarks, and an escape hatch.
 	NoOptimisticReads bool
-	// Tune, when set, runs the per-shard adaptive controller (online scheme
-	// selection, AIMD batch sizing, defrag scheduling). The facade fills
-	// Scheme before handing it over; MaxBatch and MailboxCap default to the
-	// engine's. Each shard gets its own Controller built from this template.
-	Tune *tune.Config
-	// Migrate performs a crash-safe commit-scheme migration of shard i to
-	// target, returning the new store over the (possibly replaced) arena.
-	// It is called with the shard quiesced — lock held, write gate closed,
-	// between group commits. Required when Tune.AdaptScheme is on.
-	Migrate func(i int, be *Backend, target string) (pager.Store, error)
-	// DefragThreshold enables proactive copy-on-write defragmentation under
-	// Tune: each closed decision window measures the committed tree's leaf
-	// fragmentation, and leaves at or above the threshold are rewritten
-	// during idle group-commit slots. 0 disables.
+	// DefragThreshold enables proactive copy-on-write defragmentation: every
+	// 32nd write round a shard applies without a fault measures the
+	// committed tree's leaf fragmentation, and leaves at or above the
+	// threshold are rewritten — a first few at once, the rest during idle
+	// group-commit slots (see defrag.go). 0 disables.
 	DefragThreshold float64
 	// FaultHook, when set, runs at the top of every group commit with the
 	// shard index, inside the contained writer section: a panic degrades
@@ -146,9 +122,6 @@ func (c *Config) fill() error {
 	}
 	if c.Reattach == nil {
 		return errors.New("shard: Config.Reattach is required")
-	}
-	if c.Tune != nil && c.Tune.AdaptScheme && c.Migrate == nil {
-		return errors.New("shard: Tune.AdaptScheme requires Config.Migrate")
 	}
 	return nil
 }
@@ -194,6 +167,8 @@ type Info struct {
 	// ScanPairs counts the pairs this shard has gathered for range reads
 	// (Scan, ScanShard, Count), whether or not the caller consumed them.
 	ScanPairs int64 `json:"scan_pairs,omitempty"`
+	// DefragPages counts the leaves proactive defragmentation has rewritten.
+	DefragPages int64 `json:"defrag_pages,omitempty"`
 	// PM is the shard arena's architectural event counters.
 	PM pmem.Stats `json:"pm_stats"`
 	// Phases is the shard clock's per-phase simulated-time breakdown.
@@ -231,7 +206,8 @@ type Stats struct {
 // fields optimistic readers consult (seq, readers, health, reader, recs)
 // are atomics updated under the gate.
 type state struct {
-	id int
+	id       int
+	maxBatch int // Config.MaxBatch: the drain and ApplyBatch chunk bound
 
 	mu         sync.Mutex
 	be         *Backend
@@ -272,24 +248,16 @@ type state struct {
 	rec  *obsv.Recorder
 	evFn func() obsv.Counters
 
-	// Adaptive tuning state (tuning.go). ctl is nil when tuning is off.
-	// liveBatch is always the live drain bound (== Config.MaxBatch until
-	// the controller retargets it), read by the writer loop and ApplyBatch.
-	// backoffs counts full-mailbox enqueue events since the last sample.
-	// frag and hotKeys hold the last fragmentation measurement (under mu;
-	// frag is -1 until measured). migrate is the bound facade migration
-	// closure.
-	ctl       *tune.Controller
-	liveBatch atomic.Int64
-	backoffs  atomic.Int64
+	// Proactive defragmentation state (defrag.go), under mu. defragTh is
+	// Config.DefragThreshold (0: off); sinceScan counts write rounds since the
+	// last measurement; frag and hotKeys hold that measurement (frag is -1
+	// until measured); defragged counts the leaves rewritten.
 	defragTh  float64
+	sinceScan int
 	frag      float64
 	hotKeys   [][]byte
-	migrate   func(target string) (pager.Store, error)
+	defragged int64
 }
-
-// maxBatchNow is the shard's live group-commit drain bound.
-func (s *state) maxBatchNow() int { return int(s.liveBatch.Load()) }
 
 // counters snapshots the shard's commit-path event counters (zero when no
 // bridge is configured). Callers hold s.mu.
@@ -328,44 +296,24 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s := &state{
-			id:    i,
-			be:    be,
-			tree:  btree.New(be.Store),
-			noOpt: cfg.NoOptimisticReads,
-			mail:  make(chan *Request, cfg.Mailbox),
-			quit:  make(chan struct{}),
-			done:  make(chan struct{}),
-			rec:   cfg.Recorder,
+			id:       i,
+			maxBatch: cfg.MaxBatch,
+			be:       be,
+			tree:     btree.New(be.Store),
+			noOpt:    cfg.NoOptimisticReads,
+			mail:     make(chan *Request, cfg.Mailbox),
+			quit:     make(chan struct{}),
+			done:     make(chan struct{}),
+			rec:      cfg.Recorder,
 
 			faultHook: cfg.FaultHook,
+			defragTh:  cfg.DefragThreshold,
+			frag:      -1,
 		}
-		s.frag = -1
-		s.liveBatch.Store(int64(cfg.MaxBatch))
 		s.publishReadState()
-		// The counter bridge serves the recorder AND the tuner, so it is
-		// bound whenever the facade supplies it — metrics may be disabled
-		// while tuning is on.
 		if cfg.Counters != nil {
 			i, be := i, be
 			s.evFn = func() obsv.Counters { return cfg.Counters(i, be) }
-		}
-		if cfg.Tune != nil {
-			tc := *cfg.Tune
-			if tc.MaxBatch <= 0 {
-				tc.MaxBatch = cfg.MaxBatch
-			}
-			if tc.MailboxCap <= 0 {
-				tc.MailboxCap = cfg.Mailbox
-			}
-			s.ctl = tune.New(tc)
-			s.liveBatch.Store(int64(s.ctl.MaxBatch()))
-			s.defragTh = cfg.DefragThreshold
-			if cfg.Migrate != nil {
-				i, be := i, be
-				s.migrate = func(target string) (pager.Store, error) {
-					return cfg.Migrate(i, be, target)
-				}
-			}
 		}
 		e.shards[i] = s
 	}
@@ -460,8 +408,7 @@ func (e *Engine) ApplyBatch(ops []Op) []error {
 			sOps = append(sOps, ops[i])
 		}
 		sErrs = append(sErrs[:0], make([]error, len(idxs))...)
-		s := e.shards[si]
-		s.applyLocked(s.maxBatchNow(), sOps, sErrs, nil)
+		e.shards[si].applyLocked(sOps, sErrs, nil)
 		for k, i := range idxs {
 			errs[i] = sErrs[k]
 		}
@@ -530,10 +477,10 @@ func (s *state) contain(fn func()) error {
 }
 
 // applyLocked takes the shard lock and applies ops as group commits of at
-// most maxBatch (units as in ApplyOps), honouring the closed, crashed and
-// degraded flags; a batch that dies mid-apply (see contain) reports its
+// most s.maxBatch (units as in ApplyUnits), honouring the closed, crashed
+// and degraded flags; a batch that dies mid-apply (see contain) reports its
 // cause for every op.
-func (s *state) applyLocked(maxBatch int, ops []Op, errs []error, units []int32) {
+func (s *state) applyLocked(ops []Op, errs []error, units []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refuseWrite(); err != nil {
@@ -548,18 +495,11 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error, units []int32)
 	if s.rec != nil {
 		sp = s.rec.Begin(s.be.Sys.Clock().Now(), s.counters())
 	}
-	var tSim0, tBatches0 int64
-	var tc0 obsv.Counters
-	if s.ctl != nil {
-		tSim0 = s.be.Sys.Clock().Now()
-		tBatches0 = s.batches
-		tc0 = s.counters()
-	}
 	down := s.contain(func() {
 		if s.faultHook != nil {
 			s.faultHook(s.id)
 		}
-		s.batches += ApplyUnits(s.tree, maxBatch, ops, errs, units)
+		s.batches += ApplyUnits(s.tree, s.maxBatch, ops, errs, units)
 	})
 	if s.rec != nil {
 		// One group commit observed: batch size, wall/sim latency, and the
@@ -598,16 +538,16 @@ func (s *state) applyLocked(maxBatch int, ops []Op, errs []error, units []int32)
 		if d != 0 {
 			s.recs.Add(d)
 		}
-		if s.ctl != nil {
-			s.tuneObserve(len(ops), tBatches0, tc0, tSim0)
+		if s.defragTh > 0 {
+			s.defragTick()
 		}
 	}
 	s.ops += int64(len(ops))
-	// ApplyOps chunks at maxBatch, so the largest single group commit out
+	// ApplyUnits chunks at maxBatch, so the largest single group commit out
 	// of this submission is capped by it.
 	drained := len(ops)
-	if drained > maxBatch {
-		drained = maxBatch
+	if drained > s.maxBatch {
+		drained = s.maxBatch
 	}
 	if drained > s.maxDrained {
 		s.maxDrained = drained
@@ -738,11 +678,6 @@ func (e *Engine) Heal(i int) error {
 	s.downCause = nil
 	s.publishReadState()
 	s.setHealth()
-	if s.ctl != nil {
-		// Recovery resolves the persisted scheme tag; the controller syncs
-		// to whatever scheme the reattached store actually runs.
-		s.ctl.SetScheme(canonSchemeName(ns.Name()))
-	}
 	return nil
 }
 
@@ -775,13 +710,14 @@ func (e *Engine) ShardInfo(i int) Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	in := Info{
-		SimNS:      s.be.Sys.Clock().Now(),
-		Ops:        s.ops,
-		Batches:    s.batches,
-		MaxDrained: s.maxDrained,
-		ScanPairs:  s.scanPairs.Load(),
-		PM:         s.be.Arena.Stats(),
-		Phases:     s.be.Sys.Clock().Phases(),
+		SimNS:       s.be.Sys.Clock().Now(),
+		Ops:         s.ops,
+		Batches:     s.batches,
+		MaxDrained:  s.maxDrained,
+		ScanPairs:   s.scanPairs.Load(),
+		DefragPages: s.defragged,
+		PM:          s.be.Arena.Stats(),
+		Phases:      s.be.Sys.Clock().Phases(),
 	}
 	switch {
 	case s.crashed:
@@ -839,9 +775,8 @@ func (e *Engine) Gauges() []obsv.ShardGauge {
 			SimNS:         s.be.Sys.Clock().Now(),
 			Flushes:       s.be.Arena.Stats().FlushCalls,
 			Fences:        s.be.Sys.Fences(),
-			Scheme:        canonSchemeName(s.be.Store.Name()),
+			Scheme:        strings.ToLower(s.be.Store.Name()),
 			Fragmentation: s.frag,
-			MaxBatch:      int(s.liveBatch.Load()),
 		}
 		s.mu.Unlock()
 	}

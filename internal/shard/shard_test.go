@@ -28,10 +28,15 @@ const (
 )
 
 func testConfig(shards, maxBatch, maxPages int) shard.Config {
+	return testConfigVariant(shards, maxBatch, maxPages, fast.SlotHeaderLogging)
+}
+
+// testConfigVariant is testConfig over the given FAST commit variant.
+func testConfigVariant(shards, maxBatch, maxPages int, v fast.Variant) shard.Config {
 	if maxPages == 0 {
 		maxPages = testMaxPages
 	}
-	fcfg := fast.Config{PageSize: testPageSize, MaxPages: maxPages, Variant: fast.SlotHeaderLogging}
+	fcfg := fast.Config{PageSize: testPageSize, MaxPages: maxPages, Variant: v}
 	return shard.Config{
 		Shards:   shards,
 		MaxBatch: maxBatch,

@@ -65,13 +65,11 @@ const (
 // run is a shard's single-writer loop — the one stage where concurrent
 // submitters are gathered into a group commit: block for one request,
 // drain the mailbox (across accumYields yields, while submitters are
-// concurrent) until the live drain bound is reached, and commit the drained
-// set as one transaction. Round k+1 queues on the mailbox while round k
-// commits. The drain bound keeps latency bounded under sustained load (and
-// is re-read every drain, so the adaptive controller's retargets take effect
-// at the next batch); the blocking receive means an idle shard costs
-// nothing — which is the slot the proactive defrag pass borrows when work
-// is pending.
+// concurrent) until the drain bound is reached, and commit the drained set
+// as one transaction. Round k+1 queues on the mailbox while round k
+// commits. The drain bound keeps latency bounded under sustained load; the
+// blocking receive means an idle shard costs nothing — which is the slot
+// the proactive defrag pass borrows when work is pending.
 func (s *state) run() {
 	defer close(s.done)
 	var (
@@ -95,18 +93,17 @@ func (s *state) run() {
 		select {
 		case r := <-s.mail:
 			reqs = append(reqs[:0], r)
-			maxBatch := s.maxBatchNow()
-			n := drain(len(r.ops), maxBatch)
-			for spin := 0; shared > 0 && spin < accumYields && n < maxBatch; spin++ {
+			n := drain(len(r.ops), s.maxBatch)
+			for spin := 0; shared > 0 && spin < accumYields && n < s.maxBatch; spin++ {
 				runtime.Gosched()
-				n = drain(n, maxBatch)
+				n = drain(n, s.maxBatch)
 			}
 			if len(reqs) > 1 {
 				shared = accumLinger
 			} else if shared > 0 {
 				shared--
 			}
-			s.serve(maxBatch, reqs, &flat)
+			s.serve(reqs, &flat)
 			if len(s.mail) == 0 {
 				s.maybeIdleDefrag()
 			}
@@ -117,7 +114,7 @@ func (s *state) run() {
 				select {
 				case r := <-s.mail:
 					reqs = append(reqs[:0], r)
-					s.serve(s.maxBatchNow(), reqs, &flat)
+					s.serve(reqs, &flat)
 				default:
 					return
 				}
@@ -138,12 +135,12 @@ type roundScratch struct {
 // slices; several are flattened into one op slice — each request's units
 // kept, a request without units one unit — and their verdicts scattered
 // back.
-func (s *state) serve(maxBatch int, reqs []*Request, flat *roundScratch) {
+func (s *state) serve(reqs []*Request, flat *roundScratch) {
 	// Mailbox depth at drain time: how far the writer is behind its clients.
 	s.rec.ObserveMailDepth(len(s.mail))
 	if len(reqs) == 1 {
 		r := reqs[0]
-		s.applyLocked(maxBatch, r.ops, r.errs, r.units)
+		s.applyLocked(r.ops, r.errs, r.units)
 		r.done <- struct{}{}
 		return
 	}
@@ -159,7 +156,7 @@ func (s *state) serve(maxBatch int, reqs []*Request, flat *roundScratch) {
 	for range ops {
 		errs = append(errs, nil)
 	}
-	s.applyLocked(maxBatch, ops, errs, units)
+	s.applyLocked(ops, errs, units)
 	k := 0
 	for _, r := range reqs {
 		copy(r.errs, errs[k:k+len(r.ops)])
@@ -289,8 +286,6 @@ func (e *Engine) enqueue(s *state, r *Request) bool {
 		return true
 	default:
 	}
-	// The mailbox is full: one pressure event for the adaptive batch loop.
-	s.backoffs.Add(1)
 	deadline := time.Now().Add(e.cfg.EnqueueTimeout)
 	backoff := time.Millisecond
 	for {
@@ -337,7 +332,7 @@ func (e *Engine) Do(op Op) error {
 	if s.rec != nil {
 		t0 = time.Now()
 	}
-	s.applyLocked(s.maxBatchNow(), op1(op), out[:], nil)
+	s.applyLocked(op1(op), out[:], nil)
 	if s.rec != nil {
 		s.rec.ObserveWall(kindOp[op.Kind], int32(s.id), time.Since(t0).Nanoseconds())
 	}

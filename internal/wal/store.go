@@ -90,9 +90,8 @@ type Stats struct {
 	WALFrames int64
 	WALBytes  int64 // payload bytes written to the log/journal
 	// SingleLeaf counts commits whose write set was exactly one leaf page —
-	// the shape FAST+ would commit with one HTM cache-line write. The
-	// adaptive controller reads it to decide when a migration to FAST+
-	// would pay off.
+	// the shape FAST+ would commit with one HTM cache-line write. It is
+	// exported as the single_leaf event metric only.
 	SingleLeaf     int64
 	Checkpoints    int64
 	JournaledPages int64
