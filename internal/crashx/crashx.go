@@ -88,16 +88,22 @@ func DefaultWorkload(n int) []Op {
 	return ops
 }
 
+// FragScripted is the number of scripted transactions FragWorkload begins
+// with; the last of them is the exact-fit update.
+const FragScripted = 13
+
 // FragWorkload builds a deterministic workload of n transactions (at least
-// its twelve scripted ones) that
+// its FragScripted scripted ones) that
 // fragments a 512-byte leaf on purpose, so that crash points land around
 // the free-list maintenance the other workloads' equal-sized values never
-// reach: its first twelve transactions make two address-adjacent free
-// blocks and then need both (a coalescing merge), free the lowest cell and
-// then need it together with the gap (a gap absorb), and resize records so
-// that deferred frees are written back after commit; the rest is a fixed
-// churn of inserts, resizing updates and deletes with value lengths 8..120.
-// Cells are 11 bytes longer than their values.
+// reach: its first thirteen transactions make two address-adjacent free
+// blocks and then need both (a coalescing merge), free a cell and then the
+// one below it at the content pointer, which returns to the gap at commit
+// and leaves the first one's block at the content pointer, then need that
+// block together with the gap (a gap absorb), and resize records so that
+// deferred frees are written back after commit; the rest is a fixed churn of
+// inserts, resizing updates and deletes with value lengths 8..120. Cells are
+// 11 bytes longer than their values.
 func FragWorkload(n int) []Op {
 	ops := make([]Op, 0, n)
 	var live []int // ascending: keys are inserted in order and removed in place
@@ -115,9 +121,10 @@ func FragWorkload(n int) []Op {
 	}
 	del(2)
 	del(3)      // blocks at 299 and 228, adjacent
-	ins(6, 100) // 111 bytes: neither block alone, nor the gap
-	del(5)      // the lowest cell: a block at the content pointer
-	ins(7, 90)  // 101 bytes: that block and the gap together
+	ins(6, 100) // 111 bytes: neither block alone, nor the gap; the merged head's front
+	del(4)      // a block at 157
+	del(5)      // the lowest cell, at the content pointer: back to the gap at commit
+	ins(7, 180) // 191 bytes: the block at 157, now at the content pointer, and the gap together
 	upd(0, 20)  // exact fit into the 31 bytes the merge left over
 	for i, next := 0, 8; len(ops) < n; i++ {
 		h := int(uint64(mix(int64(i), int64(n))) % 1000)

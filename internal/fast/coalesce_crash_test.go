@@ -146,8 +146,8 @@ func TestCoalesceCrashSweep(t *testing.T) {
 				if err := crashx.Apply(tree, &cfg.Workload[i]); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
-				if s := st.(*fast.Store).Stats(); i == 11 && (s.Coalesces != 2 || s.GapAbsorbs != 1 || s.Defrags+s.Splits != 0) {
-					t.Fatalf("scripted prefix: %+v, want a merge, a gap absorb and no page copy", s)
+				if s := st.(*fast.Store).Stats(); i == crashx.FragScripted-1 && (s.Coalesces != 2 || s.GapAbsorbs != 1 || s.EdgeAbsorbs != 1 || s.Defrags+s.Splits != 0) {
+					t.Fatalf("scripted prefix: %+v, want a merge, an edge absorb, a gap absorb and no page copy", s)
 				}
 			}
 			total := sys.CrashPoints() - base

@@ -100,10 +100,13 @@ type Stats struct {
 	// single_leaf event metric shows FAST+'s eligible share while running FAST.
 	SingleLeaf    int64
 	LoggedBytes   int64 // slot-header bytes written to the log
+	TrimmedBytes  int64 // header bytes past a frame's end, left out because they are the committed ones
 	LoggedFrames  int64
 	Defrags       int64
 	Coalesces     int64 // failed page allocations satisfied after coalescing the free list
 	GapAbsorbs    int64 // coalescing passes that returned a free run to the gap
+	EdgeAbsorbs   int64 // freed extents at the content pointer returned to the gap at commit
+	HeadCarves    int64 // cells carved from the front of a free-list head
 	Splits        int64 // updated by the B-tree layer via NoteSplit
 	FreeListFixes int64
 }
@@ -118,6 +121,7 @@ type Store struct {
 	meta  pager.Meta
 	open  bool // a transaction is active
 	stats Stats
+	lines pmem.LineSet // lines queued for one flush each
 
 	// Post-crash lazy free-list validation (§4.3): pages are checked on
 	// first use and rebuilt if the free list disagrees with the header.
@@ -234,10 +238,13 @@ func (st *Store) LeafCellCap() int {
 // is ignored. Free lists are validated lazily afterwards.
 //
 // Invariant: a logged header and the one Commit checkpointed over the same
-// page differ at most in Free and FreeLst (FAST stages headers at OpEnd,
-// before Commit plans the deferred frees into them). Replaying the logged
-// image over the checkpointed one therefore changes no record, and either
-// image's free list is at worst one the lazy check rejects and rebuilds.
+// page differ at most in Content, Free and FreeLst (FAST stages headers at
+// OpEnd, before Commit plans the deferred frees into them). A frame may end
+// before its header does; the bytes after it are the committed header's, and
+// the checkpoint writes only lines that differ from those, so PM holds them
+// either way. Replaying the logged image over the checkpointed one therefore
+// changes no record, and either image's free list is at worst one the lazy
+// check rejects and rebuilds.
 func (st *Store) Recover() error {
 	if _, ok := st.log.Committed(); ok {
 		frames, err := st.log.Frames()
@@ -277,6 +284,7 @@ func (st *Store) maybeFixFreeList(no uint32, tp *txnPage) {
 	st.flChecked[no] = true
 	if tp.page.CheckFreeList() != nil {
 		st.repairFreeList(tp.page, tp.mem)
+		tp.mem.markClean()
 	}
 }
 
@@ -290,10 +298,8 @@ func (st *Store) maybeFixFreeList(no uint32, tp *txnPage) {
 // a list the check rejects, or a valid one.
 func (st *Store) repairFreeList(p *slotted.Page, mem *pageMem) {
 	p.RebuildFreeList()
-	for _, r := range mem.unflushed {
-		st.arena.Flush(mem.base+int64(r.off), r.n)
-	}
-	mem.unflushed = mem.unflushed[:0]
+	mem.queueUnflushed(&st.lines)
+	st.lines.Flush(st.arena)
 	prefix := p.Header().Encode()[:slotted.HeaderFixedSize]
 	st.arena.Store(mem.base, prefix)
 	st.arena.Flush(mem.base, len(prefix))

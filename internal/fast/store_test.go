@@ -239,6 +239,83 @@ func TestRecoverReplaysCommittedLog(t *testing.T) {
 	tx2.Rollback()
 }
 
+// TestRepairedHeaderNotRelogged: a lazy free-list repair persists the
+// repaired header itself, so a transaction that only reads the repaired page
+// neither logs, checkpoints nor installs it — the header it would write is
+// the one PM holds after the repair — and under FAST+ the page is not a
+// second page of the unit that writes another leaf, which therefore still
+// commits in place.
+func TestRepairedHeaderNotRelogged(t *testing.T) {
+	for _, v := range []Variant{SlotHeaderLogging, InPlaceCommit} {
+		t.Run(v.String(), func(t *testing.T) { testRepairedHeaderNotRelogged(t, v) })
+	}
+}
+
+func testRepairedHeaderNotRelogged(t *testing.T, v Variant) {
+	cfg := Config{PageSize: 512, MaxPages: 256, Variant: v}
+	sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
+	st := Create(sys, cfg)
+	tx, _ := st.Begin()
+	a, pa, _ := tx.AllocPage(slotted.TypeLeaf)
+	b, pb, _ := tx.AllocPage(slotted.TypeLeaf)
+	for _, k := range []string{"a1", "a2", "a3"} {
+		if err := pa.Insert([]byte(k), bytes.Repeat([]byte{1}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pb.Insert([]byte("b1"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tx.OpEnd()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = st.Begin()
+	pa, _ = tx.Page(a)
+	if err := pa.Delete(1); err != nil { // a2, not at the content pointer: a free block
+		t.Fatal(err)
+	}
+	tx.OpEnd()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The damage a crash between a commit and its free-block write leaves.
+	st.Arena().StoreU16(cfg.pageBase(a)+8, 0)
+	st.Arena().Flush(cfg.pageBase(a)+8, 2)
+	st, err := Attach(st.Arena(), cfg)
+	if err == nil {
+		err = st.Recover()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s0 := st.Stats()
+	tx, _ = st.Begin()
+	if _, err := tx.Page(a); err != nil {
+		t.Fatal(err)
+	}
+	pb, _ = tx.Page(b)
+	if err := pb.Update(0, []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	tx.OpEnd()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s := st.Stats()
+	if s.FreeListFixes != 1 {
+		t.Fatalf("%d repairs, want 1", s.FreeListFixes)
+	}
+	frames, installs, inPlace := s.LoggedFrames-s0.LoggedFrames, s.InPlaceInstalls-s0.InPlaceInstalls, s.InPlaceCommits-s0.InPlaceCommits
+	switch {
+	case v == SlotHeaderLogging && frames != 1:
+		t.Fatalf("%d frames logged, want 1 (page %d only)", frames, b)
+	case v == InPlaceCommit && (frames != 0 || installs != 1 || inPlace != 1):
+		t.Fatalf("%d frames logged, %d headers installed, %d in-place commits; want 0, 1 and 1 (page %d only)", frames, installs, inPlace, b)
+	}
+}
+
 func TestReclaimExceptFindsLeaks(t *testing.T) {
 	_, st := newStore(t, InPlaceCommit)
 	tx, _ := st.Begin()

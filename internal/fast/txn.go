@@ -1,7 +1,10 @@
 package fast
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"fasp/internal/pager"
 	"fasp/internal/phase"
@@ -22,6 +25,13 @@ type pageMem struct {
 	no        uint32
 	base      int64
 	unflushed []byteRange
+	// committed is the page's committed header, copied when the transaction
+	// first changes it (after any lazy free-list repair rewrote it in PM);
+	// empty for a page the transaction allocated (fresh). The log and the
+	// checkpoint write only what differs from it.
+	committed []byte
+	fresh     bool
+	logEnd    int   // the longest header prefix a frame of this page has logged
 	hdrDirty  bool  // header changed since transaction start (and not installed in place)
 	hdrStaged bool  // header staged into the log since last change (FAST)
 	unit      int32 // the last unit that changed the header (Txn.MarkUnit)
@@ -45,17 +55,65 @@ func (m *pageMem) Write(off int, src []byte) {
 	m.unflushed = append(m.unflushed, byteRange{off, len(src)})
 }
 
+// queueUnflushed moves the page's unflushed content ranges into lines.
+func (m *pageMem) queueUnflushed(lines *pmem.LineSet) {
+	for _, r := range m.unflushed {
+		lines.Add(m.base+int64(r.off), r.n)
+	}
+	m.unflushed = m.unflushed[:0]
+}
+
+// copyCommitted copies the page's header out of PM, where nothing but a
+// commit or a free-list repair writes it, without charging the simulated
+// machine: these are bytes the page's open has read already.
+func (m *pageMem) copyCommitted() {
+	a := m.tx.st.arena
+	var prefix [slotted.HeaderFixedSize]byte
+	a.Peek(m.base, prefix[:])
+	n := min(slotted.HeaderFixedSize+2*int(binary.LittleEndian.Uint16(prefix[2:])), m.PageSize())
+	m.committed = slices.Grow(m.committed[:0], n)[:n]
+	a.Peek(m.base, m.committed)
+}
+
+// changedEnd returns one past the last byte of the header image enc that
+// differs from the committed header, where every byte past the committed
+// header's end differs; 0 when enc is the committed header. It charges the
+// comparison like NVWAL's differential logging.
+func (m *pageMem) changedEnd(enc []byte) int {
+	m.tx.st.sys.Compute(int64(len(enc)) / 8)
+	for i := len(enc); i > 0; i-- {
+		if i > len(m.committed) || enc[i-1] != m.committed[i-1] {
+			return i
+		}
+	}
+	return 0
+}
+
 func (m *pageMem) HeaderChanged(h *slotted.Header) {
 	tx := m.tx
 	if !m.hdrDirty {
 		m.hdrDirty = true
 		tx.dirtyOrder = append(tx.dirtyOrder, m.no)
+		if !m.fresh {
+			m.copyCommitted()
+		}
 	}
 	if m.unit != tx.unit {
 		m.unit = tx.unit
 		tx.unitPages = append(tx.unitPages, m)
 	}
 	m.hdrStaged = false
+}
+
+// markClean undoes HeaderChanged for a page whose header PM holds already —
+// a lazy free-list repair's — so that the commit neither logs, checkpoints
+// nor installs it, and it counts as no page of the open unit. The next
+// change copies the repaired header as the committed one.
+func (m *pageMem) markClean() {
+	tx := m.tx
+	m.hdrDirty, m.unit = false, 0
+	tx.dirtyOrder = slices.DeleteFunc(tx.dirtyOrder, func(no uint32) bool { return no == m.no })
+	tx.unitPages = slices.DeleteFunc(tx.unitPages, func(p *pageMem) bool { return p == m })
 }
 
 // txnPage pairs a page handle with its backend.
@@ -89,7 +147,7 @@ type Txn struct {
 
 // bind resets a pooled pageMem for a new page in this transaction.
 func (m *pageMem) bind(tx *Txn, no uint32, base int64) {
-	*m = pageMem{tx: tx, no: no, base: base, unflushed: m.unflushed[:0]}
+	*m = pageMem{tx: tx, no: no, base: base, unflushed: m.unflushed[:0], committed: m.committed[:0]}
 }
 
 var _ pager.Txn = (*Txn)(nil)
@@ -123,7 +181,7 @@ func (tx *Txn) Page(no uint32) (*slotted.Page, error) {
 	}
 	p := tp.page
 	p.SetDeferFrees(true)
-	tx.pages[no] = tp // before the repair dirties the page: dirtyOrder names only pages in the map
+	tx.pages[no] = tp // before the repair, which dirties the page until markClean: dirtyOrder names only pages in the map
 	tx.st.maybeFixFreeList(no, tp)
 	return p, nil
 }
@@ -147,6 +205,7 @@ func (tx *Txn) AllocPage(typ byte) (uint32, *slotted.Page, error) {
 	tx.allocated = append(tx.allocated, no)
 	tp := tx.st.takeHandle()
 	tp.mem.bind(tx, no, tx.st.cfg.pageBase(no))
+	tp.mem.fresh = true
 	slotted.InitInto(tp.page, tp.mem, typ)
 	p := tp.page
 	p.SetDeferFrees(true)
@@ -206,22 +265,38 @@ func (tx *Txn) OpEnd() {
 }
 
 // stageHeaders appends every changed-and-unstaged slot header to the log.
+// A frame ends after the header's last byte that differs from the committed
+// one: replay stores a frame over the page's prefix, and the bytes after it
+// are already the committed ones. Under FAST a page may be staged once per
+// operation, and replay applies its frames in order, so each frame reaches
+// at least as far as every earlier one (logEnd): a later frame that stopped
+// short would leave an earlier frame's bytes in place of committed ones. And
+// the bytes a frame covers stay out of the gap, so that a later operation
+// cannot carve a cell where replaying the frame would land.
 func (tx *Txn) stageHeaders() {
 	for _, no := range tx.dirtyOrder {
 		tp := tx.pages[no]
-		if !tp.mem.hdrDirty || tp.mem.hdrStaged {
+		m := tp.mem
+		if !m.hdrDirty || m.hdrStaged {
 			continue
 		}
+		m.hdrStaged = true
 		enc := tp.page.Header().EncodeInto(tx.encBuf)
 		tx.encBuf = enc[:0]
-		if err := tx.st.log.AppendHeader(no, enc); err != nil {
+		m.logEnd = max(m.logEnd, m.changedEnd(enc))
+		hi := min(m.logEnd, len(enc))
+		if hi == 0 {
+			continue // the committed header: nothing to replay
+		}
+		tp.page.ReserveHeader(hi)
+		if err := tx.st.log.AppendHeader(no, enc[:hi]); err != nil {
 			// The log is sized by configuration; treat exhaustion as a
 			// programming error rather than silently losing durability.
 			panic(err)
 		}
-		tx.st.stats.LoggedBytes += int64(len(enc))
+		tx.st.stats.LoggedBytes += int64(hi)
+		tx.st.stats.TrimmedBytes += int64(len(enc) - hi)
 		tx.st.stats.LoggedFrames++
-		tp.mem.hdrStaged = true
 	}
 }
 
@@ -260,8 +335,9 @@ func (tx *Txn) Commit() error {
 		// Safety: any record bytes not flushed by OpEnd must be durable
 		// before the commit mark.
 		tx.flushUnflushed()
-		// The free-list fields take their post-commit values now, so they
-		// ride the commit image instead of a header write of their own.
+		// Content and the free-list fields take their post-commit values
+		// now, so they ride the commit image instead of a header write of
+		// their own.
 		for _, no := range tx.dirtyOrder {
 			tx.pages[no].page.PlanPendingFrees()
 		}
@@ -285,18 +361,13 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// flushUnflushed persists every content range written since the last call.
+// flushUnflushed persists every content range written since the last call,
+// flushing each line they touch once.
 func (tx *Txn) flushUnflushed() {
-	flushed := false
 	for _, no := range tx.dirtyOrder {
-		tp := tx.pages[no]
-		for _, r := range tp.mem.unflushed {
-			tx.st.arena.Flush(tp.mem.base+int64(r.off), r.n)
-			flushed = true
-		}
-		tp.mem.unflushed = tp.mem.unflushed[:0]
+		tx.pages[no].mem.queueUnflushed(&tx.st.lines)
 	}
-	if flushed {
+	if tx.st.lines.Flush(tx.st.arena) {
 		tx.st.sys.Fence()
 	}
 }
@@ -333,7 +404,9 @@ func (tx *Txn) commitInPlace() bool {
 		if err != nil {
 			continue
 		}
-		tx.applyFrees(tp)
+		if tp.page.PendingFrees() > 0 {
+			clock.InPhase(phase.FreeList, func() { tx.applyFrees(tp) })
+		}
 		tp.mem.hdrDirty = false // committed: the log skips it
 		installed++
 	}
@@ -378,9 +451,9 @@ func (tx *Txn) commitLogged() error {
 			}
 			enc := tp.page.Header().EncodeInto(tx.encBuf)
 			tx.encBuf = enc[:0]
-			st.arena.Store(tp.mem.base, enc)
-			st.arena.Flush(tp.mem.base, len(enc))
+			tx.storeChangedLines(tp.mem, enc)
 		}
+		st.lines.Flush(st.arena)
 		if tx.metaDirty {
 			pager.WriteMeta(st.arena, 0, tx.meta)
 		}
@@ -388,14 +461,16 @@ func (tx *Txn) commitLogged() error {
 		st.log.Truncate()
 		// Post-commit bookkeeping: deferred frees become free blocks, and
 		// freed pages enter the persistent free stack.
-		for _, no := range tx.dirtyOrder {
-			tx.applyFrees(tx.pages[no])
-		}
-		if len(tx.freed) > 0 {
-			count := tx.meta.FreeCount
-			st.pushFreePages(&count, tx.freed)
-			tx.meta.FreeCount = count
-		}
+		clock.InPhase(phase.FreeList, func() {
+			for _, no := range tx.dirtyOrder {
+				tx.applyFrees(tx.pages[no])
+			}
+			if len(tx.freed) > 0 {
+				count := tx.meta.FreeCount
+				st.pushFreePages(&count, tx.freed)
+				tx.meta.FreeCount = count
+			}
+		})
 	})
 	st.stats.LogCommits++
 	st.meta = tx.meta
@@ -413,10 +488,25 @@ func (tx *Txn) applyFrees(tp *txnPage) {
 		return
 	}
 	tp.page.ApplyPendingFrees()
-	for _, r := range tp.mem.unflushed {
-		tx.st.arena.Flush(tp.mem.base+int64(r.off), r.n)
+	tp.mem.queueUnflushed(&tx.st.lines)
+	tx.st.lines.Flush(tx.st.arena)
+}
+
+// storeChangedLines checkpoints the header image enc of page m: of the cache
+// lines it spans, it stores and queues for flushing only those whose bytes
+// differ from the committed header, charging the comparison like NVWAL's
+// differential logging.
+func (tx *Txn) storeChangedLines(m *pageMem, enc []byte) {
+	tx.st.sys.Compute(int64(len(enc)) / 8)
+	for lo := 0; lo < len(enc); {
+		lineEnd := (m.base+int64(lo))&^(pmem.CacheLineSize-1) + pmem.CacheLineSize
+		hi := min(int(lineEnd-m.base), len(enc))
+		if hi > len(m.committed) || !bytes.Equal(enc[lo:hi], m.committed[lo:hi]) {
+			tx.st.arena.Store(m.base+int64(lo), enc[lo:hi])
+			tx.st.lines.Add(m.base+int64(lo), hi-lo)
+		}
+		lo = hi
 	}
-	tp.mem.unflushed = tp.mem.unflushed[:0]
 }
 
 // Rollback abandons the transaction. Free lists of touched pages may have
@@ -458,9 +548,11 @@ func (tx *Txn) finish() {
 	// Return the per-transaction resources to the store for the next Begin.
 	// Map iteration order is irrelevant here: pooling touches no arena.
 	for _, tp := range tx.pages {
-		c, g := tp.page.CoalesceCounts()
-		st.stats.Coalesces += int64(c)
-		st.stats.GapAbsorbs += int64(g)
+		c := tp.page.Counts()
+		st.stats.Coalesces += int64(c.Coalesces)
+		st.stats.GapAbsorbs += int64(c.GapAbsorbs)
+		st.stats.EdgeAbsorbs += int64(c.EdgeAbsorbs)
+		st.stats.HeadCarves += int64(c.HeadCarves)
 		st.rec.handles = append(st.rec.handles, tp)
 	}
 	clear(tx.pages)

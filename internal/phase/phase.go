@@ -42,6 +42,12 @@ const (
 	LogFlush = "Commit/log-flush"
 	// Checkpoint is eager checkpointing of slot headers (FAST/FAST+).
 	Checkpoint = "Commit/checkpointing"
+	// FreeList is FAST/FAST+'s bookkeeping after a commit point: deferred
+	// in-page frees written as free blocks, freed pages pushed on the
+	// free-page stack. It nests inside Checkpoint after a logged commit and
+	// directly inside Commit after an in-place one, so no figure's bar
+	// changes; it gives those write-backs an owner of their own.
+	FreeList = "Commit/free-list"
 	// AtomicWrite is the HTM failure-atomic cache-line commit (FAST+).
 	AtomicWrite = "Commit/atomic-64B-write"
 	// Misc is residual commit bookkeeping (e.g. NVWAL's WAL-frame index

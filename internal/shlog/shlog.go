@@ -20,6 +20,13 @@
 // log. A non-zero length with a valid checksum means the transaction
 // committed but checkpointing may not have finished — replay the frames
 // (idempotent) and truncate.
+//
+// A frame is a prefix of a slot header, not necessarily all of it: it may
+// end before the offset array does. The caller cuts it after the last byte
+// that differs from the page's committed header, so the bytes after it are
+// unchanged by construction — PM already holds them — and replaying the
+// prefix restores the whole header. Frames of one page replay in order, so
+// each must reach as far as every earlier one did.
 package shlog
 
 import (

@@ -163,8 +163,8 @@ func (mp *modelPage) freed() {
 // a fresh page (which, like a page a transaction allocated, has no committed
 // header to protect).
 func (mp *modelPage) defrag() {
-	c, g := mp.p.CoalesceCounts()
-	mp.coalesces, mp.gapAbsorbs = mp.coalesces+c, mp.gapAbsorbs+g
+	c := mp.p.Counts()
+	mp.coalesces, mp.gapAbsorbs = mp.coalesces+c.Coalesces, mp.gapAbsorbs+c.GapAbsorbs
 	m := NewMemBuf(len(mp.m.Buf))
 	np := Init(m, TypeLeaf)
 	if err := mp.p.CopyRangeTo(np, 0, mp.p.NCells()); err != nil {
@@ -314,8 +314,8 @@ func TestCoalesceWritesOnlyChangedHeaders(t *testing.T) {
 			t.Fatalf("content writes = %v, want %v", writes, want)
 		}
 	}
-	if c, g := p.CoalesceCounts(); c != 1 || g != 0 {
-		t.Fatalf("coalesces=%d gapAbsorbs=%d, want 1 0", c, g)
+	if c := p.Counts(); c.Coalesces != 1 || c.GapAbsorbs != 0 {
+		t.Fatalf("coalesces=%d gapAbsorbs=%d, want 1 0", c.Coalesces, c.GapAbsorbs)
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -331,8 +331,8 @@ func TestCoalesceAbsorbsIntoGap(t *testing.T) {
 	if err := p.Insert(key(50), val); err != nil {
 		t.Fatalf("insert into gap + adjacent block: %v", err)
 	}
-	if c, g := p.CoalesceCounts(); c != 1 || g != 1 {
-		t.Fatalf("coalesces=%d gapAbsorbs=%d, want 1 1", c, g)
+	if c := p.Counts(); c.Coalesces != 1 || c.GapAbsorbs != 1 {
+		t.Fatalf("coalesces=%d gapAbsorbs=%d, want 1 1", c.Coalesces, c.GapAbsorbs)
 	}
 	if want := int(content) + 40 - (gap + 20); int(p.hdr.Content) != want || p.hdr.Free != 0 || p.hdr.FreeLst != 0 {
 		t.Fatalf("content=%d free=%d head=%d, want %d 0 0", p.hdr.Content, p.hdr.Free, p.hdr.FreeLst, want)
@@ -344,10 +344,13 @@ func TestCoalesceAbsorbsIntoGap(t *testing.T) {
 
 func TestCoalesceRepairsSqueezedOffsetArray(t *testing.T) {
 	// Fifteen 14-byte records fill a 256-byte page: header to 44, cells from
-	// 46. Freeing the two lowest cells and inserting 5-byte records in their
-	// place grows the offset array past the content pointer after the third
-	// — "squeezed", which used to mean a page copy. The block still at the
-	// content pointer (4 bytes) goes back to the gap instead.
+	// 46. Freeing the two lowest cells, the lower first so that the other
+	// heads the list, and inserting 5-byte records in their place: the first
+	// two are carved from the front of the list head (60), the third from the
+	// tail of the block at the content pointer (46), and the offset array
+	// then reaches past the content pointer — "squeezed", which used to mean
+	// a page copy. The block still at the content pointer (9 bytes) goes back
+	// to the gap instead.
 	p := Init(NewMemBuf(256), TypeLeaf)
 	n := 0
 	for p.Insert(key(n), []byte{1}) == nil {
@@ -356,7 +359,7 @@ func TestCoalesceRepairsSqueezedOffsetArray(t *testing.T) {
 	if n != 15 || p.hdr.Content != 46 {
 		t.Fatalf("geometry: %d records, content at %d", n, p.hdr.Content)
 	}
-	for _, i := range []int{n - 2, n - 2} { // record 13 at 60, then record 14 at 46
+	for _, i := range []int{n - 1, n - 2} { // record 14 at 46, then record 13 at 60
 		if err := p.Delete(i); err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +372,8 @@ func TestCoalesceRepairsSqueezedOffsetArray(t *testing.T) {
 			t.Fatalf("insert %q: %v", k, err)
 		}
 	}
-	if c, g := p.CoalesceCounts(); c != 1 || g != 1 {
-		t.Fatalf("coalesces=%d gapAbsorbs=%d, want 1 1", c, g)
+	if c := p.Counts(); c.Coalesces != 1 || c.GapAbsorbs != 1 || c.HeadCarves != 2 {
+		t.Fatalf("%+v, want 1 coalesce, 1 gap absorb and 2 head carves", c)
 	}
 	if p.hdr.Content != 50 {
 		t.Fatalf("content at %d, want 50", p.hdr.Content)

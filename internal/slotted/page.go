@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -67,10 +68,7 @@ type Page struct {
 	planned bool
 	linkTo  uint16
 
-	// coalesces counts allocations that failed first-fit and succeeded after
-	// a coalescing pass, gapAbsorbs the passes that moved Content up; the
-	// commit schemes read both when the transaction finishes.
-	coalesces, gapAbsorbs int
+	counts FreeSpaceCounts // read by the commit schemes when the transaction finishes
 
 	// Reusable scratch for transient reads and cell-image construction.
 	// These never alias live data: transient reads are consumed before the
@@ -139,7 +137,7 @@ func (p *Page) reset(mem Mem) {
 	p.pending = p.pending[:0]
 	p.pendingSum = 0
 	p.planned = false
-	p.coalesces, p.gapAbsorbs = 0, 0
+	p.counts = FreeSpaceCounts{}
 }
 
 // readT performs a transient read: the returned bytes are valid only until
@@ -180,6 +178,14 @@ func (p *Page) SetDeferFrees(d bool) {
 		p.hdrFloor = p.hdr.EncodedLen()
 	}
 }
+
+// ReserveHeader keeps the first n bytes of the page out of the gap until the
+// handle is rebound, as SetDeferFrees keeps the committed header's. A commit
+// protocol that logs header images before its commit point calls it with
+// each image's length: recovery replays every image in order, and an early,
+// longer one must not land on a cell that a later operation carved where the
+// header has since shrunk.
+func (p *Page) ReserveHeader(n int) { p.hdrFloor = max(p.hdrFloor, n) }
 
 // Header returns the authoritative decoded header.
 func (p *Page) Header() *Header { return &p.hdr }
@@ -316,7 +322,7 @@ func (p *Page) FreeTotal() int {
 func (p *Page) allocate(size int) (uint16, error) {
 	off, ok := p.fit(size)
 	if !ok && p.coalesce(size) {
-		p.coalesces++
+		p.counts.Coalesces++
 		off, ok = p.fit(size)
 	}
 	if ok {
@@ -338,7 +344,10 @@ func (p *Page) allocate(size int) (uint16, error) {
 }
 
 // fit carves size bytes out of the gap or, failing that, out of the first
-// free block that holds them.
+// free block that holds them: the list head from its front, so that the
+// cell starts on the line the walk has just read and the remainder's header
+// usually shares the cell's last line, any later block from its tail, which
+// leaves its predecessor's link alone.
 func (p *Page) fit(size int) (uint16, bool) {
 	gap := p.gapAfter(1)
 	if gap < 0 {
@@ -355,11 +364,18 @@ func (p *Page) fit(size int) (uint16, bool) {
 		bsz := binary.LittleEndian.Uint16(b)
 		next := binary.LittleEndian.Uint16(b[2:])
 		if int(bsz) >= size {
-			take := uint16(size)
-			if int(bsz)-size >= MinFreeBlock {
+			if take := uint16(size); bsz-take >= MinFreeBlock {
+				p.hdr.Free -= take
+				if prev == 0 {
+					// The remainder's header moves behind the cell, and
+					// FreeLst to it in the commit image.
+					p.writeBlock(cur+take, bsz-take, next)
+					p.hdr.FreeLst = cur + take
+					p.counts.HeadCarves++
+					return cur, true
+				}
 				// Shrink the block in place; the new cell takes its tail.
 				p.writeBlock(cur, bsz-take, next)
-				p.hdr.Free -= take
 				return cur + bsz - take, true
 			}
 			// Take the whole block; the leftover (<MinFreeBlock) is lost
@@ -477,7 +493,7 @@ func (p *Page) coalesce(size int) bool {
 	if absorbed > 0 {
 		p.hdr.Content += absorbed
 		p.hdr.Free -= absorbed
-		p.gapAbsorbs++
+		p.counts.GapAbsorbs++
 	}
 	next := uint16(0)
 	for i := len(bl) - 1; i >= 0; i-- {
@@ -536,18 +552,34 @@ func (p *Page) freeCell(e extent) {
 }
 
 // PlanPendingFrees is the header half of linking the deferred frees: it
-// sets FreeLst and Free to the values they have once ApplyPendingFrees has
-// written the block headers (first pending extent → current head, each next
-// one → its predecessor, FreeLst → the last; extents too small for a header
-// are backed out of Free). A commit protocol calls it just before it encodes
-// the header for its commit image, so the free-list fields ride that image
-// and need no write of their own afterwards; no HeaderChanged is raised for
-// that reason. No page operation may follow until ApplyPendingFrees.
+// sets Content, FreeLst and Free to the values they have once
+// ApplyPendingFrees has written the block headers. An extent that starts at
+// the content pointer goes back to the gap, and so, in turn, does one that
+// starts where that one ended (SQLite's freeSpace rule): Content moves up
+// and no block header is ever written for it. The rest are chained (first
+// pending extent → current head, each next one → its predecessor, FreeLst →
+// the last; extents too small for a header are backed out of Free). A commit
+// protocol calls it just before it encodes the header for its commit image,
+// so these fields ride that image and need no write of their own
+// afterwards; no HeaderChanged is raised for that reason. No page operation
+// may follow until ApplyPendingFrees: until the commit point, absorbed
+// extents are committed cells, which an allocation from the gap would
+// overwrite.
 func (p *Page) PlanPendingFrees() {
 	if p.planned || len(p.pending) == 0 {
 		return
 	}
 	p.planned = true
+	for i := 0; i < len(p.pending); i++ {
+		if e := p.pending[i]; e.off == p.hdr.Content {
+			p.hdr.Content += e.size
+			p.hdr.Free -= e.size
+			p.pendingSum -= int(e.size)
+			p.pending = slices.Delete(p.pending, i, i+1)
+			p.counts.EdgeAbsorbs++
+			i = -1 // any other extent may start at the new pointer
+		}
+	}
 	p.linkTo = p.hdr.FreeLst
 	for _, e := range p.pending {
 		if e.size < MinFreeBlock {
@@ -562,10 +594,9 @@ func (p *Page) PlanPendingFrees() {
 // planned chain's block headers are written into the freed extents. Commit
 // protocols call it after the transaction's commit point.
 func (p *Page) ApplyPendingFrees() {
-	if len(p.pending) == 0 {
-		return
+	if p.PlanPendingFrees(); !p.planned {
+		return // nothing was pending
 	}
-	p.PlanPendingFrees()
 	next := p.linkTo
 	for _, e := range p.pending {
 		if e.size >= MinFreeBlock {
@@ -579,12 +610,20 @@ func (p *Page) ApplyPendingFrees() {
 	p.notify()
 }
 
-// CoalesceCounts reports, since the handle was bound to its page, the
-// allocations that succeeded only after coalescing the free list and the
-// coalescing passes that moved the content pointer up.
-func (p *Page) CoalesceCounts() (coalesces, gapAbsorbs int) { return p.coalesces, p.gapAbsorbs }
+// FreeSpaceCounts counts how a page handle found and returned free space
+// since it was bound to its page.
+type FreeSpaceCounts struct {
+	Coalesces   int // allocations that succeeded only after coalescing the free list
+	GapAbsorbs  int // coalescing passes that moved the content pointer up
+	EdgeAbsorbs int // deferred frees at the content pointer returned to the gap at commit
+	HeadCarves  int // cells carved from the front of the free-list head
+}
 
-// PendingFrees reports the number of deferred free extents.
+// Counts reports the handle's FreeSpaceCounts.
+func (p *Page) Counts() FreeSpaceCounts { return p.counts }
+
+// PendingFrees reports the number of deferred free extents still to be
+// written as free blocks.
 func (p *Page) PendingFrees() int { return len(p.pending) }
 
 // --- Mutations --------------------------------------------------------------
@@ -733,12 +772,13 @@ func (p *Page) TruncateKeepUpper(from int) {
 
 // CopyRangeTo copies cells [lo, hi) into dst (a fresh page of the same
 // type), preserving order. Used to populate the new sibling during a split
-// and the replacement page during defragmentation.
+// and the replacement page during defragmentation. The cells arrive in key
+// order, so a leaf's are appended without searching dst.
 func (p *Page) CopyRangeTo(dst *Page, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		var err error
 		if p.hdr.Type == TypeLeaf {
-			err = dst.Insert(p.Key(i), p.Value(i))
+			err = dst.InsertAt(dst.NCells(), p.Key(i), p.Value(i))
 		} else {
 			err = dst.InsertChild(p.Key(i), p.Child(i))
 		}

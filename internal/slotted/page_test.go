@@ -215,6 +215,50 @@ func TestPageFullAndNeedsDefrag(t *testing.T) {
 	}
 }
 
+// readCounter is a MemBuf that counts the reads made of it.
+type readCounter struct {
+	*MemBuf
+	reads int
+}
+
+func (m *readCounter) Read(off, n int) []byte       { m.reads++; return m.MemBuf.Read(off, n) }
+func (m *readCounter) ReadInto(off int, dst []byte) { m.reads++; m.MemBuf.ReadInto(off, dst) }
+
+func TestCopyRangeToAppendsLeafCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		p, _ := newLeaf(1024)
+		for i := 0; i < 40; i++ {
+			k := key(rng.Intn(30))
+			if j, found := p.Search(k); found {
+				_ = p.Delete(j)
+			} else {
+				_ = p.InsertAt(j, k, bytes.Repeat([]byte{byte(i)}, rng.Intn(60)))
+			}
+		}
+		lo := rng.Intn(p.NCells() + 1)
+		hi := lo + rng.Intn(p.NCells()-lo+1)
+		// The copy as a binary-searched insert per cell makes it.
+		want := NewMemBuf(1024)
+		ref := Init(want, TypeLeaf)
+		for i := lo; i < hi; i++ {
+			if err := ref.Insert(p.Key(i), p.Value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := &readCounter{MemBuf: NewMemBuf(1024)}
+		if err := p.CopyRangeTo(Init(got, TypeLeaf), lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Buf, want.Buf) {
+			t.Fatalf("round %d: copy of cells [%d,%d) differs from the searched inserts' page", round, lo, hi)
+		}
+		if got.reads != 0 {
+			t.Fatalf("round %d: the copy read the destination %d times", round, got.reads)
+		}
+	}
+}
+
 func TestCopyRangeToCompacts(t *testing.T) {
 	p, _ := newLeaf(1024)
 	for i := 0; i < 8; i++ {

@@ -44,10 +44,11 @@ func (tx *Txn) commitJournal() error {
 			orig := st.pageBuf(st.cfg.PageSize)
 			st.pm.Load(st.cfg.pageBase(no), orig)
 			st.pm.Store(entry+8, orig)
-			st.pm.Flush(entry, int(st.journalEntrySize()))
+			st.lines.Add(entry, int(st.journalEntrySize())) // an entry's last line is the next one's first
 			st.stats.WALBytes += int64(st.cfg.PageSize)
 			st.stats.JournaledPages++
 		}
+		st.lines.Flush(st.pm)
 		st.sys.Fence()
 		// Validate the journal with one atomic count store.
 		st.pm.StoreU64(jbase+journalCountOff, uint64(len(tx.dirtyOrder)))

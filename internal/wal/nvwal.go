@@ -108,7 +108,8 @@ func (tx *Txn) commitNVWAL(fullPage bool) error {
 	}
 
 	// 3. Log flush: copy the dirty bytes from the volatile cache into the
-	//    frames, chain them, flush, and commit with one 8-byte link store.
+	//    frames, chain them, flush each line they span once (adjacent frames
+	//    share lines), and commit with one 8-byte link store.
 	clock.InPhase(phase.LogFlush, func() {
 		var hdr [frameHeaderSize]byte
 		for i, f := range frames {
@@ -125,10 +126,10 @@ func (tx *Txn) commitNVWAL(fullPage bool) error {
 			payload := st.pageBuf(f.n)
 			st.dram.Load(st.cfg.pageBase(f.pageNo)+int64(f.off), payload)
 			st.pm.Store(f.frameOff+frameHeaderSize, payload)
-			st.pm.Flush(f.frameOff, frameHeaderSize+f.n)
+			st.lines.Add(f.frameOff, frameHeaderSize+f.n)
 			st.stats.WALBytes += int64(f.n)
 		}
-		if len(frames) > 0 {
+		if st.lines.Flush(st.pm) {
 			st.sys.Fence()
 			// The commit mark: link the transaction's first frame into the
 			// committed chain with one failure-atomic pointer store.
@@ -220,12 +221,13 @@ func (st *Store) Recover() error {
 		payload := st.pm.Read(cur+frameHeaderSize, n)
 		base := st.cfg.pageBase(pageNo)
 		st.pm.Store(base+off, payload)
-		st.pm.Flush(base+off, n)
+		st.lines.Add(base+off, n) // later frames of a page rewrite its lines: flush each once, after the last
 		cur = next
 		if steps++; steps > 1<<22 {
 			return fmt.Errorf("%w: WAL chain cycle", pager.ErrCorrupt)
 		}
 	}
+	st.lines.Flush(st.pm)
 	st.sys.Fence()
 	st.pm.StoreU64(st.cfg.walBase()+8, 0)
 	st.pm.Persist(st.cfg.walBase()+8, 8)

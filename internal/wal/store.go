@@ -109,6 +109,7 @@ type Store struct {
 	stats Stats
 	open  bool
 	txid  uint64
+	lines pmem.LineSet // lines queued for one flush each
 
 	// Volatile buffer cache state: which pages have a valid DRAM image.
 	resident map[uint32]bool
