@@ -107,6 +107,7 @@ type Stats struct {
 	GapAbsorbs    int64 // coalescing passes that returned a free run to the gap
 	EdgeAbsorbs   int64 // freed extents at the content pointer returned to the gap at commit
 	HeadCarves    int64 // cells carved from the front of a free-list head
+	BlockReads    int64 // free-block headers read from a page
 	Splits        int64 // updated by the B-tree layer via NoteSplit
 	FreeListFixes int64
 }
@@ -238,13 +239,15 @@ func (st *Store) LeafCellCap() int {
 // is ignored. Free lists are validated lazily afterwards.
 //
 // Invariant: a logged header and the one Commit checkpointed over the same
-// page differ at most in Content, Free and FreeLst (FAST stages headers at
-// OpEnd, before Commit plans the deferred frees into them). A frame may end
-// before its header does; the bytes after it are the committed header's, and
-// the checkpoint writes only lines that differ from those, so PM holds them
-// either way. Replaying the logged image over the checkpointed one therefore
-// changes no record, and either image's free list is at worst one the lazy
-// check rejects and rebuilds.
+// page differ at most in Flags, Content, Free and FreeLst (FAST stages
+// headers at OpEnd, before Commit plans the deferred frees into them). A
+// frame may end before its header does; the bytes after it are the committed
+// header's, and the checkpoint writes only lines that differ from those, so
+// PM holds them either way. Replaying the logged image over the checkpointed
+// one therefore changes no record, and either image's free list is at worst
+// one the lazy check rejects and rebuilds — a logged sole free block, whose
+// size is Free and so still counts the frees planned after the frame, runs
+// over a live cell, which the check catches.
 func (st *Store) Recover() error {
 	if _, ok := st.log.Committed(); ok {
 		frames, err := st.log.Frames()

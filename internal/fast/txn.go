@@ -482,7 +482,9 @@ func (tx *Txn) commitLogged() error {
 // cache overlay). This happens after the commit point, and the committed
 // header already names the blocks (PlanPendingFrees): the free list is
 // deliberately not failure-atomic (§4.3) — a crash in between leaves FreeLst
-// pointing at stale cell bytes, which the lazy check finds and rebuilds.
+// pointing at stale cell bytes, which the lazy check finds and rebuilds. A
+// block freed into an empty list is the sole block, which the header alone
+// describes, and has nothing to write.
 func (tx *Txn) applyFrees(tp *txnPage) {
 	if tp.page.PendingFrees() == 0 {
 		return
@@ -553,6 +555,7 @@ func (tx *Txn) finish() {
 		st.stats.GapAbsorbs += int64(c.GapAbsorbs)
 		st.stats.EdgeAbsorbs += int64(c.EdgeAbsorbs)
 		st.stats.HeadCarves += int64(c.HeadCarves)
+		st.stats.BlockReads += int64(c.BlockReads)
 		st.rec.handles = append(st.rec.handles, tp)
 	}
 	clear(tx.pages)

@@ -140,7 +140,7 @@ func (cn *conn) run() {
 			if fatal = cn.process(op, payload); fatal {
 				break
 			}
-			if len(cn.refs) >= cn.s.cfg.MaxCoalesce {
+			if len(cn.refs) >= maxCoalesce {
 				cn.flushWrites()
 			}
 		}

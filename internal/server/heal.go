@@ -16,7 +16,7 @@ import (
 // continuously-exercised path.
 //
 // Failed attempts back off exponentially per shard, capped at
-// HealBackoffMax, with ±50% jitter so shards degraded by a common cause do
+// healBackoffMax, with ±50% jitter so shards degraded by a common cause do
 // not retry in lockstep. A successful heal resets the shard's backoff.
 func (s *Server) runHealer() {
 	defer close(s.healDone)
@@ -57,8 +57,8 @@ func (s *Server) runHealer() {
 			if err := s.kv.Heal(i); err != nil {
 				s.met.healFailures.Add(1)
 				st.backoff *= 2
-				if st.backoff > s.cfg.HealBackoffMax {
-					st.backoff = s.cfg.HealBackoffMax
+				if st.backoff > healBackoffMax {
+					st.backoff = healBackoffMax
 				}
 				// Jitter the next attempt into [0.5, 1.5) × backoff.
 				st.next = now.Add(st.backoff/2 + time.Duration(rng.Int63n(int64(st.backoff))))

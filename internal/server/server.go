@@ -41,6 +41,20 @@ import (
 	"fasp/internal/server/wire"
 )
 
+// Fixed bounds of a Server.
+const (
+	// maxCoalesce flushes a connection's pending writes when this many ops
+	// have been deferred.
+	maxCoalesce = 1024
+	// healBackoffMax caps the per-shard heal backoff.
+	healBackoffMax = 500 * time.Millisecond
+	// dedupWindow bounds each session's write-dedup window, in sequence
+	// tokens. See session.go.
+	dedupWindow = 4096
+	// maxSessions bounds the session table.
+	maxSessions = 1024
+)
+
 // Config tunes a Server. The zero value serves with the defaults below.
 type Config struct {
 	// Name labels the server's metrics series (default "faspserver").
@@ -55,9 +69,6 @@ type Config struct {
 	// ScanLimit is the page size (pairs) of a SCAN with Limit 0, and the
 	// hard per-reply cap (default 256).
 	ScanLimit int
-	// MaxCoalesce flushes a connection's pending writes when this many ops
-	// have been deferred (default 1024).
-	MaxCoalesce int
 	// NoMetricsSource skips registering with the fasp /metrics endpoint
 	// (tests that assert exact scrape contents).
 	NoMetricsSource bool
@@ -83,13 +94,6 @@ type Config struct {
 	// (default 10ms). It also sizes the retry-after hint carried by
 	// UNAVAIL responses.
 	HealInterval time.Duration
-	// HealBackoffMax caps the per-shard heal backoff (default 500ms).
-	HealBackoffMax time.Duration
-	// DedupWindow bounds each session's write-dedup window, in sequence
-	// tokens (default 4096). See session.go.
-	DedupWindow int
-	// MaxSessions bounds the session table (default 1024).
-	MaxSessions int
 	// DedupCacheBytes bounds the reply bytes one session may cache for
 	// exactly-once replays (default 256 KiB; -1 = unbounded). Over budget,
 	// the oldest completed entries are evicted cache-first: a victim's
@@ -110,20 +114,8 @@ func (c *Config) fill() {
 	if c.ScanLimit <= 0 {
 		c.ScanLimit = 256
 	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 1024
-	}
 	if c.HealInterval <= 0 {
 		c.HealInterval = 10 * time.Millisecond
-	}
-	if c.HealBackoffMax <= 0 {
-		c.HealBackoffMax = 500 * time.Millisecond
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 4096
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
 	}
 	if c.DedupCacheBytes == 0 {
 		c.DedupCacheBytes = 256 << 10
@@ -172,7 +164,7 @@ func New(kv *fasp.KV, cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		conns:    make(map[net.Conn]struct{}),
 		nshards:  kv.Shards(),
-		sessions: newSessionTable(cfg.MaxSessions, cfg.DedupWindow, cfg.DedupCacheBytes),
+		sessions: newSessionTable(maxSessions, dedupWindow, cfg.DedupCacheBytes),
 	}
 	s.sessions.bytes = &s.met.dedupBytes
 	if cfg.AutoHeal {

@@ -28,8 +28,8 @@ import (
 // calls cancel() instead: the token is forgotten, so a retry re-executes —
 // dedup protects applied writes only.
 //
-// The window is bounded (Config.DedupWindow) and the session table is
-// bounded (Config.MaxSessions), so a hostile or leaky client cannot grow
+// The window is bounded (dedupWindow) and the session table is bounded
+// (maxSessions), so a hostile or leaky client cannot grow
 // server state without bound. The table does not survive a server restart:
 // a replay that crosses a restart re-executes, which is safe for the
 // upsert/delete ops the retry layer replays (and pinned as such by the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -42,9 +43,13 @@ func (mp *modelPage) commit(deferNext bool) {
 	}
 }
 
-// listBlocks walks the free list straight off the image.
+// listBlocks walks the free list straight off the image, except a sole
+// block, which the header alone describes.
 func (mp *modelPage) listBlocks() []extent {
 	var out []extent
+	if h := mp.p.hdr; h.Flags&FlagSoleFree != 0 {
+		return append(out, extent{h.FreeLst, h.Free - uint16(mp.p.pendingSum)})
+	}
 	for cur := mp.p.hdr.FreeLst; cur != 0; {
 		if len(out) > len(mp.m.Buf) {
 			mp.t.Fatal("free list cycle")
@@ -486,5 +491,89 @@ func TestGapKeepsClearOfCommittedHeader(t *testing.T) {
 	}
 	if got := m.Buf[working:len(committed)]; !bytes.Equal(got, committed[working:]) {
 		t.Fatal("the committed offset array was overwritten before commit")
+	}
+}
+
+// TestSoleFreeBlockImmediate follows the sole-block flag through freeCell's
+// immediate (non-deferred) path, which NVWAL, WAL and the journal use: a
+// block freed into an empty list and carved, front and whole, writes nothing
+// but cells, and the sole block's header is written only when a second
+// block joins it, just before the second block's own.
+func TestSoleFreeBlockImmediate(t *testing.T) {
+	// Records 0..8 of 4+9+27 = 40 bytes: record i at 472 - 40i.
+	p, m := fragmented(t, 9, 27)
+	var writes []extent
+	m.OnWrite = func(off, n int) {
+		if off >= HeaderFixedSize+2*p.NCells()+2 {
+			writes = append(writes, extent{uint16(off), uint16(n)})
+		}
+	}
+	step := func(what string, op func() error, sole bool, head, free uint16, want ...extent) {
+		t.Helper()
+		writes = writes[:0]
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		h := p.hdr
+		if got := h.Flags&FlagSoleFree != 0; got != sole || h.FreeLst != head || h.Free != free {
+			t.Fatalf("%s: sole %v, head %d, free %d; want %v, %d, %d", what, got, h.FreeLst, h.Free, sole, head, free)
+		}
+		if fmt.Sprint(writes) != fmt.Sprint(want) {
+			t.Fatalf("%s: content writes %v, want %v", what, writes, want)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	del := func(k int) func() error {
+		return func() error { i, _ := p.Search(key(k)); return p.Delete(i) }
+	}
+	ins := func(k int) func() error { return func() error { return p.Insert(key(k), make([]byte, 7)) } } // 20-byte cells
+	step("free into an empty list", del(2), true, 392, 40)
+	step("carve the sole head's front", ins(50), true, 412, 20, extent{392, 20})
+	step("take the sole head whole", ins(51), false, 0, 0, extent{412, 20})
+	step("free into the empty list again", del(5), true, 272, 40)
+	step("a second block joins", del(6), false, 232, 80, extent{272, 4}, extent{232, 4})
+	if got := m.Buf[272:276]; binary.LittleEndian.Uint16(got) != 40 || binary.LittleEndian.Uint16(got[2:]) != 0 {
+		t.Fatalf("the former sole block's header reads %v, want {40, 0}", got)
+	}
+}
+
+// TestRebuildFreeListClearsSoleFlag: the lazy repair writes every block's
+// header, so the list it leaves carries no sole-block flag.
+func TestRebuildFreeListClearsSoleFlag(t *testing.T) {
+	p, m := fragmented(t, 9, 27, 2)
+	if p.hdr.Flags&FlagSoleFree == 0 || p.hdr.FreeLst != 392 {
+		t.Fatalf("one hole: flags %#x, head %d; want a sole block at 392", p.hdr.Flags, p.hdr.FreeLst)
+	}
+	p.RebuildFreeList()
+	if p.hdr.Flags&FlagSoleFree != 0 || p.hdr.FreeLst != 392 || p.hdr.Free != 40 {
+		t.Fatalf("after the rebuild: flags %#x, head %d, free %d; want 0, 392, 40", p.hdr.Flags, p.hdr.FreeLst, p.hdr.Free)
+	}
+	if got := m.Buf[392:396]; binary.LittleEndian.Uint16(got) != 40 || binary.LittleEndian.Uint16(got[2:]) != 0 {
+		t.Fatalf("the rebuilt block's header reads %v, want {40, 0}", got)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckFreeListRejectsSoleBlockOverCell: a sole block is described by
+// Free alone, so a header whose Free outgrew its list — a FAST frame logged
+// before the transaction's frees were linked — is caught by the cells the
+// block would run over.
+func TestCheckFreeListRejectsSoleBlockOverCell(t *testing.T) {
+	p, _ := fragmented(t, 9, 27, 2) // a sole block at 392, record 1 at 432 above it
+	if err := p.CheckFreeList(); err != nil {
+		t.Fatal(err)
+	}
+	p.hdr.Free += 40 // [392, 472): record 1
+	if err := p.CheckFreeList(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sole block over a cell: %v", err)
+	}
+	p.hdr.Free -= 40
+	p.hdr.FreeLst -= 20 // [372, 412): the tail of record 3, which starts at 352
+	if err := p.CheckFreeList(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sole block under a cell's tail: %v", err)
 	}
 }

@@ -11,7 +11,7 @@
 // Layout of a page of size P:
 //
 //	off 0  : type byte (leaf / interior / meta / free)
-//	off 1  : flags
+//	off 1  : flags; bit 0 is FlagSoleFree
 //	off 2  : number of cells (uint16)
 //	off 4  : content-area start (uint16; 0 on a fresh page means P)
 //	off 6  : free bytes in the free list (uint16)
@@ -50,6 +50,13 @@ const (
 	// one cache line, the hardware limit for HTM in-place commits (§4.2).
 	MaxInPlaceCells = (64 - HeaderFixedSize) / 2
 )
+
+// FlagSoleFree, set in Header.Flags, says the free list is exactly one block
+// and the slot header describes it: the block starts at FreeLst and holds
+// Free bytes (net of pending frees), and its first four bytes are not a
+// {size,next} header. A free-list update that only replaces a sole block
+// with another therefore writes nothing outside the commit image.
+const FlagSoleFree byte = 1 << 0
 
 // Errors reported by page operations.
 var (

@@ -64,9 +64,12 @@ type Page struct {
 	pendingSum int
 	// planned is set between PlanPendingFrees and ApplyPendingFrees: the
 	// header already names the deferred frees' chain, which still has to be
-	// written and ends at linkTo, the list head at planning time.
-	planned bool
-	linkTo  uint16
+	// written and ends at linkTo, the list head at planning time. solePrev is
+	// the sole block that chain links to, whose header has to be written
+	// first; its size is 0 when there is none.
+	planned  bool
+	linkTo   uint16
+	solePrev extent
 
 	counts FreeSpaceCounts // read by the commit schemes when the transaction finishes
 
@@ -311,9 +314,12 @@ func (p *Page) FreeTotal() int {
 	return g + int(p.hdr.Free) - p.pendingSum
 }
 
-// allocate finds size contiguous bytes for a new cell, preferring the gap
-// (the paper's default: new records extend the record content area), then
-// the free list first-fit. The caller is about to add one offset entry.
+// allocate finds size contiguous bytes for a new cell: the free-list head if
+// it holds them, then the gap, then the rest of the list first-fit (SQLite's
+// allocateSpace, the code the paper modifies, also searches its freeblock
+// list before the gap). Churn that frees and rewrites cells of one size so
+// takes back the block it just freed, whose lines are warm, rather than
+// cold gap lines. The caller is about to add one offset entry.
 //
 // When both fail, the list is coalesced and both are tried once more before
 // the caller is told to defragment: the failed walk has just pulled every
@@ -343,56 +349,81 @@ func (p *Page) allocate(size int) (uint16, error) {
 	return 0, fmt.Errorf("%w: %d bytes requested, %d free", ErrPageFull, size, p.FreeTotal())
 }
 
-// fit carves size bytes out of the gap or, failing that, out of the first
-// free block that holds them: the list head from its front, so that the
-// cell starts on the line the walk has just read and the remainder's header
-// usually shares the cell's last line, any later block from its tail, which
-// leaves its predecessor's link alone.
+// fit carves size bytes out of the list head, the gap or, failing both, the
+// first later free block that holds them (allocate gives the order).
 func (p *Page) fit(size int) (uint16, bool) {
 	gap := p.gapAfter(1)
 	if gap < 0 {
 		return 0, false
 	}
+	prev, cur := uint16(0), p.hdr.FreeLst
+	if cur != 0 {
+		bsz, next := p.blockAt(cur)
+		if int(bsz) >= size {
+			return p.carve(0, cur, bsz, next, size), true
+		}
+		prev, cur = cur, next
+	}
 	if gap >= size {
 		p.hdr.Content -= uint16(size)
 		return p.hdr.Content, true
 	}
-	prev := uint16(0)
-	cur := p.hdr.FreeLst
 	for cur != 0 {
-		b := p.readT(int(cur), 4)
-		bsz := binary.LittleEndian.Uint16(b)
-		next := binary.LittleEndian.Uint16(b[2:])
+		bsz, next := p.blockAt(cur)
 		if int(bsz) >= size {
-			if take := uint16(size); bsz-take >= MinFreeBlock {
-				p.hdr.Free -= take
-				if prev == 0 {
-					// The remainder's header moves behind the cell, and
-					// FreeLst to it in the commit image.
-					p.writeBlock(cur+take, bsz-take, next)
-					p.hdr.FreeLst = cur + take
-					p.counts.HeadCarves++
-					return cur, true
-				}
-				// Shrink the block in place; the new cell takes its tail.
-				p.writeBlock(cur, bsz-take, next)
-				return cur + bsz - take, true
-			}
-			// Take the whole block; the leftover (<MinFreeBlock) is lost
-			// until defragmentation or a free-list rebuild.
-			if prev == 0 {
-				p.hdr.FreeLst = next
-			} else {
-				nb := p.tmp[:2]
-				binary.LittleEndian.PutUint16(nb, next)
-				p.mem.Write(int(prev)+2, nb)
-			}
-			p.hdr.Free -= bsz
-			return cur, true
+			return p.carve(prev, cur, bsz, next, size), true
 		}
 		prev, cur = cur, next
 	}
 	return 0, false
+}
+
+// carve takes size bytes out of the free block at cur, of bsz bytes and
+// successor next, whose predecessor in the list is prev (0 for the head),
+// and returns where the cell goes. The head is carved from its front, so
+// that the cell starts on the line just read and the remainder's header
+// usually shares the cell's last line (a sole block needs no header: the
+// remainder is the new FreeLst in the commit image), any later block from
+// its tail, which leaves its predecessor's link alone.
+func (p *Page) carve(prev, cur, bsz, next uint16, size int) uint16 {
+	if take := uint16(size); bsz-take >= MinFreeBlock {
+		p.hdr.Free -= take
+		if prev == 0 {
+			if p.hdr.Flags&FlagSoleFree == 0 {
+				p.writeBlock(cur+take, bsz-take, next)
+			}
+			p.hdr.FreeLst = cur + take
+			p.counts.HeadCarves++
+			return cur
+		}
+		// Shrink the block in place; the new cell takes its tail.
+		p.writeBlock(cur, bsz-take, next)
+		return cur + bsz - take
+	}
+	// Take the whole block; the leftover (<MinFreeBlock) is lost until
+	// defragmentation or a free-list rebuild.
+	if prev == 0 {
+		p.hdr.FreeLst = next
+		p.hdr.Flags &^= FlagSoleFree
+	} else {
+		nb := p.tmp[:2]
+		binary.LittleEndian.PutUint16(nb, next)
+		p.mem.Write(int(prev)+2, nb)
+	}
+	p.hdr.Free -= bsz
+	return cur
+}
+
+// blockAt returns the size and successor of the free block at off: a sole
+// block's from the slot header (FlagSoleFree), any other's from its
+// {size,next} header in the page.
+func (p *Page) blockAt(off uint16) (size, next uint16) {
+	if p.hdr.Flags&FlagSoleFree != 0 {
+		return uint16(int(p.hdr.Free) - p.pendingSum), 0
+	}
+	p.counts.BlockReads++
+	b := p.readT(int(off), 4)
+	return binary.LittleEndian.Uint16(b), binary.LittleEndian.Uint16(b[2:])
 }
 
 // writeBlock writes a free-block header, from the handle's scratch (a local
@@ -407,10 +438,14 @@ func (p *Page) writeBlock(off, size, next uint16) {
 // freeBlocks walks the free list into the page's scratch, in list order,
 // and leaves byAddr holding the same blocks' indices in address order. It
 // reports a list that leaves the page, loops, holds a block too small to
-// carry a header, or holds two blocks that overlap.
+// carry a header, or holds two blocks that overlap, and a sole-block flag on
+// an empty list.
 func (p *Page) freeBlocks() ([]freeBlock, error) {
 	ps := p.mem.PageSize()
 	bl := p.blocks[:0]
+	if p.hdr.Flags&FlagSoleFree != 0 && p.hdr.FreeLst == 0 {
+		return nil, fmt.Errorf("%w: sole free block flagged on an empty list", ErrCorrupt)
+	}
 	for cur := p.hdr.FreeLst; cur != 0; {
 		if int(cur) < HeaderFixedSize || int(cur)+MinFreeBlock > ps {
 			return nil, fmt.Errorf("%w: free block at %d out of bounds", ErrCorrupt, cur)
@@ -418,12 +453,10 @@ func (p *Page) freeBlocks() ([]freeBlock, error) {
 		if len(bl) >= ps/MinFreeBlock {
 			return nil, fmt.Errorf("%w: free list cycle", ErrCorrupt)
 		}
-		b := p.readT(int(cur), 4)
-		sz := binary.LittleEndian.Uint16(b)
+		sz, next := p.blockAt(cur)
 		if sz < MinFreeBlock || int(cur)+int(sz) > ps {
 			return nil, fmt.Errorf("%w: free block at %d size %d invalid", ErrCorrupt, cur, sz)
 		}
-		next := binary.LittleEndian.Uint16(b[2:])
 		bl = append(bl, freeBlock{off: cur, size: sz, next: next, merged: sz})
 		cur = next
 	}
@@ -507,6 +540,9 @@ func (p *Page) coalesce(size int) bool {
 		next = b.off
 	}
 	p.hdr.FreeLst = next
+	if next == 0 {
+		p.hdr.Flags &^= FlagSoleFree // the sole block went back to the gap
+	}
 	return true
 }
 
@@ -533,7 +569,9 @@ func (p *Page) CapacityAfterDefrag() int {
 
 // freeCell releases a cell extent. With deferred frees the extent only
 // joins the free list at ApplyPendingFrees time; its bytes remain intact,
-// preserving the page's committed state.
+// preserving the page's committed state. Otherwise it becomes the list head
+// at once: the sole block, with no header of its own, if the list was empty,
+// and when it joins a sole block, that block's header is written first.
 func (p *Page) freeCell(e extent) {
 	p.hdr.Free += e.size
 	if p.deferFrees {
@@ -547,7 +585,16 @@ func (p *Page) freeCell(e extent) {
 		p.hdr.Free -= e.size
 		return
 	}
-	p.writeBlock(e.off, e.size, p.hdr.FreeLst)
+	switch {
+	case p.hdr.FreeLst == 0:
+		p.hdr.Flags |= FlagSoleFree
+	case p.hdr.Flags&FlagSoleFree != 0:
+		p.writeBlock(p.hdr.FreeLst, p.hdr.Free-e.size, 0)
+		p.hdr.Flags &^= FlagSoleFree
+		fallthrough
+	default:
+		p.writeBlock(e.off, e.size, p.hdr.FreeLst)
+	}
 	p.hdr.FreeLst = e.off
 }
 
@@ -558,13 +605,15 @@ func (p *Page) freeCell(e extent) {
 // starts where that one ended (SQLite's freeSpace rule): Content moves up
 // and no block header is ever written for it. The rest are chained (first
 // pending extent → current head, each next one → its predecessor, FreeLst →
-// the last; extents too small for a header are backed out of Free). A commit
-// protocol calls it just before it encodes the header for its commit image,
-// so these fields ride that image and need no write of their own
-// afterwards; no HeaderChanged is raised for that reason. No page operation
-// may follow until ApplyPendingFrees: until the commit point, absorbed
-// extents are committed cells, which an allocation from the gap would
-// overwrite.
+// the last; extents too small for a header are backed out of Free). Flags
+// rides along: one extent left to link into an empty list becomes its sole
+// block, whose header is never written, and extents that join a sole block
+// clear the flag. A commit protocol calls it just before it encodes the
+// header for its commit image, so these fields ride that image and need no
+// write of their own afterwards; no HeaderChanged is raised for that reason.
+// No page operation may follow until ApplyPendingFrees: until the commit
+// point, absorbed extents are committed cells, which an allocation from the
+// gap would overwrite.
 func (p *Page) PlanPendingFrees() {
 	if p.planned || len(p.pending) == 0 {
 		return
@@ -581,27 +630,49 @@ func (p *Page) PlanPendingFrees() {
 		}
 	}
 	p.linkTo = p.hdr.FreeLst
+	p.solePrev = extent{}
+	if p.hdr.Flags&FlagSoleFree != 0 {
+		size, _ := p.blockAt(p.linkTo)
+		p.solePrev = extent{p.linkTo, size}
+	}
+	linked := 0
 	for _, e := range p.pending {
 		if e.size < MinFreeBlock {
 			p.hdr.Free -= e.size
 		} else {
 			p.hdr.FreeLst = e.off
+			linked++
 		}
+	}
+	switch {
+	case linked == 0:
+		p.solePrev = extent{} // the sole block stays sole
+	case p.solePrev.size != 0:
+		p.hdr.Flags &^= FlagSoleFree
+	case linked == 1 && p.linkTo == 0:
+		p.hdr.Flags |= FlagSoleFree
 	}
 }
 
-// ApplyPendingFrees links every deferred free into the free list: the
-// planned chain's block headers are written into the freed extents. Commit
-// protocols call it after the transaction's commit point.
+// ApplyPendingFrees links every deferred free into the free list: a sole
+// block they joined gets its header, then the planned chain's block headers
+// are written into the freed extents — none, if the one extent linked is
+// now the sole block. Commit protocols call it after the transaction's
+// commit point.
 func (p *Page) ApplyPendingFrees() {
 	if p.PlanPendingFrees(); !p.planned {
 		return // nothing was pending
 	}
-	next := p.linkTo
-	for _, e := range p.pending {
-		if e.size >= MinFreeBlock {
-			p.writeBlock(e.off, e.size, next)
-			next = e.off
+	if e := p.solePrev; e.size != 0 {
+		p.writeBlock(e.off, e.size, 0)
+	}
+	if p.hdr.Flags&FlagSoleFree == 0 {
+		next := p.linkTo
+		for _, e := range p.pending {
+			if e.size >= MinFreeBlock {
+				p.writeBlock(e.off, e.size, next)
+				next = e.off
+			}
 		}
 	}
 	p.pending = p.pending[:0]
@@ -617,6 +688,7 @@ type FreeSpaceCounts struct {
 	GapAbsorbs  int // coalescing passes that moved the content pointer up
 	EdgeAbsorbs int // deferred frees at the content pointer returned to the gap at commit
 	HeadCarves  int // cells carved from the front of the free-list head
+	BlockReads  int // free-block headers read from the page (a sole block's is in the slot header)
 }
 
 // Counts reports the handle's FreeSpaceCounts.
@@ -793,12 +865,17 @@ func (p *Page) CopyRangeTo(dst *Page, lo, hi int) error {
 
 // CheckFreeList verifies that the free list is structurally sound — in
 // bounds, acyclic, no two blocks overlapping — and that its total matches
-// the header's Free counter (net of pending frees). A mismatch after a crash
-// means the list must be rebuilt (§4.3).
+// the header's Free counter (net of pending frees). A sole block's total is
+// Free by definition, so it is checked against the cells instead: it must
+// lie in the content area and hold no byte of a live cell. A mismatch after
+// a crash means the list must be rebuilt (§4.3).
 func (p *Page) CheckFreeList() error {
 	bl, err := p.freeBlocks()
 	if err != nil {
 		return err
+	}
+	if p.hdr.Flags&FlagSoleFree != 0 {
+		return p.checkSole(bl[0])
 	}
 	total := 0
 	for i := range bl {
@@ -807,6 +884,34 @@ func (p *Page) CheckFreeList() error {
 	if total != int(p.hdr.Free)-p.pendingSum {
 		return fmt.Errorf("%w: free list total %d != header free %d - pending %d",
 			ErrCorrupt, total, p.hdr.Free, p.pendingSum)
+	}
+	return nil
+}
+
+// checkSole verifies the sole free block b against the cells: it starts at
+// or above the content pointer, no cell starts inside it, and the cell
+// nearest below it, whose header is the one read this costs, ends at or
+// before it. A header whose Free counts frees its list does not hold yet —
+// a FAST frame logged before its transaction linked them, replayed after a
+// crash — names a block that runs over a cell, and fails here.
+func (p *Page) checkSole(b freeBlock) error {
+	lo, hi := int(b.off), int(b.off)+int(b.size)
+	if lo < int(p.hdr.Content) {
+		return fmt.Errorf("%w: sole free block at %d below content start %d", ErrCorrupt, lo, p.hdr.Content)
+	}
+	below := -1
+	for i, o := range p.hdr.Offsets {
+		if int(o) >= lo && int(o) < hi {
+			return fmt.Errorf("%w: sole free block [%d,%d) holds cell %d", ErrCorrupt, lo, hi, i)
+		}
+		if int(o) < lo && (below < 0 || o > p.hdr.Offsets[below]) {
+			below = i
+		}
+	}
+	if below >= 0 && (p.hdr.Type == TypeLeaf || p.hdr.Type == TypeInterior) {
+		if e := p.cellExtent(below); int(e.off)+int(e.size) > lo {
+			return fmt.Errorf("%w: cell %d runs into the sole free block at %d", ErrCorrupt, below, lo)
+		}
 	}
 	return nil
 }
@@ -827,6 +932,7 @@ func (p *Page) RebuildFreeList() {
 		minUsed = used[0].off
 	}
 	p.hdr.Content = minUsed
+	p.hdr.Flags &^= FlagSoleFree
 	p.hdr.FreeLst = 0
 	p.hdr.Free = 0
 	p.pending = p.pending[:0]

@@ -199,3 +199,54 @@ func changedLines(hdr, was []byte) int {
 	}
 	return n
 }
+
+// TestSoleFreeBlockPin is the tier-1 pin on the free-list cost of the
+// server's write shape: fixed-size updates, one per transaction, of 76-byte
+// cells (8-byte keys, 64-byte values), under FAST+ and FAST, on the same
+// write-back-only machine as TestWriteBackLedgerPin. The preload inserts in
+// descending key order, so every split frees the cells at the content
+// pointer and no leaf starts the churn with a free list. An update then
+// takes its cell from the list head, the block the leaf's previous update
+// freed, and the cell it frees becomes the leaf's sole free block, which the
+// slot header describes: in steady state no free-block header is written
+// back (phase.FreeList) and none is read.
+func TestSoleFreeBlockPin(t *testing.T) {
+	const keys, warm, ops = 3000, 3000, 3000
+	for _, v := range []fast.Variant{fast.InPlaceCommit, fast.SlotHeaderLogging} {
+		t.Run(v.String(), func(t *testing.T) {
+			sys := pmem.NewSystem(pmem.LatencyModel{PMWrite: 1})
+			st := fast.Create(sys, fast.Config{PageSize: 4096, MaxPages: 1024, Variant: v})
+			tree := btree.New(st)
+			rng := rand.New(rand.NewSource(1))
+			val := make([]byte, 64)
+			key := func(id int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(id)) }
+			for id := keys - 1; id >= 0; id-- {
+				rng.Read(val)
+				if err := tree.Insert(key(id), val); err != nil {
+					t.Fatalf("preload %d: %v", id, err)
+				}
+			}
+			update := func() {
+				rng.Read(val)
+				if err := tree.Put(key(rng.Intn(keys)), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				update()
+			}
+			clock := sys.Clock()
+			fl0, s0 := clock.Phase(phase.FreeList), st.Stats()
+			for i := 0; i < ops; i++ {
+				update()
+			}
+			fl, s := clock.Phase(phase.FreeList)-fl0, st.Stats()
+			reads, splits := s.BlockReads-s0.BlockReads, s.Splits-s0.Splits
+			t.Logf("%d updates: %d free-list write-backs, %d block-header reads, %d splits, %d defrags",
+				ops, fl, reads, splits, s.Defrags-s0.Defrags)
+			if fl != 0 || reads != 0 {
+				t.Errorf("steady-state updates wrote back %d free-list lines and read %d free-block headers, want 0 and 0", fl, reads)
+			}
+		})
+	}
+}
