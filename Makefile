@@ -40,6 +40,7 @@ BUDGET ?= 60
 crashx:
 	$(GO) run ./cmd/crashtest -exhaustive -nested -budget $(BUDGET) -samples 30 -nested-budget 12 -nested-samples 6 -scheme fast+ -txns 12
 	$(GO) run ./cmd/crashtest -exhaustive -nested -budget $(BUDGET) -samples 30 -nested-budget 12 -nested-samples 6 -scheme fast -txns 12
+	$(GO) run ./cmd/crashtest -exhaustive -nested -budget $(BUDGET) -samples 30 -nested-budget 12 -nested-samples 6 -scheme nvwal -txns 12
 
 # Observability smoke: vet, the obsv + facade metrics tests, then the two
 # tests that serve /metrics (facade and network server), scrape it once and

@@ -17,6 +17,7 @@ import (
 	"fasp/internal/experiment"
 	"fasp/internal/fast"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func benchParams() experiment.Params {
 // scheme at the paper's default PM 300/300 point, reporting simulated
 // microseconds per transaction alongside Go ns/op.
 func BenchmarkInsert(b *testing.B) {
-	for _, s := range experiment.AllSchemes {
+	for _, s := range scheme.All {
 		b.Run(s.String(), func(b *testing.B) {
 			// Size the page space for the iteration count Go chose.
 			p := benchParams()
@@ -55,7 +56,7 @@ func BenchmarkInsert(b *testing.B) {
 
 // BenchmarkGet measures point lookups on a pre-populated FAST+ tree.
 func BenchmarkGet(b *testing.B) {
-	e := experiment.NewEnv(experiment.FASTPlus, pmem.DefaultLatencies(300, 300), benchParams())
+	e := experiment.NewEnv(scheme.FASTPlus, pmem.DefaultLatencies(300, 300), benchParams())
 	gen := workload.New(workload.Config{Seed: 42, RecordSize: 64})
 	var keys [][]byte
 	for i := 0; i < benchN; i++ {
@@ -112,10 +113,10 @@ func BenchmarkFig06(b *testing.B) {
 		}
 		var nv, fp int64
 		for _, r := range rows {
-			if r.Latency == 300 && r.Scheme == experiment.NVWAL {
+			if r.Latency == 300 && r.Scheme == scheme.NVWAL {
 				nv = r.TotalNS
 			}
-			if r.Latency == 300 && r.Scheme == experiment.FASTPlus {
+			if r.Latency == 300 && r.Scheme == scheme.FASTPlus {
 				fp = r.TotalNS
 			}
 		}
@@ -132,7 +133,7 @@ func BenchmarkFig07(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Latency == 300 && r.Scheme == experiment.FASTPlus && r.UpdateNS > 0 {
+			if r.Latency == 300 && r.Scheme == scheme.FASTPlus && r.UpdateNS > 0 {
 				b.ReportMetric(100*float64(r.FlushRecordNS)/float64(r.UpdateNS), "clflush-pct")
 			}
 		}
@@ -149,10 +150,10 @@ func BenchmarkFig08(b *testing.B) {
 		}
 		var nv, fp int64
 		for _, r := range rows {
-			if r.WriteLatency == 900 && r.Scheme == experiment.NVWAL {
+			if r.WriteLatency == 900 && r.Scheme == scheme.NVWAL {
 				nv = r.CommitNS
 			}
-			if r.WriteLatency == 900 && r.Scheme == experiment.FASTPlus {
+			if r.WriteLatency == 900 && r.Scheme == scheme.FASTPlus {
 				fp = r.CommitNS
 			}
 		}
@@ -169,7 +170,7 @@ func BenchmarkFig09(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.RecordSize == 64 && r.Scheme == experiment.FASTPlus {
+			if r.RecordSize == 64 && r.Scheme == scheme.FASTPlus {
 				b.ReportMetric(r.Flushes, "clflush/insert")
 			}
 		}
@@ -186,7 +187,7 @@ func BenchmarkFig10(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Batch == 8 && r.Scheme == experiment.FASTPlus {
+			if r.Batch == 8 && r.Scheme == scheme.FASTPlus {
 				b.ReportMetric(float64(r.PerOpNS)/1000, "sim-us/record@8")
 			}
 		}
@@ -204,7 +205,7 @@ func BenchmarkFig11(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Latency == 300 && r.Scheme == experiment.FASTPlus {
+			if r.Latency == 300 && r.Scheme == scheme.FASTPlus {
 				b.ReportMetric(r.ImprovementPct, "improvement-pct@300")
 			}
 		}
@@ -222,7 +223,7 @@ func BenchmarkFig12(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Latency == 300 && r.Scheme == experiment.FASTPlus && r.Mix == "mixed-crud" {
+			if r.Latency == 300 && r.Scheme == scheme.FASTPlus && r.Mix == "mixed-crud" {
 				b.ReportMetric(r.ThroughputKTPS, "sim-kTPS")
 			}
 		}
@@ -237,7 +238,7 @@ func BenchmarkAblationSchemes(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Scheme == experiment.Journal {
+			if r.Scheme == scheme.Journal {
 				b.ReportMetric(float64(r.BytesLog), "journalB/insert")
 			}
 		}
@@ -252,7 +253,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.PageSize == 16384 && r.Scheme == experiment.FASTPlus {
+			if r.PageSize == 16384 && r.Scheme == scheme.FASTPlus {
 				b.ReportMetric(float64(r.TotalNS)/1000, "sim-us@16K")
 			}
 		}
@@ -366,10 +367,10 @@ func BenchmarkRecoverySweep(b *testing.B) {
 		var nv, fp int64
 		last := experiment.RecoveryPoints[len(experiment.RecoveryPoints)-1]
 		for _, r := range rows {
-			if r.Txns == last && r.Scheme == experiment.NVWAL {
+			if r.Txns == last && r.Scheme == scheme.NVWAL {
 				nv = r.NS
 			}
-			if r.Txns == last && r.Scheme == experiment.FASTPlus {
+			if r.Txns == last && r.Scheme == scheme.FASTPlus {
 				fp = r.NS + 1
 			}
 		}
@@ -386,7 +387,7 @@ func BenchmarkWriteAmplification(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Scheme == experiment.FASTPlus {
+			if r.Scheme == scheme.FASTPlus {
 				b.ReportMetric(r.Amplification, "amplification")
 			}
 		}

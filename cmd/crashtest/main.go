@@ -37,16 +37,15 @@ import (
 	"time"
 
 	"fasp/internal/crashx"
-	"fasp/internal/fast"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/wal"
+	"fasp/internal/scheme"
 )
 
 func main() {
 	var (
 		rounds  = flag.Int("rounds", 100, "random mode: crash rounds to run")
-		scheme  = flag.String("scheme", "fast+", "fast+|fast|nvwal|wal|journal")
+		name    = flag.String("scheme", "fast+", "fast+|fast|nvwal|wal|journal (any case)")
 		seed    = flag.Int64("seed", 1, "master seed")
 		txns    = flag.Int("txns", 30, "workload transactions per run (per client when sharded)")
 		shards  = flag.Int("shards", 0, "run the sharded engine with this many shards (0/1 = classic single store)")
@@ -81,19 +80,25 @@ func main() {
 		return
 	}
 
+	s, err := scheme.Parse(*name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crashtest: %v\n", err)
+		os.Exit(2)
+	}
+
 	const cfgPageSize = 256
 
 	if *shards > 1 {
-		runSharded(*scheme, *shards, *clients, *txns, *rounds, *seed, *keepGoing)
+		runSharded(*name, *shards, *clients, *txns, *rounds, *seed, *keepGoing)
 		return
 	}
 
-	cfg := explorerConfig(*scheme, cfgPageSize, *txns)
+	cfg := explorerConfig(s, cfgPageSize, *txns)
 	cfg.Seed = *seed
 
 	switch {
 	case *repro != "":
-		runRepro(cfg, *scheme, *txns, *repro)
+		runRepro(cfg, *name, *txns, *repro)
 	case *exhaustive:
 		cfg.Budget = *budget
 		cfg.Samples = *samples
@@ -101,9 +106,9 @@ func main() {
 		cfg.Nested = *nested
 		cfg.NestedBudget = *nbudget
 		cfg.NestedSamples = *nsamples
-		runExhaustive(cfg, *scheme, *txns, *keepGoing)
+		runExhaustive(cfg, *name, *txns, *keepGoing)
 	default:
-		runRandom(cfg, *scheme, *txns, *rounds, *seed, *keepGoing)
+		runRandom(cfg, *name, *txns, *rounds, *seed, *keepGoing)
 	}
 }
 
@@ -112,20 +117,21 @@ func main() {
 // explorer runs schedules sequentially).
 var lastRun struct {
 	sys *pmem.System
-	st  pager.Store
+	st  scheme.Store
 }
 
-// explorerConfig wires crashx to this command's store constructors.
-func explorerConfig(scheme string, pageSize, txns int) *crashx.Config {
+// explorerConfig wires crashx to scheme s's store on a fresh machine.
+func explorerConfig(s scheme.Scheme, pageSize, txns int) *crashx.Config {
+	g := scheme.Geometry{PageSize: pageSize, MaxPages: 4096}
 	return &crashx.Config{
 		Open: func() (*pmem.System, pager.Store) {
 			sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-			st := mkStore(scheme, pageSize, sys)
+			st := s.Create(sys, g)
 			lastRun.sys, lastRun.st = sys, st
 			return sys, st
 		},
 		Reattach: func(st pager.Store) (pager.Store, error) {
-			return reattach(scheme, pageSize, st)
+			return s.Reattach(st.(scheme.Store).Arena(), g)
 		},
 		Workload: crashx.DefaultWorkload(txns),
 	}
@@ -141,11 +147,9 @@ func dumpMachine() {
 	}
 	fmt.Printf("  machine at failure: sim=%dns fences=%d crash-points=%d\n",
 		sys.Clock().Now(), sys.Fences(), sys.CrashPoints())
-	if a, ok := lastRun.st.(interface{ Arena() *pmem.Arena }); ok {
-		s := a.Arena().Stats()
-		fmt.Printf("  pm: clflush=%d writebacks=%d stores=%d (%dB) fills=%d hits=%d\n",
-			s.FlushCalls, s.LineWritebacks, s.WordStores, s.BytesStored, s.LineFills, s.CacheHits)
-	}
+	s := lastRun.st.Arena().Stats()
+	fmt.Printf("  pm: clflush=%d writebacks=%d stores=%d (%dB) fills=%d hits=%d\n",
+		s.FlushCalls, s.LineWritebacks, s.WordStores, s.BytesStored, s.LineFills, s.CacheHits)
 	phases := sys.Clock().Phases()
 	names := make([]string, 0, len(phases))
 	for name := range phases {
@@ -160,19 +164,19 @@ func dumpMachine() {
 }
 
 // reproCmd renders the one-command reproduction for a failing schedule.
-func reproCmd(scheme string, txns int, spec crashx.Spec) string {
-	return fmt.Sprintf("go run ./cmd/crashtest -scheme %s -txns %d -repro '%s'", scheme, txns, spec)
+func reproCmd(name string, txns int, spec crashx.Spec) string {
+	return fmt.Sprintf("go run ./cmd/crashtest -scheme %s -txns %d -repro '%s'", name, txns, spec)
 }
 
 // runRepro replays one pinned schedule and reports its exact outcome.
-func runRepro(cfg *crashx.Config, scheme string, txns int, spec string) {
+func runRepro(cfg *crashx.Config, name string, txns int, spec string) {
 	s, err := crashx.ParseSpec(spec)
 	if err != nil {
 		fail("%v", err)
 	}
 	res := crashx.Run(cfg, s)
 	fmt.Printf("crashtest: %s, %d txns, spec %s: crashed=%v acked=%d recCrashed=%v\n",
-		scheme, txns, s, res.Crashed, res.Acked, res.RecCrashed)
+		name, txns, s, res.Crashed, res.Acked, res.RecCrashed)
 	if res.Err != nil {
 		fmt.Printf("VIOLATION: %v\n", res.Err)
 		dumpMachine()
@@ -183,12 +187,12 @@ func runRepro(cfg *crashx.Config, scheme string, txns int, spec string) {
 
 // runExhaustive drives the crashx explorer and reports its schedule
 // coverage, printing each violation's repro command the moment it is found.
-func runExhaustive(cfg *crashx.Config, scheme string, txns int, keepGoing bool) {
+func runExhaustive(cfg *crashx.Config, name string, txns int, keepGoing bool) {
 	if keepGoing {
 		cfg.MaxFailures = 1 << 30
 	}
 	cfg.OnFailure = func(f crashx.Failure) {
-		fmt.Printf("VIOLATION at %s: %s\n  reproduce: %s\n", f.Spec, f.Err, reproCmd(scheme, txns, f.Spec))
+		fmt.Printf("VIOLATION at %s: %s\n  reproduce: %s\n", f.Spec, f.Err, reproCmd(name, txns, f.Spec))
 		dumpMachine()
 	}
 	lastPct := -1
@@ -203,7 +207,7 @@ func runExhaustive(cfg *crashx.Config, scheme string, txns int, keepGoing bool) 
 		fail("%v", err)
 	}
 	fmt.Printf("crashtest: %s, %d txns, %d crash points (%d enumerated + %d sampled), %d lotteries/point, %d runs (%d nested)\n",
-		scheme, txns, rep.TotalPoints, rep.Enumerated, rep.Sampled, rep.LotteriesPerPoint, rep.Runs, rep.NestedRuns)
+		name, txns, rep.TotalPoints, rep.Enumerated, rep.Sampled, rep.LotteriesPerPoint, rep.Runs, rep.NestedRuns)
 	if !rep.Ok() {
 		fmt.Printf("crashtest: %d violation(s)\n", len(rep.Failures))
 		os.Exit(1)
@@ -214,13 +218,13 @@ func runExhaustive(cfg *crashx.Config, scheme string, txns int, keepGoing bool) 
 // runRandom keeps the original randomised smoke test, rebuilt on crashx:
 // each round replays one random schedule through the same oracle the
 // explorer uses, so failures carry the same reproducible spec.
-func runRandom(cfg *crashx.Config, scheme string, txns, rounds int, seed int64, keepGoing bool) {
+func runRandom(cfg *crashx.Config, name string, txns, rounds int, seed int64, keepGoing bool) {
 	total, err := crashx.Measure(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
 	fmt.Printf("crashtest: %s, %d txns/round, %d crash points per run, %d rounds\n",
-		scheme, txns, total, rounds)
+		name, txns, total, rounds)
 	master := rand.New(rand.NewSource(seed))
 	failures := 0
 	evictHist := map[string]int{}
@@ -235,7 +239,7 @@ func runRandom(cfg *crashx.Config, scheme string, txns, rounds int, seed int64, 
 		if res := crashx.Run(cfg, spec); res.Err != nil {
 			failures++
 			fmt.Printf("round %d: VIOLATION at %s: %v\n  reproduce: %s\n",
-				round, spec, res.Err, reproCmd(scheme, txns, spec))
+				round, spec, res.Err, reproCmd(name, txns, spec))
 			dumpMachine()
 			if !keepGoing {
 				os.Exit(1)
@@ -249,11 +253,11 @@ func runRandom(cfg *crashx.Config, scheme string, txns, rounds int, seed int64, 
 }
 
 // runSharded drives the randomised sharded-engine rounds.
-func runSharded(scheme string, shards, clients, txns, rounds int, seed int64, keepGoing bool) {
+func runSharded(name string, shards, clients, txns, rounds int, seed int64, keepGoing bool) {
 	master := rand.New(rand.NewSource(seed))
-	total := measureSharded(scheme, shards, clients, txns)
+	total := measureSharded(name, shards, clients, txns)
 	fmt.Printf("crashtest: %s, %d shards, %d clients x %d txns/round, ≥%d crash points per shard, %d rounds\n",
-		scheme, shards, clients, txns, total, rounds)
+		name, shards, clients, txns, total, rounds)
 	failures := 0
 	evictHist := map[string]int{}
 	for round := 0; round < rounds; round++ {
@@ -262,7 +266,7 @@ func runSharded(scheme string, shards, clients, txns, rounds int, seed int64, ke
 		prob := []float64{0, 0.5, 1}[master.Intn(3)]
 		evictHist[fmt.Sprintf("p=%.1f", prob)]++
 		opts := pmem.CrashOptions{Seed: master.Int63(), EvictProb: prob}
-		if err := oneShardedRound(scheme, shards, clients, txns, victim, kpt, opts); err != nil {
+		if err := oneShardedRound(name, shards, clients, txns, victim, kpt, opts); err != nil {
 			failures++
 			fmt.Printf("round %d: VIOLATION shard %d crash@%d evict=%.1f seed=%d: %v\n",
 				round, victim, kpt, prob, opts.Seed, err)
@@ -285,51 +289,3 @@ func fail(format string, args ...any) {
 
 func key(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 func val(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 40) }
-
-func mkStore(scheme string, pageSize int, sys *pmem.System) pager.Store {
-	switch scheme {
-	case "fast":
-		return fast.Create(sys, fast.Config{PageSize: pageSize, MaxPages: 4096, Variant: fast.SlotHeaderLogging})
-	case "fast+":
-		return fast.Create(sys, fast.Config{PageSize: pageSize, MaxPages: 4096, Variant: fast.InPlaceCommit})
-	case "nvwal":
-		return wal.Create(sys, wal.Config{PageSize: pageSize, MaxPages: 4096, Kind: wal.NVWAL})
-	case "wal":
-		return wal.Create(sys, wal.Config{PageSize: pageSize, MaxPages: 4096, Kind: wal.FullWAL})
-	case "journal":
-		return wal.Create(sys, wal.Config{PageSize: pageSize, MaxPages: 4096, Kind: wal.Journal})
-	default:
-		fmt.Fprintf(os.Stderr, "crashtest: unknown scheme %q\n", scheme)
-		os.Exit(2)
-		return nil
-	}
-}
-
-func reattach(scheme string, pageSize int, st pager.Store) (pager.Store, error) {
-	switch s := st.(type) {
-	case *fast.Store:
-		variant := fast.InPlaceCommit
-		if scheme == "fast" {
-			variant = fast.SlotHeaderLogging
-		}
-		ns, err := fast.Attach(s.Arena(), fast.Config{PageSize: pageSize, MaxPages: 4096, Variant: variant})
-		if err != nil {
-			return nil, err
-		}
-		return ns, ns.Recover()
-	case *wal.Store:
-		kind := wal.NVWAL
-		switch scheme {
-		case "wal":
-			kind = wal.FullWAL
-		case "journal":
-			kind = wal.Journal
-		}
-		ns, err := wal.Attach(s.Arena(), wal.Config{PageSize: pageSize, MaxPages: 4096, Kind: kind})
-		if err != nil {
-			return nil, err
-		}
-		return ns, ns.Recover()
-	}
-	return nil, fmt.Errorf("unknown store")
-}

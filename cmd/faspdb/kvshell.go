@@ -6,10 +6,7 @@ package main
 // use — including the shard engine's mailbox writers and group commit.
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"strings"
 
 	"fasp"
 	"fasp/internal/metrics"
@@ -20,105 +17,25 @@ func runKVShell(kv *fasp.KV, lat, wlat int64) {
 	fmt.Printf("faspdb — %s KV (%d shard(s), group commit ≤%d) on emulated PM (%d/%d ns). Type help for commands.\n",
 		kv.SchemeName(), kv.Shards(), kv.MaxBatch(), lat, wlat)
 
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for {
-		fmt.Print("kv> ")
-		if !sc.Scan() {
-			fmt.Println()
-			return
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		t0 := kv.SimulatedNS()
-		quit := kvCommand(kv, fields)
-		if elapsed := kv.SimulatedNS() - t0; elapsed > 0 {
-			fmt.Printf("(%s simulated us)\n", metrics.Usec(elapsed))
-		}
-		if quit {
-			return
-		}
-	}
-}
-
-// kvCommand executes one shell line; returns true to quit.
-func kvCommand(kv *fasp.KV, fields []string) bool {
-	switch fields[0] {
-	case "quit", "exit", ".quit", ".exit":
-		return true
-	case "help", ".help":
-		fmt.Println(`commands:
-  put <key> <value>    insert or replace
-  get <key>            read
-  del <key>            delete
-  scan [lo [hi]]       list keys in order (merged across shards)
-  count                number of records
-  .shards              per-shard statistics
+	sh := &shell{
+		prompt: "kv> ",
+		st:     kv,
+		help: `  .shards              per-shard statistics
   .clock               simulated time and phase totals
   .stats               PM event counters + op latency percentiles
   .trace               sampled commit-path transaction traces
   .crash               power-fail every shard and recover
-  .save <file>         crash-consistent snapshot (reload: faspdb -kv -open <file>)
-  quit                 exit`)
-	case "put":
-		if len(fields) != 3 {
-			fmt.Println("usage: put <key> <value>")
-			break
-		}
-		if err := kv.Put([]byte(fields[1]), []byte(fields[2])); err != nil {
-			fmt.Printf("error: %v\n", err)
-		}
-	case "get":
-		if len(fields) != 2 {
-			fmt.Println("usage: get <key>")
-			break
-		}
-		v, ok, err := kv.Get([]byte(fields[1]))
-		switch {
-		case err != nil:
-			fmt.Printf("error: %v\n", err)
-		case !ok:
-			fmt.Println("(not found)")
-		default:
-			fmt.Printf("%s\n", v)
-		}
-	case "del":
-		if len(fields) != 2 {
-			fmt.Println("usage: del <key>")
-			break
-		}
-		if err := kv.Delete([]byte(fields[1])); err != nil {
-			fmt.Printf("error: %v\n", err)
-		}
-	case "scan":
-		var lo, hi []byte
-		if len(fields) > 1 {
-			lo = []byte(fields[1])
-		}
-		if len(fields) > 2 {
-			hi = []byte(fields[2])
-		}
-		n := 0
-		err := kv.Scan(lo, hi, func(k, v []byte) bool {
-			fmt.Printf("%s = %s\n", k, v)
-			n++
-			return n < 1000
-		})
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			break
-		}
-		fmt.Printf("%d row(s)\n", n)
-	case "count":
-		n, err := kv.Count()
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			break
-		}
-		fmt.Println(n)
+  .save <file>         crash-consistent snapshot (reload: faspdb -kv -open <file>)`,
+		extra: func(fields []string) bool { return kvCommand(kv, fields) },
+		simNS: kv.SimulatedNS,
+	}
+	sh.run()
+}
+
+// kvCommand runs one of the -kv shell's own commands; it returns false for
+// a command that is not one of them.
+func kvCommand(kv *fasp.KV, fields []string) bool {
+	switch fields[0] {
 	case ".shards":
 		for i := 0; i < kv.Shards(); i++ {
 			in, err := kv.ShardStats(i)
@@ -189,9 +106,9 @@ func kvCommand(kv *fasp.KV, fields []string) bool {
 			fmt.Printf("saved to %s\n", fields[1])
 		}
 	default:
-		fmt.Println("unknown command; try help")
+		return false
 	}
-	return false
+	return true
 }
 
 // healthSuffix annotates a shard line when it is not serving.

@@ -6,12 +6,10 @@ package main
 // load generator, and the tests all share one frame encoder.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"fasp/internal/server/client"
 )
@@ -28,97 +26,34 @@ func runRemoteShell(addr string) {
 		os.Exit(1)
 	}
 	fmt.Printf("faspdb — connected to faspserver at %s. Type help for commands.\n", addr)
-
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for {
-		fmt.Print("kv@" + addr + "> ")
-		if !sc.Scan() {
-			fmt.Println()
-			return
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if remoteCommand(cl, strings.Fields(line)) {
-			return
-		}
+	sh := &shell{
+		prompt: "kv@" + addr + "> ",
+		st:     remoteKV{cl},
+		help: `  ping                 round trip to the server
+  .stats               server + engine statistics (JSON)`,
+		extra: func(fields []string) bool { return remoteCommand(cl, fields) },
 	}
+	sh.run()
 }
 
-// remoteCommand executes one shell line against the server; returns true
-// to quit.
+// remoteKV adapts a server connection to the shell's data commands.
+type remoteKV struct{ *client.Client }
+
+func (r remoteKV) Delete(key []byte) error { return r.Del(key) }
+
+func (r remoteKV) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
+	return r.Client.Scan(lo, hi, false, fn)
+}
+
+func (r remoteKV) Count() (int, error) {
+	n, err := r.Client.Count()
+	return int(n), err
+}
+
+// remoteCommand runs one of the remote shell's own commands; it returns
+// false for a command that is not one of them.
 func remoteCommand(cl *client.Client, fields []string) bool {
 	switch fields[0] {
-	case "quit", "exit", ".quit", ".exit":
-		return true
-	case "help", ".help":
-		fmt.Println(`commands:
-  put <key> <value>    insert or replace
-  get <key>            read
-  del <key>            delete
-  scan [lo [hi]]       list keys in order
-  count                number of records
-  ping                 round trip to the server
-  .stats               server + engine statistics (JSON)
-  quit                 exit`)
-	case "put":
-		if len(fields) != 3 {
-			fmt.Println("usage: put <key> <value>")
-			break
-		}
-		if err := cl.Put([]byte(fields[1]), []byte(fields[2])); err != nil {
-			fmt.Printf("error: %v\n", err)
-		}
-	case "get":
-		if len(fields) != 2 {
-			fmt.Println("usage: get <key>")
-			break
-		}
-		v, ok, err := cl.Get([]byte(fields[1]))
-		switch {
-		case err != nil:
-			fmt.Printf("error: %v\n", err)
-		case !ok:
-			fmt.Println("(not found)")
-		default:
-			fmt.Printf("%s\n", v)
-		}
-	case "del":
-		if len(fields) != 2 {
-			fmt.Println("usage: del <key>")
-			break
-		}
-		if err := cl.Del([]byte(fields[1])); err != nil {
-			fmt.Printf("error: %v\n", err)
-		}
-	case "scan":
-		var lo, hi []byte
-		if len(fields) > 1 {
-			lo = []byte(fields[1])
-		}
-		if len(fields) > 2 {
-			hi = []byte(fields[2])
-		}
-		n := 0
-		err := cl.Scan(lo, hi, false, func(k, v []byte) bool {
-			fmt.Printf("%s = %s\n", k, v)
-			n++
-			return n < 1000
-		})
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			break
-		}
-		fmt.Printf("%d row(s)\n", n)
-	case "count":
-		n, err := cl.Count()
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			break
-		}
-		fmt.Println(n)
 	case "ping":
 		if err := cl.Ping(); err != nil {
 			fmt.Printf("error: %v\n", err)
@@ -138,7 +73,7 @@ func remoteCommand(cl *client.Client, fields []string) bool {
 			fmt.Printf("%s\n", raw)
 		}
 	default:
-		fmt.Println("unknown command; try help")
+		return false
 	}
-	return false
+	return true
 }

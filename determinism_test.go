@@ -23,10 +23,8 @@ import (
 
 	"fasp"
 	"fasp/internal/btree"
-	"fasp/internal/fast"
-	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/wal"
+	"fasp/internal/scheme"
 	"fasp/internal/workload"
 )
 
@@ -47,60 +45,27 @@ type goldenRecord struct {
 	Phases      map[string]int64 `json:"phases"`
 }
 
-// goldenSchemes lists the five commit schemes under test.
-var goldenSchemes = []string{"NVWAL", "FAST", "FAST+", "WAL", "Journal"}
-
 // goldenEnv builds a machine with a deliberately small CPU-cache overlay
 // (256 lines) so the workload churns through FIFO eviction, and page-size
-// 1024 so it splits often.
-func goldenEnv(scheme string) (*pmem.System, pager.Store, *pmem.Arena, func() (pager.Store, error)) {
+// 1024 so it splits often. The baselines get a 1 MiB log that checkpoints
+// at 128 KiB.
+func goldenEnv(s scheme.Scheme) (*pmem.System, scheme.Store, scheme.Geometry) {
 	lat := pmem.DefaultLatencies(300, 300)
 	lat.CacheBytes = 16 << 10
 	sys := pmem.NewSystem(lat)
-	switch scheme {
-	case "FAST", "FAST+":
-		variant := fast.SlotHeaderLogging
-		if scheme == "FAST+" {
-			variant = fast.InPlaceCommit
-		}
-		cfg := fast.Config{PageSize: 1024, MaxPages: 2048, LogBytes: 256 << 10, Variant: variant}
-		st := fast.Create(sys, cfg)
-		arena := st.Arena()
-		reattach := func() (pager.Store, error) {
-			ns, err := fast.Attach(arena, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		}
-		return sys, st, arena, reattach
-	default:
-		kind := wal.NVWAL
-		switch scheme {
-		case "WAL":
-			kind = wal.FullWAL
-		case "Journal":
-			kind = wal.Journal
-		}
-		cfg := wal.Config{PageSize: 1024, MaxPages: 2048, LogBytes: 1 << 20, CheckpointBytes: 128 << 10, Kind: kind}
-		st := wal.Create(sys, cfg)
-		arena := st.Arena()
-		reattach := func() (pager.Store, error) {
-			ns, err := wal.Attach(arena, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		}
-		return sys, st, arena, reattach
+	g := scheme.Geometry{PageSize: 1024, MaxPages: 2048, LogBytes: 256 << 10}
+	if !s.IsFAST() {
+		g.LogBytes, g.CheckpointBytes = 1<<20, 128<<10
 	}
+	return sys, s.Create(sys, g), g
 }
 
 // runGoldenWorkload drives the fixed workload on one scheme and returns its
 // observable record.
-func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
+func runGoldenWorkload(t *testing.T, s scheme.Scheme) goldenRecord {
 	t.Helper()
-	sys, st, arena, reattach := goldenEnv(scheme)
+	sys, st, g := goldenEnv(s)
+	arena := st.Arena()
 	tree := btree.New(st)
 	gen := workload.New(workload.Config{Seed: 11, RecordSize: 100})
 
@@ -109,22 +74,22 @@ func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
 		k := gen.NextKey()
 		keys = append(keys, k)
 		if err := tree.Insert(k, gen.NextValue()); err != nil {
-			t.Fatalf("%s insert %d: %v", scheme, i, err)
+			t.Fatalf("%s insert %d: %v", s, i, err)
 		}
 	}
 	for i := 0; i < 60; i++ {
 		if err := tree.Update(keys[(i*3)%400], gen.ValueOfSize(120)); err != nil {
-			t.Fatalf("%s update %d: %v", scheme, i, err)
+			t.Fatalf("%s update %d: %v", s, i, err)
 		}
 	}
 	for i := 0; i < 40; i++ {
 		if err := tree.Delete(keys[(i*7)%280]); err != nil {
-			t.Fatalf("%s delete %d: %v", scheme, i, err)
+			t.Fatalf("%s delete %d: %v", s, i, err)
 		}
 	}
 	for _, k := range keys {
 		if _, _, err := tree.Get(k); err != nil {
-			t.Fatalf("%s get: %v", scheme, err)
+			t.Fatalf("%s get: %v", s, err)
 		}
 	}
 	// One multi-insert transaction (FAST+ takes its logged fallback here).
@@ -134,11 +99,11 @@ func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
 	}
 	for i := 0; i < 8; i++ {
 		if err := tx.Insert(gen.NextKey(), gen.NextValue()); err != nil {
-			t.Fatalf("%s batch insert: %v", scheme, err)
+			t.Fatalf("%s batch insert: %v", s, err)
 		}
 	}
 	if err := tx.Commit(); err != nil {
-		t.Fatalf("%s batch commit: %v", scheme, err)
+		t.Fatalf("%s batch commit: %v", s, err)
 	}
 
 	// Crash mid-workload, run the eviction lottery, recover, keep going.
@@ -151,17 +116,17 @@ func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
 		}
 	})
 	if !crashed {
-		t.Fatalf("%s: crash did not fire", scheme)
+		t.Fatalf("%s: crash did not fire", s)
 	}
 	sys.Crash(pmem.CrashOptions{Seed: 7, EvictProb: 0.5})
-	st2, err := reattach()
+	st2, err := s.Reattach(arena, g)
 	if err != nil {
-		t.Fatalf("%s recover: %v", scheme, err)
+		t.Fatalf("%s recover: %v", s, err)
 	}
 	tree = btree.New(st2)
 	for i := 0; i < 50; i++ {
 		if err := tree.Insert(gen.NextKey(), gen.NextValue()); err != nil {
-			t.Fatalf("%s post-crash insert: %v", scheme, err)
+			t.Fatalf("%s post-crash insert: %v", s, err)
 		}
 	}
 
@@ -174,7 +139,7 @@ func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
 		count++
 		return true
 	}); err != nil {
-		t.Fatalf("%s scan: %v", scheme, err)
+		t.Fatalf("%s scan: %v", s, err)
 	}
 
 	return goldenRecord{
@@ -193,9 +158,9 @@ func runGoldenWorkload(t *testing.T, scheme string) goldenRecord {
 // TestGoldenDeterminism runs the fixed workload on all five schemes and
 // compares every observable against testdata/golden.json.
 func TestGoldenDeterminism(t *testing.T) {
-	got := make(map[string]goldenRecord, len(goldenSchemes))
-	for _, scheme := range goldenSchemes {
-		got[scheme] = runGoldenWorkload(t, scheme)
+	got := make(map[string]goldenRecord, len(scheme.All))
+	for _, s := range scheme.All {
+		got[s.String()] = runGoldenWorkload(t, s)
 	}
 
 	path := filepath.Join("testdata", "golden.json")
@@ -222,12 +187,12 @@ func TestGoldenDeterminism(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range goldenSchemes {
-		g, w := got[scheme], want[scheme]
+	for _, s := range scheme.All {
+		g, w := got[s.String()], want[s.String()]
 		if !reflect.DeepEqual(g, w) {
 			gj, _ := json.Marshal(g)
 			wj, _ := json.Marshal(w)
-			t.Errorf("%s: simulated behavior diverged from golden\n got: %s\nwant: %s", scheme, gj, wj)
+			t.Errorf("%s: simulated behavior diverged from golden\n got: %s\nwant: %s", s, gj, wj)
 		}
 	}
 }
@@ -236,8 +201,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // requires identical records, guarding against map-iteration or other
 // run-to-run nondeterminism sneaking into the emulation.
 func TestGoldenDeterminismStable(t *testing.T) {
-	a := runGoldenWorkload(t, "FAST+")
-	b := runGoldenWorkload(t, "FAST+")
+	a := runGoldenWorkload(t, scheme.FASTPlus)
+	b := runGoldenWorkload(t, scheme.FASTPlus)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical runs diverged:\n a: %+v\n b: %+v", a, b)
 	}

@@ -25,14 +25,13 @@ import (
 
 	"fasp/internal/btree"
 	"fasp/internal/engine"
-	"fasp/internal/fast"
 	"fasp/internal/hashidx"
 	"fasp/internal/obsv"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/shard"
 	"fasp/internal/sql"
-	"fasp/internal/wal"
 )
 
 // Scheme names accepted by Options.Scheme.
@@ -47,13 +46,7 @@ const (
 // ErrBadScheme reports an Options.Scheme naming no commit scheme. Open,
 // OpenKV, and OpenHash return it (wrapped — test with errors.Is) instead of
 // constructing a store; names are case-insensitive.
-var ErrBadScheme = errors.New("fasp: unknown scheme")
-
-// badScheme wraps ErrBadScheme with the offending name and the valid set.
-func badScheme(scheme string) error {
-	return fmt.Errorf("%w %q (schemes: %s, %s, %s, %s, %s)", ErrBadScheme,
-		scheme, SchemeFASTPlus, SchemeFAST, SchemeNVWAL, SchemeWAL, SchemeJournal)
-}
+var ErrBadScheme = scheme.ErrUnknown
 
 // Options configures a database or KV store.
 type Options struct {
@@ -91,9 +84,6 @@ type Options struct {
 	// MetricsSampleEvery samples every Nth transaction's full commit-path
 	// event counts into the trace ring (default 64).
 	MetricsSampleEvery int
-	// SlowOpNS is the wall-clock latency threshold above which an
-	// operation lands in the slow-op log (default 1ms).
-	SlowOpNS int64
 	// DisableOptimisticReads forces every read through the locked per-shard
 	// path instead of the epoch-pinned optimistic path — the baseline arm
 	// for read-scaling benchmarks, and an escape hatch. Locked reads advance
@@ -118,7 +108,7 @@ type Options struct {
 }
 
 // fill applies defaults and normalises Scheme to its canonical lower-case
-// form, so the rest of the package compares it directly. It is idempotent:
+// form, the name a snapshot records. It is idempotent:
 // the -1 latency sentinel survives so that re-filling (each shard's
 // backend fills the same Options) cannot turn an explicit zero back into
 // the 300 ns default; newBase clamps the sentinel when building the model.
@@ -170,77 +160,36 @@ type CrashOptions = pmem.CrashOptions
 // not internally synchronised, so the facade provides SQLite-style
 // one-at-a-time access that is safe to call from multiple goroutines.
 type base struct {
-	mu    sync.Mutex
-	opts  Options
-	sys   *pmem.System
-	store pager.Store
-	arena *pmem.Arena
+	mu     sync.Mutex
+	opts   Options
+	scheme scheme.Scheme
+	sys    *pmem.System
+	store  pager.Store
+	arena  *pmem.Arena
 }
 
 func newBase(opts Options) (*base, error) {
 	opts.fill()
+	s, err := scheme.Parse(opts.Scheme)
+	if err != nil {
+		return nil, err
+	}
 	lat := pmem.DefaultLatencies(latNS(opts.PMReadNS), latNS(opts.PMWriteNS))
 	lat.CacheBytes = opts.CacheBytes
 	sys := pmem.NewSystem(lat)
-	b := &base{opts: opts, sys: sys}
-	switch opts.Scheme {
-	case SchemeFASTPlus, SchemeFAST:
-		st := fast.Create(sys, fastConfigFor(opts))
-		b.store, b.arena = st, st.Arena()
-	case SchemeNVWAL, SchemeWAL, SchemeJournal:
-		st := wal.Create(sys, walConfigFor(opts))
-		b.store, b.arena = st, st.Arena()
-	default:
-		return nil, badScheme(opts.Scheme)
-	}
-	return b, nil
+	st := s.Create(sys, opts.geometry())
+	return &base{opts: opts, scheme: s, sys: sys, store: st, arena: st.Arena()}, nil
 }
 
-// fastConfigFor / walConfigFor translate Options into the stores' configs —
-// the single place the scheme string picks a variant or kind.
-func fastConfigFor(opts Options) fast.Config {
-	variant := fast.InPlaceCommit
-	if opts.Scheme == SchemeFAST {
-		variant = fast.SlotHeaderLogging
-	}
-	return fast.Config{PageSize: opts.PageSize, MaxPages: opts.MaxPages, Variant: variant}
+// geometry sizes the store; the log sizes keep each scheme's default.
+func (o Options) geometry() scheme.Geometry {
+	return scheme.Geometry{PageSize: o.PageSize, MaxPages: o.MaxPages}
 }
 
-func walConfigFor(opts Options) wal.Config {
-	kind := wal.NVWAL
-	switch opts.Scheme {
-	case SchemeWAL:
-		kind = wal.FullWAL
-	case SchemeJournal:
-		kind = wal.Journal
-	}
-	return wal.Config{PageSize: opts.PageSize, MaxPages: opts.MaxPages, Kind: kind}
-}
-
-// attachStore rebuilds a store of opts.Scheme over an existing arena
-// (after a crash or a snapshot restore) and runs the scheme's recovery.
-// It is the shared reattach path of DB, Hash and every KV shard.
-func attachStore(opts Options, arena *pmem.Arena) (pager.Store, error) {
-	switch opts.Scheme {
-	case SchemeFASTPlus, SchemeFAST:
-		ns, err := fast.Attach(arena, fastConfigFor(opts))
-		if err != nil {
-			return nil, err
-		}
-		return ns, ns.Recover()
-	case SchemeNVWAL, SchemeWAL, SchemeJournal:
-		ns, err := wal.Attach(arena, walConfigFor(opts))
-		if err != nil {
-			return nil, err
-		}
-		return ns, ns.Recover()
-	}
-	return nil, badScheme(opts.Scheme)
-}
-
-// reattach rebuilds the store over the surviving arena after a crash.
+// reattach rebuilds the store over the surviving arena after a crash or a
+// snapshot restore, and runs the scheme's recovery.
 func (b *base) reattach() error {
-	ns, err := attachStore(b.opts, b.arena)
+	ns, err := b.scheme.Reattach(b.arena, b.opts.geometry())
 	if err != nil {
 		return err
 	}
@@ -418,9 +367,13 @@ func OpenKV(opts Options) (*KV, error) {
 
 // newShardEngine wires the scheme-agnostic engine to this package's store
 // constructors: every shard is a full newBase backend on its own simulated
-// machine, and reattach after a crash goes through attachStore. A shard runs
-// Options.Scheme for the life of the store.
+// machine, and reattach after a crash goes through the scheme table. A shard
+// runs Options.Scheme for the life of the store.
 func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
+	s, err := scheme.Parse(opts.Scheme)
+	if err != nil {
+		return nil, err
+	}
 	return shard.New(shard.Config{
 		Shards:            opts.Shards,
 		MaxBatch:          opts.MaxBatch,
@@ -434,7 +387,7 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 			return &shard.Backend{Sys: b.sys, Arena: b.arena, Store: b.store}, nil
 		},
 		Reattach: func(_ int, be *shard.Backend) (pager.Store, error) {
-			return attachStore(opts, be.Arena)
+			return s.Reattach(be.Arena, opts.geometry())
 		},
 		Recorder: rec,
 		Counters: func(_ int, be *shard.Backend) obsv.Counters {

@@ -7,60 +7,32 @@ import (
 	"testing"
 
 	"fasp/internal/crashx"
-	"fasp/internal/fast"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/wal"
+	"fasp/internal/scheme"
 )
 
 // testConfig builds an explorer config for one scheme on a tiny geometry:
 // every explored schedule replays the workload on a fresh arena, so small
 // page/log spaces keep the allocation cost of tens of thousands of replays
 // negligible.
-func testConfig(scheme string, txns int) *crashx.Config {
-	fcfg := fast.Config{PageSize: 256, MaxPages: 64, LogBytes: 8 << 10}
-	wcfg := wal.Config{PageSize: 256, MaxPages: 64, LogBytes: 64 << 10, Kind: wal.NVWAL}
-	mk := func() (*pmem.System, pager.Store) {
-		sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-		switch scheme {
-		case "fast":
-			cfg := fcfg
-			cfg.Variant = fast.SlotHeaderLogging
-			return sys, fast.Create(sys, cfg)
-		case "fast+":
-			cfg := fcfg
-			cfg.Variant = fast.InPlaceCommit
-			return sys, fast.Create(sys, cfg)
-		case "nvwal":
-			return sys, wal.Create(sys, wcfg)
-		}
-		panic("unknown scheme " + scheme)
+func testConfig(name string, txns int) *crashx.Config {
+	s, err := scheme.Parse(name)
+	if err != nil {
+		panic(err)
 	}
-	re := func(st pager.Store) (pager.Store, error) {
-		switch s := st.(type) {
-		case *fast.Store:
-			cfg := fcfg
-			cfg.Variant = fast.InPlaceCommit
-			if scheme == "fast" {
-				cfg.Variant = fast.SlotHeaderLogging
-			}
-			ns, err := fast.Attach(s.Arena(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		case *wal.Store:
-			ns, err := wal.Attach(s.Arena(), wcfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		}
-		return nil, fmt.Errorf("unknown store type %T", st)
+	g := scheme.Geometry{PageSize: 256, MaxPages: 64, LogBytes: 8 << 10}
+	if !s.IsFAST() {
+		g.LogBytes = 64 << 10
 	}
 	return &crashx.Config{
-		Open:     mk,
-		Reattach: re,
+		Open: func() (*pmem.System, pager.Store) {
+			sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
+			return sys, s.Create(sys, g)
+		},
+		Reattach: func(st pager.Store) (pager.Store, error) {
+			return s.Reattach(st.(scheme.Store).Arena(), g)
+		},
 		Workload: crashx.DefaultWorkload(txns),
 		Seed:     1,
 	}
@@ -108,9 +80,9 @@ func TestScheduleDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-func cloneSmall(t *testing.T, scheme string, txns int) *crashx.Config {
+func cloneSmall(t *testing.T, name string, txns int) *crashx.Config {
 	t.Helper()
-	cfg := testConfig(scheme, txns)
+	cfg := testConfig(name, txns)
 	cfg.Lotteries = 1
 	return cfg
 }
@@ -118,9 +90,9 @@ func cloneSmall(t *testing.T, scheme string, txns int) *crashx.Config {
 // TestExploreBudgeted: budget + stratified sampling explore a strict subset,
 // reproducibly, with zero oracle violations on every scheme.
 func TestExploreBudgeted(t *testing.T) {
-	for _, scheme := range []string{"fast+", "fast", "nvwal"} {
-		t.Run(scheme, func(t *testing.T) {
-			cfg := testConfig(scheme, 12)
+	for _, name := range []string{"fast+", "fast", "nvwal"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(name, 12)
 			cfg.Budget = 25
 			cfg.Samples = 10
 			cfg.Lotteries = 1
@@ -143,8 +115,8 @@ func TestExploreBudgeted(t *testing.T) {
 // first few schedules must still recover to an oracle-clean state —
 // recovery is idempotent.
 func TestExploreNested(t *testing.T) {
-	for _, scheme := range []string{"fast+", "fast", "nvwal"} {
-		t.Run(scheme, func(t *testing.T) {
+	for _, name := range []string{"fast+", "fast", "nvwal"} {
+		t.Run(name, func(t *testing.T) {
 			// Full primary enumeration of a small workload guarantees
 			// hitting the windows where recovery actually replays state
 			// (log checkpointing, WAL replay), where nested crashes bite.
@@ -152,12 +124,12 @@ func TestExploreNested(t *testing.T) {
 			// the CLI's -exhaustive -nested run sweeps them all. NVWAL
 			// recovers (replays its WAL chain) after nearly every crash
 			// point, so its primary schedule is budgeted too.
-			cfg := testConfig(scheme, 5)
+			cfg := testConfig(name, 5)
 			cfg.Lotteries = 1
 			cfg.Nested = true
 			cfg.NestedBudget = 12
 			cfg.NestedSamples = 6
-			if scheme == "nvwal" {
+			if name == "nvwal" {
 				cfg.Budget = 60
 				cfg.Samples = 30
 			}

@@ -9,10 +9,9 @@ import (
 	"testing/quick"
 
 	"fasp/internal/fast"
-	"fasp/internal/pager"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/sql"
-	"fasp/internal/wal"
 )
 
 func newDB(t testing.TB) *DB {
@@ -311,28 +310,10 @@ func TestRowidWithoutDeclaredPK(t *testing.T) {
 }
 
 func TestEngineOnAllSchemes(t *testing.T) {
-	type mkStore func(sys *pmem.System) pager.Store
-	schemes := map[string]mkStore{
-		"FAST": func(sys *pmem.System) pager.Store {
-			return fast.Create(sys, fast.Config{PageSize: 1024, MaxPages: 4096, Variant: fast.SlotHeaderLogging})
-		},
-		"FAST+": func(sys *pmem.System) pager.Store {
-			return fast.Create(sys, fast.Config{PageSize: 1024, MaxPages: 4096, Variant: fast.InPlaceCommit})
-		},
-		"NVWAL": func(sys *pmem.System) pager.Store {
-			return wal.Create(sys, wal.Config{PageSize: 1024, MaxPages: 4096, Kind: wal.NVWAL})
-		},
-		"WAL": func(sys *pmem.System) pager.Store {
-			return wal.Create(sys, wal.Config{PageSize: 1024, MaxPages: 4096, Kind: wal.FullWAL})
-		},
-		"Journal": func(sys *pmem.System) pager.Store {
-			return wal.Create(sys, wal.Config{PageSize: 1024, MaxPages: 4096, Kind: wal.Journal})
-		},
-	}
-	for name, mk := range schemes {
-		t.Run(name, func(t *testing.T) {
+	for _, s := range scheme.All {
+		t.Run(s.String(), func(t *testing.T) {
 			sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-			db := Open(mk(sys))
+			db := Open(s.Create(sys, scheme.Geometry{PageSize: 1024, MaxPages: 4096}))
 			db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
 			for i := 1; i <= 100; i++ {
 				db.MustExec(fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'value-%d')`, i, i))

@@ -10,13 +10,14 @@ import (
 	"fasp/internal/metrics"
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 )
 
 // --- Ablation 1: all five schemes on the mobile workload ------------------------
 
 // AblRow is one row of the scheme ablation.
 type AblRow struct {
-	Scheme   Scheme
+	Scheme   scheme.Scheme
 	TotalNS  int64
 	CommitNS int64
 	Flushes  float64
@@ -30,14 +31,14 @@ type AblRow struct {
 func RunAblationSchemes(p Params) ([]AblRow, error) {
 	p.fill()
 	var rows []AblRow
-	for _, s := range AllSchemes {
+	for _, s := range scheme.All {
 		e := NewEnv(s, pmem.DefaultLatencies(300, 300), p)
 		m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 		if err != nil {
 			return nil, err
 		}
 		logBytes := m.WALBytes
-		if s == FAST || s == FASTPlus {
+		if s.IsFAST() {
 			logBytes = m.LoggedBytes
 		}
 		rows = append(rows, AblRow{
@@ -68,7 +69,7 @@ func PrintAblationSchemes(rows []AblRow, w io.Writer) {
 // PageSizeRow is one row of the page-size ablation.
 type PageSizeRow struct {
 	PageSize int
-	Scheme   Scheme
+	Scheme   scheme.Scheme
 	TotalNS  int64
 	Splits   int64
 	InPlace  int64
@@ -85,7 +86,7 @@ func RunAblationPageSize(p Params) ([]PageSizeRow, error) {
 	p.fill()
 	var rows []PageSizeRow
 	for _, ps := range []int{1024, 4096, 16384} {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			pp := p
 			pp.PageSize = ps
 			e := NewEnv(s, pmem.DefaultLatencies(300, 300), pp)
@@ -143,7 +144,7 @@ func RunAblationHTMAborts(p Params) ([]HTMAbortRow, error) {
 			PageSize: p.PageSize, MaxPages: p.MaxPages,
 			Variant: fast.InPlaceCommit, HTM: cfg,
 		})
-		e := &Env{Scheme: FASTPlus, Sys: sys, Store: st, Tree: btree.New(st), PM: st.Arena()}
+		e := &Env{Scheme: scheme.FASTPlus, Sys: sys, Store: st, Tree: btree.New(st), PM: st.Arena()}
 		m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 		if err != nil {
 			return nil, err

@@ -5,11 +5,12 @@ import (
 
 	"fasp/internal/metrics"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 )
 
 // AmpRow is one row of the write-amplification experiment.
 type AmpRow struct {
-	Scheme Scheme
+	Scheme scheme.Scheme
 	// PMBytesPerInsert is the bytes physically written to PM (cache-line
 	// write-backs × 64) per inserted record.
 	PMBytesPerInsert float64
@@ -28,7 +29,7 @@ func RunWriteAmplification(p Params) ([]AmpRow, error) {
 	p.fill()
 	const logicalBytes = 8 + 64 + 4
 	var rows []AmpRow
-	for _, s := range AllSchemes {
+	for _, s := range scheme.All {
 		e := NewEnv(s, pmem.DefaultLatencies(300, 300), p)
 		m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fasp/internal/engine"
 	"fasp/internal/metrics"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // included, unlike Figures 6–9).
 type Fig11Row struct {
 	Latency    int64
-	Scheme     Scheme
+	Scheme     scheme.Scheme
 	ResponseNS int64 // average per-statement response time
 	P99NS      int64
 	// ImprovementPct is the response-time improvement vs NVWAL at the same
@@ -33,7 +34,7 @@ func RunFig11(p Params) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for _, lat := range LatencyPoints {
 		base := int64(0)
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e, db := NewEngineEnv(s, pmem.DefaultLatencies(lat, lat), p)
 			if _, err := db.Exec(`CREATE TABLE log (id INTEGER PRIMARY KEY, payload BLOB)`); err != nil {
 				return nil, err
@@ -60,7 +61,7 @@ func RunFig11(p Params) ([]Fig11Row, error) {
 				ResponseNS: avg,
 				P99NS:      workload.Percentile(samples, 99),
 			}
-			if s == NVWAL {
+			if s == scheme.NVWAL {
 				base = avg
 			} else if base > 0 {
 				row.ImprovementPct = 100 * (1 - float64(avg)/float64(base))
@@ -78,7 +79,7 @@ func PrintFig11(rows []Fig11Row, w io.Writer) {
 		"lat(ns)", "scheme", "us/stmt", "p99(us)", "vs NVWAL")
 	for _, r := range rows {
 		imp := "-"
-		if r.Scheme != NVWAL {
+		if r.Scheme != scheme.NVWAL {
 			imp = fmt.Sprintf("%+.1f%%", r.ImprovementPct)
 		}
 		t.AddRow(LatencyLabel(r.Latency, r.Latency), r.Scheme.String(),
@@ -93,7 +94,7 @@ func PrintFig11(rows []Fig11Row, w io.Writer) {
 // throughput of mixed CRUD statement streams through the full engine).
 type Fig12Row struct {
 	Latency int64
-	Scheme  Scheme
+	Scheme  scheme.Scheme
 	Mix     string
 	// ThroughputKTPS is thousands of statements per simulated second.
 	ThroughputKTPS float64
@@ -116,7 +117,7 @@ func RunFig12(p Params) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	for _, lat := range []int64{300, 900} {
 		for _, mix := range Fig12Mixes {
-			for _, s := range PaperSchemes {
+			for _, s := range scheme.Paper {
 				e, db := NewEngineEnv(s, pmem.DefaultLatencies(lat, lat), p)
 				if _, err := db.Exec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, payload BLOB)`); err != nil {
 					return nil, err

@@ -11,44 +11,10 @@ import (
 
 	"fasp/internal/btree"
 	"fasp/internal/engine"
-	"fasp/internal/fast"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/wal"
+	"fasp/internal/scheme"
 )
-
-// Scheme identifies a system under test.
-type Scheme int
-
-// The schemes of the paper's evaluation plus the two extra baselines.
-const (
-	NVWAL Scheme = iota
-	FAST
-	FASTPlus
-	FullWAL
-	Journal
-)
-
-func (s Scheme) String() string {
-	switch s {
-	case NVWAL:
-		return "NVWAL"
-	case FAST:
-		return "FAST"
-	case FASTPlus:
-		return "FAST+"
-	case FullWAL:
-		return "WAL"
-	default:
-		return "Journal"
-	}
-}
-
-// PaperSchemes are the three systems the paper's figures compare.
-var PaperSchemes = []Scheme{NVWAL, FAST, FASTPlus}
-
-// AllSchemes adds the classic WAL and rollback-journal baselines.
-var AllSchemes = []Scheme{NVWAL, FAST, FASTPlus, FullWAL, Journal}
 
 // Params controls experiment scale.
 type Params struct {
@@ -81,7 +47,7 @@ func (p *Params) fill() {
 
 // Env is one instantiated system under test.
 type Env struct {
-	Scheme Scheme
+	Scheme scheme.Scheme
 	Sys    *pmem.System
 	Store  pager.Store
 	Tree   *btree.Tree
@@ -89,42 +55,22 @@ type Env struct {
 	PM *pmem.Arena
 }
 
-// NewEnv builds a fresh machine and store for a scheme.
-func NewEnv(s Scheme, lat pmem.LatencyModel, p Params) *Env {
+// NewEnv builds a fresh machine and store for a scheme: a 4 MiB
+// slot-header log for FAST and FAST+, a 64 MiB log that checkpoints at
+// 32 MiB for the baselines.
+func NewEnv(s scheme.Scheme, lat pmem.LatencyModel, p Params) *Env {
 	p.fill()
 	sys := pmem.NewSystem(lat)
-	var st pager.Store
-	var arena *pmem.Arena
-	switch s {
-	case FAST, FASTPlus:
-		variant := fast.SlotHeaderLogging
-		if s == FASTPlus {
-			variant = fast.InPlaceCommit
-		}
-		fs := fast.Create(sys, fast.Config{
-			PageSize: p.PageSize, MaxPages: p.MaxPages,
-			LogBytes: 4 << 20, Variant: variant,
-		})
-		st, arena = fs, fs.Arena()
-	default:
-		kind := wal.NVWAL
-		switch s {
-		case FullWAL:
-			kind = wal.FullWAL
-		case Journal:
-			kind = wal.Journal
-		}
-		ws := wal.Create(sys, wal.Config{
-			PageSize: p.PageSize, MaxPages: p.MaxPages,
-			LogBytes: 64 << 20, CheckpointBytes: 32 << 20, Kind: kind,
-		})
-		st, arena = ws, ws.Arena()
+	g := scheme.Geometry{PageSize: p.PageSize, MaxPages: p.MaxPages, LogBytes: 64 << 20, CheckpointBytes: 32 << 20}
+	if s.IsFAST() {
+		g.LogBytes = 4 << 20
 	}
-	return &Env{Scheme: s, Sys: sys, Store: st, Tree: btree.New(st), PM: arena}
+	st := s.Create(sys, g)
+	return &Env{Scheme: s, Sys: sys, Store: st, Tree: btree.New(st), PM: st.Arena()}
 }
 
 // NewEngineEnv builds an Env plus a SQL engine on top (Figures 11–12).
-func NewEngineEnv(s Scheme, lat pmem.LatencyModel, p Params) (*Env, *engine.DB) {
+func NewEngineEnv(s scheme.Scheme, lat pmem.LatencyModel, p Params) (*Env, *engine.DB) {
 	e := NewEnv(s, lat, p)
 	return e, engine.Open(e.Store)
 }

@@ -7,12 +7,13 @@ import (
 
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 )
 
 // quick returns small-but-meaningful params for tests.
 func quick() Params { return Params{N: 1500, PageSize: 4096, Seed: 7} }
 
-func findFig6(rows []Fig6Row, lat int64, s Scheme) Fig6Row {
+func findFig6(rows []Fig6Row, lat int64, s scheme.Scheme) Fig6Row {
 	for _, r := range rows {
 		if r.Latency == lat && r.Scheme == s {
 			return r
@@ -32,9 +33,9 @@ func TestFig6Shape(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, lat := range LatencyPoints {
-		nv := findFig6(rows, lat, NVWAL)
-		fa := findFig6(rows, lat, FAST)
-		fp := findFig6(rows, lat, FASTPlus)
+		nv := findFig6(rows, lat, scheme.NVWAL)
+		fa := findFig6(rows, lat, scheme.FAST)
+		fp := findFig6(rows, lat, scheme.FASTPlus)
 		if fp.TotalNS >= nv.TotalNS {
 			t.Errorf("lat %d: FAST+ (%d ns) not faster than NVWAL (%d ns)", lat, fp.TotalNS, nv.TotalNS)
 		}
@@ -51,7 +52,7 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 	// Totals increase with latency for every scheme.
-	for _, s := range PaperSchemes {
+	for _, s := range scheme.Paper {
 		prev := int64(0)
 		for _, lat := range LatencyPoints {
 			r := findFig6(rows, lat, s)
@@ -62,7 +63,7 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 	// The paper: FAST+ is 1.5x+ faster than NVWAL even at 1.2us.
-	nv, fp := findFig6(rows, 1200, NVWAL), findFig6(rows, 1200, FASTPlus)
+	nv, fp := findFig6(rows, 1200, scheme.NVWAL), findFig6(rows, 1200, scheme.FASTPlus)
 	if ratio := float64(nv.TotalNS) / float64(fp.TotalNS); ratio < 1.3 {
 		t.Errorf("FAST+ speedup at 1200ns = %.2fx, want >= 1.3x", ratio)
 	}
@@ -87,9 +88,9 @@ func TestFig8Shape(t *testing.T) {
 		byKey[[2]int64{r.WriteLatency, int64(r.Scheme)}] = r
 	}
 	for _, wlat := range WriteLatencyPoints {
-		nv := byKey[[2]int64{wlat, int64(NVWAL)}]
-		fp := byKey[[2]int64{wlat, int64(FASTPlus)}]
-		fa := byKey[[2]int64{wlat, int64(FAST)}]
+		nv := byKey[[2]int64{wlat, int64(scheme.NVWAL)}]
+		fp := byKey[[2]int64{wlat, int64(scheme.FASTPlus)}]
+		fa := byKey[[2]int64{wlat, int64(scheme.FAST)}]
 		if nv.ComputeNS == 0 || nv.HeapNS == 0 || nv.MiscNS == 0 {
 			t.Errorf("wlat %d: NVWAL breakdown missing components: %+v", wlat, nv)
 		}
@@ -117,7 +118,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(size int, s Scheme) Fig9Row {
+	get := func(size int, s scheme.Scheme) Fig9Row {
 		for _, r := range rows {
 			if r.RecordSize == size && r.Scheme == s {
 				return r
@@ -128,22 +129,22 @@ func TestFig9Shape(t *testing.T) {
 	// The paper: "the performance gap widens between FAST and NVWAL as the
 	// record size increases" — the absolute per-insert gap grows because
 	// NVWAL duplicates ever-larger data into WAL frames.
-	gapSmall := get(64, NVWAL).TotalNS - get(64, FASTPlus).TotalNS
-	gapLarge := get(1024, NVWAL).TotalNS - get(1024, FASTPlus).TotalNS
+	gapSmall := get(64, scheme.NVWAL).TotalNS - get(64, scheme.FASTPlus).TotalNS
+	gapLarge := get(1024, scheme.NVWAL).TotalNS - get(1024, scheme.FASTPlus).TotalNS
 	if gapLarge <= gapSmall {
 		t.Errorf("gap did not widen with record size: %dns at 64B, %dns at 1024B", gapSmall, gapLarge)
 	}
 	// FAST+ stays ahead at every size.
 	for _, size := range RecordSizes {
-		if get(size, FASTPlus).TotalNS >= get(size, NVWAL).TotalNS {
+		if get(size, scheme.FASTPlus).TotalNS >= get(size, scheme.NVWAL).TotalNS {
 			t.Errorf("size %d: FAST+ not faster than NVWAL", size)
 		}
-		if get(size, FASTPlus).Flushes >= get(size, NVWAL).Flushes {
+		if get(size, scheme.FASTPlus).Flushes >= get(size, scheme.NVWAL).Flushes {
 			t.Errorf("size %d: FAST+ flushes not below NVWAL", size)
 		}
 	}
 	// WAL frames are several times larger than slot headers.
-	nv, fa := get(64, NVWAL), get(64, FAST)
+	nv, fa := get(64, scheme.NVWAL), get(64, scheme.FAST)
 	if fa.LogBytes == 0 || nv.WALBytes < 2*fa.LogBytes {
 		t.Errorf("WAL bytes %d vs slot-header bytes %d: expected several-fold gap", nv.WALBytes, fa.LogBytes)
 	}
@@ -162,7 +163,7 @@ func TestFig10Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Scheme != FASTPlus {
+		if r.Scheme != scheme.FASTPlus {
 			continue
 		}
 		if r.Batch == 1 && r.InPlace == 0 {
@@ -187,7 +188,7 @@ func TestFig11Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Scheme == FASTPlus && r.ImprovementPct <= 0 {
+		if r.Scheme == scheme.FASTPlus && r.ImprovementPct <= 0 {
 			t.Errorf("lat %d: FAST+ improvement %.1f%%, want positive", r.Latency, r.ImprovementPct)
 		}
 	}
@@ -267,16 +268,16 @@ func TestFig7Runs(t *testing.T) {
 	}
 	for _, r := range rows {
 		switch r.Scheme {
-		case NVWAL:
+		case scheme.NVWAL:
 			if r.FlushRecordNS != 0 {
 				t.Errorf("NVWAL should not clflush records in page update: %+v", r)
 			}
-		case FAST, FASTPlus:
+		case scheme.FAST, scheme.FASTPlus:
 			if r.FlushRecordNS == 0 {
 				t.Errorf("%v missing clflush(record): %+v", r.Scheme, r)
 			}
 		}
-		if r.Scheme == FAST && r.SlotHeaderNS == 0 {
+		if r.Scheme == scheme.FAST && r.SlotHeaderNS == 0 {
 			t.Errorf("FAST missing update-slot-header cost")
 		}
 	}
@@ -292,18 +293,18 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(abl) != len(AllSchemes) {
+	if len(abl) != len(scheme.All) {
 		t.Fatalf("%d rows", len(abl))
 	}
 	// Full-page logging schemes write far more log bytes than FAST.
 	var fastB, walB, jB int64
 	for _, r := range abl {
 		switch r.Scheme {
-		case FASTPlus:
+		case scheme.FASTPlus:
 			fastB = r.BytesLog
-		case FullWAL:
+		case scheme.WAL:
 			walB = r.BytesLog
-		case Journal:
+		case scheme.Journal:
 			jB = r.BytesLog
 		}
 	}
@@ -338,7 +339,7 @@ func TestAblations(t *testing.T) {
 
 // Sanity: the measurement helper reports phases consistent with the clock.
 func TestRunInsertsAccounting(t *testing.T) {
-	e := NewEnv(FASTPlus, pmem.DefaultLatencies(300, 300), quick())
+	e := NewEnv(scheme.FASTPlus, pmem.DefaultLatencies(300, 300), quick())
 	m, err := RunInserts(e, 500, 64, 1, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func TestRecoveryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(txns int, s Scheme) int64 {
+	get := func(txns int, s scheme.Scheme) int64 {
 		for _, r := range rows {
 			if r.Txns == txns && r.Scheme == s {
 				return r.NS
@@ -375,16 +376,16 @@ func TestRecoveryShape(t *testing.T) {
 	}
 	small, large := RecoveryPoints[0], RecoveryPoints[len(RecoveryPoints)-1]
 	// NVWAL recovery grows at least ~10x across a 200x txn range.
-	if g := float64(get(large, NVWAL)) / float64(get(small, NVWAL)); g < 10 {
+	if g := float64(get(large, scheme.NVWAL)) / float64(get(small, scheme.NVWAL)); g < 10 {
 		t.Errorf("NVWAL recovery grew only %.1fx over the sweep", g)
 	}
 	// FAST+ recovery stays within a small constant factor.
-	if g := float64(get(large, FASTPlus)) / float64(get(small, FASTPlus)+1); g > 3 {
+	if g := float64(get(large, scheme.FASTPlus)) / float64(get(small, scheme.FASTPlus)+1); g > 3 {
 		t.Errorf("FAST+ recovery not constant: %.1fx growth", g)
 	}
 	// At the large point NVWAL recovery is much slower than FAST+.
-	if get(large, NVWAL) < 10*get(large, FASTPlus) {
-		t.Errorf("NVWAL %dns vs FAST+ %dns at %d txns", get(large, NVWAL), get(large, FASTPlus), large)
+	if get(large, scheme.NVWAL) < 10*get(large, scheme.FASTPlus) {
+		t.Errorf("NVWAL %dns vs FAST+ %dns at %d txns", get(large, scheme.NVWAL), get(large, scheme.FASTPlus), large)
 	}
 	var sb strings.Builder
 	PrintRecovery(rows, &sb)
@@ -399,7 +400,7 @@ func TestWriteAmplificationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(s Scheme) AmpRow {
+	get := func(s scheme.Scheme) AmpRow {
 		for _, r := range rows {
 			if r.Scheme == s {
 				return r
@@ -407,12 +408,12 @@ func TestWriteAmplificationShape(t *testing.T) {
 		}
 		return AmpRow{}
 	}
-	if !(get(FASTPlus).Amplification < get(FAST).Amplification &&
-		get(FAST).Amplification < get(NVWAL).Amplification &&
-		get(NVWAL).Amplification < get(FullWAL).Amplification) {
+	if !(get(scheme.FASTPlus).Amplification < get(scheme.FAST).Amplification &&
+		get(scheme.FAST).Amplification < get(scheme.NVWAL).Amplification &&
+		get(scheme.NVWAL).Amplification < get(scheme.WAL).Amplification) {
 		t.Errorf("amplification ordering broken: %+v", rows)
 	}
-	if get(FullWAL).Amplification < 10*get(FASTPlus).Amplification {
+	if get(scheme.WAL).Amplification < 10*get(scheme.FASTPlus).Amplification {
 		t.Errorf("page-granular amplification should dwarf FAST+: %+v", rows)
 	}
 	var sb strings.Builder

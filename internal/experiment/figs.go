@@ -6,6 +6,7 @@ import (
 	"fasp/internal/metrics"
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 )
 
 // --- Figure 6: insert-time breakdown vs PM latency ---------------------------
@@ -13,7 +14,7 @@ import (
 // Fig6Row is one bar of Figure 6.
 type Fig6Row struct {
 	Latency  int64 // symmetric read/write latency (ns)
-	Scheme   Scheme
+	Scheme   scheme.Scheme
 	SearchNS int64
 	UpdateNS int64
 	CommitNS int64
@@ -27,7 +28,7 @@ func RunFig6(p Params) ([]Fig6Row, error) {
 	p.fill()
 	var rows []Fig6Row
 	for _, lat := range LatencyPoints {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e := NewEnv(s, pmem.DefaultLatencies(lat, lat), p)
 			m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 			if err != nil {
@@ -64,7 +65,7 @@ func PrintFig6(rows []Fig6Row, w io.Writer) {
 // Fig7Row is one bar of Figure 7.
 type Fig7Row struct {
 	Latency       int64
-	Scheme        Scheme
+	Scheme        scheme.Scheme
 	RecordWriteNS int64 // volatile buffer caching / in-place record insert
 	SlotHeaderNS  int64 // copying slot headers to the log (stores only)
 	FlushRecordNS int64 // clflush(record)
@@ -77,7 +78,7 @@ func RunFig7(p Params) ([]Fig7Row, error) {
 	p.fill()
 	var rows []Fig7Row
 	for _, lat := range []int64{300, 600, 900, 1200} {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e := NewEnv(s, pmem.DefaultLatencies(lat, lat), p)
 			m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 			if err != nil {
@@ -116,7 +117,7 @@ func PrintFig7(rows []Fig7Row, w io.Writer) {
 // Fig8Row is one bar of Figure 8.
 type Fig8Row struct {
 	WriteLatency int64
-	Scheme       Scheme
+	Scheme       scheme.Scheme
 	ComputeNS    int64 // NVWAL differential-logging computation
 	HeapNS       int64 // NVWAL pmalloc/pfree
 	LogFlushNS   int64
@@ -132,7 +133,7 @@ func RunFig8(p Params) ([]Fig8Row, error) {
 	p.fill()
 	var rows []Fig8Row
 	for _, wlat := range WriteLatencyPoints {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e := NewEnv(s, pmem.DefaultLatencies(300, wlat), p)
 			m, err := RunInserts(e, p.N, 64, 1, p.Seed)
 			if err != nil {
@@ -174,7 +175,7 @@ func PrintFig8(rows []Fig8Row, w io.Writer) {
 // Fig9Row is one point of Figures 9(a) and 9(b).
 type Fig9Row struct {
 	RecordSize int
-	Scheme     Scheme
+	Scheme     scheme.Scheme
 	TotalNS    int64   // 9(a): average insertion time
 	Flushes    float64 // 9(b): clflush instructions per insertion
 	WALBytes   int64   // per insert, for the discussion of frame sizes
@@ -190,7 +191,7 @@ func RunFig9(p Params) ([]Fig9Row, error) {
 	p.fill()
 	var rows []Fig9Row
 	for _, size := range RecordSizes {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e := NewEnv(s, pmem.DefaultLatencies(300, 300), p)
 			m, err := RunInserts(e, p.N, size, 1, p.Seed)
 			if err != nil {
@@ -226,7 +227,7 @@ func PrintFig9(rows []Fig9Row, w io.Writer) {
 // Fig10Row is one point of Figure 10 (reconstructed; see DESIGN.md).
 type Fig10Row struct {
 	Batch     int // inserts per transaction
-	Scheme    Scheme
+	Scheme    scheme.Scheme
 	PerOpNS   int64   // time per inserted record
 	Flushes   float64 // clflush per record
 	InPlace   int64   // in-place commits (FAST+ falls back beyond 1 page)
@@ -243,7 +244,7 @@ func RunFig10(p Params) ([]Fig10Row, error) {
 	p.fill()
 	var rows []Fig10Row
 	for _, batch := range BatchSizes {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			e := NewEnv(s, pmem.DefaultLatencies(300, 300), p)
 			m, err := RunInserts(e, p.N, 64, batch, p.Seed)
 			if err != nil {

@@ -5,17 +5,16 @@ import (
 	"io"
 
 	"fasp/internal/btree"
-	"fasp/internal/fast"
 	"fasp/internal/metrics"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
-	"fasp/internal/wal"
+	"fasp/internal/scheme"
 	"fasp/internal/workload"
 )
 
 // RecoveryRow is one point of the recovery-time experiment.
 type RecoveryRow struct {
-	Scheme Scheme
+	Scheme scheme.Scheme
 	Txns   int   // committed transactions since the last checkpoint
 	NS     int64 // simulated recovery time
 }
@@ -32,43 +31,22 @@ func RunRecovery(p Params) ([]RecoveryRow, error) {
 	p.fill()
 	var rows []RecoveryRow
 	for _, txns := range RecoveryPoints {
-		for _, s := range PaperSchemes {
+		for _, s := range scheme.Paper {
 			sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-			var arena *pmem.Arena
-			attach := func() (interface{ Recover() error }, error) { return nil, nil }
-			switch s {
-			case FAST, FASTPlus:
-				variant := fast.SlotHeaderLogging
-				if s == FASTPlus {
-					variant = fast.InPlaceCommit
-				}
-				cfg := fast.Config{PageSize: p.PageSize, MaxPages: txns/2 + 4096, Variant: variant}
-				st := fast.Create(sys, cfg)
-				arena = st.Arena()
-				if err := fill(st, txns, p.Seed); err != nil {
-					return nil, err
-				}
-				attach = func() (interface{ Recover() error }, error) {
-					return fast.Attach(arena, cfg)
-				}
-			default:
+			g := scheme.Geometry{PageSize: p.PageSize, MaxPages: txns/2 + 4096}
+			if !s.IsFAST() {
 				// Disable lazy checkpointing so the WAL accumulates all
 				// transactions, the worst case NVWAL's laziness permits.
-				cfg := wal.Config{PageSize: p.PageSize, MaxPages: txns/2 + 4096,
-					LogBytes: 1 << 30, CheckpointBytes: 1 << 62, Kind: wal.NVWAL}
-				st := wal.Create(sys, cfg)
-				arena = st.Arena()
-				if err := fill(st, txns, p.Seed); err != nil {
-					return nil, err
-				}
-				attach = func() (interface{ Recover() error }, error) {
-					return wal.Attach(arena, cfg)
-				}
+				g.LogBytes, g.CheckpointBytes = 1<<30, 1<<62
+			}
+			st := s.Create(sys, g)
+			if err := fill(st, txns, p.Seed); err != nil {
+				return nil, err
 			}
 			// Power failure; committed data must survive, so nothing is
 			// evicted beyond what the protocols flushed.
 			sys.Crash(pmem.EvictNone)
-			st2, err := attach()
+			st2, err := s.Attach(st.Arena(), g)
 			if err != nil {
 				return nil, err
 			}

@@ -6,13 +6,14 @@ import (
 	"fasp/internal/fast"
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/wal"
 	"fasp/internal/workload"
 )
 
 // InsertMeasurement aggregates one insert-workload run.
 type InsertMeasurement struct {
-	Scheme  Scheme
+	Scheme  scheme.Scheme
 	N       int
 	TotalNS int64            // simulated ns across the measured region
 	Phases  map[string]int64 // phase totals (simulated ns)
@@ -122,8 +123,8 @@ func RunInserts(e *Env, n, recSize, batch int, seed int64) (InsertMeasurement, e
 }
 
 // RecordWritePhase maps the scheme to its Figure 7 record-write label.
-func RecordWritePhase(s Scheme) string {
-	if s == NVWAL || s == FullWAL || s == Journal {
+func RecordWritePhase(s scheme.Scheme) string {
+	if !s.IsFAST() {
 		return "volatile buffer caching"
 	}
 	return "in-place record insert"

@@ -6,59 +6,27 @@ import (
 	"fmt"
 	"testing"
 
-	"fasp/internal/fast"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
+	"fasp/internal/scheme"
 	"fasp/internal/slotted"
-	"fasp/internal/wal"
 )
 
-// makeStore builds each scheme over a fresh simulated machine.
-func makeStore(name string) (pager.Store, func() (pager.Store, error)) {
+// makeStore builds scheme s's store over a fresh simulated machine, with
+// the function that reattaches and recovers it.
+func makeStore(s scheme.Scheme) (pager.Store, func() (pager.Store, error)) {
 	sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-	switch name {
-	case "FAST", "FAST+":
-		variant := fast.SlotHeaderLogging
-		if name == "FAST+" {
-			variant = fast.InPlaceCommit
-		}
-		cfg := fast.Config{PageSize: 512, MaxPages: 512, Variant: variant}
-		st := fast.Create(sys, cfg)
-		return st, func() (pager.Store, error) {
-			ns, err := fast.Attach(st.Arena(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		}
-	default:
-		kind := wal.NVWAL
-		switch name {
-		case "WAL":
-			kind = wal.FullWAL
-		case "Journal":
-			kind = wal.Journal
-		}
-		cfg := wal.Config{PageSize: 512, MaxPages: 512, Kind: kind}
-		st := wal.Create(sys, cfg)
-		return st, func() (pager.Store, error) {
-			ns, err := wal.Attach(st.Arena(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return ns, ns.Recover()
-		}
-	}
+	g := scheme.Geometry{PageSize: 512, MaxPages: 512}
+	st := s.Create(sys, g)
+	return st, func() (pager.Store, error) { return s.Reattach(st.Arena(), g) }
 }
-
-var schemeNames = []string{"FAST", "FAST+", "NVWAL", "WAL", "Journal"}
 
 // TestStoreConformance checks the semantic contract every pager.Store must
 // honour, identically across schemes.
 func TestStoreConformance(t *testing.T) {
-	for _, name := range schemeNames {
-		t.Run(name, func(t *testing.T) {
-			st, reopen := makeStore(name)
+	for _, s := range scheme.All {
+		t.Run(s.String(), func(t *testing.T) {
+			st, reopen := makeStore(s)
 
 			// Naming and geometry.
 			if st.Name() == "" || st.PageSize() != 512 || st.Sys() == nil {
@@ -170,9 +138,9 @@ func TestStoreConformance(t *testing.T) {
 
 // TestStoreConformanceFreePages checks allocate/free lifecycles.
 func TestStoreConformanceFreePages(t *testing.T) {
-	for _, name := range schemeNames {
-		t.Run(name, func(t *testing.T) {
-			st, _ := makeStore(name)
+	for _, s := range scheme.All {
+		t.Run(s.String(), func(t *testing.T) {
+			st, _ := makeStore(s)
 			tx, err := st.Begin()
 			if err != nil {
 				t.Fatal(err)
@@ -220,9 +188,9 @@ func TestStoreConformanceFreePages(t *testing.T) {
 // TestStoreConformanceManyTxns runs a long alternating commit/rollback
 // sequence and checks the committed view stays exact.
 func TestStoreConformanceManyTxns(t *testing.T) {
-	for _, name := range schemeNames {
-		t.Run(name, func(t *testing.T) {
-			st, _ := makeStore(name)
+	for _, s := range scheme.All {
+		t.Run(s.String(), func(t *testing.T) {
+			st, _ := makeStore(s)
 			// Bootstrap.
 			tx, _ := st.Begin()
 			no, _, err := tx.AllocPage(slotted.TypeLeaf)
@@ -269,7 +237,7 @@ func TestStoreConformanceManyTxns(t *testing.T) {
 				key := fmt.Sprintf("key%02d", i)
 				_, found := p.Search([]byte(key))
 				if found != committed[key] {
-					t.Fatalf("%s: key %s found=%v committed=%v", name, key, found, committed[key])
+					t.Fatalf("%s: key %s found=%v committed=%v", s, key, found, committed[key])
 				}
 			}
 			tx2.Rollback()

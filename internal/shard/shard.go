@@ -18,9 +18,9 @@ import (
 const (
 	// DefaultMaxBatch bounds the operations one group commit may drain.
 	DefaultMaxBatch = 64
-	// defaultMailboxFactor sizes a shard's mailbox as a multiple of
-	// MaxBatch, so a burst can queue a few batches ahead of the writer.
-	defaultMailboxFactor = 4
+	// mailboxFactor sizes a shard's mailbox as a multiple of MaxBatch, so
+	// a burst can queue a few batches ahead of the writer.
+	mailboxFactor = 4
 	// DefaultEnqueueTimeout bounds how long a submission waits for mailbox
 	// space before giving up with ErrBusy.
 	DefaultEnqueueTimeout = 2 * time.Second
@@ -66,8 +66,6 @@ type Config struct {
 	Shards int
 	// MaxBatch bounds the operations per group commit (default 64).
 	MaxBatch int
-	// Mailbox is each shard's queue capacity (default 4×MaxBatch).
-	Mailbox int
 	// EnqueueTimeout bounds how long a submission waits (with backoff) for
 	// mailbox space before failing with ErrBusy (default 2s).
 	EnqueueTimeout time.Duration
@@ -110,9 +108,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Mailbox <= 0 {
-		c.Mailbox = defaultMailboxFactor * c.MaxBatch
 	}
 	if c.EnqueueTimeout <= 0 {
 		c.EnqueueTimeout = DefaultEnqueueTimeout
@@ -301,7 +296,7 @@ func New(cfg Config) (*Engine, error) {
 			be:       be,
 			tree:     btree.New(be.Store),
 			noOpt:    cfg.NoOptimisticReads,
-			mail:     make(chan *Request, cfg.Mailbox),
+			mail:     make(chan *Request, mailboxFactor*cfg.MaxBatch),
 			quit:     make(chan struct{}),
 			done:     make(chan struct{}),
 			rec:      cfg.Recorder,

@@ -715,7 +715,6 @@ func submit1(e *shard.Engine, si int, op shard.Op) error {
 
 func TestEnqueueBusy(t *testing.T) {
 	cfg := testConfig(1, 1, 0)
-	cfg.Mailbox = 1
 	cfg.EnqueueTimeout = 100 * time.Millisecond
 	bs := &blockingStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	open := cfg.Open
@@ -739,11 +738,14 @@ func TestEnqueueBusy(t *testing.T) {
 	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
 	<-bs.entered // the writer is now wedged mid-batch; the mailbox is empty
 
-	// Two more submissions race for the single mailbox slot: the loser
-	// must time out with ErrBusy while the winner waits for the writer.
-	rest := make(chan error, 2)
-	go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(1), Val: val(1)}) }()
-	go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(2), Val: val(2)}) }()
+	// The mailbox holds 4×MaxBatch = 4 submissions. One more than that
+	// races for its slots: the loser must time out with ErrBusy while the
+	// winners wait for the writer.
+	const mailbox = 4
+	rest := make(chan error, mailbox+1)
+	for i := 1; i <= mailbox+1; i++ {
+		go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)}) }()
+	}
 	if err := <-rest; !errors.Is(err, shard.ErrBusy) {
 		t.Fatalf("full mailbox submission: %v", err)
 	}
@@ -752,8 +754,10 @@ func TestEnqueueBusy(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("wedged batch after release: %v", err)
 	}
-	if err := <-rest; err != nil {
-		t.Fatalf("queued batch after release: %v", err)
+	for i := 0; i < mailbox; i++ {
+		if err := <-rest; err != nil {
+			t.Fatalf("queued batch after release: %v", err)
+		}
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)

@@ -46,10 +46,7 @@ func newRecorder(opts Options) *obsv.Recorder {
 	if opts.DisableMetrics {
 		return nil
 	}
-	return obsv.New(obsv.Config{
-		SampleEvery: opts.MetricsSampleEvery,
-		SlowOpNS:    opts.SlowOpNS,
-	})
+	return obsv.New(obsv.Config{SampleEvery: opts.MetricsSampleEvery})
 }
 
 // storeCounters bridges the simulated machine's existing commit-path
@@ -97,7 +94,7 @@ func (kv *KV) Metrics() Metrics { return kv.rec.Snapshot() }
 // of each sampled transaction.
 func (kv *KV) TraceSample() []TraceSample { return kv.rec.TraceSamples() }
 
-// SlowOps returns the slow-op log: every operation over Options.SlowOpNS,
+// SlowOps returns the slow-op log: every operation over 1 ms of wall time,
 // oldest first, bounded by the ring size.
 func (kv *KV) SlowOps() []TraceSample { return kv.rec.SlowSamples() }
 
