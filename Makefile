@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race goldens results crashx obsv bench bench-pairs chaos clean
+.PHONY: all build vet test race goldens results crashx obsv fuzz bench bench-pairs chaos clean
 
 all: vet build test
 
@@ -49,6 +49,16 @@ obsv:
 	$(GO) vet ./...
 	$(GO) test ./internal/obsv/ .
 	$(GO) test -run 'TestServeMetricsScrape|TestMetricsEndpoint' . ./internal/server/
+
+# Every native fuzz target, each for FUZZTIME (go test takes one -fuzz
+# target per run). Crashers land in the package's testdata/fuzz/, where
+# go test replays them from then on.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzPageSearch$$' -fuzztime $(FUZZTIME) ./internal/slotted
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzScanReply$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 
 # Go-benchmark view (wall clock + simulated metrics + allocs).
 bench:

@@ -204,41 +204,71 @@ type pathElem struct {
 	// reference the descent followed may have moved there with the lower
 	// half of the cells.
 	left *slotted.Page
+	// rng holds the page's keys: the bounds the parent's search ended with,
+	// open at the root. A search of the page narrows it.
+	rng slotted.KeyRange
 }
 
-// descend walks from the root to the leaf that owns key.
+// push extends path by one zeroed step, keeping the range buffers a previous
+// descent left in that slot.
+func push(path []pathElem) []pathElem {
+	if len(path) < cap(path) {
+		path = path[:len(path)+1]
+	} else {
+		path = append(path, pathElem{})
+	}
+	e := &path[len(path)-1]
+	*e = pathElem{rng: e.rng}
+	return path
+}
+
+// descend walks from the root to the leaf that owns key. Each interior
+// search narrows a copy of its page's range to the child it picks, so every
+// page is searched between bounds the descent has read already.
 func (x *Tx) descend(key []byte) ([]pathElem, error) {
 	no := x.root.Root()
 	if no == 0 {
 		return nil, nil
 	}
-	path := x.path[:0]
+	path := push(x.path[:0])
+	path[0].rng.Open()
 	defer func() { x.path = path }()
 	for {
 		p, err := x.p.Page(no)
 		if err != nil {
 			return nil, err
 		}
+		e := &path[len(path)-1]
+		e.no, e.page = no, p
 		if p.Type() == slotted.TypeLeaf {
-			path = append(path, pathElem{no: no, page: p})
 			return path, nil
-		}
-		i, _ := p.Search(key)
-		if i < p.NCells() {
-			path = append(path, pathElem{no: no, page: p, idx: i})
-			no = p.Child(i)
-		} else {
-			path = append(path, pathElem{no: no, page: p, viaAux: true})
-			no = p.Aux()
-			if no == 0 {
-				return nil, fmt.Errorf("%w: interior page %d lacks rightmost child",
-					pager.ErrCorrupt, path[len(path)-1].no)
-			}
 		}
 		if len(path) > 64 {
 			return nil, fmt.Errorf("%w: descent too deep (cycle?)", pager.ErrCorrupt)
 		}
+		path = push(path)
+		e, child := &path[len(path)-2], &path[len(path)-1]
+		child.rng.Set(&e.rng)
+		i, _ := p.SearchRange(key, &child.rng)
+		if i < p.NCells() {
+			e.idx = i
+			no = p.Child(i)
+		} else {
+			e.viaAux = true
+			no = p.Aux()
+			if no == 0 {
+				return nil, fmt.Errorf("%w: interior page %d lacks rightmost child",
+					pager.ErrCorrupt, e.no)
+			}
+		}
 	}
+}
+
+// searchLeaf searches the leaf at the end of path for key, between the
+// bounds the descent brought it.
+func searchLeaf(path []pathElem, key []byte) (int, bool) {
+	e := &path[len(path)-1]
+	return e.page.SearchRange(key, &e.rng)
 }
 
 // Get returns the value stored under key.
@@ -251,7 +281,7 @@ func (x *Tx) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	leaf := path[len(path)-1].page
-	i, found := leaf.Search(key)
+	i, found := searchLeaf(path, key)
 	if !found {
 		return nil, false, nil
 	}
@@ -321,7 +351,7 @@ func (x *Tx) write(key, val []byte, mode writeMode) error {
 		} else {
 			var i int
 			clock.Enter(phase.RecordWrite)
-			i, found = leaf.Search(key)
+			i, found = searchLeaf(path, key)
 			clock.Exit(phase.RecordWrite)
 			switch {
 			case found && mode == insertOnly:
@@ -419,7 +449,7 @@ func (x *Tx) Delete(key []byte) error {
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 	}
 	leaf := path[len(path)-1].page
-	i, found := leaf.Search(key)
+	i, found := searchLeaf(path, key)
 	if !found {
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 	}

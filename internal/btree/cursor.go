@@ -23,6 +23,7 @@ func (x *Tx) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 		next int // next cell/child index to visit
 	}
 	var stack []frame
+	var rng slotted.KeyRange // the first descent's bounds, as in descend
 
 	push := func(no uint32, first bool) error {
 		p, err := x.p.Page(no)
@@ -31,7 +32,7 @@ func (x *Tx) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 		}
 		start := 0
 		if first && lo != nil {
-			start, _ = p.Search(lo)
+			start, _ = p.SearchRange(lo, &rng)
 		}
 		stack = append(stack, frame{page: p, next: start})
 		return nil

@@ -115,7 +115,7 @@ func (x *Tx) addSeparator(path []pathElem, level int, sep []byte, childNo, right
 		if err != nil {
 			return err
 		}
-		if err := root.InsertChild(sep, childNo); err != nil {
+		if err := root.InsertChild(sep, childNo, nil); err != nil {
 			return err
 		}
 		root.SetAux(rightNo)
@@ -124,7 +124,7 @@ func (x *Tx) addSeparator(path []pathElem, level int, sep []byte, childNo, right
 	}
 	target := path[level].page
 	for try := 0; try < 16; try++ {
-		err := target.InsertChild(sep, childNo)
+		err := target.InsertChild(sep, childNo, &path[level].rng)
 		if err == nil {
 			return nil
 		}
@@ -202,7 +202,7 @@ func (x *Tx) defragLocked(path []pathElem, level int) (*slotted.Page, error) {
 		}
 	}
 	x.p.FreePage(old.no)
-	path[level] = pathElem{no: newNo, page: np, idx: old.idx, viaAux: old.viaAux, left: old.left}
+	path[level] = pathElem{no: newNo, page: np, idx: old.idx, viaAux: old.viaAux, left: old.left, rng: old.rng}
 	return np, nil
 }
 

@@ -26,6 +26,7 @@ type View struct {
 	cost     int64
 	frames   []*viewFrame
 	keyBuf   []byte
+	rng      slotted.KeyRange // bounds of the page a descent is at, as in Tx.descend
 }
 
 // viewFrame is one level of the descent stack: a slotted page handle bound
@@ -69,6 +70,9 @@ func (m *peekMem) Read(off, n int) []byte {
 	m.ReadInto(off, b)
 	return b
 }
+
+// Compute adds what the locked path's Compute would have charged.
+func (m *peekMem) Compute(n int64) { m.v.cost += m.v.sr.ComputeCost(n) }
 
 func (m *peekMem) Write(int, []byte) { panic("btree: write through read-only view") }
 func (m *peekMem) HeaderChanged(*slotted.Header) {
@@ -139,6 +143,7 @@ func (v *View) Get(key, dst []byte) ([]byte, bool, error) {
 		if no == 0 {
 			return nil
 		}
+		v.rng.Open()
 		for depth := 0; ; depth++ {
 			if depth > 64 {
 				return fmt.Errorf("%w: descent too deep (cycle?)", pager.ErrCorrupt)
@@ -149,7 +154,7 @@ func (v *View) Get(key, dst []byte) ([]byte, bool, error) {
 			}
 			p := &f.page
 			if p.Type() == slotted.TypeLeaf {
-				i, ok := p.Search(key)
+				i, ok := p.SearchRange(key, &v.rng)
 				if !ok {
 					return nil
 				}
@@ -157,7 +162,7 @@ func (v *View) Get(key, dst []byte) ([]byte, bool, error) {
 				found = true
 				return nil
 			}
-			i, _ := p.Search(key)
+			i, _ := p.SearchRange(key, &v.rng)
 			if i < p.NCells() {
 				no = p.Child(i)
 			} else {
@@ -202,6 +207,7 @@ func (v *View) scanForward(b Bounds, fn func(key, val []byte) bool) error {
 	if root == 0 {
 		return nil
 	}
+	v.rng.Open()
 	depth := 0
 	push := func(no uint32, first bool) error {
 		if depth > 64 {
@@ -212,7 +218,7 @@ func (v *View) scanForward(b Bounds, fn func(key, val []byte) bool) error {
 			return err
 		}
 		if first && b.Lo != nil {
-			f.next, _ = f.page.Search(b.Lo)
+			f.next, _ = f.page.SearchRange(b.Lo, &v.rng)
 		}
 		depth++
 		return nil
@@ -283,6 +289,7 @@ func (v *View) scanReverse(b Bounds, fn func(key, val []byte) bool) error {
 	if root == 0 {
 		return nil
 	}
+	v.rng.Open()
 	depth := 0
 	push := func(no uint32, first bool) error {
 		if depth > 64 {
@@ -298,14 +305,14 @@ func (v *View) scanReverse(b Bounds, fn func(key, val []byte) bool) error {
 			if first && b.Hi != nil {
 				// Children past Search(hi) hold keys strictly above their
 				// preceding separator, itself ≥ hi — skip them and Aux.
-				if i, _ := p.Search(b.Hi); i < p.NCells() {
+				if i, _ := p.SearchRange(b.Hi, &v.rng); i < p.NCells() {
 					f.next = i + 1
 				}
 			}
 		} else {
 			f.next = p.NCells()
 			if first && b.Hi != nil {
-				i, found := p.Search(b.Hi)
+				i, found := p.SearchRange(b.Hi, &v.rng)
 				if found && !b.HiX {
 					f.next = i + 1
 				} else {

@@ -110,6 +110,12 @@ type Stats struct {
 	BlockReads    int64 // free-block headers read from a page
 	Splits        int64 // updated by the B-tree layer via NoteSplit
 	FreeListFixes int64
+
+	// LeafSearches counts in-page searches of a leaf and LeafProbes the cell
+	// keys they read; InteriorSearches and InteriorProbes the same for
+	// interior pages.
+	LeafSearches, LeafProbes         int64
+	InteriorSearches, InteriorProbes int64
 }
 
 // Store is a FAST/FAST+ database in persistent memory.

@@ -50,6 +50,9 @@ func (m *pageMem) ReadInto(off int, dst []byte) {
 	m.tx.st.arena.Load(m.base+int64(off), dst)
 }
 
+// Compute charges n words of computation to the store's machine.
+func (m *pageMem) Compute(n int64) { m.tx.st.sys.Compute(n) }
+
 func (m *pageMem) Write(off int, src []byte) {
 	m.tx.st.arena.Store(m.base+int64(off), src)
 	m.unflushed = append(m.unflushed, byteRange{off, len(src)})
@@ -556,6 +559,10 @@ func (tx *Txn) finish() {
 		st.stats.EdgeAbsorbs += int64(c.EdgeAbsorbs)
 		st.stats.HeadCarves += int64(c.HeadCarves)
 		st.stats.BlockReads += int64(c.BlockReads)
+		st.stats.LeafSearches += int64(c.LeafSearches)
+		st.stats.LeafProbes += int64(c.LeafProbes)
+		st.stats.InteriorSearches += int64(c.InteriorSearches)
+		st.stats.InteriorProbes += int64(c.InteriorProbes)
 		st.rec.handles = append(st.rec.handles, tp)
 	}
 	clear(tx.pages)

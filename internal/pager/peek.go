@@ -17,4 +17,7 @@ type SnapshotReader interface {
 	// ErrCorrupt) instead of panicking: a torn walk over a stale root must
 	// surface as a retryable failure, not a process fault.
 	PeekCommitted(no uint32, off int, dst []byte) (int64, error)
+	// ComputeCost returns the simulated cost of n words of pure computation,
+	// which the locked path charges to the machine's clock.
+	ComputeCost(n int64) int64
 }

@@ -90,9 +90,12 @@ func (s *System) Fences() int64 { return s.fences }
 // logging computation.
 func (s *System) Compute(nwords int64) {
 	if nwords > 0 {
-		s.clock.Advance(nwords * s.lat.CPUWord)
+		s.clock.Advance(s.ComputeCost(nwords))
 	}
 }
+
+// ComputeCost returns what Compute(nwords) charges, without charging it.
+func (s *System) ComputeCost(nwords int64) int64 { return max(nwords, 0) * s.lat.CPUWord }
 
 // ComputeNS charges d nanoseconds of CPU work directly.
 func (s *System) ComputeNS(d int64) { s.clock.Advance(d) }

@@ -95,22 +95,6 @@ func applyTxOp(tx *btree.Tx, op *Op) error {
 	return errors.New("shard: unknown op kind")
 }
 
-// applySingle applies one op in its own transaction (the group-commit
-// fallback when a batch hits a hard error).
-func applySingle(tree *btree.Tree, op *Op) error {
-	switch op.Kind {
-	case OpPut:
-		return tree.Put(op.Key, op.Val)
-	case OpInsert:
-		return tree.Insert(op.Key, op.Val)
-	case OpUpdate:
-		return tree.Update(op.Key, op.Val)
-	case OpDelete:
-		return tree.Delete(op.Key)
-	}
-	return errors.New("shard: unknown op kind")
-}
-
 // ApplyOps applies ops to tree as group commits of at most maxBatch
 // operations per transaction, filling errs (which must have len(ops)).
 // It returns the number of transactions committed.
@@ -120,7 +104,8 @@ func applySingle(tree *btree.Tree, op *Op) error {
 // the B-tree reports them before mutating anything, so the transaction's
 // other operations commit untouched. A hard error (e.g. out of pages)
 // rolls the whole batch transaction back and re-applies each of its ops in
-// its own transaction so every caller gets an individual verdict.
+// its own transaction, so every op is a unit of its own here and every
+// caller gets an individual verdict.
 //
 // With ApplyUnits this is the shared core of the per-shard writer
 // goroutines, of Engine.ApplyBatch and of the one-shard Engine.Do; keeping
@@ -173,16 +158,44 @@ func ApplyUnits(tree *btree.Tree, maxBatch int, ops []Op, errs []error, units []
 }
 
 // applyChunk runs one group commit, marking the end of every unit but the
-// last (Commit closes that one), and returns the transaction count (1 for
-// the batch, one per op on the individual-retry fallback, 0 when no op
-// applied and the transaction was rolled back).
+// last (Commit closes that one), and returns the transaction count. A hard
+// error rolls the transaction back, and the chunk is applied again one unit
+// per transaction (one op per unit when units is nil): a unit that meets a
+// hard error on its own gives it to all of its ops and leaves no trace, so a
+// request is never torn by another's failure or by its own.
 func applyChunk(tree *btree.Tree, ops []Op, errs []error, units []int32) int64 {
+	txns, err := applyTx(tree, ops, errs, units)
+	if err == nil {
+		return txns
+	}
+	txns = 0
+	for lo, u := 0, 0; lo < len(ops); u++ {
+		hi := lo + 1
+		if units != nil {
+			hi = lo + int(units[u])
+		}
+		n, err := applyTx(tree, ops[lo:hi], errs[lo:hi], nil)
+		if err != nil {
+			for i := lo; i < hi; i++ {
+				errs[i] = err
+			}
+		}
+		txns += n
+		lo = hi
+	}
+	return txns
+}
+
+// applyTx applies ops in one transaction, marking unit ends as applyChunk
+// says, and returns the transaction count (1, or 0 when no op applied or the
+// commit failed) and the hard error that rolled it back, if one did.
+func applyTx(tree *btree.Tree, ops []Op, errs []error, units []int32) (int64, error) {
 	tx, err := tree.Begin()
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
-		return 0
+		return 0, nil
 	}
 	applied := false
 	u, end := 0, len(ops) // the open unit, and the op it ends before
@@ -200,14 +213,9 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error, units []int32) int64 {
 		if opErr == nil {
 			applied = true
 		} else if !benign(opErr) {
-			// Hard error mid-batch: the transaction's working state may be
-			// partially mutated. Abandon it and give every op its own
-			// transaction so failures stay per-op.
+			// The transaction's working state may be partially mutated.
 			tx.Rollback()
-			for j := range ops {
-				errs[j] = applySingle(tree, &ops[j])
-			}
-			return int64(len(ops))
+			return 0, opErr
 		}
 	}
 	if !applied {
@@ -215,7 +223,7 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error, units []int32) int64 {
 		// to make durable, so the chunk pays no commit — exactly what a lone
 		// rejected Insert/Update/Delete costs in its own transaction.
 		tx.Rollback()
-		return 0
+		return 0, nil
 	}
 	if cerr := tx.Commit(); cerr != nil {
 		// Commit failed before the durability point: nothing from this
@@ -223,7 +231,7 @@ func applyChunk(tree *btree.Tree, ops []Op, errs []error, units []int32) int64 {
 		for i := range errs {
 			errs[i] = cerr
 		}
-		return 0
+		return 0, nil
 	}
-	return 1
+	return 1, nil
 }

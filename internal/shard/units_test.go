@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -234,5 +236,86 @@ func TestUnitMarkedRoundCostPin(t *testing.T) {
 	}
 	if marked.installs < marked.units*9/10 {
 		t.Fatalf("%d in-place installs for %d single-leaf units", marked.installs, marked.units)
+	}
+}
+
+// TestHardErrorKeepsUnitsWhole: a round drained from several connections
+// runs out of pages mid-way. The round is applied again one unit per
+// transaction, so every request is whole or absent — all of its ops nil and
+// every key readable, or all of them pager.ErrFull and none — and the tree
+// stays valid. Re-applying op by op instead tears the request the page
+// space ran out in.
+func TestHardErrorKeepsUnitsWhole(t *testing.T) {
+	const conns, reqs, width = 6, 2, 8 // per connection: reqs requests of width ops
+	cfg := testConfig(1, 64, 10)
+	bs := &blockingStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	open := cfg.Open
+	cfg.Open = func(i int) (*shard.Backend, error) {
+		be, err := open(i)
+		if err != nil {
+			return nil, err
+		}
+		bs.Store = be.Store
+		be.Store = bs
+		return be, nil
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Wedge the writer on a one-op round and queue every connection's
+	// submission behind it, so that they drain as one round.
+	bs.arm.Store(true)
+	first := make(chan error, 1)
+	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
+	<-bs.entered
+	big := bytes.Repeat([]byte("v"), 64)
+	var handles [conns]shard.Request
+	var ops [conns][]shard.Op
+	var errs [conns][]error
+	units := make([]int32, reqs)
+	for r := range units {
+		units[r] = width
+	}
+	for c := range handles {
+		for i := 0; i < reqs*width; i++ {
+			ops[c] = append(ops[c], shard.Op{Kind: shard.OpInsert, Key: key(1 + c*reqs*width + i), Val: big})
+		}
+		errs[c] = make([]error, len(ops[c]))
+		e.Enqueue(&handles[c], 0, ops[c], errs[c], units)
+	}
+	close(bs.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	whole, absent := 0, 0
+	for c := range handles {
+		e.Wait(&handles[c])
+		for r := 0; r < reqs; r++ {
+			lo, hi := r*width, (r+1)*width
+			acked := errs[c][lo] == nil
+			for i := lo; i < hi; i++ {
+				if err := errs[c][i]; (err == nil) != acked || (err != nil && !errors.Is(err, pager.ErrFull)) {
+					t.Fatalf("connection %d, request %d torn: op %d has %v, op %d has %v", c, r, lo, errs[c][lo], i, err)
+				}
+				_, ok, err := e.Get(ops[c][i].Key)
+				if err != nil || ok != acked {
+					t.Fatalf("connection %d, request %d: op %d acked %v but read finds it %v (%v)", c, r, i, acked, ok, err)
+				}
+			}
+			if acked {
+				whole++
+			} else {
+				absent++
+			}
+		}
+	}
+	if whole == 0 || absent == 0 {
+		t.Fatalf("%d requests whole and %d absent: resize the page space so that the round runs out of it", whole, absent)
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

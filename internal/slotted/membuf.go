@@ -44,3 +44,6 @@ func (m *MemBuf) HeaderChanged(h *Header) {
 		m.OnWrite(0, len(enc))
 	}
 }
+
+// Compute charges nothing: a MemBuf has no simulated machine.
+func (m *MemBuf) Compute(int64) {}

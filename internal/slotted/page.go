@@ -26,6 +26,9 @@ type Mem interface {
 	Write(off int, src []byte)
 	// HeaderChanged is invoked after every mutation of the decoded header.
 	HeaderChanged(h *Header)
+	// Compute charges n words of pure computation to the simulated machine
+	// the page lives on (a search's interpolation arithmetic).
+	Compute(n int64)
 }
 
 // ScratchMem is an optional Mem extension. ReadInto fills dst with
@@ -71,7 +74,7 @@ type Page struct {
 	linkTo   uint16
 	solePrev extent
 
-	counts FreeSpaceCounts // read by the commit schemes when the transaction finishes
+	counts Counts // read by the commit schemes when the transaction finishes
 
 	// Reusable scratch for transient reads and cell-image construction.
 	// These never alias live data: transient reads are consumed before the
@@ -82,6 +85,7 @@ type Page struct {
 	imgBuf []byte
 	blocks []freeBlock // free-list walk (freeBlocks), list order
 	byAddr []uint16    // indices into blocks, address order
+	rng    KeyRange    // Search's bounds, which start open
 }
 
 // Init formats a fresh page of the given type in mem and returns its handle.
@@ -140,7 +144,7 @@ func (p *Page) reset(mem Mem) {
 	p.pending = p.pending[:0]
 	p.pendingSum = 0
 	p.planned = false
-	p.counts = FreeSpaceCounts{}
+	p.counts = Counts{}
 }
 
 // readT performs a transient read: the returned bytes are valid only until
@@ -276,18 +280,6 @@ func (p *Page) keyTransient(i int) []byte {
 	default:
 		panic(fmt.Sprintf("slotted: Key on page type %#x", p.hdr.Type))
 	}
-}
-
-// Search binary-searches the sorted offset array. It returns the index of
-// the first cell with key ≥ key and whether that cell's key equals key.
-func (p *Page) Search(key []byte) (int, bool) {
-	i := sort.Search(len(p.hdr.Offsets), func(i int) bool {
-		return bytes.Compare(p.keyTransient(i), key) >= 0
-	})
-	if i < len(p.hdr.Offsets) && bytes.Equal(p.keyTransient(i), key) {
-		return i, true
-	}
-	return i, false
 }
 
 // --- Space management ------------------------------------------------------
@@ -681,18 +673,21 @@ func (p *Page) ApplyPendingFrees() {
 	p.notify()
 }
 
-// FreeSpaceCounts counts how a page handle found and returned free space
-// since it was bound to its page.
-type FreeSpaceCounts struct {
+// Counts counts how a page handle searched its cells, and found and
+// returned free space, since it was bound to its page.
+type Counts struct {
 	Coalesces   int // allocations that succeeded only after coalescing the free list
 	GapAbsorbs  int // coalescing passes that moved the content pointer up
 	EdgeAbsorbs int // deferred frees at the content pointer returned to the gap at commit
 	HeadCarves  int // cells carved from the front of the free-list head
 	BlockReads  int // free-block headers read from the page (a sole block's is in the slot header)
+
+	LeafSearches, LeafProbes         int // searches of a leaf, and the cell keys they read
+	InteriorSearches, InteriorProbes int // the same on an interior page
 }
 
-// Counts reports the handle's FreeSpaceCounts.
-func (p *Page) Counts() FreeSpaceCounts { return p.counts }
+// Counts reports the handle's Counts.
+func (p *Page) Counts() Counts { return p.counts }
 
 // PendingFrees reports the number of deferred free extents still to be
 // written as free blocks.
@@ -729,9 +724,15 @@ func (p *Page) InsertAt(i int, key, val []byte) error {
 	return p.insertCell(i, img)
 }
 
-// InsertChild adds a separator cell (key, child) to an interior page.
-func (p *Page) InsertChild(key []byte, child uint32) error {
-	i, found := p.Search(key)
+// InsertChild adds a separator cell (key, child) to an interior page whose
+// keys lie in r (SearchRange, which narrows it); nil r knows nothing of
+// them.
+func (p *Page) InsertChild(key []byte, child uint32, r *KeyRange) error {
+	if r == nil {
+		p.rng.Open()
+		r = &p.rng
+	}
+	i, found := p.SearchRange(key, r)
 	if found {
 		return fmt.Errorf("%w: key %x", ErrDuplicate, key)
 	}
@@ -852,7 +853,7 @@ func (p *Page) CopyRangeTo(dst *Page, lo, hi int) error {
 		if p.hdr.Type == TypeLeaf {
 			err = dst.InsertAt(dst.NCells(), p.Key(i), p.Value(i))
 		} else {
-			err = dst.InsertChild(p.Key(i), p.Child(i))
+			err = dst.InsertChild(p.Key(i), p.Child(i), nil)
 		}
 		if err != nil {
 			return err

@@ -324,7 +324,7 @@ func TestInteriorPageChildren(t *testing.T) {
 	m := NewMemBuf(1024)
 	p := Init(m, TypeInterior)
 	for i := 0; i < 5; i++ {
-		if err := p.InsertChild(key(i*10), uint32(100+i)); err != nil {
+		if err := p.InsertChild(key(i*10), uint32(100+i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -519,7 +519,7 @@ func TestCellExtentSizes(t *testing.T) {
 	}
 	m := NewMemBuf(4096)
 	q := Init(m, TypeInterior)
-	if err := q.InsertChild([]byte("abc"), 7); err != nil {
+	if err := q.InsertChild([]byte("abc"), 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e := q.cellExtent(0); e.size != 6+3 {

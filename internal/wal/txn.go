@@ -45,6 +45,9 @@ func (m *dramMem) ReadInto(off int, dst []byte) {
 	m.tx.st.dram.Load(m.base+int64(off), dst)
 }
 
+// Compute charges n words of computation to the store's machine.
+func (m *dramMem) Compute(n int64) { m.tx.st.sys.Compute(n) }
+
 func (m *dramMem) Write(off int, src []byte) {
 	m.tx.st.dram.Store(m.base+int64(off), src)
 	m.markDirty(off, len(src))
