@@ -13,7 +13,9 @@
 //     rightmost child and the full one keeps every cell (SQLite's
 //     balance_quick), so ascending keys fill leaves to the cap. A leaf
 //     full by bytes splits at the median whatever the key (see capSplit);
-//   - fragmentation is repaired by on-demand copy-on-write defragmentation:
+//   - fragmentation is repaired on demand: a FAST+ leaf moves a few cells
+//     out of the way of a free run and installs its header in place
+//     (pager.Txn.Relocate); any other page is defragmented copy-on-write —
 //     live cells are copied to a fresh page and the parent's child pointer
 //     is swapped out of place (§4.3).
 //
@@ -359,7 +361,7 @@ func (x *Tx) write(key, val []byte, mode writeMode) error {
 			case !found && mode == updateOnly:
 				err = fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 			case found:
-				err = x.replaceAt(leaf, path, i, val)
+				err = x.replaceAt(leaf, path, i, key, val)
 			default:
 				err = x.insertAt(leaf, path, i, key, val)
 			}
@@ -406,29 +408,38 @@ func (x *Tx) insertAt(leaf *slotted.Page, path []pathElem, i int, key, val []byt
 		}
 		return err
 	}
-	return x.wrote(path, err)
+	return x.wrote(path, cellSize(key, val), err)
 }
 
-// replaceAt replaces the value of cell i of leaf (the end of path). A leaf
-// that has the room only after defragmentation is defragmented and errRetry
-// returned; one that has not reports slotted.ErrPageFull.
-func (x *Tx) replaceAt(leaf *slotted.Page, path []pathElem, i int, val []byte) error {
+// replaceAt replaces the value of cell i of leaf (the end of path), whose key
+// is key. A leaf that has the room only after defragmentation is given it and
+// errRetry returned; one that has not reports slotted.ErrPageFull.
+func (x *Tx) replaceAt(leaf *slotted.Page, path []pathElem, i int, key, val []byte) error {
 	var err error
 	x.st.Sys().Clock().InPhase(phase.RecordWrite, func() {
 		err = leaf.Update(i, val)
 	})
-	return x.wrote(path, err)
+	return x.wrote(path, cellSize(key, val), err)
 }
 
-// wrote finishes a leaf write that returned err: the operation ends if it
-// succeeded, and the leaf is defragmented for another attempt (errRetry) if
-// that is what it asked for.
-func (x *Tx) wrote(path []pathElem, err error) error {
+// wrote finishes a leaf write of a size-byte cell that returned err: the
+// operation ends if it succeeded, and the leaf is given the room for another
+// attempt (errRetry) if it asked for defragmentation — by a store that can
+// move a few of its cells and commit the move in place (FAST+), or else by
+// copying it.
+func (x *Tx) wrote(path []pathElem, size int, err error) error {
 	switch {
 	case err == nil:
 		x.p.OpEnd()
 	case errors.Is(err, slotted.ErrNeedsDefrag):
-		if _, err = x.defrag(path, len(path)-1); err == nil {
+		x.st.Sys().Clock().InPhase(phase.Defrag, func() {
+			last := len(path) - 1
+			err = nil
+			if !x.p.Relocate(path[last].no, size) {
+				_, err = x.defragLocked(path, last)
+			}
+		})
+		if err == nil {
 			err = errRetry
 		}
 	}
@@ -449,19 +460,22 @@ func (x *Tx) Delete(key []byte) error {
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 	}
 	leaf := path[len(path)-1].page
-	i, found := searchLeaf(path, key)
-	if !found {
-		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
-	}
+	found := false
 	clock.InPhase(phase.PageUpdate, func() {
 		clock.InPhase(phase.RecordWrite, func() {
-			err = leaf.Delete(i)
+			var i int
+			if i, found = searchLeaf(path, key); found {
+				err = leaf.Delete(i)
+			}
 		})
-		if err == nil {
+		if found && err == nil {
 			x.reclaimIfEmpty(path)
 			x.p.OpEnd()
 		}
 	})
+	if !found {
+		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
+	}
 	return err
 }
 

@@ -102,7 +102,8 @@ type Stats struct {
 	LoggedBytes   int64 // slot-header bytes written to the log
 	TrimmedBytes  int64 // header bytes past a frame's end, left out because they are the committed ones
 	LoggedFrames  int64
-	Defrags       int64
+	Defrags       int64 // pages copied to defragment them
+	Relocations   int64 // FAST+ leaves given room by moving cells instead (Txn.Relocate)
 	Coalesces     int64 // failed page allocations satisfied after coalescing the free list
 	GapAbsorbs    int64 // coalescing passes that returned a free run to the gap
 	EdgeAbsorbs   int64 // freed extents at the content pointer returned to the gap at commit

@@ -238,6 +238,58 @@ func (tx *Txn) Defragged() {
 	tx.st.stats.Defrags++
 }
 
+// Relocate makes room for a size-byte cell on page no, a leaf whose
+// allocation of it has just asked for defragmentation, by moving a few cells
+// (slotted.Page.Relocate) instead of copying the page, and commits the move
+// at once: a system transaction that changes no record and whose commit mark
+// is the paper's in-place slot-header install. It reports whether it did;
+// the caller copies the page instead when it did not.
+//
+// Only FAST+ has the install, and only a page whose header the transaction
+// has not changed can take one: its committed header is then the working
+// header minus the move. A commit in the middle of a FAST transaction would
+// commit the frames it has staged as well.
+//
+// The commit runs in this order: the moved cells' lines are flushed and
+// fenced, the frees are planned into the header, the header is written by one
+// HTM line write, the frees are linked (ApplyPendingFrees must run even when
+// every freed extent went back to the gap, or the next plan would see the
+// handle planned already), and the page is marked clean, so that the rest of
+// the transaction starts from the moved header as its committed one. If the
+// install aborts, the handle goes back to the committed header, its free list
+// is repaired as Rollback repairs it, and the caller copies the page.
+func (tx *Txn) Relocate(no uint32, size int) bool {
+	tp, ok := tx.pages[no]
+	if tx.st.cfg.Variant != InPlaceCommit || !ok || tp.mem.hdrDirty || !headerFitsLine(tp) {
+		return false
+	}
+	p, st := tp.page, tx.st
+	if _, _, ok := p.Relocate(size); !ok {
+		return false
+	}
+	tp.mem.queueUnflushed(&st.lines)
+	if st.lines.Flush(st.arena) {
+		st.sys.Fence()
+	}
+	p.PlanPendingFrees()
+	enc := p.Header().EncodeInto(tx.encBuf)
+	tx.encBuf = enc[:0]
+	if err := st.htm.AtomicLineWrite(st.arena, tp.mem.base, enc); err != nil {
+		if slotted.OpenInto(p, tp.mem) == nil && p.CheckFreeList() != nil {
+			st.repairFreeList(p, tp.mem)
+		}
+		p.SetDeferFrees(true)
+		tp.mem.markClean()
+		return false
+	}
+	p.ApplyPendingFrees()
+	tp.mem.queueUnflushed(&st.lines)
+	st.lines.Flush(st.arena)
+	tp.mem.markClean()
+	st.stats.Relocations++
+	return true
+}
+
 // MarkUnit ends one atomic unit of the transaction (btree.Tx.MarkUnit): the
 // ops since the previous mark must commit all or nothing, but nothing ties
 // them to the transaction's other units. Commit closes the last unit, so a

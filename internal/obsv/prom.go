@@ -31,7 +31,7 @@ type ShardGauge struct {
 // eventNames labels Counters fields for the events_total metric, in
 // Counters.vec order.
 var eventNames = [numEvents]string{"clflush", "fence", "htm_commit", "htm_abort",
-	"log_append", "checkpoint", "single_leaf", "defrag", "coalesce", "inplace_install"}
+	"log_append", "checkpoint", "single_leaf", "defrag", "coalesce", "inplace_install", "relocate"}
 
 // WritePrometheus renders one store's snapshot and shard gauges in the
 // Prometheus text exposition format (version 0.0.4). Quantiles are

@@ -74,22 +74,25 @@ type Counters struct {
 	// that only single-leaf units changed, and logs the rest, so it may
 	// exceed the number of in-place commits.
 	InPlaceInstall int64 `json:"inplace_install"`
+	// Relocate counts FAST+ leaves given room by moving a few cells and
+	// installing the header in place, where Defrag would have copied them.
+	Relocate int64 `json:"relocate"`
 }
 
 // numEvents is the number of Counters fields.
-const numEvents = 10
+const numEvents = 11
 
 // vec returns the fields in declaration order, the order of eventNames.
 func (c Counters) vec() [numEvents]int64 {
 	return [numEvents]int64{c.Flush, c.Fence, c.HTMCommit, c.HTMAbort,
-		c.LogAppend, c.Checkpoint, c.SingleLeaf, c.Defrag, c.Coalesce, c.InPlaceInstall}
+		c.LogAppend, c.Checkpoint, c.SingleLeaf, c.Defrag, c.Coalesce, c.InPlaceInstall, c.Relocate}
 }
 
 // countersOf is the inverse of vec.
 func countersOf(v [numEvents]int64) Counters {
 	return Counters{Flush: v[0], Fence: v[1], HTMCommit: v[2], HTMAbort: v[3],
 		LogAppend: v[4], Checkpoint: v[5], SingleLeaf: v[6], Defrag: v[7], Coalesce: v[8],
-		InPlaceInstall: v[9]}
+		InPlaceInstall: v[9], Relocate: v[10]}
 }
 
 // Sub returns c - o, the events between two snapshots.

@@ -70,6 +70,11 @@ type Txn interface {
 	// Defragged tells the transaction that copy-on-write defragmentation
 	// occurred, which disqualifies the in-place (FAST+) commit path.
 	Defragged()
+	// Relocate gives page no, which has just asked for defragmentation,
+	// room for a size-byte cell by moving a few of its cells and committing
+	// the move at once, and reports whether it did; a scheme that cannot
+	// (any but FAST+) reports false, and the caller copies the page.
+	Relocate(no uint32, size int) bool
 	// Commit runs the scheme's commit protocol.
 	Commit() error
 	// Rollback abandons the transaction. Content already written into

@@ -64,7 +64,8 @@ var (
 	// caller must split.
 	ErrPageFull = errors.New("slotted: page full")
 	// ErrNeedsDefrag means total free space suffices but no contiguous run
-	// does; the caller must defragment (copy-on-write) first.
+	// does; the caller must make one first, by moving cells (Relocate) or
+	// by defragmenting the page copy-on-write.
 	ErrNeedsDefrag = errors.New("slotted: page needs defragmentation")
 	// ErrCorrupt reports a malformed page image.
 	ErrCorrupt = errors.New("slotted: page corrupt")

@@ -80,12 +80,14 @@ type Page struct {
 	// These never alias live data: transient reads are consumed before the
 	// next page operation, and imgBuf's contents are copied into the page by
 	// mem.Write before the call returns.
-	tmp    [8]byte
-	keyBuf []byte
-	imgBuf []byte
-	blocks []freeBlock // free-list walk (freeBlocks), list order
-	byAddr []uint16    // indices into blocks, address order
-	rng    KeyRange    // Search's bounds, which start open
+	tmp     [8]byte
+	keyBuf  []byte
+	imgBuf  []byte
+	blocks  []freeBlock // free-list walk (freeBlocks), list order
+	byAddr  []uint16    // indices into blocks, address order
+	regions []region    // Relocate's layout, address order
+	caps    []int       // Relocate's destination capacities, list order
+	rng     KeyRange    // Search's bounds, which start open
 }
 
 // Init formats a fresh page of the given type in mem and returns its handle.
@@ -330,12 +332,12 @@ func (p *Page) allocate(size int) (uint16, error) {
 		// No room for the offset-array entry itself. Churn can squeeze the
 		// content start against the header while ample free-list space
 		// remains below it; compaction repairs that.
-		if size <= p.CapacityAfterDefrag() {
+		if p.fitsAfterDefrag(size) {
 			return 0, fmt.Errorf("%w: offset array squeezed", ErrNeedsDefrag)
 		}
 		return 0, fmt.Errorf("%w: offset array full", ErrPageFull)
 	}
-	if size <= p.CapacityAfterDefrag() {
+	if p.fitsAfterDefrag(size) {
 		return 0, fmt.Errorf("%w: %d bytes requested, %d free but fragmented or pending", ErrNeedsDefrag, size, p.FreeTotal())
 	}
 	return 0, fmt.Errorf("%w: %d bytes requested, %d free", ErrPageFull, size, p.FreeTotal())
@@ -536,6 +538,14 @@ func (p *Page) coalesce(size int) bool {
 		p.hdr.Flags &^= FlagSoleFree // the sole block went back to the gap
 	}
 	return true
+}
+
+// fitsAfterDefrag reports whether size <= CapacityAfterDefrag(), reading
+// the cells only when the header cannot tell: the gap and the free list
+// (pending frees included) lie outside every live cell, so a cell no larger
+// than both together fits a compacted page.
+func (p *Page) fitsAfterDefrag(size int) bool {
+	return size <= p.gapAfter(1)+int(p.hdr.Free) || size <= p.CapacityAfterDefrag()
 }
 
 // LiveBytes returns the total size of all live cells.

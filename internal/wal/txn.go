@@ -218,6 +218,10 @@ func (tx *Txn) OpEnd() {}
 // Defragged is recorded only for symmetry; baselines always log.
 func (tx *Txn) Defragged() {}
 
+// Relocate reports false: a page of the DRAM buffer cache has no in-place
+// commit of its own, so defragmentation copies it.
+func (tx *Txn) Relocate(uint32, int) bool { return false }
+
 // Rollback abandons the transaction, invalidating dirty cache images so
 // the next access re-reads the committed PM copy.
 func (tx *Txn) Rollback() {
@@ -255,15 +259,15 @@ func (tx *Txn) Commit() error {
 		return fmt.Errorf("wal: commit on finished transaction")
 	}
 	singleLeaf := tx.singleLeafShape()
-	// Fold the working meta into the cached page 0 so it is logged and
-	// checkpointed like any other page.
-	if tx.metaDirty {
-		tx.meta.TxID = tx.st.txid + 1
-		tx.flushMetaToCache()
-	}
 	clock := tx.st.sys.Clock()
 	var err error
 	clock.InPhase(phase.Commit, func() {
+		// Fold the working meta into the cached page 0 so it is logged and
+		// checkpointed like any other page.
+		if tx.metaDirty {
+			tx.meta.TxID = tx.st.txid + 1
+			tx.flushMetaToCache()
+		}
 		switch tx.st.cfg.Kind {
 		case NVWAL:
 			err = tx.commitNVWAL(false)

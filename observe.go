@@ -52,9 +52,9 @@ func newRecorder(opts Options) *obsv.Recorder {
 // storeCounters bridges the simulated machine's existing commit-path
 // counters into one obsv.Counters snapshot: clflush and fences from the
 // PM layer, HTM commits/aborts, slot-header log appends, page
-// defragmentations, free-list coalesces and in-place slot-header installs
-// from the FAST/FAST+ store, WAL
-// frames and checkpoints from the baselines. The
+// defragmentations, free-list coalesces, in-place slot-header installs and
+// cell relocations from the FAST/FAST+ store, WAL frames and checkpoints
+// from the baselines. The
 // events are counted once, where they happen — the observability layer
 // only reads the deltas between two snapshots. Allocation-free.
 func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Counters {
@@ -74,6 +74,7 @@ func storeCounters(sys *pmem.System, arena *pmem.Arena, st pager.Store) obsv.Cou
 		c.Defrag = fs.Defrags
 		c.Coalesce = fs.Coalesces
 		c.InPlaceInstall = fs.InPlaceInstalls
+		c.Relocate = fs.Relocations
 	case *wal.Store:
 		ws := s.Stats()
 		c.LogAppend = ws.WALFrames
