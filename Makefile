@@ -57,6 +57,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPageSearch$$' -fuzztime $(FUZZTIME) ./internal/slotted
 	$(GO) test -run '^$$' -fuzz '^FuzzRelocate$$' -fuzztime $(FUZZTIME) ./internal/slotted
+	$(GO) test -run '^$$' -fuzz '^FuzzLogImage$$' -fuzztime $(FUZZTIME) ./internal/shlog
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanReply$$' -fuzztime $(FUZZTIME) ./internal/server/wire

@@ -241,9 +241,10 @@ func (st *Store) LeafCellCap() int {
 }
 
 // Recover completes or discards the transaction that was in flight when the
-// previous incarnation crashed (§4.4). If the slot-header log holds a valid
-// commit mark, checkpointing is replayed (idempotently); otherwise the log
-// is ignored. Free lists are validated lazily afterwards.
+// previous incarnation crashed (§4.4). If the slot-header log holds a whole
+// commit — a length whose checksum matches its frames — checkpointing is
+// replayed (idempotently); a torn commit is truncated, and an empty log
+// ignored. Free lists are validated lazily afterwards.
 //
 // Invariant: a logged header and the one Commit checkpointed over the same
 // page differ at most in Flags, Content, Free and FreeLst (FAST stages
@@ -256,11 +257,14 @@ func (st *Store) LeafCellCap() int {
 // size is Free and so still counts the frees planned after the frame, runs
 // over a live cell, which the check catches.
 func (st *Store) Recover() error {
-	if _, ok := st.log.Committed(); ok {
-		frames, err := st.log.Frames()
-		if err != nil {
-			return err
-		}
+	frames, torn := st.log.Frames()
+	if torn {
+		// A commit that never completed was never acknowledged. Clear its
+		// length first: left set, it would commit a later transaction's
+		// uncommitted frames once they reached PM byte-identical to its own.
+		st.log.Truncate()
+	}
+	if frames != nil {
 		for _, f := range frames {
 			if f.PageNo == pager.MetaPageNo {
 				if err := pager.ApplyMetaFrame(st.arena, 0, f.Header); err != nil {

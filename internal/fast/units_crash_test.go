@@ -20,8 +20,16 @@ import (
 // whole, with a valid tree; and the sweep must see recoveries to the two
 // states only this commit shape has: one in-place leaf installed and the
 // other not, and every in-place leaf installed with the logged units absent.
+// Under plain FAST the same rounds are each one logged commit, whole or
+// absent.
 func TestUnitRoundCrashSweep(t *testing.T) {
-	gcfg := fast.Config{PageSize: 512, MaxPages: 64, LogBytes: 8 << 10, Variant: fast.InPlaceCommit}
+	for _, v := range []fast.Variant{fast.InPlaceCommit, fast.SlotHeaderLogging} {
+		t.Run(v.String(), func(t *testing.T) { unitRoundCrashSweep(t, v) })
+	}
+}
+
+func unitRoundCrashSweep(t *testing.T, v fast.Variant) {
+	gcfg := fast.Config{PageSize: 512, MaxPages: 64, LogBytes: 8 << 10, Variant: v}
 	ops, units := crashx.UnitWorkload()
 	var last *fast.Store // the store of the latest replay
 	cfg := &crashx.Config{
@@ -61,6 +69,16 @@ func TestUnitRoundCrashSweep(t *testing.T) {
 		{name: "round 1", txn: 3, installs: 2, between: []string{"01", "2"}, after: []string{"012"}},
 		{name: "round 2", txn: 4, installs: 1, after: []string{"0"}},
 	}
+	// Under plain FAST every round is one logged commit with no install: a
+	// recovery holds all of its units or none, and the sweep must see both.
+	plain := v == fast.SlotHeaderLogging
+	whole := func(r *round) string {
+		out := ""
+		for u := range units[r.txn] {
+			out += fmt.Sprint(u)
+		}
+		return out
+	}
 
 	// One uncrashed run, marked at every transaction start and at the end:
 	// the rounds commit the shape they are built for, and the crash points
@@ -85,8 +103,12 @@ func TestUnitRoundCrashSweep(t *testing.T) {
 		s0, s := marks[r.txn].stats, marks[r.txn+1].stats
 		// At least: which pages may not go in place is the sweep's to
 		// prove, by tearing a unit or breaking the tree.
-		if got := s.InPlaceInstalls - s0.InPlaceInstalls; got < r.installs || s.LogCommits-s0.LogCommits != 1 {
-			t.Fatalf("%s: %d in-place installs and %d log commits, want at least %d and 1", r.name, got, s.LogCommits-s0.LogCommits, r.installs)
+		want := r.installs
+		if plain {
+			want = 0
+		}
+		if got := s.InPlaceInstalls - s0.InPlaceInstalls; got < want || (plain && got != 0) || s.LogCommits-s0.LogCommits != 1 {
+			t.Fatalf("%s: %d in-place installs and %d log commits, want at least %d and 1", r.name, got, s.LogCommits-s0.LogCommits, want)
 		}
 	}
 	if s0, s := marks[rounds[0].txn].stats, marks[rounds[0].txn+1].stats; s.Splits == s0.Splits || s.Defrags == s0.Defrags {
@@ -147,6 +169,17 @@ func TestUnitRoundCrashSweep(t *testing.T) {
 	}
 	for _, r := range rounds {
 		t.Logf("%s: recoveries by units present: %v", r.name, r.seen)
+		if plain {
+			for state := range r.seen {
+				if state != "" && state != whole(r) {
+					t.Fatalf("%s: a recovery holds units %q of a logged commit", r.name, state)
+				}
+			}
+			if r.seen[""] == 0 || r.seen[whole(r)] == 0 {
+				t.Fatalf("%s: %d recoveries without the round, %d with all of it: the sweep misses the commit point", r.name, r.seen[""], r.seen[whole(r)])
+			}
+			continue
+		}
 		if (r.between != nil && count(r, r.between) == 0) || count(r, r.after) == 0 {
 			t.Fatalf("%s: %d recoveries between two in-place installs, %d after them and before the log commit mark: the sweep misses a window",
 				r.name, count(r, r.between), count(r, r.after))

@@ -8,18 +8,24 @@
 //  1. During the transaction, updated slot headers are appended to the log
 //     with plain stores — no flushes, no ordering constraints, because the
 //     frames are meaningless until the commit mark exists.
-//  2. At commit, the frame region is flushed and fenced, the checksum and
-//     transaction id are written and flushed, and finally the committed
-//     length — a single 8-byte failure-atomic PM word — is written and
-//     flushed. That word is the transaction's commit mark.
+//  2. At commit, the transaction id, a checksum folded over the frames, the
+//     id and the length, and finally the committed length are stored in the
+//     log's header line; the header line and the frames are flushed in one
+//     pass and fenced once. The commit mark is the header line as a whole:
+//     a non-zero length whose checksum matches the frames behind it. Nothing
+//     orders the frames before the length, so until the fence any subset of
+//     these lines may have reached PM; the checksum tells a whole commit
+//     from a torn one, and a torn one was never acknowledged.
 //  3. The committed headers are immediately ("eagerly") checkpointed into
 //     their pages by the caller, and the log is truncated by atomically
 //     zeroing the length word.
 //
 // Recovery: a zero length means no transaction was mid-commit — ignore the
-// log. A non-zero length with a valid checksum means the transaction
-// committed but checkpointing may not have finished — replay the frames
-// (idempotent) and truncate.
+// log. A non-zero length whose checksum matches well-formed frames means
+// the transaction committed but checkpointing may not have finished —
+// replay the frames (idempotent) and truncate. Any other non-zero length is
+// a commit that never happened: truncate it before anything else, or a later
+// transaction that appends byte-identical frames would complete it.
 //
 // A frame is a prefix of a slot header, not necessarily all of it: it may
 // end before the offset array does. The caller cuts it after the last byte
@@ -33,7 +39,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"fasp/internal/pmem"
 )
@@ -49,7 +54,8 @@ var (
 	// ErrLogFull means the frame region is exhausted; the transaction is
 	// too large for the configured log size.
 	ErrLogFull = errors.New("shlog: log full")
-	// ErrCorrupt reports an invalid log image (bad magic or checksum).
+	// ErrCorrupt reports a region that holds no log (bad magic). A torn
+	// commit is not an error: Frames reports it.
 	ErrCorrupt = errors.New("shlog: log corrupt")
 )
 
@@ -73,7 +79,7 @@ type Log struct {
 }
 
 // FNV-1a parameters, matching hash/fnv's 64-bit variant bit for bit: the
-// checksums are persisted and re-verified by Frames at recovery.
+// checksums are persisted and re-verified at recovery.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -85,6 +91,23 @@ func fnvFold(h uint64, b []byte) uint64 {
 		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	return h
+}
+
+// chain folds one more chunk into the log's checksum: a fresh FNV-1a state
+// is seeded with the previous checksum's little-endian bytes, then b.
+func chain(h uint64, b []byte) uint64 {
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], h)
+	return fnvFold(fnvFold(fnvOffset64, seed[:]), b)
+}
+
+// seal folds the transaction id and the committed length into the frames'
+// checksum, giving the value Commit stores in the header line.
+func seal(h, txid, length uint64) uint64 {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:], txid)
+	binary.LittleEndian.PutUint64(b[8:], length)
+	return chain(h, b[:])
 }
 
 // Format initialises an empty log over the region.
@@ -147,12 +170,9 @@ func (l *Log) AppendHeader(pageNo uint32, hdr []byte) error {
 	copy(buf[frameHeader:], hdr)
 	l.a.Store(l.base+logHeaderSize+l.cursor, buf)
 	l.cursor += need
-	// Fold the frame into the running checksum (pure CPU work). The fold
-	// seeds a fresh FNV-1a state with the previous hash's little-endian
-	// bytes, exactly as recovery's verifier does.
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], l.hash)
-	l.hash = fnvFold(fnvFold(fnvOffset64, seed[:]), buf)
+	// Fold the frame into the running checksum (pure CPU work), exactly as
+	// recovery's verifier does.
+	l.hash = chain(l.hash, buf)
 	l.a.Sys().Compute(int64(len(buf)) / 8)
 	return nil
 }
@@ -160,48 +180,54 @@ func (l *Log) AppendHeader(pageNo uint32, hdr []byte) error {
 // PendingBytes reports the bytes of frames appended since Begin.
 func (l *Log) PendingBytes() int64 { return l.cursor }
 
-// Commit makes the appended frames durable and writes the commit mark.
-// After Commit returns, a crash at any point leaves the transaction
-// committed; before the final length store becomes durable, it leaves the
-// transaction entirely absent.
+// Commit makes the appended frames durable and commits them. It stores the
+// transaction id, the checksum sealed over the frames, the id and the length,
+// and last the length, all in the header line; then it writes the header line
+// and the frames back in one pass and fences once. A crash before the fence
+// leaves the transaction committed if every one of those lines reached PM,
+// and entirely absent otherwise; after Commit returns, it stays committed.
 func (l *Log) Commit(txid uint64) {
-	// 1. Flush the frame region; fence.
-	l.a.Flush(l.base+logHeaderSize, int(l.cursor))
-	l.a.Sys().Fence()
-	// 2. Auxiliary commit metadata, flushed before the mark.
 	l.a.StoreU64(l.base+16, txid)
-	l.a.StoreU64(l.base+24, l.hash)
-	l.a.Persist(l.base+16, 16)
-	// 3. The commit mark: one failure-atomic 8-byte store.
+	l.a.StoreU64(l.base+24, seal(l.hash, txid, uint64(l.cursor)))
 	l.a.StoreU64(l.base+8, uint64(l.cursor))
-	l.a.Persist(l.base+8, 8)
+	l.a.Sys().Compute(2)
+	l.a.Persist(l.base, logHeaderSize+int(l.cursor))
 }
 
 // Committed reports whether the log holds a committed, un-truncated
 // transaction, returning its id.
 func (l *Log) Committed() (txid uint64, ok bool) {
-	if l.a.LoadU64(l.base+8) == 0 {
-		return 0, false
-	}
-	return l.a.LoadU64(l.base + 16), true
+	txid, frames, _ := l.decode()
+	return txid, frames != nil
 }
 
-// Frames decodes the committed frames for replay, verifying the checksum.
-func (l *Log) Frames() ([]Frame, error) {
+// Frames decodes the committed transaction's frames for replay; it returns
+// none when the log holds no commit. torn reports a non-zero length that is
+// not a whole commit — a length past the log, a malformed frame, or a
+// checksum that does not match: a commit that never happened, which the
+// caller must Truncate before the log takes another transaction.
+func (l *Log) Frames() (frames []Frame, torn bool) {
+	_, frames, torn = l.decode()
+	return frames, torn
+}
+
+// decode validates the log image. A frame is well-formed when its body fits
+// the committed length and its pad bytes are zero, as AppendHeader writes
+// them; the checksum must then match the frames, the id and the length.
+func (l *Log) decode() (txid uint64, frames []Frame, torn bool) {
 	length := int64(l.a.LoadU64(l.base + 8))
 	if length == 0 {
-		return nil, nil
+		return 0, nil, false
 	}
-	if logHeaderSize+length > l.size {
-		return nil, fmt.Errorf("%w: committed length %d exceeds log", ErrCorrupt, length)
+	if length < 0 || length > l.size-logHeaderSize {
+		return 0, nil, true
 	}
+	txid = l.a.LoadU64(l.base + 16)
 	raw := l.a.Read(l.base+logHeaderSize, int(length))
-	// Verify the checksum by refolding frame by frame.
-	var frames []Frame
-	hash := fnv.New64a().Sum64()
+	hash := uint64(fnvOffset64)
 	for pos := int64(0); pos < length; {
 		if pos+frameHeader > length {
-			return nil, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+			return 0, nil, true
 		}
 		pageNo := binary.LittleEndian.Uint32(raw[pos:])
 		hdrLen := int64(binary.LittleEndian.Uint16(raw[pos+4:]))
@@ -209,25 +235,30 @@ func (l *Log) Frames() ([]Frame, error) {
 		if pad := need % 8; pad != 0 {
 			need += 8 - pad
 		}
-		if pos+need > length {
-			return nil, fmt.Errorf("%w: truncated frame body", ErrCorrupt)
+		if pos+need > length || !zero(raw[pos+6:pos+frameHeader]) || !zero(raw[pos+frameHeader+hdrLen:pos+need]) {
+			return 0, nil, true
 		}
-		h := fnv.New64a()
-		var seed [8]byte
-		binary.LittleEndian.PutUint64(seed[:], hash)
-		h.Write(seed[:])
-		h.Write(raw[pos : pos+need])
-		hash = h.Sum64()
+		hash = chain(hash, raw[pos:pos+need])
 		frames = append(frames, Frame{
 			PageNo: pageNo,
 			Header: append([]byte(nil), raw[pos+frameHeader:pos+frameHeader+hdrLen]...),
 		})
 		pos += need
 	}
-	if stored := l.a.LoadU64(l.base + 24); stored != hash {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if l.a.LoadU64(l.base+24) != seal(hash, txid, uint64(length)) {
+		return 0, nil, true
 	}
-	return frames, nil
+	return txid, frames, false
+}
+
+// zero reports whether b holds only zero bytes.
+func zero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Truncate clears the commit mark after checkpointing completes. The log is

@@ -35,9 +35,9 @@ func TestCommitAndReplayRoundTrip(t *testing.T) {
 	if !ok || txid != 42 {
 		t.Fatalf("committed = %d,%v", txid, ok)
 	}
-	frames, err := l.Frames()
-	if err != nil {
-		t.Fatal(err)
+	frames, torn := l.Frames()
+	if torn {
+		t.Fatal("a whole commit reads as torn")
 	}
 	if len(frames) != 2 {
 		t.Fatalf("frames = %d", len(frames))
@@ -88,12 +88,9 @@ func TestCommittedSurvivesCrashWithNoEvictions(t *testing.T) {
 	if !ok || txid != 9 {
 		t.Fatalf("committed after crash = %d,%v", txid, ok)
 	}
-	frames, err := l2.Frames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 1 || !bytes.Equal(frames[0].Header, hdr) {
-		t.Fatalf("frames after crash = %+v", frames)
+	frames, torn := l2.Frames()
+	if torn || len(frames) != 1 || !bytes.Equal(frames[0].Header, hdr) {
+		t.Fatalf("frames after crash = %+v, torn %v", frames, torn)
 	}
 }
 
@@ -118,6 +115,9 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A commit is whole only if every frame byte is the one Commit sealed: a
+// frame line that reached PM stale or damaged makes the commit torn, not
+// corrupt, and the log holds no transaction.
 func TestChecksumDetectsTornFrames(t *testing.T) {
 	_, a, l := newLog(t)
 	l.Begin()
@@ -125,32 +125,64 @@ func TestChecksumDetectsTornFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Commit(1)
-	// Corrupt one committed frame byte behind the log's back.
-	raw := a.Read(logHeaderSize+frameHeader, 1)
-	a.Store(logHeaderSize+frameHeader, []byte{raw[0] ^ 0xFF})
-	if _, err := l.Frames(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	// Change one committed frame byte behind the log's back, as a frame
+	// line left stale by a crash before the fence would.
+	off := int64(logHeaderSize + frameHeader + 40)
+	raw := a.Read(off, 1)
+	a.Store(off, []byte{raw[0] ^ 0xFF})
+	if frames, torn := l.Frames(); frames != nil || !torn {
+		t.Fatalf("damaged frame: %d frames, torn %v; want none, torn", len(frames), torn)
+	}
+	if _, ok := l.Committed(); ok {
+		t.Fatal("damaged frame reads as committed")
+	}
+	// A frame whose pad bytes are not zero is not one AppendHeader wrote.
+	a.Store(off, raw)
+	if _, torn := l.Frames(); torn {
+		t.Fatal("restored frame reads as torn")
+	}
+	a.Store(logHeaderSize+6, []byte{1})
+	if frames, torn := l.Frames(); frames != nil || !torn {
+		t.Fatalf("non-zero frame pad: %d frames, torn %v; want none, torn", len(frames), torn)
 	}
 }
 
+// The length is sealed into the checksum: any other committed length — past
+// the log, inside a frame, or short of the last frame — is a torn commit.
 func TestTruncatedLengthRejected(t *testing.T) {
 	_, a, l := newLog(t)
 	l.Begin()
 	_ = l.AppendHeader(1, []byte{1})
+	_ = l.AppendHeader(2, []byte{2})
 	l.Commit(1)
-	a.StoreU64(8, 1<<20) // absurd committed length
-	if _, err := l.Frames(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	length := a.LoadU64(8)
+	for _, bad := range []uint64{1 << 20, 1 << 63, length - 4, length - 8, length + 8} {
+		a.StoreU64(8, bad)
+		if frames, torn := l.Frames(); frames != nil || !torn {
+			t.Fatalf("length %d: %d frames, torn %v; want none, torn", bad, len(frames), torn)
+		}
+	}
+	a.StoreU64(8, length)
+	if frames, torn := l.Frames(); torn || len(frames) != 2 {
+		t.Fatalf("restored length: %d frames, torn %v", len(frames), torn)
+	}
+	l.Truncate()
+	if frames, torn := l.Frames(); frames != nil || torn {
+		t.Fatalf("truncated log: %d frames, torn %v; want none, not torn", len(frames), torn)
 	}
 }
 
-// Exhaustive crash sweep: at every crash point of append+commit, recovery
-// sees either no transaction or the complete transaction — never a torn one.
+// Exhaustive crash sweep: at every crash point of append+commit, under every
+// lottery, the log is committed if and only if the whole commit — the header
+// line's length, id and checksum and every frame byte — reached PM, and then
+// every frame is exact. Otherwise it is torn exactly when a length reached
+// PM, and Truncate empties it.
 func TestCommitIsFailureAtomicAtEveryCrashPoint(t *testing.T) {
 	headers := [][]byte{
 		bytes.Repeat([]byte{0xA1}, 22),
 		bytes.Repeat([]byte{0xB2}, 40),
 		bytes.Repeat([]byte{0xC3}, 14),
+		bytes.Repeat([]byte{0xD4}, 70),
 	}
 	run := func(l *Log) {
 		l.Begin()
@@ -161,14 +193,24 @@ func TestCommitIsFailureAtomicAtEveryCrashPoint(t *testing.T) {
 		}
 		l.Commit(77)
 	}
-	// Count crash points.
-	sys, _, l := newLog(t)
+	// Count crash points, and take the medium image of the whole commit.
+	sys, a, l := newLog(t)
 	base := sys.CrashPoints()
 	run(l)
 	total := sys.CrashPoints() - base
 	if total < 10 {
 		t.Fatalf("suspiciously few crash points: %d", total)
 	}
+	span := int(logHeaderSize + l.PendingBytes())
+	if span <= 2*pmem.CacheLineSize {
+		t.Fatalf("the commit spans %d bytes; want frames on three lines at least", span)
+	}
+	whole := a.MediumBytes(0, span)
+	reached := func(a *pmem.Arena) bool {
+		img := a.MediumBytes(0, span)
+		return bytes.Equal(img[8:32], whole[8:32]) && bytes.Equal(img[logHeaderSize:], whole[logHeaderSize:])
+	}
+	seen := map[string]int{}
 	for _, opts := range []pmem.CrashOptions{pmem.EvictNone, pmem.EvictAll, {Seed: 3, EvictProb: 0.5}} {
 		for k := int64(0); k < total; k++ {
 			sys, a, l := newLog(t)
@@ -179,15 +221,30 @@ func TestCommitIsFailureAtomicAtEveryCrashPoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("crash@%d opts=%+v: open: %v", k, opts, err)
 			}
-			if _, ok := l2.Committed(); !ok {
-				continue // transaction absent: fine
+			txid, ok := l2.Committed()
+			frames, torn := l2.Frames()
+			if whole := reached(a); ok != whole || (frames != nil) != whole {
+				t.Fatalf("crash@%d opts=%+v crashed=%v: committed %v with %d frames, but the whole commit reached PM: %v",
+					k, opts, crashed, ok, len(frames), whole)
 			}
-			frames, err := l2.Frames()
-			if err != nil {
-				t.Fatalf("crash@%d opts=%+v crashed=%v: committed but unreadable: %v", k, opts, crashed, err)
+			if !ok {
+				if marked := a.LoadU64(8) != 0; torn != marked {
+					t.Fatalf("crash@%d opts=%+v: torn %v with a length in PM: %v", k, opts, torn, marked)
+				}
+				if torn {
+					seen["torn"]++
+					l2.Truncate()
+					if _, torn := l2.Frames(); torn {
+						t.Fatalf("crash@%d opts=%+v: torn after Truncate", k, opts)
+					}
+				} else {
+					seen["absent"]++
+				}
+				continue
 			}
-			if len(frames) != len(headers) {
-				t.Fatalf("crash@%d: committed with %d frames, want %d", k, len(frames), len(headers))
+			seen["committed"]++
+			if torn || txid != 77 || len(frames) != len(headers) {
+				t.Fatalf("crash@%d: committed txid %d with %d frames (torn %v), want 77 and %d", k, txid, len(frames), torn, len(headers))
 			}
 			for i, f := range frames {
 				if f.PageNo != uint32(i+1) || !bytes.Equal(f.Header, headers[i]) {
@@ -196,6 +253,10 @@ func TestCommitIsFailureAtomicAtEveryCrashPoint(t *testing.T) {
 			}
 		}
 	}
+	if seen["torn"] == 0 || seen["absent"] == 0 || seen["committed"] == 0 {
+		t.Fatalf("the sweep misses an outcome: %v", seen)
+	}
+	t.Logf("%d crash points x 3 lotteries: %v", total, seen)
 }
 
 // The log is reusable across many transactions.
@@ -210,12 +271,8 @@ func TestSequentialTransactions(t *testing.T) {
 			}
 		}
 		l.Commit(txn)
-		frames, err := l.Frames()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frames) != 3 {
-			t.Fatalf("txn %d: %d frames", txn, len(frames))
+		if frames, torn := l.Frames(); torn || len(frames) != 3 {
+			t.Fatalf("txn %d: %d frames, torn %v", txn, len(frames), torn)
 		}
 		l.Truncate()
 	}
@@ -233,12 +290,8 @@ func TestReplayIsIdempotent(t *testing.T) {
 	}
 	l.Commit(3)
 	for round := 0; round < 3; round++ {
-		frames, err := l.Frames()
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(frames) != 1 || !bytes.Equal(frames[0].Header, hdr) {
-			t.Fatalf("round %d: frames = %+v", round, frames)
+		if frames, torn := l.Frames(); torn || len(frames) != 1 || !bytes.Equal(frames[0].Header, hdr) {
+			t.Fatalf("round %d: frames = %+v, torn %v", round, frames, torn)
 		}
 		// Simulate a crash between replay rounds.
 		sys.Crash(pmem.EvictNone)
