@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race goldens results crashx obsv fuzz bench bench-pairs chaos clean
+.PHONY: all build vet test race goldens results crashx obsv fuzz bench bench-pairs chaos loc clean
 
 all: vet build test
 
@@ -86,6 +86,14 @@ CHAOS_SPEC ?= fx:1:42:0.03:0.02:0.005:2:0.004:2
 chaos:
 	$(GO) test -race -run TestChaosSoak ./internal/server/
 	$(GO) run ./cmd/crashtest -chaos-spec "$(CHAOS_SPEC)" -chaos-dur $(CHAOS_DUR) > /dev/null
+
+# Go line counts outside bench/, non-test and test files apart, each whole
+# and code-only (code-only drops blank lines and lines holding only a //
+# comment): the numbers a simplicity change reports.
+LOC_COUNT = awk '{ n++ } !/^[[:space:]]*(\/\/.*)?$$/ { c++ } END { printf "%-9s %6d whole %6d code-only\n", kind, n, c }'
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | $(LOC_COUNT) kind=non-test
+	@find . -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | $(LOC_COUNT) kind=test
 
 # Removes ignored build output only; nothing tracked.
 clean:

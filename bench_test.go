@@ -272,44 +272,6 @@ func BenchmarkAblationHTMAborts(b *testing.B) {
 	}
 }
 
-// BenchmarkHashVsBTree compares point operations on the two index
-// structures built on the same failure-atomic slotted pages (the paper's
-// §2.2 claim that the optimisation generalises to hash-based indexes).
-func BenchmarkHashVsBTree(b *testing.B) {
-	b.Run("btree-put", func(b *testing.B) {
-		kv, err := fasp.OpenKV(fasp.Options{MaxPages: b.N/4 + 8192})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen := workload.New(workload.Config{Seed: 42, RecordSize: 64})
-		start := kv.SimulatedNS()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := kv.Insert(gen.NextKey(), gen.NextValue()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(kv.SimulatedNS()-start)/float64(b.N)/1000, "sim-us/op")
-	})
-	b.Run("hash-put", func(b *testing.B) {
-		h, err := fasp.OpenHash(fasp.Options{MaxPages: b.N/4 + 8192}, 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen := workload.New(workload.Config{Seed: 42, RecordSize: 64})
-		start := h.SimulatedNS()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := h.Put(gen.NextKey(), gen.NextValue()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(h.SimulatedNS()-start)/float64(b.N)/1000, "sim-us/op")
-	})
-}
-
 // BenchmarkRecovery measures crash recovery itself: the time to recover a
 // store whose crash interrupted a committing transaction. The crashed PM
 // image is prepared once; every iteration restores it and runs recovery,

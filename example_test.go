@@ -60,16 +60,3 @@ func ExampleDB_Crash() {
 	// Output:
 	// 1
 }
-
-// ExampleOpenHash stores and retrieves via the persistent hash index.
-func ExampleOpenHash() {
-	h, err := fasp.OpenHash(fasp.Options{}, 16)
-	if err != nil {
-		panic(err)
-	}
-	_ = h.Put([]byte("session"), []byte("alive"))
-	v, ok, _ := h.Get([]byte("session"))
-	fmt.Println(ok, string(v))
-	// Output:
-	// true alive
-}

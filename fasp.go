@@ -25,7 +25,6 @@ import (
 
 	"fasp/internal/btree"
 	"fasp/internal/engine"
-	"fasp/internal/hashidx"
 	"fasp/internal/obsv"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
@@ -43,9 +42,9 @@ const (
 	SchemeJournal  = "journal"
 )
 
-// ErrBadScheme reports an Options.Scheme naming no commit scheme. Open,
-// OpenKV, and OpenHash return it (wrapped — test with errors.Is) instead of
-// constructing a store; names are case-insensitive.
+// ErrBadScheme reports an Options.Scheme naming no commit scheme. Open and
+// OpenKV return it (wrapped — test with errors.Is) instead of constructing
+// a store; names are case-insensitive.
 var ErrBadScheme = scheme.ErrUnknown
 
 // Options configures a database or KV store.
@@ -67,7 +66,7 @@ type Options struct {
 	// Shards hash-partitions the KV key space across this many independent
 	// stores, each on its own simulated machine with a single-writer
 	// goroutine and group commit (see OpenKV). 0 means 1: the same engine
-	// with one partition. Open and OpenHash ignore the field.
+	// with one partition. Open ignores the field.
 	Shards int
 	// MaxBatch is the group-commit drain bound: how many operations one
 	// group commit may take from a shard's mailbox (default 64), and the
@@ -81,9 +80,6 @@ type Options struct {
 	// allocation-free either way, so disabling only saves a few atomic
 	// adds per operation.
 	DisableMetrics bool
-	// MetricsSampleEvery samples every Nth transaction's full commit-path
-	// event counts into the trace ring (default 64).
-	MetricsSampleEvery int
 	// DisableOptimisticReads forces every read through the locked per-shard
 	// path instead of the epoch-pinned optimistic path — the baseline arm
 	// for read-scaling benchmarks, and an escape hatch. Locked reads advance
@@ -111,7 +107,7 @@ type Options struct {
 // form, the name a snapshot records. It is idempotent:
 // the -1 latency sentinel survives so that re-filling (each shard's
 // backend fills the same Options) cannot turn an explicit zero back into
-// the 300 ns default; newBase clamps the sentinel when building the model.
+// the 300 ns default; newDB clamps the sentinel when building the model.
 func (o *Options) fill() {
 	if o.Scheme == "" {
 		o.Scheme = SchemeFASTPlus
@@ -154,21 +150,24 @@ type Result = engine.Result
 // CrashOptions re-exports the crash eviction lottery configuration.
 type CrashOptions = pmem.CrashOptions
 
-// base carries the machinery shared by DB and Hash (and builds each KV
-// shard's backend). The mutex serialises all public operations: the
-// simulated machine (clock, cache overlay) and the single-writer stores are
-// not internally synchronised, so the facade provides SQLite-style
-// one-at-a-time access that is safe to call from multiple goroutines.
-type base struct {
+// DB is a SQL database on a simulated PM machine. The mutex serialises all
+// public operations: the simulated machine (clock, cache overlay) and the
+// single-writer stores are not internally synchronised, so the facade
+// provides SQLite-style one-at-a-time access that is safe to call from
+// multiple goroutines.
+type DB struct {
 	mu     sync.Mutex
 	opts   Options
 	scheme scheme.Scheme
 	sys    *pmem.System
 	store  pager.Store
 	arena  *pmem.Arena
+	eng    *engine.DB
 }
 
-func newBase(opts Options) (*base, error) {
+// newDB builds a simulated machine and a fresh store of opts' scheme on it:
+// a DB before its SQL engine is attached, and each KV shard's backend.
+func newDB(opts Options) (*DB, error) {
 	opts.fill()
 	s, err := scheme.Parse(opts.Scheme)
 	if err != nil {
@@ -178,7 +177,7 @@ func newBase(opts Options) (*base, error) {
 	lat.CacheBytes = opts.CacheBytes
 	sys := pmem.NewSystem(lat)
 	st := s.Create(sys, opts.geometry())
-	return &base{opts: opts, scheme: s, sys: sys, store: st, arena: st.Arena()}, nil
+	return &DB{opts: opts, scheme: s, sys: sys, store: st, arena: st.Arena()}, nil
 }
 
 // geometry sizes the store; the log sizes keep each scheme's default.
@@ -186,56 +185,53 @@ func (o Options) geometry() scheme.Geometry {
 	return scheme.Geometry{PageSize: o.PageSize, MaxPages: o.MaxPages}
 }
 
+// Open creates a fresh database with the given options.
+func Open(opts Options) (*DB, error) {
+	db, err := newDB(opts)
+	if err != nil {
+		return nil, err
+	}
+	db.eng = engine.Open(db.store)
+	return db, nil
+}
+
 // reattach rebuilds the store over the surviving arena after a crash or a
-// snapshot restore, and runs the scheme's recovery.
-func (b *base) reattach() error {
-	ns, err := b.scheme.Reattach(b.arena, b.opts.geometry())
+// snapshot restore, runs the scheme's recovery, and reopens the SQL engine
+// on the recovered store.
+func (db *DB) reattach() error {
+	ns, err := db.scheme.Reattach(db.arena, db.opts.geometry())
 	if err != nil {
 		return err
 	}
-	b.store = ns
+	db.store = ns
+	db.eng = engine.Open(ns)
 	return nil
 }
 
 // System exposes the simulated machine (clock, latencies, crash control).
-func (b *base) System() *pmem.System { return b.sys }
+func (db *DB) System() *pmem.System { return db.sys }
 
 // SchemeName reports the active commit scheme.
-func (b *base) SchemeName() string { return b.store.Name() }
+func (db *DB) SchemeName() string { return db.store.Name() }
 
 // SimulatedNS returns the current simulated time in nanoseconds.
-func (b *base) SimulatedNS() int64 { return b.sys.Clock().Now() }
+func (db *DB) SimulatedNS() int64 { return db.sys.Clock().Now() }
 
 // RawStore exposes the underlying pager store for inspection tooling
 // (cmd/faspinspect); application code should not need it.
-func (b *base) RawStore() pager.Store { return b.store }
+func (db *DB) RawStore() pager.Store { return db.store }
 
 // PMStats returns the persistent-memory arena's architectural event
 // counters (line fills, stores, clflush calls, write-backs).
-func (b *base) PMStats() pmem.Stats { return b.arena.Stats() }
+func (db *DB) PMStats() pmem.Stats { return db.arena.Stats() }
 
 // Crash simulates a power failure: volatile state is lost; each dirty PM
 // cache line independently survives per the eviction lottery. Call Reopen
-// (DB) / ReopenHash (Hash) afterwards to run recovery.
-func (b *base) Crash(opts CrashOptions) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sys.Crash(opts)
-}
-
-// DB is a SQL database on a simulated PM machine.
-type DB struct {
-	*base
-	eng *engine.DB
-}
-
-// Open creates a fresh database with the given options.
-func Open(opts Options) (*DB, error) {
-	b, err := newBase(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{base: b, eng: engine.Open(b.store)}, nil
+// afterwards to run recovery.
+func (db *DB) Crash(opts CrashOptions) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.sys.Crash(opts)
 }
 
 // Exec parses and executes a semicolon-separated SQL batch.
@@ -284,11 +280,7 @@ func (db *DB) Indexes() ([]string, error) {
 func (db *DB) Reopen() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.reattach(); err != nil {
-		return err
-	}
-	db.eng = engine.Open(db.store)
-	return nil
+	return db.reattach()
 }
 
 // KV is an ordered key/value store over the failure-atomic B-tree —
@@ -366,7 +358,7 @@ func OpenKV(opts Options) (*KV, error) {
 }
 
 // newShardEngine wires the scheme-agnostic engine to this package's store
-// constructors: every shard is a full newBase backend on its own simulated
+// constructor: every shard is a newDB backend on its own simulated
 // machine, and reattach after a crash goes through the scheme table. A shard
 // runs Options.Scheme for the life of the store.
 func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
@@ -380,11 +372,11 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 		EnqueueTimeout:    opts.EnqueueTimeout,
 		NoOptimisticReads: opts.DisableOptimisticReads,
 		Open: func(int) (*shard.Backend, error) {
-			b, err := newBase(opts)
+			db, err := newDB(opts)
 			if err != nil {
 				return nil, err
 			}
-			return &shard.Backend{Sys: b.sys, Arena: b.arena, Store: b.store}, nil
+			return &shard.Backend{Sys: db.sys, Arena: db.arena, Store: db.store}, nil
 		},
 		Reattach: func(_ int, be *shard.Backend) (pager.Store, error) {
 			return s.Reattach(be.Arena, opts.geometry())
@@ -682,80 +674,4 @@ func (kv *KV) ShardScan(i int, lo, hi []byte, fn func(k, v []byte) bool) error {
 		return err
 	}
 	return kv.eng.ScanShard(i, lo, hi, fn)
-}
-
-// Hash is a persistent hash index over failure-atomic slotted pages — the
-// paper's observation that the persistent slotted-page optimisation also
-// applies to hash-based indexes (§2.2). Buckets are chains of slotted
-// pages; under FAST+ a single-page Put commits with one HTM cache-line
-// write, exactly like a B-tree leaf insert.
-type Hash struct {
-	*base
-	idx *hashidx.Index
-}
-
-// OpenHash creates a fresh hash index with the given bucket count.
-func OpenHash(opts Options, buckets uint32) (*Hash, error) {
-	b, err := newBase(opts)
-	if err != nil {
-		return nil, err
-	}
-	idx := hashidx.New(b.store)
-	if err := idx.Create(buckets); err != nil {
-		return nil, err
-	}
-	return &Hash{base: b, idx: idx}, nil
-}
-
-// Put inserts or replaces a key in one transaction.
-func (h *Hash) Put(key, val []byte) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Put(key, val)
-}
-
-// Get returns the value stored under key.
-func (h *Hash) Get(key []byte) ([]byte, bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Get(key)
-}
-
-// Delete removes key.
-func (h *Hash) Delete(key []byte) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Delete(key)
-}
-
-// Len counts the records.
-func (h *Hash) Len() (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Len()
-}
-
-// Rehash rebuilds the index with a new bucket count in one transaction.
-func (h *Hash) Rehash(buckets uint32) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Rehash(buckets)
-}
-
-// Validate checks structural integrity (pages, chains, hash placement).
-func (h *Hash) Validate() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.idx.Validate()
-}
-
-// ReopenHash recovers the index after Crash.
-func (h *Hash) ReopenHash() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.reattach(); err != nil {
-		return err
-	}
-	h.idx = hashidx.New(h.store)
-	return nil
 }

@@ -5,8 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"fasp/internal/pager"
+	"fasp/internal/pmem"
 )
 
 func TestOpenAllSchemes(t *testing.T) {
@@ -83,9 +89,6 @@ func TestSchemeValidation(t *testing.T) {
 	}
 	if _, err := OpenKV(Options{Scheme: "btrfs", Shards: 4}); !errors.Is(err, ErrBadScheme) {
 		t.Fatalf("sharded OpenKV: want ErrBadScheme, got %v", err)
-	}
-	if _, err := OpenHash(Options{Scheme: "btrfs"}, 8); !errors.Is(err, ErrBadScheme) {
-		t.Fatalf("OpenHash: want ErrBadScheme, got %v", err)
 	}
 }
 
@@ -195,44 +198,6 @@ func TestKVBatchAtomicity(t *testing.T) {
 	}
 }
 
-func TestHashBasics(t *testing.T) {
-	h, err := OpenHash(Options{PageSize: 512}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := h.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, ok, err := h.Get([]byte("k0042"))
-	if err != nil || !ok || string(v) != "v42" {
-		t.Fatalf("get = %q %v %v", v, ok, err)
-	}
-	if err := h.Delete([]byte("k0042")); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := h.Len(); n != 199 {
-		t.Fatalf("len = %d", n)
-	}
-	h.Crash(CrashOptions{Seed: 5, EvictProb: 0.5})
-	if err := h.ReopenHash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := h.Len(); n != 199 {
-		t.Fatalf("len after recovery = %d", n)
-	}
-	if err := h.Rehash(64); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := h.Len(); n != 199 {
-		t.Fatalf("len after rehash = %d", n)
-	}
-}
-
 func TestKVCrashReopen(t *testing.T) {
 	kv, err := OpenKV(Options{PageSize: 512})
 	if err != nil {
@@ -321,33 +286,6 @@ func TestSnapshotSaveLoadKV(t *testing.T) {
 	v, ok, _ := kv2.Get([]byte("k0077"))
 	if !ok || string(v) != "v77" {
 		t.Fatalf("get = %q %v", v, ok)
-	}
-}
-
-func TestSnapshotSaveLoadHash(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/h.fasp"
-	h, err := OpenHash(Options{PageSize: 512}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := h.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := OpenSnapshotHash(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := h2.Len(); n != 100 {
-		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -460,5 +398,284 @@ func TestKVScanReverse(t *testing.T) {
 	}
 	if len(got) != 5 || got[0] != "k014" || got[4] != "k010" {
 		t.Fatalf("reverse = %v", got)
+	}
+}
+
+// TestDBCatalog: the catalog accessors report what Exec created, and a
+// parse error comes back from Exec rather than panicking.
+func TestDBCatalog(t *testing.T) {
+	db, err := Open(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT); CREATE INDEX users_name ON users (name)`); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE orders (id INTEGER PRIMARY KEY, total INTEGER)`)
+	tables, err := db.Tables()
+	if err != nil || len(tables) != 2 || !slices.Contains(tables, "users") || !slices.Contains(tables, "orders") {
+		t.Fatalf("tables = %v (%v)", tables, err)
+	}
+	idx, err := db.Indexes()
+	if err != nil || len(idx) != 1 || idx[0] != "users_name" {
+		t.Fatalf("indexes = %v (%v)", idx, err)
+	}
+	schema, err := db.Schema("users")
+	if err != nil || !strings.Contains(schema, "users") || !strings.Contains(strings.ToUpper(schema), "CREATE TABLE") {
+		t.Fatalf("schema = %q (%v)", schema, err)
+	}
+	if _, err := db.Schema("missing"); err == nil {
+		t.Fatal("schema of a missing table")
+	}
+	if _, err := db.Exec(`SELEKT 1`); err == nil {
+		t.Fatal("no error for a malformed statement")
+	}
+}
+
+// TestStoreConstructorCallers: Open, OpenSnapshot and OpenKV's shards
+// build their simulated machine and store through one constructor, so each
+// gets the requested scheme on a machine with the requested latencies and
+// cache bound, and its store lives on the machine the facade reports.
+func TestStoreConstructorCallers(t *testing.T) {
+	for _, name := range []string{SchemeFASTPlus, SchemeFAST, SchemeNVWAL, SchemeWAL, SchemeJournal} {
+		t.Run(name, func(t *testing.T) {
+			machine := Options{PMReadNS: 500, PMWriteNS: 700, CacheBytes: 1 << 20}
+			opts := machine
+			opts.Scheme = strings.ToUpper(name)
+			opts.PageSize = 1024
+			opts.MaxPages = 512
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+			path := filepath.Join(t.TempDir(), "db.fasp")
+			if err := db.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := OpenSnapshot(path, machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tables, err := loaded.Tables(); err != nil || len(tables) != 1 {
+				t.Fatalf("loaded tables = %v (%v)", tables, err)
+			}
+			kv, err := OpenKV(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			if loaded.System() == db.System() {
+				t.Fatal("a loaded snapshot shares the saving DB's machine")
+			}
+			want := db.System().Latencies()
+			if want.PMRead != 500 || want.PMWrite != 700 || want.CacheBytes != 1<<20 {
+				t.Fatalf("Open built latencies %+v", want)
+			}
+			for _, c := range []struct {
+				caller string
+				sys    *pmem.System
+				store  pager.Store
+			}{
+				{"Open", db.System(), db.RawStore()},
+				{"OpenSnapshot", loaded.System(), loaded.RawStore()},
+				{"OpenKV", kv.System(), kv.RawStore()},
+			} {
+				if got := c.store.Name(); got != db.SchemeName() {
+					t.Errorf("%s: scheme %s, want %s", c.caller, got, db.SchemeName())
+				}
+				if got := c.store.PageSize(); got != 1024 {
+					t.Errorf("%s: page size %d", c.caller, got)
+				}
+				if c.store.Sys() != c.sys {
+					t.Errorf("%s: the store is not on the reported machine", c.caller)
+				}
+				if got := c.sys.Latencies(); got != want {
+					t.Errorf("%s: latencies %+v, want %+v", c.caller, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestKVEnqueueWait: a caller with work for several shards enqueues one
+// handle per shard, then waits on each; per-op verdicts come back aligned
+// with the ops, and every applied write is readable afterwards.
+func TestKVEnqueueWait(t *testing.T) {
+	kv, err := OpenKV(Options{Shards: 3, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if err := kv.Insert(k(0), v(0)); err != nil {
+		t.Fatal(err)
+	}
+	perShard := make([][]Op, kv.Shards())
+	for i := 0; i < 60; i++ {
+		si := kv.ShardOf(k(i))
+		if si < 0 || si >= kv.Shards() || kv.ShardOf(k(i)) != si {
+			t.Fatalf("ShardOf(%q) = %d", k(i), si)
+		}
+		perShard[si] = append(perShard[si], Op{Kind: OpInsert, Key: k(i), Val: v(i)})
+	}
+	reqs := make([]Request, kv.Shards())
+	errs := make([][]error, kv.Shards())
+	for si, ops := range perShard {
+		if len(ops) > kv.MaxBatch() {
+			t.Fatalf("shard %d got %d ops, more than one batch", si, len(ops))
+		}
+		errs[si] = make([]error, len(ops))
+		kv.Enqueue(&reqs[si], si, ops, errs[si], nil)
+	}
+	for si := range reqs {
+		kv.Wait(&reqs[si])
+		for j, op := range perShard[si] {
+			dup := bytes.Equal(op.Key, k(0))
+			if (errs[si][j] != nil) != dup {
+				t.Fatalf("shard %d op %d (%q): err %v", si, j, op.Key, errs[si][j])
+			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		if got, ok, err := kv.Get(k(i)); err != nil || !ok || !bytes.Equal(got, v(i)) {
+			t.Fatalf("get %d = %q %v %v", i, got, ok, err)
+		}
+	}
+	if err := kv.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKVSubmitShard: one blocking submission on a shard's writer applies
+// its ops in order and reports logical failures per op.
+func TestKVSubmitShard(t *testing.T) {
+	kv, err := OpenKV(Options{Shards: 2, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	si := kv.ShardOf(k(7))
+	ops := []Op{
+		{Kind: OpInsert, Key: k(7), Val: v(7)},
+		{Kind: OpInsert, Key: k(7), Val: v(8)}, // duplicate
+		{Kind: OpUpdate, Key: k(7), Val: []byte("updated")},
+	}
+	errs := make([]error, len(ops))
+	kv.SubmitShard(si, ops, errs)
+	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
+		t.Fatalf("errs = %v", errs)
+	}
+	if got, ok, err := kv.Get(k(7)); err != nil || !ok || string(got) != "updated" {
+		t.Fatalf("get = %q %v %v", got, ok, err)
+	}
+	del := []Op{{Kind: OpDelete, Key: k(7)}, {Kind: OpDelete, Key: k(7)}}
+	kv.SubmitShard(si, del, errs[:2])
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("delete errs = %v", errs[:2])
+	}
+	if n, err := kv.Count(); err != nil || n != 0 {
+		t.Fatalf("count = %d (%v)", n, err)
+	}
+}
+
+// TestKVGetInto: the optimistic path appends into the caller's buffer, so a
+// recycled buffer with room is reused; the locked path returns the same
+// value without it.
+func TestKVGetInto(t *testing.T) {
+	for _, locked := range []bool{false, true} {
+		kv, err := OpenKV(Options{PageSize: 1024, DisableOptimisticReads: locked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if err := kv.Put(k(i), v(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 0, 64)
+		for i := 0; i < 30; i++ {
+			got, ok, err := kv.GetInto(k(i), buf)
+			if err != nil || !ok || !bytes.Equal(got, v(i)) {
+				t.Fatalf("locked=%v: get %d = %q %v %v", locked, i, got, ok, err)
+			}
+			if !locked && &got[0] != &buf[:1][0] {
+				t.Fatalf("get %d did not reuse the caller's buffer", i)
+			}
+		}
+		if got, ok, err := kv.GetInto([]byte("absent"), buf); err != nil || ok {
+			t.Fatalf("locked=%v: absent key = %q %v %v", locked, got, ok, err)
+		}
+		kv.Close()
+	}
+}
+
+// TestKVScanLimit: a limited scan yields the first limit pairs of the
+// merged order in either direction, on one shard and on several.
+func TestKVScanLimit(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			kv, err := OpenKV(Options{Shards: shards, PageSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			for i := 0; i < 50; i++ {
+				if err := kv.Insert(k(i), v(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan := func(lo, hi []byte, reverse bool, limit int) []int {
+				var got []int
+				if err := kv.ScanLimit(lo, hi, reverse, limit, func(key, val []byte) bool {
+					var i int
+					fmt.Sscanf(string(key), "key%d", &i)
+					if !bytes.Equal(val, v(i)) {
+						t.Fatalf("key %q has value %q", key, val)
+					}
+					got = append(got, i)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			if got := scan(nil, nil, false, 7); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6}) {
+				t.Fatalf("forward = %v", got)
+			}
+			if got := scan(nil, nil, true, 3); !slices.Equal(got, []int{49, 48, 47}) {
+				t.Fatalf("reverse = %v", got)
+			}
+			if got := scan(k(20), k(23), false, 10); !slices.Equal(got, []int{20, 21, 22, 23}) {
+				t.Fatalf("bounded = %v", got)
+			}
+			if got := scan(nil, nil, false, 0); len(got) != 50 {
+				t.Fatalf("unlimited scan saw %d pairs", len(got))
+			}
+		})
+	}
+}
+
+// TestKVClosed: Close flips Closed, writes after it fail with ErrClosed,
+// and reads keep working.
+func TestKVClosed(t *testing.T) {
+	kv, err := OpenKV(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(k(1), v(1)); err != nil {
+		t.Fatal(err)
+	}
+	if kv.Closed() {
+		t.Fatal("Closed before Close")
+	}
+	kv.Close()
+	if !kv.Closed() {
+		t.Fatal("not Closed after Close")
+	}
+	if err := kv.Put(k(2), v(2)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("put after close: %v", err)
+	}
+	if got, ok, err := kv.Get(k(1)); err != nil || !ok || !bytes.Equal(got, v(1)) {
+		t.Fatalf("get after close = %q %v %v", got, ok, err)
 	}
 }

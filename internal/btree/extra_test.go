@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"fasp/internal/fast"
+	"fasp/internal/pager"
 	"fasp/internal/pmem"
 	"fasp/internal/slotted"
 	"fasp/internal/workload"
@@ -165,6 +166,41 @@ func TestLeafCellCapHonoured(t *testing.T) {
 		if p.Type() == 0x0D && p.NCells() > 25 {
 			t.Fatalf("leaf %d holds %d cells under FAST+ (cap 25)", no, p.NCells())
 		}
+	}
+}
+
+// TestValidateRejectsLeafAux: Aux links an interior page to its rightmost
+// child and nothing else. No split links a leaf to a sibling, so a leaf whose
+// Aux is set is corrupt.
+func TestValidateRejectsLeafAux(t *testing.T) {
+	_, _, tr := newFastTree(t, fast.InPlaceCommit)
+	for i := 0; i < 200; i++ {
+		mustInsert(t, tr, i, 20)
+	}
+	tx, err := tr.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if err := tx.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	root, err := tx.Pager().Page(tx.Pager().Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Type() != slotted.TypeInterior {
+		t.Fatal("200 records fit one leaf; the test needs several")
+	}
+	leaf := root
+	for leaf.Type() == slotted.TypeInterior {
+		if leaf, err = tx.Pager().Page(leaf.Child(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf.SetAux(root.Aux()) // as if the leftmost leaf linked a right sibling
+	if err := tx.Validate(); !errors.Is(err, pager.ErrCorrupt) {
+		t.Fatalf("leaf with aux set: Validate = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Validate checks the full structural integrity of the tree: every page's
 // slotted invariants, key ordering and separator bounds, uniform leaf
-// depth, and the absence of page cycles. Crash-recovery tests call it after
-// every recovered image.
+// depth, a zero Aux on every leaf, and the absence of page cycles.
+// Crash-recovery tests call it after every recovered image.
 func (x *Tx) Validate() error {
 	root := x.root.Root()
 	if root == 0 {
@@ -47,6 +47,9 @@ func (x *Tx) validatePage(no uint32, lo, hi []byte, seen map[uint32]bool, allowF
 	}
 	switch p.Type() {
 	case slotted.TypeLeaf:
+		if p.Aux() != 0 {
+			return 0, fmt.Errorf("%w: leaf page %d has aux %d (only interior pages link one)", pager.ErrCorrupt, no, p.Aux())
+		}
 		for i := 0; i < p.NCells(); i++ {
 			if err := inBounds(p.Key(i)); err != nil {
 				return 0, err

@@ -1,6 +1,7 @@
 // Package metrics renders the experiment harness's output: fixed-width
-// tables whose rows and series mirror the paper's figures, plus small
-// helpers for phase-breakdown bookkeeping.
+// tables whose rows and series mirror the paper's figures, plus the
+// microsecond formatting and sorted phase listing of simulated nanoseconds
+// that the tables and cmd/faspdb print.
 package metrics
 
 import (
@@ -93,40 +94,6 @@ func Usec(ns int64) string { return fmt.Sprintf("%.2f", float64(ns)/1000) }
 // UsecF converts simulated nanoseconds to float microseconds.
 func UsecF(ns int64) float64 { return float64(ns) / 1000 }
 
-// Breakdown is an ordered set of named phase durations (simulated ns).
-type Breakdown struct {
-	order []string
-	vals  map[string]int64
-}
-
-// NewBreakdown creates an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{vals: map[string]int64{}}
-}
-
-// Set records a phase total.
-func (b *Breakdown) Set(name string, ns int64) {
-	if _, ok := b.vals[name]; !ok {
-		b.order = append(b.order, name)
-	}
-	b.vals[name] = ns
-}
-
-// Get returns a phase total.
-func (b *Breakdown) Get(name string) int64 { return b.vals[name] }
-
-// Names returns the phases in insertion order.
-func (b *Breakdown) Names() []string { return append([]string(nil), b.order...) }
-
-// Total sums all phases.
-func (b *Breakdown) Total() int64 {
-	var t int64
-	for _, v := range b.vals {
-		t += v
-	}
-	return t
-}
-
 // SortedPhases renders map totals deterministically (for logs and tests).
 func SortedPhases(m map[string]int64) []string {
 	names := make([]string, 0, len(m))
@@ -139,12 +106,4 @@ func SortedPhases(m map[string]int64) []string {
 		out = append(out, fmt.Sprintf("%s=%s", n, Usec(m[n])))
 	}
 	return out
-}
-
-// Ratio formats a/b as "N.NNx", guarding against division by zero.
-func Ratio(a, b int64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2fx", float64(a)/float64(b))
 }

@@ -49,31 +49,9 @@ func TestUsecFormatting(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	b.Set("a", 10)
-	b.Set("b", 20)
-	b.Set("a", 15) // overwrite keeps order
-	if got := b.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names = %v", got)
-	}
-	if b.Get("a") != 15 || b.Total() != 35 {
-		t.Fatalf("get=%d total=%d", b.Get("a"), b.Total())
-	}
-}
-
 func TestSortedPhases(t *testing.T) {
 	out := SortedPhases(map[string]int64{"z": 1000, "a": 2000})
 	if len(out) != 2 || !strings.HasPrefix(out[0], "a=") || !strings.HasPrefix(out[1], "z=") {
 		t.Fatalf("out = %v", out)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != "2.50x" {
-		t.Fatalf("ratio = %s", Ratio(10, 4))
-	}
-	if Ratio(1, 0) != "n/a" {
-		t.Fatal("division by zero not guarded")
 	}
 }

@@ -16,7 +16,7 @@
 //	off 4  : content-area start (uint16; 0 on a fresh page means P)
 //	off 6  : free bytes in the free list (uint16)
 //	off 8  : free-list head offset (uint16; 0 = empty; NOT failure-atomic)
-//	off 10 : aux (uint32): rightmost child (interior) or right sibling (leaf)
+//	off 10 : aux (uint32): rightmost child (interior); 0 on a leaf
 //	off 14 : record-offset array, ncells × uint16, sorted by key
 //	...    : gap (unallocated)
 //	...    : cell content area: cells and free blocks, through end of page
@@ -84,7 +84,7 @@ type Header struct {
 	Content uint16 // content-area start; never 0 once initialised
 	Free    uint16 // total bytes in the free list (plus pending frees)
 	FreeLst uint16 // free-list head offset; 0 = empty; not failure-atomic
-	Aux     uint32 // interior: rightmost child page; leaf: right sibling
+	Aux     uint32 // interior: rightmost child page; leaf: always 0
 	Offsets []uint16
 }
 

@@ -832,7 +832,8 @@ func (p *Page) Delete(i int) error {
 	return nil
 }
 
-// SetAux updates the auxiliary pointer (rightmost child / right sibling).
+// SetAux updates the auxiliary pointer: an interior page's rightmost child.
+// A leaf keeps it 0 (the B-tree validator rejects one that does not).
 func (p *Page) SetAux(v uint32) {
 	p.hdr.Aux = v
 	p.notify()

@@ -46,7 +46,7 @@ func newRecorder(opts Options) *obsv.Recorder {
 	if opts.DisableMetrics {
 		return nil
 	}
-	return obsv.New(obsv.Config{SampleEvery: opts.MetricsSampleEvery})
+	return obsv.New(obsv.Config{})
 }
 
 // storeCounters bridges the simulated machine's existing commit-path

@@ -35,6 +35,9 @@ func TestBadShardIndex(t *testing.T) {
 			if err := kv.Heal(i); !errors.Is(err, ErrBadShard) {
 				t.Errorf("Heal(%d) = %v, want ErrBadShard", i, err)
 			}
+			if _, err := kv.ShardFragmentation(i); !errors.Is(err, ErrBadShard) {
+				t.Errorf("ShardFragmentation(%d) = %v, want ErrBadShard", i, err)
+			}
 			if err := kv.ShardScan(i, nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrBadShard) {
 				t.Errorf("ShardScan(%d) = %v, want ErrBadShard", i, err)
 			}
@@ -160,7 +163,7 @@ func TestKVCloseIdempotent(t *testing.T) {
 // TestOneShardEquivalence pins what "Shards <= 1 is a one-shard engine" must
 // not change: the same op stream — Insert/Put/Delete one at a time, then
 // ApplyBatch chunks, each with ops that fail — driven into a Shards: 1 KV
-// and into a bare btree.Tree on an identical newBase machine leaves both
+// and into a bare btree.Tree on an identical newDB machine leaves both
 // machines with the same simulated clock, PM counters and phase breakdown,
 // on every scheme. That covers a rejected op paying no commit, and Put on an
 // existing key being one upsert transaction.
@@ -225,7 +228,7 @@ func TestOneShardEquivalence(t *testing.T) {
 					func(k []byte) { kv.Get(k) },
 					func() { kv.Scan(nil, nil, func(_, _ []byte) bool { return true }) })
 
-				ref, err := newBase(opts)
+				ref, err := newDB(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,12 +269,12 @@ func TestOneShardEquivalence(t *testing.T) {
 // disabled path.
 func TestKVMetrics(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
-		kv, err := OpenKV(Options{PageSize: 1024, MetricsSampleEvery: 1})
+		kv, err := OpenKV(Options{PageSize: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer kv.Close()
-		const n = 50
+		const n = 100 // past the recorder's default sampling period of 64
 		for i := 0; i < n; i++ {
 			if err := kv.Put(k(i), v(i)); err != nil {
 				t.Fatal(err)
@@ -298,11 +301,11 @@ func TestKVMetrics(t *testing.T) {
 			t.Fatalf("per-txn flush histogram count = %d, want %d", m.FlushPer.Count, n)
 		}
 		if len(kv.TraceSample()) == 0 {
-			t.Fatal("no trace samples at SampleEvery=1")
+			t.Fatal("no trace samples")
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		kv, err := OpenKV(Options{Shards: 4, PageSize: 1024, MetricsSampleEvery: 1})
+		kv, err := OpenKV(Options{Shards: 4, PageSize: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

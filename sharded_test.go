@@ -241,3 +241,28 @@ func TestShardedKVCrashReopen(t *testing.T) {
 
 func k(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 func v(i int) []byte { return []byte(fmt.Sprintf("val%06d", i)) }
+
+// TestSingleMachineAccessors: System and RawStore name shard 0's machine
+// and store on a one-shard KV, and are nil on a sharded one, which has a
+// machine per shard.
+func TestSingleMachineAccessors(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		kv, err := OpenKV(Options{Shards: shards, PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys0, _ := kv.ShardSystem(0)
+		st0, _ := kv.ShardStore(0)
+		if shards == 1 {
+			if kv.System() != sys0 || kv.RawStore() != st0 {
+				t.Fatal("one-shard System/RawStore are not shard 0's")
+			}
+			if kv.RawStore().Sys() != kv.System() {
+				t.Fatal("one-shard store is not on the reported machine")
+			}
+		} else if kv.System() != nil || kv.RawStore() != nil {
+			t.Fatalf("%d shards: System/RawStore = %v/%v, want nil", shards, kv.System(), kv.RawStore())
+		}
+		kv.Close()
+	}
+}

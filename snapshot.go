@@ -4,8 +4,6 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
-	"fasp/internal/engine"
-	"fasp/internal/hashidx"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,7 +16,7 @@ import (
 var ErrBadSnapshot = errors.New("fasp: bad snapshot")
 
 // snapshotHeader describes a saved store; the payload is one gzip'd PM
-// medium image (version 1: a DB, a Hash or a one-shard KV) or N images
+// medium image (version 1: a DB or a one-shard KV) or N images
 // (version 2, a KV of N > 1 shards) — crash-consistent by construction:
 // only flushed data is in the medium.
 //
@@ -92,9 +90,9 @@ func writeSnapshotAtomic(path string, fn func(enc *gob.Encoder) error) (err erro
 }
 
 // saveSnapshot writes opts' geometry and the given PM medium images to path:
-// one image is the version-1 single-image format (what OpenSnapshot,
-// OpenSnapshotHash and cmd/faspinspect read), several are version 2 with the
-// shard count and batch bound. The file is written to a temp sibling and
+// one image is the version-1 single-image format (what OpenSnapshot and
+// cmd/faspinspect read), several are version 2 with the shard count and
+// batch bound. The file is written to a temp sibling and
 // atomically renamed into place.
 func saveSnapshot(path string, opts Options, imgs [][]byte) error {
 	hdr := snapshotHeader{
@@ -124,12 +122,12 @@ func saveSnapshot(path string, opts Options, imgs [][]byte) error {
 // to path. Unflushed (volatile) data is not included — loading a snapshot
 // is equivalent to recovering after a power failure at the moment of the
 // save, so committed transactions are always recovered intact.
-func (b *base) Save(path string) error {
-	return saveSnapshot(path, b.opts, [][]byte{b.arena.MediumSnapshot()})
+func (db *DB) Save(path string) error {
+	return saveSnapshot(path, db.opts, [][]byte{db.arena.MediumSnapshot()})
 }
 
 // Save writes a crash-consistent snapshot of every shard's medium image to
-// path (see base.Save). Each image is individually crash-consistent, and
+// path (see DB.Save). Each image is individually crash-consistent, and
 // because the engine offers no cross-shard transactions, any skew between
 // shard images is benign (it looks like shards crashing microseconds
 // apart).
@@ -162,10 +160,10 @@ func readSnapshotHeader(path string) (*os.File, *gob.Decoder, snapshotHeader, er
 	return f, dec, hdr, nil
 }
 
-// loadSnapshot builds a base from a version-1 (single-image) snapshot
-// file. opts supplies the simulated-machine knobs (latencies, cache size);
-// the store geometry and scheme come from the file.
-func loadSnapshot(path string, opts Options) (*base, error) {
+// OpenSnapshot loads a SQL database saved with Save, running crash
+// recovery on the image. opts supplies the simulated-machine knobs
+// (latencies, cache size); the store geometry and scheme come from the file.
+func OpenSnapshot(path string, opts Options) (*DB, error) {
 	f, dec, hdr, err := readSnapshotHeader(path)
 	if err != nil {
 		return nil, err
@@ -181,28 +179,18 @@ func loadSnapshot(path string, opts Options) (*base, error) {
 	opts.Scheme = hdr.Scheme
 	opts.PageSize = hdr.PageSize
 	opts.MaxPages = hdr.MaxPages
-	b, err := newBase(opts)
+	db, err := newDB(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.arena.RestoreMedium(img); err != nil {
+	if err := db.arena.RestoreMedium(img); err != nil {
 		return nil, fmt.Errorf("%w: restore: %w", ErrBadSnapshot, err)
 	}
 	// A snapshot is a power-failure image: run recovery via reattach.
-	if err := b.reattach(); err != nil {
+	if err := db.reattach(); err != nil {
 		return nil, err
 	}
-	return b, nil
-}
-
-// OpenSnapshot loads a SQL database saved with Save, running crash
-// recovery on the image.
-func OpenSnapshot(path string, opts Options) (*DB, error) {
-	b, err := loadSnapshot(path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{base: b, eng: engine.Open(b.store)}, nil
+	return db, nil
 }
 
 // OpenSnapshotKV loads a key/value store saved with Save: every shard's
@@ -249,13 +237,4 @@ func OpenSnapshotKV(path string, opts Options) (*KV, error) {
 	kv := &KV{eng: eng, opts: opts, rec: rec}
 	registerKV(kv)
 	return kv, nil
-}
-
-// OpenSnapshotHash loads a hash index saved with Save.
-func OpenSnapshotHash(path string, opts Options) (*Hash, error) {
-	b, err := loadSnapshot(path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Hash{base: b, idx: hashidx.New(b.store)}, nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fasp/internal/pager"
 )
 
 // TestSnapshotRoundTripAllSchemes: insert → save → load on every commit
@@ -362,7 +364,44 @@ func TestSnapshotVersionGates(t *testing.T) {
 	if _, err := OpenSnapshot(path, Options{}); err == nil {
 		t.Fatal("OpenSnapshot accepted a sharded snapshot")
 	}
-	if _, err := OpenSnapshotHash(path, Options{}); err == nil {
-		t.Fatal("OpenSnapshotHash accepted a sharded snapshot")
+}
+
+// TestOpenSnapshotRejectsBadImage: the single-image loader refuses a
+// version-1 file whose header is sound but whose payload is not — no image,
+// an image of the wrong size, a blank medium with no store on it — and one
+// naming a scheme the library does not have.
+func TestOpenSnapshotRejectsBadImage(t *testing.T) {
+	db, err := Open(Options{PageSize: 1024, MaxPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(db.arena.MediumSnapshot())
+	hdr := snapshotHeader{Magic: snapshotMagic, Version: 1, Scheme: SchemeFASTPlus, PageSize: 1024, MaxPages: 64}
+	path := filepath.Join(t.TempDir(), "v1.fasp")
+	cases := []struct {
+		name   string
+		scheme string
+		imgs   [][]byte
+		want   error
+	}{
+		{"missing-image", SchemeFASTPlus, nil, ErrBadSnapshot},
+		{"wrong-size-image", SchemeFASTPlus, [][]byte{make([]byte, 64)}, ErrBadSnapshot},
+		{"blank-image", SchemeFASTPlus, [][]byte{make([]byte, size)}, pager.ErrCorrupt},
+		{"unknown-scheme", "lsm", [][]byte{make([]byte, size)}, ErrBadScheme},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := hdr
+			h.Scheme = tc.scheme
+			writeRawSnapshot(t, path, h, tc.imgs)
+			if _, err := OpenSnapshot(path, Options{}); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+	// The same header over the saved medium loads.
+	writeRawSnapshot(t, path, hdr, [][]byte{db.arena.MediumSnapshot()})
+	if _, err := OpenSnapshot(path, Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
