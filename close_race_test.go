@@ -9,7 +9,7 @@ import (
 
 // TestCloseRacesSubmissions pins the Close-vs-in-flight ordering contract
 // under the race detector: goroutines hammer every submission path
-// (Put/DoBatch/ApplyBatch/Get/Scan/Count) while another goroutine closes
+// (Put/Enqueue/ApplyBatch/Get/Scan/Count) while another goroutine closes
 // the KV. Every op must either complete normally or fail with the typed
 // shutdown-path errors — never deadlock, panic, race, or silently apply
 // after Close.
@@ -64,8 +64,8 @@ func TestCloseRacesSubmissions(t *testing.T) {
 					for j := range ops {
 						ops[j] = Op{Kind: OpPut, Key: []byte(fmt.Sprintf("b%d-c%d-%d-%d", round, c, i, j)), Val: []byte("v")}
 					}
-					for _, err := range kv.DoBatch(ops) {
-						report("DoBatch", err)
+					for _, err := range enqueueAll(kv, ops) {
+						report("Enqueue", err)
 					}
 					for _, err := range kv.ApplyBatch(ops) {
 						report("ApplyBatch", err)
@@ -102,4 +102,34 @@ func TestCloseRacesSubmissions(t *testing.T) {
 			t.Fatalf("round %d: unexpected error: %v", round, bad)
 		}
 	}
+}
+
+// enqueueAll submits ops through the shard mailboxes the way a pipelined
+// caller does: one handle per shard, every shard enqueued before any is
+// waited on. The verdicts come back aligned with ops.
+func enqueueAll(kv *KV, ops []Op) []error {
+	n := kv.Shards()
+	parts := make([][]Op, n)
+	idx := make([][]int, n)
+	for i, op := range ops {
+		si := kv.ShardOf(op.Key)
+		parts[si] = append(parts[si], op)
+		idx[si] = append(idx[si], i)
+	}
+	reqs := make([]Request, n)
+	errs := make([][]error, n)
+	for si := range parts {
+		if len(parts[si]) > 0 {
+			errs[si] = make([]error, len(parts[si]))
+			kv.Enqueue(&reqs[si], si, parts[si], errs[si], nil)
+		}
+	}
+	out := make([]error, len(ops))
+	for si := range reqs {
+		kv.Wait(&reqs[si])
+		for j, i := range idx[si] {
+			out[i] = errs[si][j]
+		}
+	}
+	return out
 }

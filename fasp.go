@@ -80,12 +80,6 @@ type Options struct {
 	// allocation-free either way, so disabling only saves a few atomic
 	// adds per operation.
 	DisableMetrics bool
-	// DisableOptimisticReads forces every read through the locked per-shard
-	// path instead of the epoch-pinned optimistic path — the baseline arm
-	// for read-scaling benchmarks, and an escape hatch. Locked reads advance
-	// the simulated clock and fill the emulated cache; optimistic reads do
-	// neither.
-	DisableOptimisticReads bool
 	// DefragThreshold > 0 enables proactive copy-on-write defragmentation:
 	// every 32nd write round a shard applies without a fault — a writer's
 	// drained round, a one-shard Put/Insert/Delete, or the shard's slice of
@@ -295,8 +289,8 @@ func (db *DB) Reopen() error {
 // parallel across shards and are batched within one. With one shard a
 // synchronous write (Put/Insert/Delete) commits on the caller's goroutine
 // under the shard lock — bit-identical in simulated time to driving the
-// B-tree directly — while Enqueue/Wait and DoBatch still gather concurrent
-// submitters into group commits. Every KV holds goroutines: call Close
+// B-tree directly — while Enqueue/Wait still gathers concurrent submitters
+// into group commits. Every KV holds goroutines: call Close
 // when done.
 type KV struct {
 	eng  *shard.Engine
@@ -367,10 +361,9 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 		return nil, err
 	}
 	return shard.New(shard.Config{
-		Shards:            opts.Shards,
-		MaxBatch:          opts.MaxBatch,
-		EnqueueTimeout:    opts.EnqueueTimeout,
-		NoOptimisticReads: opts.DisableOptimisticReads,
+		Shards:         opts.Shards,
+		MaxBatch:       opts.MaxBatch,
+		EnqueueTimeout: opts.EnqueueTimeout,
 		Open: func(int) (*shard.Backend, error) {
 			db, err := newDB(opts)
 			if err != nil {
@@ -431,8 +424,9 @@ func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 // lists the op counts of the submission's atomic units (nil: one unit), as
 // shard.Engine.Enqueue documents: a caller coalescing independent requests
 // passes one unit per request. A mailbox full past Options.EnqueueTimeout
-// fails the submission with ErrShardBusy, one racing Close with ErrClosed;
-// errs is then already filled.
+// fails the submission with ErrShardBusy, one racing Close with ErrClosed,
+// and a shard index outside [0, Shards()) with ErrBadShard; errs is then
+// already filled and Wait returns at once.
 func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
 	kv.eng.Enqueue(r, si, ops, errs, units)
 }
@@ -462,11 +456,9 @@ func (kv *KV) Insert(key, val []byte) error {
 // Get returns the value stored under key.
 func (kv *KV) Get(key []byte) ([]byte, bool, error) { return kv.eng.Get(key) }
 
-// GetInto is Get with a caller-supplied destination buffer: on the
-// optimistic read path the value is appended to dst[:0], so a steady-state
-// reader that recycles its buffer performs no heap allocation. The locked
-// fallback (unhealthy shard, optimism disabled) ignores dst and allocates
-// as Get does.
+// GetInto is Get with a caller-supplied destination buffer: the value is
+// appended to dst[:0], so a steady-state reader that recycles its buffer
+// performs no heap allocation.
 func (kv *KV) GetInto(key, dst []byte) ([]byte, bool, error) {
 	return kv.eng.GetInto(key, dst)
 }
@@ -485,17 +477,6 @@ func (kv *KV) Delete(key []byte) error {
 // key) are reported per op without aborting their batch; see
 // internal/shard.ApplyOps.
 func (kv *KV) ApplyBatch(ops []Op) []error { return kv.eng.ApplyBatch(ops) }
-
-// DoBatch submits ops through the concurrent group-commit path: the ops are
-// partitioned by shard and enqueued on the shard mailboxes, where the
-// single-writer goroutines drain them — together with any other caller's
-// concurrent submissions — into combined failure-atomic transactions
-// (cross-caller group commit). Per-op errors are returned aligned with ops
-// once every shard's verdicts are in. Unlike ApplyBatch, batch boundaries
-// depend on runtime interleaving, so simulated time is not reproducible;
-// servers and other concurrent callers should prefer DoBatch, deterministic
-// harnesses ApplyBatch.
-func (kv *KV) DoBatch(ops []Op) []error { return kv.eng.DoBatch(ops) }
 
 // Closed reports whether Close has begun.
 func (kv *KV) Closed() bool { return kv.closed.Load() }

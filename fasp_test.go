@@ -578,34 +578,31 @@ func TestKVSubmitShard(t *testing.T) {
 	}
 }
 
-// TestKVGetInto: the optimistic path appends into the caller's buffer, so a
-// recycled buffer with room is reused; the locked path returns the same
-// value without it.
+// TestKVGetInto: every read appends into the caller's buffer, so a recycled
+// buffer with room is reused.
 func TestKVGetInto(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		kv, err := OpenKV(Options{PageSize: 1024, DisableOptimisticReads: locked})
-		if err != nil {
+	kv, err := OpenKV(Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	for i := 0; i < 30; i++ {
+		if err := kv.Put(k(i), v(i)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 30; i++ {
-			if err := kv.Put(k(i), v(i)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	buf := make([]byte, 0, 64)
+	for i := 0; i < 30; i++ {
+		got, ok, err := kv.GetInto(k(i), buf)
+		if err != nil || !ok || !bytes.Equal(got, v(i)) {
+			t.Fatalf("get %d = %q %v %v", i, got, ok, err)
 		}
-		buf := make([]byte, 0, 64)
-		for i := 0; i < 30; i++ {
-			got, ok, err := kv.GetInto(k(i), buf)
-			if err != nil || !ok || !bytes.Equal(got, v(i)) {
-				t.Fatalf("locked=%v: get %d = %q %v %v", locked, i, got, ok, err)
-			}
-			if !locked && &got[0] != &buf[:1][0] {
-				t.Fatalf("get %d did not reuse the caller's buffer", i)
-			}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("get %d did not reuse the caller's buffer", i)
 		}
-		if got, ok, err := kv.GetInto([]byte("absent"), buf); err != nil || ok {
-			t.Fatalf("locked=%v: absent key = %q %v %v", locked, got, ok, err)
-		}
-		kv.Close()
+	}
+	if got, ok, err := kv.GetInto([]byte("absent"), buf); err != nil || ok {
+		t.Fatalf("absent key = %q %v %v", got, ok, err)
 	}
 }
 

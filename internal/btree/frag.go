@@ -43,7 +43,7 @@ func (r *FragReport) Ratio() float64 {
 func (v *View) FragScan(threshold float64, maxHot int) (FragReport, error) {
 	var rep FragReport
 	err := v.run(func() error {
-		root := v.sr.CommittedRoot()
+		root := v.st.CommittedRoot()
 		if root == 0 {
 			return nil
 		}

@@ -9,19 +9,19 @@ import (
 )
 
 // View is a read-only walker over the last committed state of a store,
-// reading pages through pager.SnapshotReader instead of opening a pager
-// transaction. It never mutates simulated machine state (no clock advance,
-// no cache fills, no crash points): every byte it touches is charged to an
-// internal cost accumulator that mirrors exactly what the locked path's
-// arena Loads would have cost, so callers can report an equivalent
-// simulated latency.
+// reading pages through the store's committed snapshot (PeekCommitted)
+// instead of opening a pager transaction. It never mutates simulated
+// machine state (no clock advance, no cache fills, no crash points): every
+// byte it touches is charged to an internal cost accumulator that mirrors
+// exactly what a transaction's arena Loads would have cost, so callers can
+// report an equivalent simulated latency.
 //
 // A View is NOT safe for concurrent use and must only walk while the store
-// is quiescent (no commit in progress) — the shard engine's epoch gate
-// provides that window. Keys and values passed to scan callbacks are valid
+// is quiescent (no commit in progress) — the shard engine's epoch gate, or
+// its shard lock, provides that window. Keys and values passed to scan callbacks are valid
 // only during the callback.
 type View struct {
-	sr       pager.SnapshotReader
+	st       pager.Store
 	pageSize int
 	cost     int64
 	frames   []*viewFrame
@@ -37,7 +37,7 @@ type viewFrame struct {
 	next int
 }
 
-// peekMem adapts a (SnapshotReader, page) pair to slotted.Mem. All reads
+// peekMem adapts a (store, page) pair to slotted.Mem. All reads
 // funnel through PeekCommitted; writes are impossible by construction. The
 // scratch buffer backs Read results, which Page consumes before issuing the
 // next read on the same handle (slotted documents exactly that discipline
@@ -55,7 +55,7 @@ type peekFault struct{ err error }
 func (m *peekMem) PageSize() int { return m.v.pageSize }
 
 func (m *peekMem) ReadInto(off int, dst []byte) {
-	c, err := m.v.sr.PeekCommitted(m.no, off, dst)
+	c, err := m.v.st.PeekCommitted(m.no, off, dst)
 	if err != nil {
 		panic(peekFault{err})
 	}
@@ -71,8 +71,8 @@ func (m *peekMem) Read(off, n int) []byte {
 	return b
 }
 
-// Compute adds what the locked path's Compute would have charged.
-func (m *peekMem) Compute(n int64) { m.v.cost += m.v.sr.ComputeCost(n) }
+// Compute adds what a transaction's Compute would have charged.
+func (m *peekMem) Compute(n int64) { m.v.cost += m.v.st.ComputeCost(n) }
 
 func (m *peekMem) Write(int, []byte) { panic("btree: write through read-only view") }
 func (m *peekMem) HeaderChanged(*slotted.Header) {
@@ -84,15 +84,15 @@ func NewView() *View { return &View{} }
 
 // Reset binds the view to a store's committed snapshot and zeroes the cost
 // accumulator. Views are pooled across reads; Reset is the rebind point.
-func (v *View) Reset(sr pager.SnapshotReader, pageSize int) {
-	v.sr = sr
-	v.pageSize = pageSize
+func (v *View) Reset(st pager.Store) {
+	v.st = st
+	v.pageSize = st.PageSize()
 	v.cost = 0
 }
 
 // Release drops the store reference so a pooled View cannot pin a healed
 // shard's old arena.
-func (v *View) Release() { v.sr = nil }
+func (v *View) Release() { v.st = nil }
 
 // Cost returns the accumulated simulated read cost in nanoseconds.
 func (v *View) Cost() int64 { return v.cost }
@@ -139,7 +139,7 @@ func (v *View) Get(key, dst []byte) ([]byte, bool, error) {
 	var out []byte
 	var found bool
 	err := v.run(func() error {
-		no := v.sr.CommittedRoot()
+		no := v.st.CommittedRoot()
 		if no == 0 {
 			return nil
 		}
@@ -203,7 +203,7 @@ func (v *View) Scan(b Bounds, fn func(key, val []byte) bool) error {
 }
 
 func (v *View) scanForward(b Bounds, fn func(key, val []byte) bool) error {
-	root := v.sr.CommittedRoot()
+	root := v.st.CommittedRoot()
 	if root == 0 {
 		return nil
 	}
@@ -285,7 +285,7 @@ func (v *View) scanForward(b Bounds, fn func(key, val []byte) bool) error {
 }
 
 func (v *View) scanReverse(b Bounds, fn func(key, val []byte) bool) error {
-	root := v.sr.CommittedRoot()
+	root := v.st.CommittedRoot()
 	if root == 0 {
 		return nil
 	}

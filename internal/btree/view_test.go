@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fasp/internal/fast"
-	"fasp/internal/pager"
 	"fasp/internal/pmem"
 )
 
@@ -29,12 +28,8 @@ func viewFixture(t *testing.T, n int) (*pmem.System, *fast.Store, *Tree, []rec) 
 
 func newView(t *testing.T, st *fast.Store) *View {
 	t.Helper()
-	sr, ok := interface{}(st).(pager.SnapshotReader)
-	if !ok {
-		t.Fatal("fast.Store does not implement pager.SnapshotReader")
-	}
 	vw := NewView()
-	vw.Reset(sr, st.PageSize())
+	vw.Reset(st)
 	return vw
 }
 
@@ -73,6 +68,35 @@ func TestViewGetDoesNotAdvanceClock(t *testing.T) {
 	}
 	if now := sys.Clock().Now(); now != before {
 		t.Fatalf("view reads advanced the clock: %d -> %d", before, now)
+	}
+}
+
+// TestViewCostMatchesTreeGet pins the read-cost parity a View owes: while
+// the lines a Get reads are cache-resident (Arena.Peek prices a line as
+// Load would, it only never fills), a View walk charges exactly what
+// Tree.Get's pager transaction advances the clock by — interpolated
+// in-page search included, through ComputeCost.
+func TestViewCostMatchesTreeGet(t *testing.T) {
+	sys, st, tr, recs := viewFixture(t, 300)
+	for _, r := range recs { // warm the cache: every line a Get reads
+		if _, ok, err := tr.Get(r.k); !ok || err != nil {
+			t.Fatalf("get %q: %v %v", r.k, ok, err)
+		}
+	}
+	vw := newView(t, st)
+	for _, r := range recs {
+		before := sys.Clock().Now()
+		if _, ok, err := tr.Get(r.k); !ok || err != nil {
+			t.Fatalf("get %q: %v %v", r.k, ok, err)
+		}
+		want := sys.Clock().Now() - before
+		vw.Reset(st)
+		if _, ok, err := vw.Get(r.k, nil); !ok || err != nil {
+			t.Fatalf("view get %q: %v %v", r.k, ok, err)
+		}
+		if got := vw.Cost(); got != want || got <= 0 {
+			t.Fatalf("get %q: view cost %d ns, tree clock delta %d ns", r.k, got, want)
+		}
 	}
 }
 
@@ -265,7 +289,7 @@ func TestViewSeesOnlyCommittedState(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	vw.Reset(interface{}(st).(pager.SnapshotReader), st.PageSize())
+	vw.Reset(st)
 	if _, ok, err := vw.Get([]byte("zz-new"), nil); !ok || err != nil {
 		t.Fatalf("committed insert not visible: %v %v", ok, err)
 	}

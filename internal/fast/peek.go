@@ -18,10 +18,10 @@ import (
 // CommittedRoot returns the last committed B-tree root page.
 func (st *Store) CommittedRoot() uint32 { return st.meta.Root }
 
-// ComputeCost implements pager.SnapshotReader.
+// ComputeCost implements pager.Store.
 func (st *Store) ComputeCost(n int64) int64 { return st.sys.ComputeCost(n) }
 
-// PeekCommitted implements pager.SnapshotReader over the PM arena.
+// PeekCommitted implements pager.Store over the PM arena.
 func (st *Store) PeekCommitted(no uint32, off int, dst []byte) (int64, error) {
 	if no < 1 || no >= st.meta.NPages {
 		return 0, fmt.Errorf("%w: peek of page %d outside [1,%d)",

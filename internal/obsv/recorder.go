@@ -300,9 +300,10 @@ func (r *Recorder) ObserveMailDepth(depth int) {
 	r.mailDepth.Observe(int64(depth))
 }
 
-// ObserveReadPath records one Get's path outcome: whether it completed
-// optimistically (epoch-pinned, off the shard lock) or fell back to the
-// locked path, and how many epoch-acquisition retries it burned on the way.
+// ObserveReadPath records one Get's path outcome: whether its snapshot walk
+// ran optimistically (epoch-pinned, off the shard lock) or was served under
+// the shard lock ("locked": past its retry budget, or on an unhealthy
+// shard), and how many epoch-acquisition retries it burned on the way.
 func (r *Recorder) ObserveReadPath(optimistic bool, retries int) {
 	if r == nil {
 		return

@@ -41,6 +41,28 @@ type Store interface {
 	// Recover runs crash recovery; call once after (re)opening a store
 	// whose previous incarnation may have crashed.
 	Recover() error
+
+	// The committed snapshot: the read-only view every reader walks. It
+	// serves the LAST COMMITTED state only — in-flight transaction writes
+	// are never visible through it — and its calls mutate no simulated
+	// machine state (no clock advance, no cache fill, no crash points).
+	// They are NOT internally synchronised: callers guarantee that no
+	// commit runs concurrently (the shard engine's epoch gate, or its
+	// shard lock).
+
+	// CommittedRoot returns the B-tree root page of the last committed
+	// transaction (0 = empty tree).
+	CommittedRoot() uint32
+	// PeekCommitted copies committed bytes [off, off+len(dst)) of page no
+	// into dst and returns the simulated cost a transaction's reads of
+	// the same bytes would have charged. Out-of-range pages or offsets
+	// return an error (wrapping ErrCorrupt) instead of panicking: a torn
+	// walk over a stale root must surface as a failure, not a process
+	// fault.
+	PeekCommitted(no uint32, off int, dst []byte) (int64, error)
+	// ComputeCost returns the simulated cost of n words of pure
+	// computation, which a transaction charges to the machine's clock.
+	ComputeCost(n int64) int64
 }
 
 // Txn is one transaction's view of the store. Page handles returned by Page

@@ -1,10 +1,5 @@
 package shard
 
-import (
-	"fasp/internal/btree"
-	"fasp/internal/pager"
-)
-
 // Proactive defragmentation: with Config.DefragThreshold > 0, every
 // defragWindow-th write round a shard applies without a fault (applyLocked,
 // under the shard lock inside the write gate) measures the committed tree's
@@ -38,20 +33,14 @@ func (s *state) defragTick() {
 	s.defragPass()
 }
 
-// measureFrag scans the committed tree's leaf fragmentation through the
-// snapshot reader — pure Peeks, no clock advance, no crash points — and
-// queues the over-threshold leaves for the next defrag pass. Callers hold
-// s.mu inside the write gate (the store is quiescent).
+// measureFrag scans the committed tree's leaf fragmentation through a
+// View — pure Peeks, no clock advance, no crash points — and queues the
+// over-threshold leaves for the next defrag pass. Callers hold s.mu inside
+// the write gate (the store is quiescent).
 func (s *state) measureFrag() {
-	sr, ok := s.be.Store.(pager.SnapshotReader)
-	if !ok {
-		return
-	}
-	v := viewPool.Get().(*btree.View)
-	v.Reset(sr, s.be.Store.PageSize())
+	v := bindView(s.be.Store)
 	rep, err := v.FragScan(s.defragTh, maxHotLeaves)
-	v.Release()
-	viewPool.Put(v)
+	putView(v)
 	if err != nil {
 		return
 	}

@@ -39,13 +39,13 @@ func TestDoAfterCloseReturnsErrClosed(t *testing.T) {
 		t.Fatal("Do after Close deadlocked (the pre-fix behaviour)")
 	}
 
-	errs := e.DoBatch([]shard.Op{
+	errs := enqueueAll(e, []shard.Op{
 		{Kind: shard.OpPut, Key: key(3), Val: val(3)},
 		{Kind: shard.OpPut, Key: key(4), Val: val(4)},
 	})
 	for i, err := range errs {
 		if !errors.Is(err, shard.ErrClosed) {
-			t.Fatalf("DoBatch[%d] after Close = %v, want ErrClosed", i, err)
+			t.Fatalf("Enqueue[%d] after Close = %v, want ErrClosed", i, err)
 		}
 	}
 	e.Close() // still idempotent with the closed flag set

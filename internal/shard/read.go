@@ -11,64 +11,61 @@ import (
 	"fasp/internal/pager"
 )
 
-// Optimistic concurrent read path.
+// The read path: every read walks the committed snapshot.
 //
-// The paper's slot header is the per-page atomic commit mark: a reader that
-// observes a consistent committed header observes a consistent page. That
-// is exactly the invariant a latch-free read protocol needs — the only
-// remaining hazard is reading WHILE a commit is installing headers. The
-// shard engine closes that window with an epoch-pinned seqlock:
+// The paper's slot header is the per-page atomic commit mark, and the
+// commit schemes checkpoint eagerly, so the committed page image is always
+// consistent: a reader needs the committed snapshot, never the writer's
+// transaction. Every read — a Get, each chunk of a scan, Count, the defrag
+// measurement — is a btree.View walk over pager.Store's PeekCommitted. It
+// never touches the clock, the cache overlay or the crash injector, so
+// reads add no crash points and leave the golden determinism files
+// bit-identical. The only hazard left is reading WHILE a commit is
+// installing headers, and a walk avoids it one of two ways:
 //
-//   - s.seq is the writer's sequence: even = quiescent, odd = mutating.
-//     Every mutator (group-commit apply, heal, crash, restore — and the
-//     locked read fallback, whose pager transaction mutates the simulated
-//     cache and clock) brackets its critical section with beginMutate /
-//     endMutate while holding s.mu.
-//   - A reader registers in s.readers, then re-checks s.seq: if it changed
-//     (or was odd), the reader backs out and retries. Once registered under
-//     an even, unchanged seq, the reader owns a quiescent snapshot for as
-//     long as it stays registered — beginMutate spins until s.readers
-//     drains, so no re-validation after the walk is needed and the race
-//     detector sees a clean happens-before edge in both directions.
-//   - Registered readers only Peek (pure reads of committed state through
-//     pager.SnapshotReader), never touching the clock, the cache overlay or
-//     the crash injector — reads add no crash points and leave the golden
-//     determinism files bit-identical.
+//   - Off the lock, under an epoch-pinned seqlock. s.seq is the writer's
+//     sequence: even = quiescent, odd = mutating. Every mutator (group-commit
+//     apply, heal, crash, restore) brackets its critical section with
+//     beginMutate / endMutate while holding s.mu. A reader registers in
+//     s.readers, then re-checks s.seq: if it changed (or was odd), the
+//     reader backs out and retries. Once registered under an even,
+//     unchanged seq, the reader owns a quiescent snapshot for as long as it
+//     stays registered — beginMutate spins until s.readers drains, so no
+//     re-validation after the walk is needed and the race detector sees a
+//     clean happens-before edge in both directions.
+//   - Under s.mu. Every beginMutate caller holds s.mu, so a walk under the
+//     lock sees a quiescent store too. A read takes this fallback when the
+//     epoch stays contended for getMaxAttempts tries, and on an unhealthy
+//     shard, where the lock makes unavailable()'s canonical error exact. It
+//     holds the lock for one step: one Get, or one scan chunk.
 //
 // Readers hold the epoch only briefly (one Get descent, one scan chunk), so
 // the writer's spin is bounded; writers take priority by flipping seq odd
 // first, which makes new readers back off immediately.
 
 const (
-	// getMaxAttempts bounds optimistic epoch acquisition before a read
-	// falls back to the locked path (pathological write storms keep
-	// today's semantics, just slower).
+	// getMaxAttempts bounds a read step's epoch acquisition before it takes
+	// the shard lock instead.
 	getMaxAttempts = 8
-	// scanChunkPairs / scanChunkBytes bound one optimistic scan chunk —
-	// the longest a scan may pin the read epoch (and hence stall a writer
-	// behind the gate) before releasing and resuming past its last key.
+	// scanChunkPairs / scanChunkBytes bound one scan chunk — the longest a
+	// scan may pin the read epoch (and hence stall a writer behind the
+	// gate), or hold the shard lock, before releasing and resuming past its
+	// last key.
 	scanChunkPairs = 256
 	scanChunkBytes = 32 << 10
 )
 
-// readState publishes the handles an optimistic reader needs. It is
-// replaced wholesale (under the write gate) when Heal swaps the store, so a
+// readState publishes the store an optimistic reader walks. It is replaced
+// wholesale (under the write gate) when Heal swaps the store, so a
 // registered reader can never mix an old tree with a new arena.
 type readState struct {
-	sr       pager.SnapshotReader
-	pageSize int
+	st pager.Store
 }
 
-// publishReadState derives the optimistic-read handles from the current
-// store. Stores that do not implement pager.SnapshotReader (wrapped test
-// stores, exotic schemes) publish nil and every read takes the locked path.
+// publishReadState publishes the current store to optimistic readers.
 // Called under s.mu, inside the write gate when readers may exist.
 func (s *state) publishReadState() {
-	if sr, ok := s.be.Store.(pager.SnapshotReader); ok {
-		s.reader.Store(&readState{sr: sr, pageSize: s.be.Store.PageSize()})
-	} else {
-		s.reader.Store(nil)
-	}
+	s.reader.Store(&readState{st: s.be.Store})
 }
 
 // setHealth mirrors the crashed/degraded flags into the atomic health word
@@ -102,20 +99,30 @@ func (s *state) endMutate() { s.seq.Add(1) }
 type viewStatus int
 
 const (
-	viewOK       viewStatus = iota // registered; caller must releaseView
-	viewRetry                      // writer active; back off and retry
-	viewFallback                   // no optimistic path; use the locked path
+	viewOK        viewStatus = iota // registered; caller must releaseView
+	viewRetry                       // writer active; back off and retry
+	viewUnhealthy                   // shard not serving; take the lock
 )
 
 var viewPool = sync.Pool{New: func() any { return btree.NewView() }}
 
+// bindView takes a pooled view bound to st's committed snapshot.
+func bindView(st pager.Store) *btree.View {
+	v := viewPool.Get().(*btree.View)
+	v.Reset(st)
+	return v
+}
+
+// putView unbinds v and returns it to the pool.
+func putView(v *btree.View) {
+	v.Release()
+	viewPool.Put(v)
+}
+
 // acquireView registers the caller in the read epoch and binds a pooled
-// B-tree view to the shard's committed snapshot. On viewOK the caller MUST
-// call releaseView — the writer spins on the reader count.
+// view to the shard's committed snapshot. On viewOK the caller MUST call
+// releaseView — the writer spins on the reader count.
 func (s *state) acquireView() (*btree.View, viewStatus) {
-	if s.noOpt {
-		return nil, viewFallback
-	}
 	seq := s.seq.Load()
 	if seq&1 != 0 {
 		return nil, viewRetry
@@ -131,23 +138,15 @@ func (s *state) acquireView() (*btree.View, viewStatus) {
 	// value — a crashed shard cannot leak a garbage walk past this point.
 	if Health(s.health.Load()) != Healthy {
 		s.readers.Add(-1)
-		return nil, viewFallback
+		return nil, viewUnhealthy
 	}
-	rs := s.reader.Load()
-	if rs == nil {
-		s.readers.Add(-1)
-		return nil, viewFallback
-	}
-	v := viewPool.Get().(*btree.View)
-	v.Reset(rs.sr, rs.pageSize)
-	return v, viewOK
+	return bindView(s.reader.Load().st), viewOK
 }
 
 // releaseView leaves the read epoch and returns the view to the pool.
 func (s *state) releaseView(v *btree.View) {
 	s.readers.Add(-1)
-	v.Release()
-	viewPool.Put(v)
+	putView(v)
 }
 
 // readBackoff paces epoch-acquisition retries: yield first, then grow short
@@ -160,76 +159,74 @@ func readBackoff(attempt int) {
 	time.Sleep(time.Microsecond << uint(attempt-4))
 }
 
-// Get reads a key from its shard, optimistically when possible.
+// openView binds a view for one read step — a Get, or one scan chunk. It
+// tries the read epoch s.maxAttempts times with backoff; past that, or on
+// an unhealthy shard, it takes s.mu and binds the view under the lock
+// (locked), where an unavailable shard returns its canonical error
+// (ErrCrashed, wrapped ErrShardDown) and no view. retries counts the epoch
+// attempts that backed off. End the step with closeView.
+func (s *state) openView() (v *btree.View, locked bool, retries int, err error) {
+	for ; retries < s.maxAttempts; retries++ {
+		v, st := s.acquireView()
+		if st == viewOK {
+			return v, false, retries, nil
+		}
+		if st == viewUnhealthy {
+			break
+		}
+		readBackoff(retries)
+	}
+	s.mu.Lock()
+	if err := s.unavailable(); err != nil {
+		s.mu.Unlock()
+		return nil, true, retries, err
+	}
+	return bindView(s.be.Store), true, retries, nil
+}
+
+// closeView ends a read step openView began.
+func (s *state) closeView(v *btree.View, locked bool) {
+	if !locked {
+		s.releaseView(v)
+		return
+	}
+	putView(v)
+	s.mu.Unlock()
+}
+
+// Get reads a key from its shard.
 func (e *Engine) Get(key []byte) ([]byte, bool, error) {
 	return e.shards[e.ShardFor(key)].get(key, nil)
 }
 
 // GetInto is Get with a caller-supplied destination buffer: the value is
-// appended to dst[:0], so a steady-state reader with a large enough
-// buffer performs no heap allocation on the optimistic path. The locked
-// fallback (unhealthy shard, optimism disabled, no snapshot reader)
-// ignores dst and allocates as Get does.
+// appended to dst[:0], so a steady-state reader with a large enough buffer
+// performs no heap allocation.
 func (e *Engine) GetInto(key, dst []byte) ([]byte, bool, error) {
 	return e.shards[e.ShardFor(key)].get(key, dst)
 }
 
-// get serves one point read. The optimistic path registers in the read
-// epoch, walks the committed tree through the snapshot reader, and reports
-// the walk's simulated cost — which mirrors what the locked path's arena
-// loads would have charged — to the recorder. Contention retries with
-// bounded backoff; unhealthy shards, disabled optimism and stores without a
-// snapshot reader fall back to the locked path, which owns the canonical
-// error behaviour (ErrCrashed, wrapped ErrShardDown).
+// get serves one point read: one View walk (see openView), whose simulated
+// cost — what a transaction's arena loads would have charged — it reports
+// to the recorder, with the path it took.
 func (s *state) get(key, dst []byte) ([]byte, bool, error) {
 	var t0 time.Time
 	if s.rec != nil {
 		t0 = time.Now()
 	}
-	for attempt := 0; attempt < getMaxAttempts; attempt++ {
-		v, st := s.acquireView()
-		switch st {
-		case viewRetry:
-			readBackoff(attempt)
-			continue
-		case viewFallback:
-			s.rec.ObserveReadPath(false, attempt)
-			return s.lockedGet(key)
-		}
-		val, ok, err := v.Get(key, dst)
-		cost := v.Cost()
-		s.releaseView(v)
-		if s.rec != nil {
-			s.rec.ObserveWall(obsv.OpGet, int32(s.id), time.Since(t0).Nanoseconds())
-			s.rec.ObserveSim(obsv.OpGet, cost)
-			s.rec.ObserveReadPath(true, attempt)
-		}
-		return val, ok, err
-	}
-	s.rec.ObserveReadPath(false, getMaxAttempts)
-	return s.lockedGet(key)
-}
-
-// lockedGet is the pre-optimistic Get: shard lock, canonical availability
-// errors, a pager-transaction tree read. The read mutates the simulated
-// cache and clock, so it runs inside the write gate like any mutator.
-func (s *state) lockedGet(key []byte) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.unavailable(); err != nil {
+	v, locked, retries, err := s.openView()
+	s.rec.ObserveReadPath(!locked, retries)
+	if err != nil {
 		return nil, false, err
 	}
-	s.beginMutate()
-	defer s.endMutate()
-	var sp obsv.Span
+	val, ok, err := v.Get(key, dst)
+	cost := v.Cost()
+	s.closeView(v, locked)
 	if s.rec != nil {
-		sp = s.rec.Begin(s.be.Sys.Clock().Now(), obsv.Counters{})
+		s.rec.ObserveWall(obsv.OpGet, int32(s.id), time.Since(t0).Nanoseconds())
+		s.rec.ObserveSim(obsv.OpGet, cost)
 	}
-	v, ok, err := s.tree.Get(key)
-	if s.rec != nil {
-		s.rec.End(sp, obsv.OpGet, int32(s.id), s.be.Sys.Clock().Now(), obsv.Counters{})
-	}
-	return v, ok, err
+	return val, ok, err
 }
 
 // --- Chunked range reads --------------------------------------------------
@@ -301,53 +298,41 @@ func getScratch() *scanScratch {
 func putScratch(sc *scanScratch) { scratchPool.Put(sc) }
 
 // scanChunks streams one shard's records in [lo, hi] to emit in bounded
-// chunks, in the given direction. Optimistic chunks pin the read epoch only
-// while filling and resume exclusively past their last key; contention past
-// the retry budget — and shards without an optimistic path — drain the
-// remaining range through the locked path. emit owns each scratch it
-// receives (return it with putScratch) and is never called with the shard
-// lock held; returning false stops the scan. No emit call follows an error.
-// limit > 0 is the most pairs the caller will consume: the scan ends after
-// that many, so a short page reads a short chunk, not a full one.
-// ScanShard, the engine-scan producers and Count all funnel through here —
-// the single read-only range entry point.
+// chunks, in the given direction. Each chunk is one read step (openView):
+// it walks the committed snapshot in the read epoch or, past the retry
+// budget, under the shard lock, and the next chunk resumes exclusively
+// past its last key. emit owns each scratch it receives (return it with
+// putScratch) and is never called with the shard lock held; returning
+// false stops the scan. No emit call follows an error. limit > 0 is the
+// most pairs the caller will consume: the scan ends after that many, so a
+// short page reads a short chunk, not a full one. ScanShard, the
+// engine-scan producers and Count all funnel through here — the single
+// read-only range entry point.
 func (s *state) scanChunks(lo, hi []byte, reverse bool, limit int, emit func(*scanScratch) bool) error {
-	curLo, curHi := lo, hi
-	curLoX, curHiX := false, false
+	b := btree.Bounds{Lo: lo, Hi: hi, Reverse: reverse}
 	var resume []byte
-	attempt := 0
 	for {
 		chunk := scanChunkPairs
 		if limit > 0 && limit < chunk {
 			chunk = limit
 		}
-		v, st := s.acquireView()
-		if st == viewRetry {
-			if attempt < getMaxAttempts {
-				readBackoff(attempt)
-				attempt++
-				continue
-			}
-			st = viewFallback
+		v, locked, _, err := s.openView()
+		if err != nil {
+			return err
 		}
-		if st == viewFallback {
-			return s.lockedChunks(curLo, curHi, curLoX, curHiX, reverse, limit, emit)
-		}
-		attempt = 0
 		sc := getScratch()
 		sc.sizeHint(s.recs.Load())
 		full := false
-		err := v.Scan(btree.Bounds{Lo: curLo, Hi: curHi, LoX: curLoX, HiX: curHiX, Reverse: reverse},
-			func(k, val []byte) bool {
-				sc.add(k, val)
-				if sc.full(chunk) {
-					full = true
-					return false
-				}
-				return true
-			})
+		err = v.Scan(b, func(k, val []byte) bool {
+			sc.add(k, val)
+			if sc.full(chunk) {
+				full = true
+				return false
+			}
+			return true
+		})
 		cost := v.Cost()
-		s.releaseView(v)
+		s.closeView(v, locked)
 		if err != nil {
 			putScratch(sc)
 			return err
@@ -360,9 +345,9 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, limit int, emit func(*sc
 			k, _ := sc.pair(sc.len() - 1)
 			resume = append(resume[:0], k...)
 			if reverse {
-				curHi, curHiX = resume, true
+				b.Hi, b.HiX = resume, true
 			} else {
-				curLo, curLoX = resume, true
+				b.Lo, b.LoX = resume, true
 			}
 		}
 		if sc.len() == 0 {
@@ -379,84 +364,6 @@ func (s *state) scanChunks(lo, hi []byte, reverse bool, limit int, emit func(*sc
 			return nil
 		}
 	}
-}
-
-// lockedChunks drains [lo, hi] through the locked read path: records are
-// collected into chunks under the shard lock (inside the write gate — a
-// pager transaction's reads mutate the simulated cache and clock), then
-// emitted after it is released, preserving emit's no-lock-held contract.
-// The lo/hi exclusivity flags emulate the view path's resume semantics;
-// limit > 0 ends the drain after that many pairs.
-func (s *state) lockedChunks(lo, hi []byte, loX, hiX, reverse bool, limit int, emit func(*scanScratch) bool) error {
-	var chunks []*scanScratch
-	pairs := 0
-	err := func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.unavailable(); err != nil {
-			return err
-		}
-		s.beginMutate()
-		defer s.endMutate()
-		tx, err := s.tree.Begin()
-		if err != nil {
-			return err
-		}
-		defer tx.Rollback()
-		sc := getScratch()
-		sc.sizeHint(s.recs.Load())
-		gather := func(k, v []byte) bool {
-			if !reverse {
-				if loX && lo != nil && bytes.Equal(k, lo) {
-					return true // the resume key itself: already delivered
-				}
-				if hiX && hi != nil && bytes.Equal(k, hi) {
-					return false // exclusive upper bound reached
-				}
-			} else {
-				if hiX && hi != nil && bytes.Equal(k, hi) {
-					return true
-				}
-				if loX && lo != nil && bytes.Equal(k, lo) {
-					return false
-				}
-			}
-			if sc.full(scanChunkPairs) {
-				chunks = append(chunks, sc)
-				sc = getScratch()
-			}
-			sc.add(k, v)
-			pairs++
-			return pairs != limit
-		}
-		if reverse {
-			err = tx.ScanReverse(lo, hi, gather)
-		} else {
-			err = tx.Scan(lo, hi, gather)
-		}
-		if sc.len() > 0 {
-			chunks = append(chunks, sc)
-		} else {
-			putScratch(sc)
-		}
-		return err
-	}()
-	if err != nil {
-		for _, sc := range chunks {
-			putScratch(sc)
-		}
-		return err
-	}
-	s.scanPairs.Add(int64(pairs))
-	for i, sc := range chunks {
-		if !emit(sc) {
-			for _, rest := range chunks[i+1:] {
-				putScratch(rest)
-			}
-			return nil
-		}
-	}
-	return nil
 }
 
 // ScanShard visits shard i's records in [lo, hi] in ascending order —
@@ -541,8 +448,8 @@ func (c *shardCursor) key() []byte {
 }
 
 // scan runs the k-way merge over per-shard streams. Each shard's records
-// are produced by its own goroutine in bounded chunks (optimistic epochs
-// with locked fallback), so collection overlaps across shards and with the
+// are produced by its own goroutine in bounded chunks (read steps, see
+// openView), so collection overlaps across shards and with the
 // merge, and nothing is fully materialised: once fn returns false the merge
 // stops pulling and the producers abort at their next send. The merge
 // output is byte-identical to the former sequential collect-then-merge.
@@ -633,7 +540,7 @@ func (e *Engine) Count() (int, error) {
 }
 
 // countRecords counts one shard's records through the shared chunked entry
-// point (epoch-pinned in bounded chunks, locked fallback).
+// point, in bounded read steps.
 func (s *state) countRecords() (int, error) {
 	n := 0
 	err := s.scanChunks(nil, nil, false, 0, func(sc *scanScratch) bool {

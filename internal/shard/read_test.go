@@ -22,16 +22,21 @@ import (
 func TestConcurrentReadStress(t *testing.T) {
 	// One shard too: there the writer's Do commits on its own goroutine.
 	for _, shards := range []int{4, 1} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { concurrentReadStress(t, shards) })
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { concurrentReadStress(t, shards, false) })
 	}
+	// Every read step under the shard lock, beside the committing writer.
+	t.Run("shards=4/locked", func(t *testing.T) { concurrentReadStress(t, 4, true) })
 }
 
-func concurrentReadStress(t *testing.T, shards int) {
+func concurrentReadStress(t *testing.T, shards int, locked bool) {
 	const (
 		nKeys    = 1500
 		nReaders = 6
 	)
 	e := newTestEngine(t, shards, 8)
+	if locked {
+		e.SetReadAttempts(0)
+	}
 	var acked atomic.Int64
 	acked.Store(-1)
 	var stop atomic.Bool
@@ -195,44 +200,120 @@ func TestReadsAddNoCrashPoints(t *testing.T) {
 	}
 }
 
-// TestReadPathSelection pins which path serves reads: optimistic on a
-// healthy snapshot-capable store, locked when optimism is disabled.
+// TestReadPathSelection pins which path serves reads on a healthy,
+// uncontended shard: the read epoch, never the shard lock.
 func TestReadPathSelection(t *testing.T) {
-	run := func(noOpt bool) obsv.Snapshot {
-		cfg := testConfig(2, 8, 0)
-		cfg.NoOptimisticReads = noOpt
-		cfg.Recorder = obsv.New(obsv.Config{SampleEvery: 1})
-		e, err := shard.New(cfg)
-		if err != nil {
+	cfg := testConfig(2, 8, 0)
+	rec := obsv.New(obsv.Config{SampleEvery: 1})
+	cfg.Recorder = rec
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 50; i++ {
+		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		for i := 0; i < 50; i++ {
-			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
-				t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, ok, err := e.Get(key(i)); !ok || err != nil {
+			t.Fatalf("get %d: %v %v", i, ok, err)
+		}
+	}
+	snap := rec.Snapshot()
+	if snap.GetOptimistic != 50 || snap.GetLocked != 0 {
+		t.Fatalf("optimistic=%d locked=%d, want 50/0", snap.GetOptimistic, snap.GetLocked)
+	}
+	if m := snap.OpStats(obsv.OpGet).SimMeanNS; m <= 0 {
+		t.Fatalf("OpGet simulated mean %v ns, want > 0", m)
+	}
+}
+
+// TestReadRetryFallback holds every shard's write gate so that each read
+// step runs out of epoch retries and walks the committed snapshot under
+// the shard lock. The fallback is still a snapshot walk: values are right,
+// no shard clock moves, no PM counter changes, no crash point is added —
+// and a Get that took it counts as locked.
+func TestReadRetryFallback(t *testing.T) {
+	const shards, n = 2, 700 // n: over one scan chunk per shard
+	cfg := testConfig(shards, 8, 0)
+	rec := obsv.New(obsv.Config{SampleEvery: 1})
+	cfg.Recorder = rec
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < n; i++ {
+		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type machine struct {
+		simNS  int64
+		pm     pmem.Stats
+		points int64
+	}
+	machines := func() (out [shards]machine) {
+		for i := range out {
+			in := e.ShardInfo(i)
+			out[i] = machine{in.SimNS, in.PM, e.ShardSys(i).CrashPoints()}
+		}
+		return out
+	}
+	before := machines()
+	base := rec.Snapshot()
+	for i := 0; i < shards; i++ {
+		defer e.HoldWriteGate(i)()
+	}
+
+	buf := make([]byte, 0, 64)
+	for i := 0; i < n; i++ {
+		got, ok, err := e.GetInto(key(i), buf)
+		if err != nil || !ok || !bytes.Equal(got, val(i)) {
+			t.Fatalf("get %d = %q %v %v", i, got, ok, err)
+		}
+	}
+	snap := rec.Snapshot()
+	if d := snap.GetLocked - base.GetLocked; d != n {
+		t.Errorf("GetLocked grew by %d, want %d", d, n)
+	}
+	if d := snap.GetOptimistic - base.GetOptimistic; d != 0 {
+		t.Errorf("GetOptimistic grew by %d under a held gate", d)
+	}
+	if after := machines(); after != before {
+		t.Errorf("locked gets touched the machine:\n  before %+v\n  after  %+v", before, after)
+	}
+
+	// A scan longer than one chunk, in both directions: every chunk is
+	// its own locked step, resuming past the last key.
+	for _, reverse := range []bool{false, true} {
+		var got []string
+		if err := e.ScanLimit(nil, nil, reverse, 0, func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("reverse=%v: scan saw %d pairs, want %d", reverse, len(got), n)
+		}
+		for i, kv := range got {
+			j := i
+			if reverse {
+				j = n - 1 - i
+			}
+			if want := string(key(j)) + "=" + string(val(j)); kv != want {
+				t.Fatalf("reverse=%v: pair %d = %s, want %s", reverse, i, kv, want)
 			}
 		}
-		for i := 0; i < 50; i++ {
-			if _, ok, err := e.Get(key(i)); !ok || err != nil {
-				t.Fatalf("get %d: %v %v", i, ok, err)
-			}
-		}
-		return cfg.Recorder.Snapshot()
 	}
-	opt := run(false)
-	if opt.GetOptimistic != 50 || opt.GetLocked != 0 {
-		t.Fatalf("default: optimistic=%d locked=%d, want 50/0", opt.GetOptimistic, opt.GetLocked)
+	if c, err := e.Count(); err != nil || c != n {
+		t.Fatalf("count = %d (%v), want %d", c, err, n)
 	}
-	locked := run(true)
-	if locked.GetOptimistic != 0 || locked.GetLocked != 50 {
-		t.Fatalf("noOpt: optimistic=%d locked=%d, want 0/50", locked.GetOptimistic, locked.GetLocked)
-	}
-	// Both paths charge a Get the same simulated cost while the lines it
-	// reads are cache-resident (Arena.Peek prices a line as Load would, it
-	// only never fills) — and 50 freshly written keys are.
-	om, lm := opt.OpStats(obsv.OpGet).SimMeanNS, locked.OpStats(obsv.OpGet).SimMeanNS
-	if om <= 0 || om != lm {
-		t.Fatalf("OpGet simulated mean: optimistic %v ns, locked %v ns, want equal and > 0", om, lm)
+	if after := machines(); after != before {
+		t.Errorf("locked scans touched the machine:\n  before %+v\n  after  %+v", before, after)
 	}
 }
 
@@ -338,71 +419,62 @@ func TestScanEarlyStopStopsProducers(t *testing.T) {
 // a 4-shard engine gathers at most 16 pairs on each shard — where an
 // unlimited Scan stopped by fn after 16 has every shard fill a whole chunk
 // — and delivers exactly the pairs the unlimited scan would have, in both
-// directions, on the optimistic and the locked path, and across a limit
-// larger than one chunk.
+// directions, and across a limit larger than one chunk.
 func TestScanLimitReachesProducers(t *testing.T) {
-	for _, noOpt := range []bool{false, true} {
-		cfg := testConfig(4, 8, 0)
-		cfg.NoOptimisticReads = noOpt
-		e, err := shard.New(cfg)
-		if err != nil {
+	e := newTestEngine(t, 4, 8)
+	const n = 4000
+	for i := 0; i < n; i++ {
+		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		const n = 4000
-		for i := 0; i < n; i++ {
-			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
-				t.Fatal(err)
-			}
+	}
+	gathered := func() (per [4]int64) {
+		for i := range per {
+			per[i] = e.ShardInfo(i).ScanPairs
 		}
-		gathered := func() (per [4]int64) {
-			for i := range per {
-				per[i] = e.ShardInfo(i).ScanPairs
-			}
-			return per
-		}
-		for _, tc := range []struct {
-			reverse bool
-			limit   int
-		}{{false, 16}, {true, 16}, {false, 300}, {false, 1}} {
-			before := gathered()
-			var got []string
-			if err := e.ScanLimit(key(100), key(n-100), tc.reverse, tc.limit, func(k, v []byte) bool {
-				got = append(got, string(k)+"="+string(v))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			after := gathered()
-			if len(got) != tc.limit {
-				t.Fatalf("noOpt=%v %+v: visited %d pairs", noOpt, tc, len(got))
-			}
-			for i, kv := range got {
-				j := 100 + i
-				if tc.reverse {
-					j = n - 100 - i
-				}
-				if want := string(key(j)) + "=" + string(val(j)); kv != want {
-					t.Fatalf("noOpt=%v %+v: pair %d = %s, want %s", noOpt, tc, i, kv, want)
-				}
-			}
-			for i := range after {
-				if d := after[i] - before[i]; d > int64(tc.limit) {
-					t.Errorf("noOpt=%v %+v: shard %d gathered %d pairs", noOpt, tc, i, d)
-				}
-			}
-		}
-		// The contrast: the same page taken by stopping fn gathers a full
-		// chunk (or, locked, the whole range) on every shard.
+		return per
+	}
+	for _, tc := range []struct {
+		reverse bool
+		limit   int
+	}{{false, 16}, {true, 16}, {false, 300}, {false, 1}} {
 		before := gathered()
-		seen := 0
-		if err := e.Scan(nil, nil, func(_, _ []byte) bool { seen++; return seen < 16 }); err != nil {
+		var got []string
+		if err := e.ScanLimit(key(100), key(n-100), tc.reverse, tc.limit, func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return true
+		}); err != nil {
 			t.Fatal(err)
 		}
-		for i, a := range gathered() {
-			if d := a - before[i]; d < 256 {
-				t.Errorf("noOpt=%v: unlimited scan gathered %d pairs on shard %d, expected a full chunk", noOpt, d, i)
+		after := gathered()
+		if len(got) != tc.limit {
+			t.Fatalf("%+v: visited %d pairs", tc, len(got))
+		}
+		for i, kv := range got {
+			j := 100 + i
+			if tc.reverse {
+				j = n - 100 - i
 			}
+			if want := string(key(j)) + "=" + string(val(j)); kv != want {
+				t.Fatalf("%+v: pair %d = %s, want %s", tc, i, kv, want)
+			}
+		}
+		for i := range after {
+			if d := after[i] - before[i]; d > int64(tc.limit) {
+				t.Errorf("%+v: shard %d gathered %d pairs", tc, i, d)
+			}
+		}
+	}
+	// The contrast: the same page taken by stopping fn gathers a full
+	// chunk on every shard.
+	before := gathered()
+	seen := 0
+	if err := e.Scan(nil, nil, func(_, _ []byte) bool { seen++; return seen < 16 }); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range gathered() {
+		if d := a - before[i]; d < 256 {
+			t.Errorf("unlimited scan gathered %d pairs on shard %d, expected a full chunk", d, i)
 		}
 	}
 }

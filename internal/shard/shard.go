@@ -18,6 +18,9 @@ import (
 const (
 	// DefaultMaxBatch bounds the operations one group commit may drain.
 	DefaultMaxBatch = 64
+	// MaxBatchLimit is the largest MaxBatch New accepts: the mailbox is
+	// allocated at mailboxFactor × MaxBatch slots up front.
+	MaxBatchLimit = 1 << 16
 	// mailboxFactor sizes a shard's mailbox as a multiple of MaxBatch, so
 	// a burst can queue a few batches ahead of the writer.
 	mailboxFactor = 4
@@ -44,6 +47,10 @@ var ErrShardDown = errors.New("shard: writer faulted; shard degraded until heale
 // oversubscribed. The submission is not applied.
 var ErrBusy = errors.New("shard: mailbox full; enqueue timed out")
 
+// ErrBadShard is returned (wrapped, with the index) for a shard index
+// outside [0, Shards()).
+var ErrBadShard = errors.New("shard: index out of range")
+
 // ErrClosed is returned for write operations submitted after Close: the
 // writer goroutines have exited and nothing will serve the mailbox. The
 // submission is not applied. (Reads keep working — they never needed a
@@ -64,7 +71,8 @@ type Backend struct {
 type Config struct {
 	// Shards is the number of hash partitions (≥ 1).
 	Shards int
-	// MaxBatch bounds the operations per group commit (default 64).
+	// MaxBatch bounds the operations per group commit (default 64, at
+	// most MaxBatchLimit).
 	MaxBatch int
 	// EnqueueTimeout bounds how long a submission waits (with backoff) for
 	// mailbox space before failing with ErrBusy (default 2s).
@@ -83,10 +91,6 @@ type Config struct {
 	// deltas. The facade supplies the scheme-aware bridge; nil means event
 	// deltas are not recorded.
 	Counters func(i int, be *Backend) obsv.Counters
-	// NoOptimisticReads forces every read through the locked path, even on
-	// stores that support snapshot peeks — the baseline arm for read-path
-	// benchmarks, and an escape hatch.
-	NoOptimisticReads bool
 	// DefragThreshold enables proactive copy-on-write defragmentation: every
 	// 32nd write round a shard applies without a fault measures the
 	// committed tree's leaf fragmentation, and leaves at or above the
@@ -108,6 +112,9 @@ func (c *Config) fill() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
+	}
+	if c.MaxBatch > MaxBatchLimit {
+		return fmt.Errorf("shard: MaxBatch must be ≤ %d, got %d", MaxBatchLimit, c.MaxBatch)
 	}
 	if c.EnqueueTimeout <= 0 {
 		c.EnqueueTimeout = DefaultEnqueueTimeout
@@ -195,14 +202,15 @@ type Stats struct {
 
 // state is one shard: a backend plus its writer goroutine. mu guards
 // everything below it — the simulated machine is not internally
-// synchronised, so locked reads take the lock too. Optimistic reads run
-// OFF the lock under the seq/readers epoch protocol (see read.go): every
-// mutation of the machine happens inside beginMutate/endMutate, and the
-// fields optimistic readers consult (seq, readers, health, reader, recs)
-// are atomics updated under the gate.
+// synchronised. Reads walk the committed snapshot OFF the lock under the
+// seq/readers epoch protocol, or under it past their retry budget (see
+// read.go): every mutation of the machine happens under mu inside
+// beginMutate/endMutate, and the fields optimistic readers consult (seq,
+// readers, health, reader, recs) are atomics updated under the gate.
 type state struct {
-	id       int
-	maxBatch int // Config.MaxBatch: the drain and ApplyBatch chunk bound
+	id          int
+	maxBatch    int // Config.MaxBatch: the drain and ApplyBatch chunk bound
+	maxAttempts int // a read step's epoch attempts (getMaxAttempts; tests lower it)
 
 	mu         sync.Mutex
 	be         *Backend
@@ -217,18 +225,16 @@ type state struct {
 
 	// Read-epoch gate (read.go). seq: even = quiescent, odd = mutating.
 	// readers counts registered optimistic readers; beginMutate spins on
-	// it. health mirrors crashed/degraded; reader publishes the snapshot
-	// handles (replaced when Heal swaps the store); recs is an upper-bound
+	// it. health mirrors crashed/degraded; reader publishes the store
+	// readers walk (replaced when Heal swaps it); recs is an upper-bound
 	// record-count estimate that pre-sizes scan scratch buffers; scanPairs
-	// counts the pairs range reads have gathered. noOpt short-circuits the
-	// optimistic path entirely.
+	// counts the pairs range reads have gathered.
 	seq       atomic.Uint64
 	readers   atomic.Int64
 	health    atomic.Int32
 	reader    atomic.Pointer[readState]
 	recs      atomic.Int64
 	scanPairs atomic.Int64
-	noOpt     bool
 
 	mail chan *Request
 	quit chan struct{}
@@ -291,15 +297,15 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s := &state{
-			id:       i,
-			maxBatch: cfg.MaxBatch,
-			be:       be,
-			tree:     btree.New(be.Store),
-			noOpt:    cfg.NoOptimisticReads,
-			mail:     make(chan *Request, mailboxFactor*cfg.MaxBatch),
-			quit:     make(chan struct{}),
-			done:     make(chan struct{}),
-			rec:      cfg.Recorder,
+			id:          i,
+			maxBatch:    cfg.MaxBatch,
+			maxAttempts: getMaxAttempts,
+			be:          be,
+			tree:        btree.New(be.Store),
+			mail:        make(chan *Request, mailboxFactor*cfg.MaxBatch),
+			quit:        make(chan struct{}),
+			done:        make(chan struct{}),
+			rec:         cfg.Recorder,
 
 			faultHook: cfg.FaultHook,
 			defragTh:  cfg.DefragThreshold,

@@ -323,7 +323,7 @@ func TestConcurrentClients(t *testing.T) {
 			for i := range ops {
 				ops[i] = shard.Op{Kind: shard.OpPut, Key: key(base + i), Val: []byte("batched")}
 			}
-			for _, err := range e.DoBatch(ops) {
+			for _, err := range enqueueAll(e, ops) {
 				if err != nil {
 					t.Errorf("writer %d batch: %v", w, err)
 				}
@@ -351,6 +351,36 @@ func TestConcurrentClients(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// enqueueAll submits ops the way a pipelined caller does: one handle per
+// shard, every shard enqueued before any is waited on, so every writer is
+// busy at once. The verdicts come back aligned with ops.
+func enqueueAll(e *shard.Engine, ops []shard.Op) []error {
+	n := e.Shards()
+	parts := make([][]shard.Op, n)
+	idx := make([][]int, n)
+	for i, op := range ops {
+		si := e.ShardFor(op.Key)
+		parts[si] = append(parts[si], op)
+		idx[si] = append(idx[si], i)
+	}
+	reqs := make([]shard.Request, n)
+	errs := make([][]error, n)
+	for si := range parts {
+		if len(parts[si]) > 0 {
+			errs[si] = make([]error, len(parts[si]))
+			e.Enqueue(&reqs[si], si, parts[si], errs[si], nil)
+		}
+	}
+	out := make([]error, len(ops))
+	for si := range reqs {
+		e.Wait(&reqs[si])
+		for j, i := range idx[si] {
+			out[i] = errs[si][j]
+		}
+	}
+	return out
 }
 
 // TestBenignErrorsInBatch: logical per-op failures don't abort the rest of
@@ -775,6 +805,9 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Reattach = nil
 	if _, err := shard.New(cfg); err == nil {
 		t.Fatal("missing Reattach accepted")
+	}
+	if _, err := shard.New(testConfig(2, shard.MaxBatchLimit+1, 0)); err == nil {
+		t.Fatal("MaxBatch above MaxBatchLimit accepted")
 	}
 }
 

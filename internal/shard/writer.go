@@ -23,7 +23,7 @@ type Request struct {
 	t0     time.Time // enqueue time, when a recorder is observing
 	orphan bool      // left on a dead mailbox by Wait; never pooled again
 
-	// buf/ebuf back the copied-in submissions of submit (Do/DoBatch), kept
+	// buf/ebuf back the copied-in submissions of submit (Do), kept
 	// across pool round trips; caller-owned submissions leave them empty.
 	buf  []Op
 	ebuf []error
@@ -185,11 +185,19 @@ func (s *state) serve(reqs []*Request, flat *roundScratch) {
 //
 // A mailbox that stays full for the whole enqueue timeout fails the
 // submission with ErrBusy instead of blocking the caller forever on a
-// wedged writer, and a submission racing (or following) Close fails with
-// ErrClosed; either way errs is already filled and Wait returns at once.
+// wedged writer, a submission racing (or following) Close fails with
+// ErrClosed, and a shard index outside [0, Shards()) with ErrBadShard;
+// either way errs is already filled and Wait returns at once.
 func (e *Engine) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
-	s := e.shards[si]
 	r.ops, r.errs, r.units, r.s = ops, errs, units, nil
+	if si < 0 || si >= len(e.shards) {
+		err := fmt.Errorf("%w: %d (engine has %d shard(s))", ErrBadShard, si, len(e.shards))
+		for i := range errs {
+			errs[i] = err
+		}
+		return
+	}
+	s := e.shards[si]
 	if r.done == nil {
 		r.done = make(chan struct{}, 1)
 	}
@@ -320,7 +328,7 @@ func (e *Engine) enqueue(s *state, r *Request) bool {
 // second op of its own, and there is no other shard's writer to overlap
 // with — the two goroutine hand-offs per op bought nothing and doubled the
 // cost of a write (see DESIGN.md §7). Concurrent callers that want their
-// writes gathered on one shard use Enqueue/Wait or DoBatch.
+// writes gathered on one shard use Enqueue/Wait.
 func (e *Engine) Do(op Op) error {
 	var out [1]error
 	if len(e.shards) > 1 {
@@ -346,38 +354,4 @@ func (e *Engine) Do(op Op) error {
 // op1 avoids a heap-allocated slice header for the common single-op case.
 func op1(op Op) []Op {
 	return []Op{op}
-}
-
-// DoBatch partitions ops by shard, submits every shard's sub-batch to its
-// mailbox concurrently, and waits for all verdicts — the pipelined client
-// path: one caller keeps every shard's writer busy at once. Per-op errors
-// come back aligned with ops.
-func (e *Engine) DoBatch(ops []Op) []error {
-	errs := make([]error, len(ops))
-	parts := make([][]int, len(e.shards))
-	for i := range ops {
-		si := e.ShardFor(ops[i].Key)
-		parts[si] = append(parts[si], i)
-	}
-	var wg sync.WaitGroup
-	for si, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, idxs []int) {
-			defer wg.Done()
-			sOps := make([]Op, len(idxs))
-			sErrs := make([]error, len(idxs))
-			for k, i := range idxs {
-				sOps[k] = ops[i]
-			}
-			e.submit(si, sOps, sErrs)
-			for k, i := range idxs {
-				errs[i] = sErrs[k]
-			}
-		}(si, idxs)
-	}
-	wg.Wait()
-	return errs
 }

@@ -5,17 +5,12 @@ import (
 	"testing"
 
 	"fasp/internal/btree"
-	"fasp/internal/pager"
 )
 
 func viewOver(t *testing.T, st *Store) *btree.View {
 	t.Helper()
-	sr, ok := interface{}(st).(pager.SnapshotReader)
-	if !ok {
-		t.Fatal("wal.Store does not implement pager.SnapshotReader")
-	}
 	vw := btree.NewView()
-	vw.Reset(sr, st.PageSize())
+	vw.Reset(st)
 	return vw
 }
 

@@ -1,7 +1,6 @@
 package fasp
 
 import (
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -21,8 +20,8 @@ import (
 
 // ErrBadShard reports a shard index outside [0, Shards()) passed to a
 // per-shard accessor (ShardStats, ShardSystem, ShardStore, ShardScan,
-// Heal).
-var ErrBadShard = errors.New("fasp: shard index out of range")
+// Heal) or to Enqueue/SubmitShard.
+var ErrBadShard = shard.ErrBadShard
 
 // ErrClosed reports a write operation submitted to a KV after Close.
 var ErrClosed = shard.ErrClosed

@@ -17,8 +17,8 @@ import (
 )
 
 // TestBadShardIndex pins the API-edge fix: out-of-range shard indexes used
-// to panic. Every per-shard accessor validates and returns ErrBadShard,
-// whatever the shard count.
+// to panic. Every per-shard accessor and submission validates and returns
+// ErrBadShard, whatever the shard count.
 func TestBadShardIndex(t *testing.T) {
 	check := func(t *testing.T, kv *KV, bad []int) {
 		t.Helper()
@@ -41,6 +41,23 @@ func TestBadShardIndex(t *testing.T) {
 			if err := kv.ShardScan(i, nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrBadShard) {
 				t.Errorf("ShardScan(%d) = %v, want ErrBadShard", i, err)
 			}
+			// A submission fails every op, and Wait returns at once.
+			var r Request
+			errs := make([]error, 2)
+			kv.Enqueue(&r, i, []Op{{Kind: OpPut, Key: k(1)}, {Kind: OpPut, Key: k(2)}}, errs, nil)
+			kv.Wait(&r)
+			for j, err := range errs {
+				if !errors.Is(err, ErrBadShard) {
+					t.Errorf("Enqueue(%d) op %d = %v, want ErrBadShard", i, j, err)
+				}
+			}
+			kv.SubmitShard(i, []Op{{Kind: OpPut, Key: k(1)}}, errs[:1])
+			if !errors.Is(errs[0], ErrBadShard) {
+				t.Errorf("SubmitShard(%d) = %v, want ErrBadShard", i, errs[0])
+			}
+		}
+		if n, err := kv.Count(); err != nil || n != 0 {
+			t.Errorf("count = %d (%v) after refused submissions", n, err)
 		}
 		// Every in-range index works.
 		for i := 0; i < kv.Shards(); i++ {
@@ -113,8 +130,8 @@ func TestKVCloseIdempotent(t *testing.T) {
 			if err := kv.ApplyBatch(op)[0]; !errors.Is(err, ErrClosed) {
 				t.Fatalf("ApplyBatch after Close = %v, want ErrClosed", err)
 			}
-			if err := kv.DoBatch(op)[0]; !errors.Is(err, ErrClosed) {
-				t.Fatalf("DoBatch after Close = %v, want ErrClosed", err)
+			if err := enqueueAll(kv, op)[0]; !errors.Is(err, ErrClosed) {
+				t.Fatalf("Enqueue after Close = %v, want ErrClosed", err)
 			}
 			if shards == 1 {
 				err := kv.Batch(func(tx BatchTx) error { return tx.Insert(k(2), v(2)) })
@@ -168,10 +185,9 @@ func TestKVCloseIdempotent(t *testing.T) {
 // on every scheme. That covers a rejected op paying no commit, and Put on an
 // existing key being one upsert transaction.
 //
-// Reads are where the engine differs: Get/Scan take the optimistic path,
-// which advances no clock and fills no emulated cache line, so in the
-// "optimistic" arm the reference issues no reads at all; with
-// DisableOptimisticReads they are the tree's clocked reads again.
+// Reads are where the engine differs: Get/Scan walk the committed snapshot,
+// which advances no clock and fills no emulated cache line, so the
+// reference tree does no reads at all.
 func TestOneShardEquivalence(t *testing.T) {
 	const maxBatch = 8
 	stream := func(t *testing.T, insert, put, del func(k, v []byte) error, batch func([]Op) []error, get func(k []byte), scan func()) {
@@ -209,59 +225,45 @@ func TestOneShardEquivalence(t *testing.T) {
 	}
 
 	for _, scheme := range []string{SchemeFASTPlus, SchemeFAST, SchemeNVWAL, SchemeWAL, SchemeJournal} {
-		for _, locked := range []bool{false, true} {
-			name := scheme + "/optimistic"
-			if locked {
-				name = scheme + "/locked-reads"
+		t.Run(scheme, func(t *testing.T) {
+			opts := Options{Scheme: scheme, PageSize: 1024, CacheBytes: 16 << 10,
+				Shards: 1, MaxBatch: maxBatch}
+			kv, err := OpenKV(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				opts := Options{Scheme: scheme, PageSize: 1024, CacheBytes: 16 << 10,
-					Shards: 1, MaxBatch: maxBatch, DisableOptimisticReads: locked}
-				kv, err := OpenKV(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer kv.Close()
-				stream(t, kv.Insert, kv.Put,
-					func(k, _ []byte) error { return kv.Delete(k) },
-					kv.ApplyBatch,
-					func(k []byte) { kv.Get(k) },
-					func() { kv.Scan(nil, nil, func(_, _ []byte) bool { return true }) })
+			defer kv.Close()
+			stream(t, kv.Insert, kv.Put,
+				func(k, _ []byte) error { return kv.Delete(k) },
+				kv.ApplyBatch,
+				func(k []byte) { kv.Get(k) },
+				func() { kv.Scan(nil, nil, func(_, _ []byte) bool { return true }) })
 
-				ref, err := newDB(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tree := btree.New(ref.store)
-				stream(t, tree.Insert, tree.Put,
-					func(k, _ []byte) error { return tree.Delete(k) },
-					func(ops []Op) []error {
-						errs := make([]error, len(ops))
-						shard.ApplyOps(tree, maxBatch, ops, errs)
-						return errs
-					},
-					func(k []byte) {
-						if locked {
-							tree.Get(k)
-						}
-					},
-					func() {
-						if locked {
-							tree.Scan(nil, nil, func(_, _ []byte) bool { return true })
-						}
-					})
+			ref, err := newDB(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := btree.New(ref.store)
+			stream(t, tree.Insert, tree.Put,
+				func(k, _ []byte) error { return tree.Delete(k) },
+				func(ops []Op) []error {
+					errs := make([]error, len(ops))
+					shard.ApplyOps(tree, maxBatch, ops, errs)
+					return errs
+				},
+				func([]byte) {},
+				func() {})
 
-				if got, want := kv.SimulatedNS(), ref.SimulatedNS(); got != want {
-					t.Errorf("simulated time: one-shard KV %d ns, bare tree %d ns", got, want)
-				}
-				if got, want := kv.PMStats(), ref.PMStats(); got != want {
-					t.Errorf("PM stats:\n  KV   %+v\n  tree %+v", got, want)
-				}
-				if got, want := kv.Phases(), ref.sys.Clock().Phases(); !reflect.DeepEqual(got, want) {
-					t.Errorf("phases:\n  KV   %v\n  tree %v", got, want)
-				}
-			})
-		}
+			if got, want := kv.SimulatedNS(), ref.SimulatedNS(); got != want {
+				t.Errorf("simulated time: one-shard KV %d ns, bare tree %d ns", got, want)
+			}
+			if got, want := kv.PMStats(), ref.PMStats(); got != want {
+				t.Errorf("PM stats:\n  KV   %+v\n  tree %+v", got, want)
+			}
+			if got, want := kv.Phases(), ref.sys.Clock().Phases(); !reflect.DeepEqual(got, want) {
+				t.Errorf("phases:\n  KV   %v\n  tree %v", got, want)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"fasp/internal/shard"
 )
 
 // ErrBadSnapshot tags every snapshot-format failure — truncated or
@@ -38,8 +40,9 @@ const snapshotMagic = "FASP-SNAPSHOT"
 
 // validate rejects headers that could not have been written by Save —
 // wrong magic or version, geometry outside any buildable store, or (v2) a
-// shard count the restore loop could silently mishandle: a zero shard
-// count would restore no images at all and hand back an empty store.
+// shard count the restore loop could silently mishandle (a zero shard
+// count would restore no images at all and hand back an empty store) or a
+// batch bound the engine would refuse.
 func (h snapshotHeader) validate() error {
 	if h.Magic != snapshotMagic || h.Version < 1 || h.Version > 2 {
 		return fmt.Errorf("%w: not a fasp snapshot (magic %q v%d)", ErrBadSnapshot, h.Magic, h.Version)
@@ -53,7 +56,28 @@ func (h snapshotHeader) validate() error {
 	if h.Version >= 2 && (h.Shards < 1 || h.Shards > 4096) {
 		return fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, h.Shards)
 	}
+	if h.Version >= 2 && h.MaxBatch > shard.MaxBatchLimit {
+		return fmt.Errorf("%w: implausible batch bound %d", ErrBadSnapshot, h.MaxBatch)
+	}
 	return nil
+}
+
+// readImage decodes the next medium image and checks it against the
+// header's geometry before anything is sized from that geometry. Every
+// store format is its pages plus more (a FAST store adds its slot-header
+// log, a WAL store its log), so an image no longer than PageSize ×
+// MaxPages cannot be one; checked first, the arena a loader builds for the
+// geometry is bounded by bytes the file really holds.
+func readImage(dec *gob.Decoder, hdr snapshotHeader) ([]byte, error) {
+	var img []byte
+	if err := dec.Decode(&img); err != nil {
+		return nil, fmt.Errorf("%w: payload: %w", ErrBadSnapshot, err)
+	}
+	if pages := int64(hdr.PageSize) * int64(hdr.MaxPages); pages >= int64(len(img)) {
+		return nil, fmt.Errorf("%w: a %d-byte image cannot hold %d pages of %d bytes",
+			ErrBadSnapshot, len(img), hdr.MaxPages, hdr.PageSize)
+	}
+	return img, nil
 }
 
 // writeSnapshotAtomic writes a snapshot through fn to a temp file in
@@ -172,9 +196,9 @@ func OpenSnapshot(path string, opts Options) (*DB, error) {
 	if hdr.Version != 1 {
 		return nil, fmt.Errorf("fasp: snapshot %s is sharded (v%d); only OpenSnapshotKV can load it", path, hdr.Version)
 	}
-	var img []byte
-	if err := dec.Decode(&img); err != nil {
-		return nil, fmt.Errorf("%w: payload: %w", ErrBadSnapshot, err)
+	img, err := readImage(dec, hdr)
+	if err != nil {
+		return nil, err
 	}
 	opts.Scheme = hdr.Scheme
 	opts.PageSize = hdr.PageSize
@@ -213,17 +237,18 @@ func OpenSnapshotKV(path string, opts Options) (*KV, error) {
 		opts.MaxBatch = hdr.MaxBatch
 	}
 	opts.fill()
+	imgs := make([][]byte, opts.Shards)
+	for i := range imgs {
+		if imgs[i], err = readImage(dec, hdr); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
 	rec := newRecorder(opts)
 	eng, err := newShardEngine(opts, rec)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < opts.Shards; i++ {
-		var img []byte
-		if err := dec.Decode(&img); err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("%w: payload (shard %d): %w", ErrBadSnapshot, i, err)
-		}
+	for i, img := range imgs {
 		if err := eng.RestoreShard(i, img); err != nil {
 			eng.Close()
 			return nil, fmt.Errorf("%w: restore shard %d: %w", ErrBadSnapshot, i, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fasp/internal/pager"
+	"fasp/internal/shard"
 )
 
 // TestSnapshotRoundTripAllSchemes: insert → save → load on every commit
@@ -288,6 +289,16 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 			h.Shards = 1 << 20
 			writeRawSnapshot(t, path, h, nil)
 		}},
+		{"huge-batch-bound", func() { // the engine sizes each mailbox from it
+			h := goodHdr
+			h.MaxBatch = 1 << 40
+			writeRawSnapshot(t, path, h, nil)
+		}},
+		{"batch-bound-past-limit", func() {
+			h := goodHdr
+			h.MaxBatch = shard.MaxBatchLimit + 1
+			writeRawSnapshot(t, path, h, nil)
+		}},
 		{"implausible-page-size", func() {
 			h := goodHdr
 			h.PageSize = 7
@@ -403,5 +414,44 @@ func TestOpenSnapshotRejectsBadImage(t *testing.T) {
 	writeRawSnapshot(t, path, hdr, [][]byte{db.arena.MediumSnapshot()})
 	if _, err := OpenSnapshot(path, Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotGeometryBoundedByImage: a header whose page space is at
+// least as long as the image it carries is rejected with ErrBadSnapshot by
+// both loaders, before the store's arena is sized from it — for a 1 MiB-page,
+// 2^28-page header that arena would be 256 TiB.
+func TestSnapshotGeometryBoundedByImage(t *testing.T) {
+	small := make([]byte, 1024*64)
+	path := filepath.Join(t.TempDir(), "geom.fasp")
+	for _, tc := range []struct {
+		name               string
+		pageSize, maxPages int
+	}{
+		{"huge", 1 << 20, 1 << 28},
+		{"equal", 1024, 64}, // pages exactly fill the image: no room for the log
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := snapshotHeader{Magic: snapshotMagic, Version: 1, Scheme: SchemeFASTPlus,
+				PageSize: tc.pageSize, MaxPages: tc.maxPages}
+			writeRawSnapshot(t, path, hdr, [][]byte{small})
+			if _, err := OpenSnapshot(path, Options{}); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("OpenSnapshot: err = %v, want ErrBadSnapshot", err)
+			}
+			if kv, err := OpenSnapshotKV(path, Options{}); !errors.Is(err, ErrBadSnapshot) {
+				if err == nil {
+					kv.Close()
+				}
+				t.Fatalf("OpenSnapshotKV v1: err = %v, want ErrBadSnapshot", err)
+			}
+			hdr.Version, hdr.Shards, hdr.MaxBatch = 2, 2, 8
+			writeRawSnapshot(t, path, hdr, [][]byte{small, small})
+			if kv, err := OpenSnapshotKV(path, Options{}); !errors.Is(err, ErrBadSnapshot) {
+				if err == nil {
+					kv.Close()
+				}
+				t.Fatalf("OpenSnapshotKV v2: err = %v, want ErrBadSnapshot", err)
+			}
+		})
 	}
 }
