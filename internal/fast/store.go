@@ -86,10 +86,13 @@ func (c *Config) fill() {
 // Stats counts scheme-level events for the experiment harness.
 type Stats struct {
 	Commits int64
-	// InPlaceCommits counts transactions that committed without the log;
-	// LogCommits the rest. Their sum is Commits.
-	InPlaceCommits int64
-	LogCommits     int64
+	// InPlaceCommits counts transactions that committed by in-place slot
+	// header installs alone, LogCommits those that committed through the
+	// log, and ReadOnlyCommits those that changed nothing and so committed
+	// by closing. The three sum to Commits.
+	InPlaceCommits  int64
+	LogCommits      int64
+	ReadOnlyCommits int64
 	// InPlaceInstalls counts slot headers installed by an HTM cache-line
 	// write: one per in-place commit, and one per in-place leaf of a
 	// unit-marked transaction, whether or not the rest of it was logged.
@@ -309,7 +312,11 @@ func (st *Store) maybeFixFreeList(no uint32, tp *txnPage) {
 // the damage: that transaction may roll back, or only be reading, and the
 // next one would walk the damaged list from the committed header unchecked.
 // Neither write needs to be failure-atomic: any mix of old and new is again
-// a list the check rejects, or a valid one.
+// a list the check rejects, or a valid one. Nor does the repair need a fence,
+// although a read-only transaction's commit brings none after it: the free
+// list is not failure-atomic (DESIGN.md §5 item 5), and every recovery
+// re-arms needFLCheck, so a list a crash leaves damaged, the repair's
+// included, is detected and rebuilt on the page's next open.
 func (st *Store) repairFreeList(p *slotted.Page, mem *pageMem) {
 	p.RebuildFreeList()
 	mem.queueUnflushed(&st.lines)

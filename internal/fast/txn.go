@@ -378,10 +378,20 @@ func headerFitsLine(tp *txnPage) bool {
 		tp.page.Header().EncodedLen() <= pmem.CacheLineSize
 }
 
-// Commit runs the commit protocol and closes the transaction.
+// Commit runs the commit protocol and closes the transaction. A transaction
+// that changed no header and no metadata has no commit mark to persist, so
+// it commits by closing: no log write, checkpoint, truncate, flush or fence.
+// An allocation or a free sets metaDirty, so it still commits; a Relocate
+// has committed its move in place already.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return fmt.Errorf("fast: commit on finished transaction")
+	}
+	if len(tx.dirtyOrder) == 0 && !tx.metaDirty {
+		tx.finish()
+		tx.st.stats.Commits++
+		tx.st.stats.ReadOnlyCommits++
+		return nil
 	}
 	clock := tx.st.sys.Clock()
 	_, singleLeaf := tx.singleLeafShape()

@@ -24,8 +24,12 @@ const journalEntriesOff = 32
 
 func (st *Store) journalEntrySize() int64 { return int64(8 + st.cfg.PageSize) }
 
-// commitJournal implements the rollback-journal commit.
+// commitJournal implements the rollback-journal commit. A transaction that
+// dirtied no page journals nothing, as SQLite never journals a read.
 func (tx *Txn) commitJournal() error {
+	if len(tx.dirtyOrder) == 0 {
+		return nil
+	}
 	st := tx.st
 	clock := st.sys.Clock()
 	jbase := st.cfg.walBase()

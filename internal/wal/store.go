@@ -86,9 +86,13 @@ func (c Config) pageBase(no uint32) int64 {
 
 // Stats counts scheme-level events.
 type Stats struct {
-	Commits   int64
-	WALFrames int64
-	WALBytes  int64 // payload bytes written to the log/journal
+	Commits int64
+	// ReadOnlyCommits counts commits of transactions that dirtied no page
+	// (the metadata folded in, when changed, dirties page 0). They write
+	// nothing in any kind.
+	ReadOnlyCommits int64
+	WALFrames       int64
+	WALBytes        int64 // payload bytes written to the log/journal
 	// SingleLeaf counts commits whose write set was exactly one leaf page —
 	// the shape FAST+ would commit with one HTM cache-line write. It is
 	// exported as the single_leaf event metric only.

@@ -288,6 +288,9 @@ func (tx *Txn) Commit() error {
 	tx.st.meta = tx.meta
 	tx.st.freePages = append(tx.st.freePages, tx.freed...)
 	tx.st.stats.Commits++
+	if len(tx.dirtyOrder) == 0 {
+		tx.st.stats.ReadOnlyCommits++
+	}
 	if singleLeaf {
 		tx.st.stats.SingleLeaf++
 	}

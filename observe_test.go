@@ -425,6 +425,8 @@ func TestServeMetricsScrape(t *testing.T) {
 // metrics-enabled store must allocate exactly as much per read as a
 // disabled one — the instrumentation layer itself adds zero heap
 // allocations (proven directly in internal/obsv; this pins the wiring).
+// Under the race detector sync.Pool drops items at random, so both arms
+// still run but their counts are not compared.
 func TestMetricsAllocParity(t *testing.T) {
 	measure := func(disable bool) float64 {
 		kv, err := OpenKV(Options{PageSize: 1024, DisableMetrics: disable})
@@ -445,7 +447,7 @@ func TestMetricsAllocParity(t *testing.T) {
 		})
 	}
 	on, off := measure(false), measure(true)
-	if on != off {
+	if !raceEnabled && on != off {
 		t.Fatalf("metrics-enabled Get allocates %v/op vs %v/op disabled — instrumentation leaks allocations", on, off)
 	}
 }
