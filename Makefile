@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race goldens results crashx obsv fuzz bench bench-pairs chaos loc clean
+.PHONY: all build vet test race goldens results crashx obsv fuzz bench profile bench-pairs chaos loc clean
 
 all: vet build test
 
@@ -65,6 +65,17 @@ fuzz:
 # Go-benchmark view (wall clock + simulated metrics + allocs).
 bench:
 	$(GO) test -bench 'BenchmarkInsert|BenchmarkGet' -benchmem -run '^$$' .
+
+# Host CPU profile of the kv-write op shape: BenchmarkKVChurn for
+# PROFILE_OPS ops, then the top PROFILE_TOP entries of its measured loop
+# alone (the pprof label phase=churn leaves the preload out). The profile
+# and the test binary stay in .bench_build/ for further go tool pprof use.
+PROFILE_OPS ?= 300000
+PROFILE_TOP ?= 40
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkKVChurn$$' -benchtime $(PROFILE_OPS)x -benchmem -o .bench_build/fasp.test -cpuprofile .bench_build/kvchurn.prof .
+	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) -relative_percentages -tagfocus phase=churn .bench_build/fasp.test .bench_build/kvchurn.prof
 
 # The gated benchmark, parent against working tree: PAIRS alternating runs
 # of WORKLOAD on each side, then bench/run.sh --compare (see

@@ -10,6 +10,10 @@
 package fasp_test
 
 import (
+	"context"
+	"encoding/binary"
+	"math/rand"
+	"runtime/pprof"
 	"testing"
 
 	"fasp"
@@ -354,4 +358,82 @@ func BenchmarkWriteAmplification(b *testing.B) {
 			}
 		}
 	}
+}
+
+// kvChurnPreload is the record count BenchmarkKVChurn loads before it
+// measures: the kv-write workload's, about 26 MiB of 4 KiB pages, so leaves
+// miss the 2 MiB emulated cache and only the upper tree levels stay in it.
+const kvChurnPreload = 100_000
+
+// BenchmarkKVChurn runs the kv-write workload's op shape on the fasp.KV
+// facade with its defaults (FAST+, one shard, 4 KiB pages): a preload, then
+// 35 % inserts of new keys, 30 % updates of live keys to a freshly drawn
+// value length, and 35 % deletes of live keys, with 8-byte keys uniform over
+// the live set and values of 32 to 256 bytes. It reports simulated
+// microseconds per op next to Go's ns/op and allocs/op. The measured loop
+// runs under the pprof label phase=churn, so a CPU profile of it can leave
+// out the preload (`make profile`).
+func BenchmarkKVChurn(b *testing.B) {
+	kv, err := fasp.OpenKV(fasp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer kv.Close()
+	rng := rand.New(rand.NewSource(1))
+	var live []uint64
+	nextID := uint64(0)
+	key := func(dst []byte, id uint64) {
+		z := id*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15 // splitmix64: spread ids over the key space
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		binary.BigEndian.PutUint64(dst, z^z>>31)
+	}
+	valBuf := make([]byte, 256)
+	rng.Read(valBuf)
+	drawVal := func() []byte { return valBuf[:32+rng.Intn(256-32+1)] }
+	for done := 0; done < kvChurnPreload; {
+		ops := make([]fasp.Op, 0, 4096)
+		for ; len(ops) < cap(ops) && done < kvChurnPreload; done++ {
+			k := make([]byte, 8)
+			key(k, nextID)
+			live = append(live, nextID)
+			nextID++
+			ops = append(ops, fasp.Op{Kind: fasp.OpInsert, Key: k, Val: drawVal()})
+		}
+		for _, err := range kv.ApplyBatch(ops) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var k [8]byte
+	sim0 := kv.SimulatedNS()
+	b.ReportAllocs()
+	b.ResetTimer()
+	pprof.Do(context.Background(), pprof.Labels("phase", "churn"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			u := rng.Intn(100)
+			switch {
+			case u < 35 || len(live) == 0:
+				key(k[:], nextID)
+				live = append(live, nextID)
+				nextID++
+				err = kv.Insert(k[:], drawVal())
+			case u < 65:
+				key(k[:], live[rng.Intn(len(live))])
+				err = kv.Put(k[:], drawVal())
+			default:
+				j := rng.Intn(len(live))
+				key(k[:], live[j])
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				err = kv.Delete(k[:])
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(kv.SimulatedNS()-sim0)/float64(b.N)/1000, "sim-us/op")
 }

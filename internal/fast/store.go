@@ -139,18 +139,70 @@ type Store struct {
 	needFLCheck bool
 	flChecked   map[uint32]bool
 
+	// tab is the direct page table, indexed by page number and grown to
+	// cover every page a transaction opens (entry); opened lists the pages
+	// the open transaction holds a handle of, in open order.
+	tab    []pageEntry
+	opened []uint32
+
 	// Recycled single-writer transaction resources: the store has at most
-	// one live transaction, so its page map, slices, scratch buffer, and
-	// page handles are handed from finished transaction to next Begin
-	// instead of being reallocated per transaction.
+	// one live transaction, so its slices, scratch buffer, and page handles
+	// are handed from finished transaction to next Begin instead of being
+	// reallocated per transaction.
 	rec struct {
-		pages      map[uint32]*txnPage
 		dirtyOrder []uint32
 		allocated  []uint32
 		freed      []uint32
 		unitPages  []*pageMem
 		encBuf     []byte
 		handles    []*txnPage
+	}
+}
+
+// pageEntry is one page number's slot in the direct page table. Both fields
+// are host-only: neither is persistent, and neither changes what a page's
+// open charges the simulated machine.
+type pageEntry struct {
+	// tp is the open transaction's handle of the page; nil if it has none.
+	tp *txnPage
+	// hdr, when cached is set, is the page's committed slot header, decoded:
+	// interior pages only, which nearly every descent opens and few
+	// transactions change. It is kept from the first open after the page's
+	// post-recovery free-list check until a write to the page's slot header
+	// in PM may make it stale: any commit that dirties or frees the page, a
+	// free-list repair, an in-place relocation, and Recover all drop it.
+	hdr    slotted.Header
+	cached bool
+}
+
+// entry returns page no's table entry, growing the table to reach it.
+func (st *Store) entry(no uint32) *pageEntry {
+	if n := int(no) + 1; n > len(st.tab) {
+		st.tab = append(st.tab, make([]pageEntry, n-len(st.tab))...)
+	}
+	return &st.tab[no]
+}
+
+// handle returns the open transaction's handle of page no, or nil.
+func (st *Store) handle(no uint32) *txnPage {
+	if int(no) < len(st.tab) {
+		return st.tab[no].tp
+	}
+	return nil
+}
+
+// dropHeader forgets page no's decoded committed header, ahead of a write
+// to its slot header in PM.
+func (st *Store) dropHeader(no uint32) {
+	if int(no) < len(st.tab) {
+		st.tab[no].cached = false
+	}
+}
+
+// dropHeaders forgets every decoded committed header.
+func (st *Store) dropHeaders() {
+	for i := range st.tab {
+		st.tab[i].cached = false
 	}
 }
 
@@ -233,8 +285,9 @@ func (st *Store) HTMStats() htm.Stats { return st.htm.Stats() }
 // header must fit one cache line so the HTM in-place commit applies, so
 // leaves split once the record-offset array reaches the hardware limit
 // ("the slot-header of the B-tree leaf page can hold a maximum of 28
-// records"; 25 here, as our header prefix also carries the free-list
-// fields and sibling pointer — see the slotted package). FAST's headers
+// records"; 25 here, as our 14-byte header prefix carries the type, flags,
+// cell count, content start, free-byte count, free-list head and a 4-byte
+// aux word, which is 0 on a leaf — see the slotted package). FAST's headers
 // are unbounded and return 0 (no cap).
 func (st *Store) LeafCellCap() int {
 	if st.cfg.Variant == InPlaceCommit {
@@ -260,6 +313,7 @@ func (st *Store) LeafCellCap() int {
 // size is Free and so still counts the frees planned after the frame, runs
 // over a live cell, which the check catches.
 func (st *Store) Recover() error {
+	st.dropHeaders()
 	frames, torn := st.log.Frames()
 	if torn {
 		// A commit that never completed was never acknowledged. Clear its
@@ -318,6 +372,7 @@ func (st *Store) maybeFixFreeList(no uint32, tp *txnPage) {
 // re-arms needFLCheck, so a list a crash leaves damaged, the repair's
 // included, is detected and rebuilt on the page's next open.
 func (st *Store) repairFreeList(p *slotted.Page, mem *pageMem) {
+	st.dropHeader(mem.no)
 	p.RebuildFreeList()
 	mem.queueUnflushed(&st.lines)
 	st.lines.Flush(st.arena)
@@ -334,15 +389,9 @@ func (st *Store) Begin() (pager.Txn, error) {
 	}
 	st.open = true
 	st.log.Begin()
-	pages := st.rec.pages
-	if pages == nil {
-		pages = make(map[uint32]*txnPage)
-	}
-	st.rec.pages = nil
 	return &Txn{
 		st:         st,
 		meta:       st.meta,
-		pages:      pages,
 		dirtyOrder: st.rec.dirtyOrder,
 		allocated:  st.rec.allocated,
 		freed:      st.rec.freed,

@@ -130,7 +130,6 @@ type Txn struct {
 	st         *Store
 	meta       pager.Meta
 	metaDirty  bool
-	pages      map[uint32]*txnPage
 	dirtyOrder []uint32
 	allocated  []uint32
 	freed      []uint32
@@ -168,24 +167,45 @@ func (tx *Txn) SetRoot(no uint32) {
 	tx.unitLogged = true
 }
 
-// Page opens (or returns the cached handle of) page no.
+// Page opens (or returns the open handle of) page no.
+//
+// An interior page whose committed header the table holds decoded opens
+// without decoding it: the two reads slotted.OpenInto would make, the
+// header's fixed prefix and then the prefix with its offset array, are
+// charged by Touch, and the offsets are copied from the table. Any other
+// page is decoded from PM, and an interior one that needs no free-list
+// check on this open leaves its header in the table.
 func (tx *Txn) Page(no uint32) (*slotted.Page, error) {
-	if tp, ok := tx.pages[no]; ok {
-		return tp.page, nil
-	}
 	if no == pager.MetaPageNo || no >= tx.meta.NPages {
 		return nil, fmt.Errorf("%w: page %d out of range", pager.ErrCorrupt, no)
 	}
-	tp := tx.st.takeHandle()
-	tp.mem.bind(tx, no, tx.st.cfg.pageBase(no))
-	if err := slotted.OpenInto(tp.page, tp.mem); err != nil {
-		tx.st.rec.handles = append(tx.st.rec.handles, tp)
-		return nil, err
+	st := tx.st
+	e := st.entry(no)
+	if e.tp != nil {
+		return e.tp.page, nil
 	}
+	tp := st.takeHandle()
+	base := st.cfg.pageBase(no)
+	tp.mem.bind(tx, no, base)
 	p := tp.page
+	if e.cached {
+		st.arena.Touch(base, slotted.HeaderFixedSize)
+		st.arena.Touch(base, e.hdr.EncodedLen())
+		slotted.OpenWithHeaderInto(p, tp.mem, &e.hdr)
+	} else {
+		if err := slotted.OpenInto(p, tp.mem); err != nil {
+			st.rec.handles = append(st.rec.handles, tp)
+			return nil, err
+		}
+		if p.Type() == slotted.TypeInterior && (!st.needFLCheck || st.flChecked[no]) {
+			p.Header().CopyTo(&e.hdr)
+			e.cached = true
+		}
+	}
 	p.SetDeferFrees(true)
-	tx.pages[no] = tp // before the repair, which dirties the page until markClean: dirtyOrder names only pages in the map
-	tx.st.maybeFixFreeList(no, tp)
+	e.tp = tp // before the repair, which dirties the page until markClean: dirtyOrder names only open pages
+	st.opened = append(st.opened, no)
+	st.maybeFixFreeList(no, tp)
 	return p, nil
 }
 
@@ -212,7 +232,8 @@ func (tx *Txn) AllocPage(typ byte) (uint32, *slotted.Page, error) {
 	slotted.InitInto(tp.page, tp.mem, typ)
 	p := tp.page
 	p.SetDeferFrees(true)
-	tx.pages[no] = tp
+	tx.st.entry(no).tp = tp
+	tx.st.opened = append(tx.st.opened, no)
 	return no, p, nil
 }
 
@@ -259,8 +280,8 @@ func (tx *Txn) Defragged() {
 // install aborts, the handle goes back to the committed header, its free list
 // is repaired as Rollback repairs it, and the caller copies the page.
 func (tx *Txn) Relocate(no uint32, size int) bool {
-	tp, ok := tx.pages[no]
-	if tx.st.cfg.Variant != InPlaceCommit || !ok || tp.mem.hdrDirty || !headerFitsLine(tp) {
+	tp := tx.st.handle(no)
+	if tx.st.cfg.Variant != InPlaceCommit || tp == nil || tp.mem.hdrDirty || !headerFitsLine(tp) {
 		return false
 	}
 	p, st := tp.page, tx.st
@@ -274,6 +295,7 @@ func (tx *Txn) Relocate(no uint32, size int) bool {
 	p.PlanPendingFrees()
 	enc := p.Header().EncodeInto(tx.encBuf)
 	tx.encBuf = enc[:0]
+	st.dropHeader(no)
 	if err := st.htm.AtomicLineWrite(st.arena, tp.mem.base, enc); err != nil {
 		if slotted.OpenInto(p, tp.mem) == nil && p.CheckFreeList() != nil {
 			st.repairFreeList(p, tp.mem)
@@ -330,7 +352,7 @@ func (tx *Txn) OpEnd() {
 // cannot carve a cell where replaying the frame would land.
 func (tx *Txn) stageHeaders() {
 	for _, no := range tx.dirtyOrder {
-		tp := tx.pages[no]
+		tp := tx.st.tab[no].tp
 		m := tp.mem
 		if !m.hdrDirty || m.hdrStaged {
 			continue
@@ -365,7 +387,7 @@ func (tx *Txn) singleLeafShape() (*txnPage, bool) {
 		len(tx.allocated) != 0 || len(tx.freed) != 0 || len(tx.dirtyOrder) != 1 {
 		return nil, false
 	}
-	tp := tx.pages[tx.dirtyOrder[0]]
+	tp := tx.st.tab[tx.dirtyOrder[0]].tp
 	return tp, headerFitsLine(tp)
 }
 
@@ -393,6 +415,14 @@ func (tx *Txn) Commit() error {
 		tx.st.stats.ReadOnlyCommits++
 		return nil
 	}
+	// Every page the commit may write a slot header of, or free, loses its
+	// decoded header now, whatever the commit's outcome.
+	for _, no := range tx.dirtyOrder {
+		tx.st.dropHeader(no)
+	}
+	for _, no := range tx.freed {
+		tx.st.dropHeader(no)
+	}
 	clock := tx.st.sys.Clock()
 	_, singleLeaf := tx.singleLeafShape()
 	var err error
@@ -404,7 +434,7 @@ func (tx *Txn) Commit() error {
 		// now, so they ride the commit image instead of a header write of
 		// their own.
 		for _, no := range tx.dirtyOrder {
-			tx.pages[no].page.PlanPendingFrees()
+			tx.st.tab[no].tp.page.PlanPendingFrees()
 		}
 		if tx.st.cfg.Variant == InPlaceCommit && tx.commitInPlace() {
 			return
@@ -430,7 +460,7 @@ func (tx *Txn) Commit() error {
 // flushing each line they touch once.
 func (tx *Txn) flushUnflushed() {
 	for _, no := range tx.dirtyOrder {
-		tx.pages[no].mem.queueUnflushed(&tx.st.lines)
+		tx.st.tab[no].tp.mem.queueUnflushed(&tx.st.lines)
 	}
 	if tx.st.lines.Flush(tx.st.arena) {
 		tx.st.sys.Fence()
@@ -449,14 +479,14 @@ func (tx *Txn) flushUnflushed() {
 func (tx *Txn) commitInPlace() bool {
 	tx.MarkUnit()
 	for _, no := range tx.freed {
-		if tp, ok := tx.pages[no]; ok {
+		if tp := tx.st.handle(no); tp != nil {
 			tp.mem.logged = true
 		}
 	}
 	clock := tx.st.sys.Clock()
 	installed := 0
 	for _, no := range tx.dirtyOrder {
-		tp := tx.pages[no]
+		tp := tx.st.tab[no].tp
 		if tp.mem.logged || !headerFitsLine(tp) {
 			continue
 		}
@@ -510,7 +540,7 @@ func (tx *Txn) commitLogged() error {
 	// never consult the log, then drop the log.
 	clock.InPhase(phase.Checkpoint, func() {
 		for _, no := range tx.dirtyOrder {
-			tp := tx.pages[no]
+			tp := st.tab[no].tp
 			if !tp.mem.hdrDirty {
 				continue
 			}
@@ -528,7 +558,7 @@ func (tx *Txn) commitLogged() error {
 		// freed pages enter the persistent free stack.
 		clock.InPhase(phase.FreeList, func() {
 			for _, no := range tx.dirtyOrder {
-				tx.applyFrees(tx.pages[no])
+				tx.applyFrees(st.tab[no].tp)
 			}
 			if len(tx.freed) > 0 {
 				count := tx.meta.FreeCount
@@ -584,10 +614,9 @@ func (tx *Txn) Rollback() {
 		return
 	}
 	// dirtyOrder holds exactly the pages whose header changed, in first-touch
-	// order — iterating it (not the pages map) keeps the arena traffic of the
-	// free-list repair deterministic.
+	// order.
 	for _, no := range tx.dirtyOrder {
-		tp := tx.pages[no]
+		tp := tx.st.tab[no].tp
 		isAllocated := false
 		for _, a := range tx.allocated {
 			if a == no {
@@ -613,8 +642,9 @@ func (tx *Txn) finish() {
 	st := tx.st
 	st.open = false
 	// Return the per-transaction resources to the store for the next Begin.
-	// Map iteration order is irrelevant here: pooling touches no arena.
-	for _, tp := range tx.pages {
+	for _, no := range st.opened {
+		tp := st.tab[no].tp
+		st.tab[no].tp = nil
 		c := tp.page.Counts()
 		st.stats.Coalesces += int64(c.Coalesces)
 		st.stats.GapAbsorbs += int64(c.GapAbsorbs)
@@ -627,12 +657,10 @@ func (tx *Txn) finish() {
 		st.stats.InteriorProbes += int64(c.InteriorProbes)
 		st.rec.handles = append(st.rec.handles, tp)
 	}
-	clear(tx.pages)
-	st.rec.pages = tx.pages
+	st.opened = st.opened[:0]
 	st.rec.dirtyOrder = tx.dirtyOrder[:0]
 	st.rec.allocated = tx.allocated[:0]
 	st.rec.freed = tx.freed[:0]
 	st.rec.unitPages = tx.unitPages[:0]
 	st.rec.encBuf = tx.encBuf
-	tx.pages = nil
 }

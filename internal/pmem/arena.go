@@ -229,19 +229,31 @@ func (a *Arena) evictOverflow() {
 
 // Load copies len(dst) bytes at off into dst, charging per cache line: the
 // cache-hit cost for resident lines, the medium read latency otherwise.
-func (a *Arena) Load(off int64, dst []byte) {
-	a.check(off, len(dst))
-	if len(dst) == 0 {
+func (a *Arena) Load(off int64, dst []byte) { a.load(off, len(dst), dst) }
+
+// Touch charges exactly what Load(off, dst) with len(dst) == n would — the
+// same fills, hits, evictions, BytesRead and clock advance — but copies
+// nothing. A caller that holds the bytes already (a decoded header it knows
+// PM still holds) uses it to pay for the read it skips.
+func (a *Arena) Touch(off int64, n int) { a.load(off, n, nil) }
+
+// load is Load's per-line loop; a nil dst makes it Touch.
+func (a *Arena) load(off int64, n int, dst []byte) {
+	a.check(off, n)
+	if n == 0 {
 		return
 	}
-	a.stats.BytesRead += int64(len(dst))
-	for first, last := lineOf(off), lineOf(off+int64(len(dst))-1); first <= last; first += CacheLineSize {
+	a.stats.BytesRead += int64(n)
+	for first, last := lineOf(off), lineOf(off+int64(n)-1); first <= last; first += CacheLineSize {
 		ln := a.fill(first)
+		if dst == nil {
+			continue
+		}
 		lo, hi := first, first+CacheLineSize
 		if lo < off {
 			lo = off
 		}
-		if end := off + int64(len(dst)); hi > end {
+		if end := off + int64(n); hi > end {
 			hi = end
 		}
 		copy(dst[lo-off:hi-off], ln.buf[lo-first:hi-first])

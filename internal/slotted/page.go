@@ -168,10 +168,13 @@ func (p *Page) readT(off, n int) []byte {
 	return b
 }
 
-// OpenWithHeader attaches a handle using an already-decoded header (the
-// FAST transaction cache uses this to resume a working header).
-func OpenWithHeader(mem Mem, hdr Header) *Page {
-	return &Page{mem: mem, hdr: hdr}
+// OpenWithHeaderInto binds p to mem as OpenInto does, but copies the
+// header from hdr, a decoded copy of the header mem holds, instead of
+// reading it. It reads nothing, so it charges nothing: a backend that keeps
+// decoded headers charges the two reads openHeader would make itself.
+func OpenWithHeaderInto(p *Page, mem Mem, hdr *Header) {
+	p.reset(mem)
+	hdr.CopyTo(&p.hdr)
 }
 
 // SetDeferFrees selects whether freed cell extents enter the free list
