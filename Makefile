@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race goldens results crashx obsv fuzz bench profile bench-pairs chaos loc clean
+.PHONY: all build vet test race goldens results crashx obsv fuzz bench profile bench-pairs chaos loc sqlcover clean
 
 all: vet build test
 
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanReply$$' -fuzztime $(FUZZTIME) ./internal/server/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME) ./internal/engine
 
 # Go-benchmark view (wall clock + simulated metrics + allocs).
 bench:
@@ -105,6 +106,27 @@ LOC_COUNT = awk '{ n++ } !/^[[:space:]]*(\/\/.*)?$$/ { c++ } END { printf "%-9s 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | $(LOC_COUNT) kind=non-test
 	@find . -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs cat | $(LOC_COUNT) kind=test
+
+# Union statement coverage of what the SQL harness runs: the n = 20000
+# figure set and the traced sql-insert bench at seed 1, each from a
+# -cover build, merged with go tool covdata. Prints every package's
+# percentage, then the functions of internal/engine and internal/sql that
+# never ran. The bench binary is built from bench/ with -coverpkg=fasp/...:
+# a narrower pattern writes no counter files.
+COVER_DIR = .bench_build/sqlcover
+sqlcover:
+	rm -rf $(COVER_DIR)
+	mkdir -p $(COVER_DIR)/figs.cov $(COVER_DIR)/bench.cov $(COVER_DIR)/merged.cov
+	$(GO) build -cover -coverpkg=./... -o $(COVER_DIR)/faspbench ./cmd/faspbench
+	cd bench && $(GO) build -cover -coverpkg=fasp/... -o ../$(COVER_DIR)/sqlbench .
+	GOCOVERDIR=$(COVER_DIR)/figs.cov $(COVER_DIR)/faspbench -all -ablations -recovery -n 20000 > /dev/null
+	GOCOVERDIR=$(COVER_DIR)/bench.cov $(COVER_DIR)/sqlbench -workload sql-insert -seed 1 -seconds 3 -trace 1 > /dev/null
+	$(GO) tool covdata merge -i=$(COVER_DIR)/figs.cov,$(COVER_DIR)/bench.cov -o $(COVER_DIR)/merged.cov
+	$(GO) tool covdata percent -i=$(COVER_DIR)/merged.cov
+	$(GO) tool covdata textfmt -i=$(COVER_DIR)/merged.cov -o $(COVER_DIR)/cover.out
+	@echo "never run in internal/engine and internal/sql:"
+	@grep -E '^mode:|^fasp/internal/(engine|sql)/' $(COVER_DIR)/cover.out > $(COVER_DIR)/sql.out
+	@$(GO) tool cover -func=$(COVER_DIR)/sql.out | awk '$$NF == "0.0%"'
 
 # Removes ignored build output only; nothing tracked.
 clean:

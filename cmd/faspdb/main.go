@@ -196,9 +196,6 @@ SQL statements end with ';' and may span lines.`)
 			schema, _ := db.Schema(n)
 			fmt.Printf("%-20s %s\n", n, schema)
 		}
-		if idx, _ := db.Indexes(); len(idx) > 0 {
-			fmt.Printf("indexes: %s\n", strings.Join(idx, ", "))
-		}
 		if len(names) == 0 {
 			fmt.Println("(no tables)")
 		}

@@ -16,13 +16,16 @@ func ExampleOpen() {
 		CREATE TABLE fruit (id INTEGER PRIMARY KEY, name TEXT);
 		INSERT INTO fruit (name) VALUES ('apple'), ('pear'), ('plum');
 	`)
-	rows, _ := db.Query(`SELECT name FROM fruit WHERE name LIKE 'p%' ORDER BY name`)
+	rows, _ := db.Query(`SELECT id, name FROM fruit WHERE name >= 'p'`)
 	for _, r := range rows {
-		fmt.Println(r[0].AsText())
+		fmt.Println(r[0].AsInt(), r[1].AsText())
 	}
+	_, err = db.Exec(`SELECT name FROM fruit ORDER BY name`)
+	fmt.Println(err)
 	// Output:
-	// pear
-	// plum
+	// 2 pear
+	// 3 plum
+	// sql: unsupported: ORDER BY
 }
 
 // ExampleOpenKV uses the failure-atomic B-tree as an ordered KV store.

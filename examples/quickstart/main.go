@@ -1,6 +1,6 @@
 // Quickstart: open a FAST+ database on emulated persistent memory, create
-// a table, insert rows, and query them — the smallest end-to-end use of
-// the public API.
+// a table, insert and update rows, and query them — the smallest
+// end-to-end use of the public API.
 package main
 
 import (
@@ -27,13 +27,21 @@ func main() {
 		INSERT INTO contacts (name, phone) VALUES ('Barbara Liskov', '+1-1939');
 	`)
 
-	rows, err := db.Query(`SELECT id, name FROM contacts WHERE name LIKE '%a%' ORDER BY name`)
+	db.MustExec(`UPDATE contacts SET phone = '+1-1974' WHERE id = 3`)
+
+	rows, err := db.Query(`SELECT id, name, phone FROM contacts WHERE id >= 2`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("contacts matching '%a%':")
+	fmt.Println("contacts from #2 on:")
 	for _, r := range rows {
-		fmt.Printf("  #%d %s\n", r[0].AsInt(), r[1].AsText())
+		fmt.Printf("  #%d %s %s\n", r[0].AsInt(), r[1].AsText(), r[2].AsText())
+	}
+
+	// The dialect is the harness the paper's figures need; anything else
+	// is refused with an error wrapping sql.ErrUnsupported.
+	if _, err := db.Exec(`SELECT name FROM contacts ORDER BY name`); err != nil {
+		fmt.Println("\n" + err.Error())
 	}
 
 	// Every statement ran as a failure-atomic transaction on PM; the

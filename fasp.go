@@ -263,13 +263,6 @@ func (db *DB) Schema(table string) (string, error) {
 	return db.eng.Schema(table)
 }
 
-// Indexes lists the secondary-index names in the catalog.
-func (db *DB) Indexes() ([]string, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.eng.Indexes()
-}
-
 // Reopen recovers the database after Crash, reattaching engine state.
 func (db *DB) Reopen() error {
 	db.mu.Lock()

@@ -35,13 +35,31 @@ func (ti *tableInfo) colIndex(name string) int {
 	return -1
 }
 
-// isRowidRef reports whether name addresses the rowid (the built-in alias
-// or the INTEGER PRIMARY KEY column).
-func (ti *tableInfo) isRowidRef(name string) bool {
+// Column references that colRef resolves to besides a column index.
+const (
+	colMissing = -1 // no such column
+	colRowid   = -2 // the built-in rowid alias
+)
+
+// colRef resolves a column reference: the rowid alias, else the index of
+// the named column, else colMissing.
+func (ti *tableInfo) colRef(name string) int {
 	if strings.EqualFold(name, "rowid") {
-		return true
+		return colRowid
 	}
-	return ti.pkCol >= 0 && strings.EqualFold(ti.cols[ti.pkCol].Name, name)
+	return ti.colIndex(name)
+}
+
+// value reads column ci (or colRowid) of a row. The INTEGER PRIMARY KEY
+// column reads the rowid: its value lives in the key, not the record.
+func (ti *tableInfo) value(r *tableRow, ci int) sql.Value {
+	if ci == colRowid || ci == ti.pkCol {
+		return sql.Int(r.rowid)
+	}
+	if ci < len(r.vals) {
+		return r.vals[ci]
+	}
+	return sql.Null()
 }
 
 // catalogKey is the B-tree key of a table's catalog row.
@@ -72,18 +90,24 @@ func loadTableInfo(cat *btree.Tx, name string) (*tableInfo, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
+	return decodeTableInfo(name, rec)
+}
+
+// decodeTableInfo parses the catalog row rec of the entry name. A row whose
+// statement is not a CREATE TABLE (an index an older image left behind)
+// fails with the parser's error, which wraps sql.ErrUnsupported.
+func decodeTableInfo(name string, rec []byte) (*tableInfo, error) {
 	_, createSQL, err := decodeCatalogRow(rec)
 	if err != nil {
 		return nil, err
 	}
 	stmt, err := sql.ParseOne(createSQL)
 	if err != nil {
-		return nil, fmt.Errorf("engine: catalog row for %s unparsable: %v", name, err)
+		return nil, fmt.Errorf("engine: catalog row for %s: %w", name, err)
 	}
 	ct, ok := stmt.(sql.CreateTable)
 	if !ok {
-		// The name exists in the catalog but denotes an index.
-		return nil, fmt.Errorf("%w: %s (it is an index)", ErrNoSuchTable, name)
+		return nil, fmt.Errorf("engine: catalog row for %s holds a %T", name, stmt)
 	}
 	ti := &tableInfo{name: ct.Name, createSQL: createSQL, cols: ct.Cols, pkCol: -1}
 	for i, c := range ct.Cols {

@@ -24,31 +24,25 @@ type Result struct {
 	LastInsertID int64
 }
 
+// StatementOverheadNS models SQLite's parse + bytecode (VDBE) overhead per
+// statement in simulated nanoseconds; Figures 11–12 include this path,
+// Figures 6–9 do not. 10 µs approximates SQLite's prepare+step cost for a
+// simple INSERT on the paper's era of hardware; see EXPERIMENTS.md for the
+// calibration discussion.
+const StatementOverheadNS = 10_000
+
 // DB is a SQL database over a pager store. It is not safe for concurrent
 // use; like SQLite in exclusive mode, one writer owns the database.
 type DB struct {
-	st pager.Store
-	// StatementOverheadNS models SQLite's parse + bytecode (VDBE) overhead
-	// per statement in simulated nanoseconds; Figures 11–12 include this
-	// path, Figures 6–9 do not. The 10 µs default approximates SQLite's
-	// prepare+step cost for a simple INSERT on the paper's era of hardware;
-	// see EXPERIMENTS.md for the calibration discussion.
-	StatementOverheadNS int64
-
+	st       pager.Store
 	tx       pager.Txn // open transaction (nil when idle)
 	explicit bool      // tx was opened by BEGIN
 }
 
 // Open attaches an engine to a (recovered) store.
 func Open(st pager.Store) *DB {
-	return &DB{st: st, StatementOverheadNS: 10000}
+	return &DB{st: st}
 }
-
-// Store exposes the underlying store.
-func (db *DB) Store() pager.Store { return db.st }
-
-// InTxn reports whether an explicit transaction is open.
-func (db *DB) InTxn() bool { return db.explicit }
 
 // Exec parses and executes a semicolon-separated batch, returning one
 // Result per statement. On error, the failing statement's implicit
@@ -91,104 +85,58 @@ func (db *DB) QueryRows(src string) ([][]sql.Value, error) {
 	return res[0].Rows, nil
 }
 
-// Tables lists the table names in the catalog.
+// read runs f on the catalog inside the open transaction, or inside one of
+// its own that it rolls back.
+func (db *DB) read(f func(cat *btree.Tx) error) error {
+	tx := db.tx
+	if tx == nil {
+		var err error
+		if tx, err = db.st.Begin(); err != nil {
+			return err
+		}
+		defer tx.Rollback()
+	}
+	ex := &executor{db: db, ptx: tx}
+	return f(ex.catalog())
+}
+
+// Tables lists the table names in the catalog, in name order.
 func (db *DB) Tables() ([]string, error) {
-	auto := false
-	if db.tx == nil {
-		tx, err := db.st.Begin()
-		if err != nil {
-			return nil, err
-		}
-		db.tx = tx
-		auto = true
-	}
-	ex := &executor{db: db, ptx: db.tx}
-	names, err := ex.catalogNames(func(stmt sql.Stmt) bool {
-		_, ok := stmt.(sql.CreateTable)
-		return ok
-	})
-	if auto {
-		tx := db.tx
-		db.tx = nil
-		tx.Rollback()
-	}
-	return names, err
-}
-
-// Indexes lists the secondary-index names in the catalog.
-func (db *DB) Indexes() ([]string, error) {
-	auto := false
-	if db.tx == nil {
-		tx, err := db.st.Begin()
-		if err != nil {
-			return nil, err
-		}
-		db.tx = tx
-		auto = true
-	}
-	ex := &executor{db: db, ptx: db.tx}
-	names, err := ex.catalogNames(func(stmt sql.Stmt) bool {
-		_, ok := stmt.(sql.CreateIndex)
-		return ok
-	})
-	if auto {
-		tx := db.tx
-		db.tx = nil
-		tx.Rollback()
-	}
-	return names, err
-}
-
-// catalogNames lists catalog entries whose stored statement matches keep.
-func (ex *executor) catalogNames(keep func(sql.Stmt) bool) ([]string, error) {
 	var names []string
-	var scanErr error
-	err := ex.catalog().Scan(nil, nil, func(k, v []byte) bool {
-		_, createSQL, err := decodeCatalogRow(v)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		stmt, err := sql.ParseOne(createSQL)
-		if err == nil && keep(stmt) {
+	err := db.read(func(cat *btree.Tx) error {
+		var rowErr error
+		err := cat.Scan(nil, nil, func(k, v []byte) bool {
+			if _, rowErr = decodeTableInfo(string(k), v); rowErr != nil {
+				return false
+			}
 			names = append(names, string(k))
+			return true
+		})
+		if err != nil {
+			return err
 		}
-		return true
+		return rowErr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return names, scanErr
+	return names, err
 }
 
 // Schema returns a table's stored CREATE TABLE statement.
 func (db *DB) Schema(table string) (string, error) {
-	auto := false
-	if db.tx == nil {
-		tx, err := db.st.Begin()
-		if err != nil {
-			return "", err
+	var createSQL string
+	err := db.read(func(cat *btree.Tx) error {
+		ti, err := loadTableInfo(cat, table)
+		if err == nil {
+			createSQL = ti.createSQL
 		}
-		db.tx = tx
-		auto = true
-	}
-	ex := &executor{db: db, ptx: db.tx}
-	ti, err := loadTableInfo(ex.catalog(), table)
-	if auto {
-		tx := db.tx
-		db.tx = nil
-		tx.Rollback()
-	}
-	if err != nil {
-		return "", err
-	}
-	return ti.createSQL, nil
+		return err
+	})
+	return createSQL, err
 }
 
 // execStmt runs one statement, managing the implicit-transaction protocol.
 func (db *DB) execStmt(stmt sql.Stmt) (res Result, err error) {
 	// Charge the modelled SQL front-end overhead (parse + VDBE).
-	db.st.Sys().ComputeNS(db.StatementOverheadNS)
+	db.st.Sys().ComputeNS(StatementOverheadNS)
 
 	switch stmt.(type) {
 	case sql.Begin:
@@ -259,12 +207,6 @@ func (db *DB) runInTxn(stmt sql.Stmt) (res Result, err error) {
 	switch s := stmt.(type) {
 	case sql.CreateTable:
 		return ex.createTable(s)
-	case sql.DropTable:
-		return ex.dropTable(s)
-	case sql.CreateIndex:
-		return ex.createIndex(s)
-	case sql.DropIndex:
-		return ex.dropIndex(s)
 	case sql.Insert:
 		return ex.insert(s)
 	case sql.Select:
@@ -273,8 +215,6 @@ func (db *DB) runInTxn(stmt sql.Stmt) (res Result, err error) {
 		return ex.update(s)
 	case sql.Delete:
 		return ex.delete(s)
-	case sql.Vacuum:
-		return ex.vacuum()
 	default:
 		return res, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"fasp/internal/btree"
@@ -64,85 +63,6 @@ func renderCreateSQL(s sql.CreateTable) string {
 	return sb.String()
 }
 
-func (ex *executor) dropTable(s sql.DropTable) (Result, error) {
-	var res Result
-	cat := ex.catalog()
-	if _, ok, err := cat.Get(catalogKey(s.Name)); err != nil {
-		return res, err
-	} else if !ok {
-		if s.IfExists {
-			return res, nil
-		}
-		return res, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Name)
-	}
-	// Free every page of the table's tree and of its indexes, then remove
-	// the catalog rows.
-	ti, err := loadTableInfo(cat, s.Name)
-	if err != nil {
-		return res, err
-	}
-	idxs, err := tableIndexes(cat, ti)
-	if err != nil {
-		return res, err
-	}
-	for _, ix := range idxs {
-		if _, err := ex.dropIndex(sql.DropIndex{Name: ix.name}); err != nil {
-			return res, err
-		}
-	}
-	tbl := ex.table(cat, s.Name)
-	reach, err := tbl.Reachable()
-	if err != nil {
-		return res, err
-	}
-	for no := range reach {
-		ex.ptx.FreePage(no)
-	}
-	if err := cat.Delete(catalogKey(s.Name)); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-func (ex *executor) vacuum() (Result, error) {
-	var res Result
-	type reclaimer interface {
-		ReclaimExcept(reachable map[uint32]bool) (int, error)
-	}
-	rec, ok := ex.db.st.(reclaimer)
-	if !ok {
-		return res, nil // scheme has no leak reclamation; VACUUM is a no-op
-	}
-	if ex.db.explicit {
-		return res, errors.New("engine: VACUUM inside a transaction is not supported")
-	}
-	// Reachable = catalog pages + every table's pages.
-	cat := ex.catalog()
-	reachable, err := cat.Reachable()
-	if err != nil {
-		return res, err
-	}
-	var tables []string
-	if err := cat.Scan(nil, nil, func(k, _ []byte) bool {
-		tables = append(tables, string(k))
-		return true
-	}); err != nil {
-		return res, err
-	}
-	for _, name := range tables {
-		tr, err := ex.table(cat, name).Reachable()
-		if err != nil {
-			return res, err
-		}
-		for no := range tr {
-			reachable[no] = true
-		}
-	}
-	n, err := rec.ReclaimExcept(reachable)
-	res.RowsAffected = n
-	return res, err
-}
-
 // --- DML ---------------------------------------------------------------------
 
 func (ex *executor) insert(s sql.Insert) (Result, error) {
@@ -171,26 +91,18 @@ func (ex *executor) insert(s sql.Insert) (Result, error) {
 		}
 	}
 	tbl := ex.table(cat, s.Table)
-	idxs, err := tableIndexes(cat, ti)
-	if err != nil {
-		return res, err
-	}
-	for _, rowExprs := range s.Rows {
+	for _, row := range s.Rows {
 		want := len(ti.cols)
 		if len(s.Cols) > 0 {
 			want = len(s.Cols)
 		}
-		if len(rowExprs) != want {
-			return res, fmt.Errorf("%w: %d values for %d columns", ErrConstraint, len(rowExprs), want)
+		if len(row) != want {
+			return res, fmt.Errorf("%w: %d values for %d columns", ErrConstraint, len(row), want)
 		}
 		vals := make([]sql.Value, len(ti.cols))
 		for ci := range ti.cols {
 			if vi := colMap[ci]; vi >= 0 {
-				v, err := evalExpr(rowExprs[vi], nil, nil)
-				if err != nil {
-					return res, err
-				}
-				vals[ci] = applyAffinity(v, ti.cols[ci].Type)
+				vals[ci] = applyAffinity(row[vi], ti.cols[ci].Type)
 			} else {
 				vals[ci] = sql.Null()
 			}
@@ -227,12 +139,6 @@ func (ex *executor) insert(s sql.Insert) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		if len(idxs) > 0 {
-			r := tableRow{rowid: rowid, vals: vals}
-			if err := ex.addIndexEntries(cat, ti, idxs, &r); err != nil {
-				return res, err
-			}
-		}
 		res.RowsAffected++
 		res.LastInsertID = rowid
 	}
@@ -245,63 +151,26 @@ type tableRow struct {
 	vals  []sql.Value
 }
 
-// scanWhere collects rows matching the WHERE clause, using a rowid point
-// lookup or a secondary-index equality lookup when the predicate allows it.
-func (ex *executor) scanWhere(tbl *btree.Tx, ti *tableInfo, where sql.Expr) ([]tableRow, error) {
-	return ex.scanWhereIdx(tbl, ti, nil, nil, where)
-}
-
-// scanWhereIdx is scanWhere with the table's indexes available for
-// planning (cat and idxs may be nil to skip index planning).
-func (ex *executor) scanWhereIdx(tbl *btree.Tx, ti *tableInfo, cat *btree.Tx, idxs []*indexInfo, where sql.Expr) ([]tableRow, error) {
-	if rowid, ok := rowidPointQuery(ti, where); ok {
-		rec, found, err := tbl.Get(RowidKey(rowid))
-		if err != nil || !found {
-			return nil, err
+// scanWhere collects the rows matching where (nil: every row): one point
+// lookup when it names a rowid, SQLite's fast path for key lookups, and a
+// full scan in rowid order otherwise.
+func (ex *executor) scanWhere(tbl *btree.Tx, ti *tableInfo, where *sql.Cond) ([]tableRow, error) {
+	var col int
+	if where != nil {
+		if col = ti.colRef(where.Col); col == colMissing {
+			return nil, fmt.Errorf("%w: %s", ErrNoSuchColumn, where.Col)
 		}
-		vals, err := DecodeRecord(rec)
-		if err != nil {
-			return nil, err
-		}
-		return []tableRow{{rowid: rowid, vals: vals}}, nil
-	}
-	if cat != nil {
-		if col, lit, ok := columnEqLiteral(where); ok && !lit.IsNull() {
-			for _, ix := range idxs {
-				if !strings.EqualFold(ix.col, col) {
-					continue
-				}
-				rowids, err := ex.indexLookupAll(ex.indexTree(cat, ix.name), lit)
-				if err != nil {
-					return nil, err
-				}
-				var rows []tableRow
-				for _, rowid := range rowids {
-					rec, found, err := tbl.Get(RowidKey(rowid))
-					if err != nil {
-						return nil, err
-					}
-					if !found {
-						return nil, fmt.Errorf("%w: index %s references missing rowid %d",
-							ErrBadRecord, ix.name, rowid)
-					}
-					vals, err := DecodeRecord(rec)
-					if err != nil {
-						return nil, err
-					}
-					r := tableRow{rowid: rowid, vals: vals}
-					// Re-check the predicate: index equality is numeric-
-					// unified, the expression may be stricter.
-					keep, err := evalExpr(where, ti, &r)
-					if err != nil {
-						return nil, err
-					}
-					if keep.Truthy() {
-						rows = append(rows, r)
-					}
-				}
-				return rows, nil
+		if (col == colRowid || col == ti.pkCol) && where.Op == "=" && where.Val.Kind() == sql.KindInt {
+			rowid := where.Val.AsInt()
+			rec, found, err := tbl.Get(RowidKey(rowid))
+			if err != nil || !found {
+				return nil, err
 			}
+			vals, err := DecodeRecord(rec)
+			if err != nil {
+				return nil, err
+			}
+			return []tableRow{{rowid: rowid, vals: vals}}, nil
 		}
 	}
 	var rows []tableRow
@@ -313,17 +182,9 @@ func (ex *executor) scanWhereIdx(tbl *btree.Tx, ti *tableInfo, cat *btree.Tx, id
 			return false
 		}
 		r := tableRow{rowid: KeyRowid(k), vals: vals}
-		if where != nil {
-			keep, err := evalExpr(where, ti, &r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !keep.Truthy() {
-				return true
-			}
+		if where == nil || matches(ti.value(&r, col), where) {
+			rows = append(rows, r)
 		}
-		rows = append(rows, r)
 		return true
 	})
 	if err != nil {
@@ -332,524 +193,72 @@ func (ex *executor) scanWhereIdx(tbl *btree.Tx, ti *tableInfo, cat *btree.Tx, id
 	return rows, scanErr
 }
 
-// columnEqLiteral recognises WHERE <column> = <literal> (either side).
-func columnEqLiteral(where sql.Expr) (string, sql.Value, bool) {
-	b, ok := where.(sql.Binary)
-	if !ok || b.Op != "=" {
-		return "", sql.Null(), false
+// matches applies the comparison where to v. A comparison with NULL on
+// either side matches nothing, as in SQL.
+func matches(v sql.Value, where *sql.Cond) bool {
+	if v.IsNull() || where.Val.IsNull() {
+		return false
 	}
-	col, cok := b.L.(sql.Column)
-	lit, lok := b.R.(sql.Literal)
-	if !cok || !lok {
-		col, cok = b.R.(sql.Column)
-		lit, lok = b.L.(sql.Literal)
+	c := sql.Compare(v, where.Val)
+	switch where.Op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default: // ">="
+		return c >= 0
 	}
-	if !cok || !lok {
-		return "", sql.Null(), false
-	}
-	return col.Name, lit.Val, true
-}
-
-// rowidPointQuery recognises WHERE rowid = <int literal> (or the INTEGER
-// PRIMARY KEY alias) — SQLite's fast path for key lookups.
-func rowidPointQuery(ti *tableInfo, where sql.Expr) (int64, bool) {
-	b, ok := where.(sql.Binary)
-	if !ok || b.Op != "=" {
-		return 0, false
-	}
-	col, cok := b.L.(sql.Column)
-	lit, lok := b.R.(sql.Literal)
-	if !cok || !lok {
-		col, cok = b.R.(sql.Column)
-		lit, lok = b.L.(sql.Literal)
-	}
-	if !cok || !lok || !ti.isRowidRef(col.Name) {
-		return 0, false
-	}
-	if lit.Val.Kind() != sql.KindInt {
-		return 0, false
-	}
-	return lit.Val.AsInt(), true
 }
 
 func (ex *executor) selectStmt(s sql.Select) (Result, error) {
 	var res Result
-	// SELECT without FROM evaluates expressions once.
-	if s.Table == "" {
-		var row []sql.Value
-		for _, c := range s.Cols {
-			if c.Star {
-				return res, fmt.Errorf("engine: SELECT * requires FROM")
-			}
-			v, err := evalExpr(c.Expr, nil, nil)
-			if err != nil {
-				return res, err
-			}
-			row = append(row, v)
-			res.Columns = append(res.Columns, selectColName(c))
-		}
-		res.Rows = [][]sql.Value{row}
-		return res, nil
-	}
 	cat := ex.catalog()
 	ti, err := loadTableInfo(cat, s.Table)
 	if err != nil {
 		return res, err
 	}
-	tbl := ex.table(cat, s.Table)
-	idxs, err := tableIndexes(cat, ti)
-	if err != nil {
-		return res, err
-	}
-	rows, err := ex.scanWhereIdx(tbl, ti, cat, idxs, s.Where)
-	if err != nil {
-		return res, err
-	}
-	// GROUP BY, or an implicit single group when aggregates appear.
-	if len(s.GroupBy) > 0 || isAggregateSelect(s) {
-		return groupedSelect(s, ti, rows)
-	}
-	// ORDER BY before projection (terms may reference any column).
-	if len(s.OrderBy) > 0 {
-		if err := sortRows(rows, s.OrderBy, ti); err != nil {
-			return res, err
+	// Resolve the projection before the scan.
+	var cols []int
+	switch {
+	case s.Count:
+		res.Columns = []string{"COUNT(*)"}
+	case s.Cols == nil:
+		for ci, c := range ti.cols {
+			cols = append(cols, ci)
+			res.Columns = append(res.Columns, c.Name)
 		}
-	}
-	if !s.Distinct {
-		rows, err = applyLimit(rows, s)
-		if err != nil {
-			return res, err
-		}
-	}
-	// Projection.
-	for _, c := range s.Cols {
-		if c.Star {
-			for _, col := range ti.cols {
-				res.Columns = append(res.Columns, col.Name)
+	default:
+		for _, name := range s.Cols {
+			ci := ti.colRef(name)
+			if ci == colMissing {
+				return res, fmt.Errorf("%w: %s", ErrNoSuchColumn, name)
 			}
-		} else {
-			res.Columns = append(res.Columns, selectColName(c))
+			cols = append(cols, ci)
+			res.Columns = append(res.Columns, name)
 		}
+	}
+	rows, err := ex.scanWhere(ex.table(cat, s.Table), ti, s.Where)
+	if err != nil {
+		return res, err
+	}
+	if s.Count {
+		res.Rows = [][]sql.Value{{sql.Int(int64(len(rows)))}}
+		return res, nil
 	}
 	for i := range rows {
-		var out []sql.Value
-		for _, c := range s.Cols {
-			if c.Star {
-				for ci := range ti.cols {
-					out = append(out, columnValue(ti, &rows[i], ci))
-				}
-				continue
-			}
-			v, err := evalExpr(c.Expr, ti, &rows[i])
-			if err != nil {
-				return res, err
-			}
-			out = append(out, v)
+		out := make([]sql.Value, len(cols))
+		for j, ci := range cols {
+			out[j] = ti.value(&rows[i], ci)
 		}
 		res.Rows = append(res.Rows, out)
 	}
-	if s.Distinct {
-		res.Rows = dedupeRows(res.Rows)
-		res.Rows, err = applyLimitRows(res.Rows, s)
-		if err != nil {
-			return res, err
-		}
-	}
 	return res, nil
-}
-
-// dedupeRows removes duplicate result rows, preserving first-seen order.
-func dedupeRows(rows [][]sql.Value) [][]sql.Value {
-	seen := map[string]bool{}
-	out := rows[:0]
-	for _, r := range rows {
-		key := string(EncodeRecord(r))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// groupedSelect executes GROUP BY / HAVING queries (and plain aggregate
-// selects, which form one implicit group).
-func groupedSelect(s sql.Select, ti *tableInfo, rows []tableRow) (Result, error) {
-	var res Result
-	for _, c := range s.Cols {
-		if c.Star {
-			return res, fmt.Errorf("engine: SELECT * with GROUP BY or aggregates is unsupported")
-		}
-		res.Columns = append(res.Columns, selectColName(c))
-	}
-	// Partition into groups (one implicit group without GROUP BY —
-	// including the empty-input case, as SQL requires).
-	type group struct {
-		rows []tableRow
-		out  []sql.Value
-		keys []sql.Value // ORDER BY sort keys
-	}
-	var groups []*group
-	if len(s.GroupBy) == 0 {
-		groups = []*group{{rows: rows}}
-	} else {
-		index := map[string]*group{}
-		for i := range rows {
-			var kv []sql.Value
-			for _, ge := range s.GroupBy {
-				v, err := evalExpr(ge, ti, &rows[i])
-				if err != nil {
-					return res, err
-				}
-				kv = append(kv, v)
-			}
-			key := string(EncodeRecord(kv))
-			g, ok := index[key]
-			if !ok {
-				g = &group{}
-				index[key] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, rows[i])
-		}
-	}
-	// HAVING, projection and sort keys per group.
-	var kept []*group
-	for _, g := range groups {
-		if s.Having != nil {
-			v, err := evalGrouped(s.Having, ti, g.rows)
-			if err != nil {
-				return res, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		for _, c := range s.Cols {
-			v, err := evalGrouped(c.Expr, ti, g.rows)
-			if err != nil {
-				return res, err
-			}
-			g.out = append(g.out, v)
-		}
-		for _, term := range s.OrderBy {
-			v, err := evalGrouped(term.Expr, ti, g.rows)
-			if err != nil {
-				return res, err
-			}
-			g.keys = append(g.keys, v)
-		}
-		kept = append(kept, g)
-	}
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(kept, func(i, j int) bool {
-			for t, term := range s.OrderBy {
-				c := sql.Compare(kept[i].keys[t], kept[j].keys[t])
-				if c == 0 {
-					continue
-				}
-				if term.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	for _, g := range kept {
-		res.Rows = append(res.Rows, g.out)
-	}
-	if s.Distinct {
-		res.Rows = dedupeRows(res.Rows)
-	}
-	var err error
-	res.Rows, err = applyLimitRows(res.Rows, s)
-	return res, err
-}
-
-// evalGrouped evaluates an expression over a group: aggregate calls see
-// the whole group; everything else composes via literal substitution, and
-// bare columns read the group's first row.
-func evalGrouped(e sql.Expr, ti *tableInfo, rows []tableRow) (sql.Value, error) {
-	switch n := e.(type) {
-	case sql.Literal:
-		return n.Val, nil
-	case sql.Column:
-		if len(rows) == 0 {
-			return sql.Null(), nil
-		}
-		return evalExpr(n, ti, &rows[0])
-	case sql.Unary:
-		x, err := evalGrouped(n.X, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		return evalExpr(sql.Unary{Op: n.Op, X: sql.Literal{Val: x}}, nil, nil)
-	case sql.Binary:
-		l, err := evalGrouped(n.L, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		r, err := evalGrouped(n.R, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		return evalExpr(sql.Binary{Op: n.Op, L: sql.Literal{Val: l}, R: sql.Literal{Val: r}}, nil, nil)
-	case sql.Call:
-		if isAggregateFunc(n.Name) {
-			return evalAggregate(n, ti, rows)
-		}
-		args := make([]sql.Expr, len(n.Args))
-		for i, a := range n.Args {
-			v, err := evalGrouped(a, ti, rows)
-			if err != nil {
-				return sql.Null(), err
-			}
-			args[i] = sql.Literal{Val: v}
-		}
-		return evalExpr(sql.Call{Name: n.Name, Args: args}, nil, nil)
-	case sql.In:
-		x, err := evalGrouped(n.X, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		list := make([]sql.Expr, len(n.List))
-		for i, le := range n.List {
-			v, err := evalGrouped(le, ti, rows)
-			if err != nil {
-				return sql.Null(), err
-			}
-			list[i] = sql.Literal{Val: v}
-		}
-		return evalExpr(sql.In{X: sql.Literal{Val: x}, List: list, Not: n.Not}, nil, nil)
-	case sql.Between:
-		x, err := evalGrouped(n.X, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		lo, err := evalGrouped(n.Lo, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		hi, err := evalGrouped(n.Hi, ti, rows)
-		if err != nil {
-			return sql.Null(), err
-		}
-		return evalExpr(sql.Between{X: sql.Literal{Val: x}, Lo: sql.Literal{Val: lo},
-			Hi: sql.Literal{Val: hi}, Not: n.Not}, nil, nil)
-	}
-	return sql.Null(), fmt.Errorf("engine: unsupported grouped expression %T", e)
-}
-
-// applyLimitRows applies LIMIT/OFFSET to projected result rows.
-func applyLimitRows(rows [][]sql.Value, s sql.Select) ([][]sql.Value, error) {
-	if s.Limit == nil {
-		return rows, nil
-	}
-	lim, err := evalExpr(s.Limit, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	off := int64(0)
-	if s.Offset != nil {
-		o, err := evalExpr(s.Offset, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		off = o.AsInt()
-	}
-	if off < 0 {
-		off = 0
-	}
-	if off > int64(len(rows)) {
-		return nil, nil
-	}
-	rows = rows[off:]
-	if n := lim.AsInt(); n >= 0 && n < int64(len(rows)) {
-		rows = rows[:n]
-	}
-	return rows, nil
-}
-
-func selectColName(c sql.SelectCol) string {
-	if c.Alias != "" {
-		return c.Alias
-	}
-	if col, ok := c.Expr.(sql.Column); ok {
-		return col.Name
-	}
-	return "expr"
-}
-
-func sortRows(rows []tableRow, terms []sql.OrderTerm, ti *tableInfo) error {
-	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, t := range terms {
-			vi, err := evalExpr(t.Expr, ti, &rows[i])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			vj, err := evalExpr(t.Expr, ti, &rows[j])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			c := sql.Compare(vi, vj)
-			if c == 0 {
-				continue
-			}
-			if t.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return sortErr
-}
-
-func applyLimit(rows []tableRow, s sql.Select) ([]tableRow, error) {
-	if s.Limit == nil {
-		return rows, nil
-	}
-	lim, err := evalExpr(s.Limit, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	off := int64(0)
-	if s.Offset != nil {
-		o, err := evalExpr(s.Offset, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		off = o.AsInt()
-	}
-	n := lim.AsInt()
-	if off < 0 {
-		off = 0
-	}
-	if off > int64(len(rows)) {
-		return nil, nil
-	}
-	rows = rows[off:]
-	if n >= 0 && n < int64(len(rows)) {
-		rows = rows[:n]
-	}
-	return rows, nil
-}
-
-func isAggregateSelect(s sql.Select) bool {
-	for _, c := range s.Cols {
-		if hasAggregate(c.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasAggregate reports whether an aggregate call appears anywhere in the
-// expression tree.
-func hasAggregate(e sql.Expr) bool {
-	switch n := e.(type) {
-	case sql.Call:
-		if isAggregateFunc(n.Name) {
-			return true
-		}
-		for _, a := range n.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case sql.Binary:
-		return hasAggregate(n.L) || hasAggregate(n.R)
-	case sql.Unary:
-		return hasAggregate(n.X)
-	case sql.In:
-		if hasAggregate(n.X) {
-			return true
-		}
-		for _, le := range n.List {
-			if hasAggregate(le) {
-				return true
-			}
-		}
-	case sql.Between:
-		return hasAggregate(n.X) || hasAggregate(n.Lo) || hasAggregate(n.Hi)
-	}
-	return false
-}
-
-func isAggregateFunc(name string) bool {
-	switch strings.ToUpper(name) {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-func evalAggregate(call sql.Call, ti *tableInfo, rows []tableRow) (sql.Value, error) {
-	name := strings.ToUpper(call.Name)
-	if name == "COUNT" && call.Star {
-		return sql.Int(int64(len(rows))), nil
-	}
-	if len(call.Args) != 1 {
-		return sql.Null(), fmt.Errorf("engine: %s takes one argument", name)
-	}
-	var count int64
-	var sum float64
-	allInt := true
-	var minV, maxV sql.Value
-	first := true
-	for i := range rows {
-		v, err := evalExpr(call.Args[0], ti, &rows[i])
-		if err != nil {
-			return sql.Null(), err
-		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		sum += v.AsReal()
-		if v.Kind() != sql.KindInt {
-			allInt = false
-		}
-		if first || sql.Compare(v, minV) < 0 {
-			minV = v
-		}
-		if first || sql.Compare(v, maxV) > 0 {
-			maxV = v
-		}
-		first = false
-	}
-	switch name {
-	case "COUNT":
-		return sql.Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return sql.Null(), nil
-		}
-		if allInt {
-			return sql.Int(int64(sum)), nil
-		}
-		return sql.Real(sum), nil
-	case "AVG":
-		if count == 0 {
-			return sql.Null(), nil
-		}
-		return sql.Real(sum / float64(count)), nil
-	case "MIN":
-		if first {
-			return sql.Null(), nil
-		}
-		return minV, nil
-	default: // MAX
-		if first {
-			return sql.Null(), nil
-		}
-		return maxV, nil
-	}
 }
 
 func (ex *executor) update(s sql.Update) (Result, error) {
@@ -859,23 +268,18 @@ func (ex *executor) update(s sql.Update) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	// The new values are literals, the same for every row.
 	setCols := make([]int, len(s.Sets))
+	setVals := make([]sql.Value, len(s.Sets))
 	for i, set := range s.Sets {
-		if ti.isRowidRef(set.Col) && ti.colIndex(set.Col) < 0 {
-			return res, fmt.Errorf("engine: updating bare rowid is unsupported")
-		}
 		ci := ti.colIndex(set.Col)
 		if ci < 0 {
 			return res, fmt.Errorf("%w: %s", ErrNoSuchColumn, set.Col)
 		}
-		setCols[i] = ci
+		setCols[i], setVals[i] = ci, applyAffinity(set.Val, ti.cols[ci].Type)
 	}
 	tbl := ex.table(cat, s.Table)
-	idxs, err := tableIndexes(cat, ti)
-	if err != nil {
-		return res, err
-	}
-	rows, err := ex.scanWhereIdx(tbl, ti, cat, idxs, s.Where)
+	rows, err := ex.scanWhere(tbl, ti, s.Where)
 	if err != nil {
 		return res, err
 	}
@@ -883,31 +287,22 @@ func (ex *executor) update(s sql.Update) (Result, error) {
 		r := &rows[i]
 		newVals := append([]sql.Value(nil), r.vals...)
 		newRowid := r.rowid
-		for si, set := range s.Sets {
-			v, err := evalExpr(set.Expr, ti, r)
-			if err != nil {
-				return res, err
-			}
-			v = applyAffinity(v, ti.cols[setCols[si]].Type)
-			if setCols[si] == ti.pkCol {
+		for si, ci := range setCols {
+			v := setVals[si]
+			if ci == ti.pkCol {
 				if v.IsNull() {
 					return res, fmt.Errorf("%w: primary key may not be NULL", ErrConstraint)
 				}
 				newRowid = v.AsInt()
 				continue
 			}
-			if ti.cols[setCols[si]].NotNull && v.IsNull() {
-				return res, fmt.Errorf("%w: %s may not be NULL", ErrConstraint, set.Col)
+			if ti.cols[ci].NotNull && v.IsNull() {
+				return res, fmt.Errorf("%w: %s may not be NULL", ErrConstraint, s.Sets[si].Col)
 			}
-			newVals[setCols[si]] = v
+			newVals[ci] = v
 		}
 		if ti.pkCol >= 0 {
 			newVals[ti.pkCol] = sql.Null()
-		}
-		if len(idxs) > 0 {
-			if err := ex.dropIndexEntries(cat, ti, idxs, r); err != nil {
-				return res, err
-			}
 		}
 		rec := EncodeRecord(newVals)
 		if newRowid != r.rowid {
@@ -923,12 +318,6 @@ func (ex *executor) update(s sql.Update) (Result, error) {
 		} else if err := tbl.Update(RowidKey(r.rowid), rec); err != nil {
 			return res, err
 		}
-		if len(idxs) > 0 {
-			nr := tableRow{rowid: newRowid, vals: newVals}
-			if err := ex.addIndexEntries(cat, ti, idxs, &nr); err != nil {
-				return res, err
-			}
-		}
 		res.RowsAffected++
 	}
 	return res, nil
@@ -942,370 +331,17 @@ func (ex *executor) delete(s sql.Delete) (Result, error) {
 		return res, err
 	}
 	tbl := ex.table(cat, s.Table)
-	idxs, err := tableIndexes(cat, ti)
-	if err != nil {
-		return res, err
-	}
-	rows, err := ex.scanWhereIdx(tbl, ti, cat, idxs, s.Where)
+	rows, err := ex.scanWhere(tbl, ti, s.Where)
 	if err != nil {
 		return res, err
 	}
 	for i := range rows {
-		if len(idxs) > 0 {
-			if err := ex.dropIndexEntries(cat, ti, idxs, &rows[i]); err != nil {
-				return res, err
-			}
-		}
 		if err := tbl.Delete(RowidKey(rows[i].rowid)); err != nil {
 			return res, err
 		}
 		res.RowsAffected++
 	}
 	return res, nil
-}
-
-// --- Expression evaluation ----------------------------------------------------
-
-// columnValue reads column ci of a row, resolving the INTEGER PRIMARY KEY
-// from the rowid.
-func columnValue(ti *tableInfo, r *tableRow, ci int) sql.Value {
-	if ci == ti.pkCol {
-		return sql.Int(r.rowid)
-	}
-	if ci < len(r.vals) {
-		return r.vals[ci]
-	}
-	return sql.Null()
-}
-
-// evalExpr evaluates an expression; ti/r are nil outside row context.
-func evalExpr(e sql.Expr, ti *tableInfo, r *tableRow) (sql.Value, error) {
-	switch n := e.(type) {
-	case sql.Literal:
-		return n.Val, nil
-	case sql.Column:
-		if ti == nil || r == nil {
-			return sql.Null(), fmt.Errorf("%w: %s (no row context)", ErrNoSuchColumn, n.Name)
-		}
-		if strings.EqualFold(n.Name, "rowid") {
-			return sql.Int(r.rowid), nil
-		}
-		ci := ti.colIndex(n.Name)
-		if ci < 0 {
-			return sql.Null(), fmt.Errorf("%w: %s", ErrNoSuchColumn, n.Name)
-		}
-		return columnValue(ti, r, ci), nil
-	case sql.Unary:
-		x, err := evalExpr(n.X, ti, r)
-		if err != nil {
-			return sql.Null(), err
-		}
-		switch n.Op {
-		case "-":
-			if x.IsNull() {
-				return sql.Null(), nil
-			}
-			if x.Kind() == sql.KindInt {
-				return sql.Int(-x.AsInt()), nil
-			}
-			return sql.Real(-x.AsReal()), nil
-		case "+":
-			return x, nil
-		case "NOT":
-			if x.IsNull() {
-				return sql.Null(), nil
-			}
-			if x.Truthy() {
-				return sql.Int(0), nil
-			}
-			return sql.Int(1), nil
-		}
-		return sql.Null(), fmt.Errorf("engine: unary %q", n.Op)
-	case sql.Binary:
-		return evalBinary(n, ti, r)
-	case sql.Call:
-		return evalCall(n, ti, r)
-	case sql.In:
-		return evalIn(n, ti, r)
-	case sql.Between:
-		// Desugar to x >= lo AND x <= hi, inheriting three-valued logic.
-		e := sql.Expr(sql.Binary{Op: "AND",
-			L: sql.Binary{Op: ">=", L: n.X, R: n.Lo},
-			R: sql.Binary{Op: "<=", L: n.X, R: n.Hi}})
-		if n.Not {
-			e = sql.Unary{Op: "NOT", X: e}
-		}
-		return evalExpr(e, ti, r)
-	}
-	return sql.Null(), fmt.Errorf("engine: unsupported expression %T", e)
-}
-
-// evalIn implements SQL IN with three-valued logic: a NULL operand or a
-// NULL list member (without a match) yields NULL.
-func evalIn(n sql.In, ti *tableInfo, r *tableRow) (sql.Value, error) {
-	x, err := evalExpr(n.X, ti, r)
-	if err != nil {
-		return sql.Null(), err
-	}
-	if x.IsNull() {
-		return sql.Null(), nil
-	}
-	sawNull := false
-	match := false
-	for _, le := range n.List {
-		v, err := evalExpr(le, ti, r)
-		if err != nil {
-			return sql.Null(), err
-		}
-		if v.IsNull() {
-			sawNull = true
-			continue
-		}
-		if sql.Compare(x, v) == 0 {
-			match = true
-			break
-		}
-	}
-	switch {
-	case match:
-		return boolVal(!n.Not), nil
-	case sawNull:
-		return sql.Null(), nil
-	default:
-		return boolVal(n.Not), nil
-	}
-}
-
-func evalBinary(n sql.Binary, ti *tableInfo, r *tableRow) (sql.Value, error) {
-	l, err := evalExpr(n.L, ti, r)
-	if err != nil {
-		return sql.Null(), err
-	}
-	// IS / IS NOT observe NULL directly (no three-valued logic).
-	if n.Op == "IS" || n.Op == "IS NOT" {
-		rv, err := evalExpr(n.R, ti, r)
-		if err != nil {
-			return sql.Null(), err
-		}
-		same := (l.IsNull() && rv.IsNull()) || (!l.IsNull() && !rv.IsNull() && sql.Compare(l, rv) == 0)
-		if n.Op == "IS NOT" {
-			same = !same
-		}
-		return boolVal(same), nil
-	}
-	rv, err := evalExpr(n.R, ti, r)
-	if err != nil {
-		return sql.Null(), err
-	}
-	switch n.Op {
-	case "AND":
-		lf, rf := !l.IsNull() && !l.Truthy(), !rv.IsNull() && !rv.Truthy()
-		if lf || rf {
-			return sql.Int(0), nil
-		}
-		if l.IsNull() || rv.IsNull() {
-			return sql.Null(), nil
-		}
-		return sql.Int(1), nil
-	case "OR":
-		lt, rt := !l.IsNull() && l.Truthy(), !rv.IsNull() && rv.Truthy()
-		if lt || rt {
-			return sql.Int(1), nil
-		}
-		if l.IsNull() || rv.IsNull() {
-			return sql.Null(), nil
-		}
-		return sql.Int(0), nil
-	}
-	if l.IsNull() || rv.IsNull() {
-		return sql.Null(), nil
-	}
-	switch n.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		c := sql.Compare(l, rv)
-		switch n.Op {
-		case "=":
-			return boolVal(c == 0), nil
-		case "!=":
-			return boolVal(c != 0), nil
-		case "<":
-			return boolVal(c < 0), nil
-		case "<=":
-			return boolVal(c <= 0), nil
-		case ">":
-			return boolVal(c > 0), nil
-		default:
-			return boolVal(c >= 0), nil
-		}
-	case "+", "-", "*", "/", "%":
-		return arith(n.Op, l, rv)
-	case "||":
-		return sql.Text(l.AsText() + rv.AsText()), nil
-	case "LIKE":
-		return boolVal(likeMatch(rv.AsText(), l.AsText())), nil
-	}
-	return sql.Null(), fmt.Errorf("engine: operator %q", n.Op)
-}
-
-func arith(op string, l, r sql.Value) (sql.Value, error) {
-	bothInt := l.Kind() == sql.KindInt && r.Kind() == sql.KindInt
-	if bothInt {
-		a, b := l.AsInt(), r.AsInt()
-		switch op {
-		case "+":
-			return sql.Int(a + b), nil
-		case "-":
-			return sql.Int(a - b), nil
-		case "*":
-			return sql.Int(a * b), nil
-		case "/":
-			if b == 0 {
-				return sql.Null(), nil
-			}
-			return sql.Int(a / b), nil
-		case "%":
-			if b == 0 {
-				return sql.Null(), nil
-			}
-			return sql.Int(a % b), nil
-		}
-	}
-	a, b := l.AsReal(), r.AsReal()
-	switch op {
-	case "+":
-		return sql.Real(a + b), nil
-	case "-":
-		return sql.Real(a - b), nil
-	case "*":
-		return sql.Real(a * b), nil
-	case "/":
-		if b == 0 {
-			return sql.Null(), nil
-		}
-		return sql.Real(a / b), nil
-	case "%":
-		if int64(b) == 0 {
-			return sql.Null(), nil
-		}
-		return sql.Int(int64(a) % int64(b)), nil
-	}
-	return sql.Null(), fmt.Errorf("engine: arithmetic %q", op)
-}
-
-func boolVal(b bool) sql.Value {
-	if b {
-		return sql.Int(1)
-	}
-	return sql.Int(0)
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards, ASCII
-// case-insensitive like SQLite's default.
-func likeMatch(pattern, s string) bool {
-	p := strings.ToLower(pattern)
-	t := strings.ToLower(s)
-	return likeRec(p, t)
-}
-
-func likeRec(p, s string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		default:
-			if len(s) == 0 || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		}
-	}
-	return len(s) == 0
-}
-
-func evalCall(n sql.Call, ti *tableInfo, r *tableRow) (sql.Value, error) {
-	name := strings.ToUpper(n.Name)
-	if isAggregateFunc(name) {
-		return sql.Null(), fmt.Errorf("engine: aggregate %s in row context", name)
-	}
-	args := make([]sql.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := evalExpr(a, ti, r)
-		if err != nil {
-			return sql.Null(), err
-		}
-		args[i] = v
-	}
-	switch name {
-	case "LENGTH":
-		if len(args) != 1 {
-			break
-		}
-		if args[0].IsNull() {
-			return sql.Null(), nil
-		}
-		if args[0].Kind() == sql.KindBlob {
-			return sql.Int(int64(len(args[0].AsBlob()))), nil
-		}
-		return sql.Int(int64(len(args[0].AsText()))), nil
-	case "ABS":
-		if len(args) != 1 {
-			break
-		}
-		if args[0].IsNull() {
-			return sql.Null(), nil
-		}
-		if args[0].Kind() == sql.KindInt {
-			v := args[0].AsInt()
-			if v < 0 {
-				v = -v
-			}
-			return sql.Int(v), nil
-		}
-		v := args[0].AsReal()
-		if v < 0 {
-			v = -v
-		}
-		return sql.Real(v), nil
-	case "UPPER":
-		if len(args) != 1 {
-			break
-		}
-		return sql.Text(strings.ToUpper(args[0].AsText())), nil
-	case "LOWER":
-		if len(args) != 1 {
-			break
-		}
-		return sql.Text(strings.ToLower(args[0].AsText())), nil
-	case "HEX":
-		if len(args) != 1 {
-			break
-		}
-		return sql.Text(strings.ToUpper(fmt.Sprintf("%x", args[0].AsBlob()))), nil
-	case "TYPEOF":
-		if len(args) != 1 {
-			break
-		}
-		return sql.Text(strings.ToLower(args[0].Kind().String())), nil
-	default:
-		return sql.Null(), fmt.Errorf("engine: unknown function %s", n.Name)
-	}
-	return sql.Null(), fmt.Errorf("engine: %s: wrong argument count", name)
 }
 
 // applyAffinity coerces a value to a column's declared type when lossless,

@@ -9,7 +9,6 @@ import (
 	"fasp/internal/fast"
 	"fasp/internal/pmem"
 	"fasp/internal/sql"
-	"fasp/internal/wal"
 )
 
 func TestTablesAndSchema(t *testing.T) {
@@ -65,7 +64,7 @@ func TestErrorInsideExplicitTxnKeepsItOpen(t *testing.T) {
 		t.Fatal("duplicate accepted")
 	}
 	// Transaction still open; the earlier insert is still pending.
-	if !db.InTxn() {
+	if !db.explicit {
 		t.Fatal("txn closed by statement error")
 	}
 	db.MustExec(`COMMIT`)
@@ -79,30 +78,37 @@ func TestTypeAffinity(t *testing.T) {
 	db := newDB(t)
 	db.MustExec(`CREATE TABLE t (i INTEGER, r REAL, s TEXT)`)
 	db.MustExec(`INSERT INTO t VALUES ('42', 7, 99)`)
-	rows, _ := db.QueryRows(`SELECT typeof(i), typeof(r), typeof(s) FROM t`)
-	r := rows[0]
-	if r[0].AsText() != "integer" || r[1].AsText() != "real" {
+	db.MustExec(`INSERT INTO t VALUES (3.0, 'x', 'y')`)
+	rows, _ := db.QueryRows(`SELECT i, r, s FROM t`)
+	if r := rows[0]; r[0].Kind() != sql.KindInt || r[1].Kind() != sql.KindReal || r[2].Kind() != sql.KindInt {
 		t.Fatalf("affinity = %v", r)
+	}
+	if r := rows[1]; r[0].Kind() != sql.KindInt || r[0].AsInt() != 3 || r[1].Kind() != sql.KindText {
+		t.Fatalf("affinity = %v", r)
+	}
+	// UPDATE applies the same affinity.
+	db.MustExec(`UPDATE t SET i = '7', r = 2 WHERE rowid = 2`)
+	rows, _ = db.QueryRows(`SELECT i, r FROM t WHERE rowid = 2`)
+	if r := rows[0]; r[0].Kind() != sql.KindInt || r[1].Kind() != sql.KindReal {
+		t.Fatalf("update affinity = %v", r)
 	}
 }
 
-func TestIsNullQueries(t *testing.T) {
+func TestNullComparisons(t *testing.T) {
 	db := newDB(t)
 	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
 	db.MustExec(`INSERT INTO t (id) VALUES (1)`)
 	db.MustExec(`INSERT INTO t VALUES (2, 'x')`)
-	rows, err := db.QueryRows(`SELECT id FROM t WHERE v IS NULL`)
-	if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 1 {
-		t.Fatalf("IS NULL = %v, %v", rows, err)
+	rows, err := db.QueryRows(`SELECT id, v FROM t WHERE id = 1`)
+	if err != nil || len(rows) != 1 || !rows[0][1].IsNull() {
+		t.Fatalf("unset column = %v, %v", rows, err)
 	}
-	rows, _ = db.QueryRows(`SELECT id FROM t WHERE v IS NOT NULL`)
-	if len(rows) != 1 || rows[0][0].AsInt() != 2 {
-		t.Fatalf("IS NOT NULL = %v", rows)
-	}
-	// Comparisons with NULL match nothing.
-	rows, _ = db.QueryRows(`SELECT id FROM t WHERE v = NULL`)
-	if len(rows) != 0 {
-		t.Fatalf("= NULL matched %v", rows)
+	// A comparison with NULL on either side matches nothing.
+	for where, want := range map[string]int{"v = NULL": 0, "v != NULL": 0, "v != 'y'": 1, "v < 'y'": 1} {
+		rows, _ = db.QueryRows(`SELECT id FROM t WHERE ` + where)
+		if len(rows) != want || want == 1 && rows[0][0].AsInt() != 2 {
+			t.Fatalf("%s matched %v, want %d row(s)", where, rows, want)
+		}
 	}
 }
 
@@ -110,47 +116,18 @@ func TestBlobRoundTripThroughSQL(t *testing.T) {
 	db := newDB(t)
 	db.MustExec(`CREATE TABLE b (id INTEGER PRIMARY KEY, data BLOB)`)
 	db.MustExec(`INSERT INTO b VALUES (1, x'00ff10ab')`)
-	rows, err := db.QueryRows(`SELECT data, LENGTH(data), HEX(data) FROM b WHERE id = 1`)
+	rows, err := db.QueryRows(`SELECT data FROM b WHERE id = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if got := r[0].AsBlob(); len(got) != 4 || got[1] != 0xFF {
-		t.Fatalf("blob = %x", got)
+	if got := rows[0][0]; got.Kind() != sql.KindBlob || string(got.AsBlob()) != "\x00\xff\x10\xab" {
+		t.Fatalf("blob = %v", got)
 	}
-	if r[1].AsInt() != 4 || r[2].AsText() != "00FF10AB" {
-		t.Fatalf("len/hex = %v %v", r[1], r[2])
-	}
-}
-
-func TestMultiColumnOrderBy(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (a INTEGER, b INTEGER)`)
-	for _, pair := range [][2]int{{2, 1}, {1, 2}, {2, 3}, {1, 1}, {2, 2}} {
-		db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, pair[0], pair[1]))
-	}
-	rows, err := db.QueryRows(`SELECT a, b FROM t ORDER BY a ASC, b DESC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int64{{1, 2}, {1, 1}, {2, 3}, {2, 2}, {2, 1}}
-	for i, w := range want {
-		if rows[i][0].AsInt() != w[0] || rows[i][1].AsInt() != w[1] {
-			t.Fatalf("row %d = %v, want %v", i, rows[i], w)
-		}
-	}
-}
-
-func TestDivisionByZeroIsNull(t *testing.T) {
-	db := newDB(t)
-	rows, err := db.QueryRows(`SELECT 1/0, 1.0/0, 5 % 0`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range rows[0] {
-		if !v.IsNull() {
-			t.Fatalf("expr %d = %v, want NULL", i, v)
-		}
+	// Blobs compare bytewise in a WHERE.
+	db.MustExec(`INSERT INTO b VALUES (2, x'00ff')`)
+	rows, _ = db.QueryRows(`SELECT id FROM b WHERE data > x'00ff'`)
+	if len(rows) != 1 || rows[0][0].AsInt() != 1 {
+		t.Fatalf("blob compare = %v", rows)
 	}
 }
 
@@ -159,7 +136,7 @@ func TestUpdatePrimaryKeyMovesRow(t *testing.T) {
 	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
 	db.MustExec(`INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
 	db.MustExec(`UPDATE t SET id = 10 WHERE id = 1`)
-	rows, _ := db.QueryRows(`SELECT id, v FROM t ORDER BY id`)
+	rows, _ := db.QueryRows(`SELECT id, v FROM t`)
 	if len(rows) != 2 || rows[1][0].AsInt() != 10 || rows[1][1].AsText() != "a" {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -169,46 +146,6 @@ func TestUpdatePrimaryKeyMovesRow(t *testing.T) {
 	}
 }
 
-func TestSelectExpressionsWithoutFrom(t *testing.T) {
-	db := newDB(t)
-	rows, err := db.QueryRows(`SELECT 1 + 1 AS two, 'a' || 'b'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][0].AsInt() != 2 || rows[0][1].AsText() != "ab" {
-		t.Fatalf("rows = %v", rows)
-	}
-	if _, err := db.Exec(`SELECT * `); err == nil {
-		t.Fatal("SELECT * without FROM accepted")
-	}
-}
-
-func TestUnknownFunctionErrors(t *testing.T) {
-	db := newDB(t)
-	if _, err := db.Exec(`SELECT frobnicate(1)`); err == nil {
-		t.Fatal("unknown function accepted")
-	}
-}
-
-func TestVacuumOnBaselineIsNoop(t *testing.T) {
-	sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
-	db := Open(wal.Create(sys, wal.Config{PageSize: 1024, MaxPages: 1024, Kind: wal.NVWAL}))
-	db.MustExec(`CREATE TABLE t (x INTEGER)`)
-	res := db.MustExec(`VACUUM`)
-	if res[0].RowsAffected != 0 {
-		t.Fatalf("vacuum on NVWAL reclaimed %d", res[0].RowsAffected)
-	}
-}
-
-func TestVacuumInsideTxnRejected(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`BEGIN`)
-	if _, err := db.Exec(`VACUUM`); err == nil {
-		t.Fatal("VACUUM inside txn accepted")
-	}
-	db.MustExec(`ROLLBACK`)
-}
-
 func TestLargeTextValuesSpanningPages(t *testing.T) {
 	sys := pmem.NewSystem(pmem.DefaultLatencies(300, 300))
 	st := fast.Create(sys, fast.Config{PageSize: 4096, MaxPages: 4096, Variant: fast.InPlaceCommit})
@@ -216,9 +153,9 @@ func TestLargeTextValuesSpanningPages(t *testing.T) {
 	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
 	long := strings.Repeat("abcdefgh", 300) // 2400 bytes
 	db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (1, '%s')`, long))
-	rows, _ := db.QueryRows(`SELECT LENGTH(v) FROM t WHERE id = 1`)
-	if rows[0][0].AsInt() != 2400 {
-		t.Fatalf("length = %v", rows[0][0])
+	rows, _ := db.QueryRows(`SELECT v FROM t WHERE id = 1`)
+	if rows[0][0].AsText() != long {
+		t.Fatalf("length = %d", len(rows[0][0].AsText()))
 	}
 	// A value too large for any page errors cleanly.
 	huge := strings.Repeat("x", 8000)
@@ -230,18 +167,29 @@ func TestLargeTextValuesSpanningPages(t *testing.T) {
 }
 
 func TestStatementOverheadCharged(t *testing.T) {
+	if StatementOverheadNS != 10_000 {
+		t.Fatalf("StatementOverheadNS = %d, want the 10 µs calibration", StatementOverheadNS)
+	}
 	db := newDB(t)
-	db.StatementOverheadNS = 5000
-	t0 := db.Store().Sys().Clock().Now()
-	db.MustExec(`SELECT 1`)
-	if d := db.Store().Sys().Clock().Now() - t0; d < 5000 {
-		t.Fatalf("statement charged %d ns, want >= 5000", d)
+	// BEGIN and ROLLBACK touch no page: each costs the overhead exactly.
+	clock := db.st.Sys().Clock()
+	t0 := clock.Now()
+	db.MustExec(`BEGIN; ROLLBACK`)
+	if d := clock.Now() - t0; d != 2*StatementOverheadNS {
+		t.Fatalf("BEGIN; ROLLBACK charged %d ns, want %d", d, 2*StatementOverheadNS)
+	}
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	t0 = clock.Now()
+	db.MustExec(`SELECT COUNT(*) FROM t`)
+	if d := clock.Now() - t0; d < StatementOverheadNS {
+		t.Fatalf("SELECT charged %d ns, want >= %d", d, StatementOverheadNS)
 	}
 }
 
 func TestQueryRowsRejectsMultipleStatements(t *testing.T) {
 	db := newDB(t)
-	if _, err := db.QueryRows(`SELECT 1; SELECT 2`); err == nil {
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	if _, err := db.QueryRows(`SELECT * FROM t; SELECT id FROM t`); err == nil {
 		t.Fatal("multi-statement query accepted")
 	}
 }
@@ -255,146 +203,5 @@ func TestValueKindsSurviveSQLRoundTrip(t *testing.T) {
 	if r[0].Kind() != sql.KindInt || r[1].Kind() != sql.KindReal ||
 		r[2].Kind() != sql.KindText || r[3].Kind() != sql.KindBlob {
 		t.Fatalf("kinds = %v %v %v %v", r[0].Kind(), r[1].Kind(), r[2].Kind(), r[3].Kind())
-	}
-}
-
-func TestGroupByHaving(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE sales (region TEXT, amount INTEGER)`)
-	for _, row := range []struct {
-		r string
-		a int
-	}{
-		{"east", 10}, {"east", 20}, {"west", 5}, {"west", 7}, {"north", 100},
-	} {
-		db.MustExec(fmt.Sprintf(`INSERT INTO sales VALUES ('%s', %d)`, row.r, row.a))
-	}
-	rows, err := db.QueryRows(`SELECT region, SUM(amount), COUNT(*) FROM sales
-		GROUP BY region ORDER BY SUM(amount) DESC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d groups", len(rows))
-	}
-	if rows[0][0].AsText() != "north" || rows[0][1].AsInt() != 100 {
-		t.Fatalf("row0 = %v", rows[0])
-	}
-	if rows[1][0].AsText() != "east" || rows[1][1].AsInt() != 30 || rows[1][2].AsInt() != 2 {
-		t.Fatalf("row1 = %v", rows[1])
-	}
-	// HAVING filters groups by aggregate.
-	rows, err = db.QueryRows(`SELECT region FROM sales GROUP BY region HAVING SUM(amount) > 12 ORDER BY region`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0][0].AsText() != "east" || rows[1][0].AsText() != "north" {
-		t.Fatalf("having rows = %v", rows)
-	}
-	// Aggregate arithmetic composes.
-	rows, _ = db.QueryRows(`SELECT COUNT(*) + 1, AVG(amount) * 2 FROM sales`)
-	if rows[0][0].AsInt() != 6 {
-		t.Fatalf("count+1 = %v", rows[0][0])
-	}
-}
-
-func TestGroupByEmptyTable(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (g TEXT, v INTEGER)`)
-	// Implicit single group on empty input yields one row (SQL semantics).
-	rows, err := db.QueryRows(`SELECT COUNT(*), SUM(v) FROM t`)
-	if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 0 || !rows[0][1].IsNull() {
-		t.Fatalf("rows = %v, %v", rows, err)
-	}
-	// Explicit GROUP BY on empty input yields no rows.
-	rows, err = db.QueryRows(`SELECT g, COUNT(*) FROM t GROUP BY g`)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("rows = %v, %v", rows, err)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (a INTEGER, b TEXT)`)
-	for i := 0; i < 12; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d, 'x%d')`, i%3, i%2))
-	}
-	rows, err := db.QueryRows(`SELECT DISTINCT a FROM t ORDER BY a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0][0].AsInt() != 0 || rows[2][0].AsInt() != 2 {
-		t.Fatalf("distinct a = %v", rows)
-	}
-	rows, _ = db.QueryRows(`SELECT DISTINCT a, b FROM t`)
-	if len(rows) != 6 {
-		t.Fatalf("distinct pairs = %d", len(rows))
-	}
-	rows, _ = db.QueryRows(`SELECT DISTINCT a FROM t ORDER BY a LIMIT 2`)
-	if len(rows) != 2 {
-		t.Fatalf("distinct+limit = %v", rows)
-	}
-}
-
-func TestGroupByLimitAndOffset(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (g INTEGER)`)
-	for i := 0; i < 30; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i%6))
-	}
-	rows, err := db.QueryRows(`SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g LIMIT 3 OFFSET 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0][0].AsInt() != 2 || rows[2][0].AsInt() != 4 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestInAndBetween(t *testing.T) {
-	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, s TEXT)`)
-	for i := 1; i <= 10; i++ {
-		db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, 's%d')`, i, i*10, i))
-	}
-	rows, err := db.QueryRows(`SELECT id FROM t WHERE v IN (20, 50, 90, 999) ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0][0].AsInt() != 2 || rows[2][0].AsInt() != 9 {
-		t.Fatalf("IN rows = %v", rows)
-	}
-	rows, _ = db.QueryRows(`SELECT id FROM t WHERE v NOT IN (20, 50) ORDER BY id`)
-	if len(rows) != 8 {
-		t.Fatalf("NOT IN rows = %d", len(rows))
-	}
-	rows, _ = db.QueryRows(`SELECT COUNT(*) FROM t WHERE v BETWEEN 30 AND 60`)
-	if rows[0][0].AsInt() != 4 {
-		t.Fatalf("BETWEEN = %v", rows[0][0])
-	}
-	rows, _ = db.QueryRows(`SELECT COUNT(*) FROM t WHERE v NOT BETWEEN 30 AND 60`)
-	if rows[0][0].AsInt() != 6 {
-		t.Fatalf("NOT BETWEEN = %v", rows[0][0])
-	}
-	rows, _ = db.QueryRows(`SELECT COUNT(*) FROM t WHERE s NOT LIKE 's1%'`)
-	if rows[0][0].AsInt() != 8 { // excludes s1 and s10
-		t.Fatalf("NOT LIKE = %v", rows[0][0])
-	}
-	// Strings work in IN; NULL semantics hold.
-	rows, _ = db.QueryRows(`SELECT COUNT(*) FROM t WHERE s IN ('s3', 's7')`)
-	if rows[0][0].AsInt() != 2 {
-		t.Fatalf("string IN = %v", rows[0][0])
-	}
-	rows, _ = db.QueryRows(`SELECT 1 IN (NULL, 2), 1 IN (NULL, 1), 1 NOT IN (NULL, 2)`)
-	if !rows[0][0].IsNull() || rows[0][1].AsInt() != 1 || !rows[0][2].IsNull() {
-		t.Fatalf("IN null semantics = %v", rows[0])
-	}
-	// Grouped context.
-	rows, err = db.QueryRows(`SELECT COUNT(*) FROM t GROUP BY v BETWEEN 1 AND 50`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("grouped between = %v", rows)
 	}
 }

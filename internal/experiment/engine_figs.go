@@ -199,4 +199,4 @@ func PrintFig12(rows []Fig12Row, w io.Writer) {
 }
 
 // EngineOverheadNS exposes the modelled SQL front-end cost for EXPERIMENTS.md.
-func EngineOverheadNS() int64 { return engine.Open(nil).StatementOverheadNS }
+func EngineOverheadNS() int64 { return engine.StatementOverheadNS }

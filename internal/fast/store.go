@@ -407,7 +407,7 @@ func (st *Store) stackEntry(i uint32) uint32 {
 }
 
 // pushFreePages appends freed pages to the stack post-commit. A crash in
-// here leaks the pages (reclaimable by GC), never corrupts the store.
+// here leaks the pages (nothing reclaims them yet), never corrupts the store.
 func (st *Store) pushFreePages(count *uint32, pages []uint32) {
 	for _, no := range pages {
 		st.arena.StoreU32(st.cfg.stackBase()+4*int64(*count), no)
@@ -416,29 +416,6 @@ func (st *Store) pushFreePages(count *uint32, pages []uint32) {
 		// Publish the new count with a single atomic store.
 		pager.PokeFreeCount(st.arena, 0, *count)
 	}
-}
-
-// ReclaimExcept garbage-collects pages leaked by crashed or aborted
-// transactions (§4.4: orphaned sibling pages "can be safely garbage
-// collected"): every allocated page that is neither reachable nor already
-// in the free-page stack is pushed onto the stack. The caller supplies the
-// reachability set (the B-tree layer computes it); the engine's VACUUM
-// statement drives this.
-func (st *Store) ReclaimExcept(reachable map[uint32]bool) (int, error) {
-	free := make(map[uint32]bool, st.meta.FreeCount)
-	for i := uint32(0); i < st.meta.FreeCount; i++ {
-		free[st.stackEntry(i)] = true
-	}
-	var leaked []uint32
-	for no := uint32(1); no < st.meta.NPages; no++ {
-		if !reachable[no] && !free[no] {
-			leaked = append(leaked, no)
-		}
-	}
-	count := st.meta.FreeCount
-	st.pushFreePages(&count, leaked)
-	st.meta.FreeCount = count
-	return len(leaked), nil
 }
 
 // Errors specific to the FAST store.

@@ -316,34 +316,6 @@ func testRepairedHeaderNotRelogged(t *testing.T, v Variant) {
 	}
 }
 
-func TestReclaimExceptFindsLeaks(t *testing.T) {
-	_, st := newStore(t, InPlaceCommit)
-	tx, _ := st.Begin()
-	no1, _, _ := tx.AllocPage(slotted.TypeLeaf)
-	no2, _, _ := tx.AllocPage(slotted.TypeLeaf)
-	tx.SetRoot(no1)
-	tx.OpEnd()
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// no2 is allocated but unreachable: a leak.
-	n, err := st.ReclaimExcept(map[uint32]bool{no1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("reclaimed %d pages, want 1 (page %d)", n, no2)
-	}
-	if st.Meta().FreeCount != 1 {
-		t.Fatalf("free count = %d", st.Meta().FreeCount)
-	}
-	// Idempotent: a second pass finds nothing.
-	n, err = st.ReclaimExcept(map[uint32]bool{no1: true})
-	if err != nil || n != 0 {
-		t.Fatalf("second reclaim = %d, %v", n, err)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	_, st := newStore(t, SlotHeaderLogging)
 	tx, _ := st.Begin()

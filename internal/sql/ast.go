@@ -45,78 +45,38 @@ type CreateTable struct {
 	IfNotExists bool
 }
 
-// DropTable is DROP TABLE [IF EXISTS] name.
-type DropTable struct {
-	Name     string
-	IfExists bool
-}
-
-// CreateIndex is CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (col).
-type CreateIndex struct {
-	Name        string
-	Table       string
-	Col         string
-	Unique      bool
-	IfNotExists bool
-}
-
-// DropIndex is DROP INDEX [IF EXISTS] name.
-type DropIndex struct {
-	Name     string
-	IfExists bool
-}
-
 // Insert is INSERT INTO name [(cols…)] VALUES (…), (…), ….
 type Insert struct {
 	Table string
 	Cols  []string
-	Rows  [][]Expr
+	Rows  [][]Value
 }
 
-// SelectCol is one projection of a SELECT (Star means "*").
-type SelectCol struct {
-	Expr  Expr
-	Alias string
-	Star  bool
-}
-
-// OrderTerm is one ORDER BY term.
-type OrderTerm struct {
-	Expr Expr
-	Desc bool
-}
-
-// Select is SELECT [DISTINCT] cols FROM table [WHERE] [GROUP BY [HAVING]]
-// [ORDER BY] [LIMIT [OFFSET]].
+// Select is SELECT * | COUNT(*) | col, … FROM table [WHERE].
 type Select struct {
-	Distinct bool
-	Cols     []SelectCol
-	Table    string
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderTerm
-	Limit    Expr // nil = none
-	Offset   Expr // nil = none
+	Table string
+	Cols  []string // the named columns; nil selects every column
+	Count bool     // SELECT COUNT(*)
+	Where *Cond
 }
 
-// Update is UPDATE table SET col=expr, … [WHERE].
+// Update is UPDATE table SET col = literal, … [WHERE].
 type Update struct {
 	Table string
 	Sets  []SetClause
-	Where Expr
+	Where *Cond
 }
 
-// SetClause is one col = expr assignment.
+// SetClause is one col = literal assignment.
 type SetClause struct {
-	Col  string
-	Expr Expr
+	Col string
+	Val Value
 }
 
 // Delete is DELETE FROM table [WHERE].
 type Delete struct {
 	Table string
-	Where Expr
+	Where *Cond
 }
 
 // Begin / Commit / Rollback are transaction-control statements.
@@ -126,13 +86,7 @@ type (
 	Rollback struct{}
 )
 
-// Vacuum triggers store-wide garbage collection of leaked pages.
-type Vacuum struct{}
-
 func (CreateTable) stmt() {}
-func (DropTable) stmt()   {}
-func (CreateIndex) stmt() {}
-func (DropIndex) stmt()   {}
 func (Insert) stmt()      {}
 func (Select) stmt()      {}
 func (Update) stmt()      {}
@@ -140,54 +94,11 @@ func (Delete) stmt()      {}
 func (Begin) stmt()       {}
 func (Commit) stmt()      {}
 func (Rollback) stmt()    {}
-func (Vacuum) stmt()      {}
 
-// Expr is an expression tree node.
-type Expr interface{ expr() }
-
-// Literal is a constant value.
-type Literal struct{ Val Value }
-
-// Column references a column by name ("rowid" included).
-type Column struct{ Name string }
-
-// Binary applies an infix operator: comparison, arithmetic, AND/OR, LIKE,
-// IS / IS NOT (null tests), ||.
-type Binary struct {
-	Op   string
-	L, R Expr
+// Cond is the one WHERE form: col op literal, where op is one of
+// = != < <= > >= (<> is read as !=).
+type Cond struct {
+	Col string
+	Op  string
+	Val Value
 }
-
-// Unary applies a prefix operator: -, +, NOT.
-type Unary struct {
-	Op string
-	X  Expr
-}
-
-// Call is a function call; Star marks COUNT(*).
-type Call struct {
-	Name string
-	Args []Expr
-	Star bool
-}
-
-// In is x [NOT] IN (e1, e2, …).
-type In struct {
-	X    Expr
-	List []Expr
-	Not  bool
-}
-
-// Between is x [NOT] BETWEEN lo AND hi.
-type Between struct {
-	X, Lo, Hi Expr
-	Not       bool
-}
-
-func (Literal) expr() {}
-func (Column) expr()  {}
-func (Binary) expr()  {}
-func (Unary) expr()   {}
-func (Call) expr()    {}
-func (In) expr()      {}
-func (Between) expr() {}

@@ -35,16 +35,15 @@ type Token struct {
 	Pos  int
 }
 
+// keywords are the words the dialect reserves: those of the statements it
+// runs, and (in removed) those that start a construct it refuses.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
 	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "DROP": true, "IF": true, "EXISTS": true, "NOT": true,
-	"NULL": true, "PRIMARY": true, "KEY": true, "INTEGER": true, "INT": true,
-	"TEXT": true, "REAL": true, "BLOB": true, "AND": true, "OR": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "BEGIN": true, "GROUP": true, "HAVING": true, "DISTINCT": true, "COMMIT": true, "ROLLBACK": true,
-	"TRANSACTION": true, "IS": true, "LIKE": true, "COUNT": true, "AS": true,
-	"VACUUM": true, "DEFAULT": true, "INDEX": true, "UNIQUE": true, "ON": true, "IN": true, "BETWEEN": true,
+	"TABLE": true, "IF": true, "NOT": true, "EXISTS": true, "NULL": true,
+	"PRIMARY": true, "KEY": true, "INTEGER": true, "INT": true, "TEXT": true,
+	"REAL": true, "BLOB": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+	"TRANSACTION": true, "COUNT": true,
 }
 
 // Lex tokenises a SQL string.
@@ -83,7 +82,7 @@ func Lex(src string) ([]Token, error) {
 				i = j + 2 + end
 				continue
 			}
-			if keywords[up] {
+			if keywords[up] || removed[up] != "" {
 				toks = append(toks, Token{Kind: TokKeyword, Text: up, Pos: i})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: i})
@@ -143,13 +142,13 @@ func Lex(src string) ([]Token, error) {
 				two = src[i : i+2]
 			}
 			switch two {
-			case "<=", ">=", "<>", "!=", "==", "||":
+			case "<=", ">=", "<>", "!=", "||":
 				toks = append(toks, Token{Kind: TokOp, Text: two, Pos: i})
 				i += 2
 				continue
 			}
 			switch c {
-			case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';', '.':
+			case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';':
 				toks = append(toks, Token{Kind: TokOp, Text: string(c), Pos: i})
 				i++
 			default:

@@ -1,9 +1,29 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 )
+
+// ErrUnsupported marks a statement form outside the dialect: the parser
+// refuses it with an error that wraps ErrUnsupported and names the
+// construct, e.g. "sql: unsupported: CREATE INDEX".
+var ErrUnsupported = errors.New("sql: unsupported")
+
+// removed maps each keyword that starts a refused construct to the name the
+// error gives it.
+var removed = map[string]string{
+	"DROP": "DROP", "INDEX": "INDEX", "UNIQUE": "UNIQUE", "VACUUM": "VACUUM",
+	"DISTINCT": "DISTINCT", "AS": "AS", "GROUP": "GROUP BY", "HAVING": "HAVING",
+	"ORDER": "ORDER BY", "LIMIT": "LIMIT", "OFFSET": "OFFSET",
+	"AND": "AND", "OR": "OR", "NOT": "NOT", "IS": "IS",
+	"LIKE": "LIKE", "IN": "IN", "BETWEEN": "BETWEEN",
+}
+
+func unsupported(construct string) error {
+	return fmt.Errorf("%w: %s", ErrUnsupported, construct)
+}
 
 // Parse parses a semicolon-separated sequence of statements.
 func Parse(src string) ([]Stmt, error) {
@@ -25,7 +45,7 @@ func Parse(src string) ([]Stmt, error) {
 		}
 		stmts = append(stmts, s)
 		if !p.acceptOp(";") && p.peek().Kind != TokEOF {
-			return nil, p.errf("expected ';' or end of input")
+			return nil, p.fail("expected ';' or end of input")
 		}
 	}
 }
@@ -48,9 +68,35 @@ type parser struct {
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+// peekAt returns the token n places ahead (EOF past the end).
+func (p *parser) peekAt(n int) Token { return p.toks[min(p.pos+n, len(p.toks)-1)] }
+
+// isOp reports whether t is the operator or punctuation op.
+func isOp(t Token, op string) bool { return t.Kind == TokOp && t.Text == op }
+
+// callAhead reports whether the token after the current one opens an
+// argument list, making the current one a function name.
+func (p *parser) callAhead() bool { return isOp(p.peekAt(1), "(") }
+
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: %s (near position %d)", fmt.Sprintf(format, args...), p.peek().Pos)
+}
+
+// fail reports a parse error at the current token: ErrUnsupported when the
+// token starts a refused construct, a syntax error otherwise.
+func (p *parser) fail(format string, args ...any) error {
+	t := p.peek()
+	switch {
+	case t.Kind == TokKeyword && removed[t.Text] != "":
+		return unsupported(removed[t.Text])
+	case t.Kind == TokOp && (t.Text == "+" || t.Text == "-" || t.Text == "*" ||
+		t.Text == "/" || t.Text == "%" || t.Text == "||"):
+		return unsupported("operator " + t.Text)
+	case (t.Kind == TokIdent || t.Kind == TokKeyword && t.Text == "COUNT") && p.callAhead():
+		return unsupported("function call " + t.Text)
+	}
+	return p.errf(format, args...)
 }
 
 func (p *parser) acceptKw(kw string) bool {
@@ -63,7 +109,7 @@ func (p *parser) acceptKw(kw string) bool {
 
 func (p *parser) expectKw(kw string) error {
 	if !p.acceptKw(kw) {
-		return p.errf("expected %s", kw)
+		return p.fail("expected %s", kw)
 	}
 	return nil
 }
@@ -78,23 +124,84 @@ func (p *parser) acceptOp(op string) bool {
 
 func (p *parser) expectOp(op string) error {
 	if !p.acceptOp(op) {
-		return p.errf("expected %q", op)
+		return p.fail("expected %q", op)
 	}
 	return nil
 }
 
-// ident accepts an identifier or a non-reserved keyword used as a name.
+// isName reports whether t can name a table or column: an identifier or
+// one of the keywords that may also be a name.
+func isName(t Token) bool {
+	return t.Kind == TokIdent || t.Kind == TokKeyword && (t.Text == "KEY" || t.Text == "COUNT")
+}
+
+// ident accepts a name.
 func (p *parser) ident() (string, error) {
+	if t := p.peek(); isName(t) {
+		p.pos++
+		return t.Text, nil
+	}
+	return "", p.errf("expected identifier, got %q", p.peek().Text)
+}
+
+// column accepts a column reference where the select list or a WHERE
+// clause needs one; ctx names the refused construct if a literal is there.
+func (p *parser) column(ctx string) (string, error) {
+	switch t := p.peek(); {
+	case isName(t) && !p.callAhead():
+		return p.ident()
+	case t.Kind == TokInt || t.Kind == TokFloat || t.Kind == TokString || t.Kind == TokBlob ||
+		(t.Kind == TokKeyword && t.Text == "NULL"):
+		return "", unsupported(ctx)
+	case isOp(t, "("):
+		return "", unsupported("parenthesised expression")
+	}
+	return "", p.fail("expected column")
+}
+
+// literal accepts a constant: a number (optionally signed), a 'string', an
+// x'blob' or NULL.
+func (p *parser) literal() (Value, error) {
 	t := p.peek()
-	if t.Kind == TokIdent {
+	sign := ""
+	if isOp(t, "-") || isOp(t, "+") {
+		if n := p.peekAt(1); n.Kind != TokInt && n.Kind != TokFloat {
+			return Value{}, unsupported("unary " + t.Text)
+		}
+		sign = t.Text
 		p.pos++
-		return t.Text, nil
+		t = p.peek()
 	}
-	if t.Kind == TokKeyword && (t.Text == "KEY" || t.Text == "COUNT") {
+	switch {
+	case t.Kind == TokInt:
+		n, err := strconv.ParseInt(sign+t.Text, 10, 64)
+		if err != nil {
+			return Value{}, p.errf("bad integer %q", t.Text)
+		}
 		p.pos++
-		return t.Text, nil
+		return Int(n), nil
+	case t.Kind == TokFloat:
+		f, err := strconv.ParseFloat(sign+t.Text, 64)
+		if err != nil {
+			return Value{}, p.errf("bad float %q", t.Text)
+		}
+		p.pos++
+		return Real(f), nil
+	case t.Kind == TokString:
+		p.pos++
+		return Text(t.Text), nil
+	case t.Kind == TokBlob:
+		p.pos++
+		return Blob(t.Blob), nil
+	case t.Kind == TokKeyword && t.Text == "NULL":
+		p.pos++
+		return Null(), nil
+	case t.Kind == TokIdent && !p.callAhead():
+		return Value{}, unsupported("column reference as a value")
+	case isOp(t, "("):
+		return Value{}, unsupported("parenthesised expression")
 	}
-	return "", p.errf("expected identifier, got %q", t.Text)
+	return Value{}, p.fail("expected a literal")
 }
 
 func (p *parser) statement() (Stmt, error) {
@@ -106,7 +213,9 @@ func (p *parser) statement() (Stmt, error) {
 	case "CREATE":
 		return p.createTable()
 	case "DROP":
-		return p.dropTable()
+		if n := p.peekAt(1); n.Kind == TokKeyword && (n.Text == "TABLE" || n.Text == "INDEX") {
+			return nil, unsupported("DROP " + n.Text)
+		}
 	case "INSERT":
 		return p.insert()
 	case "SELECT":
@@ -127,24 +236,14 @@ func (p *parser) statement() (Stmt, error) {
 		p.pos++
 		p.acceptKw("TRANSACTION")
 		return Rollback{}, nil
-	case "VACUUM":
-		p.pos++
-		return Vacuum{}, nil
-	default:
-		return nil, p.errf("unsupported statement %s", t.Text)
 	}
+	return nil, p.fail("expected a statement, got %s", t.Text)
 }
 
 func (p *parser) createTable() (Stmt, error) {
 	p.pos++ // CREATE
-	if p.acceptKw("UNIQUE") {
-		if err := p.expectKw("INDEX"); err != nil {
-			return nil, err
-		}
-		return p.createIndex(true)
-	}
-	if p.acceptKw("INDEX") {
-		return p.createIndex(false)
+	if t := p.peek(); t.Kind == TokKeyword && (t.Text == "INDEX" || t.Text == "UNIQUE") {
+		return nil, unsupported("CREATE INDEX")
 	}
 	if err := p.expectKw("TABLE"); err != nil {
 		return nil, err
@@ -173,16 +272,12 @@ func (p *parser) createTable() (Stmt, error) {
 			return nil, err
 		}
 		stmt.Cols = append(stmt.Cols, col)
-		if p.acceptOp(",") {
-			continue
+		if !p.acceptOp(",") {
+			break
 		}
-		break
 	}
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
-	}
-	if len(stmt.Cols) == 0 {
-		return nil, p.errf("table needs at least one column")
 	}
 	return stmt, nil
 }
@@ -229,76 +324,6 @@ func (p *parser) colDef() (ColDef, error) {
 	}
 }
 
-// createIndex parses the remainder of CREATE [UNIQUE] INDEX.
-func (p *parser) createIndex(unique bool) (Stmt, error) {
-	stmt := CreateIndex{Unique: unique}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		stmt.IfNotExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Name = name
-	if err := p.expectKw("ON"); err != nil {
-		return nil, err
-	}
-	if stmt.Table, err = p.ident(); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	if stmt.Col, err = p.ident(); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return stmt, nil
-}
-
-func (p *parser) dropTable() (Stmt, error) {
-	p.pos++ // DROP
-	if p.acceptKw("INDEX") {
-		stmt := DropIndex{}
-		if p.acceptKw("IF") {
-			if err := p.expectKw("EXISTS"); err != nil {
-				return nil, err
-			}
-			stmt.IfExists = true
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Name = name
-		return stmt, nil
-	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	stmt := DropTable{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		stmt.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Name = name
-	return stmt, nil
-}
-
 func (p *parser) insert() (Stmt, error) {
 	p.pos++ // INSERT
 	if err := p.expectKw("INTO"); err != nil {
@@ -317,10 +342,9 @@ func (p *parser) insert() (Stmt, error) {
 				return nil, err
 			}
 			stmt.Cols = append(stmt.Cols, col)
-			if p.acceptOp(",") {
-				continue
+			if !p.acceptOp(",") {
+				break
 			}
-			break
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
@@ -333,26 +357,24 @@ func (p *parser) insert() (Stmt, error) {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		var row []Value
 		for {
-			e, err := p.expr()
+			v, err := p.literal()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
-			if p.acceptOp(",") {
-				continue
+			row = append(row, v)
+			if !p.acceptOp(",") {
+				break
 			}
-			break
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
 		stmt.Rows = append(stmt.Rows, row)
-		if p.acceptOp(",") {
-			continue
+		if !p.acceptOp(",") {
+			break
 		}
-		break
 	}
 	return stmt, nil
 }
@@ -360,106 +382,68 @@ func (p *parser) insert() (Stmt, error) {
 func (p *parser) selectStmt() (Stmt, error) {
 	p.pos++ // SELECT
 	stmt := Select{}
-	if p.acceptKw("DISTINCT") {
-		stmt.Distinct = true
-	}
-	for {
-		if p.acceptOp("*") {
-			stmt.Cols = append(stmt.Cols, SelectCol{Star: true})
-		} else {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			sc := SelectCol{Expr: e}
-			if p.acceptKw("AS") {
-				alias, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				sc.Alias = alias
-			}
-			stmt.Cols = append(stmt.Cols, sc)
+	switch {
+	case p.acceptOp("*"):
+	case p.peek().Kind == TokKeyword && p.peek().Text == "COUNT" && p.callAhead():
+		p.pos += 2
+		if !p.acceptOp("*") {
+			return nil, unsupported("COUNT of an expression")
 		}
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKw("FROM") {
-		name, err := p.ident()
-		if err != nil {
+		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-		stmt.Table = name
-	}
-	if p.acceptKw("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = e
-	}
-	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
+		stmt.Count = true
+	default:
 		for {
-			e, err := p.expr()
+			col, err := p.column("SELECT of an expression")
 			if err != nil {
 				return nil, err
 			}
-			stmt.GroupBy = append(stmt.GroupBy, e)
-			if p.acceptOp(",") {
-				continue
+			stmt.Cols = append(stmt.Cols, col)
+			if !p.acceptOp(",") {
+				break
 			}
-			break
-		}
-		if p.acceptKw("HAVING") {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Having = e
 		}
 	}
-	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			term := OrderTerm{Expr: e}
-			if p.acceptKw("DESC") {
-				term.Desc = true
-			} else {
-				p.acceptKw("ASC")
-			}
-			stmt.OrderBy = append(stmt.OrderBy, term)
-			if p.acceptOp(",") {
-				continue
-			}
-			break
-		}
+	if t := p.peek(); t.Kind == TokEOF || isOp(t, ";") {
+		return nil, unsupported("SELECT without FROM")
 	}
-	if p.acceptKw("LIMIT") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Limit = e
-		if p.acceptKw("OFFSET") {
-			o, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Offset = o
-		}
+	if err := p.expectKw("FROM"); err != nil {
+		return nil, err
 	}
-	return stmt, nil
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	stmt.Table = name
+	stmt.Where, err = p.where()
+	return stmt, err
+}
+
+// where parses an optional WHERE col op literal.
+func (p *parser) where() (*Cond, error) {
+	if !p.acceptKw("WHERE") {
+		return nil, nil
+	}
+	col, err := p.column("WHERE on an expression")
+	if err != nil {
+		return nil, err
+	}
+	c := &Cond{Col: col}
+	switch t := p.peek(); {
+	case t.Kind == TokOp && (t.Text == "=" || t.Text == "!=" || t.Text == "<" ||
+		t.Text == "<=" || t.Text == ">" || t.Text == ">="):
+		c.Op = t.Text
+	case isOp(t, "<>"):
+		c.Op = "!="
+	default:
+		return nil, p.fail("expected a comparison operator")
+	}
+	p.pos++
+	if c.Val, err = p.literal(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 func (p *parser) update() (Stmt, error) {
@@ -481,24 +465,17 @@ func (p *parser) update() (Stmt, error) {
 		if err := p.expectOp("="); err != nil {
 			return nil, err
 		}
-		e, err := p.expr()
+		v, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Sets = append(stmt.Sets, SetClause{Col: col, Expr: e})
-		if p.acceptOp(",") {
-			continue
+		stmt.Sets = append(stmt.Sets, SetClause{Col: col, Val: v})
+		if !p.acceptOp(",") {
+			break
 		}
-		break
 	}
-	if p.acceptKw("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = e
-	}
-	return stmt, nil
+	stmt.Where, err = p.where()
+	return stmt, err
 }
 
 func (p *parser) delete() (Stmt, error) {
@@ -512,296 +489,6 @@ func (p *parser) delete() (Stmt, error) {
 		return nil, err
 	}
 	stmt.Table = name
-	if p.acceptKw("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = e
-	}
-	return stmt, nil
-}
-
-// --- Expressions (precedence climbing) --------------------------------------
-
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) notExpr() (Expr, error) {
-	if p.acceptKw("NOT") {
-		x, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return Unary{Op: "NOT", X: x}, nil
-	}
-	return p.cmpExpr()
-}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	l, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		// x [NOT] IN (...) / x [NOT] BETWEEN lo AND hi.
-		negate := false
-		if t.Kind == TokKeyword && t.Text == "NOT" && p.pos+1 < len(p.toks) &&
-			p.toks[p.pos+1].Kind == TokKeyword &&
-			(p.toks[p.pos+1].Text == "IN" || p.toks[p.pos+1].Text == "BETWEEN" || p.toks[p.pos+1].Text == "LIKE") {
-			p.pos++
-			negate = true
-			t = p.peek()
-		}
-		if t.Kind == TokKeyword && t.Text == "IN" {
-			p.pos++
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			in := In{X: l, Not: negate}
-			for {
-				e, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				in.List = append(in.List, e)
-				if p.acceptOp(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			l = in
-			continue
-		}
-		if t.Kind == TokKeyword && t.Text == "BETWEEN" {
-			p.pos++
-			lo, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = Between{X: l, Lo: lo, Hi: hi, Not: negate}
-			continue
-		}
-		if negate { // NOT LIKE
-			if t.Kind != TokKeyword || t.Text != "LIKE" {
-				return nil, p.errf("expected IN, BETWEEN or LIKE after NOT")
-			}
-			p.pos++
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			l = Unary{Op: "NOT", X: Binary{Op: "LIKE", L: l, R: r}}
-			continue
-		}
-		var op string
-		switch {
-		case t.Kind == TokOp && (t.Text == "=" || t.Text == "==" || t.Text == "<" ||
-			t.Text == ">" || t.Text == "<=" || t.Text == ">=" || t.Text == "<>" || t.Text == "!="):
-			op = t.Text
-			if op == "==" {
-				op = "="
-			}
-			if op == "<>" {
-				op = "!="
-			}
-			p.pos++
-		case t.Kind == TokKeyword && t.Text == "IS":
-			p.pos++
-			op = "IS"
-			if p.acceptKw("NOT") {
-				op = "IS NOT"
-			}
-		case t.Kind == TokKeyword && t.Text == "LIKE":
-			p.pos++
-			op = "LIKE"
-		default:
-			return l, nil
-		}
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.Kind != TokOp || (t.Text != "+" && t.Text != "-" && t.Text != "||") {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: t.Text, L: l, R: r}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.Kind != TokOp || (t.Text != "*" && t.Text != "/" && t.Text != "%") {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: t.Text, L: l, R: r}
-	}
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	t := p.peek()
-	if t.Kind == TokOp && (t.Text == "-" || t.Text == "+") {
-		p.pos++
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return Unary{Op: t.Text, X: x}, nil
-	}
-	return p.primary()
-}
-
-func (p *parser) primary() (Expr, error) {
-	t := p.peek()
-	switch t.Kind {
-	case TokInt:
-		p.pos++
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad integer %q", t.Text)
-		}
-		return Literal{Int(n)}, nil
-	case TokFloat:
-		p.pos++
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, p.errf("bad float %q", t.Text)
-		}
-		return Literal{Real(f)}, nil
-	case TokString:
-		p.pos++
-		return Literal{Text(t.Text)}, nil
-	case TokBlob:
-		p.pos++
-		return Literal{Blob(t.Blob)}, nil
-	case TokKeyword:
-		switch t.Text {
-		case "NULL":
-			p.pos++
-			return Literal{Null()}, nil
-		case "COUNT":
-			p.pos++
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			if p.acceptOp("*") {
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return Call{Name: "COUNT", Star: true}, nil
-			}
-			arg, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return Call{Name: "COUNT", Args: []Expr{arg}}, nil
-		}
-		return nil, p.errf("unexpected keyword %s in expression", t.Text)
-	case TokIdent:
-		p.pos++
-		// function call?
-		if p.acceptOp("(") {
-			call := Call{Name: t.Text}
-			if !p.acceptOp(")") {
-				for {
-					a, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, a)
-					if p.acceptOp(",") {
-						continue
-					}
-					break
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-			}
-			return call, nil
-		}
-		return Column{Name: t.Text}, nil
-	case TokOp:
-		if t.Text == "(" {
-			p.pos++
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-	}
-	return nil, p.errf("unexpected token %q in expression", t.Text)
+	stmt.Where, err = p.where()
+	return stmt, err
 }

@@ -1,7 +1,9 @@
 // Package sql provides the SQL front end of the engine: typed values, a
 // lexer, an AST, and a recursive-descent parser for the dialect the paper's
-// SQLite workloads use (CREATE/DROP TABLE, INSERT, SELECT, UPDATE, DELETE,
-// BEGIN/COMMIT/ROLLBACK).
+// SQLite workloads use, and no more: CREATE TABLE, INSERT, SELECT * /
+// COUNT(*) / columns FROM one table, UPDATE ... SET col = literal, DELETE,
+// each with at most one WHERE col op literal, and BEGIN/COMMIT/ROLLBACK.
+// Every other form fails with an error wrapping ErrUnsupported.
 package sql
 
 import (
@@ -25,21 +27,6 @@ const (
 	// KindBlob is a byte string.
 	KindBlob
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindNull:
-		return "NULL"
-	case KindInt:
-		return "INTEGER"
-	case KindReal:
-		return "REAL"
-	case KindText:
-		return "TEXT"
-	default:
-		return "BLOB"
-	}
-}
 
 // Value is one SQL value.
 type Value struct {
@@ -125,21 +112,6 @@ func (v Value) AsBlob() []byte {
 	return []byte(v.AsText())
 }
 
-// Truthy implements SQL boolean coercion (nonzero numeric = true).
-func (v Value) Truthy() bool {
-	switch v.kind {
-	case KindInt:
-		return v.i != 0
-	case KindReal:
-		return v.r != 0
-	case KindText:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
-		return err == nil && f != 0
-	default:
-		return false
-	}
-}
-
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.kind {
@@ -203,13 +175,4 @@ func typeRank(k Kind) int {
 	default:
 		return 3
 	}
-}
-
-// Equal reports SQL equality (NULL never equals anything; callers handle
-// three-valued logic above this).
-func Equal(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	return Compare(a, b) == 0
 }
