@@ -67,16 +67,18 @@ fuzz:
 bench:
 	$(GO) test -bench 'BenchmarkInsert|BenchmarkGet' -benchmem -run '^$$' .
 
-# Host CPU profile of the kv-write op shape: BenchmarkKVChurn for
-# PROFILE_OPS ops, then the top PROFILE_TOP entries of its measured loop
-# alone (the pprof label phase=churn leaves the preload out). The profile
-# and the test binary stay in .bench_build/ for further go tool pprof use.
+# Host CPU profile of a workload's op shape: PROFILE_BENCH (BenchmarkKVChurn,
+# kv-write's; BenchmarkSQLStatements, sql-insert's) for PROFILE_OPS ops, then
+# the top PROFILE_TOP entries of its measured loop alone (both benchmarks
+# label it phase=churn, which leaves the preload out). The profile and the
+# test binary stay in .bench_build/ for further go tool pprof use.
+PROFILE_BENCH ?= BenchmarkKVChurn
 PROFILE_OPS ?= 300000
 PROFILE_TOP ?= 40
 profile:
 	@mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkKVChurn$$' -benchtime $(PROFILE_OPS)x -benchmem -o .bench_build/fasp.test -cpuprofile .bench_build/kvchurn.prof .
-	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) -relative_percentages -tagfocus phase=churn .bench_build/fasp.test .bench_build/kvchurn.prof
+	$(GO) test -run '^$$' -bench '^$(PROFILE_BENCH)$$' -benchtime $(PROFILE_OPS)x -benchmem -o .bench_build/fasp.test -cpuprofile .bench_build/$(PROFILE_BENCH).prof .
+	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) -relative_percentages -tagfocus phase=churn .bench_build/fasp.test .bench_build/$(PROFILE_BENCH).prof
 
 # The gated benchmark, parent against working tree: PAIRS alternating runs
 # of WORKLOAD on each side, then bench/run.sh --compare (see

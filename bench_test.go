@@ -12,8 +12,10 @@ package fasp_test
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"runtime/pprof"
+	"strconv"
 	"testing"
 
 	"fasp"
@@ -436,4 +438,82 @@ func BenchmarkKVChurn(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(kv.SimulatedNS()-sim0)/float64(b.N)/1000, "sim-us/op")
+}
+
+// sqlStatementsPreload is the row count BenchmarkSQLStatements loads before
+// it measures: the sql-insert workload's, about 6 MiB of 4 KiB table pages,
+// three times the 2 MiB emulated cache.
+const sqlStatementsPreload = 50_000
+
+// BenchmarkSQLStatements runs the sql-insert workload's statement stream on
+// the fasp.DB facade with its defaults (FAST+, 4 KiB pages) over the table
+// kv(id INTEGER PRIMARY KEY, payload BLOB): a preload in 64-row INSERTs,
+// then 35 % single-row INSERTs of the next id, 35 % DELETEs of the oldest
+// row, 20 % SELECTs of a uniform live id and 10 % UPDATEs of a uniform live
+// id, with payloads of 32 to 128 bytes written as blob literals. It reports
+// simulated microseconds per statement next to Go's ns/op and allocs/op. The
+// measured loop runs under the same pprof label as BenchmarkKVChurn's,
+// phase=churn, so `make profile PROFILE_BENCH=BenchmarkSQLStatements` leaves
+// the preload out of the SQL path's host profile.
+func BenchmarkSQLStatements(b *testing.B) {
+	db, err := fasp.Open(fasp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, payload BLOB)`)
+	rng := rand.New(rand.NewSource(1))
+	valBuf := make([]byte, 128)
+	rng.Read(valBuf)
+	drawVal := func() []byte { return valBuf[:32+rng.Intn(128-32+1)] }
+	var stmt []byte
+	appendRow := func(id uint64) {
+		stmt = append(stmt, '(')
+		stmt = strconv.AppendUint(stmt, id, 10)
+		stmt = append(stmt, ", x'"...)
+		stmt = hex.AppendEncode(stmt, drawVal())
+		stmt = append(stmt, "')"...)
+	}
+	oldest, next := uint64(1), uint64(1) // live ids are [oldest, next)
+	for next <= sqlStatementsPreload {
+		stmt = append(stmt[:0], "INSERT INTO kv VALUES "...)
+		for n := 0; n < 64 && next <= sqlStatementsPreload; n++ {
+			if n > 0 {
+				stmt = append(stmt, ", "...)
+			}
+			appendRow(next)
+			next++
+		}
+		db.MustExec(string(stmt))
+	}
+	sim0 := db.SimulatedNS()
+	b.ReportAllocs()
+	b.ResetTimer()
+	pprof.Do(context.Background(), pprof.Labels("phase", "churn"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			u := rng.Intn(100)
+			switch {
+			case u < 35 || oldest == next:
+				stmt = append(stmt[:0], "INSERT INTO kv VALUES "...)
+				appendRow(next)
+				next++
+			case u < 70:
+				stmt = append(stmt[:0], "DELETE FROM kv WHERE id = "...)
+				stmt = strconv.AppendUint(stmt, oldest, 10)
+				oldest++
+			case u < 90:
+				stmt = append(stmt[:0], "SELECT payload FROM kv WHERE id = "...)
+				stmt = strconv.AppendUint(stmt, oldest+uint64(rng.Int63n(int64(next-oldest))), 10)
+			default:
+				stmt = append(stmt[:0], "UPDATE kv SET payload = x'"...)
+				stmt = hex.AppendEncode(stmt, drawVal())
+				stmt = append(stmt, "' WHERE id = "...)
+				stmt = strconv.AppendUint(stmt, oldest+uint64(rng.Int63n(int64(next-oldest))), 10)
+			}
+			if _, err := db.Exec(string(stmt)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(db.SimulatedNS()-sim0)/float64(b.N)/1000, "sim-us/stmt")
 }

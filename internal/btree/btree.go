@@ -76,12 +76,16 @@ type RootRef interface {
 	SetRoot(no uint32)
 }
 
-// Attach opens a tree view over an existing pager transaction with an
-// external root pointer. The caller owns the transaction's lifecycle:
-// Commit and Rollback on an attached Tx are errors by construction and
-// must not be called.
-func Attach(st pager.Store, ptx pager.Txn, root RootRef) *Tx {
-	return &Tx{st: st, p: ptx, root: root}
+// Attach points x, a tree view the caller keeps, at the tree whose root
+// pointer is root inside an existing pager transaction, and returns x. The
+// zero Tx is ready to attach; a Tx from Tree.Begin must not be. Like the
+// buffer Tree.Begin lends each transaction, the descent path that earlier
+// attachments grew stays with x for the next. The caller owns the
+// transaction's lifecycle: Commit and Rollback on an attached Tx are errors
+// by construction and must not be called.
+func (x *Tx) Attach(st pager.Store, ptx pager.Txn, root RootRef) *Tx {
+	*x = Tx{st: st, p: ptx, root: root, path: x.path[:0]}
+	return x
 }
 
 // Insert runs a single-insert transaction — the paper's canonical mobile

@@ -287,7 +287,8 @@ func TestAttachSharesTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ax := Attach(st, ptx, ptx)
+	var ax Tx
+	ax.Attach(st, ptx, ptx)
 	if err := ax.Insert(k(100), v(100, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +301,19 @@ func TestAttachSharesTransaction(t *testing.T) {
 	}
 	if _, ok, _ := tr.Get(k(100)); !ok {
 		t.Fatal("insert through attached tx lost")
+	}
+	// Re-attached to the next transaction, the view keeps its descent-path
+	// buffer and reads what the last one committed.
+	path := ax.path[:1]
+	if ptx, err = st.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer ptx.Rollback()
+	if got, ok, err := ax.Attach(st, ptx, ptx).Get(k(100)); err != nil || !ok || !bytes.Equal(got, v(100, 10)) {
+		t.Fatalf("re-attached Get = %x, %v, %v", got, ok, err)
+	}
+	if &ax.path[:1][0] != &path[0] {
+		t.Fatal("re-attached view did not keep its path buffer")
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -62,45 +63,75 @@ func (ti *tableInfo) value(r *tableRow, ci int) sql.Value {
 	return sql.Null()
 }
 
-// catalogKey is the B-tree key of a table's catalog row.
-func catalogKey(name string) []byte { return []byte(strings.ToLower(name)) }
+// catalogKey returns the B-tree key of a table's catalog row, in a buffer
+// the next call reuses.
+func (db *DB) catalogKey(name string) []byte {
+	db.keyBuf = append(db.keyBuf[:0], strings.ToLower(name)...)
+	return db.keyBuf
+}
 
 // encodeCatalogRow builds the catalog record: [root page, CREATE TABLE sql].
 func encodeCatalogRow(root uint32, createSQL string) []byte {
 	return EncodeRecord([]sql.Value{sql.Int(int64(root)), sql.Text(createSQL)})
 }
 
-func decodeCatalogRow(rec []byte) (root uint32, createSQL string, err error) {
-	vals, err := DecodeRecord(rec)
-	if err != nil {
-		return 0, "", err
+// readCatalogRow reads a catalog record in place: the root page and the
+// CREATE TABLE text, which aliases rec. It accepts exactly what
+// encodeCatalogRow writes, an integer then a text.
+func readCatalogRow(rec []byte) (root uint32, createSQL []byte, err error) {
+	hdrLen, n := binary.Uvarint(rec)
+	if n <= 0 || hdrLen > uint64(len(rec)) || uint64(n) > hdrLen {
+		return 0, nil, fmt.Errorf("%w: catalog row header", ErrBadRecord)
 	}
-	if len(vals) != 2 {
-		return 0, "", fmt.Errorf("%w: catalog row has %d fields", ErrBadRecord, len(vals))
+	types, body := rec[n:hdrLen], rec[hdrLen:]
+	t0, n0 := binary.Uvarint(types)
+	if n0 <= 0 || t0 != serialInt {
+		return 0, nil, fmt.Errorf("%w: catalog row root is not an integer", ErrBadRecord)
 	}
-	return uint32(vals[0].AsInt()), vals[1].AsText(), nil
+	t1, n1 := binary.Uvarint(types[n0:])
+	if n1 <= 0 || n0+n1 != len(types) || t1 < serialText0 || t1%2 == 0 {
+		return 0, nil, fmt.Errorf("%w: catalog row is not [root, text]", ErrBadRecord)
+	}
+	if ln := (t1 - serialText0) / 2; uint64(len(body)) >= 8+ln {
+		return uint32(binary.BigEndian.Uint64(body)), body[8 : 8+ln], nil
+	}
+	return 0, nil, fmt.Errorf("%w: truncated catalog row", ErrBadRecord)
 }
 
-// loadTableInfo reads and parses a table's catalog entry within a txn.
-func loadTableInfo(cat *btree.Tx, name string) (*tableInfo, error) {
-	rec, ok, err := cat.Get(catalogKey(name))
+// tableInfo reads a table's catalog row within the transaction and returns
+// its decoded schema. The decoded form is host-only: the row is read as
+// always, and the form cached for its catalog key is reused only while the
+// row's CREATE TABLE text is the text it was parsed from. A rolled-back
+// CREATE TABLE, a crash, a reopened store or an old index row all show in
+// that text, so the cache needs no invalidation.
+func (ex *executor) tableInfo(cat *btree.Tx, name string) (*tableInfo, error) {
+	key := ex.db.catalogKey(name)
+	rec, ok, err := cat.Get(key)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
-	return decodeTableInfo(name, rec)
-}
-
-// decodeTableInfo parses the catalog row rec of the entry name. A row whose
-// statement is not a CREATE TABLE (an index an older image left behind)
-// fails with the parser's error, which wraps sql.ErrUnsupported.
-func decodeTableInfo(name string, rec []byte) (*tableInfo, error) {
-	_, createSQL, err := decodeCatalogRow(rec)
+	_, createSQL, err := readCatalogRow(rec)
 	if err != nil {
 		return nil, err
 	}
+	if ti := ex.db.schemas[string(key)]; ti != nil && ti.createSQL == string(createSQL) {
+		return ti, nil
+	}
+	ti, err := decodeTableInfo(name, string(createSQL))
+	if err != nil {
+		return nil, err
+	}
+	ex.db.schemas[string(key)] = ti
+	return ti, nil
+}
+
+// decodeTableInfo parses the CREATE TABLE text of the catalog entry name.
+// Text that is not a CREATE TABLE (an index an older image left behind)
+// fails with the parser's error, which wraps sql.ErrUnsupported.
+func decodeTableInfo(name, createSQL string) (*tableInfo, error) {
 	stmt, err := sql.ParseOne(createSQL)
 	if err != nil {
 		return nil, fmt.Errorf("engine: catalog row for %s: %w", name, err)
@@ -125,6 +156,7 @@ func decodeTableInfo(name string, rec []byte) (*tableInfo, error) {
 type tableRootRef struct {
 	cat    *btree.Tx
 	name   string
+	key    []byte // the catalog key of name
 	cached uint32
 	loaded bool
 }
@@ -133,11 +165,11 @@ func (r *tableRootRef) Root() uint32 {
 	if r.loaded {
 		return r.cached
 	}
-	rec, ok, err := r.cat.Get(catalogKey(r.name))
+	rec, ok, err := r.cat.Get(r.key)
 	if err != nil || !ok {
 		panic(execAbort{fmt.Errorf("%w: %s (root lookup: %v)", ErrNoSuchTable, r.name, err)})
 	}
-	root, _, err := decodeCatalogRow(rec)
+	root, _, err := readCatalogRow(rec)
 	if err != nil {
 		panic(execAbort{err})
 	}
@@ -147,15 +179,15 @@ func (r *tableRootRef) Root() uint32 {
 }
 
 func (r *tableRootRef) SetRoot(no uint32) {
-	rec, ok, err := r.cat.Get(catalogKey(r.name))
+	rec, ok, err := r.cat.Get(r.key)
 	if err != nil || !ok {
 		panic(execAbort{fmt.Errorf("%w: %s (root update: %v)", ErrNoSuchTable, r.name, err)})
 	}
-	_, createSQL, err := decodeCatalogRow(rec)
+	_, createSQL, err := readCatalogRow(rec)
 	if err != nil {
 		panic(execAbort{err})
 	}
-	if err := r.cat.Update(catalogKey(r.name), encodeCatalogRow(no, createSQL)); err != nil {
+	if err := r.cat.Update(r.key, encodeCatalogRow(no, string(createSQL))); err != nil {
 		panic(execAbort{err})
 	}
 	r.cached = no

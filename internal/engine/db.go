@@ -37,11 +37,20 @@ type DB struct {
 	st       pager.Store
 	tx       pager.Txn // open transaction (nil when idle)
 	explicit bool      // tx was opened by BEGIN
+
+	// Host-only working state that one statement after another reuses: the
+	// catalog and table tree views with their descent-path buffers, the
+	// table view's root reference, the catalog key buffer, and the decoded
+	// schema of each table by catalog key (see executor.tableInfo).
+	catView, tblView btree.Tx
+	tblRoot          tableRootRef
+	keyBuf           []byte
+	schemas          map[string]*tableInfo
 }
 
 // Open attaches an engine to a (recovered) store.
 func Open(st pager.Store) *DB {
-	return &DB{st: st}
+	return &DB{st: st, schemas: make(map[string]*tableInfo)}
 }
 
 // Exec parses and executes a semicolon-separated batch, returning one
@@ -73,21 +82,23 @@ func (db *DB) MustExec(src string) []Result {
 	return res
 }
 
-// QueryRows runs a single SELECT and returns its rows.
+// QueryRows runs a single SELECT and returns its rows. A batch of more than
+// one statement is refused before any of it runs.
 func (db *DB) QueryRows(src string) ([][]sql.Value, error) {
-	res, err := db.Exec(src)
+	stmt, err := sql.ParseOne(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(res) != 1 {
-		return nil, fmt.Errorf("engine: expected one statement")
+	res, err := db.execStmt(stmt)
+	if err != nil {
+		return nil, err
 	}
-	return res[0].Rows, nil
+	return res.Rows, nil
 }
 
 // read runs f on the catalog inside the open transaction, or inside one of
 // its own that it rolls back.
-func (db *DB) read(f func(cat *btree.Tx) error) error {
+func (db *DB) read(f func(ex *executor, cat *btree.Tx) error) error {
 	tx := db.tx
 	if tx == nil {
 		var err error
@@ -97,16 +108,20 @@ func (db *DB) read(f func(cat *btree.Tx) error) error {
 		defer tx.Rollback()
 	}
 	ex := &executor{db: db, ptx: tx}
-	return f(ex.catalog())
+	return f(ex, ex.catalog())
 }
 
 // Tables lists the table names in the catalog, in name order.
 func (db *DB) Tables() ([]string, error) {
 	var names []string
-	err := db.read(func(cat *btree.Tx) error {
+	err := db.read(func(_ *executor, cat *btree.Tx) error {
 		var rowErr error
 		err := cat.Scan(nil, nil, func(k, v []byte) bool {
-			if _, rowErr = decodeTableInfo(string(k), v); rowErr != nil {
+			_, createSQL, err := readCatalogRow(v)
+			if err == nil {
+				_, err = decodeTableInfo(string(k), string(createSQL))
+			}
+			if rowErr = err; rowErr != nil {
 				return false
 			}
 			names = append(names, string(k))
@@ -123,8 +138,8 @@ func (db *DB) Tables() ([]string, error) {
 // Schema returns a table's stored CREATE TABLE statement.
 func (db *DB) Schema(table string) (string, error) {
 	var createSQL string
-	err := db.read(func(cat *btree.Tx) error {
-		ti, err := loadTableInfo(cat, table)
+	err := db.read(func(ex *executor, cat *btree.Tx) error {
+		ti, err := ex.tableInfo(cat, table)
 		if err == nil {
 			createSQL = ti.createSQL
 		}
@@ -226,12 +241,14 @@ type executor struct {
 	ptx pager.Txn
 }
 
-// catalog returns a tree view of the catalog (rooted at the store root).
+// catalog returns the tree view of the catalog (rooted at the store root).
 func (ex *executor) catalog() *btree.Tx {
-	return btree.Attach(ex.db.st, ex.ptx, ex.ptx)
+	return ex.db.catView.Attach(ex.db.st, ex.ptx, ex.ptx)
 }
 
-// table returns a tree view of a table's B-tree.
+// table returns the tree view of a table's B-tree.
 func (ex *executor) table(cat *btree.Tx, name string) *btree.Tx {
-	return btree.Attach(ex.db.st, ex.ptx, &tableRootRef{cat: cat, name: name})
+	r := &ex.db.tblRoot
+	*r = tableRootRef{cat: cat, name: name, key: append(r.key[:0], ex.db.catalogKey(name)...)}
+	return ex.db.tblView.Attach(ex.db.st, ex.ptx, r)
 }

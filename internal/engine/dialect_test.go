@@ -83,8 +83,8 @@ func TestIndexCatalogRowIsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := btree.Attach(db.st, tx, tx)
-	if err := cat.Insert(catalogKey("t_v"), encodeCatalogRow(0, "CREATE INDEX t_v ON t (v)")); err != nil {
+	cat := new(btree.Tx).Attach(db.st, tx, tx)
+	if err := cat.Insert(db.catalogKey("t_v"), encodeCatalogRow(0, "CREATE INDEX t_v ON t (v)")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -142,8 +142,15 @@ func TestCatalogBytesPinned(t *testing.T) {
 		if text != p.text {
 			t.Errorf("renderCreateSQL(%s)\n got %q\nwant %q", p.src, text, p.text)
 		}
-		if rec := hex.EncodeToString(encodeCatalogRow(7, text)); rec != p.record {
-			t.Errorf("catalog record of %s\n got %s\nwant %s", p.src, rec, p.record)
+		rec := encodeCatalogRow(7, text)
+		if got := hex.EncodeToString(rec); got != p.record {
+			t.Errorf("catalog record of %s\n got %s\nwant %s", p.src, got, p.record)
+		}
+		if root, got, err := readCatalogRow(rec); err != nil || root != 7 || string(got) != text {
+			t.Errorf("readCatalogRow(%s) = %d, %q, %v", p.src, root, got, err)
+		}
+		if _, _, err := readCatalogRow(rec[:len(rec)-1]); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("readCatalogRow of a truncated %s: %v", p.src, err)
 		}
 	}
 }
@@ -172,6 +179,11 @@ func FuzzSQL(f *testing.F) {
 		`BEGIN; INSERT INTO t VALUES (20, 'a', 0, x''); COMMIT`,
 		`BEGIN TRANSACTION; DELETE FROM t; ROLLBACK TRANSACTION`,
 		`BEGIN; CREATE TABLE z (k INTEGER PRIMARY KEY); INSERT INTO z VALUES (1)`,
+		// Keywords and names in mixed letter case.
+		`select V from T where ID = 2; Select count(*) From t Where n >= 1.5`,
+		`InSeRt InTo T vAlUeS (11, 'eleven', 2.0, X'0B'); uPdAtE t SeT v = NuLl WhErE iD = 11`,
+		`Create Table MiXed (K Integer Primary Key, v Text Not Null); insert into MIXED values (1, 'a'); delete from mixed where K = 1`,
+		`begin Transaction; DELETE from T where Rowid <> 1; rollback TRANSACTION`,
 	}
 	// One statement per construct the dialect refuses.
 	refused := []string{
@@ -198,6 +210,9 @@ func FuzzSQL(f *testing.F) {
 		`SELECT 1 + 1`,
 		`SELECT LENGTH(v) FROM t`,
 		`SELECT *`,
+		`create Index i on T (v)`,
+		`Select * From t Order By v`,
+		`SELECT * FROM t WHERE id = 1 and id = 2`,
 	}
 	removed := map[string]bool{}
 	for _, src := range kept {

@@ -15,7 +15,7 @@ import (
 func (ex *executor) createTable(s sql.CreateTable) (Result, error) {
 	var res Result
 	cat := ex.catalog()
-	if _, ok, err := cat.Get(catalogKey(s.Name)); err != nil {
+	if _, ok, err := cat.Get(ex.db.catalogKey(s.Name)); err != nil {
 		return res, err
 	} else if ok {
 		if s.IfNotExists {
@@ -33,7 +33,7 @@ func (ex *executor) createTable(s sql.CreateTable) (Result, error) {
 		}
 	}
 	createSQL := renderCreateSQL(s)
-	if err := cat.Insert(catalogKey(s.Name), encodeCatalogRow(0, createSQL)); err != nil {
+	if err := cat.Insert(ex.db.catalogKey(s.Name), encodeCatalogRow(0, createSQL)); err != nil {
 		return res, err
 	}
 	return res, nil
@@ -68,7 +68,7 @@ func renderCreateSQL(s sql.CreateTable) string {
 func (ex *executor) insert(s sql.Insert) (Result, error) {
 	var res Result
 	cat := ex.catalog()
-	ti, err := loadTableInfo(cat, s.Table)
+	ti, err := ex.tableInfo(cat, s.Table)
 	if err != nil {
 		return res, err
 	}
@@ -219,7 +219,7 @@ func matches(v sql.Value, where *sql.Cond) bool {
 func (ex *executor) selectStmt(s sql.Select) (Result, error) {
 	var res Result
 	cat := ex.catalog()
-	ti, err := loadTableInfo(cat, s.Table)
+	ti, err := ex.tableInfo(cat, s.Table)
 	if err != nil {
 		return res, err
 	}
@@ -264,7 +264,7 @@ func (ex *executor) selectStmt(s sql.Select) (Result, error) {
 func (ex *executor) update(s sql.Update) (Result, error) {
 	var res Result
 	cat := ex.catalog()
-	ti, err := loadTableInfo(cat, s.Table)
+	ti, err := ex.tableInfo(cat, s.Table)
 	if err != nil {
 		return res, err
 	}
@@ -326,7 +326,7 @@ func (ex *executor) update(s sql.Update) (Result, error) {
 func (ex *executor) delete(s sql.Delete) (Result, error) {
 	var res Result
 	cat := ex.catalog()
-	ti, err := loadTableInfo(cat, s.Table)
+	ti, err := ex.tableInfo(cat, s.Table)
 	if err != nil {
 		return res, err
 	}

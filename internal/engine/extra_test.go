@@ -186,11 +186,27 @@ func TestStatementOverheadCharged(t *testing.T) {
 	}
 }
 
+// TestQueryRowsRejectsMultipleStatements checks that a batch of more than
+// one statement is refused before any of it runs: the table keeps its rows.
 func TestQueryRowsRejectsMultipleStatements(t *testing.T) {
 	db := newDB(t)
-	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
-	if _, err := db.QueryRows(`SELECT * FROM t; SELECT id FROM t`); err == nil {
-		t.Fatal("multi-statement query accepted")
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY); INSERT INTO t VALUES (1), (2)`)
+	for _, src := range []string{
+		`SELECT * FROM t; SELECT id FROM t`,
+		`DELETE FROM t; SELECT * FROM t`,
+		`INSERT INTO t VALUES (3); DELETE FROM t WHERE id = 1`,
+		`BEGIN; DELETE FROM t`,
+	} {
+		if _, err := db.QueryRows(src); err == nil {
+			t.Fatalf("%s: multi-statement query accepted", src)
+		}
+		if db.explicit {
+			t.Fatalf("%s: left a transaction open", src)
+		}
+		rows, err := db.QueryRows(`SELECT id FROM t`)
+		if err != nil || len(rows) != 2 || rows[0][0].AsInt() != 1 || rows[1][0].AsInt() != 2 {
+			t.Fatalf("%s: table is now %v, %v", src, rows, err)
+		}
 	}
 }
 

@@ -35,41 +35,24 @@ const (
 // EncodeRecord serialises values as a SQLite-style record: a varint header
 // length, a varint serial type per value, then the value bodies.
 func EncodeRecord(vals []sql.Value) []byte {
-	var types []uint64
-	bodyLen := 0
+	typesLen, bodyLen := 0, 0
 	for _, v := range vals {
-		switch v.Kind() {
-		case sql.KindNull:
-			types = append(types, serialNull)
-		case sql.KindInt:
-			types = append(types, serialInt)
-			bodyLen += 8
-		case sql.KindReal:
-			types = append(types, serialReal)
-			bodyLen += 8
-		case sql.KindBlob:
-			b := v.AsBlob()
-			types = append(types, uint64(serialBlob0+2*len(b)))
-			bodyLen += len(b)
-		default:
-			s := v.AsText()
-			types = append(types, uint64(serialText0+2*len(s)))
-			bodyLen += len(s)
-		}
-	}
-	var typeBuf []byte
-	for _, t := range types {
-		typeBuf = binary.AppendUvarint(typeBuf, t)
+		t, n := serialType(v)
+		typesLen += uvarintLen(t)
+		bodyLen += n
 	}
 	// Header length includes its own varint, like SQLite; sizing the
 	// varint of (len + its own size) converges within two rounds here.
-	hdrLen := len(typeBuf) + 1
+	hdrLen := typesLen + 1
 	if hdrLen+1 >= 0x80 {
-		hdrLen = len(typeBuf) + uvarintLen(uint64(len(typeBuf)+2))
+		hdrLen = typesLen + uvarintLen(uint64(typesLen+2))
 	}
 	out := make([]byte, 0, hdrLen+bodyLen)
 	out = binary.AppendUvarint(out, uint64(hdrLen))
-	out = append(out, typeBuf...)
+	for _, v := range vals {
+		t, _ := serialType(v)
+		out = binary.AppendUvarint(out, t)
+	}
 	for _, v := range vals {
 		switch v.Kind() {
 		case sql.KindInt:
@@ -83,6 +66,24 @@ func EncodeRecord(vals []sql.Value) []byte {
 		}
 	}
 	return out
+}
+
+// serialType returns v's serial type and the length of its body.
+func serialType(v sql.Value) (t uint64, bodyLen int) {
+	switch v.Kind() {
+	case sql.KindNull:
+		return serialNull, 0
+	case sql.KindInt:
+		return serialInt, 8
+	case sql.KindReal:
+		return serialReal, 8
+	case sql.KindBlob:
+		n := len(v.AsBlob())
+		return uint64(serialBlob0 + 2*n), n
+	default:
+		n := len(v.AsText())
+		return uint64(serialText0 + 2*n), n
+	}
 }
 
 func uvarintLen(v uint64) int {
@@ -102,7 +103,7 @@ func DecodeRecord(b []byte) ([]sql.Value, error) {
 	}
 	types := b[n:hdrLen]
 	body := b[hdrLen:]
-	var vals []sql.Value
+	vals := make([]sql.Value, 0, len(types)) // a serial type is at least one byte
 	for len(types) > 0 {
 		t, tn := binary.Uvarint(types)
 		if tn <= 0 {

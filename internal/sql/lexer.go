@@ -35,20 +35,53 @@ type Token struct {
 	Pos  int
 }
 
-// keywords are the words the dialect reserves: those of the statements it
-// runs, and (in removed) those that start a construct it refuses.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "IF": true, "NOT": true, "EXISTS": true, "NULL": true,
-	"PRIMARY": true, "KEY": true, "INTEGER": true, "INT": true, "TEXT": true,
-	"REAL": true, "BLOB": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"TRANSACTION": true, "COUNT": true,
+// keywords are the words the dialect reserves for the statements it runs;
+// the words in removed, which start a construct it refuses, are reserved
+// too.
+var keywords = []string{
+	"SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
+	"DELETE", "CREATE", "TABLE", "IF", "NOT", "EXISTS", "NULL", "PRIMARY",
+	"KEY", "INTEGER", "INT", "TEXT", "REAL", "BLOB", "BEGIN", "COMMIT",
+	"ROLLBACK", "TRANSACTION", "COUNT",
+}
+
+// reserved maps every reserved word, upper-case, to itself: a keyword
+// token's Text is this one shared string, never a fresh copy.
+var reserved = func() map[string]string {
+	m := make(map[string]string, len(keywords)+len(removed))
+	for _, w := range keywords {
+		m[w] = w
+	}
+	for w := range removed {
+		m[w] = w
+	}
+	return m
+}()
+
+// keyword returns the reserved word that word spells in any letter case.
+// It upper-cases ASCII letters into a stack buffer longer than any reserved
+// word, so a lookup allocates nothing.
+func keyword(word string) (string, bool) {
+	var buf [16]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := reserved[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lex tokenises a SQL string.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	// A statement without a long literal has about one token per five bytes
+	// (EOF included); one with a long literal has fewer.
+	toks := make([]Token, 0, min(len(src)/5+3, 64))
 	i := 0
 	n := len(src)
 	for i < n {
@@ -66,9 +99,8 @@ func Lex(src string) ([]Token, error) {
 				j++
 			}
 			word := src[i:j]
-			up := strings.ToUpper(word)
 			// x'ABCD' blob literal
-			if (up == "X") && j < n && src[j] == '\'' {
+			if (word == "x" || word == "X") && j < n && src[j] == '\'' {
 				end := strings.IndexByte(src[j+1:], '\'')
 				if end < 0 {
 					return nil, fmt.Errorf("sql: unterminated blob literal at %d", i)
@@ -82,8 +114,8 @@ func Lex(src string) ([]Token, error) {
 				i = j + 2 + end
 				continue
 			}
-			if keywords[up] || removed[up] != "" {
-				toks = append(toks, Token{Kind: TokKeyword, Text: up, Pos: i})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Pos: i})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: i})
 			}
@@ -149,7 +181,7 @@ func Lex(src string) ([]Token, error) {
 			}
 			switch c {
 			case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';':
-				toks = append(toks, Token{Kind: TokOp, Text: string(c), Pos: i})
+				toks = append(toks, Token{Kind: TokOp, Text: src[i : i+1], Pos: i})
 				i++
 			default:
 				return nil, fmt.Errorf("sql: unexpected character %q at %d", c, i)
