@@ -38,7 +38,7 @@ func (r *FragReport) Ratio() float64 {
 // recording the first key of up to maxHot leaves whose dead ratio is ≥
 // threshold. Like every View walk it only Peeks committed state — no clock
 // advance, no cache fills, no crash points — so the shard engine can measure
-// under the read epoch without perturbing the golden determinism files; the
+// between group commits without perturbing the golden determinism files; the
 // Peek cost accrues to Cost as usual.
 func (v *View) FragScan(threshold float64, maxHot int) (FragReport, error) {
 	var rep FragReport

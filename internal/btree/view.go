@@ -134,7 +134,7 @@ func (v *View) run(op func() error) (err error) {
 
 // Get returns the value stored under key in the committed snapshot. The
 // result is appended to dst[:0] (dst may be nil) and never aliases view or
-// store memory, so it stays valid after the caller leaves the read epoch.
+// store memory, so it stays valid after the caller leaves the read gate.
 func (v *View) Get(key, dst []byte) ([]byte, bool, error) {
 	var out []byte
 	var found bool

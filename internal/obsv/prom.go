@@ -71,7 +71,7 @@ func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGau
 	fmt.Fprintf(w, "# HELP fasp_get_reads_total Get operations by read path.\n# TYPE fasp_get_reads_total counter\n")
 	fmt.Fprintf(w, "fasp_get_reads_total{store=%q,path=\"optimistic\"} %d\n", store, snap.GetOptimistic)
 	fmt.Fprintf(w, "fasp_get_reads_total{store=%q,path=\"locked\"} %d\n", store, snap.GetLocked)
-	fmt.Fprintf(w, "# HELP fasp_get_retries_total Epoch-acquisition retries on the optimistic Get path.\n# TYPE fasp_get_retries_total counter\n")
+	fmt.Fprintf(w, "# HELP fasp_get_retries_total Gets that queued behind a commit holding their shard's read gate.\n# TYPE fasp_get_retries_total counter\n")
 	fmt.Fprintf(w, "fasp_get_retries_total{store=%q} %d\n", store, snap.GetRetries)
 
 	writeHist(w, "fasp_batch_size", "Operations per group commit.", store, snap.BatchSize)

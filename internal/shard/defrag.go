@@ -5,7 +5,7 @@ package shard
 // under the shard lock inside the write gate) measures the committed tree's
 // leaf fragmentation and rewrites a first few over-threshold leaves; the
 // rest are rewritten in idle group-commit slots. Both run between group
-// commits, with the writer quiesced and every optimistic reader drained by
+// commits, with the writer quiesced and every reader kept out by
 // beginMutate.
 
 // Bounds on proactive defragmentation.
@@ -36,7 +36,8 @@ func (s *state) defragTick() {
 // measureFrag scans the committed tree's leaf fragmentation through a
 // View — pure Peeks, no clock advance, no crash points — and queues the
 // over-threshold leaves for the next defrag pass. Callers hold s.mu inside
-// the write gate (the store is quiescent).
+// the write gate (the store is quiescent), so the view is bound without
+// the read gate, which is not reentrant.
 func (s *state) measureFrag() {
 	v := bindView(s.be.Store)
 	rep, err := v.FragScan(s.defragTh, maxHotLeaves)
