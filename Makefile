@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanReply$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime $(FUZZTIME) ./internal/btree
 
 # Go-benchmark view (wall clock + simulated metrics + allocs).
 bench:

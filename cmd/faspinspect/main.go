@@ -91,14 +91,9 @@ func census(db *fasp.DB, pageSize int, meta metaView, detail bool) {
 		freeSum += int(p.Header().Free)
 		cells += p.NCells()
 		if p.Type() == slotted.TypeLeaf {
-			// Same arithmetic as proactive defrag's FragScan: the cell
-			// area is everything below the content pointer, dead is whatever
-			// live cells do not cover.
-			area := int64(pageSize) - int64(p.Header().Content)
-			if dead := area - int64(live); dead > 0 {
-				leafDead += dead
-			}
+			area, dead := btree.LeafFrag(p, pageSize)
 			leafArea += area
+			leafDead += dead
 		}
 		if detail {
 			t.AddRow(no, typeName(p.Type()), p.NCells(), p.Header().Content,

@@ -215,66 +215,15 @@ type pathElem struct {
 	rng slotted.KeyRange
 }
 
-// push extends path by one zeroed step, keeping the range buffers a previous
-// descent left in that slot.
-func push(path []pathElem) []pathElem {
-	if len(path) < cap(path) {
-		path = path[:len(path)+1]
-	} else {
-		path = append(path, pathElem{})
-	}
-	e := &path[len(path)-1]
-	*e = pathElem{rng: e.rng}
-	return path
-}
+// page opens page no in the transaction's working copy: a pageSource.
+func (x *Tx) page(_ int, no uint32) (*slotted.Page, error) { return x.p.Page(no) }
 
-// descend walks from the root to the leaf that owns key. Each interior
-// search narrows a copy of its page's range to the child it picks, so every
-// page is searched between bounds the descent has read already.
+// descend walks from the tree's root to the leaf that owns key, in the
+// descent-path buffer the transaction keeps.
 func (x *Tx) descend(key []byte) ([]pathElem, error) {
-	no := x.root.Root()
-	if no == 0 {
-		return nil, nil
-	}
-	path := push(x.path[:0])
-	path[0].rng.Open()
-	defer func() { x.path = path }()
-	for {
-		p, err := x.p.Page(no)
-		if err != nil {
-			return nil, err
-		}
-		e := &path[len(path)-1]
-		e.no, e.page = no, p
-		if p.Type() == slotted.TypeLeaf {
-			return path, nil
-		}
-		if len(path) > 64 {
-			return nil, fmt.Errorf("%w: descent too deep (cycle?)", pager.ErrCorrupt)
-		}
-		path = push(path)
-		e, child := &path[len(path)-2], &path[len(path)-1]
-		child.rng.Set(&e.rng)
-		i, _ := p.SearchRange(key, &child.rng)
-		if i < p.NCells() {
-			e.idx = i
-			no = p.Child(i)
-		} else {
-			e.viaAux = true
-			no = p.Aux()
-			if no == 0 {
-				return nil, fmt.Errorf("%w: interior page %d lacks rightmost child",
-					pager.ErrCorrupt, e.no)
-			}
-		}
-	}
-}
-
-// searchLeaf searches the leaf at the end of path for key, between the
-// bounds the descent brought it.
-func searchLeaf(path []pathElem, key []byte) (int, bool) {
-	e := &path[len(path)-1]
-	return e.page.SearchRange(key, &e.rng)
+	var err error
+	x.path, err = descend(x, x.root.Root(), key, x.path)
+	return x.path, err
 }
 
 // Get returns the value stored under key.
@@ -283,7 +232,7 @@ func (x *Tx) Get(key []byte) ([]byte, bool, error) {
 	clock.Enter(phase.Search)
 	path, err := x.descend(key)
 	clock.Exit(phase.Search)
-	if err != nil || path == nil {
+	if err != nil || len(path) == 0 {
 		return nil, false, err
 	}
 	leaf := path[len(path)-1].page
@@ -334,7 +283,7 @@ func (x *Tx) write(key, val []byte, mode writeMode) error {
 		if err != nil {
 			return err
 		}
-		if path == nil {
+		if len(path) == 0 {
 			if mode == updateOnly {
 				return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 			}
@@ -460,7 +409,7 @@ func (x *Tx) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	if path == nil {
+	if len(path) == 0 {
 		return fmt.Errorf("%w: %x", ErrKeyNotFound, key)
 	}
 	leaf := path[len(path)-1].page

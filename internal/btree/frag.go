@@ -1,9 +1,6 @@
 package btree
 
 import (
-	"fmt"
-
-	"fasp/internal/pager"
 	"fasp/internal/phase"
 	"fasp/internal/slotted"
 )
@@ -34,6 +31,15 @@ func (r *FragReport) Ratio() float64 {
 	return float64(r.DeadBytes) / float64(r.CellArea)
 }
 
+// LeafFrag returns a leaf's cell area — everything below its content
+// pointer on a pageSize-byte page — and the bytes of it no live cell covers:
+// the one fragmentation formula, which FragScan sums over the committed
+// leaves and faspinspect over the allocated ones.
+func LeafFrag(p *slotted.Page, pageSize int) (area, dead int64) {
+	area = int64(pageSize) - int64(p.Header().Content)
+	return area, max(area-int64(p.LiveBytes()), 0)
+}
+
 // FragScan walks every committed leaf and measures its fragmentation,
 // recording the first key of up to maxHot leaves whose dead ratio is ≥
 // threshold. Like every View walk it only Peeks committed state — no clock
@@ -43,63 +49,17 @@ func (r *FragReport) Ratio() float64 {
 func (v *View) FragScan(threshold float64, maxHot int) (FragReport, error) {
 	var rep FragReport
 	err := v.run(func() error {
-		root := v.st.CommittedRoot()
-		if root == 0 {
-			return nil
-		}
-		depth := 0
-		push := func(no uint32) error {
-			if depth > 64 {
-				return fmt.Errorf("%w: descent too deep (cycle?)", pager.ErrCorrupt)
+		return v.walk(v, v.st.CommittedRoot(), &Bounds{}, func(p *slotted.Page, _ int) bool {
+			area, dead := LeafFrag(p, v.pageSize)
+			rep.Leaves++
+			rep.CellArea += area
+			rep.DeadBytes += dead
+			if p.NCells() > 0 && area > 0 && len(rep.HotKeys) < maxHot &&
+				float64(dead) >= threshold*float64(area) {
+				rep.HotKeys = append(rep.HotKeys, append([]byte(nil), p.Key(0)...))
 			}
-			if _, err := v.open(depth, no); err != nil {
-				return err
-			}
-			depth++
-			return nil
-		}
-		if err := push(root); err != nil {
-			return err
-		}
-		for depth > 0 {
-			f := v.frames[depth-1]
-			p := &f.page
-			if p.Type() == slotted.TypeLeaf {
-				area := int64(v.pageSize) - int64(p.Header().Content)
-				dead := area - int64(p.LiveBytes())
-				if dead < 0 {
-					dead = 0
-				}
-				rep.Leaves++
-				rep.CellArea += area
-				rep.DeadBytes += dead
-				if p.NCells() > 0 && area > 0 && len(rep.HotKeys) < maxHot &&
-					float64(dead) >= threshold*float64(area) {
-					rep.HotKeys = append(rep.HotKeys, append([]byte(nil), p.Key(0)...))
-				}
-				depth--
-				continue
-			}
-			// Interior: children are cell 0..n-1, then the rightmost pointer.
-			if f.next > p.NCells() {
-				depth--
-				continue
-			}
-			var child uint32
-			if f.next < p.NCells() {
-				child = p.Child(f.next)
-			} else {
-				child = p.Aux()
-			}
-			f.next++
-			if child == 0 {
-				continue
-			}
-			if err := push(child); err != nil {
-				return err
-			}
-		}
-		return nil
+			return true
+		})
 	})
 	return rep, err
 }
@@ -132,7 +92,7 @@ func (t *Tree) DefragLeaves(keys [][]byte, max int) (int, error) {
 			tx.Rollback()
 			return 0, derr
 		}
-		if path == nil {
+		if len(path) == 0 {
 			continue
 		}
 		clock.Enter(phase.PageUpdate)

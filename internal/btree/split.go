@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"fasp/internal/pager"
@@ -253,5 +254,5 @@ func findChildRef(parent *slotted.Page, no uint32) (idx int, viaAux, ok bool) {
 	return 0, false, false
 }
 
-func isNeedsDefrag(err error) bool { return errorsIs(err, slotted.ErrNeedsDefrag) }
-func isPageFull(err error) bool    { return errorsIs(err, slotted.ErrPageFull) }
+func isNeedsDefrag(err error) bool { return errors.Is(err, slotted.ErrNeedsDefrag) }
+func isPageFull(err error) bool    { return errors.Is(err, slotted.ErrPageFull) }

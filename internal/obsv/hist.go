@@ -91,15 +91,6 @@ type HistSnapshot struct {
 	Sum    int64             `json:"sum"`
 }
 
-// Merge accumulates o into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for b := range s.Counts {
-		s.Counts[b] += o.Counts[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Mean returns the exact mean of the observed values (the sum is tracked
 // exactly; only the distribution is bucketed). An empty snapshot is 0.
 func (s HistSnapshot) Mean() float64 {

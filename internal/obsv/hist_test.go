@@ -88,43 +88,3 @@ func TestQuantileMonotonicAndBounded(t *testing.T) {
 		t.Error("out-of-range q not clamped")
 	}
 }
-
-func TestMerge(t *testing.T) {
-	// Merging two snapshots must equal observing the union.
-	var a, b, all Histogram
-	for v := int64(1); v <= 500; v++ {
-		a.Observe(v)
-		all.Observe(v)
-	}
-	for v := int64(501); v <= 1500; v++ {
-		b.Observe(v)
-		all.Observe(v)
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if m != want {
-		t.Fatalf("merged snapshot differs from union:\n got %+v\nwant %+v", m, want)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if m.Quantile(q) != want.Quantile(q) {
-			t.Errorf("Quantile(%g): merged %d != union %d", q, m.Quantile(q), want.Quantile(q))
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	var h Histogram
-	h.Observe(42)
-	s := h.Snapshot()
-	orig := s
-	s.Merge(HistSnapshot{}) // merging empty is the identity
-	if s != orig {
-		t.Fatalf("merge with empty changed snapshot: %+v -> %+v", orig, s)
-	}
-	var e HistSnapshot
-	e.Merge(orig) // merging into empty copies
-	if e != orig {
-		t.Fatalf("merge into empty: got %+v, want %+v", e, orig)
-	}
-}

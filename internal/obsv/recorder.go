@@ -153,16 +153,13 @@ type TraceSample struct {
 
 // Span is an in-flight observation: the wall start time and the simulated
 // clock / event-counter snapshots taken at Begin. It is a small value —
-// callers keep it on the stack, so Begin/End allocate nothing.
+// callers keep it on the stack, so Begin/EndBatch allocate nothing.
 type Span struct {
 	t0   time.Time
 	sim0 int64
 	ev0  Counters
 	on   bool
 }
-
-// Active reports whether the span came from an enabled recorder.
-func (sp Span) Active() bool { return sp.on }
 
 // Recorder accumulates one store's observations. All methods are safe for
 // concurrent use and are no-ops on a nil receiver, so callers hold a
@@ -216,15 +213,6 @@ func (r *Recorder) Begin(sim0 int64, ev0 Counters) Span {
 		return Span{}
 	}
 	return Span{t0: time.Now(), sim0: sim0, ev0: ev0, on: true}
-}
-
-// End closes a span as one operation of kind op on the given shard
-// (shard is -1 when not applicable). sim1/ev1 are the exit snapshots.
-func (r *Recorder) End(sp Span, op Op, shard int32, sim1 int64, ev1 Counters) {
-	if r == nil || !sp.on {
-		return
-	}
-	r.observe(op, shard, 1, time.Since(sp.t0).Nanoseconds(), sim1-sp.sim0, ev1.Sub(sp.ev0))
 }
 
 // EndBatch closes a span as one group-commit transaction of n operations,
@@ -474,28 +462,4 @@ func (r *Recorder) Snapshot() Snapshot {
 		})
 	}
 	return s
-}
-
-// Seen returns the number of operations and batches observed. Nil-safe.
-func (r *Recorder) Seen() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq.Load()
-}
-
-// WallHist / SimHist expose one op's raw histogram for tests and
-// cross-recorder merging. Nil-safe.
-func (r *Recorder) WallHist(op Op) HistSnapshot {
-	if r == nil {
-		return HistSnapshot{}
-	}
-	return r.wall[op].Snapshot()
-}
-
-func (r *Recorder) SimHist(op Op) HistSnapshot {
-	if r == nil {
-		return HistSnapshot{}
-	}
-	return r.sim[op].Snapshot()
 }

@@ -37,20 +37,24 @@ func TestRecorderBasics(t *testing.T) {
 	ev0 := Counters{}
 	ev1 := Counters{Flush: 3, Fence: 2, LogAppend: 1}
 	sp := r.Begin(100, ev0)
-	if !sp.Active() {
+	if !sp.on {
 		t.Fatal("span from live recorder inactive")
 	}
-	r.End(sp, OpPut, 0, 400, ev1)
+	r.EndBatch(sp, 0, 1, 400, ev1)
 
-	sp = r.Begin(400, ev1)
-	r.End(sp, OpGet, 0, 400, ev1) // read: no event delta, no commit-path hists
+	// A read: no event delta, no commit-path hists.
+	r.ObserveWall(OpGet, 0, 50)
+	r.ObserveSim(OpGet, 70)
 
 	s := r.Snapshot()
-	if got := s.OpStats(OpPut); got.Count != 1 {
-		t.Fatalf("put count = %d", got.Count)
+	if got := s.OpStats(OpBatch); got.Count != 1 {
+		t.Fatalf("batch count = %d", got.Count)
 	}
-	if got := s.OpStats(OpPut).SimP50NS; got < 256 || got > 511 {
-		t.Fatalf("put sim p50 = %d, want within bucket of 300", got)
+	if got := s.OpStats(OpBatch).SimP50NS; got < 256 || got > 511 {
+		t.Fatalf("batch sim p50 = %d, want within bucket of 300", got)
+	}
+	if got := s.OpStats(OpGet); got.Count != 1 || got.SimP50NS < 64 || got.SimP50NS > 127 {
+		t.Fatalf("get stats = %+v, want one op in the bucket of 70 ns", got)
 	}
 	if s.Events != ev1 {
 		t.Fatalf("events = %+v, want %+v", s.Events, ev1)
@@ -60,8 +64,9 @@ func TestRecorderBasics(t *testing.T) {
 		t.Fatalf("per-txn hists polluted by reads: flush=%d fence=%d",
 			s.FlushPer.Count, s.FencePer.Count)
 	}
-	if samples := r.TraceSamples(); len(samples) != 2 {
-		t.Fatalf("SampleEvery=1 captured %d samples, want 2", len(samples))
+	// ObserveWall samples only slow ops.
+	if samples := r.TraceSamples(); len(samples) != 1 {
+		t.Fatalf("SampleEvery=1 captured %d samples, want 1", len(samples))
 	}
 }
 
@@ -93,7 +98,7 @@ func TestRecorderRingWraps(t *testing.T) {
 	r := New(Config{SampleEvery: 1, RingSize: 4, SlowOpNS: int64(time.Hour)})
 	for i := 0; i < 10; i++ {
 		sp := r.Begin(int64(i), Counters{})
-		r.End(sp, OpPut, 0, int64(i+1), Counters{})
+		r.EndBatch(sp, 0, 1, int64(i+1), Counters{})
 	}
 	samples := r.TraceSamples()
 	if len(samples) != 4 {
@@ -113,10 +118,9 @@ func TestRecorderRingWraps(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	sp := r.Begin(0, Counters{})
-	if sp.Active() {
+	if sp.on {
 		t.Fatal("nil recorder produced active span")
 	}
-	r.End(sp, OpPut, 0, 0, Counters{})
 	if d := r.EndBatch(sp, 0, 4, 100, Counters{}); d != 0 {
 		t.Fatalf("nil EndBatch = %d", d)
 	}
@@ -129,24 +133,15 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.TraceSamples() != nil || r.SlowSamples() != nil {
 		t.Fatal("nil rings not nil")
 	}
-	if r.Seen() != 0 {
-		t.Fatal("nil Seen != 0")
-	}
 }
 
-// TestHotPathZeroAllocs is the tentpole's allocation proof: the full
-// instrumented span path — Begin, End with event deltas, sampling *every*
-// operation into the trace ring — performs zero heap allocations, as do
+// TestHotPathZeroAllocs is the allocation proof: the full instrumented
+// span path — Begin, EndBatch with event deltas, sampling *every*
+// batch into the trace ring — performs zero heap allocations, as do
 // the auxiliary observe entry points and the disabled (nil) recorder.
 func TestHotPathZeroAllocs(t *testing.T) {
 	r := New(Config{SampleEvery: 1, SlowOpNS: 1}) // worst case: sample + slow-log every op
 	ev := Counters{Flush: 2, Fence: 1}
-	if n := testing.AllocsPerRun(1000, func() {
-		sp := r.Begin(0, Counters{})
-		r.End(sp, OpPut, 3, 100, ev)
-	}); n != 0 {
-		t.Errorf("enabled span path: %v allocs/op, want 0", n)
-	}
 	if n := testing.AllocsPerRun(1000, func() {
 		sp := r.Begin(0, Counters{})
 		r.EndBatch(sp, 1, 16, 100, ev)
@@ -163,7 +158,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	var off *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
 		sp := off.Begin(0, Counters{})
-		off.End(sp, OpPut, 0, 0, Counters{})
+		off.EndBatch(sp, 0, 1, 0, Counters{})
 		off.ObserveWall(OpGet, 0, 1)
 	}); n != 0 {
 		t.Errorf("disabled path: %v allocs/op, want 0", n)
