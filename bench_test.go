@@ -517,3 +517,55 @@ func BenchmarkSQLStatements(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(db.SimulatedNS()-sim0)/float64(b.N)/1000, "sim-us/stmt")
 }
+
+// BenchmarkScanPage runs the server-mixed workload's range-read shape on
+// the fasp.KV facade: four shards holding 16,384 keys with 64-byte values,
+// then 16-pair ScanLimit pages from a uniformly drawn key, alternating
+// direction, the other bound open. It reports Go's ns/op, allocs/op and
+// bytes/op per page. The measured loop runs under the same pprof label as
+// BenchmarkKVChurn's, phase=churn, so `make profile
+// PROFILE_BENCH=BenchmarkScanPage` leaves the load out of the range read's
+// host profile.
+func BenchmarkScanPage(b *testing.B) {
+	const keys, page = 16_384, 16
+	kv, err := fasp.OpenKV(fasp.Options{Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer kv.Close()
+	val := make([]byte, 64)
+	ops := make([]fasp.Op, 0, 4096)
+	for id := 0; id < keys; id++ {
+		k := make([]byte, 8)
+		binary.BigEndian.PutUint64(k, uint64(id))
+		ops = append(ops, fasp.Op{Kind: fasp.OpInsert, Key: k, Val: val})
+		if len(ops) == cap(ops) || id == keys-1 {
+			for _, err := range kv.ApplyBatch(ops) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			ops = ops[:0]
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var k [8]byte
+	pairs := 0
+	fn := func(_, _ []byte) bool { pairs++; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	pprof.Do(context.Background(), pprof.Labels("phase", "churn"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			binary.BigEndian.PutUint64(k[:], uint64(rng.Intn(keys)))
+			lo, hi, reverse := k[:], []byte(nil), i%2 == 1
+			if reverse {
+				lo, hi = nil, k[:]
+			}
+			if err := kv.ScanLimit(lo, hi, reverse, page, fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}

@@ -478,12 +478,12 @@ func (kv *KV) Closed() bool { return kv.closed.Load() }
 // per-shard streams are k-way merged, so the global order does not depend
 // on the shard count.
 func (kv *KV) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return kv.eng.Scan(lo, hi, fn)
+	return kv.eng.ScanLimit(lo, hi, false, 0, fn)
 }
 
 // ScanReverse visits keys in [lo, hi] in descending order.
 func (kv *KV) ScanReverse(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return kv.eng.ScanReverse(lo, hi, fn)
+	return kv.eng.ScanLimit(lo, hi, true, 0, fn)
 }
 
 // ScanLimit is Scan (or ScanReverse, when reverse is set) that ends after

@@ -78,7 +78,6 @@ func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGau
 	writeHist(w, "fasp_mailbox_depth", "Queued requests at mailbox drain.", store, snap.MailDepth)
 	writeHist(w, "fasp_clflush_per_txn", "clflush instructions per transaction.", store, snap.FlushPer)
 	writeHist(w, "fasp_fence_per_txn", "Memory fences per transaction.", store, snap.FencePer)
-	writeHist(w, "fasp_scan_fanout", "Shard cursors per engine scan.", store, snap.ScanFanout)
 
 	if len(shards) == 0 {
 		return

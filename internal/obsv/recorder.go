@@ -177,12 +177,11 @@ type Recorder struct {
 	batchSize Histogram
 	mailDepth Histogram
 
-	// Read-path shape: optimistic vs locked Get outcomes, Gets that queued
-	// behind a commit, and per-engine-scan fan-out (shard cursors launched).
+	// Read-path shape: optimistic vs locked Get outcomes, and Gets that
+	// queued behind a commit.
 	getOptimistic atomic.Int64
 	getLocked     atomic.Int64
 	getRetries    atomic.Int64
-	scanFanout    Histogram
 
 	events  [numEvents]atomic.Int64 // totals, in Counters.vec order
 	batches atomic.Int64
@@ -306,15 +305,6 @@ func (r *Recorder) ObserveReadPath(optimistic, queued bool) {
 	}
 }
 
-// ObserveScanFanout records how many shard cursors one engine scan fanned
-// out to.
-func (r *Recorder) ObserveScanFanout(shards int) {
-	if r == nil {
-		return
-	}
-	r.scanFanout.Observe(int64(shards))
-}
-
 func (r *Recorder) addEvents(ev Counters) {
 	for i, d := range ev.vec() {
 		if d != 0 {
@@ -399,12 +389,11 @@ type Snapshot struct {
 	FencePer  HistSnapshot `json:"fence_per_txn"`
 
 	// Read-path split: Gets served optimistically vs refused on an
-	// unhealthy shard, Gets that queued behind a commit holding the read gate, and
-	// engine-scan fan-out.
-	GetOptimistic int64        `json:"get_optimistic"`
-	GetLocked     int64        `json:"get_locked"`
-	GetRetries    int64        `json:"get_retries"`
-	ScanFanout    HistSnapshot `json:"scan_fanout"`
+	// unhealthy shard, and Gets that queued behind a commit holding the
+	// read gate.
+	GetOptimistic int64 `json:"get_optimistic"`
+	GetLocked     int64 `json:"get_locked"`
+	GetRetries    int64 `json:"get_retries"`
 }
 
 // OpStats extracts one op's summary from the snapshot (zero if absent).
@@ -439,7 +428,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		GetOptimistic: r.getOptimistic.Load(),
 		GetLocked:     r.getLocked.Load(),
 		GetRetries:    r.getRetries.Load(),
-		ScanFanout:    r.scanFanout.Snapshot(),
 	}
 	for op := Op(0); op < numOps; op++ {
 		w, m := r.wall[op].Snapshot(), r.sim[op].Snapshot()

@@ -15,8 +15,8 @@ import (
 // The paper's slot header is the per-page atomic commit mark, and the
 // commit schemes checkpoint eagerly, so the committed page image is always
 // consistent: a reader needs the committed snapshot, never the writer's
-// transaction. Every read — a Get, each chunk of a scan, Count, the defrag
-// measurement — is a btree.View walk over pager.Store's PeekCommitted. It
+// transaction. Every read — a Get, each chunk of a scan or Count, the
+// defrag measurement — is a btree.View walk over pager.Store's PeekCommitted. It
 // never touches the clock, the cache overlay or the crash injector, so
 // reads add no crash points and leave the golden determinism files
 // bit-identical. The only hazard left is reading WHILE a commit is
@@ -39,9 +39,9 @@ import (
 //
 // The gate is not reentrant: a goroutine that holds the read side and asks
 // for it again waits behind any writer queued in between, for ever. So no
-// callback runs inside a read step — emit and scan callbacks run after
-// closeView — and measureFrag, which runs inside the write side, binds its
-// view without the gate.
+// callback runs inside a read step — a scan callback runs between a
+// cursor's chunks, after closeView — and measureFrag, which runs inside
+// the write side, binds its view without the gate.
 
 const (
 	// scanChunkPairs / scanChunkBytes bound one scan chunk — the longest a
@@ -130,7 +130,7 @@ func (s *state) get(key, dst []byte) ([]byte, bool, error) {
 	return val, ok, err
 }
 
-// --- Chunked range reads --------------------------------------------------
+// --- Range reads ----------------------------------------------------------
 
 // pairRef locates one record inside a scanScratch buffer. Offsets, not
 // slices: buf reallocates as it grows, and slices into it would dangle.
@@ -138,34 +138,19 @@ type pairRef struct {
 	koff, klen, voff, vlen int
 }
 
-// scanScratch accumulates one chunk of scan results: keys and values append
-// to one flat buffer, pairs index into it. Scratches recycle through
-// scratchPool, so steady-state scanning stops allocating once the pool has
-// warmed up — the fix for collect's per-record append([]byte(nil), ...)
-// churn.
+// scanScratch holds one chunk of scan results: keys and values append to
+// one flat buffer, pairs index into it, and resume holds the key the next
+// chunk starts past. Scratches recycle through scratchPool and keep their
+// capacity, so steady-state scanning does not allocate.
 type scanScratch struct {
-	refs []pairRef
-	buf  []byte
+	refs   []pairRef
+	buf    []byte
+	resume []byte
 }
 
 func (sc *scanScratch) reset() {
 	sc.refs = sc.refs[:0]
 	sc.buf = sc.buf[:0]
-}
-
-// sizeHint pre-sizes the ref slice from the shard's record-count estimate,
-// clamped to one chunk.
-func (sc *scanScratch) sizeHint(recs int64) {
-	n := int(recs)
-	if n <= 0 {
-		return
-	}
-	if n > scanChunkPairs {
-		n = scanChunkPairs
-	}
-	if cap(sc.refs) < n {
-		sc.refs = make([]pairRef, 0, n)
-	}
 }
 
 func (sc *scanScratch) add(k, v []byte) {
@@ -190,216 +175,170 @@ func (sc *scanScratch) pair(i int) (k, v []byte) {
 
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func getScratch() *scanScratch {
+// cursor reads one shard's records in a range, in one direction, one
+// chunk at a time on its caller's goroutine. Each chunk is one read step
+// (openView): it walks the committed snapshot inside the read gate, and the
+// next chunk, read only once this one is used up, resumes exclusively past
+// its last key. No caller code runs inside a step, so a callback between
+// chunks may read or write the shard again. ScanShard, ScanLimit and Count
+// all read through cursors — the one read-only range entry point.
+type cursor struct {
+	s     *state
+	b     btree.Bounds
+	limit int          // pairs the caller may still take; <= 0: no limit
+	sc    *scanScratch // the current chunk, pooled until close
+	i     int          // the next pair of sc
+	more  bool         // the last chunk stopped at a chunk bound, not the range's end
+	err   error
+}
+
+// cursor starts a cursor over [lo, hi] (nil bounds are open). limit > 0 is
+// the most pairs the caller will take: a short page reads a short chunk,
+// not a full one. Release it with close.
+func (s *state) cursor(lo, hi []byte, reverse bool, limit int) cursor {
 	sc := scratchPool.Get().(*scanScratch)
 	sc.reset()
-	return sc
+	return cursor{s: s, b: btree.Bounds{Lo: lo, Hi: hi, Reverse: reverse}, limit: limit, sc: sc, more: true}
 }
 
-func putScratch(sc *scanScratch) { scratchPool.Put(sc) }
-
-// scanChunks streams one shard's records in [lo, hi] to emit in bounded
-// chunks, in the given direction. Each chunk is one read step (openView):
-// it walks the committed snapshot inside the read gate, and the next chunk
-// resumes exclusively past its last key. emit owns each scratch it
-// receives (return it with putScratch) and is called after the step has
-// closed, outside the read gate, so it may read the shard again;
-// returning false stops the scan. No emit call follows an error. limit > 0 is the
-// most pairs the caller will consume: the scan ends after that many, so a
-// short page reads a short chunk, not a full one. ScanShard, the
-// engine-scan producers and Count all funnel through here — the single
-// read-only range entry point.
-func (s *state) scanChunks(lo, hi []byte, reverse bool, limit int, emit func(*scanScratch) bool) error {
-	b := btree.Bounds{Lo: lo, Hi: hi, Reverse: reverse}
-	var resume []byte
-	for {
-		chunk := scanChunkPairs
-		if limit > 0 && limit < chunk {
-			chunk = limit
-		}
-		v, _, err := s.openView()
-		if err != nil {
-			return err
-		}
-		sc := getScratch()
-		sc.sizeHint(s.recs.Load())
-		full := false
-		err = v.Scan(b, func(k, val []byte) bool {
-			sc.add(k, val)
-			if sc.full(chunk) {
-				full = true
-				return false
-			}
-			return true
-		})
-		cost := v.Cost()
-		s.closeView(v)
-		if err != nil {
-			putScratch(sc)
-			return err
-		}
-		if s.rec != nil && cost > 0 {
-			s.rec.ObserveSim(obsv.OpScan, cost)
-		}
-		if full {
-			// Copy the resume key before emit takes scratch ownership.
-			k, _ := sc.pair(sc.len() - 1)
-			resume = append(resume[:0], k...)
-			if reverse {
-				b.Hi, b.HiX = resume, true
-			} else {
-				b.Lo, b.LoX = resume, true
-			}
-		}
-		if sc.len() == 0 {
-			putScratch(sc)
-			return nil
-		}
-		s.scanPairs.Add(int64(sc.len()))
-		if limit > 0 {
-			if limit -= sc.len(); limit == 0 {
-				full = false // the caller's budget is spent: this chunk is the last
-			}
-		}
-		if !emit(sc) || !full {
-			return nil
-		}
+// ok reports whether c points at a pair, reading the next chunk when the
+// current one is used up. It is false at the end of the range, after limit
+// pairs, and after an error, which c.err keeps.
+func (c *cursor) ok() bool {
+	if c.i < c.sc.len() {
+		return true
 	}
-}
-
-// ScanShard visits shard i's records in [lo, hi] in ascending order —
-// inspection tooling and the golden tests read per-shard contents. It runs
-// on the same chunked read-only entry point as the engine-scan producers,
-// so the two paths cannot diverge. Key/value slices are valid only during
-// the callback.
-func (e *Engine) ScanShard(i int, lo, hi []byte, fn func(k, v []byte) bool) error {
-	stopped := false
-	return e.shards[i].scanChunks(lo, hi, false, 0, func(sc *scanScratch) bool {
-		for j := 0; j < sc.len(); j++ {
-			k, v := sc.pair(j)
-			if !fn(k, v) {
-				stopped = true
-				break
-			}
-		}
-		putScratch(sc)
-		return !stopped
-	})
-}
-
-// --- Parallel streaming merge ---------------------------------------------
-
-// chunkMsg is one producer→merge message: a chunk of records, or the
-// terminal marker (sc == nil) carrying the shard's scan error (nil error =
-// clean end of range).
-type chunkMsg struct {
-	sc  *scanScratch
-	err error
-}
-
-// produce streams one shard's records (at most limit of them, when limit >
-// 0) to the merge as bounded chunks, aborting promptly once the merge
-// closes stop.
-func (s *state) produce(lo, hi []byte, reverse bool, limit int, out chan<- chunkMsg, stop <-chan struct{}) {
-	err := s.scanChunks(lo, hi, reverse, limit, func(sc *scanScratch) bool {
-		select {
-		case out <- chunkMsg{sc: sc}:
-			return true
-		case <-stop:
-			putScratch(sc)
-			return false
-		}
-	})
-	select {
-	case out <- chunkMsg{err: err}:
-	case <-stop:
+	if c.more {
+		c.fill()
 	}
+	return c.i < c.sc.len()
 }
 
-// shardCursor is the merge's streaming view of one shard's chunk sequence.
-type shardCursor struct {
-	ch   chan chunkMsg
-	sc   *scanScratch
-	idx  int
-	done bool
-	err  error
-}
-
-// fill ensures the cursor points at a record, or marks it done (possibly
-// with the shard's error).
-func (c *shardCursor) fill() {
-	for !c.done && (c.sc == nil || c.idx >= c.sc.len()) {
-		if c.sc != nil {
-			putScratch(c.sc)
-			c.sc, c.idx = nil, 0
-		}
-		m := <-c.ch
-		if m.sc == nil {
-			c.done = true
-			c.err = m.err
-			return
-		}
-		c.sc = m.sc
-	}
-}
-
-func (c *shardCursor) key() []byte {
-	k, _ := c.sc.pair(c.idx)
+// key is the current pair's key; call it only after ok.
+func (c *cursor) key() []byte {
+	k, _ := c.sc.pair(c.i)
 	return k
 }
 
-// scan runs the k-way merge over per-shard streams. Each shard's records
-// are produced by its own goroutine in bounded chunks (read steps, see
-// openView), so collection overlaps across shards and with the
-// merge, and nothing is fully materialised: once fn returns false the merge
-// stops pulling and the producers abort at their next send. The merge
-// output is byte-identical to the former sequential collect-then-merge.
-// Key/value slices passed to fn are valid only during the callback; a shard
-// error surfaces as soon as the merge needs that shard's next record.
-//
-// limit > 0 ends the scan after limit pairs. No shard can contribute more
-// than that to the merge, so each producer stops there too: a page of 16
-// costs 16 pairs per shard, not one full chunk each.
-func (e *Engine) scan(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
-	e.cfg.Recorder.ObserveScanFanout(len(e.shards))
-	stop := make(chan struct{})
-	defer close(stop)
-	curs := make([]*shardCursor, len(e.shards))
-	for i, s := range e.shards {
-		c := &shardCursor{ch: make(chan chunkMsg, 1)}
-		curs[i] = c
-		go s.produce(lo, hi, reverse, limit, c.ch, stop)
-	}
-	for _, c := range curs {
-		c.fill()
-		if c.err != nil {
-			return c.err
+// next returns the current pair and advances past it; call it only after
+// ok. The slices are valid until the next chunk is read.
+func (c *cursor) next() (k, v []byte) {
+	k, v = c.sc.pair(c.i)
+	c.i++
+	return k, v
+}
+
+// fill reads the next chunk as one read step.
+func (c *cursor) fill() {
+	sc := c.sc
+	if n := sc.len(); n > 0 {
+		// The bound must outlive buf, which this step overwrites.
+		k, _ := sc.pair(n - 1)
+		sc.resume = append(sc.resume[:0], k...)
+		if c.b.Reverse {
+			c.b.Hi, c.b.HiX = sc.resume, true
+		} else {
+			c.b.Lo, c.b.LoX = sc.resume, true
 		}
 	}
-	// Linear-probe merge: shard counts are small (≤ a few dozen), so a heap
-	// would not pay for itself.
-	for {
-		best := -1
-		for i, c := range curs {
-			if c.done {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			cm := bytes.Compare(c.key(), curs[best].key())
-			if (!reverse && cm < 0) || (reverse && cm > 0) {
-				best = i
-			}
+	sc.reset()
+	c.i, c.more = 0, false
+	chunk := scanChunkPairs
+	if c.limit > 0 && c.limit < chunk {
+		chunk = c.limit
+	}
+	v, _, err := c.s.openView()
+	if err != nil {
+		c.err = err
+		return
+	}
+	err = v.Scan(c.b, func(k, val []byte) bool {
+		sc.add(k, val)
+		c.more = sc.full(chunk)
+		return !c.more
+	})
+	cost := v.Cost()
+	c.s.closeView(v)
+	if err != nil {
+		sc.reset()
+		c.err, c.more = err, false
+		return
+	}
+	if c.s.rec != nil && cost > 0 {
+		c.s.rec.ObserveSim(obsv.OpScan, cost)
+	}
+	c.s.scanPairs.Add(int64(sc.len()))
+	if c.limit > 0 {
+		if c.limit -= sc.len(); c.limit == 0 {
+			c.more = false // the caller's budget is spent: this chunk is the last
 		}
-		if best < 0 {
+	}
+}
+
+// close returns c's scratch to the pool.
+func (c *cursor) close() {
+	scratchPool.Put(c.sc)
+	c.sc = nil
+}
+
+// ScanShard visits shard i's records in [lo, hi] in ascending order —
+// inspection tooling and the golden tests read per-shard contents. It reads
+// through the same cursor as ScanLimit, so the two paths cannot diverge.
+// Key/value slices are valid only during the callback.
+func (e *Engine) ScanShard(i int, lo, hi []byte, fn func(k, v []byte) bool) error {
+	c := e.shards[i].cursor(lo, hi, false, 0)
+	defer c.close()
+	for c.ok() {
+		if !fn(c.next()) {
 			return nil
 		}
-		c := curs[best]
-		k, v := c.sc.pair(c.idx)
-		c.idx++
-		if !fn(k, v) {
+	}
+	return c.err
+}
+
+// ScanLimit visits the keys in [lo, hi] across all shards (nil bounds are
+// open), in ascending order or, when reverse is set, descending, and ends
+// after limit pairs (limit <= 0: no limit). Each shard holds a disjoint
+// subset of the key space, so the global order is a k-way merge of one
+// cursor per shard, run on the caller's goroutine: a cursor reads its next
+// chunk only when the merge has used up the last one, and fn runs between
+// read steps. The limit reaches every cursor, since no shard can contribute
+// more than that to the merge: a page of 16 costs at most 16 pairs per
+// shard, where a scan whose fn stops after 16 reads a full chunk on each.
+// Key/value slices are valid only during the callback; a shard error
+// surfaces as soon as the merge needs that shard's next record.
+func (e *Engine) ScanLimit(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
+	curs := make([]cursor, len(e.shards))
+	for i, s := range e.shards {
+		curs[i] = s.cursor(lo, hi, reverse, limit)
+	}
+	defer func() {
+		for i := range curs {
+			curs[i].close()
+		}
+	}()
+	for {
+		// Linear-probe merge: shard counts are small (≤ a few dozen), so a
+		// heap would not pay for itself.
+		var best *cursor
+		for i := range curs {
+			c := &curs[i]
+			if !c.ok() {
+				if c.err != nil {
+					return c.err
+				}
+				continue
+			}
+			if best == nil {
+				best = c
+				continue
+			}
+			cm := bytes.Compare(c.key(), best.key())
+			if (!reverse && cm < 0) || (reverse && cm > 0) {
+				best = c
+			}
+		}
+		if best == nil || !fn(best.next()) {
 			return nil
 		}
 		if limit > 0 {
@@ -407,16 +346,13 @@ func (e *Engine) scan(lo, hi []byte, reverse bool, limit int, fn func(k, v []byt
 				return nil
 			}
 		}
-		c.fill()
-		if c.err != nil {
-			return c.err
-		}
 	}
 }
 
-// Count sums the record counts of all shards, walking the shards in
-// parallel and returning on the first error (the buffered channel lets the
-// laggards finish after an early return without leaking goroutines).
+// Count sums the record counts of all shards. Each shard counts through
+// its own cursor on its own goroutine, so the walks overlap; the first
+// error is returned (the buffered channel lets the laggards finish after
+// an early return without leaking goroutines).
 func (e *Engine) Count() (int, error) {
 	type result struct {
 		n   int
@@ -425,8 +361,13 @@ func (e *Engine) Count() (int, error) {
 	ch := make(chan result, len(e.shards))
 	for _, s := range e.shards {
 		go func(s *state) {
-			n, err := s.countRecords()
-			ch <- result{n, err}
+			c := s.cursor(nil, nil, false, 0)
+			defer c.close()
+			n := 0
+			for ; c.ok(); n++ {
+				c.next()
+			}
+			ch <- result{n, c.err}
 		}(s)
 	}
 	total := 0
@@ -438,16 +379,4 @@ func (e *Engine) Count() (int, error) {
 		total += r.n
 	}
 	return total, nil
-}
-
-// countRecords counts one shard's records through the shared chunked entry
-// point, in bounded read steps.
-func (s *state) countRecords() (int, error) {
-	n := 0
-	err := s.scanChunks(nil, nil, false, 0, func(sc *scanScratch) bool {
-		n += sc.len()
-		putScratch(sc)
-		return true
-	})
-	return n, err
 }

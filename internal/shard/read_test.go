@@ -170,7 +170,7 @@ func TestReadsAddNoCrashPoints(t *testing.T) {
 						t.Fatalf("get %d: %v %v", j, ok, err)
 					}
 				}
-				if err := e.Scan(nil, nil, func(_, _ []byte) bool { return true }); err != nil {
+				if err := e.ScanLimit(nil, nil, false, 0, func(_, _ []byte) bool { return true }); err != nil {
 					t.Fatal(err)
 				}
 				if err := e.ScanShard(i%shards, nil, nil, func(_, _ []byte) bool { return true }); err != nil {
@@ -404,11 +404,12 @@ func TestWriterWaitsForReader(t *testing.T) {
 	}
 }
 
-// TestScanCallbackReadsSameShard calls Get on the shard being scanned from
-// inside ScanShard and Scan callbacks while a writer commits to it. The
-// read gate is not reentrant: a callback run inside a read step would queue
-// behind the writer, which queues behind that step, and the scan would
-// never finish.
+// TestScanCallbackReadsSameShard calls Get, and Puts the pair back, on the
+// shard being scanned from inside ScanShard and ScanLimit callbacks while a
+// writer commits to it. The read gate is not reentrant: a callback run
+// inside a read step would queue behind the writer, which queues behind
+// that step, and the scan would never finish; the callback's own Put would
+// wait for that step for ever.
 func TestScanCallbackReadsSameShard(t *testing.T) {
 	const n = 600 // over two scan chunks
 	// Closed only on success: a deadlocked shard would hang Close.
@@ -440,13 +441,16 @@ func TestScanCallbackReadsSameShard(t *testing.T) {
 			if err != nil || !ok || !bytes.Equal(got, v) {
 				return false
 			}
+			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: append([]byte(nil), k...), Val: got}); err != nil {
+				return false
+			}
 			seen++
 			return true
 		}
 		for round := 0; round < 4; round++ {
 			for _, run := range []func() error{
 				func() error { return e.ScanShard(0, nil, key(n-1), check) },
-				func() error { return e.Scan(nil, key(n-1), check) },
+				func() error { return e.ScanLimit(nil, key(n-1), false, 0, check) },
 			} {
 				seen = 0
 				if err := run(); err != nil {
@@ -454,7 +458,7 @@ func TestScanCallbackReadsSameShard(t *testing.T) {
 					return
 				}
 				if seen != n {
-					scans <- fmt.Errorf("round %d: a callback's Get disagreed after %d of %d pairs", round, seen, n)
+					scans <- fmt.Errorf("round %d: a callback's Get or Put failed after %d of %d pairs", round, seen, n)
 					return
 				}
 			}
@@ -467,7 +471,7 @@ func TestScanCallbackReadsSameShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("scans whose callbacks read the same shard did not finish: a callback ran inside the read gate")
+		t.Fatal("scans whose callbacks read and write the same shard did not finish: a callback ran inside the read gate")
 	}
 	stop.Store(true)
 	if err := <-writer; err != nil {
@@ -500,7 +504,7 @@ func TestReadFallbackSemantics(t *testing.T) {
 	if snap := rec.Snapshot(); snap.GetOptimistic != 0 || snap.GetLocked != 1 {
 		t.Fatalf("refused get: optimistic=%d locked=%d, want 0/1", snap.GetOptimistic, snap.GetLocked)
 	}
-	if err := e.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, shard.ErrCrashed) {
+	if err := e.ScanLimit(nil, nil, false, 0, func(_, _ []byte) bool { return true }); !errors.Is(err, shard.ErrCrashed) {
 		t.Fatalf("scan on crashed engine: %v", err)
 	}
 	if err := e.ScanShard(0, nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, shard.ErrCrashed) {
@@ -536,7 +540,7 @@ func TestReadsAfterClose(t *testing.T) {
 		}
 	}
 	count := 0
-	if err := e.Scan(nil, nil, func(_, _ []byte) bool { count++; return true }); err != nil {
+	if err := e.ScanLimit(nil, nil, false, 0, func(_, _ []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
@@ -547,10 +551,10 @@ func TestReadsAfterClose(t *testing.T) {
 	}
 }
 
-// TestScanEarlyStopStopsProducers: fn returning false must abort the merge
-// without draining every shard (the producers park on the stop channel) and
-// without goroutine leaks (run under -race to catch teardown races).
-func TestScanEarlyStopStopsProducers(t *testing.T) {
+// TestScanEarlyStop: fn returning false must end the merge at once, in
+// either direction, with or without bounds, and return every cursor's
+// scratch (TestScanAllocs counts what a leak would cost).
+func TestScanEarlyStop(t *testing.T) {
 	e := newTestEngine(t, 4, 8)
 	for i := 0; i < 2000; i++ {
 		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
@@ -559,7 +563,7 @@ func TestScanEarlyStopStopsProducers(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		seen := 0
-		if err := e.Scan(nil, nil, func(_, _ []byte) bool {
+		if err := e.ScanLimit(nil, nil, false, 0, func(_, _ []byte) bool {
 			seen++
 			return seen < 5
 		}); err != nil {
@@ -571,7 +575,7 @@ func TestScanEarlyStopStopsProducers(t *testing.T) {
 	}
 	// Reverse with bounds, early stop.
 	var got []string
-	if err := e.ScanReverse(key(100), key(1900), func(k, _ []byte) bool {
+	if err := e.ScanLimit(key(100), key(1900), true, 0, func(k, _ []byte) bool {
 		got = append(got, string(k))
 		return len(got) < 3
 	}); err != nil {
@@ -585,12 +589,12 @@ func TestScanEarlyStopStopsProducers(t *testing.T) {
 	}
 }
 
-// TestScanLimitReachesProducers pins the limit pushdown: a 16-pair page on
+// TestScanLimitReachesShards pins the limit pushdown: a 16-pair page on
 // a 4-shard engine gathers at most 16 pairs on each shard — where an
 // unlimited Scan stopped by fn after 16 has every shard fill a whole chunk
 // — and delivers exactly the pairs the unlimited scan would have, in both
 // directions, and across a limit larger than one chunk.
-func TestScanLimitReachesProducers(t *testing.T) {
+func TestScanLimitReachesShards(t *testing.T) {
 	e := newTestEngine(t, 4, 8)
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -639,12 +643,68 @@ func TestScanLimitReachesProducers(t *testing.T) {
 	// chunk on every shard.
 	before := gathered()
 	seen := 0
-	if err := e.Scan(nil, nil, func(_, _ []byte) bool { seen++; return seen < 16 }); err != nil {
+	if err := e.ScanLimit(nil, nil, false, 0, func(_, _ []byte) bool { seen++; return seen < 16 }); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range gathered() {
 		if d := a - before[i]; d < 256 {
 			t.Errorf("unlimited scan gathered %d pairs on shard %d, expected a full chunk", d, i)
+		}
+	}
+}
+
+// TestScanAllocs pins the range read's allocations: after warm-up, a
+// 16-pair page across four shards (server-mixed's SCAN shape) and an
+// unlimited scan stopped early by fn each allocate at most once per call —
+// the merge's cursor slice. Every cursor returns its chunk scratch to the
+// pool on every return, so the pool stays warm.
+func TestScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n, page = 4096, 16
+	e := newTestEngine(t, 4, 64)
+	value := bytes.Repeat([]byte("v"), 64)
+	batch := make([]shard.Op, 0, 64)
+	for i := 0; i < n; i++ {
+		batch = append(batch, shard.Op{Kind: shard.OpPut, Key: key(i), Val: value})
+		if len(batch) == cap(batch) || i == n-1 {
+			for _, err := range e.ApplyBatch(batch) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch = batch[:0]
+		}
+	}
+	lo, hi := key(n/4), key(3*n/4)
+	seen := 0
+	count := func(_, _ []byte) bool { seen++; return true }
+	stop := func(_, _ []byte) bool { seen++; return seen < page }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"page", func() error { return e.ScanLimit(lo, hi, false, page, count) }},
+		{"page-reverse", func() error { return e.ScanLimit(lo, hi, true, page, count) }},
+		{"stopped-by-fn", func() error { return e.ScanLimit(lo, hi, false, 0, stop) }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			seen = 0
+			if rerr := tc.run(); rerr != nil {
+				err = rerr
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if seen != page {
+			t.Fatalf("%s: visited %d pairs, want %d", tc.name, seen, page)
+		}
+		t.Logf("%s: %.1f allocs per scan", tc.name, allocs)
+		if allocs > 1 {
+			t.Errorf("%s: %.1f allocs per scan, want <= 1", tc.name, allocs)
 		}
 	}
 }

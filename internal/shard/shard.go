@@ -223,11 +223,8 @@ type state struct {
 	maxDrained int
 
 	// The read gate (read.go): a read step holds its read side, a mutator
-	// its write side. recs is an upper-bound record-count estimate that
-	// pre-sizes scan scratch buffers; scanPairs counts the pairs range reads
-	// have gathered.
+	// its write side. scanPairs counts the pairs range reads have gathered.
 	gate      sync.RWMutex
-	recs      atomic.Int64
 	scanPairs atomic.Int64
 
 	mail chan *Request
@@ -511,28 +508,8 @@ func (s *state) applyLocked(ops []Op, errs []error, units []int32) {
 		for i := range errs {
 			errs[i] = down
 		}
-	} else {
-		// recs is a record-count estimate (an upper bound: Put may
-		// overwrite rather than insert) used only to pre-size read scratch
-		// buffers, so the cheap accounting is fine.
-		var d int64
-		for i := range ops {
-			if errs[i] != nil {
-				continue
-			}
-			switch ops[i].Kind {
-			case OpPut, OpInsert:
-				d++
-			case OpDelete:
-				d--
-			}
-		}
-		if d != 0 {
-			s.recs.Add(d)
-		}
-		if s.defragTh > 0 {
-			s.defragTick()
-		}
+	} else if s.defragTh > 0 {
+		s.defragTick()
 	}
 	s.ops += int64(len(ops))
 	// ApplyUnits chunks at maxBatch, so the largest single group commit out
@@ -574,27 +551,6 @@ func (e *Engine) Update(si int, fn func(tx *btree.Tx) error) error {
 		return down
 	}
 	return err
-}
-
-// Scan visits keys in [lo, hi] in ascending order across all shards
-// (nil bounds are open). Each shard holds a disjoint subset of the key
-// space, so the global order is a k-way merge of the per-shard streams;
-// per-shard collection is streamed by one producer goroutine each (see
-// read.go). Key/value slices are valid only during the callback.
-func (e *Engine) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return e.scan(lo, hi, false, 0, fn)
-}
-
-// ScanReverse visits keys in [lo, hi] in descending order across shards.
-func (e *Engine) ScanReverse(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return e.scan(lo, hi, true, 0, fn)
-}
-
-// ScanLimit is Scan (or ScanReverse) that ends after limit pairs (limit <=
-// 0: no limit). The limit reaches the per-shard producers, so a caller that
-// wants one short page should say so here rather than stop fn early.
-func (e *Engine) ScanLimit(lo, hi []byte, reverse bool, limit int, fn func(k, v []byte) bool) error {
-	return e.scan(lo, hi, reverse, limit, fn)
 }
 
 // Validate checks full structural integrity of every shard's tree.

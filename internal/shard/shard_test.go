@@ -131,7 +131,7 @@ func TestScanMerge(t *testing.T) {
 	sort.Strings(want)
 
 	var got []string
-	if err := e.Scan(nil, nil, func(k, v []byte) bool {
+	if err := e.ScanLimit(nil, nil, false, 0, func(k, v []byte) bool {
 		got = append(got, string(k))
 		return true
 	}); err != nil {
@@ -142,7 +142,7 @@ func TestScanMerge(t *testing.T) {
 	}
 
 	got = got[:0]
-	if err := e.ScanReverse(nil, nil, func(k, v []byte) bool {
+	if err := e.ScanLimit(nil, nil, true, 0, func(k, v []byte) bool {
 		got = append(got, string(k))
 		return true
 	}); err != nil {
@@ -159,7 +159,7 @@ func TestScanMerge(t *testing.T) {
 
 	// Bounded scan with early termination.
 	var first []string
-	if err := e.Scan([]byte("key000010"), []byte("key000290"), func(k, v []byte) bool {
+	if err := e.ScanLimit([]byte("key000010"), []byte("key000290"), false, 0, func(k, v []byte) bool {
 		first = append(first, string(k))
 		return len(first) < 5
 	}); err != nil {
@@ -340,7 +340,7 @@ func TestConcurrentClients(t *testing.T) {
 					return
 				}
 			}
-			e.Scan(nil, nil, func(k, v []byte) bool { return true })
+			e.ScanLimit(nil, nil, false, 0, func(k, v []byte) bool { return true })
 			e.Count()
 		}()
 	}
@@ -824,7 +824,7 @@ func TestCloseSealsLockedPath(t *testing.T) {
 
 	count := func() int {
 		n := 0
-		if err := e.Scan(nil, nil, func(k, v []byte) bool {
+		if err := e.ScanLimit(nil, nil, false, 0, func(k, v []byte) bool {
 			n++
 			return true
 		}); err != nil {

@@ -4,13 +4,15 @@
 #
 #   scripts/bench-pairs.sh BASE_REV WORKLOAD N [SECONDS]
 #
-# Exports BASE_REV into .bench_build/pairs/parent (git archive: a plain
-# tree, nothing registered in .git), runs N pairs of
+# Everything lands in .bench_build/pairs/WORKLOAD, so a run for another
+# workload keeps this one's logs. Exports BASE_REV into its parent/
+# (git archive: a plain tree, nothing registered in .git), runs N pairs of
 #   bash bench/run.sh --workload WORKLOAD --seed i --seconds SECONDS --out ...
 # for seeds 1..N — parent first on odd seeds, change first on even ones,
 # each side from its own checkout so each builds its own source — and ends
-# with --compare parent.json change.json. The exit status is the
-# comparison's (non-zero when an end-to-end metric is worse).
+# with --compare parent.json change.json against BENCHMARK.json narrowed to
+# WORKLOAD. The exit status is the comparison's: non-zero only when an
+# end-to-end metric is worse or unresolved.
 # Run it on a quiet machine from the repository root, tree committed or not:
 # the change side is the working tree.
 set -euo pipefail
@@ -18,10 +20,13 @@ set -euo pipefail
 base=$1 workload=$2 pairs=$3 seconds=${4:-20}
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
-out="$root/.bench_build/pairs"
+out="$root/.bench_build/pairs/$workload"
 rm -rf "$out"
 mkdir -p "$out/parent"
 git archive "$base" | tar -x -C "$out/parent"
+# The comparison judges only the workload that ran: the full definition
+# would count every other one as missing from both files.
+jq --arg w "$workload" '.workloads |= map(select(.name == $w))' BENCHMARK.json >"$out/benchmark.json"
 
 run() { # run SIDE DIR SEED
 	echo "== pair $3: $1" >&2
@@ -37,4 +42,4 @@ for ((i = 1; i <= pairs; i++)); do
 		run parent "$out/parent" "$i"
 	fi
 done
-bash bench/run.sh --compare "$out/parent.json" "$out/change.json"
+bash bench/run.sh --compare --benchmark "$out/benchmark.json" "$out/parent.json" "$out/change.json"
