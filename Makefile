@@ -70,9 +70,10 @@ bench:
 
 # Host CPU profile of a workload's op shape: PROFILE_BENCH (BenchmarkKVChurn,
 # kv-write's; BenchmarkSQLStatements, sql-insert's; BenchmarkScanPage,
-# server-mixed's range read) for PROFILE_OPS ops, then the top PROFILE_TOP
-# entries of its measured loop alone (each benchmark labels it
-# phase=churn, which leaves the preload out). The profile and the
+# server-mixed's range read; BenchmarkBulkLoad, server-write's preload) for
+# PROFILE_OPS ops, then the top PROFILE_TOP entries of its measured loop
+# alone (each benchmark labels it phase=churn, which leaves the preload, or
+# opening the stores, out). The profile and the
 # test binary stay in .bench_build/ for further go tool pprof use.
 PROFILE_BENCH ?= BenchmarkKVChurn
 PROFILE_OPS ?= 300000

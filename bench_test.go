@@ -367,6 +367,15 @@ func BenchmarkWriteAmplification(b *testing.B) {
 // miss the 2 MiB emulated cache and only the upper tree levels stay in it.
 const kvChurnPreload = 100_000
 
+// mixKey writes record id's 8-byte key: the big-endian splitmix64 of the
+// id, so dense ids land uniformly over the key space.
+func mixKey(dst []byte, id uint64) {
+	z := id*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	binary.BigEndian.PutUint64(dst, z^z>>31)
+}
+
 // BenchmarkKVChurn runs the kv-write workload's op shape on the fasp.KV
 // facade with its defaults (FAST+, one shard, 4 KiB pages): a preload, then
 // 35 % inserts of new keys, 30 % updates of live keys to a freshly drawn
@@ -384,12 +393,6 @@ func BenchmarkKVChurn(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var live []uint64
 	nextID := uint64(0)
-	key := func(dst []byte, id uint64) {
-		z := id*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15 // splitmix64: spread ids over the key space
-		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-		z = (z ^ z>>27) * 0x94D049BB133111EB
-		binary.BigEndian.PutUint64(dst, z^z>>31)
-	}
 	valBuf := make([]byte, 256)
 	rng.Read(valBuf)
 	drawVal := func() []byte { return valBuf[:32+rng.Intn(256-32+1)] }
@@ -397,7 +400,7 @@ func BenchmarkKVChurn(b *testing.B) {
 		ops := make([]fasp.Op, 0, 4096)
 		for ; len(ops) < cap(ops) && done < kvChurnPreload; done++ {
 			k := make([]byte, 8)
-			key(k, nextID)
+			mixKey(k, nextID)
 			live = append(live, nextID)
 			nextID++
 			ops = append(ops, fasp.Op{Kind: fasp.OpInsert, Key: k, Val: drawVal()})
@@ -417,16 +420,16 @@ func BenchmarkKVChurn(b *testing.B) {
 			u := rng.Intn(100)
 			switch {
 			case u < 35 || len(live) == 0:
-				key(k[:], nextID)
+				mixKey(k[:], nextID)
 				live = append(live, nextID)
 				nextID++
 				err = kv.Insert(k[:], drawVal())
 			case u < 65:
-				key(k[:], live[rng.Intn(len(live))])
+				mixKey(k[:], live[rng.Intn(len(live))])
 				err = kv.Put(k[:], drawVal())
 			default:
 				j := rng.Intn(len(live))
-				key(k[:], live[j])
+				mixKey(k[:], live[j])
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
 				err = kv.Delete(k[:])
@@ -568,4 +571,58 @@ func BenchmarkScanPage(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
+// BenchmarkBulkLoad runs the server-write workload's preload on the fasp.KV
+// facade: four shards take 200,000 inserts of 8-byte scrambled keys with
+// 64-byte values, in ApplyBatch calls of 4,096 ops. One op is one insert;
+// after every 200,000 the next ops go to a freshly opened store, opened
+// outside the timer. It reports Go's ns/op and allocs/op per insert. The
+// ApplyBatch calls run under the same pprof label as BenchmarkKVChurn's,
+// phase=churn, so `make profile PROFILE_BENCH=BenchmarkBulkLoad` leaves
+// opening and closing stores out of the load's host profile.
+func BenchmarkBulkLoad(b *testing.B) {
+	const records, chunk = 200_000, 4096
+	var kv *fasp.KV
+	defer func() {
+		if kv != nil {
+			kv.Close()
+		}
+	}()
+	val := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(val)
+	keys := make([]byte, 8*chunk)
+	ops := make([]fasp.Op, 0, chunk)
+	apply := func(context.Context) {
+		for _, err := range kv.ApplyBatch(ops) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		id := done % records
+		if id == 0 {
+			b.StopTimer()
+			if kv != nil {
+				kv.Close()
+			}
+			var err error
+			if kv, err = fasp.OpenKV(fasp.Options{Shards: 4}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		n := min(chunk, b.N-done, records-id)
+		ops = ops[:0]
+		for j := 0; j < n; j++ {
+			k := keys[8*j : 8*j+8]
+			mixKey(k, uint64(id+j))
+			ops = append(ops, fasp.Op{Kind: fasp.OpInsert, Key: k, Val: val})
+		}
+		pprof.Do(context.Background(), pprof.Labels("phase", "churn"), apply)
+		done += n
+	}
 }

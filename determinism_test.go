@@ -220,9 +220,9 @@ type goldenShardRecord struct {
 
 // runGoldenShardedWorkload drives a fixed workload through the facade's
 // deterministic ApplyBatch path on a Shards=4 store — batch boundaries are
-// a pure function of the op sequence (chunks of MaxBatch per shard, in
-// ascending shard order), so per-shard simulated time is reproducible,
-// unlike the timing-dependent mailbox path.
+// a pure function of the op sequence (chunks of MaxBatch per shard, each
+// shard's ops in submission order), so per-shard simulated time is
+// reproducible, unlike the timing-dependent mailbox path.
 func runGoldenShardedWorkload(t *testing.T) []goldenShardRecord {
 	t.Helper()
 	const shards = 4

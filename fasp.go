@@ -464,9 +464,9 @@ func (kv *KV) Delete(key []byte) error {
 // ApplyBatch applies ops as group commits of at most Options.MaxBatch
 // operations per transaction, returning per-op errors aligned with ops.
 // The ops are partitioned by shard and each shard's sub-batch is applied in
-// submission order, in ascending shard order — batch boundaries (and
-// therefore simulated time) are a pure function of the op sequence, unlike
-// the concurrent mailbox path. Logical failures (duplicate insert, absent
+// submission order, the shards' sub-batches concurrently — batch boundaries
+// (and therefore simulated time) are a pure function of the op sequence,
+// unlike the mailbox path. Logical failures (duplicate insert, absent
 // key) are reported per op without aborting their batch; see
 // internal/shard.ApplyOps.
 func (kv *KV) ApplyBatch(ops []Op) []error { return kv.eng.ApplyBatch(ops) }

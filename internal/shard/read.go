@@ -350,33 +350,28 @@ func (e *Engine) ScanLimit(lo, hi []byte, reverse bool, limit int, fn func(k, v 
 }
 
 // Count sums the record counts of all shards. Each shard counts through
-// its own cursor on its own goroutine, so the walks overlap; the first
-// error is returned (the buffered channel lets the laggards finish after
-// an early return without leaking goroutines).
+// its own cursor, concurrently; Count waits for every shard and returns the
+// lowest-index shard's error.
 func (e *Engine) Count() (int, error) {
-	type result struct {
-		n   int
-		err error
+	all := make([]int, len(e.shards))
+	counts := make([]int, len(e.shards))
+	for si := range all {
+		all[si] = si
 	}
-	ch := make(chan result, len(e.shards))
-	for _, s := range e.shards {
-		go func(s *state) {
-			c := s.cursor(nil, nil, false, 0)
-			defer c.close()
-			n := 0
-			for ; c.ok(); n++ {
-				c.next()
-			}
-			ch <- result{n, c.err}
-		}(s)
+	err := fanOut(all, func(si int) error {
+		c := e.shards[si].cursor(nil, nil, false, 0)
+		defer c.close()
+		for ; c.ok(); counts[si]++ {
+			c.next()
+		}
+		return c.err
+	})
+	if err != nil {
+		return 0, err
 	}
 	total := 0
-	for range e.shards {
-		r := <-ch
-		if r.err != nil {
-			return 0, r.err
-		}
-		total += r.n
+	for _, n := range counts {
+		total += n
 	}
 	return total, nil
 }

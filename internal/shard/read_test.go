@@ -345,6 +345,37 @@ func TestReadWaitsForWriteGate(t *testing.T) {
 	}
 }
 
+// TestCountWaitsForEveryShard parks shard 0's count behind its write gate
+// and crashes shard 2: Count must not return while shard 0 still counts,
+// and once the gate opens it returns shard 2's ErrCrashed.
+func TestCountWaitsForEveryShard(t *testing.T) {
+	e := newTestEngine(t, 4, 8)
+	for i := 0; i < 200; i++ {
+		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.RestoreShard(2, e.MediumSnapshots()[2]); err != nil {
+		t.Fatal(err)
+	}
+	release := e.HoldWriteGate(0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Count()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		release()
+		t.Fatalf("Count returned (%v) while shard 0 was still counting", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-done; !errors.Is(err, shard.ErrCrashed) {
+		t.Fatalf("Count = %v, want ErrCrashed", err)
+	}
+}
+
 // TestWriterWaitsForReader holds one read step open and submits a write to
 // its shard: the write reaches the read gate and waits there, and the step
 // keeps seeing the state before it. Once the step closes, the write

@@ -100,7 +100,8 @@ type Config struct {
 	// FaultHook, when set, runs at the top of every group commit with the
 	// shard index, inside the contained writer section: a panic degrades
 	// just that shard (wrapped ErrShardDown until Heal re-runs recovery), a
-	// sleep stalls that shard's batch while the others keep serving. The
+	// sleep stalls that shard's batch while the others keep serving.
+	// Different shards call it concurrently, on either apply path. The
 	// fault-injection harness (internal/faultx) plugs in here; production
 	// leaves it nil.
 	FaultHook func(shard int)
@@ -364,9 +365,11 @@ func (e *Engine) Close() {
 // Closed reports whether Close has begun.
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// ApplyBatch partitions ops by shard and applies each shard's sub-batch —
-// in submission order, in ascending shard order, as group commits of at
-// most MaxBatch ops — returning per-op errors aligned with ops.
+// ApplyBatch partitions ops by shard and applies each shard's sub-batch in
+// submission order, as group commits of at most MaxBatch ops, returning
+// per-op errors aligned with ops. The shards' sub-batches are applied
+// concurrently: a shard's commit marks live in its own arena, so the
+// shards are independent machines.
 //
 // Unlike the mailbox path, batch boundaries here are a pure function of
 // the op sequence, so per-shard simulated time is bit-reproducible; the
@@ -382,28 +385,71 @@ func (e *Engine) ApplyBatch(ops []Op) []error {
 		}
 		return errs
 	}
-	parts := make([][]int, len(e.shards))
+	// Lay the ops out shard-major: shard si's sub-batch is
+	// sorted[start[si]:start[si+1]], and from maps it back to ops.
+	sid := make([]int32, len(ops))
+	start := make([]int, len(e.shards)+1)
 	for i := range ops {
 		si := e.ShardFor(ops[i].Key)
-		parts[si] = append(parts[si], i)
+		sid[i] = int32(si)
+		start[si+1]++
 	}
-	var sOps []Op
-	var sErrs []error
-	for si, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
+	var busy []int
+	for si := range e.shards {
+		if start[si+1] > 0 {
+			busy = append(busy, si)
 		}
-		sOps = sOps[:0]
-		for _, i := range idxs {
-			sOps = append(sOps, ops[i])
-		}
-		sErrs = append(sErrs[:0], make([]error, len(idxs))...)
-		e.shards[si].applyLocked(sOps, sErrs, nil)
-		for k, i := range idxs {
-			errs[i] = sErrs[k]
-		}
+		start[si+1] += start[si]
+	}
+	if len(busy) == 1 {
+		e.shards[busy[0]].applyLocked(ops, errs, nil)
+		return errs
+	}
+	sorted := make([]Op, len(ops))
+	from := make([]int, len(ops))
+	next := append([]int(nil), start[:len(e.shards)]...)
+	for i, si := range sid {
+		k := next[si]
+		next[si]++
+		sorted[k], from[k] = ops[i], i
+	}
+	sErrs := make([]error, len(ops))
+	fanOut(busy, func(si int) error {
+		lo, hi := start[si], start[si+1]
+		e.shards[si].applyLocked(sorted[lo:hi], sErrs[lo:hi], nil)
+		return nil
+	})
+	for k, i := range from {
+		errs[i] = sErrs[k]
 	}
 	return errs
+}
+
+// fanOut runs fn for every shard index in shards (ascending), each on its
+// own goroutine but the first, which runs on the caller's — so one shard's
+// work spawns nothing. It waits for all of them and returns the error of
+// the lowest-index shard that failed.
+func fanOut(shards []int, fn func(si int) error) error {
+	if len(shards) == 0 {
+		return nil
+	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for k := 1; k < len(shards); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = fn(shards[k])
+		}()
+	}
+	errs[0] = fn(shards[0])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // unavailable returns the error every operation on this shard gets while

@@ -188,36 +188,147 @@ func TestScanMerge(t *testing.T) {
 }
 
 // TestApplyBatchDeterminism: batch boundaries on the ApplyBatch path are a
-// pure function of the op sequence, so two engines fed the same sequence
-// have bit-identical per-shard simulated time, phases, and PM counters.
+// pure function of the op sequence, so applying the shards' sub-batches
+// concurrently changes nothing per shard. One 4-shard call must leave every
+// shard's simulated time, phases and PM counters bit-identical to an engine
+// fed each shard's sub-batch in a call of its own (which applies it on the
+// caller's goroutine), and give each op the same verdict at its own index:
+// duplicate inserts and deletes of absent keys fail alone, and every op of
+// the shard the fault hook degrades fails with ErrShardDown.
 func TestApplyBatchDeterminism(t *testing.T) {
-	run := func() *shard.Engine {
-		e := newTestEngine(t, 4, 16)
-		var ops []shard.Op
-		for i := 0; i < 400; i++ {
-			ops = append(ops, shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)})
-		}
-		for i := 0; i < 100; i += 3 {
-			ops = append(ops, shard.Op{Kind: shard.OpPut, Key: key(i), Val: []byte("updated")})
-		}
-		for i := 0; i < 50; i += 5 {
-			ops = append(ops, shard.Op{Kind: shard.OpDelete, Key: key(i)})
-		}
-		for _, err := range e.ApplyBatch(ops) {
-			if err != nil {
-				t.Fatal(err)
+	const degraded = 2
+	newEngine := func() *shard.Engine {
+		cfg := testConfig(4, 16, 0)
+		cfg.FaultHook = func(s int) {
+			if s == degraded {
+				panic("injected writer fault")
 			}
 		}
+		e, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
 		return e
 	}
-	a, b := run(), run()
-	for i := 0; i < a.Shards(); i++ {
-		ia, ib := a.ShardInfo(i), b.ShardInfo(i)
+	var ops []shard.Op
+	for i := 0; i < 400; i++ {
+		ops = append(ops, shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)})
+	}
+	for i := 0; i < 100; i += 3 {
+		ops = append(ops, shard.Op{Kind: shard.OpPut, Key: key(i), Val: []byte("updated")})
+	}
+	for i := 0; i < 50; i += 5 {
+		ops = append(ops, shard.Op{Kind: shard.OpDelete, Key: key(i)})
+	}
+	benign := len(ops) // from here: a duplicate insert, then a delete of an absent key, in turn
+	for i := 0; i < 40; i += 7 {
+		ops = append(ops, shard.Op{Kind: shard.OpInsert, Key: key(i + 100), Val: val(i)})
+		ops = append(ops, shard.Op{Kind: shard.OpDelete, Key: key(i + 1000)})
+	}
+
+	one := newEngine()
+	got := one.ApplyBatch(ops)
+	split := newEngine()
+	want := make([]error, len(ops))
+	for si := 0; si < split.Shards(); si++ {
+		var idx []int
+		var sub []shard.Op
+		for i, op := range ops {
+			if split.ShardFor(op.Key) == si {
+				idx = append(idx, i)
+				sub = append(sub, op)
+			}
+		}
+		for k, err := range split.ApplyBatch(sub) {
+			want[idx[k]] = err
+		}
+	}
+
+	var dups, absent int
+	for i, op := range ops {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Fatalf("op %d (%s): one call %v, split calls %v", i, op.Key, got[i], want[i])
+		}
+		err := got[i]
+		switch {
+		case one.ShardFor(op.Key) == degraded:
+			if !errors.Is(err, shard.ErrShardDown) {
+				t.Fatalf("op %d on the degraded shard: %v", i, err)
+			}
+		case i >= benign && (i-benign)%2 == 0:
+			if !errors.Is(err, slotted.ErrDuplicate) {
+				t.Fatalf("op %d, a duplicate insert: %v", i, err)
+			}
+			dups++
+		case i >= benign:
+			if !errors.Is(err, btree.ErrKeyNotFound) {
+				t.Fatalf("op %d, a delete of an absent key: %v", i, err)
+			}
+			absent++
+		case err != nil:
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if dups == 0 || absent == 0 {
+		t.Fatalf("healthy shards saw %d duplicate inserts and %d absent deletes", dups, absent)
+	}
+	for i := 0; i < one.Shards(); i++ {
+		ia, ib := one.ShardInfo(i), split.ShardInfo(i)
 		if !reflect.DeepEqual(ia, ib) {
 			t.Fatalf("shard %d diverged:\n%+v\n%+v", i, ia, ib)
 		}
-		if ia.SimNS == 0 || ia.Batches == 0 {
+		if i == degraded {
+			if ia.Health != shard.Degraded {
+				t.Fatalf("shard %d not degraded: %+v", i, ia)
+			}
+		} else if ia.SimNS == 0 || ia.Batches == 0 {
 			t.Fatalf("shard %d did no work: %+v", i, ia)
+		}
+	}
+}
+
+// TestApplyBatchShardsOverlap: ApplyBatch applies the shards' sub-batches
+// at once. Shard 0's group commit waits until shard 1's has started, which
+// only a concurrent apply lets happen; applied one shard after the other,
+// the wait times out and is recorded.
+func TestApplyBatchShardsOverlap(t *testing.T) {
+	cfg := testConfig(2, 16, 0)
+	started1 := make(chan struct{})
+	var once sync.Once
+	var timedOut atomic.Bool
+	cfg.FaultHook = func(s int) {
+		switch s {
+		case 0:
+			select {
+			case <-started1:
+			case <-time.After(5 * time.Second):
+				timedOut.Store(true)
+			}
+		case 1:
+			once.Do(func() { close(started1) })
+		}
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var ops []shard.Op
+	for i := 0; i < 64; i++ {
+		ops = append(ops, shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)})
+	}
+	for i, err := range e.ApplyBatch(ops) {
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if timedOut.Load() {
+		t.Fatal("shard 0's group commit waited 5s for shard 1's to start: the shards were applied one after the other")
+	}
+	for i := 0; i < e.Shards(); i++ {
+		if e.ShardInfo(i).Batches == 0 {
+			t.Fatalf("shard %d committed nothing", i)
 		}
 	}
 }

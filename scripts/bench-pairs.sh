@@ -31,7 +31,7 @@ jq --arg w "$workload" '.workloads |= map(select(.name == $w))' BENCHMARK.json >
 run() { # run SIDE DIR SEED
 	echo "== pair $3: $1" >&2
 	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --out "$out/$1.json") >"$out/$1.$3.log"
-	grep -E '^ +(throughput_ops_s|cpu_us_per_op|sim_us_per_op) ' "$out/$1.$3.log" >&2 || true
+	grep -E '^ +(setup_s|throughput_ops_s|cpu_us_per_op|sim_us_per_op) ' "$out/$1.$3.log" >&2 || true
 }
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then
