@@ -88,7 +88,7 @@ profile:
 # scripts/bench-pairs.sh). Quiet machine only.
 BASE     ?= HEAD
 WORKLOAD ?= kv-write
-PAIRS    ?= 3
+PAIRS    ?= 4
 bench-pairs:
 	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 

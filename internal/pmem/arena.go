@@ -42,14 +42,15 @@ type cacheLine struct {
 // order is the intrusive ring threaded through the slots. The hot path (hit
 // lookup, miss fill, eviction, flush) performs no Go allocation once the
 // slab has warmed up. The slab is bounded by the resident set; the table
-// costs 4 bytes per line, a sixteenth of the medium it sits beside. The
+// costs 4 bytes per line of the arena, resident or not. The medium is
+// allocated a segment at a time, by the first write that reaches it. The
 // event sequence (hits, fills, write-backs, clock advances) is identical to
 // the reference map+slice implementation.
 type Arena struct {
 	name     string
 	kind     Kind
 	sys      *System
-	data     []byte      // the medium (durable for PM, volatile for DRAM)
+	med      medium      // the medium (durable for PM, volatile for DRAM)
 	slab     []cacheLine // slot storage; grows monotonically, capacity reused
 	index    []int32     // index[line number] = slab slot + 1; 0 = not resident
 	freeHead int32       // free-slot list head (-1 = none)
@@ -67,7 +68,8 @@ const noSlot = int32(-1)
 // --- Direct line table ---------------------------------------------------
 
 // lookup returns the slab slot caching line l, or noSlot. It only reads the
-// table: Peek calls it outside the writer's critical section.
+// table, so concurrent Peeks may call it; nothing may mutate the arena
+// meanwhile.
 func (a *Arena) lookup(l int64) int32 {
 	return a.index[l>>lineShift] - 1
 }
@@ -158,7 +160,11 @@ func (a *Arena) Name() string { return a.name }
 func (a *Arena) Sys() *System { return a.sys }
 
 // Size returns the arena size in bytes.
-func (a *Arena) Size() int64 { return int64(len(a.data)) }
+func (a *Arena) Size() int64 { return a.med.size }
+
+// HostBytes returns the host memory the arena's medium holds: the segments
+// written so far. It charges nothing and reports no simulated quantity.
+func (a *Arena) HostBytes() int64 { return a.med.held() }
 
 // Kind reports the medium the arena models.
 func (a *Arena) Kind() Kind { return a.kind }
@@ -167,9 +173,9 @@ func (a *Arena) Kind() Kind { return a.kind }
 func (a *Arena) Stats() Stats { return a.stats }
 
 func (a *Arena) check(off int64, n int) {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(a.data)) {
+	if off < 0 || n < 0 || off+int64(n) > a.med.size {
 		panic(fmt.Sprintf("pmem: %s access [%d,%d) out of range [0,%d)",
-			a.name, off, off+int64(n), len(a.data)))
+			a.name, off, off+int64(n), a.med.size))
 	}
 }
 
@@ -195,7 +201,7 @@ func (a *Arena) fill(l int64) *cacheLine {
 	ln := &a.slab[s]
 	ln.off = l
 	ln.dirty = false
-	copy(ln.buf[:], a.data[l:l+CacheLineSize])
+	a.med.read(l, ln.buf[:])
 	a.index[l>>lineShift] = s + 1
 	a.ringPushBack(s)
 	a.nres++
@@ -219,7 +225,7 @@ func (a *Arena) evictOverflow() {
 			// DRAM write-back on replacement.
 			a.stats.LineWritebacks++
 			a.sys.clock.Advance(a.writeNS)
-			copy(a.data[ln.off:ln.off+CacheLineSize], ln.buf[:])
+			a.med.writeLine(ln.off, &ln.buf)
 		}
 		a.index[ln.off>>lineShift] = 0
 		a.freeSlot(s)
@@ -334,7 +340,7 @@ func (a *Arena) flushLine(l int64) {
 	ln := &a.slab[s]
 	a.sys.clock.Advance(a.writeNS)
 	a.stats.LineWritebacks++
-	copy(a.data[l:l+CacheLineSize], ln.buf[:])
+	a.med.writeLine(l, &ln.buf)
 	ln.dirty = false
 }
 
@@ -390,7 +396,7 @@ func (a *Arena) AtomicRegion(fn func()) {
 // Clean lines are dropped (they mirror the medium anyway).
 func (a *Arena) crash(evict func() bool) {
 	if a.kind == DRAM {
-		clear(a.data)
+		a.med.drop()
 		a.resetOverlay()
 		return
 	}
@@ -407,8 +413,7 @@ func (a *Arena) crash(evict func() bool) {
 	for _, l := range offs {
 		if evict() {
 			a.stats.LineWritebacks++
-			ln := &a.slab[a.lookup(l)]
-			copy(a.data[l:l+CacheLineSize], ln.buf[:])
+			a.med.writeLine(l, &a.slab[a.lookup(l)].buf)
 		}
 	}
 	a.resetOverlay()
@@ -420,7 +425,7 @@ func (a *Arena) crash(evict func() bool) {
 func (a *Arena) MediumBytes(off int64, n int) []byte {
 	a.check(off, n)
 	out := make([]byte, n)
-	copy(out, a.data[off:off+int64(n)])
+	a.med.read(off, out)
 	return out
 }
 
@@ -428,19 +433,17 @@ func (a *Arena) MediumBytes(off int64, n int) []byte {
 // image of the arena (unflushed cache lines are, by definition, absent).
 // Used to persist simulated PM across process runs.
 func (a *Arena) MediumSnapshot() []byte {
-	out := make([]byte, len(a.data))
-	copy(out, a.data)
-	return out
+	return a.med.snapshot()
 }
 
 // RestoreMedium replaces the durable medium with a snapshot and drops the
 // cache overlay, as if the machine had just powered on with this PM image.
 // The snapshot length must match the arena size.
 func (a *Arena) RestoreMedium(img []byte) error {
-	if len(img) != len(a.data) {
-		return fmt.Errorf("pmem: snapshot is %d bytes, arena is %d", len(img), len(a.data))
+	if int64(len(img)) != a.med.size {
+		return fmt.Errorf("pmem: snapshot is %d bytes, arena is %d", len(img), a.med.size)
 	}
-	copy(a.data, img)
+	a.med.restore(img)
 	a.resetOverlay()
 	return nil
 }

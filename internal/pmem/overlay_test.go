@@ -48,7 +48,7 @@ func TestWarmArenaZeroAllocs(t *testing.T) {
 // the ring reaches each of them once.
 func checkLineTable(t *testing.T, a *Arena) {
 	t.Helper()
-	if want := len(a.data) / CacheLineSize; len(a.index) != want {
+	if want := int(a.Size() / CacheLineSize); len(a.index) != want {
 		t.Fatalf("line table has %d entries, arena has %d lines", len(a.index), want)
 	}
 	entries := 0
@@ -147,14 +147,18 @@ func TestOverlayEvictionKeepsLookupConsistent(t *testing.T) {
 }
 
 // workingSet is the kv-write shape: 26 MiB of PM behind the default 2 MiB
-// cache, so a strided walk misses and evicts on nearly every line.
+// cache, so a strided walk misses and evicts on nearly every line. The
+// warm-up writes every line back once, so the medium holds every segment
+// before the timer starts, as a long-running store's does: the timed loop
+// measures the overlay, not the first write-back into each segment.
 func workingSet(b *testing.B) *Arena {
 	b.Helper()
 	b.ReportAllocs()
 	a := NewSystem(DefaultLatencies(300, 300)).NewArena("pm", 26<<20, PM)
 	var word [8]byte
 	for off := int64(0); off < a.Size(); off += CacheLineSize {
-		a.Load(off, word[:]) // fill the cache and grow the slab to capacity
+		a.Store(off, word[:]) // fill the cache and grow the slab to capacity
+		a.FlushLine(off)
 	}
 	b.ResetTimer()
 	return a

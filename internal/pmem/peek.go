@@ -29,7 +29,7 @@ func (a *Arena) Peek(off int64, dst []byte) int64 {
 			copy(dst[lo-off:hi-off], a.slab[s].buf[lo-first:hi-first])
 		} else {
 			cost += a.readNS
-			copy(dst[lo-off:hi-off], a.data[lo:hi])
+			a.med.read(lo, dst[lo-off:hi-off])
 		}
 	}
 	return cost

@@ -50,7 +50,7 @@ func (s *System) NewArena(name string, size int64, kind Kind) *Arena {
 		name:     name,
 		kind:     kind,
 		sys:      s,
-		data:     make([]byte, size),
+		med:      newMedium(size),
 		maxLines: int(cacheBytes / CacheLineSize),
 		freeHead: noSlot,
 		ringHead: noSlot,

@@ -23,16 +23,60 @@ import (
 func TestConcurrentReadStress(t *testing.T) {
 	// One shard too: there the writer's Do commits on its own goroutine.
 	for _, shards := range []int{4, 1} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { concurrentReadStress(t, shards, 6, 1) })
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			concurrentReadStress(t, newTestEngine(t, shards, 8), 6, 1, val)
+		})
 	}
 	// Scans in both directions holding the read gate chunk after chunk,
 	// beside the committing writer.
-	t.Run("shards=4/scanners=4", func(t *testing.T) { concurrentReadStress(t, 4, 2, 4) })
+	t.Run("shards=4/scanners=4", func(t *testing.T) {
+		concurrentReadStress(t, newTestEngine(t, 4, 8), 2, 4, val)
+	})
 }
 
-func concurrentReadStress(t *testing.T, shards, nReaders, nScanners int) {
+// TestFreshSegmentReadStress is the stress above with values large enough
+// that each shard's pages run through several segments of the PM medium.
+// The writer's first write-back into a segment allocates it inside the
+// write gate, while readers Get and Scan, reading the medium inside the
+// read gate; under -race an allocation that escaped the gate would show as
+// a data race on the segment table.
+func TestFreshSegmentReadStress(t *testing.T) {
+	const shards = 2
+	arenas := make([]*pmem.Arena, shards)
+	cfg := testConfig(shards, 8, 0)
+	open := cfg.Open
+	cfg.Open = func(i int) (*shard.Backend, error) {
+		be, err := open(i)
+		if err == nil {
+			arenas[i] = be.Arena
+		}
+		return be, err
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	held := make([]int64, shards)
+	for i, a := range arenas {
+		held[i] = a.HostBytes()
+	}
+	concurrentReadStress(t, e, 2, 2, bigVal)
+	for i, a := range arenas {
+		// 300-byte values fill about 700 KiB of 1 KiB pages a shard.
+		grew := a.HostBytes() - held[i]
+		t.Logf("shard %d: the medium grew from %d to %d KiB", i, held[i]>>10, a.HostBytes()>>10)
+		if grew < 512<<10 {
+			t.Errorf("shard %d: the medium grew %d bytes under the readers, want at least 512 KiB", i, grew)
+		}
+	}
+}
+
+// bigVal is val(i) padded to 300 bytes.
+func bigVal(i int) []byte { return append(val(i), bytes.Repeat([]byte{'.'}, 291)...) }
+
+func concurrentReadStress(t *testing.T, e *shard.Engine, nReaders, nScanners int, val func(int) []byte) {
 	const nKeys = 1500
-	e := newTestEngine(t, shards, 8)
 	var acked atomic.Int64
 	acked.Store(-1)
 	var stop atomic.Bool

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The house rule "claim through bench/run.sh --compare with at least three
+# The house rule "claim through bench/run.sh --compare with at least four
 # alternating parent/change pairs" as one command:
 #
 #   scripts/bench-pairs.sh BASE_REV WORKLOAD N [SECONDS]
@@ -18,6 +18,13 @@
 set -euo pipefail
 [ $# -ge 3 ] || { echo "usage: $0 BASE_REV WORKLOAD N [SECONDS]" >&2; exit 2; }
 base=$1 workload=$2 pairs=$3 seconds=${4:-20}
+# With fewer than four runs a side the comparison cannot take the spread of a
+# metric across runs, so it falls back to the widest within-run slice IQR: one
+# noisy run then reads a short metric such as setup_s as "unresolved".
+[[ $pairs =~ ^[0-9]+$ ]] && ((pairs >= 4)) || {
+	echo "$0: N must be at least 4: with fewer runs a side, --compare judges a metric by the widest single-run slice IQR instead of the spread across runs" >&2
+	exit 2
+}
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
 out="$root/.bench_build/pairs/$workload"
