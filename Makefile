@@ -84,13 +84,16 @@ profile:
 	$(GO) tool pprof -top -nodecount $(PROFILE_TOP) -relative_percentages -tagfocus phase=churn .bench_build/fasp.test .bench_build/$(PROFILE_BENCH).prof
 
 # The gated benchmark, parent against working tree: PAIRS alternating runs
-# of WORKLOAD on each side, then bench/run.sh --compare (see
-# scripts/bench-pairs.sh). Quiet machine only.
-BASE     ?= HEAD
-WORKLOAD ?= kv-write
-PAIRS    ?= 4
+# of WORKLOAD on each side at seeds SEED..SEED+PAIRS-1, PAIR_SECONDS each,
+# then bench/run.sh --compare (see scripts/bench-pairs.sh; logs stay in
+# .bench_build/pairs/WORKLOAD/seeds-FIRST-LAST). Quiet machine only.
+BASE         ?= HEAD
+WORKLOAD     ?= kv-write
+PAIRS        ?= 4
+PAIR_SECONDS ?= 20
+SEED         ?= 1
 bench-pairs:
-	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(PAIR_SECONDS) $(SEED)
 
 # Chaos soak: the -race in-process soak test, then the standalone harness —
 # a faspserver under a seeded storm of connection kills, torn frames,

@@ -12,11 +12,11 @@ import (
 // (Put/Enqueue/ApplyBatch/Get/Scan/Count) while another goroutine closes
 // the KV. Every op must either complete normally or fail with the typed
 // shutdown-path errors — never deadlock, panic, race, or silently apply
-// after Close.
+// after Close. Put and ApplyBatch commit on the caller's goroutine and race
+// Close's seal; Enqueue races the writers' final mailbox drain.
 func TestCloseRacesSubmissions(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		// Odd rounds run one shard: Put then commits on the caller's
-		// goroutine and races Close's seal rather than the mailbox drain.
+		// Odd rounds run four shards, even rounds one.
 		kv, err := OpenKV(Options{Shards: 1 + 3*(round%2)})
 		if err != nil {
 			t.Fatalf("OpenKV: %v", err)

@@ -57,17 +57,21 @@ type ack struct {
 	hard    error
 }
 
-// runClients drives `clients` goroutines issuing txns Put operations each
-// through the mailbox path, recording outcomes in a (nil-able) ack.
+// runClients drives `clients` goroutines issuing txns puts each through
+// their shard's mailbox (KV.SubmitShard), so the shard writers gather the
+// clients into group commits, recording outcomes in a (nil-able) ack.
 func runClients(kv *fasp.KV, clients, txns int, a *ack) {
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			var errs [1]error
 			for i := 0; i < txns; i++ {
 				id := c*txns + i
-				err := kv.Put(key(id), val(id))
+				k := key(id)
+				kv.SubmitShard(kv.ShardOf(k), []fasp.Op{{Kind: fasp.OpPut, Key: k, Val: val(id)}}, errs[:])
+				err := errs[0]
 				if a == nil {
 					if err != nil {
 						fail("uncrashed put %d: %v", id, err)

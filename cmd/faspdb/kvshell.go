@@ -9,7 +9,7 @@ import (
 	"fmt"
 
 	"fasp"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 )
 
 func runKVShell(kv *fasp.KV, lat, wlat int64) {
@@ -44,14 +44,14 @@ func kvCommand(kv *fasp.KV, fields []string) bool {
 				break
 			}
 			fmt.Printf("shard %d: sim %s us, %d ops, %d batches (largest %d)%s\n",
-				i, metrics.Usec(in.SimNS), in.Ops, in.Batches, in.MaxDrained, healthSuffix(in))
+				i, obsv.Usec(in.SimNS), in.Ops, in.Batches, in.MaxDrained, healthSuffix(in))
 		}
 		st := kv.EngineStats()
 		fmt.Printf("elapsed (slowest shard): %s us; total simulated work: %s us\n",
-			metrics.Usec(st.SimMaxNS), metrics.Usec(st.SimSumNS))
+			obsv.Usec(st.SimMaxNS), obsv.Usec(st.SimSumNS))
 	case ".clock":
-		fmt.Printf("simulated time: %s us\n", metrics.Usec(kv.SimulatedNS()))
-		for _, s := range metrics.SortedPhases(kv.Phases()) {
+		fmt.Printf("simulated time: %s us\n", obsv.Usec(kv.SimulatedNS()))
+		for _, s := range obsv.SortedPhases(kv.Phases()) {
 			fmt.Println("  " + s)
 		}
 	case ".stats":

@@ -21,7 +21,7 @@ import (
 	"strings"
 
 	"fasp"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 )
 
 func main() {
@@ -118,7 +118,7 @@ func main() {
 		for _, res := range results {
 			printResult(res)
 		}
-		fmt.Printf("(%s simulated us)\n", metrics.Usec(elapsed))
+		fmt.Printf("(%s simulated us)\n", obsv.Usec(elapsed))
 	}
 }
 
@@ -129,7 +129,7 @@ func printResult(res fasp.Result) {
 		}
 		return
 	}
-	t := metrics.NewTable("", res.Columns...)
+	t := obsv.NewTable("", res.Columns...)
 	for _, row := range res.Rows {
 		cells := make([]any, len(row))
 		for i, v := range row {
@@ -168,8 +168,8 @@ SQL statements end with ';' and may span lines.`)
 			fmt.Printf("saved to %s\n", fields[1])
 		}
 	case ".clock":
-		fmt.Printf("simulated time: %s us\n", metrics.Usec(db.SimulatedNS()))
-		for _, s := range metrics.SortedPhases(db.System().Clock().Phases()) {
+		fmt.Printf("simulated time: %s us\n", obsv.Usec(db.SimulatedNS()))
+		for _, s := range obsv.SortedPhases(db.System().Clock().Phases()) {
 			fmt.Println("  " + s)
 		}
 	case ".stats":

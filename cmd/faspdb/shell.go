@@ -11,7 +11,7 @@ import (
 	"os"
 	"strings"
 
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 )
 
 // kvStore is what the data commands need of a store.
@@ -57,7 +57,7 @@ func (sh *shell) run() {
 		quit := sh.command(fields)
 		if sh.simNS != nil {
 			if elapsed := sh.simNS() - t0; elapsed > 0 {
-				fmt.Printf("(%s simulated us)\n", metrics.Usec(elapsed))
+				fmt.Printf("(%s simulated us)\n", obsv.Usec(elapsed))
 			}
 		}
 		if quit {

@@ -18,7 +18,7 @@ import (
 	"fasp"
 	"fasp/internal/btree"
 	"fasp/internal/fast"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/slotted"
 	"fasp/internal/wal"
 )
@@ -79,7 +79,7 @@ func census(db *fasp.DB, pageSize int, meta metaView, detail bool) {
 	typeCount := map[byte]int{}
 	var fillSum, freeSum, cells int
 	var leafArea, leafDead int64
-	t := metrics.NewTable("", "page", "type", "cells", "content@", "free-list(B)", "live(B)")
+	t := obsv.NewTable("", "page", "type", "cells", "content@", "free-list(B)", "live(B)")
 	for no := uint32(1); no < meta.npages; no++ {
 		p, err := ptx.Page(no)
 		if err != nil {

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fasp/internal/btree"
 	"fasp/internal/engine"
@@ -72,9 +71,6 @@ type Options struct {
 	// group commit may take from a shard's mailbox (default 64), and the
 	// chunk size KV.ApplyBatch commits at.
 	MaxBatch int
-	// EnqueueTimeout bounds how long a submission waits for mailbox space
-	// before failing with ErrShardBusy (default 2s).
-	EnqueueTimeout time.Duration
 	// DisableMetrics turns the observability recorder off entirely (KV
 	// only). Metrics are on by default; the instrumented hot path is
 	// allocation-free either way, so disabling only saves a few atomic
@@ -82,11 +78,11 @@ type Options struct {
 	DisableMetrics bool
 	// DefragThreshold > 0 enables proactive copy-on-write defragmentation:
 	// every 32nd write round a shard applies without a fault — a writer's
-	// drained round, a one-shard Put/Insert/Delete, or the shard's slice of
-	// one ApplyBatch — measures its committed leaves' dead-byte ratio, and
+	// drained round, a Put/Insert/Delete, or the shard's slice of one
+	// ApplyBatch — measures its committed leaves' dead-byte ratio, and
 	// leaves at or above the threshold are rewritten: a first few at once,
 	// the rest in idle group-commit slots (after a writer's drain, or a
-	// one-shard Put/Insert/Delete, leaves the mailbox empty). ApplyBatch
+	// Put/Insert/Delete, leaves the mailbox empty). ApplyBatch
 	// schedules no idle slot. Sensible values are 0.2–0.5.
 	DefragThreshold float64
 	// FaultHook, when set, runs at the top of every group commit with the
@@ -354,9 +350,8 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 		return nil, err
 	}
 	return shard.New(shard.Config{
-		Shards:         opts.Shards,
-		MaxBatch:       opts.MaxBatch,
-		EnqueueTimeout: opts.EnqueueTimeout,
+		Shards:   opts.Shards,
+		MaxBatch: opts.MaxBatch,
 		Open: func(int) (*shard.Backend, error) {
 			db, err := newDB(opts)
 			if err != nil {
@@ -416,7 +411,7 @@ func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 // the caller must not touch ops, errs or units until Wait returns. units
 // lists the op counts of the submission's atomic units (nil: one unit), as
 // shard.Engine.Enqueue documents: a caller coalescing independent requests
-// passes one unit per request. A mailbox full past Options.EnqueueTimeout
+// passes one unit per request. A mailbox that stays full for two seconds
 // fails the submission with ErrShardBusy, one racing Close with ErrClosed,
 // and a shard index outside [0, Shards()) with ErrBadShard; errs is then
 // already filled and Wait returns at once.
@@ -436,7 +431,9 @@ func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
 
 // Put inserts or replaces key's value in one transaction — a single
 // upsert either way, never Insert-then-Update's two commits on an existing
-// key.
+// key. Put, Insert and Delete commit on the caller's goroutine; concurrent
+// writers that want their writes gathered into group commits submit
+// through Enqueue/Wait or SubmitShard.
 func (kv *KV) Put(key, val []byte) error {
 	return kv.eng.Do(Op{Kind: OpPut, Key: key, Val: val})
 }

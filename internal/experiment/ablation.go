@@ -7,7 +7,7 @@ import (
 	"fasp/internal/btree"
 	"fasp/internal/fast"
 	"fasp/internal/htm"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
@@ -54,12 +54,12 @@ func RunAblationSchemes(p Params) ([]AblRow, error) {
 
 // PrintAblationSchemes renders the scheme ablation.
 func PrintAblationSchemes(rows []AblRow, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Ablation: all recovery schemes, single-insert workload at PM 300/300",
 		"scheme", "us/insert", "commit(us)", "clflush/insert", "logB/insert")
 	for _, r := range rows {
-		t.AddRow(r.Scheme.String(), metrics.UsecF(r.TotalNS),
-			metrics.UsecF(r.CommitNS), r.Flushes, r.BytesLog)
+		t.AddRow(r.Scheme.String(), obsv.UsecF(r.TotalNS),
+			obsv.UsecF(r.CommitNS), r.Flushes, r.BytesLog)
 	}
 	t.Render(w)
 }
@@ -106,11 +106,11 @@ func RunAblationPageSize(p Params) ([]PageSizeRow, error) {
 
 // PrintAblationPageSize renders the page-size ablation.
 func PrintAblationPageSize(rows []PageSizeRow, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Ablation: page-size sweep at PM 300/300",
 		"page(B)", "scheme", "us/insert", "splits", "in-place-commits", "defrags", "coalesces")
 	for _, r := range rows {
-		t.AddRow(r.PageSize, r.Scheme.String(), metrics.UsecF(r.TotalNS),
+		t.AddRow(r.PageSize, r.Scheme.String(), obsv.UsecF(r.TotalNS),
 			r.Splits, r.InPlace, r.Defrags, r.Coalesces)
 	}
 	t.Render(w)
@@ -162,11 +162,11 @@ func RunAblationHTMAborts(p Params) ([]HTMAbortRow, error) {
 
 // PrintAblationHTMAborts renders the HTM ablation.
 func PrintAblationHTMAborts(rows []HTMAbortRow, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Ablation: FAST+ under best-effort HTM aborts at PM 300/300",
 		"abort-prob", "us/insert", "commit(us)", "in-place-commits", "spurious-aborts")
 	for _, r := range rows {
-		t.AddRow(r.AbortProb, metrics.UsecF(r.TotalNS), metrics.UsecF(r.CommitNS),
+		t.AddRow(r.AbortProb, obsv.UsecF(r.TotalNS), obsv.UsecF(r.CommitNS),
 			r.InPlace, r.Spurious)
 	}
 	t.Render(w)

@@ -3,7 +3,7 @@ package experiment
 import (
 	"io"
 
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
 )
@@ -48,7 +48,7 @@ func RunWriteAmplification(p Params) ([]AmpRow, error) {
 
 // PrintWriteAmplification renders the write-amplification table.
 func PrintWriteAmplification(rows []AmpRow, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Write amplification: PM bytes physically written per 76-byte insert (300/300)",
 		"scheme", "PM B/insert", "amplification", "clflush/insert")
 	for _, r := range rows {

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"fasp/internal/engine"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
 	"fasp/internal/workload"
@@ -74,7 +74,7 @@ func RunFig11(p Params) ([]Fig11Row, error) {
 
 // PrintFig11 renders Figure 11.
 func PrintFig11(rows []Fig11Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 11: full SQL INSERT response time vs PM latency (parse+execute included)",
 		"lat(ns)", "scheme", "us/stmt", "p99(us)", "vs NVWAL")
 	for _, r := range rows {
@@ -83,7 +83,7 @@ func PrintFig11(rows []Fig11Row, w io.Writer) {
 			imp = fmt.Sprintf("%+.1f%%", r.ImprovementPct)
 		}
 		t.AddRow(LatencyLabel(r.Latency, r.Latency), r.Scheme.String(),
-			metrics.UsecF(r.ResponseNS), metrics.UsecF(r.P99NS), imp)
+			obsv.UsecF(r.ResponseNS), obsv.UsecF(r.P99NS), imp)
 	}
 	t.Render(w)
 }
@@ -188,12 +188,12 @@ func fig12Stream(p Params, mix workload.Mix, exec func(stmt string) error) error
 
 // PrintFig12 renders Figure 12.
 func PrintFig12(rows []Fig12Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 12: full-engine throughput on statement streams (simulated kTPS)",
 		"lat(ns)", "mix", "scheme", "kTPS", "us/stmt")
 	for _, r := range rows {
 		t.AddRow(LatencyLabel(r.Latency, r.Latency), r.Mix, r.Scheme.String(),
-			r.ThroughputKTPS, metrics.UsecF(r.PerStmtNS))
+			r.ThroughputKTPS, obsv.UsecF(r.PerStmtNS))
 	}
 	t.Render(w)
 }

@@ -3,7 +3,7 @@ package experiment
 import (
 	"io"
 
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/phase"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
@@ -49,13 +49,13 @@ func RunFig6(p Params) ([]Fig6Row, error) {
 
 // PrintFig6 renders Figure 6 as the paper's table (values in µs/insert).
 func PrintFig6(rows []Fig6Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 6: B-tree insertion time breakdown vs PM latency (us/insert)",
 		"lat(ns)", "scheme", "search", "page-update", "commit", "total")
 	for _, r := range rows {
 		t.AddRow(LatencyLabel(r.Latency, r.Latency), r.Scheme.String(),
-			metrics.UsecF(r.SearchNS), metrics.UsecF(r.UpdateNS),
-			metrics.UsecF(r.CommitNS), metrics.UsecF(r.TotalNS))
+			obsv.UsecF(r.SearchNS), obsv.UsecF(r.UpdateNS),
+			obsv.UsecF(r.CommitNS), obsv.UsecF(r.TotalNS))
 	}
 	t.Render(w)
 }
@@ -100,14 +100,14 @@ func RunFig7(p Params) ([]Fig7Row, error) {
 
 // PrintFig7 renders Figure 7 (values in µs/insert).
 func PrintFig7(rows []Fig7Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 7: Page Update time breakdown vs PM latency (us/insert)",
 		"lat(ns)", "scheme", "record-write", "update-slot-hdr", "clflush(record)", "defragment", "page-update")
 	for _, r := range rows {
 		t.AddRow(LatencyLabel(r.Latency, r.Latency), r.Scheme.String(),
-			metrics.UsecF(r.RecordWriteNS), metrics.UsecF(r.SlotHeaderNS),
-			metrics.UsecF(r.FlushRecordNS), metrics.UsecF(r.DefragNS),
-			metrics.UsecF(r.UpdateNS))
+			obsv.UsecF(r.RecordWriteNS), obsv.UsecF(r.SlotHeaderNS),
+			obsv.UsecF(r.FlushRecordNS), obsv.UsecF(r.DefragNS),
+			obsv.UsecF(r.UpdateNS))
 	}
 	t.Render(w)
 }
@@ -157,15 +157,15 @@ func RunFig8(p Params) ([]Fig8Row, error) {
 
 // PrintFig8 renders Figure 8 (values in µs/insert).
 func PrintFig8(rows []Fig8Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 8: Commit time breakdown vs PM write latency (read=300ns; us/insert)",
 		"wlat(ns)", "scheme", "nvwal-comp", "heap-mgmt", "log-flush", "checkpoint", "atomic-64B", "misc", "commit")
 	for _, r := range rows {
 		t.AddRow(r.WriteLatency, r.Scheme.String(),
-			metrics.UsecF(r.ComputeNS), metrics.UsecF(r.HeapNS),
-			metrics.UsecF(r.LogFlushNS), metrics.UsecF(r.CheckpointNS),
-			metrics.UsecF(r.AtomicNS), metrics.UsecF(r.MiscNS),
-			metrics.UsecF(r.CommitNS))
+			obsv.UsecF(r.ComputeNS), obsv.UsecF(r.HeapNS),
+			obsv.UsecF(r.LogFlushNS), obsv.UsecF(r.CheckpointNS),
+			obsv.UsecF(r.AtomicNS), obsv.UsecF(r.MiscNS),
+			obsv.UsecF(r.CommitNS))
 	}
 	t.Render(w)
 }
@@ -212,11 +212,11 @@ func RunFig9(p Params) ([]Fig9Row, error) {
 
 // PrintFig9 renders Figure 9.
 func PrintFig9(rows []Fig9Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 9: record-size sweep at PM 300/300 — (a) us/insert, (b) clflush/insert",
 		"rec(B)", "scheme", "us/insert", "clflush/insert", "walB/insert", "shlogB/insert")
 	for _, r := range rows {
-		t.AddRow(r.RecordSize, r.Scheme.String(), metrics.UsecF(r.TotalNS),
+		t.AddRow(r.RecordSize, r.Scheme.String(), obsv.UsecF(r.TotalNS),
 			r.Flushes, r.WALBytes, r.LogBytes)
 	}
 	t.Render(w)
@@ -265,11 +265,11 @@ func RunFig10(p Params) ([]Fig10Row, error) {
 
 // PrintFig10 renders Figure 10.
 func PrintFig10(rows []Fig10Row, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Figure 10: inserts per transaction at PM 300/300 (per-record costs)",
 		"txn-size", "scheme", "us/record", "clflush/record", "in-place-commits", "log-commits")
 	for _, r := range rows {
-		t.AddRow(r.Batch, r.Scheme.String(), metrics.UsecF(r.PerOpNS),
+		t.AddRow(r.Batch, r.Scheme.String(), obsv.UsecF(r.PerOpNS),
 			r.Flushes, r.InPlace, r.LogCommit)
 	}
 	t.Render(w)

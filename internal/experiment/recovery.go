@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"fasp/internal/btree"
-	"fasp/internal/metrics"
+	"fasp/internal/obsv"
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
@@ -74,11 +74,11 @@ func fill(st pager.Store, txns int, seed int64) error {
 
 // PrintRecovery renders the recovery experiment.
 func PrintRecovery(rows []RecoveryRow, w io.Writer) {
-	t := metrics.NewTable(
+	t := obsv.NewTable(
 		"Recovery time vs transactions since last checkpoint (PM 300/300)",
 		"txns", "scheme", "recovery(us)")
 	for _, r := range rows {
-		t.AddRow(r.Txns, r.Scheme.String(), metrics.UsecF(r.NS))
+		t.AddRow(r.Txns, r.Scheme.String(), obsv.UsecF(r.NS))
 	}
 	t.Render(w)
 }

@@ -3,7 +3,8 @@
 // tracing (per-transaction clflush / fence / HTM / log-append /
 // checkpoint counts), group-commit batch-size and mailbox-depth
 // distributions, and a slow-op log — all allocation-free on the hot path
-// and safe for concurrent writers.
+// and safe for concurrent writers — plus the fixed-width tables the
+// figure harness prints (table.go).
 //
 // The package deliberately imports nothing from the rest of the repo. The
 // simulated machine already counts every architectural event

@@ -229,7 +229,7 @@ func TestWedgedShardAnswersBusy(t *testing.T) {
 	const conns, maxBatch = 16, 2
 	release := make(chan struct{})
 	kv, err := fasp.OpenKV(fasp.Options{
-		Shards: 2, MaxBatch: maxBatch, EnqueueTimeout: 50 * time.Millisecond, // mailbox = 4×MaxBatch = 8
+		Shards: 2, MaxBatch: maxBatch, // mailbox = 4×MaxBatch = 8
 		FaultHook: func(si int) {
 			if si == 0 {
 				<-release

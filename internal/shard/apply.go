@@ -1,8 +1,10 @@
 // Package shard implements a sharded store engine: the key space is
 // hash-partitioned across N independent stores — each with its own
-// simulated machine, commit scheme and B-tree — and every shard is owned
-// by a single-writer goroutine that drains a bounded mailbox of operations
-// and commits each drained batch as one transaction (group commit).
+// simulated machine, commit scheme and B-tree — and every shard has a
+// single-writer goroutine that drains a bounded mailbox of submissions and
+// commits each drained batch as one transaction (group commit). Do and
+// ApplyBatch commit on the caller's goroutine instead, under the same
+// shard lock.
 //
 // Why this composes with the paper's failure atomicity: FAST, FAST+ and
 // the baseline schemes are all per-store local — a commit's durability
@@ -108,7 +110,7 @@ func applyTxOp(tx *btree.Tx, op *Op) error {
 // caller gets an individual verdict.
 //
 // With ApplyUnits this is the shared core of the per-shard writer
-// goroutines, of Engine.ApplyBatch and of the one-shard Engine.Do; keeping
+// goroutines, of Engine.ApplyBatch and of Engine.Do; keeping
 // them on one code path keeps batch boundaries — and therefore simulated
 // time — a pure function of the op sequence.
 func ApplyOps(tree *btree.Tree, maxBatch int, ops []Op, errs []error) int64 {

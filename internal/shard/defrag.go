@@ -77,8 +77,8 @@ func (s *state) defragPass() {
 
 // maybeIdleDefrag runs one defrag pass when the shard has pending hot
 // leaves and its mailbox is empty — the idle group-commit slot. The writer
-// loop calls it after a drain that left the mailbox dry, a one-shard Do
-// after its own commit (which may race Close, hence refuseWrite).
+// loop calls it after a drain that left the mailbox dry, Do after its own
+// commit (which may race Close, hence refuseWrite).
 func (s *state) maybeIdleDefrag() {
 	if s.defragTh <= 0 {
 		return

@@ -69,9 +69,18 @@ func TestEngineRecorderAndGauges(t *testing.T) {
 	}
 	defer e.Close()
 
+	// Even puts go through the shard mailboxes, one drain each; odd ones
+	// commit on the caller through Do. The recorder must see both.
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
+		op := shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}
+		var err error
+		if i%2 == 0 {
+			err = submit1(e, e.ShardFor(op.Key), op)
+		} else {
+			err = e.Do(op)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,9 +101,9 @@ func TestEngineRecorderAndGauges(t *testing.T) {
 	if s.Batches <= 0 || s.BatchSize.Count != s.Batches {
 		t.Fatalf("batch accounting: batches=%d sizes=%d", s.Batches, s.BatchSize.Count)
 	}
-	if s.MailDepth.Count != s.Batches {
+	if s.MailDepth.Count != n/2 {
 		t.Fatalf("mailbox depth observed %d times, want one per drain (%d)",
-			s.MailDepth.Count, s.Batches)
+			s.MailDepth.Count, n/2)
 	}
 	if s.Events.Flush <= 0 || s.Events.Fence <= 0 {
 		t.Fatalf("commit-path events not bridged: %+v", s.Events)

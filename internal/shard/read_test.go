@@ -21,7 +21,6 @@ import (
 // read gate's soundness test: a torn or mid-commit read would surface as a
 // malformed value, a phantom miss, or a race-detector report.
 func TestConcurrentReadStress(t *testing.T) {
-	// One shard too: there the writer's Do commits on its own goroutine.
 	for _, shards := range []int{4, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			concurrentReadStress(t, newTestEngine(t, shards, 8), 6, 1, val)
@@ -87,7 +86,17 @@ func concurrentReadStress(t *testing.T, e *shard.Engine, nReaders, nScanners int
 		defer wg.Done()
 		defer stop.Store(true)
 		for i := 0; i < nKeys; i++ {
-			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}); err != nil {
+			// Both write paths race the readers: every other put goes
+			// through the shard's mailbox and its writer goroutine, the
+			// rest commit on this goroutine through Do.
+			op := shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}
+			var err error
+			if i%2 == 0 {
+				err = e.Do(op)
+			} else {
+				err = submit1(e, e.ShardFor(op.Key), op)
+			}
+			if err != nil {
 				t.Errorf("put %d: %v", i, err)
 				return
 			}
@@ -425,11 +434,17 @@ func TestCountWaitsForEveryShard(t *testing.T) {
 // keeps seeing the state before it. Once the step closes, the write
 // completes and the next read sees it.
 func TestWriterWaitsForReader(t *testing.T) {
-	// One shard too: there Do commits on the caller's goroutine.
+	// The two-shard arm writes through the mailbox, so the shard's writer
+	// goroutine is the one that waits; the one-shard arm calls Do, which
+	// commits on the caller's goroutine.
 	for _, shards := range []int{2, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			e := newTestEngine(t, shards, 8)
 			k, old, upd := key(1), val(1), []byte("updated")
+			write := e.Do
+			if shards > 1 {
+				write = func(op shard.Op) error { return submit1(e, e.ShardFor(op.Key), op) }
+			}
 			if err := e.Do(shard.Op{Kind: shard.OpPut, Key: k, Val: old}); err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +453,7 @@ func TestWriterWaitsForReader(t *testing.T) {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- e.Do(shard.Op{Kind: shard.OpPut, Key: k, Val: upd}) }()
+			go func() { done <- write(shard.Op{Kind: shard.OpPut, Key: k, Val: upd}) }()
 			deadline := time.Now().Add(10 * time.Second)
 			for !e.WriterQueued(e.ShardFor(k)) {
 				select {

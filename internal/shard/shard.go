@@ -24,9 +24,9 @@ const (
 	// mailboxFactor sizes a shard's mailbox as a multiple of MaxBatch, so
 	// a burst can queue a few batches ahead of the writer.
 	mailboxFactor = 4
-	// DefaultEnqueueTimeout bounds how long a submission waits for mailbox
-	// space before giving up with ErrBusy.
-	DefaultEnqueueTimeout = 2 * time.Second
+	// enqueueTimeout bounds how long a submission waits for mailbox space
+	// before giving up with ErrBusy.
+	enqueueTimeout = 2 * time.Second
 )
 
 // ErrCrashed is returned for operations submitted to a shard whose
@@ -42,8 +42,8 @@ var ErrCrashed = errors.New("shard: store crashed; recovery required")
 // on just the degraded shard.
 var ErrShardDown = errors.New("shard: writer faulted; shard degraded until healed")
 
-// ErrBusy is returned when a shard's mailbox stays full for the whole
-// enqueue timeout — the writer is wedged or the shard is badly
+// ErrBusy is returned when a shard's mailbox stays full for two seconds
+// (enqueueTimeout) — the writer is wedged or the shard is badly
 // oversubscribed. The submission is not applied.
 var ErrBusy = errors.New("shard: mailbox full; enqueue timed out")
 
@@ -74,9 +74,6 @@ type Config struct {
 	// MaxBatch bounds the operations per group commit (default 64, at
 	// most MaxBatchLimit).
 	MaxBatch int
-	// EnqueueTimeout bounds how long a submission waits (with backoff) for
-	// mailbox space before failing with ErrBusy (default 2s).
-	EnqueueTimeout time.Duration
 	// Open creates shard i's backend on a fresh simulated machine.
 	Open func(i int) (*Backend, error)
 	// Reattach rebuilds shard i's store over its surviving arena after a
@@ -116,9 +113,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxBatch > MaxBatchLimit {
 		return fmt.Errorf("shard: MaxBatch must be ≤ %d, got %d", MaxBatchLimit, c.MaxBatch)
-	}
-	if c.EnqueueTimeout <= 0 {
-		c.EnqueueTimeout = DefaultEnqueueTimeout
 	}
 	if c.Open == nil {
 		return errors.New("shard: Config.Open is required")
@@ -376,8 +370,8 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // golden determinism tests pin it.
 func (e *Engine) ApplyBatch(ops []Op) []error {
 	errs := make([]error, len(ops))
-	// Close's contract: writes after Close fail with ErrClosed. The mailbox
-	// path enforces it in submit; this locked path must too, or a post-Close
+	// Close's contract: writes after Close fail with ErrClosed. Enqueue
+	// enforces it for the mailbox; this locked path must too, or a post-Close
 	// ApplyBatch silently mutates a store its owner believes quiesced.
 	if e.closed.Load() {
 		for i := range errs {

@@ -319,3 +319,53 @@ func TestHardErrorKeepsUnitsWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoneSubmissionNotTorn: a submission without units is one unit, also
+// when it is the only request of its round. Lone submissions of 16 scattered
+// inserts go to a 10-page shard until eight of them have found the page space
+// full; each one must come back whole or absent — all of its ops nil and
+// every key readable, or all of them pager.ErrFull and none — and the tree
+// stays valid.
+func TestLoneSubmissionNotTorn(t *testing.T) {
+	const width, fulls = 16, 8
+	for _, size := range []int{8, 24, 64, 120} {
+		t.Run(fmt.Sprintf("value=%dB", size), func(t *testing.T) {
+			e, err := shard.New(testConfig(1, 64, 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			v := bytes.Repeat([]byte("v"), size)
+			var r shard.Request
+			ops := make([]shard.Op, width)
+			errs := make([]error, width)
+			full := 0
+			for id := 0; full < fulls && id < 100000; {
+				for i := range ops {
+					ops[i] = shard.Op{Kind: shard.OpInsert, Key: key(id * 7919 % 1000003), Val: v}
+					id++
+				}
+				e.Enqueue(&r, 0, ops, errs, nil)
+				e.Wait(&r)
+				absent := errs[0] != nil
+				for i := range ops {
+					if err := errs[i]; (err != nil) != absent || (err != nil && !errors.Is(err, pager.ErrFull)) {
+						t.Fatalf("submission torn: op 0 has %v, op %d has %v", errs[0], i, err)
+					}
+					if _, ok, err := e.Get(ops[i].Key); err != nil || ok == absent {
+						t.Fatalf("op %d acked %v but read finds it %v (%v)", i, !absent, ok, err)
+					}
+				}
+				if absent {
+					full++
+				}
+			}
+			if full < fulls {
+				t.Fatalf("the page space ran out for %d submissions, want %d: shrink it", full, fulls)
+			}
+			if err := e.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
