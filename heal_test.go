@@ -74,11 +74,18 @@ func TestHealTable(t *testing.T) {
 		}
 	})
 
+	// The victim is written through its mailbox, so the injected fault
+	// fires on the shard's writer goroutine.
+	submit := func(k, v []byte) error {
+		var errs [1]error
+		kv.SubmitShard(kv.ShardOf(k), []Op{{Kind: OpPut, Key: k, Val: v}}, errs[:])
+		return errs[0]
+	}
 	t.Run("degraded shard heals in place", func(t *testing.T) {
 		const victim = 2
 		vk := keyFor(victim)
 		panicNext.Store(victim)
-		if err := kv.Put(vk, []byte("doomed")); !errors.Is(err, ErrShardDown) {
+		if err := submit(vk, []byte("doomed")); !errors.Is(err, ErrShardDown) {
 			t.Fatalf("write through injected fault: %v, want ErrShardDown", err)
 		}
 		in, _ := kv.ShardStats(victim)
@@ -101,7 +108,7 @@ func TestHealTable(t *testing.T) {
 		if v, ok, err := kv.Get(vk); err != nil || !ok || string(v) != "seed" {
 			t.Fatalf("post-heal read: %q %v %v, want seed", v, ok, err)
 		}
-		if err := kv.Put(vk, []byte("recovered")); err != nil {
+		if err := submit(vk, []byte("recovered")); err != nil {
 			t.Fatalf("post-heal write: %v", err)
 		}
 	})
