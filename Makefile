@@ -16,14 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the three determinism goldens (testdata/golden.json,
-# golden_shards.json, golden_defrag.json). Only a change that means to
-# alter the simulated machine runs this, and it lists the per-scheme deltas
-# (see DESIGN.md §6).
+# Regenerate the two determinism goldens (testdata/golden.json and
+# golden_shards.json). Only a change that means to alter the simulated
+# machine runs this, and it lists the per-scheme deltas (see DESIGN.md §6).
 goldens:
 	$(GO) test -run 'TestGoldenDeterminism$$' -update-golden .
 	$(GO) test -run 'TestGoldenShardedDeterminism$$' -update-golden .
-	$(GO) test -run 'TestGoldenDefragDeterminism$$' -update-golden .
 
 # Regenerate the checked-in figure tables: everything at n = 20000, and
 # Figs 6 and 8 and recovery at the paper's n = 100000. The output is a

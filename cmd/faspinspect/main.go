@@ -109,8 +109,8 @@ func census(db *fasp.DB, pageSize int, meta metaView, detail bool) {
 			cells, 100*float64(fillSum)/float64(n*pageSize), float64(freeSum)/float64(n))
 	}
 	if leafArea > 0 {
-		fmt.Printf("frag:     %.1f%% of leaf cell area dead (%d B / %d B) — the ratio "+
-			"fasp_shard_fragmentation_ratio exports and DefragThreshold tests\n",
+		fmt.Printf("frag:     %.1f%% of leaf cell area dead (%d B / %d B) — space an "+
+			"insert reclaims by copy-on-write defrag when a page has room only there\n",
 			100*float64(leafDead)/float64(leafArea), leafDead, leafArea)
 	}
 	if detail {

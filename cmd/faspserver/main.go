@@ -34,7 +34,6 @@ func main() {
 		pageSize = flag.Int("pagesize", 4096, "slotted-page size in bytes")
 		maxBatch = flag.Int("maxbatch", 0, "group-commit drain bound (0 = default)")
 		inflight = flag.Int("inflight", 0, "max concurrently admitted requests before BUSY (0 = default 1024)")
-		defrag   = flag.Float64("defrag", 0, "proactive defrag dead-byte threshold (0 = off)")
 		idleTO   = flag.Duration("idle-timeout", 0, "close connections idle longer than this, after a typed TIMEOUT notice (0 = never)")
 		writeTO  = flag.Duration("write-timeout", 0, "per-connection response write deadline (0 = none)")
 		autoheal = flag.Bool("autoheal", false, "background auto-heal loop: recover degraded/crashed shards automatically")
@@ -43,11 +42,10 @@ func main() {
 	flag.Parse()
 
 	kv, err := fasp.OpenKV(fasp.Options{
-		Scheme:          *scheme,
-		PageSize:        *pageSize,
-		Shards:          *shards,
-		MaxBatch:        *maxBatch,
-		DefragThreshold: *defrag,
+		Scheme:   *scheme,
+		PageSize: *pageSize,
+		Shards:   *shards,
+		MaxBatch: *maxBatch,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faspserver: open: %v\n", err)

@@ -76,15 +76,6 @@ type Options struct {
 	// allocation-free either way, so disabling only saves a few atomic
 	// adds per operation.
 	DisableMetrics bool
-	// DefragThreshold > 0 enables proactive copy-on-write defragmentation:
-	// every 32nd write round a shard applies without a fault — a writer's
-	// drained round, a Put/Insert/Delete, or the shard's slice of one
-	// ApplyBatch — measures its committed leaves' dead-byte ratio, and
-	// leaves at or above the threshold are rewritten: a first few at once,
-	// the rest in idle group-commit slots (after a writer's drain, or a
-	// Put/Insert/Delete, leaves the mailbox empty). ApplyBatch
-	// schedules no idle slot. Sensible values are 0.2–0.5.
-	DefragThreshold float64
 	// FaultHook, when set, runs at the top of every group commit with the
 	// shard index, inside the contained writer section — the
 	// fault-injection harness's entry point (see internal/faultx): a panic
@@ -366,8 +357,7 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 		Counters: func(_ int, be *shard.Backend) obsv.Counters {
 			return storeCounters(be.Sys, be.Arena, be.Store)
 		},
-		DefragThreshold: opts.DefragThreshold,
-		FaultHook:       opts.FaultHook,
+		FaultHook: opts.FaultHook,
 	})
 }
 
@@ -622,16 +612,6 @@ func (kv *KV) ShardStats(i int) (ShardInfo, error) {
 		return ShardInfo{}, err
 	}
 	return kv.eng.ShardInfo(i), nil
-}
-
-// ShardFragmentation returns shard i's last measured committed-leaf
-// fragmentation ratio (dead bytes / cell area), or -1 before any measurement
-// or when DefragThreshold is off. An out-of-range index is ErrBadShard.
-func (kv *KV) ShardFragmentation(i int) (float64, error) {
-	if err := kv.checkShard(i); err != nil {
-		return 0, err
-	}
-	return kv.eng.ShardFragmentation(i), nil
 }
 
 // EngineStats aggregates the engine's per-shard counters.

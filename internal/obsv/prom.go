@@ -23,9 +23,6 @@ type ShardGauge struct {
 	Fences  int64
 	// Scheme is the shard's commit scheme name ("" when unknown).
 	Scheme string
-	// Fragmentation is the shard's committed-tree leaf fragmentation ratio
-	// (dead bytes / cell area) in [0,1]; -1 when not measured.
-	Fragmentation float64
 }
 
 // eventNames labels Counters fields for the events_total metric, in
@@ -109,10 +106,6 @@ func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGau
 			up = 1
 		}
 		fmt.Fprintf(w, "fasp_shard_healthy{store=%q,shard=\"%d\"} %d\n", store, g.Shard, up)
-	}
-	fmt.Fprintf(w, "# HELP fasp_shard_fragmentation_ratio Committed-tree leaf fragmentation (dead bytes / cell area); -1 when unmeasured.\n# TYPE fasp_shard_fragmentation_ratio gauge\n")
-	for _, g := range shards {
-		fmt.Fprintf(w, "fasp_shard_fragmentation_ratio{store=%q,shard=\"%d\"} %g\n", store, g.Shard, g.Fragmentation)
 	}
 	fmt.Fprintf(w, "# HELP fasp_shard_scheme Live commit scheme per shard (1 for the active scheme label).\n# TYPE fasp_shard_scheme gauge\n")
 	for _, g := range shards {

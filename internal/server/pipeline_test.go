@@ -202,11 +202,29 @@ func TestShardCommitWidth(t *testing.T) {
 // still the group-commit stage. Every connection keeps a single PUT in
 // flight, so each flush carries one op and only the mailbox can gather:
 // fewer commits than ops means writes of different connections shared
-// transactions.
+// transactions. The shard's first round stalls until every connection's
+// PUT is admitted, so the round after it finds the others queued whatever
+// the scheduler does, on one processor too.
 func TestOneShardGathersConnections(t *testing.T) {
-	_, kv, addr := start(t, fasp.Options{Shards: 1}, Config{})
+	const conns = 16
+	var srv *Server
+	var stalled, allAdmitted atomic.Bool
+	hook := func(int) {
+		if stalled.Swap(true) {
+			return
+		}
+		// The hook runs under the shard lock, which Snapshot's engine
+		// stats take, so it reads the admission gate itself.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if len(srv.sem) == conns {
+				allAdmitted.Store(true)
+				return
+			}
+		}
+	}
+	srv, kv, addr := start(t, fasp.Options{Shards: 1, FaultHook: hook}, Config{})
 	res, err := loadgen.Run(loadgen.Config{
-		Addr: addr, Conns: 16, Pipeline: 1, Duration: 300 * time.Millisecond,
+		Addr: addr, Conns: conns, Pipeline: 1, Duration: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
@@ -214,8 +232,11 @@ func TestOneShardGathersConnections(t *testing.T) {
 	if res.ConnDrops != 0 || res.Errors != 0 {
 		t.Fatalf("drops=%d errors=%d", res.ConnDrops, res.Errors)
 	}
+	if !allAdmitted.Load() {
+		t.Fatalf("the first round never saw all %d connections' PUTs admitted", conns)
+	}
 	if st := kv.EngineStats(); st.Ops == 0 || st.Batches >= st.Ops {
-		t.Fatalf("16 connections' writes were not gathered: %d ops in %d commits", st.Ops, st.Batches)
+		t.Fatalf("%d connections' writes were not gathered: %d ops in %d commits", conns, st.Ops, st.Batches)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fasp/internal/btree"
 	"fasp/internal/obsv"
-	"fasp/internal/pager"
 )
 
 // The read path: every read walks the committed snapshot.
@@ -15,13 +14,12 @@ import (
 // The paper's slot header is the per-page atomic commit mark, and the
 // commit schemes checkpoint eagerly, so the committed page image is always
 // consistent: a reader needs the committed snapshot, never the writer's
-// transaction. Every read — a Get, each chunk of a scan or Count, the
-// defrag measurement — is a btree.View walk over pager.Store's PeekCommitted. It
-// never touches the clock, the cache overlay or the crash injector, so
-// reads add no crash points and leave the golden determinism files
-// bit-identical. The only hazard left is reading WHILE a commit is
-// installing headers, and one read-write gate per shard (s.gate) rules it
-// out:
+// transaction. Every read — a Get, each chunk of a scan or Count — is a
+// btree.View walk over pager.Store's PeekCommitted. It never touches the
+// clock, the cache overlay or the crash injector, so reads add no crash
+// points and leave the golden determinism files bit-identical. The only
+// hazard left is reading WHILE a commit is installing headers, and one
+// read-write gate per shard (s.gate) rules it out:
 //
 //   - A read step (one Get descent, one scan chunk) holds the gate's read
 //     side. Every mutator (group-commit apply, heal, crash, restore)
@@ -39,9 +37,8 @@ import (
 //
 // The gate is not reentrant: a goroutine that holds the read side and asks
 // for it again waits behind any writer queued in between, for ever. So no
-// callback runs inside a read step — a scan callback runs between a
-// cursor's chunks, after closeView — and measureFrag, which runs inside
-// the write side, binds its view without the gate.
+// callback runs inside a read step: a scan callback runs between a
+// cursor's chunks, after closeView.
 
 const (
 	// scanChunkPairs / scanChunkBytes bound one scan chunk — the longest a
@@ -60,24 +57,11 @@ func (s *state) endMutate() { s.gate.Unlock() }
 
 var viewPool = sync.Pool{New: func() any { return btree.NewView() }}
 
-// bindView takes a pooled view bound to st's committed snapshot.
-func bindView(st pager.Store) *btree.View {
-	v := viewPool.Get().(*btree.View)
-	v.Reset(st)
-	return v
-}
-
-// putView unbinds v and returns it to the pool.
-func putView(v *btree.View) {
-	v.Release()
-	viewPool.Put(v)
-}
-
-// openView binds a view for one read step — a Get, or one scan chunk. It
-// takes the read side of the gate, parking behind a commit in progress
-// (queued reports that it had to). An unavailable shard leaves the gate
-// again and returns its canonical error and no view. End the step with
-// closeView.
+// openView binds a pooled view for one read step — a Get, or one scan
+// chunk. It takes the read side of the gate, parking behind a commit in
+// progress (queued reports that it had to). An unavailable shard leaves
+// the gate again and returns its canonical error and no view. End the step
+// with closeView.
 func (s *state) openView() (v *btree.View, queued bool, err error) {
 	if queued = !s.gate.TryRLock(); queued {
 		s.gate.RLock()
@@ -86,12 +70,16 @@ func (s *state) openView() (v *btree.View, queued bool, err error) {
 		s.gate.RUnlock()
 		return nil, queued, err
 	}
-	return bindView(s.be.Store), queued, nil
+	v = viewPool.Get().(*btree.View)
+	v.Reset(s.be.Store)
+	return v, queued, nil
 }
 
-// closeView ends a read step openView began.
+// closeView ends a read step openView began, returning its view to the
+// pool.
 func (s *state) closeView(v *btree.View) {
-	putView(v)
+	v.Release()
+	viewPool.Put(v)
 	s.gate.RUnlock()
 }
 

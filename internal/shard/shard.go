@@ -88,12 +88,6 @@ type Config struct {
 	// deltas. The facade supplies the scheme-aware bridge; nil means event
 	// deltas are not recorded.
 	Counters func(i int, be *Backend) obsv.Counters
-	// DefragThreshold enables proactive copy-on-write defragmentation: every
-	// 32nd write round a shard applies without a fault measures the
-	// committed tree's leaf fragmentation, and leaves at or above the
-	// threshold are rewritten — a first few at once, the rest during idle
-	// group-commit slots (see defrag.go). 0 disables.
-	DefragThreshold float64
 	// FaultHook, when set, runs at the top of every group commit with the
 	// shard index, inside the contained writer section: a panic degrades
 	// just that shard (wrapped ErrShardDown until Heal re-runs recovery), a
@@ -164,8 +158,6 @@ type Info struct {
 	// ScanPairs counts the pairs this shard has gathered for range reads
 	// (Scan, ScanShard, Count), whether or not the caller consumed them.
 	ScanPairs int64 `json:"scan_pairs,omitempty"`
-	// DefragPages counts the leaves proactive defragmentation has rewritten.
-	DefragPages int64 `json:"defrag_pages,omitempty"`
 	// PM is the shard arena's architectural event counters.
 	PM pmem.Stats `json:"pm_stats"`
 	// Phases is the shard clock's per-phase simulated-time breakdown.
@@ -234,16 +226,6 @@ type state struct {
 	// so it stays correct across Heal's store replacement.
 	rec  *obsv.Recorder
 	evFn func() obsv.Counters
-
-	// Proactive defragmentation state (defrag.go), under mu. defragTh is
-	// Config.DefragThreshold (0: off); sinceScan counts write rounds since the
-	// last measurement; frag and hotKeys hold that measurement (frag is -1
-	// until measured); defragged counts the leaves rewritten.
-	defragTh  float64
-	sinceScan int
-	frag      float64
-	hotKeys   [][]byte
-	defragged int64
 }
 
 // counters snapshots the shard's commit-path event counters (zero when no
@@ -293,8 +275,6 @@ func New(cfg Config) (*Engine, error) {
 			rec:      cfg.Recorder,
 
 			faultHook: cfg.FaultHook,
-			defragTh:  cfg.DefragThreshold,
-			frag:      -1,
 		}
 		if cfg.Counters != nil {
 			i, be := i, be
@@ -548,8 +528,6 @@ func (s *state) applyLocked(ops []Op, errs []error, units []int32) {
 		for i := range errs {
 			errs[i] = down
 		}
-	} else if s.defragTh > 0 {
-		s.defragTick()
 	}
 	s.ops += int64(len(ops))
 	// ApplyUnits chunks at maxBatch, so the largest single group commit out
@@ -695,14 +673,13 @@ func (e *Engine) ShardInfo(i int) Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	in := Info{
-		SimNS:       s.be.Sys.Clock().Now(),
-		Ops:         s.ops,
-		Batches:     s.batches,
-		MaxDrained:  s.maxDrained,
-		ScanPairs:   s.scanPairs.Load(),
-		DefragPages: s.defragged,
-		PM:          s.be.Arena.Stats(),
-		Phases:      s.be.Sys.Clock().Phases(),
+		SimNS:      s.be.Sys.Clock().Now(),
+		Ops:        s.ops,
+		Batches:    s.batches,
+		MaxDrained: s.maxDrained,
+		ScanPairs:  s.scanPairs.Load(),
+		PM:         s.be.Arena.Stats(),
+		Phases:     s.be.Sys.Clock().Phases(),
 	}
 	switch {
 	case s.crashed:
@@ -753,15 +730,14 @@ func (e *Engine) Gauges() []obsv.ShardGauge {
 			health = Degraded
 		}
 		out[i] = obsv.ShardGauge{
-			Shard:         i,
-			Health:        health.String(),
-			Ops:           s.ops,
-			Batches:       s.batches,
-			SimNS:         s.be.Sys.Clock().Now(),
-			Flushes:       s.be.Arena.Stats().FlushCalls,
-			Fences:        s.be.Sys.Fences(),
-			Scheme:        strings.ToLower(s.be.Store.Name()),
-			Fragmentation: s.frag,
+			Shard:   i,
+			Health:  health.String(),
+			Ops:     s.ops,
+			Batches: s.batches,
+			SimNS:   s.be.Sys.Clock().Now(),
+			Flushes: s.be.Arena.Stats().FlushCalls,
+			Fences:  s.be.Sys.Fences(),
+			Scheme:  strings.ToLower(s.be.Store.Name()),
 		}
 		s.mu.Unlock()
 	}

@@ -42,8 +42,7 @@ func (r *Request) release() {
 // queues on the mailbox while round k commits, so a round is as wide as
 // the submitters that arrived during the one before it. The drain bound
 // keeps latency bounded under sustained load; the blocking receive means
-// an idle shard costs nothing — which is the slot the proactive defrag
-// pass borrows when work is pending.
+// an idle shard costs nothing.
 func (s *state) run() {
 	defer close(s.done)
 	var (
@@ -65,9 +64,6 @@ func (s *state) run() {
 				}
 			}
 			s.serve(reqs, &flat)
-			if len(s.mail) == 0 {
-				s.maybeIdleDefrag()
-			}
 		case <-s.quit:
 			// Serve the backlog, then exit. No new senders are allowed
 			// once Close has been called.
@@ -262,10 +258,6 @@ func (e *Engine) Do(op Op) error {
 	s.applyLocked([]Op{op}, out[:], nil)
 	if s.rec != nil {
 		s.rec.ObserveWall(kindOp[op.Kind], int32(s.id), time.Since(t0).Nanoseconds())
-	}
-	// The writer's idle slot, on the caller's goroutine.
-	if len(s.mail) == 0 {
-		s.maybeIdleDefrag()
 	}
 	return out[0]
 }

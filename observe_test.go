@@ -35,9 +35,6 @@ func TestBadShardIndex(t *testing.T) {
 			if err := kv.Heal(i); !errors.Is(err, ErrBadShard) {
 				t.Errorf("Heal(%d) = %v, want ErrBadShard", i, err)
 			}
-			if _, err := kv.ShardFragmentation(i); !errors.Is(err, ErrBadShard) {
-				t.Errorf("ShardFragmentation(%d) = %v, want ErrBadShard", i, err)
-			}
 			if err := kv.ShardScan(i, nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrBadShard) {
 				t.Errorf("ShardScan(%d) = %v, want ErrBadShard", i, err)
 			}

@@ -17,8 +17,8 @@ func TestOptionBudget(t *testing.T) {
 		typ    reflect.Type
 		budget int
 	}{
-		{reflect.TypeOf(fasp.Options{}), 11},
-		{reflect.TypeOf(shard.Config{}), 8},
+		{reflect.TypeOf(fasp.Options{}), 10},
+		{reflect.TypeOf(shard.Config{}), 7},
 		{reflect.TypeOf(server.Config{}), 11},
 	} {
 		if n := tc.typ.NumField(); n > tc.budget {
