@@ -26,7 +26,7 @@ import (
 
 // measureSharded learns the smallest per-shard crash-point budget from one
 // uncrashed run, so random crash points usually land inside the workload.
-// The mailbox path batches nondeterministically, so budgets vary slightly
+// The Enqueue/Wait path batches nondeterministically, so budgets vary slightly
 // between rounds; a crash point past the end simply yields a no-crash
 // round, which is still verified.
 func measureSharded(scheme string, shards, clients, txns int) int64 {
@@ -58,7 +58,7 @@ type ack struct {
 }
 
 // runClients drives `clients` goroutines issuing txns puts each through
-// their shard's mailbox (KV.SubmitShard), so the shard writers gather the
+// their shard's queue (KV.SubmitShard), so the shard rounds gather the
 // clients into group commits, recording outcomes in a (nil-able) ack.
 func runClients(kv *fasp.KV, clients, txns int, a *ack) {
 	var wg sync.WaitGroup

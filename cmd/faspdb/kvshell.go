@@ -3,7 +3,7 @@ package main
 // KV shell mode (-kv): an interactive ordered key/value store instead of
 // the SQL engine, with optional sharding (-shards). Commands operate on the
 // facade's KV API, so the shell drives the same code paths applications
-// use — including the shard engine's mailbox writers and group commit.
+// use — including the shard engine's queues and group commit.
 
 import (
 	"fmt"
@@ -72,7 +72,7 @@ func kvCommand(kv *fasp.KV, fields []string) bool {
 				m.Events.Flush, m.Events.Fence, m.Events.HTMCommit, m.Events.HTMAbort,
 				m.Events.LogAppend, m.Events.Checkpoint, m.Batches, m.SlowOps)
 			if m.BatchSize.Count > 0 {
-				fmt.Printf("batch size: p50=%d p99=%d mean=%.1f; mailbox depth p99=%d\n",
+				fmt.Printf("batch size: p50=%d p99=%d mean=%.1f; queue depth p99=%d\n",
 					m.BatchSize.Quantile(0.50), m.BatchSize.Quantile(0.99),
 					m.BatchSize.Mean(), m.MailDepth.Quantile(0.99))
 			}

@@ -245,11 +245,11 @@ func sizedVal(i int) []byte {
 // TestDefragConcurrentStress is the race-detector arm (CI runs the whole
 // repo under -race): on every scheme, concurrent writers resize records so
 // that leaves defragment on demand while optimistic readers walk the
-// committed snapshots. Both write paths defragment: Put and ApplyBatch on
-// the writers' own goroutines, and the mailbox path, on the shard's writer
-// goroutine. Shard 0 is written through its mailbox alone (every other
-// shard takes both paths), so its defragmentation can only have run on its
-// writer goroutine.
+// committed snapshots. Both write paths defragment: Put and ApplyBatch,
+// which commit alone, and the queue path (SubmitShard), whose rounds a
+// submitter serves. Shard 0 is written through its queue alone (every
+// other shard takes both paths), so its defragmentation can only have run
+// in a queued round.
 func TestDefragConcurrentStress(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
@@ -261,8 +261,8 @@ func TestDefragConcurrentStress(t *testing.T) {
 func defragStress(t *testing.T, scheme string) {
 	kv := smallKV(t, Options{Scheme: scheme, Shards: 4})
 	const writers, readers, perW = 4, 4, 300
-	const mailOnly = 0 // the shard written through its mailbox alone
-	// submit sends ops, all routed to shard si, through si's mailbox.
+	const queueOnly = 0 // the shard written through its queue alone
+	// submit sends ops, all routed to shard si, through si's queue.
 	submit := func(si int, ops []Op) error {
 		errs := make([]error, len(ops))
 		kv.SubmitShard(si, ops, errs)
@@ -282,7 +282,7 @@ func defragStress(t *testing.T, scheme string) {
 				id := w*perW + i
 				k, v := akey(id), sizedVal(id)
 				var err error
-				if si := kv.ShardOf(k); si == mailOnly || i%2 == 1 {
+				if si := kv.ShardOf(k); si == queueOnly || i%2 == 1 {
 					err = submit(si, []Op{{Kind: OpPut, Key: k, Val: v}})
 				} else {
 					err = kv.Put(k, v)
@@ -293,13 +293,13 @@ func defragStress(t *testing.T, scheme string) {
 				}
 				if i%8 == 7 {
 					// Resize keys inside this writer's own id range so the
-					// final count is exact; the mail-only shard's share goes
-					// through its mailbox as one submission.
+					// final count is exact; the queue-only shard's share goes
+					// through its queue as one submission.
 					var ops, mail []Op
 					for j := 0; j < 16; j++ {
 						k := w*perW + (i-j+perW)%perW
 						op := Op{Kind: OpPut, Key: akey(k), Val: sizedVal(id + j + 1)}
-						if kv.ShardOf(op.Key) == mailOnly {
+						if kv.ShardOf(op.Key) == queueOnly {
 							mail = append(mail, op)
 						} else {
 							ops = append(ops, op)
@@ -312,8 +312,8 @@ func defragStress(t *testing.T, scheme string) {
 						}
 					}
 					if len(mail) > 0 {
-						if err := submit(mailOnly, mail); err != nil {
-							t.Errorf("mailbox batch: %v", err)
+						if err := submit(queueOnly, mail); err != nil {
+							t.Errorf("queued batch: %v", err)
 							return
 						}
 					}
@@ -365,7 +365,7 @@ func defragStress(t *testing.T, scheme string) {
 	if n != writers*perW {
 		t.Fatalf("count = %d, want %d", n, writers*perW)
 	}
-	if defragNS(t, kv, mailOnly) == 0 {
-		t.Fatalf("shard %d, written only through its mailbox, never defragmented", mailOnly)
+	if defragNS(t, kv, queueOnly) == 0 {
+		t.Fatalf("shard %d, written only through its queue, never defragmented", queueOnly)
 	}
 }

@@ -34,7 +34,7 @@ func ExampleOpenKV() {
 	if err != nil {
 		panic(err)
 	}
-	defer kv.Close() // every KV owns a writer goroutine
+	defer kv.Close() // seals the store and unregisters it from the metrics exporter
 	_ = kv.Insert([]byte("b"), []byte("2"))
 	_ = kv.Insert([]byte("a"), []byte("1"))
 	_ = kv.Insert([]byte("c"), []byte("3"))

@@ -19,7 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer kv.Close() // every KV owns a writer goroutine
+	defer kv.Close() // seals the store and unregisters it from the metrics exporter
 
 	// Point writes: each Put is one failure-atomic transaction.
 	for i := 0; i < 500; i++ {

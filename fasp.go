@@ -63,13 +63,15 @@ type Options struct {
 	// CacheBytes bounds the emulated CPU cache per arena (default 2 MiB).
 	CacheBytes int64
 	// Shards hash-partitions the KV key space across this many independent
-	// stores, each on its own simulated machine with a single-writer
-	// goroutine and group commit (see OpenKV). 0 means 1: the same engine
-	// with one partition. Open ignores the field.
+	// stores, each on its own simulated machine, with one writer at a time
+	// under its lock and group commit for queued submissions (see OpenKV).
+	// 0 means 1: the same engine with one partition. Open ignores the
+	// field.
 	Shards int
 	// MaxBatch is the group-commit drain bound: how many operations one
-	// group commit may take from a shard's mailbox (default 64), and the
-	// chunk size KV.ApplyBatch commits at.
+	// group commit may take from a shard's queue (default 64), and the
+	// chunk size KV.ApplyBatch commits at. A shard's queue holds at most
+	// 4×MaxBatch submissions.
 	MaxBatch int
 	// DisableMetrics turns the observability recorder off entirely (KV
 	// only). Metrics are on by default; the instrumented hot path is
@@ -77,7 +79,7 @@ type Options struct {
 	// adds per operation.
 	DisableMetrics bool
 	// FaultHook, when set, runs at the top of every group commit with the
-	// shard index, inside the contained writer section — the
+	// shard index, inside the contained commit section — the
 	// fault-injection harness's entry point (see internal/faultx): a panic
 	// degrades that one shard until Heal, a sleep stalls its batch while
 	// the others keep serving. Production leaves it nil.
@@ -263,15 +265,15 @@ func (db *DB) Reopen() error {
 //
 // Every KV is one shard.Engine: keys are hash-partitioned across
 // Options.Shards independent stores (one by default), each on its own
-// simulated machine and owned by a single-writer goroutine that drains a
-// bounded mailbox and group-commits each drained batch as one transaction
-// (internal/shard). With several shards, concurrent callers run in
-// parallel across shards and are batched within one. With one shard a
-// synchronous write (Put/Insert/Delete) commits on the caller's goroutine
-// under the shard lock — bit-identical in simulated time to driving the
-// B-tree directly — while Enqueue/Wait still gathers concurrent submitters
-// into group commits. Every KV holds goroutines: call Close
-// when done.
+// simulated machine, written by one caller at a time under its shard lock
+// (internal/shard). A KV owns no goroutine. A synchronous write
+// (Put/Insert/Delete) commits on the caller's goroutine — with one shard,
+// bit-identical in simulated time to driving the B-tree directly — while
+// Enqueue/Wait gathers concurrent submitters into group commits: whichever
+// waiting submitter holds the shard lock commits everything queued as one
+// transaction. With several shards, concurrent callers run in parallel
+// across shards and are batched within one. Close still seals and
+// unregisters: call it when done.
 type KV struct {
 	eng  *shard.Engine
 	opts Options
@@ -305,14 +307,14 @@ const (
 // has not been recovered yet (call ReopenKV).
 var ErrShardCrashed = shard.ErrCrashed
 
-// ErrShardDown reports an operation submitted to a shard whose writer hit
+// ErrShardDown reports an operation submitted to a shard whose commit hit
 // a contained fault (store panic / hard PM error); the other shards keep
 // serving. Call Heal on the degraded shard to re-run recovery.
 var ErrShardDown = shard.ErrShardDown
 
-// ErrShardBusy reports a submission that timed out waiting for mailbox
-// space (wedged or badly oversubscribed shard); the operation was not
-// applied.
+// ErrShardBusy reports a submission refused at once because its shard's
+// queue already held 4×MaxBatch submissions (wedged or badly
+// oversubscribed shard); the operation was not applied.
 var ErrShardBusy = shard.ErrBusy
 
 // errCrossShard reports KV.Batch on a store with several shards.
@@ -361,11 +363,11 @@ func newShardEngine(opts Options, rec *obsv.Recorder) (*shard.Engine, error) {
 	})
 }
 
-// Close stops the store's writer goroutines after serving every queued
-// operation and unregisters the store from the metrics exporter. It is
-// idempotent — safe to call twice, concurrently, and after a crashed or
-// degraded shard. Write operations submitted after Close fail with
-// ErrClosed; reads keep working, as they never needed a writer.
+// Close serves every queued operation, seals every shard and unregisters
+// the store from the metrics exporter. It is idempotent — safe to call
+// twice, concurrently, and after a crashed or degraded shard. Write
+// operations submitted after Close fail with ErrClosed; reads keep
+// working.
 func (kv *KV) Close() {
 	if kv.closed.Swap(true) {
 		return
@@ -381,7 +383,7 @@ func (kv *KV) Sharded() bool { return kv.eng.Shards() > 1 }
 // Shards returns the shard count.
 func (kv *KV) Shards() int { return kv.eng.Shards() }
 
-// MaxBatch returns the group-commit drain bound the writer goroutines and
+// MaxBatch returns the group-commit drain bound that queued rounds and
 // ApplyBatch chunk at.
 func (kv *KV) MaxBatch() int { return kv.eng.MaxBatch() }
 
@@ -392,19 +394,21 @@ func (kv *KV) MaxBatch() int { return kv.eng.MaxBatch() }
 func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 
 // Enqueue queues ops — every key must route to shard si under ShardOf —
-// as one submission on that shard's writer and returns without waiting for
-// the commit; Wait(r) blocks until errs (len(ops)) is filled. The writer
-// gathers whatever concurrent callers have enqueued into one group commit,
-// so a caller with work for several shards enqueues one handle per shard
-// and then waits on each: no cross-shard barrier, and every writer busy at
-// once. The handle carries the caller's slices directly (zero-copy), so
-// the caller must not touch ops, errs or units until Wait returns. units
-// lists the op counts of the submission's atomic units (nil: one unit), as
+// as one submission on that shard's queue and returns without waiting for
+// the commit; Wait(r) blocks until errs (len(ops)) is filled. Whichever
+// waiting submitter holds the shard lock commits everything queued there
+// as one group commit, so a caller with work for several shards enqueues
+// one handle per shard and then waits on each: no cross-shard barrier, and
+// any other submitter may serve a shard before its owner gets there. The
+// handle carries the caller's slices directly (zero-copy), so the caller
+// must not touch ops, errs or units until Wait returns. units lists the op
+// counts of the submission's atomic units (nil: one unit), as
 // shard.Engine.Enqueue documents: a caller coalescing independent requests
-// passes one unit per request. A mailbox that stays full for two seconds
-// fails the submission with ErrShardBusy, one racing Close with ErrClosed,
-// and a shard index outside [0, Shards()) with ErrBadShard; errs is then
-// already filled and Wait returns at once.
+// passes one unit per request. A shard whose queue already holds
+// 4×MaxBatch submissions refuses the submission at once with ErrShardBusy,
+// a shard Close has sealed with ErrClosed, and a shard index outside
+// [0, Shards()) with ErrBadShard; errs is then already filled and Wait
+// returns at once.
 func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
 	kv.eng.Enqueue(r, si, ops, errs, units)
 }
@@ -414,7 +418,7 @@ func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32)
 func (kv *KV) Wait(r *Request) { kv.eng.Wait(r) }
 
 // SubmitShard is Enqueue then Wait: one blocking submission on shard si's
-// writer.
+// queue.
 func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
 	kv.eng.SubmitShard(si, ops, errs)
 }
@@ -453,7 +457,7 @@ func (kv *KV) Delete(key []byte) error {
 // The ops are partitioned by shard and each shard's sub-batch is applied in
 // submission order, the shards' sub-batches concurrently — batch boundaries
 // (and therefore simulated time) are a pure function of the op sequence,
-// unlike the mailbox path. Logical failures (duplicate insert, absent
+// unlike Enqueue/Wait. Logical failures (duplicate insert, absent
 // key) are reported per op without aborting their batch; see
 // internal/shard.ApplyOps.
 func (kv *KV) ApplyBatch(ops []Op) []error { return kv.eng.ApplyBatch(ops) }

@@ -74,8 +74,8 @@ func TestHealTable(t *testing.T) {
 		}
 	})
 
-	// The victim is written through its mailbox, so the injected fault
-	// fires on the shard's writer goroutine.
+	// The victim is written through its queue, so the injected fault fires
+	// in a round a submitter serves.
 	submit := func(k, v []byte) error {
 		var errs [1]error
 		kv.SubmitShard(kv.ShardOf(k), []Op{{Kind: OpPut, Key: k, Val: v}}, errs[:])

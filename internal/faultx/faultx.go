@@ -2,7 +2,7 @@
 // service layer. It is crashx's sibling one layer up the stack: where crashx
 // crashes the simulated persistent-memory machine at exact store points,
 // faultx breaks the machinery *around* the store — connections die mid-frame,
-// writes tear, reads stall, shard writers panic at commit — and the schedule
+// writes tear, reads stall, shard commits panic — and the schedule
 // that produced any failure is a replayable Spec string.
 //
 // Injection sites:
@@ -12,11 +12,11 @@
 //     partial prefix hits the wire, then the connection closes) or stalled;
 //     reads may be stalled. Kill and torn both surface as a peer reset, which
 //     is exactly what drives client reconnect + replay.
-//   - CommitFault is called by the shard writer inside its contained commit
-//     section (shard.Config.FaultHook / fasp.Options.FaultInjector). It may
-//     panic — the containment machinery converts that into a Degraded shard
-//     and typed ErrShardDown — or sleep while holding the shard, backing the
-//     mailbox up into typed ErrShardBusy.
+//   - CommitFault is called inside a shard's contained commit section
+//     (shard.Config.FaultHook / fasp.Options.FaultHook). It may panic — the
+//     containment machinery converts that into a Degraded shard and typed
+//     ErrShardDown — or sleep while holding the shard, so its queue fills
+//     and further submissions are refused at once with typed ErrShardBusy.
 //
 // Determinism: every injection site owns a private RNG seeded from
 // Spec.Seed mixed with a stable site index (connection arrival order, shard
@@ -190,11 +190,12 @@ func mix64(x int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// CommitFault is the engine-side injection point, called by the shard
-// writer inside its contained commit section before the batch applies. With
-// probability PanicProb it panics (containment turns that into a Degraded
-// shard + ErrShardDown); with probability StallProb it sleeps Stall while
-// holding the shard, so the mailbox backs up into ErrShardBusy.
+// CommitFault is the engine-side injection point, called inside a shard's
+// contained commit section before the batch applies. With probability
+// PanicProb it panics (containment turns that into a Degraded shard +
+// ErrShardDown); with probability StallProb it sleeps Stall while holding
+// the shard, so its queue fills and further submissions are refused at
+// once with ErrShardBusy.
 func (in *Injector) CommitFault(shard int) {
 	if !in.enabled.Load() || (in.spec.PanicProb == 0 && in.spec.StallProb == 0) {
 		return

@@ -1,7 +1,7 @@
 // Package obsv is the runtime observability layer: lock-free log-bucketed
 // latency histograms (wall-clock and simulated ns), commit-path event
 // tracing (per-transaction clflush / fence / HTM / log-append /
-// checkpoint counts), group-commit batch-size and mailbox-depth
+// checkpoint counts), group-commit batch-size and queue-depth
 // distributions, and a slow-op log — all allocation-free on the hot path
 // and safe for concurrent writers — plus the fixed-width tables the
 // figure harness prints (table.go).

@@ -33,7 +33,7 @@ var eventNames = [numEvents]string{"clflush", "fence", "htm_commit", "htm_abort"
 // WritePrometheus renders one store's snapshot and shard gauges in the
 // Prometheus text exposition format (version 0.0.4). Quantiles are
 // exported as gauges (they come from the mergeable log-bucket histograms);
-// batch-size and mailbox-depth distributions are exported as native
+// batch-size and queue-depth distributions are exported as native
 // Prometheus histograms with power-of-two le bounds.
 func WritePrometheus(w io.Writer, store string, snap Snapshot, shards []ShardGauge) {
 	fmt.Fprintf(w, "# HELP fasp_ops_total Operations observed, by kind.\n# TYPE fasp_ops_total counter\n")

@@ -18,8 +18,8 @@ const (
 	// OpGet and OpScan are read operations (no commit-path events).
 	OpGet
 	OpScan
-	// OpBatch is one group-commit transaction (a drained mailbox batch or
-	// an ApplyBatch chunk); its event deltas are per transaction.
+	// OpBatch is one group-commit transaction (a round drained off a shard
+	// queue, or an ApplyBatch chunk); its event deltas are per transaction.
 	OpBatch
 
 	numOps
@@ -253,8 +253,8 @@ func (r *Recorder) observe(op Op, shard, n int32, wallNS, simNS int64, ev Counte
 
 // ObserveWall records one operation's wall-clock latency without a
 // simulated/event span — the sharded submission path, where the client's
-// perceived latency (queueing + group commit) is measured at the mailbox
-// while the commit path is observed per batch by the writer.
+// perceived latency (queueing + group commit) is measured from enqueue to
+// verdict while the commit path is observed per batch.
 func (r *Recorder) ObserveWall(op Op, shard int32, wallNS int64) {
 	if r == nil {
 		return
@@ -278,8 +278,8 @@ func (r *Recorder) ObserveSim(op Op, simNS int64) {
 	r.sim[op].Observe(simNS)
 }
 
-// ObserveMailDepth records a shard mailbox's queued-request depth at drain
-// time.
+// ObserveMailDepth records how many submissions a shard's queue still
+// holds when a round drains it.
 func (r *Recorder) ObserveMailDepth(depth int) {
 	if r == nil {
 		return

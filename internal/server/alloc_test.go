@@ -11,7 +11,8 @@ import (
 // Steady-state allocation pin for the server data plane.
 //
 // testing.AllocsPerRun only counts the calling goroutine, so it cannot see
-// the reader and writer goroutines a request crosses. This pin
+// the server's connection goroutine, which decodes each request, commits
+// its write as a shard round and encodes the reply. This pin
 // measures the whole process instead: runtime.MemStats.Mallocs delta
 // across a long warm pipelined run, divided by round trips.
 //
@@ -22,7 +23,7 @@ import (
 // submission handle is conn-owned, and the GET fast path reads into a reusable
 // buffer). The headroom covers GC timing and runtime noise, not new
 // per-request allocations: a steady-state alloc added to the conn or
-// writer hot path shows up here as several whole mallocs per op and
+// round hot path shows up here as several whole mallocs per op and
 // fails the pin.
 const allocBudgetPerRoundTrip = 12
 
@@ -39,7 +40,8 @@ func measureRoundTripAllocs(t *testing.T, addr string) float64 {
 		sent, recvd := 0, 0
 		for recvd < n {
 			for sent < n && sent-recvd < window {
-				// Rotate keys across shards so every writer stays warm.
+				// Rotate keys across shards so every shard's round scratch
+				// stays warm.
 				key[len(key)-1] = byte('a' + sent%16)
 				cl.QueuePut(key, val)
 				cl.QueueGet(key)
@@ -61,7 +63,7 @@ func measureRoundTripAllocs(t *testing.T, addr string) float64 {
 	}
 
 	// Warm every pooled buffer: conn arena, pend/ops/scratch slices,
-	// engine mailboxes and writer scratch, client frame buffer.
+	// engine queues and round scratch, client frame buffer.
 	roundTrips(2000)
 
 	var before, after runtime.MemStats

@@ -373,7 +373,7 @@ func verdictApplied(c wire.Code) bool {
 // flushWrites submits every deferred write op, partitioned by shard, to
 // the engine and emits the pending responses in request order. The arena
 // and scratch are reusable immediately after: flushSharded blocks until
-// every involved shard's verdicts are in, and the engine's writers copy
+// every involved shard's verdicts are in, and the engine's rounds copy
 // what they persist.
 func (cn *conn) flushWrites() {
 	if len(cn.pends) == 0 {

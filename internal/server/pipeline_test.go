@@ -55,7 +55,7 @@ func runMixedWorkload(t *testing.T, batch func([]wire.BatchOp) []wire.Code) [][]
 
 // TestServerVsDirectEquivalence pins the serving path against the engine's
 // deterministic one: the same workload through the wire — partitioned per
-// shard, enqueued on the writers, verdicts read back through the
+// shard, enqueued on the shard queues, verdicts read back through the
 // shard-major order mapping — and straight through KV.ApplyBatch produces
 // identical request-order verdicts and identical final state.
 func TestServerVsDirectEquivalence(t *testing.T) {
@@ -171,7 +171,7 @@ func TestCrossShardBatchVerdictOrder(t *testing.T) {
 }
 
 // TestShardCommitWidth drives concurrent pipelined load and asserts the
-// shard writers — the only group-commit stage — actually coalesce: the
+// shard rounds — the only group-commit stage — actually coalesce: the
 // engine's batch-size distribution has a mean above 1, and the server's
 // per-flush and per-shard-slice widths were observed at the enqueue.
 func TestShardCommitWidth(t *testing.T) {
@@ -190,7 +190,7 @@ func TestShardCommitWidth(t *testing.T) {
 		t.Fatal("no group commits observed")
 	}
 	if mean := bs.Mean(); mean <= 1 {
-		t.Fatalf("shard writers coalesced nothing: mean batch size %.2f", mean)
+		t.Fatalf("shard rounds coalesced nothing: mean batch size %.2f", mean)
 	}
 	snap := srv.Snapshot()
 	if snap.Coalesce.Count == 0 || snap.ShardCoalesce.Count < snap.Coalesce.Count {
@@ -198,9 +198,9 @@ func TestShardCommitWidth(t *testing.T) {
 	}
 }
 
-// TestOneShardGathersConnections: on a one-shard store the shard writer is
-// still the group-commit stage. Every connection keeps a single PUT in
-// flight, so each flush carries one op and only the mailbox can gather:
+// TestOneShardGathersConnections: on a one-shard store the shard's round
+// is still the group-commit stage. Every connection keeps a single PUT in
+// flight, so each flush carries one op and only the queue can gather:
 // fewer commits than ops means writes of different connections shared
 // transactions. The shard's first round stalls until every connection's
 // PUT is admitted, so the round after it finds the others queued whatever
@@ -240,17 +240,17 @@ func TestOneShardGathersConnections(t *testing.T) {
 	}
 }
 
-// TestWedgedShardAnswersBusy: a shard whose writer is stuck backs up only
-// its own mailbox. Writes beyond the mailbox come back as typed BUSY pinned
-// to that shard with a retry hint — where a connection used to block
-// forever on the full pipe channel — while the other shard keeps acking,
-// and once the writer resumes everything queued commits and Shutdown
-// returns.
+// TestWedgedShardAnswersBusy: a shard whose round is stuck backs up only
+// its own queue. Writes beyond the queue come back at once as typed BUSY
+// pinned to that shard with a retry hint — where a connection used to
+// block forever on the full pipe channel — while the other shard keeps
+// acking, and once the round resumes everything queued commits and
+// Shutdown returns.
 func TestWedgedShardAnswersBusy(t *testing.T) {
 	const conns, maxBatch = 16, 2
 	release := make(chan struct{})
 	kv, err := fasp.OpenKV(fasp.Options{
-		Shards: 2, MaxBatch: maxBatch, // mailbox = 4×MaxBatch = 8
+		Shards: 2, MaxBatch: maxBatch, // queue = 4×MaxBatch = 8
 		FaultHook: func(si int) {
 			if si == 0 {
 				<-release
@@ -301,14 +301,14 @@ func TestWedgedShardAnswersBusy(t *testing.T) {
 		}()
 	}
 
-	// The stuck writer holds at most one round (MaxBatch single-op
-	// requests) and the mailbox 8 more; every write beyond that times out.
+	// The stuck round holds at most MaxBatch single-op requests and the
+	// queue 8 more; every write beyond that is refused.
 	const wantBusy = conns - 4*maxBatch - maxBatch
 	for i := 0; i < wantBusy; i++ {
 		select {
 		case v := <-verdicts:
 			if v.code != wire.CodeBusy || v.shard != 0 || v.retryMS == 0 {
-				t.Fatalf("write past the wedged mailbox: code %v shard %d retry %dms, want BUSY pinned to shard 0 with a hint", v.code, v.shard, v.retryMS)
+				t.Fatalf("write past the wedged queue: code %v shard %d retry %dms, want BUSY pinned to shard 0 with a hint", v.code, v.shard, v.retryMS)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d of %d overflow writes answered; the rest hang", i, wantBusy)
@@ -327,7 +327,7 @@ func TestWedgedShardAnswersBusy(t *testing.T) {
 				t.Fatalf("queued write after release: %v", v.code)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("queued writes never completed after the writer resumed")
+			t.Fatal("queued writes never completed after the round resumed")
 		}
 	}
 	down := make(chan struct{})
@@ -340,8 +340,9 @@ func TestWedgedShardAnswersBusy(t *testing.T) {
 }
 
 // TestServerQueuesOnMailboxes: with connections enqueueing directly on the
-// shard mailboxes, a many-connection load leaves a non-zero depth behind a
-// drain, and the exported MailDepth histogram sees it.
+// shard queues, a many-connection load leaves a non-zero depth behind a
+// drain — requests queue while another connection's round commits — and
+// the exported MailDepth histogram sees it.
 func TestServerQueuesOnMailboxes(t *testing.T) {
 	_, kv, addr := start(t, fasp.Options{Shards: 2, MaxBatch: 8}, Config{})
 	res, err := loadgen.Run(loadgen.Config{
@@ -355,10 +356,10 @@ func TestServerQueuesOnMailboxes(t *testing.T) {
 	}
 	md := kv.Metrics().MailDepth
 	if md.Count == 0 {
-		t.Fatal("no mailbox drains observed")
+		t.Fatal("no queue drains observed")
 	}
 	if md.Sum == 0 {
-		t.Fatalf("mailbox depth was 0 at all %d drains: requests never queue under the server", md.Count)
+		t.Fatalf("queue depth was 0 at all %d drains: requests never queue under the server", md.Count)
 	}
 }
 

@@ -7,13 +7,13 @@
 // moment it would otherwise block — on a read request, on the
 // backpressure cap, or when the socket has no more complete frames. A
 // flush partitions the set by shard, enqueues each shard's slice straight
-// onto that shard's engine mailbox (KV.Enqueue) and waits for every slice's
+// onto that shard's engine queue (KV.Enqueue) and waits for every slice's
 // verdicts (KV.Wait). The server has no commit stage of its own:
-// pipelining batches within a connection, and each shard's single writer
-// gathers whatever all connections have enqueued into one failure-atomic
-// group commit while the next round queues behind it. A slow shard delays
-// only the connections that touched it, and one that stays wedged past the
-// engine's enqueue timeout answers a typed retryable BUSY. Responses are
+// pipelining batches within a connection, and on each shard whichever
+// waiting connection holds the shard lock gathers whatever all connections
+// have enqueued into one failure-atomic group commit while the next round
+// queues behind it. A slow shard delays only the connections that touched
+// it, and one whose queue fills answers a typed retryable BUSY. Responses are
 // emitted strictly in request order (the protocol carries no request ids),
 // and no response is written before its write is durable in a committed
 // transaction — an OK ack is a durability guarantee the crash-under-load

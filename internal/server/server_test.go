@@ -212,7 +212,7 @@ func TestPipelinedOrdering(t *testing.T) {
 
 // TestCoalescing drives many connections and checks the server observed
 // multi-op engine submissions (the coalesce histogram) — pipelined frames
-// batch even within one connection, and the shard mailboxes batch across
+// batch even within one connection, and the shard queues batch across
 // connections.
 func TestCoalescing(t *testing.T) {
 	srv, kv, addr := start(t, fasp.Options{Shards: 4}, Config{})

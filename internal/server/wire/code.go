@@ -30,9 +30,8 @@ const (
 	// CodeTooLarge is a logical per-op failure: record cannot fit a page.
 	CodeTooLarge Code = 4
 	// CodeBusy is retryable backpressure: the server shed the request
-	// (in-flight limit) or a shard mailbox stayed full through the enqueue
-	// timeout (fasp.ErrShardBusy). The operation was not applied; retry
-	// with backoff.
+	// (in-flight limit) or a shard's queue was full (fasp.ErrShardBusy).
+	// The operation was not applied; retry with backoff.
 	CodeBusy Code = 5
 	// CodeUnavail reports a shard not serving (writer fault → degraded,
 	// fasp.ErrShardDown — or crashed awaiting recovery,

@@ -1,10 +1,12 @@
 // Package shard implements a sharded store engine: the key space is
 // hash-partitioned across N independent stores — each with its own
-// simulated machine, commit scheme and B-tree — and every shard has a
-// single-writer goroutine that drains a bounded mailbox of submissions and
-// commits each drained batch as one transaction (group commit). Do and
-// ApplyBatch commit on the caller's goroutine instead, under the same
-// shard lock.
+// simulated machine, commit scheme and B-tree. A shard owns no goroutine:
+// whoever holds its lock commits. Do and ApplyBatch commit their own ops
+// under it. Enqueue puts a submission on the shard's bounded queue; Wait
+// takes the lock and serves rounds off the queue head — each round the
+// queued submissions up to the drain bound, committed as one transaction
+// (group commit) — until its own submission is served, which another
+// submitter's round may already have done.
 //
 // Why this composes with the paper's failure atomicity: FAST, FAST+ and
 // the baseline schemes are all per-store local — a commit's durability
@@ -19,7 +21,7 @@
 // logging batches its log writes: a drained batch of K operations pays one
 // log-flush/commit-mark/checkpoint sequence instead of K. But a batch of
 // independent requests naturally spans several leaves, and a multi-leaf
-// transaction loses the paper's in-place commit. So the writer hands the
+// transaction loses the paper's in-place commit. So a round hands the
 // store the batch's atomic units — one per submission, or one per request
 // when the submitter says where its requests end — and marks each unit end
 // on the transaction. FAST+ then installs in place every leaf that only
@@ -109,8 +111,8 @@ func applyTxOp(tx *btree.Tx, op *Op) error {
 // its own transaction, so every op is a unit of its own here and every
 // caller gets an individual verdict.
 //
-// With ApplyUnits this is the shared core of the per-shard writer
-// goroutines, of Engine.ApplyBatch and of Engine.Do; keeping
+// With ApplyUnits this is the shared core of the queued rounds, of
+// Engine.ApplyBatch and of Engine.Do; keeping
 // them on one code path keeps batch boundaries — and therefore simulated
 // time — a pure function of the op sequence.
 func ApplyOps(tree *btree.Tree, maxBatch int, ops []Op, errs []error) int64 {

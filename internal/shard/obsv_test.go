@@ -10,9 +10,9 @@ import (
 )
 
 // TestDoAfterCloseReturnsErrClosed pins the post-Close submission bug:
-// before the closed flag, an op enqueued into a buffered mailbox after the
-// writer exited would block its submitter forever waiting for a reply.
-// Now every submission path must fail fast with ErrClosed.
+// before the closed flag, an op enqueued after Close's final drain would
+// block its submitter forever waiting for a reply. Now every submission
+// path must fail fast with ErrClosed.
 func TestDoAfterCloseReturnsErrClosed(t *testing.T) {
 	e, err := shard.New(testConfig(2, 8, 0))
 	if err != nil {
@@ -69,7 +69,7 @@ func TestEngineRecorderAndGauges(t *testing.T) {
 	}
 	defer e.Close()
 
-	// Even puts go through the shard mailboxes, one drain each; odd ones
+	// Even puts go through the shard queues, one drain each; odd ones
 	// commit on the caller through Do. The recorder must see both.
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -102,7 +102,7 @@ func TestEngineRecorderAndGauges(t *testing.T) {
 		t.Fatalf("batch accounting: batches=%d sizes=%d", s.Batches, s.BatchSize.Count)
 	}
 	if s.MailDepth.Count != n/2 {
-		t.Fatalf("mailbox depth observed %d times, want one per drain (%d)",
+		t.Fatalf("queue depth observed %d times, want one per drain (%d)",
 			s.MailDepth.Count, n/2)
 	}
 	if s.Events.Flush <= 0 || s.Events.Fence <= 0 {

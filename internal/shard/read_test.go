@@ -87,8 +87,8 @@ func concurrentReadStress(t *testing.T, e *shard.Engine, nReaders, nScanners int
 		defer stop.Store(true)
 		for i := 0; i < nKeys; i++ {
 			// Both write paths race the readers: every other put goes
-			// through the shard's mailbox and its writer goroutine, the
-			// rest commit on this goroutine through Do.
+			// through the shard's queue and is served as a round, the
+			// rest commit through Do.
 			op := shard.Op{Kind: shard.OpPut, Key: key(i), Val: val(i)}
 			var err error
 			if i%2 == 0 {
@@ -434,9 +434,9 @@ func TestCountWaitsForEveryShard(t *testing.T) {
 // keeps seeing the state before it. Once the step closes, the write
 // completes and the next read sees it.
 func TestWriterWaitsForReader(t *testing.T) {
-	// The two-shard arm writes through the mailbox, so the shard's writer
-	// goroutine is the one that waits; the one-shard arm calls Do, which
-	// commits on the caller's goroutine.
+	// The two-shard arm writes through the shard's queue, so the waiting
+	// goroutine is a submitter serving a round; the one-shard arm calls Do,
+	// which commits without queueing. Both wait on the caller's goroutine.
 	for _, shards := range []int{2, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			e := newTestEngine(t, shards, 8)
@@ -613,7 +613,7 @@ func TestReadFallbackSemantics(t *testing.T) {
 	}
 }
 
-// TestReadsAfterClose: Close stops the writers; reads — optimistic and
+// TestReadsAfterClose: Close seals the shards to writes; reads — optimistic and
 // merged scans — must keep serving the final committed state.
 func TestReadsAfterClose(t *testing.T) {
 	e := newTestEngine(t, 3, 8)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fasp/internal/btree"
 	"fasp/internal/obsv"
@@ -18,15 +17,14 @@ import (
 const (
 	// DefaultMaxBatch bounds the operations one group commit may drain.
 	DefaultMaxBatch = 64
-	// MaxBatchLimit is the largest MaxBatch New accepts: the mailbox is
-	// allocated at mailboxFactor × MaxBatch slots up front.
+	// MaxBatchLimit is the largest MaxBatch New accepts. A snapshot
+	// records its store's MaxBatch, and loading one validates that
+	// untrusted header field against this bound.
 	MaxBatchLimit = 1 << 16
-	// mailboxFactor sizes a shard's mailbox as a multiple of MaxBatch, so
-	// a burst can queue a few batches ahead of the writer.
-	mailboxFactor = 4
-	// enqueueTimeout bounds how long a submission waits for mailbox space
-	// before giving up with ErrBusy.
-	enqueueTimeout = 2 * time.Second
+	// queueFactor caps a shard's queue at queueFactor × MaxBatch
+	// submissions, so a burst can queue a few rounds ahead of the one
+	// committing.
+	queueFactor = 4
 )
 
 // ErrCrashed is returned for operations submitted to a shard whose
@@ -35,26 +33,24 @@ const (
 var ErrCrashed = errors.New("shard: store crashed; recovery required")
 
 // ErrShardDown is returned (wrapped, with the root cause) for operations
-// submitted to a shard whose writer hit a fault that is not a simulated
+// submitted to a shard whose commit hit a fault that is not a simulated
 // power failure — a store panic or hard PM error. The fault is contained:
-// the writer keeps draining its mailbox (failing every batch with this
-// error), the other shards keep serving, and Engine.Heal re-runs recovery
-// on just the degraded shard.
+// the shard keeps serving its queue (failing every round with this error),
+// the other shards keep serving, and Engine.Heal re-runs recovery on just
+// the degraded shard.
 var ErrShardDown = errors.New("shard: writer faulted; shard degraded until healed")
 
-// ErrBusy is returned when a shard's mailbox stays full for two seconds
-// (enqueueTimeout) — the writer is wedged or the shard is badly
-// oversubscribed. The submission is not applied.
-var ErrBusy = errors.New("shard: mailbox full; enqueue timed out")
+// ErrBusy is returned at once for a submission to a shard whose queue
+// already holds 4×MaxBatch submissions — a round is wedged or the shard is
+// badly oversubscribed. The submission is not applied.
+var ErrBusy = errors.New("shard: queue full")
 
 // ErrBadShard is returned (wrapped, with the index) for a shard index
 // outside [0, Shards()).
 var ErrBadShard = errors.New("shard: index out of range")
 
-// ErrClosed is returned for write operations submitted after Close: the
-// writer goroutines have exited and nothing will serve the mailbox. The
-// submission is not applied. (Reads keep working — they never needed a
-// writer.)
+// ErrClosed is returned for write operations submitted after Close has
+// sealed their shard. The submission is not applied. (Reads keep working.)
 var ErrClosed = errors.New("shard: engine closed")
 
 // Backend is one shard's independent store: its own simulated machine,
@@ -79,9 +75,9 @@ type Config struct {
 	// Reattach rebuilds shard i's store over its surviving arena after a
 	// crash and runs the scheme's recovery.
 	Reattach func(i int, be *Backend) (pager.Store, error)
-	// Recorder, when set, observes the engine: per-op wall latency at the
-	// mailbox, per-batch simulated time and commit-path events at the
-	// writer, batch-size and mailbox-depth distributions.
+	// Recorder, when set, observes the engine: per-op wall latency from
+	// enqueue (or Do) to verdict, per-batch simulated time and commit-path
+	// events, batch-size and queue-depth distributions.
 	Recorder *obsv.Recorder
 	// Counters snapshots shard i's commit-path event counters (clflush,
 	// fence, HTM, log appends) so the recorder can observe per-batch
@@ -89,7 +85,7 @@ type Config struct {
 	// deltas are not recorded.
 	Counters func(i int, be *Backend) obsv.Counters
 	// FaultHook, when set, runs at the top of every group commit with the
-	// shard index, inside the contained writer section: a panic degrades
+	// shard index, inside the contained commit section: a panic degrades
 	// just that shard (wrapped ErrShardDown until Heal re-runs recovery), a
 	// sleep stalls that shard's batch while the others keep serving.
 	// Different shards call it concurrently, on either apply path. The
@@ -149,7 +145,7 @@ func (h Health) String() string {
 type Info struct {
 	// SimNS is the shard machine's simulated time.
 	SimNS int64 `json:"sim_ns"`
-	// Ops counts operations applied through the writer or ApplyBatch.
+	// Ops counts operations applied through Do, queued rounds or ApplyBatch.
 	Ops int64 `json:"ops"`
 	// Batches counts committed group-commit transactions.
 	Batches int64 `json:"batches"`
@@ -187,7 +183,8 @@ type Stats struct {
 	SimSumNS int64
 }
 
-// state is one shard: a backend plus its writer goroutine. mu guards
+// state is one shard: a backend plus the queue of submissions waiting
+// for a round. It owns no goroutine: whoever holds mu commits. mu guards
 // everything below it — the simulated machine is not internally
 // synchronised. Reads walk the committed snapshot OFF the lock, holding
 // the read side of gate (see read.go): every mutation of the machine, of
@@ -201,7 +198,8 @@ type state struct {
 	mu         sync.Mutex
 	be         *Backend
 	tree       *btree.Tree
-	closed     bool // sealed by Engine.Close after the writer drained
+	flat       roundScratch // the serving submitter's round (writer.go)
+	closed     bool         // sealed by Engine.Close; written under mu and qmu
 	crashed    bool
 	degraded   bool
 	downCause  error
@@ -214,9 +212,11 @@ type state struct {
 	gate      sync.RWMutex
 	scanPairs atomic.Int64
 
-	mail chan *Request
-	quit chan struct{}
-	done chan struct{}
+	// queue holds the submissions Enqueue accepted that no round has
+	// served yet, oldest first. qmu guards it; Enqueue takes qmu alone, a
+	// round takes it under mu.
+	qmu   sync.Mutex
+	queue []*Request
 
 	// faultHook is Config.FaultHook (nil in production).
 	faultHook func(int)
@@ -253,7 +253,7 @@ type Engine struct {
 	closeOnce sync.Once
 }
 
-// New builds the engine and starts one writer goroutine per shard.
+// New builds the engine: one backend per shard, and no goroutine.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -269,9 +269,6 @@ func New(cfg Config) (*Engine, error) {
 			maxBatch: cfg.MaxBatch,
 			be:       be,
 			tree:     btree.New(be.Store),
-			mail:     make(chan *Request, mailboxFactor*cfg.MaxBatch),
-			quit:     make(chan struct{}),
-			done:     make(chan struct{}),
 			rec:      cfg.Recorder,
 
 			faultHook: cfg.FaultHook,
@@ -281,9 +278,6 @@ func New(cfg Config) (*Engine, error) {
 			s.evFn = func() obsv.Counters { return cfg.Counters(i, be) }
 		}
 		e.shards[i] = s
-	}
-	for _, s := range e.shards {
-		go s.run()
 	}
 	return e, nil
 }
@@ -309,31 +303,39 @@ func (e *Engine) ShardFor(key []byte) int {
 	return int(h % uint64(len(e.shards)))
 }
 
-// Close stops the writer goroutines after serving every queued request.
-// It is idempotent, and safe to call while shards are crashed or degraded
-// (their writers still drain, reporting errors). Write operations
-// submitted after Close fail with ErrClosed instead of deadlocking on an
-// unserved mailbox; reads keep working.
+// Close seals every shard after serving every queued request. It is
+// idempotent, and safe to call while shards are crashed or degraded (their
+// queued requests are still served, with the shard's error). Write
+// operations submitted after Close fail with ErrClosed; reads keep
+// working.
+//
+// Each shard is sealed under its lock, once its queue is empty. A write
+// that already holds the lock commits before Close returns; a submission
+// queued before the seal is served by Close if its owner has not served
+// it yet; anything later fails with ErrClosed. Nothing commits after Close
+// returns.
 func (e *Engine) Close() {
 	e.closed.Store(true)
 	e.closeOnce.Do(func() {
 		for _, s := range e.shards {
-			close(s.quit)
-		}
-		for _, s := range e.shards {
-			<-s.done
-		}
-		// Seal each shard under its lock. A locked-path ApplyBatch that
-		// passed the engine-level closed check either already holds s.mu —
-		// then Close waits for it here, so its commit lands before Close
-		// returns — or it takes the lock later and fails with ErrClosed.
-		// Nothing commits after Close returns.
-		for _, s := range e.shards {
 			s.mu.Lock()
-			s.closed = true
+			for !s.seal() {
+				s.serveRound()
+			}
 			s.mu.Unlock()
 		}
 	})
+}
+
+// seal closes s to Enqueue if its queue is empty and reports whether s is
+// sealed. Callers hold s.mu.
+func (s *state) seal() bool {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if len(s.queue) == 0 {
+		s.closed = true
+	}
+	return s.closed
 }
 
 // Closed reports whether Close has begun.
@@ -345,13 +347,13 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // concurrently: a shard's commit marks live in its own arena, so the
 // shards are independent machines.
 //
-// Unlike the mailbox path, batch boundaries here are a pure function of
+// Unlike Enqueue/Wait, batch boundaries here are a pure function of
 // the op sequence, so per-shard simulated time is bit-reproducible; the
 // golden determinism tests pin it.
 func (e *Engine) ApplyBatch(ops []Op) []error {
 	errs := make([]error, len(ops))
 	// Close's contract: writes after Close fail with ErrClosed. Enqueue
-	// enforces it for the mailbox; this locked path must too, or a post-Close
+	// enforces it for the queue; this locked path must too, or a post-Close
 	// ApplyBatch silently mutates a store its owner believes quiesced.
 	if e.closed.Load() {
 		for i := range errs {
@@ -449,8 +451,8 @@ func (s *state) refuseWrite() error {
 
 // contain executes fn under the shard machine's crash injector and
 // additionally contains every other panic — a store bug or a hard PM error
-// must degrade this one shard, not kill the writer goroutine (which would
-// wedge the mailbox) or the process. When fn died it returns the error for
+// must degrade this one shard, not kill the committing goroutine with the
+// shard lock held, or the process. When fn died it returns the error for
 // everything fn was doing, none of which can be acknowledged:
 //
 //   - a fault degrades the shard until Heal re-runs recovery over its
@@ -485,13 +487,18 @@ func (s *state) contain(fn func()) error {
 	return s.unavailable()
 }
 
-// applyLocked takes the shard lock and applies ops as group commits of at
-// most s.maxBatch (units as in ApplyUnits), honouring the closed, crashed
-// and degraded flags; a batch that dies mid-apply (see contain) reports its
-// cause for every op.
+// applyLocked takes the shard lock and commits ops under it.
 func (s *state) applyLocked(ops []Op, errs []error, units []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.commit(ops, errs, units)
+}
+
+// commit applies ops as group commits of at most s.maxBatch (units as in
+// ApplyUnits), honouring the closed, crashed and degraded flags; a batch
+// that dies mid-apply (see contain) reports its cause for every op.
+// Callers hold s.mu.
+func (s *state) commit(ops []Op, errs []error, units []int32) {
 	if err := s.refuseWrite(); err != nil {
 		for i := range errs {
 			errs[i] = err

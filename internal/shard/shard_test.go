@@ -372,7 +372,7 @@ func TestGroupCommitBatching(t *testing.T) {
 
 // TestConcurrentClients exercises both write paths across shards with mixed
 // readers and writers — Do committing on each writer's goroutine, and
-// multi-shard batches through the shard mailboxes; run under -race this is
+// multi-shard batches through the shard queues; run under -race this is
 // the engine's thread-safety proof.
 func TestConcurrentClients(t *testing.T) {
 	e := newTestEngine(t, 4, 16)
@@ -688,7 +688,7 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // faultyStore wraps a real store; when armed, the next Begin panics — a
-// stand-in for a store bug or a hard PM error surfacing inside the writer.
+// stand-in for a store bug or a hard PM error surfacing inside a commit.
 type faultyStore struct {
 	pager.Store
 	arm atomic.Bool
@@ -704,17 +704,17 @@ func (f *faultyStore) Begin() (pager.Txn, error) {
 // TestWriterPanicContainment: a panic inside one shard's write path must
 // not kill the process or wedge the shard — the batch fails with
 // ErrShardDown, the shard degrades, the other shards keep serving, and
-// Heal restores the degraded shard with no acked-write loss. The mailbox
-// arm faults the shard's writer goroutine and then writes through the
-// mailbox again after the heal; the Do arm faults a commit on the
-// caller's goroutine.
+// Heal restores the degraded shard with no acked-write loss. The queued
+// arm faults a round that a submitter serves off the shard's queue, and
+// queues again after the heal; the Do arm faults a commit that never
+// queued.
 func TestWriterPanicContainment(t *testing.T) {
-	for _, path := range []string{"mailbox", "do"} {
-		t.Run(path, func(t *testing.T) { writerPanicContainment(t, path == "mailbox") })
+	for _, path := range []string{"queued", "do"} {
+		t.Run(path, func(t *testing.T) { writerPanicContainment(t, path == "queued") })
 	}
 }
 
-func writerPanicContainment(t *testing.T, mailbox bool) {
+func writerPanicContainment(t *testing.T, queued bool) {
 	const shards = 2
 	cfg := testConfig(shards, 8, 0)
 	faults := make([]*faultyStore, shards)
@@ -734,7 +734,7 @@ func writerPanicContainment(t *testing.T, mailbox bool) {
 	}
 	defer e.Close()
 	write := e.Do
-	if mailbox {
+	if queued {
 		write = func(op shard.Op) error { return submit1(e, e.ShardFor(op.Key), op) }
 	}
 
@@ -802,8 +802,8 @@ func writerPanicContainment(t *testing.T, mailbox bool) {
 	}
 }
 
-// blockingStore wedges the writer: when armed, the next Begin signals
-// entry and then blocks until released.
+// blockingStore wedges a commit: when armed, the next Begin signals entry
+// and then blocks until released.
 type blockingStore struct {
 	pager.Store
 	arm     atomic.Bool
@@ -819,16 +819,17 @@ func (s *blockingStore) Begin() (pager.Txn, error) {
 	return s.Store.Begin()
 }
 
-// submit1 sends one op through shard si's mailbox.
+// submit1 sends one op through shard si's queue (SubmitShard), so a
+// submitter serves it as a round: the path Do never takes.
 func submit1(e *shard.Engine, si int, op shard.Op) error {
 	var errs [1]error
 	e.SubmitShard(si, []shard.Op{op}, errs[:])
 	return errs[0]
 }
 
-// TestEnqueueBusy: with the writer wedged and the mailbox full, a
-// submission fails with ErrBusy after the bounded enqueue timeout instead
-// of blocking forever; once the writer resumes, queued work completes.
+// TestEnqueueBusy: with a round wedged and the queue full, a submission
+// fails with ErrBusy at once instead of blocking; once the round resumes,
+// queued work completes.
 func TestEnqueueBusy(t *testing.T) {
 	cfg := testConfig(1, 1, 0)
 	bs := &blockingStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
@@ -851,25 +852,25 @@ func TestEnqueueBusy(t *testing.T) {
 	bs.arm.Store(true)
 	first := make(chan error, 1)
 	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(0), Val: val(0)}) }()
-	<-bs.entered // the writer is now wedged mid-batch; the mailbox is empty
+	<-bs.entered // a round is now wedged mid-batch; the queue is empty
 
-	// The mailbox holds 4×MaxBatch = 4 submissions. One more than that
-	// races for its slots: the loser must time out with ErrBusy while the
-	// winners wait for the writer.
-	const mailbox = 4
-	rest := make(chan error, mailbox+1)
-	for i := 1; i <= mailbox+1; i++ {
+	// The queue holds 4×MaxBatch = 4 submissions. One more than that
+	// races for its slots: the loser must fail with ErrBusy while the
+	// winners wait for the wedged round.
+	const queue = 4
+	rest := make(chan error, queue+1)
+	for i := 1; i <= queue+1; i++ {
 		go func() { rest <- submit1(e, 0, shard.Op{Kind: shard.OpInsert, Key: key(i), Val: val(i)}) }()
 	}
 	if err := <-rest; !errors.Is(err, shard.ErrBusy) {
-		t.Fatalf("full mailbox submission: %v", err)
+		t.Fatalf("full queue submission: %v", err)
 	}
 
 	close(bs.release)
 	if err := <-first; err != nil {
 		t.Fatalf("wedged batch after release: %v", err)
 	}
-	for i := 0; i < mailbox; i++ {
+	for i := 0; i < queue; i++ {
 		if err := <-rest; err != nil {
 			t.Fatalf("queued batch after release: %v", err)
 		}
@@ -940,7 +941,7 @@ func TestCloseSealsLockedPath(t *testing.T) {
 			}
 		}(c)
 	}
-	time.Sleep(2 * time.Millisecond) // let the writers commit a few batches
+	time.Sleep(2 * time.Millisecond) // let the callers commit a few batches
 	e.Close()
 	n0 := count()
 	time.Sleep(2 * time.Millisecond) // racing batches would land here

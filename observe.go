@@ -189,7 +189,7 @@ func (m *MetricsServer) Close() error { return m.srv.Close() }
 //
 //	/metrics     Prometheus text format: per-op latency quantiles (wall
 //	             and simulated), commit-path event totals, batch-size and
-//	             mailbox-depth histograms, per-shard health/throughput.
+//	             queue-depth histograms, per-shard health/throughput.
 //	/debug/vars  expvar JSON; the "fasp" variable holds each store's full
 //	             Metrics snapshot.
 //

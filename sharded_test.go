@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -264,5 +265,36 @@ func TestSingleMachineAccessors(t *testing.T) {
 			t.Fatalf("%d shards: System/RawStore = %v/%v, want nil", shards, kv.System(), kv.RawStore())
 		}
 		kv.Close()
+	}
+}
+
+// TestKVHoldsNoGoroutine: a store owns no goroutine. Opening an 8-shard
+// store and writing through SubmitShard and Enqueue/Wait — where
+// submitters gather and commit their own group commits — leaves the
+// goroutine count where it was before OpenKV.
+func TestKVHoldsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	kv, err := OpenKV(Options{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	ops := make([]Op, 64)
+	for i := range ops {
+		k := []byte(fmt.Sprintf("g-%03d", i))
+		ops[i] = Op{Kind: OpPut, Key: k, Val: []byte("v")}
+		errs := make([]error, 1)
+		kv.SubmitShard(kv.ShardOf(k), ops[i:i+1], errs)
+		if errs[0] != nil {
+			t.Fatalf("SubmitShard %d: %v", i, errs[0])
+		}
+	}
+	for i, err := range enqueueAll(kv, ops) {
+		if err != nil {
+			t.Fatalf("Enqueue %d: %v", i, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines went %d -> %d across OpenKV and its writes: the store holds %d", before, after, after-before)
 	}
 }

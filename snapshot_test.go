@@ -289,7 +289,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 			h.Shards = 1 << 20
 			writeRawSnapshot(t, path, h, nil)
 		}},
-		{"huge-batch-bound", func() { // the engine sizes each mailbox from it
+		{"huge-batch-bound", func() { // above shard.MaxBatchLimit
 			h := goodHdr
 			h.MaxBatch = 1 << 40
 			writeRawSnapshot(t, path, h, nil)
