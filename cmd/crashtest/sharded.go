@@ -26,9 +26,9 @@ import (
 
 // measureSharded learns the smallest per-shard crash-point budget from one
 // uncrashed run, so random crash points usually land inside the workload.
-// The Enqueue/Wait path batches nondeterministically, so budgets vary slightly
-// between rounds; a crash point past the end simply yields a no-crash
-// round, which is still verified.
+// The queued path (KV.Submit) batches nondeterministically, so budgets
+// vary slightly between rounds; a crash point past the end simply yields a
+// no-crash round, which is still verified.
 func measureSharded(scheme string, shards, clients, txns int) int64 {
 	kv, err := fasp.OpenKV(fasp.Options{Scheme: scheme, PageSize: 256, Shards: shards})
 	if err != nil {
@@ -58,19 +58,19 @@ type ack struct {
 }
 
 // runClients drives `clients` goroutines issuing txns puts each through
-// their shard's queue (KV.SubmitShard), so the shard rounds gather the
-// clients into group commits, recording outcomes in a (nil-able) ack.
+// the shard queues (KV.Submit), so the shard rounds gather the clients into
+// group commits, recording outcomes in a (nil-able) ack.
 func runClients(kv *fasp.KV, clients, txns int, a *ack) {
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			var sp fasp.Submission
 			var errs [1]error
 			for i := 0; i < txns; i++ {
 				id := c*txns + i
-				k := key(id)
-				kv.SubmitShard(kv.ShardOf(k), []fasp.Op{{Kind: fasp.OpPut, Key: k, Val: val(id)}}, errs[:])
+				kv.Submit(&sp, []fasp.Op{{Kind: fasp.OpPut, Key: key(id), Val: val(id)}}, errs[:], nil)
 				err := errs[0]
 				if a == nil {
 					if err != nil {

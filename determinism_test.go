@@ -222,7 +222,7 @@ type goldenShardRecord struct {
 // deterministic ApplyBatch path on a Shards=4 store — batch boundaries are
 // a pure function of the op sequence (chunks of MaxBatch per shard, each
 // shard's ops in submission order), so per-shard simulated time is
-// reproducible, unlike the timing-dependent Enqueue/Wait path.
+// reproducible, unlike the timing-dependent Submit path.
 func runGoldenShardedWorkload(t *testing.T) []goldenShardRecord {
 	t.Helper()
 	const shards = 4

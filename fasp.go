@@ -269,11 +269,11 @@ func (db *DB) Reopen() error {
 // (internal/shard). A KV owns no goroutine. A synchronous write
 // (Put/Insert/Delete) commits on the caller's goroutine — with one shard,
 // bit-identical in simulated time to driving the B-tree directly — while
-// Enqueue/Wait gathers concurrent submitters into group commits: whichever
-// waiting submitter holds the shard lock commits everything queued as one
-// transaction. With several shards, concurrent callers run in parallel
-// across shards and are batched within one. Close still seals and
-// unregisters: call it when done.
+// Submit gathers concurrent submitters into group commits: on each shard,
+// whichever waiting submitter holds the shard lock commits everything
+// queued as one transaction. With several shards, concurrent callers run
+// in parallel across shards and are batched within one. Close still seals
+// and unregisters: call it when done.
 type KV struct {
 	eng  *shard.Engine
 	opts Options
@@ -286,13 +286,13 @@ type KV struct {
 	closed  atomic.Bool
 }
 
-// Op and OpKind re-export the engine's operation type, used by ApplyBatch;
-// Request is its reusable submission handle for Enqueue/Wait (the zero
-// value is ready to use).
+// Op and OpKind re-export the engine's operation type, used by ApplyBatch
+// and Submit; Submission is Submit's reusable scratch (the zero value is
+// ready to use).
 type (
-	Op      = shard.Op
-	OpKind  = shard.OpKind
-	Request = shard.Request
+	Op         = shard.Op
+	OpKind     = shard.OpKind
+	Submission = shard.Submission
 )
 
 // Operation kinds for ApplyBatch.
@@ -390,35 +390,29 @@ func (kv *KV) MaxBatch() int { return kv.eng.MaxBatch() }
 // ShardOf returns the shard index key routes to: the engine's FNV-1a
 // placement. It is deterministic and stable for the life of the store (the
 // hash is part of the on-disk contract), so callers may pre-partition work
-// by shard — the server's connections do exactly that before Enqueue.
+// by shard for SubmitShard or ShardScan.
 func (kv *KV) ShardOf(key []byte) int { return kv.eng.ShardFor(key) }
 
-// Enqueue queues ops — every key must route to shard si under ShardOf —
-// as one submission on that shard's queue and returns without waiting for
-// the commit; Wait(r) blocks until errs (len(ops)) is filled. Whichever
-// waiting submitter holds the shard lock commits everything queued there
-// as one group commit, so a caller with work for several shards enqueues
-// one handle per shard and then waits on each: no cross-shard barrier, and
-// any other submitter may serve a shard before its owner gets there. The
-// handle carries the caller's slices directly (zero-copy), so the caller
-// must not touch ops, errs or units until Wait returns. units lists the op
-// counts of the submission's atomic units (nil: one unit), as
-// shard.Engine.Enqueue documents: a caller coalescing independent requests
-// passes one unit per request. A shard whose queue already holds
-// 4×MaxBatch submissions refuses the submission at once with ErrShardBusy,
-// a shard Close has sealed with ErrClosed, and a shard index outside
-// [0, Shards()) with ErrBadShard; errs is then already filled and Wait
-// returns at once.
-func (kv *KV) Enqueue(r *Request, si int, ops []Op, errs []error, units []int32) {
-	kv.eng.Enqueue(r, si, ops, errs, units)
+// Submit commits a write set through the shard queues and fills errs
+// (len(ops)) with the per-op verdicts, in request order. ops are in request
+// order and units lists the op counts of consecutive requests (nil: the
+// whole set is one request). The engine splits the set by shard, each
+// request's ops on a shard one atomic unit, queues every shard's part, and
+// waits for them all: on each shard, whichever waiting submitter holds the
+// shard lock commits everything queued there as one group commit, so
+// concurrent submitters are gathered, and different submitters commit
+// different shards at once. A request spanning shards is atomic on each
+// shard, not across them. sp is the caller's reusable scratch (one per
+// goroutine). A shard whose queue already holds 4×MaxBatch submissions
+// refuses its part at once with ErrShardBusy, and a shard Close has sealed
+// with ErrClosed.
+func (kv *KV) Submit(sp *Submission, ops []Op, errs []error, units []int32) {
+	kv.eng.Submit(sp, ops, errs, units)
 }
 
-// Wait blocks until the submission r was last enqueued with has its
-// verdicts; r may then be enqueued again.
-func (kv *KV) Wait(r *Request) { kv.eng.Wait(r) }
-
-// SubmitShard is Enqueue then Wait: one blocking submission on shard si's
-// queue.
+// SubmitShard is one blocking submission on shard si's queue: every key of
+// ops must route to si under ShardOf. A shard index outside [0, Shards())
+// fails every op with ErrBadShard.
 func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
 	kv.eng.SubmitShard(si, ops, errs)
 }
@@ -427,7 +421,7 @@ func (kv *KV) SubmitShard(si int, ops []Op, errs []error) {
 // upsert either way, never Insert-then-Update's two commits on an existing
 // key. Put, Insert and Delete commit on the caller's goroutine; concurrent
 // writers that want their writes gathered into group commits submit
-// through Enqueue/Wait or SubmitShard.
+// through Submit or SubmitShard.
 func (kv *KV) Put(key, val []byte) error {
 	return kv.eng.Do(Op{Kind: OpPut, Key: key, Val: val})
 }
@@ -457,7 +451,7 @@ func (kv *KV) Delete(key []byte) error {
 // The ops are partitioned by shard and each shard's sub-batch is applied in
 // submission order, the shards' sub-batches concurrently — batch boundaries
 // (and therefore simulated time) are a pure function of the op sequence,
-// unlike Enqueue/Wait. Logical failures (duplicate insert, absent
+// unlike Submit. Logical failures (duplicate insert, absent
 // key) are reported per op without aborting their batch; see
 // internal/shard.ApplyOps.
 func (kv *KV) ApplyBatch(ops []Op) []error { return kv.eng.ApplyBatch(ops) }

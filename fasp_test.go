@@ -497,10 +497,10 @@ func TestStoreConstructorCallers(t *testing.T) {
 	}
 }
 
-// TestKVEnqueueWait: a caller with work for several shards enqueues one
-// handle per shard, then waits on each; per-op verdicts come back aligned
-// with the ops, and every applied write is readable afterwards.
-func TestKVEnqueueWait(t *testing.T) {
+// TestKVSubmit: a write set of several requests spread over every shard
+// goes in as one Submit; per-op verdicts come back aligned with the ops, in
+// request order, and every applied write is readable afterwards.
+func TestKVSubmit(t *testing.T) {
 	kv, err := OpenKV(Options{Shards: 3, PageSize: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -509,33 +509,31 @@ func TestKVEnqueueWait(t *testing.T) {
 	if err := kv.Insert(k(0), v(0)); err != nil {
 		t.Fatal(err)
 	}
-	perShard := make([][]Op, kv.Shards())
-	for i := 0; i < 60; i++ {
+	ops := make([]Op, 60)
+	busy := make([]bool, kv.Shards())
+	for i := range ops {
 		si := kv.ShardOf(k(i))
 		if si < 0 || si >= kv.Shards() || kv.ShardOf(k(i)) != si {
 			t.Fatalf("ShardOf(%q) = %d", k(i), si)
 		}
-		perShard[si] = append(perShard[si], Op{Kind: OpInsert, Key: k(i), Val: v(i)})
+		busy[si] = true
+		ops[i] = Op{Kind: OpInsert, Key: k(i), Val: v(i)}
 	}
-	reqs := make([]Request, kv.Shards())
-	errs := make([][]error, kv.Shards())
-	for si, ops := range perShard {
-		if len(ops) > kv.MaxBatch() {
-			t.Fatalf("shard %d got %d ops, more than one batch", si, len(ops))
-		}
-		errs[si] = make([]error, len(ops))
-		kv.Enqueue(&reqs[si], si, ops, errs[si], nil)
-	}
-	for si := range reqs {
-		kv.Wait(&reqs[si])
-		for j, op := range perShard[si] {
-			dup := bytes.Equal(op.Key, k(0))
-			if (errs[si][j] != nil) != dup {
-				t.Fatalf("shard %d op %d (%q): err %v", si, j, op.Key, errs[si][j])
-			}
+	for si, b := range busy {
+		if !b {
+			t.Fatalf("no op routes to shard %d", si)
 		}
 	}
-	for i := 0; i < 60; i++ {
+	errs := make([]error, len(ops))
+	var sp Submission
+	kv.Submit(&sp, ops, errs, []int32{20, 20, 20})
+	for i, op := range ops {
+		dup := bytes.Equal(op.Key, k(0))
+		if (errs[i] != nil) != dup {
+			t.Fatalf("op %d (%q): err %v", i, op.Key, errs[i])
+		}
+	}
+	for i := range ops {
 		if got, ok, err := kv.Get(k(i)); err != nil || !ok || !bytes.Equal(got, v(i)) {
 			t.Fatalf("get %d = %q %v %v", i, got, ok, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"fasp/internal/engine"
 	"fasp/internal/obsv"
 	"fasp/internal/pmem"
 	"fasp/internal/scheme"
@@ -197,6 +196,3 @@ func PrintFig12(rows []Fig12Row, w io.Writer) {
 	}
 	t.Render(w)
 }
-
-// EngineOverheadNS exposes the modelled SQL front-end cost for EXPERIMENTS.md.
-func EngineOverheadNS() int64 { return engine.StatementOverheadNS }

@@ -122,14 +122,6 @@ func RunInserts(e *Env, n, recSize, batch int, seed int64) (InsertMeasurement, e
 	return m, nil
 }
 
-// RecordWritePhase maps the scheme to its Figure 7 record-write label.
-func RecordWritePhase(s scheme.Scheme) string {
-	if !s.IsFAST() {
-		return "volatile buffer caching"
-	}
-	return "in-place record insert"
-}
-
 // CommitPhaseNames are Figure 8's breakdown components in display order.
 var CommitPhaseNames = []string{
 	phase.NVWALCompute, phase.Heap, phase.LogFlush,

@@ -65,7 +65,7 @@ type Config struct {
 	MaxPages int   // page-space capacity including page 0 (default 4096)
 	LogBytes int64 // slot-header log region size (default 256 KiB)
 	Variant  Variant
-	HTM      htm.Config // used by FAST+ (default htm.DefaultConfig)
+	HTM      htm.Config // used by FAST+ (zero: htm.NewManager's defaults)
 }
 
 func (c *Config) fill() {
@@ -77,9 +77,6 @@ func (c *Config) fill() {
 	}
 	if c.LogBytes == 0 {
 		c.LogBytes = 256 << 10
-	}
-	if c.HTM.MaxWriteLines == 0 {
-		c.HTM = htm.DefaultConfig()
 	}
 }
 

@@ -1,17 +1,16 @@
-// Package htm emulates Intel Restricted Transactional Memory (RTM) on top of
-// the pmem cache model, as the paper uses it (§3.2): not for isolation or
-// durability, but to obtain a *failure-atomic cache-line write* — the store
-// operations inside a transaction stay invisible (buffered, never evictable)
-// until XEND, so a crash anywhere inside the transaction simply discards
-// them, and after XEND the whole line is published to the cache at once.
-// Durability then comes from an ordinary CLFLUSH *after* the transaction
-// (clflush is illegal inside an RTM region).
+// Package htm emulates the one Intel Restricted Transactional Memory (RTM)
+// transaction the paper uses (§3.2): not for isolation or durability, but
+// to obtain a *failure-atomic cache-line write*. The stores inside the
+// transaction stay invisible (buffered in the core, never evictable) until
+// XEND, so a crash anywhere inside it simply discards them, and after XEND
+// the whole line is published to the cache at once. Durability then comes
+// from an ordinary CLFLUSH *after* the transaction (clflush is illegal
+// inside an RTM region).
 //
-// The emulator reproduces RTM's programming model: Begin/End with buffered
-// write sets, capacity aborts when the write set exceeds the hardware limit
-// (the paper restricts it to a single cache line), explicit aborts, and a
-// retry-with-fallback discipline. Best-effort behaviour — transactions may
-// spuriously abort — can be injected for testing fallback paths.
+// The emulator keeps RTM's best-effort nature: a write set that cannot fit
+// one line is a capacity abort, and transactions may spuriously abort —
+// injectable for testing — in which case the write is retried up to a
+// budget before the caller falls back to software.
 package htm
 
 import (
@@ -21,27 +20,21 @@ import (
 	"fasp/internal/pmem"
 )
 
-// Errors returned by Manager.Run.
+// Errors returned by Manager.AtomicLineWrite.
 var (
-	// ErrCapacity reports a deterministic capacity abort: the write set
-	// cannot fit the hardware limit, so retrying cannot succeed and the
-	// caller must use its software fallback (slot-header logging).
+	// ErrCapacity reports a deterministic capacity abort: the data spans a
+	// cache-line boundary, so retrying cannot succeed and the caller must
+	// use its software fallback (slot-header logging).
 	ErrCapacity = errors.New("htm: transaction write set exceeds capacity")
 	// ErrRetriesExhausted reports that spurious aborts persisted past the
 	// retry budget.
 	ErrRetriesExhausted = errors.New("htm: retries exhausted")
 )
 
-// Config bounds the emulated hardware transaction.
+// Config tunes the emulated hardware transaction.
 type Config struct {
-	// MaxWriteLines is the number of distinct cache lines a transaction may
-	// write. The paper restricts transactions to one line so that the
-	// post-XEND flush is failure-atomic.
-	MaxWriteLines int
-	// MaxReadLines bounds the read set (generously, like an L1 way-set).
-	MaxReadLines int
 	// MaxRetries bounds retries of spuriously aborted transactions before
-	// Run gives up with ErrRetriesExhausted.
+	// AtomicLineWrite gives up with ErrRetriesExhausted (default 64).
 	MaxRetries int
 	// InjectAbort, if non-nil, is consulted at every XEND; returning true
 	// forces a spurious (best-effort) abort. Used by tests to exercise the
@@ -49,12 +42,13 @@ type Config struct {
 	InjectAbort func() bool
 }
 
-// DefaultConfig is the paper's configuration: single-line write sets.
-func DefaultConfig() Config {
-	return Config{MaxWriteLines: 1, MaxReadLines: 512, MaxRetries: 64}
-}
+// DefaultConfig is the paper's configuration.
+func DefaultConfig() Config { return Config{MaxRetries: 64} }
 
-// Stats counts transaction outcomes.
+// Stats counts transaction outcomes. A line write never reaches a capacity
+// abort inside the transaction (a spanning write is refused before it
+// begins) nor an explicit one, so CapacityAborts and ExplicitAborts stay 0;
+// they are kept so that an abort share sums every RTM abort kind.
 type Stats struct {
 	Begins         int64
 	Commits        int64
@@ -68,22 +62,12 @@ type Manager struct {
 	sys   *pmem.System
 	cfg   Config
 	stats Stats
-	// txn is the recycled transaction scratch (write set, line sets); busy
-	// guards against reuse if a transaction body ever starts another one.
-	txn  Txn
-	busy bool
 }
 
 // NewManager creates a Manager for the system with the given config.
 func NewManager(sys *pmem.System, cfg Config) *Manager {
-	if cfg.MaxWriteLines <= 0 {
-		cfg.MaxWriteLines = 1
-	}
-	if cfg.MaxReadLines <= 0 {
-		cfg.MaxReadLines = 512
-	}
 	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 64
+		cfg.MaxRetries = DefaultConfig().MaxRetries
 	}
 	return &Manager{sys: sys, cfg: cfg}
 }
@@ -91,208 +75,40 @@ func NewManager(sys *pmem.System, cfg Config) *Manager {
 // Stats returns a copy of the outcome counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// abortSignal unwinds a transaction body on abort.
-type abortSignal struct{ err error }
-
-// fragment is one buffered store: at most one word, never crossing a word
-// boundary (Txn.Store splits on word boundaries before buffering).
-type fragment struct {
-	off int64
-	n   int
-	buf [pmem.WordSize]byte
-}
-
-// Txn is an open hardware transaction. Its stores are buffered privately —
-// they are not in the cache, cannot be evicted, and vanish if a crash or
-// abort occurs before End. The write set is a flat fragment list (write
-// sets are at most a few cache lines, so linear scans beat hashing and the
-// buffers recycle through the Manager without allocation).
-type Txn struct {
-	m      *Manager
-	arena  *pmem.Arena
-	frags  []fragment // buffered writes, insertion order
-	wlines []int64    // distinct cache lines written
-	rlines []int64    // distinct cache lines read
-}
-
-func containsLine(lines []int64, l int64) bool {
-	for _, x := range lines {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Store buffers a write at off. Writing more distinct cache lines than the
-// hardware allows triggers an immediate capacity abort.
-func (tx *Txn) Store(off int64, src []byte) {
-	pos := off
-	rem := src
-	for len(rem) > 0 {
-		n := int(pmem.WordSize - pos%pmem.WordSize)
-		if n > len(rem) {
-			n = len(rem)
-		}
-		tx.storeFragment(pos, rem[:n])
-		pos += int64(n)
-		rem = rem[n:]
-	}
-}
-
-func (tx *Txn) storeFragment(off int64, src []byte) {
-	tx.m.sys.CrashTick() // a crash here discards the whole transaction
-	l := off &^ (pmem.CacheLineSize - 1)
-	if !containsLine(tx.wlines, l) {
-		if len(tx.wlines) >= tx.m.cfg.MaxWriteLines {
-			tx.m.stats.CapacityAborts++
-			panic(abortSignal{ErrCapacity})
-		}
-		tx.wlines = append(tx.wlines, l)
-	}
-	for i := range tx.frags {
-		if tx.frags[i].off == off {
-			f := &tx.frags[i]
-			f.n = len(src)
-			copy(f.buf[:], src)
-			return
-		}
-	}
-	tx.frags = append(tx.frags, fragment{off: off, n: len(src)})
-	copy(tx.frags[len(tx.frags)-1].buf[:], src)
-}
-
-// StoreU16 buffers a little-endian uint16 store.
-func (tx *Txn) StoreU16(off int64, v uint16) {
-	var b [2]byte
-	b[0], b[1] = byte(v), byte(v>>8)
-	tx.Store(off, b[:])
-}
-
-// Load reads through the transaction's own pending writes, falling back to
-// the arena. Reads join the read set; exceeding it aborts.
-func (tx *Txn) Load(off int64, dst []byte) {
-	for p := off &^ (pmem.CacheLineSize - 1); p < off+int64(len(dst)); p += pmem.CacheLineSize {
-		if !containsLine(tx.rlines, p) {
-			if len(tx.rlines) >= tx.m.cfg.MaxReadLines {
-				tx.m.stats.CapacityAborts++
-				panic(abortSignal{ErrCapacity})
-			}
-			tx.rlines = append(tx.rlines, p)
-		}
-	}
-	tx.arena.Load(off, dst)
-	// Overlay pending writes (read-own-writes), in buffering order.
-	for i := range tx.frags {
-		f := &tx.frags[i]
-		end := f.off + int64(f.n)
-		if end <= off || f.off >= off+int64(len(dst)) {
-			continue
-		}
-		lo, hi := f.off, end
-		if lo < off {
-			lo = off
-		}
-		if m := off + int64(len(dst)); hi > m {
-			hi = m
-		}
-		copy(dst[lo-off:hi-off], f.buf[lo-f.off:hi-f.off])
-	}
-}
-
-// Abort explicitly aborts the transaction (XABORT); Run returns err.
-func (tx *Txn) Abort(err error) {
-	if err == nil {
-		err = errors.New("htm: explicit abort")
-	}
-	tx.m.stats.ExplicitAborts++
-	panic(abortSignal{err})
-}
-
-// Run executes fn as a hardware transaction (XBEGIN … XEND) with the
-// paper's fallback discipline: spurious aborts retry up to the budget;
-// capacity aborts and explicit aborts return immediately. On success the
-// buffered write set is published to the cache atomically — the emulator
-// suspends crash injection during publication, because real RTM makes the
-// published lines appear all at once.
-func (m *Manager) Run(arena *pmem.Arena, fn func(tx *Txn) error) error {
-	for attempt := 0; attempt <= m.cfg.MaxRetries; attempt++ {
-		err, abort := m.attempt(arena, fn)
-		if err != nil {
-			return err
-		}
-		if !abort {
-			return nil
-		}
-	}
-	return ErrRetriesExhausted
-}
-
-// attempt runs one transaction try. It returns (err, false) for definitive
-// outcomes and (nil, true) when a spurious abort asks for a retry.
-func (m *Manager) attempt(arena *pmem.Arena, fn func(tx *Txn) error) (err error, retry bool) {
-	m.stats.Begins++
-	tx := &m.txn
-	if m.busy {
-		tx = &Txn{} // nested transaction body; do not clobber the scratch
-	} else {
-		m.busy = true
-		defer func() { m.busy = false }()
-	}
-	tx.m, tx.arena = m, arena
-	tx.frags = tx.frags[:0]
-	tx.wlines = tx.wlines[:0]
-	tx.rlines = tx.rlines[:0]
-	defer func() {
-		if r := recover(); r != nil {
-			if sig, ok := r.(abortSignal); ok {
-				err = sig.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	if ferr := fn(tx); ferr != nil {
-		m.stats.ExplicitAborts++
-		return ferr, false
-	}
-	if m.cfg.InjectAbort != nil && m.cfg.InjectAbort() {
-		m.stats.SpuriousAborts++
-		return nil, true
-	}
-	// XEND: publish the write set to the cache atomically, in ascending
-	// fragment order (insertion sort: the set is tiny and must not allocate).
-	for i := 1; i < len(tx.frags); i++ {
-		for j := i; j > 0 && tx.frags[j].off < tx.frags[j-1].off; j-- {
-			tx.frags[j], tx.frags[j-1] = tx.frags[j-1], tx.frags[j]
-		}
-	}
-	arena.AtomicRegion(func() {
-		for i := range tx.frags {
-			f := &tx.frags[i]
-			arena.Store(f.off, f.buf[:f.n])
-		}
-	})
-	m.stats.Commits++
-	return nil, false
-}
-
 // AtomicLineWrite performs the paper's failure-atomic cache-line write: an
 // RTM transaction stores data (which must lie within a single cache line),
 // and a CLFLUSH + fence after XEND makes it durable. A crash at any point
 // leaves the line either entirely old or entirely new in PM. Returns
-// ErrCapacity if data spans a line boundary.
+// ErrCapacity if data spans a line boundary, and ErrRetriesExhausted,
+// leaving the line untouched, if every try aborted spuriously.
 func (m *Manager) AtomicLineWrite(arena *pmem.Arena, off int64, data []byte) error {
 	if len(data) > pmem.CacheLineSize ||
 		off&^(pmem.CacheLineSize-1) != (off+int64(len(data))-1)&^(pmem.CacheLineSize-1) {
 		return fmt.Errorf("%w: %d bytes at offset %d", ErrCapacity, len(data), off)
 	}
-	if err := m.Run(arena, func(tx *Txn) error {
-		tx.Store(off, data)
-		return nil
-	}); err != nil {
-		return err
+	// The stores are buffered one 8-byte fragment at a time; a crash at
+	// any of them discards the whole transaction.
+	frags := 0
+	if len(data) > 0 {
+		frags = int((off+int64(len(data))-1)/pmem.WordSize - off/pmem.WordSize + 1)
 	}
+	for try := 0; ; try++ {
+		if try > m.cfg.MaxRetries {
+			return ErrRetriesExhausted
+		}
+		m.stats.Begins++
+		for range frags {
+			m.sys.CrashTick()
+		}
+		if m.cfg.InjectAbort == nil || !m.cfg.InjectAbort() {
+			break
+		}
+		m.stats.SpuriousAborts++
+	}
+	// XEND: the buffered line is published to the cache at once — the
+	// emulator suspends crash injection during publication.
+	arena.AtomicRegion(func() { arena.Store(off, data) })
+	m.stats.Commits++
 	arena.FlushLine(off)
 	m.sys.Fence()
 	return nil

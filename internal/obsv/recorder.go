@@ -183,6 +183,13 @@ type Recorder struct {
 	getLocked     atomic.Int64
 	getRetries    atomic.Int64
 
+	// Shard-lock wait of queued submitters (Wait): waits, waits whose
+	// handle another round had served by the time the lock was won, and
+	// the wall time parked on the lock.
+	lockWaits  atomic.Int64
+	lockServed atomic.Int64
+	lockWaitNS atomic.Int64
+
 	events  [numEvents]atomic.Int64 // totals, in Counters.vec order
 	batches atomic.Int64
 	slows   atomic.Int64
@@ -305,6 +312,20 @@ func (r *Recorder) ObserveReadPath(optimistic, queued bool) {
 	}
 }
 
+// ObserveLockWait records one queued submitter's wait for its shard lock:
+// whether another round had already served its handle when it won the
+// lock, and the wall time it parked.
+func (r *Recorder) ObserveLockWait(served bool, wallNS int64) {
+	if r == nil {
+		return
+	}
+	r.lockWaits.Add(1)
+	if served {
+		r.lockServed.Add(1)
+	}
+	r.lockWaitNS.Add(wallNS)
+}
+
 func (r *Recorder) addEvents(ev Counters) {
 	for i, d := range ev.vec() {
 		if d != 0 {
@@ -394,6 +415,13 @@ type Snapshot struct {
 	GetOptimistic int64 `json:"get_optimistic"`
 	GetLocked     int64 `json:"get_locked"`
 	GetRetries    int64 `json:"get_retries"`
+
+	// Shard-lock wait of queued submitters: waits, waits whose submission
+	// another round had already served when the lock was won, and the
+	// total wall time parked on the lock.
+	LockWaits       int64 `json:"lock_waits"`
+	LockWaitsServed int64 `json:"lock_waits_served"`
+	LockWaitNS      int64 `json:"lock_wait_ns"`
 }
 
 // OpStats extracts one op's summary from the snapshot (zero if absent).
@@ -428,6 +456,10 @@ func (r *Recorder) Snapshot() Snapshot {
 		GetOptimistic: r.getOptimistic.Load(),
 		GetLocked:     r.getLocked.Load(),
 		GetRetries:    r.getRetries.Load(),
+
+		LockWaits:       r.lockWaits.Load(),
+		LockWaitsServed: r.lockServed.Load(),
+		LockWaitNS:      r.lockWaitNS.Load(),
 	}
 	for op := Op(0); op < numOps; op++ {
 		w, m := r.wall[op].Snapshot(), r.sim[op].Snapshot()

@@ -80,7 +80,3 @@ func DefaultLatencies(pmRead, pmWrite int64) LatencyModel {
 		CPUWord:   1,
 	}
 }
-
-// DRAMLatencies returns a model in which "PM" behaves exactly like DRAM
-// (the paper's 120/120 point, where PM is as fast as local DRAM).
-func DRAMLatencies() LatencyModel { return DefaultLatencies(120, 120) }

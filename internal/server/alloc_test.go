@@ -19,9 +19,9 @@ import (
 // Budget: 12 mallocs per PUT+GET round trip, measured ~2 on linux/amd64
 // (engine commit-path bookkeeping — WAL records, page versions — not the
 // server layer, which is pooled end to end: frame decode aliases the conn
-// buffer, write-set partitioning reuses conn scratch, the per-shard
-// submission handle is conn-owned, and the GET fast path reads into a reusable
-// buffer). The headroom covers GC timing and runtime noise, not new
+// buffer, the flush's ops and units and the Submission the engine splits
+// them in are conn-owned scratch, and the GET fast path reads into a
+// reusable buffer). The headroom covers GC timing and runtime noise, not new
 // per-request allocations: a steady-state alloc added to the conn or
 // round hot path shows up here as several whole mallocs per op and
 // fails the pin.

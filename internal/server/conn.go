@@ -20,13 +20,9 @@ import (
 const maxScanBytes = 256 << 10
 
 // opRef is one deferred write op, as offsets into the connection's arena —
-// offsets, not subslices, because the arena reallocates as it grows. si is
-// the op's shard placement, computed at decode time (the key bytes are
-// hashed before the arena copy) so the flush can partition the write-set
-// without re-hashing.
+// offsets, not subslices, because the arena reallocates as it grows.
 type opRef struct {
 	kind       uint8
-	si         int32
 	koff, klen int
 	voff, vlen int
 }
@@ -65,36 +61,21 @@ type conn struct {
 	pends []pend
 
 	req   wire.Request
-	ops   []fasp.Op   // scratch, materialised shard-major from refs at flush
-	errs  []error     // verdicts, parallel to ops
-	codes []wire.Code // scratch for batch replies
-	sess  *session    // bound by HELLO; nil until then
-	val   []byte      // GET fast-path value buffer (GetInto destination)
-
-	// Per-shard partition scratch (all reused): order maps each ref's
-	// request-order index to its shard-major position in ops; counts/offs
-	// are the per-shard bucket counters; units[si] lists the op counts of
-	// the requests in shard si's bucket, and unitReq[si] which request opened
-	// its last entry; reqs holds one engine submission handle per shard. A
-	// handle is in flight only while its conn blocks in flushSharded, so
-	// there is never concurrent reuse.
-	order   []int32
-	counts  []int32
-	offs    []int32
-	units   [][]int32
-	unitReq []int32
-	reqs    []fasp.Request
+	ops   []fasp.Op       // scratch, materialised in request order from refs at flush
+	errs  []error         // verdicts, parallel to ops
+	units []int32         // op counts of the flushed write requests, in order
+	sub   fasp.Submission // KV.Submit's reusable scratch
+	codes []wire.Code     // scratch for batch replies
+	sess  *session        // bound by HELLO; nil until then
+	val   []byte          // GET fast-path value buffer (GetInto destination)
 }
 
 func newConn(s *Server, c net.Conn) *conn {
 	return &conn{
-		s:       s,
-		c:       c,
-		br:      bufio.NewReaderSize(c, 64<<10),
-		bw:      bufio.NewWriterSize(c, 64<<10),
-		units:   make([][]int32, s.nshards),
-		unitReq: make([]int32, s.nshards),
-		reqs:    make([]fasp.Request, s.nshards),
+		s:  s,
+		c:  c,
+		br: bufio.NewReaderSize(c, 64<<10),
+		bw: bufio.NewWriterSize(c, 64<<10),
 	}
 }
 
@@ -340,7 +321,7 @@ func (cn *conn) deferWrite(op byte, t0 time.Time, ops ...wire.BatchOp) {
 		return
 	}
 	for _, b := range ops {
-		r := opRef{kind: b.Kind, si: int32(cn.s.kv.ShardOf(b.Key)), koff: len(cn.arena), klen: len(b.Key)}
+		r := opRef{kind: b.Kind, koff: len(cn.arena), klen: len(b.Key)}
 		cn.arena = append(cn.arena, b.Key...)
 		r.voff, r.vlen = len(cn.arena), len(b.Val)
 		cn.arena = append(cn.arena, b.Val...)
@@ -370,17 +351,17 @@ func verdictApplied(c wire.Code) bool {
 	return true
 }
 
-// flushWrites submits every deferred write op, partitioned by shard, to
-// the engine and emits the pending responses in request order. The arena
-// and scratch are reusable immediately after: flushSharded blocks until
-// every involved shard's verdicts are in, and the engine's rounds copy
-// what they persist.
+// flushWrites submits every deferred write op to the engine as one
+// KV.Submit — each request one atomic unit on every shard it touches — and
+// emits the pending responses in request order. The arena and scratch are
+// reusable immediately after: Submit returns once every involved shard's
+// verdicts are in, and the engine's rounds copy what they persist.
 func (cn *conn) flushWrites() {
 	if len(cn.pends) == 0 {
 		return
 	}
 	if len(cn.refs) > 0 {
-		cn.flushSharded()
+		cn.submit()
 	}
 	vi := 0
 	admitted := 0
@@ -408,7 +389,7 @@ func (cn *conn) flushWrites() {
 			failed := false
 			applied = false
 			for j := 0; j < p.nops; j++ {
-				c := wire.CodeFor(cn.errs[cn.order[vi+j]])
+				c := wire.CodeFor(cn.errs[vi+j])
 				if c != wire.CodeOK {
 					failed = true
 				}
@@ -424,7 +405,7 @@ func (cn *conn) flushWrites() {
 			}
 		default: // single PUT/DEL
 			admitted++
-			err := cn.errs[cn.order[vi]]
+			err := cn.errs[vi]
 			vi++
 			if err == nil {
 				cn.out = wire.AppendOK(cn.out)
@@ -462,75 +443,25 @@ func (cn *conn) materialise(r *opRef) fasp.Op {
 	return o
 }
 
-// flushSharded partitions the deferred write-set by shard into one
-// shard-major ops/errs layout, enqueues each shard's slice on that shard's
-// writer, and waits for all of them — every involved writer commits
-// concurrently, and the connection is acked as soon as *its* shards are
-// done. order records each request-order op's shard-major position for the
-// in-order response walk. Each request's slice of a shard's submission is
-// one atomic unit of it: the writer never splits it across transactions,
-// and FAST+ commits it in place when it stays on one leaf. Everything here —
-// buckets, layout, units, submission handles — is conn-owned and reused, so
-// a steady-state flush performs no heap allocation.
-func (cn *conn) flushSharded() {
-	ns := cn.s.nshards
-	cn.counts = cn.counts[:0]
-	for i := 0; i < ns; i++ {
-		cn.counts = append(cn.counts, 0)
-	}
+// submit materialises the deferred write ops in request order and commits
+// them as one KV.Submit, one unit per request; the engine splits them by
+// shard. Everything here is conn-owned and reused, so a steady-state flush
+// performs no heap allocation.
+func (cn *conn) submit() {
+	cn.ops, cn.errs, cn.units = cn.ops[:0], cn.errs[:0], cn.units[:0]
 	for i := range cn.refs {
-		cn.counts[cn.refs[i].si]++
-	}
-	cn.offs = cn.offs[:0]
-	var sum int32
-	for _, c := range cn.counts {
-		cn.offs = append(cn.offs, sum)
-		sum += c
-	}
-	cn.ops, cn.errs, cn.order = cn.ops[:0], cn.errs[:0], cn.order[:0]
-	for range cn.refs {
-		cn.ops = append(cn.ops, fasp.Op{})
+		cn.ops = append(cn.ops, cn.materialise(&cn.refs[i]))
 		cn.errs = append(cn.errs, nil)
-		cn.order = append(cn.order, 0)
 	}
-	// offs[si] walks shard si's bucket as it fills, ending at the bucket's
-	// end: bucket si is [offs[si]-counts[si], offs[si]).
-	for i := range cn.refs {
-		r := &cn.refs[i]
-		pos := cn.offs[r.si]
-		cn.offs[r.si] = pos + 1
-		cn.ops[pos] = cn.materialise(r)
-		cn.order[i] = pos
-	}
-	// A request's refs are consecutive, in pends order.
-	for si := range cn.units {
-		cn.units[si], cn.unitReq[si] = cn.units[si][:0], 0
-	}
-	ri := 0
-	for pi := range cn.pends {
-		req := int32(pi) + 1
-		for end := ri + cn.pends[pi].nops; ri < end; ri++ {
-			si := cn.refs[ri].si
-			if cn.unitReq[si] != req {
-				cn.unitReq[si] = req
-				cn.units[si] = append(cn.units[si], 0)
-			}
-			cn.units[si][len(cn.units[si])-1]++
+	for i := range cn.pends {
+		if n := cn.pends[i].nops; n > 0 {
+			cn.units = append(cn.units, int32(n))
 		}
 	}
-	cn.s.met.coalesce.Observe(int64(len(cn.refs)))
-	for si, c := range cn.counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := cn.offs[si]-c, cn.offs[si]
-		cn.s.met.shardCoalesce.Observe(int64(c))
-		cn.s.kv.Enqueue(&cn.reqs[si], si, cn.ops[lo:hi], cn.errs[lo:hi], cn.units[si])
-	}
-	for si, c := range cn.counts {
-		if c > 0 {
-			cn.s.kv.Wait(&cn.reqs[si])
-		}
+	cn.s.kv.Submit(&cn.sub, cn.ops, cn.errs, cn.units)
+	cn.s.met.coalesce.Observe(int64(len(cn.ops)))
+	for _, n := range cn.sub.Parts() {
+		cn.s.met.shardCoalesce.Observe(int64(n))
 	}
 }
 

@@ -31,7 +31,7 @@ type metrics struct {
 	opWall  [wire.NumOps]obsv.Histogram
 
 	// coalesce observes the write-op count of every connection flush and
-	// shardCoalesce that of each per-shard slice it enqueues on the engine.
+	// shardCoalesce that of each per-shard part the engine splits it into.
 	coalesce      obsv.Histogram
 	shardCoalesce obsv.Histogram
 	// dedupBytes gauges cached dedup replies across sessions.

@@ -54,10 +54,10 @@ func runMixedWorkload(t *testing.T, batch func([]wire.BatchOp) []wire.Code) [][]
 }
 
 // TestServerVsDirectEquivalence pins the serving path against the engine's
-// deterministic one: the same workload through the wire — partitioned per
-// shard, enqueued on the shard queues, verdicts read back through the
-// shard-major order mapping — and straight through KV.ApplyBatch produces
-// identical request-order verdicts and identical final state.
+// deterministic one: the same workload through the wire — one KV.Submit
+// per flush, split by shard inside the engine, verdicts copied back in
+// request order — and straight through KV.ApplyBatch produces identical
+// request-order verdicts and identical final state.
 func TestServerVsDirectEquivalence(t *testing.T) {
 	_, _, addr := start(t, fasp.Options{Shards: 8}, Config{})
 	cl := dial(t, addr)
@@ -117,7 +117,7 @@ func TestServerVsDirectEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrossShardBatchVerdictOrder pins the order mapping directly: one
+// TestCrossShardBatchVerdictOrder pins the verdict order directly: one
 // BATCH whose keys hash to many shards gets its per-op codes back in
 // request order, not shard-major order.
 func TestCrossShardBatchVerdictOrder(t *testing.T) {

@@ -6,9 +6,10 @@
 // operations (PUT/DEL/BATCH) into one pending set, which it flushes the
 // moment it would otherwise block — on a read request, on the
 // backpressure cap, or when the socket has no more complete frames. A
-// flush partitions the set by shard, enqueues each shard's slice straight
-// onto that shard's engine queue (KV.Enqueue) and waits for every slice's
-// verdicts (KV.Wait). The server has no commit stage of its own:
+// flush hands the set to the engine in request order as one KV.Submit,
+// each request one atomic unit; the engine splits it by shard, queues
+// every shard's part and waits for all of their verdicts. The server has
+// no commit stage of its own:
 // pipelining batches within a connection, and on each shard whichever
 // waiting connection holds the shard lock gathers whatever all connections
 // have enqueued into one failure-atomic group commit while the next round
@@ -136,9 +137,6 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	// nshards mirrors the KV's shard count for the conn partitioners.
-	nshards int
-
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 
@@ -163,7 +161,6 @@ func New(kv *fasp.KV, cfg Config) *Server {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		conns:    make(map[net.Conn]struct{}),
-		nshards:  kv.Shards(),
 		sessions: newSessionTable(maxSessions, dedupWindow, cfg.DedupCacheBytes),
 	}
 	s.sessions.bytes = &s.met.dedupBytes
@@ -237,14 +234,6 @@ func (s *Server) Serve() error {
 		s.met.connsOpen.Add(1)
 		go s.serveConn(c)
 	}
-}
-
-// ListenAndServe is Listen + Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if _, err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Shutdown drains gracefully: stop accepting, answer new requests with

@@ -2,11 +2,12 @@
 // hash-partitioned across N independent stores — each with its own
 // simulated machine, commit scheme and B-tree. A shard owns no goroutine:
 // whoever holds its lock commits. Do and ApplyBatch commit their own ops
-// under it. Enqueue puts a submission on the shard's bounded queue; Wait
-// takes the lock and serves rounds off the queue head — each round the
-// queued submissions up to the drain bound, committed as one transaction
-// (group commit) — until its own submission is served, which another
-// submitter's round may already have done.
+// under it. Submit splits a write set by shard and puts each part on its
+// shard's bounded queue (Enqueue); Wait takes the lock and serves rounds
+// off the queue head — each round the queued submissions up to the drain
+// bound, committed as one transaction (group commit) — until its own
+// submission is served, which another submitter's round may already have
+// done.
 //
 // Why this composes with the paper's failure atomicity: FAST, FAST+ and
 // the baseline schemes are all per-store local — a commit's durability

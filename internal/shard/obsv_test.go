@@ -39,13 +39,15 @@ func TestDoAfterCloseReturnsErrClosed(t *testing.T) {
 		t.Fatal("Do after Close deadlocked (the pre-fix behaviour)")
 	}
 
-	errs := enqueueAll(e, []shard.Op{
+	var sp shard.Submission
+	errs := make([]error, 2)
+	e.Submit(&sp, []shard.Op{
 		{Kind: shard.OpPut, Key: key(3), Val: val(3)},
 		{Kind: shard.OpPut, Key: key(4), Val: val(4)},
-	})
+	}, errs, nil)
 	for i, err := range errs {
 		if !errors.Is(err, shard.ErrClosed) {
-			t.Fatalf("Enqueue[%d] after Close = %v, want ErrClosed", i, err)
+			t.Fatalf("Submit[%d] after Close = %v, want ErrClosed", i, err)
 		}
 	}
 	e.Close() // still idempotent with the closed flag set
@@ -131,5 +133,42 @@ func TestEngineRecorderAndGauges(t *testing.T) {
 	}
 	if ops != n {
 		t.Fatalf("gauge ops sum = %d, want %d", ops, n)
+	}
+}
+
+// TestLockWaitLedger: with a recorder set, every Wait is counted, and so is
+// a follower whose handle another submitter's round served before it won
+// the shard lock. Two handles queue on one shard; waiting on the second
+// serves both in one round, so waiting on the first finds it served.
+func TestLockWaitLedger(t *testing.T) {
+	rec := obsv.New(obsv.Config{})
+	cfg := testConfig(1, 8, 0)
+	cfg.Recorder = rec
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var reqs [2]shard.Request
+	var errs [2][1]error
+	for i := range reqs {
+		e.Enqueue(&reqs[i], 0, []shard.Op{{Kind: shard.OpPut, Key: key(i), Val: val(i)}}, errs[i][:], nil)
+	}
+	e.Wait(&reqs[1])
+	e.Wait(&reqs[0])
+	for i := range errs {
+		if errs[i][0] != nil {
+			t.Fatalf("put %d: %v", i, errs[i][0])
+		}
+	}
+	s := rec.Snapshot()
+	if s.LockWaits != 2 || s.LockWaitsServed != 1 {
+		t.Fatalf("lock waits %d, served before the lock %d: want 2 and 1", s.LockWaits, s.LockWaitsServed)
+	}
+	if s.LockWaitNS < 0 {
+		t.Fatalf("lock wait time %d ns", s.LockWaitNS)
+	}
+	if s.Batches != 1 {
+		t.Fatalf("%d batches, want the two handles in one round", s.Batches)
 	}
 }

@@ -341,13 +341,13 @@ func (s *state) seal() bool {
 // Closed reports whether Close has begun.
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// ApplyBatch partitions ops by shard and applies each shard's sub-batch in
-// submission order, as group commits of at most MaxBatch ops, returning
-// per-op errors aligned with ops. The shards' sub-batches are applied
-// concurrently: a shard's commit marks live in its own arena, so the
-// shards are independent machines.
+// ApplyBatch splits ops by shard (split, as Submit does) and applies each
+// shard's part in submission order under its shard lock, as group commits
+// of at most MaxBatch ops, returning per-op errors aligned with ops. The
+// parts are applied concurrently: a shard's commit marks live in its own
+// arena, so the shards are independent machines.
 //
-// Unlike Enqueue/Wait, batch boundaries here are a pure function of
+// Unlike Submit, batch boundaries here are a pure function of
 // the op sequence, so per-shard simulated time is bit-reproducible; the
 // golden determinism tests pin it.
 func (e *Engine) ApplyBatch(ops []Op) []error {
@@ -361,41 +361,19 @@ func (e *Engine) ApplyBatch(ops []Op) []error {
 		}
 		return errs
 	}
-	// Lay the ops out shard-major: shard si's sub-batch is
-	// sorted[start[si]:start[si+1]], and from maps it back to ops.
-	sid := make([]int32, len(ops))
-	start := make([]int, len(e.shards)+1)
-	for i := range ops {
-		si := e.ShardFor(ops[i].Key)
-		sid[i] = int32(si)
-		start[si+1]++
-	}
-	var busy []int
-	for si := range e.shards {
-		if start[si+1] > 0 {
-			busy = append(busy, si)
-		}
-		start[si+1] += start[si]
-	}
-	if len(busy) == 1 {
-		e.shards[busy[0]].applyLocked(ops, errs, nil)
+	var sp Submission
+	e.split(&sp, ops, nil)
+	if len(sp.busy) == 1 {
+		e.shards[sp.busy[0]].applyLocked(ops, errs, nil)
 		return errs
 	}
-	sorted := make([]Op, len(ops))
-	from := make([]int, len(ops))
-	next := append([]int(nil), start[:len(e.shards)]...)
-	for i, si := range sid {
-		k := next[si]
-		next[si]++
-		sorted[k], from[k] = ops[i], i
-	}
 	sErrs := make([]error, len(ops))
-	fanOut(busy, func(si int) error {
-		lo, hi := start[si], start[si+1]
-		e.shards[si].applyLocked(sorted[lo:hi], sErrs[lo:hi], nil)
+	fanOut(sp.busy, func(si int) error {
+		lo, hi := sp.start[si], sp.start[si+1]
+		e.shards[si].applyLocked(sp.ops[lo:hi], sErrs[lo:hi], nil)
 		return nil
 	})
-	for k, i := range from {
+	for i, k := range sp.pos {
 		errs[i] = sErrs[k]
 	}
 	return errs
@@ -687,15 +665,23 @@ func (e *Engine) ShardInfo(i int) Info {
 		ScanPairs:  s.scanPairs.Load(),
 		PM:         s.be.Arena.Stats(),
 		Phases:     s.be.Sys.Clock().Phases(),
+		Health:     s.health(),
 	}
-	switch {
-	case s.crashed:
-		in.Health = Crashed
-	case s.degraded:
-		in.Health = Degraded
+	if in.Health == Degraded {
 		in.Fault = s.downCause.Error()
 	}
 	return in
+}
+
+// health is the shard's serving state. Callers hold s.mu.
+func (s *state) health() Health {
+	switch {
+	case s.crashed:
+		return Crashed
+	case s.degraded:
+		return Degraded
+	}
+	return Healthy
 }
 
 // Stats aggregates all shards.
@@ -729,16 +715,9 @@ func (e *Engine) Gauges() []obsv.ShardGauge {
 	out := make([]obsv.ShardGauge, len(e.shards))
 	for i, s := range e.shards {
 		s.mu.Lock()
-		health := Healthy
-		switch {
-		case s.crashed:
-			health = Crashed
-		case s.degraded:
-			health = Degraded
-		}
 		out[i] = obsv.ShardGauge{
 			Shard:   i,
-			Health:  health.String(),
+			Health:  s.health().String(),
 			Ops:     s.ops,
 			Batches: s.batches,
 			SimNS:   s.be.Sys.Clock().Now(),

@@ -372,8 +372,8 @@ func TestGroupCommitBatching(t *testing.T) {
 
 // TestConcurrentClients exercises both write paths across shards with mixed
 // readers and writers — Do committing on each writer's goroutine, and
-// multi-shard batches through the shard queues; run under -race this is
-// the engine's thread-safety proof.
+// multi-shard batches through the shard queues (Submit); run under -race
+// this is the engine's thread-safety proof.
 func TestConcurrentClients(t *testing.T) {
 	e := newTestEngine(t, 4, 16)
 	const writers, readers, per = 6, 3, 80
@@ -389,12 +389,15 @@ func TestConcurrentClients(t *testing.T) {
 					return
 				}
 			}
-			// And a multi-shard batch through the pipelined path.
+			// And a multi-shard batch through the shard queues.
 			ops := make([]shard.Op, 10)
 			for i := range ops {
 				ops[i] = shard.Op{Kind: shard.OpPut, Key: key(base + i), Val: []byte("batched")}
 			}
-			for _, err := range enqueueAll(e, ops) {
+			var sp shard.Submission
+			errs := make([]error, len(ops))
+			e.Submit(&sp, ops, errs, []int32{5, 5})
+			for _, err := range errs {
 				if err != nil {
 					t.Errorf("writer %d batch: %v", w, err)
 				}
@@ -422,36 +425,6 @@ func TestConcurrentClients(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// enqueueAll submits ops the way a pipelined caller does: one handle per
-// shard, every shard enqueued before any is waited on, so every writer is
-// busy at once. The verdicts come back aligned with ops.
-func enqueueAll(e *shard.Engine, ops []shard.Op) []error {
-	n := e.Shards()
-	parts := make([][]shard.Op, n)
-	idx := make([][]int, n)
-	for i, op := range ops {
-		si := e.ShardFor(op.Key)
-		parts[si] = append(parts[si], op)
-		idx[si] = append(idx[si], i)
-	}
-	reqs := make([]shard.Request, n)
-	errs := make([][]error, n)
-	for si := range parts {
-		if len(parts[si]) > 0 {
-			errs[si] = make([]error, len(parts[si]))
-			e.Enqueue(&reqs[si], si, parts[si], errs[si], nil)
-		}
-	}
-	out := make([]error, len(ops))
-	for si := range reqs {
-		e.Wait(&reqs[si])
-		for j, i := range idx[si] {
-			out[i] = errs[si][j]
-		}
-	}
-	return out
 }
 
 // TestBenignErrorsInBatch: logical per-op failures don't abort the rest of
@@ -952,5 +925,96 @@ func TestCloseSealsLockedPath(t *testing.T) {
 	wg.Wait()
 	if n2 := count(); n2 != n0 {
 		t.Fatalf("late batch committed after Close returned: %d -> %d records", n0, n2)
+	}
+}
+
+// TestCloseServesQueued: Close serves whatever is queued before it seals.
+// Shard 0's first round stalls in the fault hook while more handles queue
+// behind it, and Close starts meanwhile. Once the stall is released, every
+// queued handle gets its real verdict — its put commits, its duplicate
+// insert is refused as a duplicate — not ErrClosed. The handles are waited
+// on only after Close has returned, so Close itself served them. A later
+// Enqueue gets ErrClosed.
+func TestCloseServesQueued(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var stalled atomic.Bool
+	cfg := testConfig(2, 64, 0)
+	cfg.FaultHook = func(si int) {
+		if si == 0 && !stalled.Swap(true) {
+			close(entered)
+			<-release
+		}
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	keyOn0 := func(n int) []byte {
+		for i := 0; ; i++ {
+			k := []byte(fmt.Sprintf("q%d-%d", n, i))
+			if e.ShardFor(k) == 0 {
+				return k
+			}
+		}
+	}
+	dup := keyOn0(-1)
+
+	first := make(chan error, 1)
+	go func() { first <- submit1(e, 0, shard.Op{Kind: shard.OpPut, Key: dup, Val: []byte("v")}) }()
+	<-entered // shard 0's first round is stalled under the shard lock
+
+	const queued = 8
+	reqs := make([]shard.Request, queued)
+	errs := make([][]error, queued)
+	keys := make([][]byte, queued)
+	for i := range reqs {
+		keys[i] = keyOn0(i)
+		ops := []shard.Op{
+			{Kind: shard.OpPut, Key: keys[i], Val: []byte("v")},
+			{Kind: shard.OpInsert, Key: dup, Val: []byte("again")},
+		}
+		errs[i] = make([]error, len(ops))
+		e.Enqueue(&reqs[i], 0, ops, errs[i], []int32{1, 1})
+	}
+
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	for !e.Closed() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while shard 0's round was stalled")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs after the stall was released")
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("stalled round: %v", err)
+	}
+	for i := range reqs {
+		e.Wait(&reqs[i])
+		if err := errs[i][0]; err != nil {
+			t.Fatalf("queued put %d: %v", i, err)
+		}
+		if err := errs[i][1]; !errors.Is(err, slotted.ErrDuplicate) {
+			t.Fatalf("queued duplicate insert %d: %v, want a duplicate-key refusal", i, err)
+		}
+		if v, ok, err := e.Get(keys[i]); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("queued put %d not readable after Close: %q %v %v", i, v, ok, err)
+		}
+	}
+
+	var r shard.Request
+	late := make([]error, 1)
+	e.Enqueue(&r, 0, []shard.Op{{Kind: shard.OpPut, Key: keyOn0(queued), Val: []byte("v")}}, late, nil)
+	e.Wait(&r)
+	if !errors.Is(late[0], shard.ErrClosed) {
+		t.Fatalf("Enqueue after Close: %v, want ErrClosed", late[0])
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fasp/internal/pager"
 	"fasp/internal/pmem"
 	"fasp/internal/shard"
+	"fasp/internal/slotted"
 )
 
 // sizingStore records how many ops each committed transaction carried.
@@ -367,5 +368,105 @@ func TestLoneSubmissionNotTorn(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// unitStore records the atomic units of every committed transaction: the
+// applied-op counts between its MarkUnit calls.
+type unitStore struct {
+	pager.Store
+	txns [][]int
+}
+
+func (s *unitStore) Begin() (pager.Txn, error) {
+	tx, err := s.Store.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return &unitTxn{Txn: tx, st: s, units: []int{0}}, nil
+}
+
+type unitTxn struct {
+	pager.Txn
+	st    *unitStore
+	units []int
+}
+
+func (t *unitTxn) OpEnd() {
+	t.units[len(t.units)-1]++
+	t.Txn.OpEnd()
+}
+
+func (t *unitTxn) MarkUnit() {
+	t.units = append(t.units, 0)
+	if m, ok := t.Txn.(interface{ MarkUnit() }); ok {
+		m.MarkUnit()
+	}
+}
+
+func (t *unitTxn) Commit() error {
+	t.st.txns = append(t.st.txns, t.units)
+	return t.Txn.Commit()
+}
+
+// TestSubmitSplitsUnits: Submit splits two requests spread over three
+// shards so that every shard commits exactly one unit per request it
+// touches — the request's ops on that shard — and the verdicts come back in
+// request order.
+func TestSubmitSplitsUnits(t *testing.T) {
+	cfg := testConfig(3, 64, 0)
+	stores := make([]*unitStore, 3)
+	open := cfg.Open
+	cfg.Open = func(i int) (*shard.Backend, error) {
+		be, err := open(i)
+		if err != nil {
+			return nil, err
+		}
+		stores[i] = &unitStore{Store: be.Store}
+		be.Store = stores[i]
+		return be, nil
+	}
+	e, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	next := 0
+	on := func(si int) []byte {
+		for ; ; next++ {
+			if k := key(next); e.ShardFor(k) == si {
+				next++
+				return k
+			}
+		}
+	}
+	dup := on(1)
+	if err := e.Do(shard.Op{Kind: shard.OpInsert, Key: dup, Val: val(0)}); err != nil {
+		t.Fatal(err)
+	}
+	stores[1].txns = nil
+	ins := func(k []byte) shard.Op { return shard.Op{Kind: shard.OpInsert, Key: k, Val: val(1)} }
+	ops := []shard.Op{
+		// Request 0: shards 0, 1, 2, 0.
+		ins(on(0)), ins(on(1)), ins(on(2)), ins(on(0)),
+		// Request 1: shards 2, 1, 1 (a duplicate, refused), 1.
+		ins(on(2)), ins(on(1)), ins(dup), ins(on(1)),
+	}
+	errs := make([]error, len(ops))
+	var sp shard.Submission
+	e.Submit(&sp, ops, errs, []int32{4, 4})
+	for i, err := range errs {
+		if (i == 6) != errors.Is(err, slotted.ErrDuplicate) || (i != 6 && err != nil) {
+			t.Fatalf("verdict %d = %v: want the duplicate's refusal at 6 and nil elsewhere", i, err)
+		}
+	}
+	want := [][][]int{{{2}}, {{1, 2}}, {{1, 1}}}
+	for si, st := range stores {
+		if !reflect.DeepEqual(st.txns, want[si]) {
+			t.Errorf("shard %d committed units %v, want %v", si, st.txns, want[si])
+		}
+	}
+	if got := sp.Parts(); !reflect.DeepEqual(got, []int32{2, 4, 2}) {
+		t.Errorf("parts %v, want [2 4 2]", got)
 	}
 }

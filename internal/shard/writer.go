@@ -10,8 +10,8 @@ import (
 // shard, a parallel error slice a round fills, and the submission's atomic
 // units. The zero value is ready to use. A handle carries one submission
 // at a time — Enqueue it, Wait on it, then it may be enqueued again — and
-// is owned by one goroutine; callers that submit to several shards at once
-// keep one handle per shard.
+// is owned by one goroutine; Submit keeps one handle per shard in its
+// Submission.
 type Request struct {
 	ops   []Op
 	errs  []error
@@ -88,14 +88,153 @@ func (s *state) serveRound() {
 	*flat = roundScratch{reqs, ops, errs, units}
 }
 
+// Submission is a caller's reusable scratch for Submit: its write set laid
+// out by shard, each shard's atomic units, and one queue handle per shard.
+// The zero value is ready to use. It carries one Submit at a time and is
+// owned by one goroutine, so a caller that keeps one submits without heap
+// allocation at steady state.
+type Submission struct {
+	ops   []Op      // the write set shard-major: shard si's part is ops[start[si]:start[si+1]]
+	errs  []error   // the parts' verdicts, parallel to ops
+	pos   []int32   // each op's shard, then its position in ops
+	start []int32   // the parts' bounds, len Shards()+1
+	owner []int32   // per shard, the request (plus one) that opened its last unit
+	units [][]int32 // per shard, its part's units; rows unused without request boundaries
+	busy  []int     // the shards with a non-empty part, ascending
+	sizes []int32   // their parts' op counts, parallel to busy
+	reqs  []Request // per shard, its queue handle
+}
+
+// Parts returns the op count of every non-empty shard part of the last
+// Submit, in ascending shard order.
+func (sp *Submission) Parts() []int32 { return sp.sizes }
+
+// split lays ops out by shard, each shard's part in request order. units,
+// when not nil, lists the op counts of consecutive requests, and each
+// request's ops on a shard become one unit of that shard's part. When one
+// shard takes every op the layout is left unbuilt: that part is ops itself,
+// with units as they are. This is the one place the engine decides a write
+// set's shard layout; Submit and ApplyBatch both go through it.
+func (e *Engine) split(sp *Submission, ops []Op, units []int32) {
+	n := len(e.shards)
+	sp.start = resize(sp.start, n+1)
+	clear(sp.start)
+	sp.pos = resize(sp.pos, len(ops))
+	for i := range ops {
+		si := int32(e.ShardFor(ops[i].Key))
+		sp.pos[i] = si
+		sp.start[si+1]++
+	}
+	sp.busy, sp.sizes = sp.busy[:0], sp.sizes[:0]
+	for si := 0; si < n; si++ {
+		if c := sp.start[si+1]; c > 0 {
+			sp.busy = append(sp.busy, si)
+			sp.sizes = append(sp.sizes, c)
+		}
+		sp.start[si+1] += sp.start[si]
+	}
+	if len(sp.busy) < 2 {
+		return
+	}
+	if units != nil {
+		sp.owner = resize(sp.owner, n)
+		clear(sp.owner)
+		if len(sp.units) < n {
+			sp.units = make([][]int32, n)
+		}
+		for si := range sp.units {
+			sp.units[si] = sp.units[si][:0]
+		}
+	}
+	// start[si] walks shard si's part as it fills, ending where part si+1
+	// begins; the shift afterwards restores the parts' starts. r is the
+	// request op i belongs to, and end the op that request ends before.
+	sp.ops = resize(sp.ops, len(ops))
+	r, end := 0, len(ops)
+	if units != nil {
+		end = int(units[0])
+	}
+	for i := range ops {
+		si := sp.pos[i]
+		k := sp.start[si]
+		sp.start[si]++
+		sp.ops[k], sp.pos[i] = ops[i], k
+		if units == nil {
+			continue
+		}
+		for i == end {
+			r++
+			end += int(units[r])
+		}
+		if sp.owner[si] != int32(r)+1 {
+			sp.owner[si] = int32(r) + 1
+			sp.units[si] = append(sp.units[si], 0)
+		}
+		sp.units[si][len(sp.units[si])-1]++
+	}
+	copy(sp.start[1:], sp.start[:n])
+	sp.start[0] = 0
+}
+
+// resize returns b with length n, reusing its array when it is big enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// Submit commits a write set through the shard queues and fills errs
+// (len(ops)) with the verdicts, in request order. ops are in request order;
+// units lists the op counts of consecutive requests — positive, summing to
+// len(ops) — and nil makes the whole set one request. The set is split by
+// shard (split), every non-empty part is enqueued on its shard as one
+// submission whose units are the requests' ops on that shard, and then the
+// parts are waited on in ascending shard order. Each Wait serves its
+// shard's queue unless another submitter's round has already served the
+// part, so a part commits with whatever else queued on its shard, and
+// different submitters commit different shards at once. A request that
+// spans shards is one unit on each of them, not one across them: there are
+// no cross-shard transactions. sp is the caller's reusable scratch; Submit
+// reads ops and units only until it returns.
+func (e *Engine) Submit(sp *Submission, ops []Op, errs []error, units []int32) {
+	e.split(sp, ops, units)
+	if len(sp.busy) == 0 {
+		return
+	}
+	if len(sp.reqs) < len(e.shards) {
+		sp.reqs = make([]Request, len(e.shards))
+	}
+	if len(sp.busy) == 1 {
+		r := &sp.reqs[sp.busy[0]]
+		e.Enqueue(r, sp.busy[0], ops, errs, units)
+		e.Wait(r)
+		return
+	}
+	sp.errs = resize(sp.errs, len(ops))
+	for _, si := range sp.busy {
+		lo, hi := sp.start[si], sp.start[si+1]
+		var u []int32
+		if units != nil {
+			u = sp.units[si]
+		}
+		e.Enqueue(&sp.reqs[si], si, sp.ops[lo:hi], sp.errs[lo:hi], u)
+	}
+	for _, si := range sp.busy {
+		e.Wait(&sp.reqs[si])
+	}
+	for i, k := range sp.pos {
+		errs[i] = sp.errs[k]
+	}
+}
+
 // Enqueue places ops — every key must route to shard si under ShardFor;
 // placement is the caller's contract — on that shard's queue as one
 // submission, without waiting for the commit; Wait(r) returns once a round
 // has filled errs (len(ops)). It is zero-copy: the handle carries the
 // caller's slices, which the caller must not touch until Wait returns. A
-// caller with work for several shards enqueues one handle on each and then
-// waits on all of them; a round on any shard serves whatever is queued
-// there, so no shard waits for another.
+// caller with work for several shards uses Submit, which enqueues one
+// handle on each and then waits on all of them.
 //
 // units lists the op counts of the submission's atomic units in order —
 // positive, summing to len(ops) — and nil makes the submission one unit. A
@@ -150,7 +289,16 @@ func (e *Engine) Wait(r *Request) {
 		return
 	}
 	r.s = nil
+	var t0 time.Time
+	if s.rec != nil {
+		t0 = time.Now()
+	}
 	s.mu.Lock()
+	if s.rec != nil {
+		// The shard-lock wait: how long this submitter parked, and whether
+		// another round had served its handle by the time it got the lock.
+		s.rec.ObserveLockWait(r.served, time.Since(t0).Nanoseconds())
+	}
 	for !r.served {
 		s.serveRound()
 	}

@@ -203,9 +203,6 @@ func SQLInsert(table string, id uint64, payload []byte) string {
 	return fmt.Sprintf("INSERT INTO %s VALUES (%d, x'%x')", table, id, payload)
 }
 
-// ZipfTheta exposes the default zipf parameter for documentation.
-func ZipfTheta() float64 { return 1.2 }
-
 // Percentile computes the p-th percentile (0..100) of a sample slice
 // without sorting the caller's copy.
 func Percentile(xs []int64, p float64) int64 {

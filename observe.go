@@ -20,7 +20,7 @@ import (
 
 // ErrBadShard reports a shard index outside [0, Shards()) passed to a
 // per-shard accessor (ShardStats, ShardSystem, ShardStore, ShardScan,
-// Heal) or to Enqueue/SubmitShard.
+// Heal) or to SubmitShard.
 var ErrBadShard = shard.ErrBadShard
 
 // ErrClosed reports a write operation submitted to a KV after Close.

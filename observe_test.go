@@ -38,17 +38,8 @@ func TestBadShardIndex(t *testing.T) {
 			if err := kv.ShardScan(i, nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrBadShard) {
 				t.Errorf("ShardScan(%d) = %v, want ErrBadShard", i, err)
 			}
-			// A submission fails every op, and Wait returns at once.
-			var r Request
-			errs := make([]error, 2)
-			kv.Enqueue(&r, i, []Op{{Kind: OpPut, Key: k(1)}, {Kind: OpPut, Key: k(2)}}, errs, nil)
-			kv.Wait(&r)
-			for j, err := range errs {
-				if !errors.Is(err, ErrBadShard) {
-					t.Errorf("Enqueue(%d) op %d = %v, want ErrBadShard", i, j, err)
-				}
-			}
-			kv.SubmitShard(i, []Op{{Kind: OpPut, Key: k(1)}}, errs[:1])
+			errs := make([]error, 1)
+			kv.SubmitShard(i, []Op{{Kind: OpPut, Key: k(1)}}, errs)
 			if !errors.Is(errs[0], ErrBadShard) {
 				t.Errorf("SubmitShard(%d) = %v, want ErrBadShard", i, errs[0])
 			}
@@ -127,8 +118,10 @@ func TestKVCloseIdempotent(t *testing.T) {
 			if err := kv.ApplyBatch(op)[0]; !errors.Is(err, ErrClosed) {
 				t.Fatalf("ApplyBatch after Close = %v, want ErrClosed", err)
 			}
-			if err := enqueueAll(kv, op)[0]; !errors.Is(err, ErrClosed) {
-				t.Fatalf("Enqueue after Close = %v, want ErrClosed", err)
+			var sp Submission
+			errs := make([]error, 1)
+			if kv.Submit(&sp, op, errs, nil); !errors.Is(errs[0], ErrClosed) {
+				t.Fatalf("Submit after Close = %v, want ErrClosed", errs[0])
 			}
 			if shards == 1 {
 				err := kv.Batch(func(tx BatchTx) error { return tx.Insert(k(2), v(2)) })

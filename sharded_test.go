@@ -269,7 +269,7 @@ func TestSingleMachineAccessors(t *testing.T) {
 }
 
 // TestKVHoldsNoGoroutine: a store owns no goroutine. Opening an 8-shard
-// store and writing through SubmitShard and Enqueue/Wait — where
+// store and writing through SubmitShard and Submit — where
 // submitters gather and commit their own group commits — leaves the
 // goroutine count where it was before OpenKV.
 func TestKVHoldsNoGoroutine(t *testing.T) {
@@ -289,9 +289,12 @@ func TestKVHoldsNoGoroutine(t *testing.T) {
 			t.Fatalf("SubmitShard %d: %v", i, errs[0])
 		}
 	}
-	for i, err := range enqueueAll(kv, ops) {
+	var sp Submission
+	errs := make([]error, len(ops))
+	kv.Submit(&sp, ops, errs, nil)
+	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("Enqueue %d: %v", i, err)
+			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
 	if after := runtime.NumGoroutine(); after > before {
